@@ -514,8 +514,6 @@ let candidates t st =
 type entry = {
   e_id : int;
   e_state : state;
-  e_zhash : int;  (* Dbm.hash of the zone; used only when not subsuming *)
-  e_sum : int;  (* Dbm.weight of the zone; used only when subsuming *)
   mutable e_dead : bool;
 }
 
@@ -525,14 +523,160 @@ type entry = {
    subsumption probes compare a machine integer before touching the
    discrete vectors, and a parallel store can route on the same hash
    without recomputing it.  Collisions are resolved by structural
-   comparison here. *)
+   comparison here.
+
+   The live entries occupy [pw_live.(0 .. pw_len-1)] in no particular
+   order; [pw_keys] holds their {!Zone.Dbm.write_key} keys, [key_len]
+   ints per entry at the same index, so a subsumption scan reads one
+   flat int array and dereferences an entry only when its key passes. *)
 type pw_node = {
   pw_hash : int;
   pw_locs : int array;
   pw_vars : int array;
   pw_mon : int;
-  mutable pw_entries : entry list;
+  mutable pw_live : entry array;
+  mutable pw_keys : int array;
+  mutable pw_len : int;
 }
+
+module Passed = struct
+  type nonrec entry = entry
+  type node = pw_node
+
+  let entry_id e = e.e_id
+  let entry_dead e = e.e_dead
+
+  let node ~hash st =
+    { pw_hash = hash; pw_locs = st.st_locs; pw_vars = st.st_vars;
+      pw_mon = st.st_mon; pw_live = [||]; pw_keys = [||]; pw_len = 0 }
+
+  let live n = List.init n.pw_len (fun i -> n.pw_live.(i))
+
+  (* Per-search scratch: the dedup mode, the newcomer's key and the
+     indices of the entries it covers, in decreasing order. *)
+  type t = {
+    subsume : bool;
+    pool : Zone.Dbm.Pool.t;
+    klen : int;
+    nkey : int array;
+    mutable kills : int array;
+  }
+
+  let create ~subsume pool =
+    let klen = Zone.Dbm.key_len (Zone.Dbm.Pool.dim pool) in
+    { subsume; pool; klen; nkey = Array.make klen 0; kills = [||] }
+
+  (* [a.(ao + p) >= b.(bo + p)] at every [p < len]: the key of the zone
+     at [bo] is dominated by the one at [ao].  A plain loop, not a local
+     closure: this is the innermost loop of the search. *)
+  let key_ge (a : int array) ao (b : int array) bo len =
+    let p = ref 0 in
+    while !p < len && Array.unsafe_get a (ao + !p) >= Array.unsafe_get b (bo + !p)
+    do
+      incr p
+    done;
+    !p = len
+
+  (* The newcomer's key goes to [sc.nkey]; its head is returned. *)
+  let write_key sc z =
+    let head = if sc.subsume then Zone.Dbm.weight z else Zone.Dbm.hash z in
+    Zone.Dbm.write_key z ~head sc.nkey 0;
+    head
+
+  (* Append [e], whose key is in [sc.nkey]. *)
+  let append sc n e =
+    let klen = sc.klen in
+    if n.pw_len = Array.length n.pw_live then begin
+      let cap = max 4 (2 * n.pw_len) in
+      let live = Array.make cap e and keys = Array.make (cap * klen) 0 in
+      Array.blit n.pw_live 0 live 0 n.pw_len;
+      Array.blit n.pw_keys 0 keys 0 (n.pw_len * klen);
+      n.pw_live <- live;
+      n.pw_keys <- keys
+    end;
+    n.pw_live.(n.pw_len) <- e;
+    Array.blit sc.nkey 0 n.pw_keys (n.pw_len * klen) klen;
+    n.pw_len <- n.pw_len + 1
+
+  (* Swap-remove: the last entry fills slot [i], and the vacated slot
+     points at [filler] so it pins nothing dead.  Removing indices in
+     decreasing order keeps every pending index valid. *)
+  let remove sc n i filler =
+    let last = n.pw_len - 1 in
+    if i <> last then begin
+      n.pw_live.(i) <- n.pw_live.(last);
+      Array.blit n.pw_keys (last * sc.klen) n.pw_keys (i * sc.klen) sc.klen
+    end;
+    n.pw_live.(last) <- filler;
+    n.pw_len <- last
+
+  (* Store an entry without a subsumption scan (snapshot restore). *)
+  let restore sc n e =
+    ignore (write_key sc e.e_state.st_zone : int);
+    append sc n e
+
+  (* [add sc n ~expanding ~id st] offers [st] (of [n]'s discrete state)
+     to the node.  Covered (by inclusion, or by equality without
+     subsumption): its zone goes back to the pool and the result is
+     [None].  Otherwise it is stored as entry [id], and when subsuming,
+     every live entry its zone includes is marked dead, leaves the node
+     and returns its zone to the pool — except the entry being expanded
+     ([expanding]), whose zone the rest of its expansion still reads.
+
+     One pass, newest first, decides both: an entry is tested as a
+     cover when its key dominates the newcomer's, as a victim when the
+     newcomer's dominates its own, by {!Zone.Dbm.includes} only after
+     the key compare passes.  Victims are applied only once the pass
+     ends uncovered, so the outcome is exactly "exists cover, else
+     remove all victims" whatever the entry order. *)
+  let add sc n ~expanding ~id st =
+    let z = st.st_zone in
+    let klen = sc.klen and nk = sc.nkey in
+    let head = write_key sc z in
+    let keys = n.pw_keys and live = n.pw_live in
+    let covered = ref false and nkills = ref 0 and i = ref (n.pw_len - 1) in
+    if sc.subsume then begin
+      if Array.length sc.kills < n.pw_len then
+        sc.kills <- Array.make (2 * n.pw_len) 0;
+      while (not !covered) && !i >= 0 do
+        let off = !i * klen in
+        if key_ge keys off nk 0 klen
+           && Zone.Dbm.includes live.(!i).e_state.st_zone z
+        then covered := true
+        else if key_ge nk 0 keys off klen
+                && Zone.Dbm.includes z live.(!i).e_state.st_zone
+        then begin
+          sc.kills.(!nkills) <- !i;
+          incr nkills
+        end;
+        decr i
+      done
+    end
+    else
+      while (not !covered) && !i >= 0 do
+        if keys.(!i * klen) = head
+           && Zone.Dbm.equal live.(!i).e_state.st_zone z
+        then covered := true;
+        decr i
+      done;
+    if !covered then begin
+      Zone.Dbm.Pool.release sc.pool z;
+      None
+    end
+    else begin
+      let e = { e_id = id; e_state = st; e_dead = false } in
+      for k = 0 to !nkills - 1 do
+        let j = sc.kills.(k) in
+        let victim = n.pw_live.(j) in
+        victim.e_dead <- true;
+        if victim.e_id <> expanding then
+          Zone.Dbm.Pool.release sc.pool victim.e_state.st_zone;
+        remove sc n j e
+      done;
+      append sc n e;
+      Some e
+    end
+end
 
 type progress = {
   pr_visited : int;
@@ -750,6 +894,7 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
     ?(subsume = true) ?expand ?ctl ?resume ?(label = "")
     ?(payload = fun () -> "") t visit =
   let pool = fresh_pool t in
+  let passed = Passed.create ~subsume pool in
   let store : (int, pw_node list ref) Hashtbl.t = Hashtbl.create 4096 in
   (* trace side table: (parent, movers) per stored id, for witness
      reconstruction; grows geometrically *)
@@ -798,70 +943,21 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
     match find_node bucket h st with
     | Some n -> n
     | None ->
-      let n =
-        { pw_hash = h; pw_locs = st.st_locs; pw_vars = st.st_vars;
-          pw_mon = st.st_mon; pw_entries = [] }
-      in
+      let n = Passed.node ~hash:h st in
       bucket := n :: !bucket;
       n
   in
-  (* The per-entry weight ({!Zone.Dbm.weight}, a scalar dominance
-     measure) prefilters both subsumption scans: an entry can cover the
-     newcomer only when at least as heavy, and be covered by it only
-     when no heavier — so most probes are an integer compare instead of
-     an O(dim^2) inclusion walk.  Scan {e decisions} are unchanged
-     (covered is an existence check, pruning removes a set). *)
   let add_state parent movers st =
-    let node = node_for st in
-    let zhash = if subsume then 0 else Zone.Dbm.hash st.st_zone in
-    let w = if subsume then Zone.Dbm.weight st.st_zone else 0 in
-    let covered e =
-      if subsume then
-        e.e_sum >= w && Zone.Dbm.includes e.e_state.st_zone st.st_zone
-      else e.e_zhash = zhash && Zone.Dbm.equal e.e_state.st_zone st.st_zone
-    in
-    if List.exists covered node.pw_entries then begin
-      Zone.Dbm.Pool.release pool st.st_zone;
-      None
-    end
-    else begin
-      if subsume then begin
-        (* in-place subsumption: entries covered by the newcomer leave
-           the PW node now (dead ones drain from the queue in O(1) on
-           pop) and their zones return to the scratch pool.  [prune]
-           returns the input list physically unchanged when nothing is
-           subsumed -- the common case -- so steady-state inserts do not
-           reallocate the (often long) entry list *)
-        let rec prune l =
-          match l with
-          | [] -> l
-          | e :: rest ->
-            if
-              e.e_sum <= w
-              && Zone.Dbm.includes st.st_zone e.e_state.st_zone
-            then begin
-              e.e_dead <- true;
-              if e.e_id <> !expanding then
-                Zone.Dbm.Pool.release pool e.e_state.st_zone;
-              prune rest
-            end
-            else
-              let rest' = prune rest in
-              if rest' == rest then l else e :: rest'
-        in
-        node.pw_entries <- prune node.pw_entries
-      end;
-      let id = !next_id in
+    match
+      Passed.add passed (node_for st) ~expanding:!expanding ~id:!next_id st
+    with
+    | None -> None
+    | Some e as r ->
       incr next_id;
       incr stored;
-      record_trace id parent movers;
-      let e =
-        { e_id = id; e_state = st; e_zhash = zhash; e_sum = w; e_dead = false }
-      in
-      node.pw_entries <- e :: node.pw_entries;
+      record_trace e.e_id parent movers;
       Queue.push e waiting;
-      Some e
-    end
+      r
   in
   let stopped = ref None in
   let consider entry =
@@ -910,24 +1006,15 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
                movers ))
        snap.snap_trace;
      let by_id = Hashtbl.create 4096 in
-     (* entries were saved in reverse bucket order, so consing here
-        rebuilds each PW node's list bit-identically to the moment the
-        snapshot was taken *)
      List.iter
        (fun se ->
          let st =
            { st_locs = se.se_locs; st_vars = se.se_vars; st_mon = se.se_mon;
              st_zone = Zone.Dbm.of_ints ~dim:snap.snap_dim se.se_zone }
          in
-         let zhash = if subsume then 0 else Zone.Dbm.hash st.st_zone in
-         let w = if subsume then Zone.Dbm.weight st.st_zone else 0 in
-         let e =
-           { e_id = se.se_id; e_state = st; e_zhash = zhash; e_sum = w;
-             e_dead = false }
-         in
+         let e = { e_id = se.se_id; e_state = st; e_dead = false } in
          Hashtbl.replace by_id se.se_id e;
-         let node = node_for st in
-         node.pw_entries <- e :: node.pw_entries)
+         Passed.restore passed (node_for st) e)
        snap.snap_entries;
      (* the visit callback is NOT replayed for restored states: they were
         considered when first stored, and the caller's accumulator comes
@@ -1011,17 +1098,16 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
       (fun _ bucket ->
         List.iter
           (fun n ->
-            List.iter
-              (fun e ->
-                if not e.e_dead then
-                  entries :=
-                    { se_id = e.e_id;
-                      se_locs = e.e_state.st_locs;
-                      se_vars = e.e_state.st_vars;
-                      se_mon = e.e_state.st_mon;
-                      se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
-                    :: !entries)
-              n.pw_entries)
+            for i = n.pw_len - 1 downto 0 do
+              let e = n.pw_live.(i) in
+              entries :=
+                { se_id = e.e_id;
+                  se_locs = e.e_state.st_locs;
+                  se_vars = e.e_state.st_vars;
+                  se_mon = e.e_state.st_mon;
+                  se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
+                :: !entries
+            done)
           !bucket)
       store;
     let queue_ids =

@@ -355,6 +355,46 @@ val describe_chain :
     once per state. *)
 val hash_discrete : int array -> int array -> int -> int
 
+(** The live zones of one discrete state in {!search}'s passed/waiting
+    store, exposed so tests can drive it directly.  Library-internal in
+    spirit. *)
+module Passed : sig
+  (** A stored state: its id, the state, and whether a later zone of
+      the same discrete state subsumed it. *)
+  type entry
+
+  val entry_id : entry -> int
+  val entry_dead : entry -> bool
+
+  (** The live entries of one discrete state. *)
+  type node
+
+  (** [node ~hash st] is an empty node for [st]'s discrete part;
+      [hash] is its {!hash_discrete}. *)
+  val node : hash:int -> state -> node
+
+  (** The node's live entries, in no particular order. *)
+  val live : node -> entry list
+
+  (** Per-search scratch: the dedup mode and the pool that covered and
+      subsumed zones return to. *)
+  type t
+
+  (** [create ~subsume pool]: with [subsume], dedup by zone inclusion
+      (and drop live entries a new zone includes); without, by zone
+      equality. *)
+  val create : subsume:bool -> Zone.Dbm.Pool.t -> t
+
+  (** [add p n ~expanding ~id st] offers [st], a state of [n]'s discrete
+      part with a non-empty zone.  If a live entry covers it, [st]'s
+      zone returns to the pool and the result is [None].  Otherwise it
+      is stored as entry [id] and returned; when subsuming, every live
+      entry whose zone it includes is marked dead and leaves the node,
+      and its zone returns to the pool unless its id is [expanding]
+      (the entry whose successors are being generated). *)
+  val add : t -> node -> expanding:int -> id:int -> state -> entry option
+end
+
 (** {2 Snapshot plumbing}
 
     The pieces a foreign passed/waiting store (the sharded one of

@@ -164,9 +164,8 @@ let hash z =
 (* Clamped sum of the encoded bounds: a dominance measure.  Clamping is
    monotone and [Bound.infinity] (= [max_int]) is the only encoding
    above the cap, so [includes a b] implies [weight a >= weight b], and
-   equal weights with pointwise dominance force the zones equal.  Used
-   by the explorer to order passed-list buckets so subsumption probes
-   scan only the entries that could possibly dominate. *)
+   equal weights with pointwise dominance force the zones equal.  The
+   head of a subsumption key (below). *)
 let weight_cap = 1 lsl 40
 
 let weight z =
@@ -176,6 +175,22 @@ let weight z =
     s := !s + (if b > weight_cap then weight_cap else b)
   done;
   !s
+
+(* Key layout, [key_len n = 2n] ints: [head], then row 0 (entries
+   (0, 0) .. (0, n-1)), then column 0 below the diagonal ((1, 0) ..
+   (n-1, 0)).  For non-empty [a] and [b], [includes a b] is pointwise
+   [b.m <= a.m], so with [head = weight] the key of [b] is <= the key of
+   [a] at every position: a failed key compare refutes inclusion
+   without touching the matrices. *)
+let key_len n = 2 * n
+
+let write_key z ~head keys off =
+  let n = z.n in
+  keys.(off) <- head;
+  Array.blit z.m 0 keys (off + 1) n;
+  for i = 1 to n - 1 do
+    keys.(off + n + i) <- z.m.(i * n)
+  done
 
 let to_ints z = Array.copy z.m
 

@@ -66,11 +66,35 @@ val hash : t -> int
 
 (** Clamped sum of the encoded bounds: a scalar dominance measure.
     [includes a b] implies [weight a >= weight b], and equal weights
-    together with pointwise dominance force the zones equal — so a
-    collection ordered by descending weight confines subsumption probes
-    of a new zone to the at-least-as-heavy prefix (candidates to cover
-    it) and the strictly lighter suffix (candidates it covers). *)
+    together with inclusion force the zones equal.  A subsumption probe
+    therefore only tests an inclusion [includes a b] when
+    [weight a >= weight b]. *)
 val weight : t -> int
+
+(** {2 Subsumption keys}
+
+    A key is a flat summary of a zone that refutes most inclusions with
+    a few integer compares: [key_len dim = 2 * dim] ints, laid out as a
+    caller-chosen [head] (the {!weight}, for inclusion probes), then
+    row 0 of the matrix (the [(0, j)] entries, [j = 0 .. dim-1]), then
+    column 0 below the diagonal (the [(i, 0)] entries,
+    [i = 1 .. dim-1]) — each clock's lower and upper bound.
+
+    {b Soundness.}  For non-empty [a] and [b], [includes a b] holds iff
+    every encoded bound of [b] is [<=] the matching bound of [a]; row 0
+    and column 0 are such bounds, and {!weight} is monotone in them.  So
+    with [head = weight], [includes a b] implies that the key of [b] is
+    [<=] the key of [a] at {e every} position, and a single position
+    where it is greater proves [not (includes a b)].  The premise
+    matters: an empty [b] is included in everything whatever its key,
+    so keys prefilter only stores of non-empty zones (the explorer never
+    stores an empty one). *)
+
+val key_len : int -> int
+
+(** [write_key z ~head keys off] writes [z]'s key into
+    [keys.(off) .. keys.(off + key_len (dim z) - 1)]. *)
+val write_key : t -> head:int -> int array -> int -> unit
 
 (** [to_ints z] is the raw encoded bound matrix, row-major, as a fresh
     array — the serialization counterpart of {!of_ints}.  The encoding

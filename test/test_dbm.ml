@@ -287,6 +287,52 @@ let prop_hash_respects_equal =
       let a = build ops1 and b = build ops2 in
       (not (Dbm.equal a b)) || Dbm.hash a = Dbm.hash b)
 
+(* --- subsumption prefilter ---------------------------------------------- *)
+
+(* The explorer tests [includes a b] only when [a]'s weight and key
+   dominate [b]'s, so the prefilter must never reject a true inclusion.
+   Random pairs rarely nest, so [b] is also derived from [a] by further
+   constraints, which keeps it inside [a] by construction. *)
+
+let key z =
+  let k = Array.make (Dbm.key_len (Dbm.dim z)) 0 in
+  Dbm.write_key z ~head:(Dbm.weight z) k 0;
+  k
+
+let arb_nested =
+  let constrain_only =
+    QCheck.Gen.(
+      list_size (int_range 0 4) Gen.gen_dbm_op
+      |> map (List.filter (function Gen.Op_constrain _ -> true | _ -> false)))
+  in
+  QCheck.make
+    ~print:(fun (a, b) ->
+      Fmt.str "a: %a; b = a then: %a"
+        Fmt.(list ~sep:semi Gen.pp_dbm_op) a
+        Fmt.(list ~sep:semi Gen.pp_dbm_op) b)
+    QCheck.Gen.(pair (QCheck.gen Gen.arb_dbm_ops) constrain_only)
+
+(* [prop a b] over pairs with [b] non-empty and included in [a]: two
+   random zones that happen to nest, and [a] with a narrowing of it. *)
+let included_pairs name prop =
+  let check a b =
+    QCheck.assume ((not (Dbm.is_empty b)) && Dbm.includes a b);
+    prop a b
+  in
+  [ QCheck.Test.make ~count:1000 ~name:(name ^ " (random pairs)")
+      (QCheck.pair arb_ops arb_ops)
+      (fun (o1, o2) -> check (build o1) (build o2));
+    QCheck.Test.make ~count:1000 ~name:(name ^ " (narrowed pairs)") arb_nested
+      (fun (o1, extra) -> check (build o1) (build (o1 @ extra))) ]
+
+let prefilter_props =
+  included_pairs "includes implies weight order" (fun a b ->
+      Dbm.weight a >= Dbm.weight b)
+  @ included_pairs "includes implies key dominance" (fun a b ->
+        Array.for_all2 (fun ka kb -> kb <= ka) (key a) (key b))
+  @ included_pairs "equal weights and inclusion imply equal" (fun a b ->
+        Dbm.weight a <> Dbm.weight b || Dbm.equal a b)
+
 let suite =
   [ Alcotest.test_case "bound encoding order" `Quick test_bound_encoding;
     Alcotest.test_case "bound addition" `Quick test_bound_add;
@@ -320,3 +366,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_extrapolate_preserves_inclusion;
     QCheck_alcotest.to_alcotest prop_extrapolate_lu_preserves_inclusion;
     QCheck_alcotest.to_alcotest prop_hash_respects_equal ]
+  @ List.map QCheck_alcotest.to_alcotest prefilter_props

@@ -314,6 +314,113 @@ let test_search_limit () =
   Alcotest.(check bool) "visited stopped at the limit" true
     (r.Mc.Explorer.r_stats.Mc.Explorer.visited <= 50)
 
+(* --- passed-list store ------------------------------------------------- *)
+
+module P = Mc.Explorer.Passed
+
+let state_of z =
+  { Mc.Explorer.st_locs = [| 0 |]; st_vars = [||]; st_mon = 0; st_zone = z }
+
+(* Short trails give coarse zones, so a sequence has many nested pairs. *)
+let arb_zone_seq =
+  let open QCheck.Gen in
+  let zone = list_size (int_range 0 4) Gen.gen_dbm_op in
+  QCheck.make
+    ~print:
+      Fmt.(to_to_string (list ~sep:cut (brackets (list ~sep:semi Gen.pp_dbm_op))))
+    (list_size (int_range 1 40) zone)
+
+(* The store against a naive reference on one discrete state: a list,
+   newest first, checked for a cover with [List.exists], then (when
+   subsuming) filtered of the entries the newcomer includes.  After
+   every step the covered decision, the live ids and the dead flags of
+   every entry stored so far must agree. *)
+let store_matches_reference ~subsume seq =
+  let pool = Zone.Dbm.Pool.create Gen.dbm_dims in
+  let p = P.create ~subsume pool in
+  let zones =
+    List.filter (fun z -> not (Zone.Dbm.is_empty z)) (List.map Gen.build_dbm seq)
+  in
+  let node = P.node ~hash:0 (state_of (Zone.Dbm.zero Gen.dbm_dims)) in
+  let live = ref [] and dead = ref [] and entries = ref [] in
+  let ids l = List.sort compare (List.map fst l) in
+  List.iteri
+    (fun id z ->
+      let covers (_, y) =
+        if subsume then Zone.Dbm.includes y z else Zone.Dbm.equal y z
+      in
+      let covered = List.exists covers !live in
+      if not covered then begin
+        let victims, kept =
+          if subsume then
+            List.partition (fun (_, y) -> Zone.Dbm.includes z y) !live
+          else ([], !live)
+        in
+        dead := List.map fst victims @ !dead;
+        live := (id, z) :: kept
+      end;
+      (match P.add p node ~expanding:(-1) ~id (state_of z) with
+       | None ->
+         if not covered then QCheck.Test.fail_reportf "step %d: store covered it" id
+       | Some e ->
+         if covered then QCheck.Test.fail_reportf "step %d: store kept it" id;
+         entries := e :: !entries);
+      let store_live = List.sort compare (List.map P.entry_id (P.live node)) in
+      if store_live <> ids !live then
+        QCheck.Test.fail_reportf "step %d: live sets differ" id;
+      List.iter
+        (fun e ->
+          if P.entry_dead e <> List.mem (P.entry_id e) !dead then
+            QCheck.Test.fail_reportf "step %d: entry %d dead flag differs" id
+              (P.entry_id e))
+        !entries)
+    zones;
+  true
+
+let prop_store_subsume =
+  QCheck.Test.make ~name:"passed store = reference (inclusion)" ~count:500
+    arb_zone_seq (store_matches_reference ~subsume:true)
+
+let prop_store_equality =
+  QCheck.Test.make ~name:"passed store = reference (equality)" ~count:200
+    arb_zone_seq (store_matches_reference ~subsume:false)
+
+(* A successor may subsume its own parent (a move that frees a clock):
+   the parent dies, but its zone must not return to the pool while it
+   is being expanded, or the next scratch copy would overwrite it under
+   the remaining candidates.  A subsumed entry that is not being
+   expanded does return its zone. *)
+let test_store_keeps_expanding_zone () =
+  let point () = Zone.Dbm.zero 2 in
+  let delayed () =
+    let z = Zone.Dbm.zero 2 in
+    Zone.Dbm.up z;
+    z
+  in
+  let run ~expanding =
+    let pool = Zone.Dbm.Pool.create 2 in
+    let p = P.create ~subsume:true pool in
+    let node = P.node ~hash:0 (state_of (point ())) in
+    let parent_zone = point () in
+    let parent =
+      Option.get (P.add p node ~expanding:(-1) ~id:0 (state_of parent_zone))
+    in
+    let child = P.add p node ~expanding ~id:1 (state_of (delayed ())) in
+    Alcotest.(check bool) "successor stored" true (child <> None);
+    Alcotest.(check bool) "parent subsumed" true (P.entry_dead parent);
+    Alcotest.(check (list int)) "only the successor is live" [ 1 ]
+      (List.map P.entry_id (P.live node));
+    (parent_zone, Zone.Dbm.Pool.copy pool (delayed ()))
+  in
+  let parent_zone, scratch = run ~expanding:0 in
+  Alcotest.(check bool) "expanding zone not handed out again" false
+    (scratch == parent_zone);
+  Alcotest.(check bool) "expanding zone intact" true
+    (Zone.Dbm.equal parent_zone (point ()));
+  let parent_zone, scratch = run ~expanding:(-1) in
+  Alcotest.(check bool) "other subsumed zone reused" true
+    (scratch == parent_zone)
+
 let suite =
   [ Alcotest.test_case "reach within invariant" `Quick
       test_reach_within_invariant;
@@ -334,4 +441,8 @@ let suite =
     Alcotest.test_case "sup deterministic delay" `Quick
       test_sup_lower_bound_exact;
     Alcotest.test_case "safe query" `Quick test_safe;
-    Alcotest.test_case "search limit" `Quick test_search_limit ]
+    Alcotest.test_case "search limit" `Quick test_search_limit;
+    QCheck_alcotest.to_alcotest prop_store_subsume;
+    QCheck_alcotest.to_alcotest prop_store_equality;
+    Alcotest.test_case "store keeps the expanding zone" `Quick
+      test_store_keeps_expanding_zone ]
