@@ -686,11 +686,62 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
 
 (* ----------------------------------------------------- bechamel part -- *)
 
+(* Zones for the DBM kernel rows: every 8th successor of the gpca-psm-mc
+   search (dim 9: eight clocks and the reference), as [fire_pre] recorded
+   it just before extrapolation, together with the search's ExtraM
+   constants. *)
+let gpca_mc_zones psm =
+  let ceiling =
+    2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc
+  in
+  let monitor =
+    Mc.Monitor.delay ~trigger:Gpca.Model.bolus_req
+      ~response:Gpca.Model.start_infusion ~clock:Mc.Query.delay_monitor_clock
+      ~ceiling ()
+  in
+  let t = Mc.Explorer.make ~monitor psm in
+  let k = (Mc.Explorer.compiled t).Compiled.c_max_consts in
+  let dim = Array.length k in
+  let fired = ref 0 and zones = ref [] in
+  let expand pool st =
+    List.map
+      (fun cd ->
+        incr fired;
+        (if !fired mod 8 = 0 then
+           match Mc.Explorer.fire_pre t pool st cd with
+           | Mc.Explorer.Fired_live { fl_state; fl_pre; _ } ->
+             Option.iter
+               (fun (s : Mc.Explorer.state) ->
+                 Zone.Dbm.Pool.release pool s.st_zone)
+               fl_state;
+             zones := Zone.Dbm.of_ints ~dim fl_pre :: !zones
+           | Mc.Explorer.Fired_dead -> ());
+        (cd, Mc.Explorer.fire t pool st cd))
+      (Mc.Explorer.candidates t st)
+  in
+  ignore
+    (Mc.Explorer.sup_clock ~expand t
+       ~pred:(Mc.Explorer.mon_in t "Waiting")
+       ~clock:Mc.Query.delay_monitor_clock);
+  (Array.of_list (List.rev !zones), k)
+
 let bechamel_suite () =
   let open Bechamel in
   let open Toolkit in
   let bolus_psm =
     lazy (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params)
+  in
+  let zones, k = gpca_mc_zones (Lazy.force bolus_psm).Transform.psm_net in
+  (* Each run takes the next sampled zone through a pool, so the kernel
+     timings include a dim^2 blit. *)
+  let on_zones kernel =
+    let pool = Zone.Dbm.Pool.create (Array.length k) and next = ref 0 in
+    Staged.stage (fun () ->
+        let r = !next in
+        next := (r + 1) mod Array.length zones;
+        let z = Zone.Dbm.Pool.copy pool zones.(r) in
+        kernel r z;
+        Zone.Dbm.Pool.release pool z)
   in
   let tests =
     [ Test.make ~name:"E1:verified-input-bound"
@@ -745,6 +796,15 @@ let bechamel_suite () =
              Zone.Dbm.reset z 3;
              Zone.Dbm.extrapolate z
                [| 0; 10; 20; 30; 40; 50; 60; 70; 80; 90 |]));
+      Test.make ~name:"infra:dbm-extrapolate-gpca-mc"
+        (on_zones (fun _ z -> Zone.Dbm.extrapolate z k));
+      (* A tightening constraint per zone: clock [1 + r mod 8]'s upper
+         bound pulled down to one above its lower bound. *)
+      Test.make ~name:"infra:dbm-constrain-gpca-mc"
+        (on_zones (fun r z ->
+             let i = 1 + (r mod (Array.length k - 1)) in
+             let lo, _ = Zone.Dbm.inf_clock z i in
+             Zone.Dbm.constrain z i 0 (Zone.Bound.le (lo + 1))));
       Test.make ~name:"infra:xta-roundtrip"
         (Staged.stage (fun () ->
              let psm = Lazy.force bolus_psm in

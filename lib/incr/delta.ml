@@ -18,7 +18,7 @@ type succ = {
       (* the same zone after extrapolation ([||] when extrapolation
          emptied it): when the edit leaves the extrapolation tables
          alone, replay admits this encoding verbatim instead of paying
-         the per-successor re-canonicalisation of [admit_pre] *)
+         the per-successor extrapolation of [admit_pre] *)
 }
 
 type node = {
@@ -266,8 +266,7 @@ let lookup tbl (st : E.state) zone_ints =
 
 (* [fast] asserts the old and new explorers extrapolate identically;
    recorded post zones then admit verbatim ([E.admit_post]), skipping
-   the per-successor re-canonicalisation that otherwise dominates the
-   replay of an unchanged region. *)
+   the per-successor extrapolation and re-closure of [E.admit_pre]. *)
 let replay_expand t comp compat ~fast tbl nodes replayed expanded pool st =
   let zone_ints = Zone.Dbm.to_ints st.E.st_zone in
   match lookup tbl st zone_ints with

@@ -13,7 +13,7 @@
     candidates are skipped entirely, and when the edit also left the
     extrapolation tables alone the recorded post-extrapolation zone is
     admitted verbatim ({!Mc.Explorer.admit_post}), skipping the
-    per-successor re-canonicalisation otherwise paid by
+    per-successor extrapolation and re-closure otherwise paid by
     {!Mc.Explorer.admit_pre}.  That is where the speedup lives.  States whose
     current location (in any changed automaton) has a different
     out-edge table, invariant, kind or clock-activity set fall back to

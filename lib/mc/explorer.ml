@@ -404,7 +404,7 @@ let admit_pre t ~locs ~vars ~mon ~pre =
   else Some { st_locs = locs; st_vars = vars; st_mon = mon; st_zone = z }
 
 (* [admit_post] rebuilds a successor from its recorded post-extrapolation
-   zone verbatim — no extrapolation, no re-canonicalisation.  Sound only
+   zone verbatim — no extrapolation, no re-closure.  Sound only
    when this explorer extrapolates exactly like the recording one
    ({!same_extrapolation}): the recorded encoding then already is what
    [admit_pre] would recompute from the pre zone.  A zero-length [post]

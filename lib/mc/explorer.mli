@@ -319,7 +319,7 @@ val admit_pre :
 
 (** [admit_post t ~locs ~vars ~mon ~post] rebuilds a successor from its
     recorded {e post}-extrapolation zone, skipping extrapolation and the
-    O(n³) re-canonicalisation it entails.  Sound only when this
+    re-closure it entails.  Sound only when this
     explorer's extrapolation equals the recording explorer's
     ({!same_extrapolation}); the recorded encoding then already is
     exactly what {!admit_pre} would recompute.  A zero-length [post]

@@ -9,57 +9,88 @@ let idx z i j = (i * z.n) + j
 let get z i j = z.m.(idx z i j)
 let set z i j b = z.m.(idx z i j) <- b
 
+(* The hot kernels read [Bound]'s encoding directly: [infinity] is
+   [max_int], [le c = 2c + 1], [lt c = 2c].  Dune's dev profile compiles
+   with [-opaque], so a call to [Bound.add] or [Bound.is_infinite] is
+   never inlined across the module boundary, and those calls sat in
+   every inner iteration.  The tests pin these copies to [Bound]. *)
+let inf = max_int
+let le_zero = 1 (* le 0, i.e. Bound.zero *)
+let[@inline] le c = (2 * c) + 1
+let[@inline] lt c = 2 * c
+
+(* [Bound.add] of two finite bounds: the constants add and the
+   strictness bits AND.  With [a = 2ca + sa] and [b = 2cb + sb],
+   [a + b - (sa lor sb) = 2 (ca + cb) + (sa land sb)]. *)
+let[@inline] add a b = a + b - ((a lor b) land 1)
+
 let zero n =
   assert (n >= 1);
-  { n; m = Array.make (n * n) Bound.zero }
+  { n; m = Array.make (n * n) le_zero }
 
 let copy z = { n = z.n; m = Array.copy z.m }
 
-let mark_empty z = set z 0 0 (Bound.lt 0)
+let mark_empty z = z.m.(0) <- lt 0
 
-let is_empty z = get z 0 0 < Bound.zero
+let is_empty z = z.m.(0) < le_zero
 
+(* Floyd-Warshall, pivot-major; an infinite operand is skipped, as its
+   sum could never tighten anything. *)
 let canonicalize z =
-  let n = z.n in
+  let n = z.n and m = z.m in
   for k = 0 to n - 1 do
+    let rk = k * n in
     for i = 0 to n - 1 do
-      let dik = get z i k in
-      if not (Bound.is_infinite dik) then
+      let ri = i * n in
+      let dik = m.(ri + k) in
+      if dik <> inf then
         for j = 0 to n - 1 do
-          let through = Bound.add dik (get z k j) in
-          if through < get z i j then set z i j through
+          let dkj = m.(rk + j) in
+          if dkj <> inf then begin
+            let through = add dik dkj in
+            if through < m.(ri + j) then m.(ri + j) <- through
+          end
         done
     done
   done;
   let negative_diagonal = ref false in
   for i = 0 to n - 1 do
-    if get z i i < Bound.zero then negative_diagonal := true
+    if m.((i * n) + i) < le_zero then negative_diagonal := true
   done;
   if !negative_diagonal then mark_empty z
 
 let up z =
   if not (is_empty z) then
     for i = 1 to z.n - 1 do
-      set z i 0 Bound.infinity
+      set z i 0 inf
     done
 
 let satisfiable z i j b =
-  (not (is_empty z)) && Bound.add b (get z j i) >= Bound.zero
+  (not (is_empty z))
+  &&
+  let dji = get z j i in
+  b = inf || dji = inf || add b dji >= le_zero
 
 let constrain z i j b =
   if not (is_empty z) then begin
-    if Bound.add b (get z j i) < Bound.zero then mark_empty z
-    else if b < get z i j then begin
-      set z i j b;
+    let n = z.n and m = z.m in
+    let dji = m.((j * n) + i) in
+    if b <> inf && dji <> inf && add b dji < le_zero then mark_empty z
+    else if b < m.((i * n) + j) then begin
+      m.((i * n) + j) <- b;
       (* O(n^2) re-closure through the tightened entry. *)
-      let n = z.n in
+      let rj = j * n in
       for k = 0 to n - 1 do
-        let dki = get z k i in
-        if not (Bound.is_infinite dki) then begin
-          let via_i = Bound.add dki b in
+        let rk = k * n in
+        let dki = m.(rk + i) in
+        if dki <> inf then begin
+          let via_i = add dki b in
           for l = 0 to n - 1 do
-            let through = Bound.add via_i (get z j l) in
-            if through < get z k l then set z k l through
+            let djl = m.(rj + l) in
+            if djl <> inf then begin
+              let through = add via_i djl in
+              if through < m.(rk + l) then m.(rk + l) <- through
+            end
           done
         end
       done
@@ -79,57 +110,85 @@ let free z i =
   if not (is_empty z) then
     for j = 0 to z.n - 1 do
       if j <> i then begin
-        set z i j Bound.infinity;
+        set z i j inf;
         set z j i (get z j 0)
       end
     done
 
-let extrapolate z k =
-  if not (is_empty z) then begin
-    let n = z.n in
-    assert (Array.length k = n && k.(0) = 0);
-    let changed = ref false in
+(* Re-closure after an extrapolation loosened the entries listed in
+   [cols]/[ends] (row [i]'s columns are [cols.(ends.(i-1))] up to
+   [cols.(ends.(i) - 1)]) of a canonical non-empty zone M, giving M'.
+   An untouched entry (i, j) never changes: a path in M' is at least as
+   long as the same path in M, and M is closed, so the path is at least
+   M[i][j] = M'[i][j].  Floyd-Warshall therefore only ever writes
+   touched entries, and running each pivot over those alone yields the
+   same closed matrix in dim * |touched| steps instead of dim^3.  No
+   cycle gets shorter, so the zone stays non-empty and the diagonal
+   needs no check. *)
+let reclose_touched z cols ends =
+  let n = z.n and m = z.m in
+  for k = 0 to n - 1 do
+    let rk = k * n in
+    let first = ref 0 in
     for i = 0 to n - 1 do
+      let stop = ends.(i) in
+      if !first < stop then begin
+        let ri = i * n in
+        let dik = m.(ri + k) in
+        if dik <> inf then
+          for t = !first to stop - 1 do
+            let j = cols.(t) in
+            let dkj = m.(rk + j) in
+            if dkj <> inf then begin
+              let through = add dik dkj in
+              if through < m.(ri + j) then m.(ri + j) <- through
+            end
+          done;
+        first := stop
+      end
+    done
+  done
+
+(* The widening scan shared by both extrapolations: an entry above
+   [le upper.(i)] is dropped to infinity, one below [lt (-lower.(j))]
+   raised to it.  ExtraLU exempts row 0 from the drop and column 0 from
+   the raise. *)
+let widen z ~lu upper lower =
+  if not (is_empty z) then begin
+    let n = z.n and m = z.m in
+    let cols = Array.make (n * n) 0 and ends = Array.make n 0 in
+    let touched = ref 0 in
+    for i = 0 to n - 1 do
+      let ri = i * n and above = le upper.(i) and drops = (not lu) || i <> 0 in
       for j = 0 to n - 1 do
         if i <> j then begin
-          let b = get z i j in
-          if (not (Bound.is_infinite b)) && b > Bound.le k.(i) then begin
-            set z i j Bound.infinity;
-            changed := true
-          end
-          else if b < Bound.lt (-k.(j)) then begin
-            set z i j (Bound.lt (-k.(j)));
-            changed := true
+          let b = m.(ri + j) in
+          let b' =
+            if drops && b <> inf && b > above then inf
+            else
+              let below = lt (-lower.(j)) in
+              if ((not lu) || j <> 0) && b < below then below else b
+          in
+          if b' <> b then begin
+            m.(ri + j) <- b';
+            cols.(!touched) <- j;
+            incr touched
           end
         end
-      done
+      done;
+      ends.(i) <- !touched
     done;
-    if !changed then canonicalize z
+    if !touched > 0 then reclose_touched z cols ends
   end
 
+let extrapolate z k =
+  assert (Array.length k = z.n && k.(0) = 0);
+  widen z ~lu:false k k
+
 let extrapolate_lu z l u =
-  if not (is_empty z) then begin
-    let n = z.n in
-    assert (Array.length l = n && Array.length u = n && l.(0) = 0 && u.(0) = 0);
-    let changed = ref false in
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        if i <> j then begin
-          let b = get z i j in
-          if i <> 0 && (not (Bound.is_infinite b)) && b > Bound.le l.(i)
-          then begin
-            set z i j Bound.infinity;
-            changed := true
-          end
-          else if j <> 0 && b < Bound.lt (-u.(j)) then begin
-            set z i j (Bound.lt (-u.(j)));
-            changed := true
-          end
-        end
-      done
-    done;
-    if !changed then canonicalize z
-  end
+  assert (
+    Array.length l = z.n && Array.length u = z.n && l.(0) = 0 && u.(0) = 0);
+  widen z ~lu:true l u
 
 let includes a b =
   assert (a.n = b.n);

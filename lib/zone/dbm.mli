@@ -20,8 +20,12 @@ val copy : t -> t
 val get : t -> int -> int -> Bound.t
 val is_empty : t -> bool
 
-(** Full Floyd-Warshall closure.  Needed only after batch updates made
-    through unchecked writes; the public operations keep zones closed. *)
+(** Full Floyd-Warshall closure, O(dim^3); marks the zone empty on a
+    negative cycle.  No operation of this library calls it: each keeps
+    its zones closed itself ({!constrain} in O(dim^2), the
+    extrapolations over the entries they loosen).  It is for matrices
+    assembled outside those operations, such as an {!of_ints} input not
+    known to be canonical. *)
 val canonicalize : t -> unit
 
 (** Delay: remove the upper bounds of all clocks (future closure). *)
@@ -41,14 +45,22 @@ val reset : t -> int -> unit
 val free : t -> int -> unit
 
 (** Classic maximal-constant extrapolation (ExtraM).  [k.(i)] is the
-    largest constant compared against clock [i]; [k.(0)] must be 0. *)
+    largest constant compared against clock [i]; [k.(0)] must be 0.
+
+    The input must be canonical.  Extrapolation only loosens entries,
+    and in a closed zone closure can then change only the loosened
+    ("touched") entries, so the re-closure runs every pivot over those
+    alone: O(dim^2) for the scan plus O(dim * touched), against dim^3
+    for {!canonicalize}, with the same result.  A non-canonical input
+    is {e not} repaired.  A non-empty zone stays non-empty. *)
 val extrapolate : t -> int array -> unit
 
 (** Lower/upper-bound extrapolation (ExtraLU, Behrmann et al.): [l.(i)]
     is the largest constant in lower-bound comparisons against clock [i],
     [u.(i)] in upper-bound comparisons; both [l.(0)] and [u.(0)] must
     be 0.  Coarser than ExtraM (equal when [l = u = k]) and exact for
-    location reachability of diagonal-free automata. *)
+    location reachability of diagonal-free automata.  Same precondition
+    (a canonical input) and cost as {!extrapolate}. *)
 val extrapolate_lu : t -> int array -> int array -> unit
 
 (** [includes a b] is whether [b]'s valuation set is a subset of [a]'s.
@@ -103,7 +115,10 @@ val to_ints : t -> int array
 
 (** [of_ints ~dim m] rebuilds a zone from {!to_ints} output.  The matrix
     is trusted to be canonical (as every {!to_ints} result is); feeding
-    a non-canonical matrix breaks the inclusion and hash invariants.
+    a non-canonical matrix breaks the inclusion and hash invariants, and
+    the exactness of {!extrapolate}.  [Mc.Explorer.admit_pre] relies on
+    this: it extrapolates the recorded pre-extrapolation zone straight
+    out of [of_ints], so a recording must hold canonical zones.
     @raise Invalid_argument when the length is not [dim * dim]. *)
 val of_ints : dim:int -> int array -> t
 

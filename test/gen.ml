@@ -116,41 +116,70 @@ let pp_dbm_op ppf = function
 
 let dbm_dims = 4 (* 3 real clocks *)
 
-let gen_dbm_op =
+(* A second, wider size: table1's largest zones (gpca-psm-mc: eight
+   clocks and the reference) have this dimension. *)
+let dbm_dims_wide = 9
+
+let gen_dbm_op_at dims =
   let open QCheck.Gen in
-  let clock = int_range 0 (dbm_dims - 1) in
+  let clock = int_range 0 (dims - 1) in
   frequency
     [ (2, return Op_up);
-      (2, map (fun i -> Op_reset i) (int_range 1 (dbm_dims - 1)));
+      (2, map (fun i -> Op_reset i) (int_range 1 (dims - 1)));
       (5,
        map2
          (fun (i, j) (strict, n) -> Op_constrain (i, j, strict, n))
          (pair clock clock)
          (pair bool (int_range (-8) 8))) ]
 
+let gen_dbm_op = gen_dbm_op_at dbm_dims
+
+let dbm_bound strict n = if strict then Zone.Bound.lt n else Zone.Bound.le n
+
 let apply_dbm_op z = function
   | Op_up -> Zone.Dbm.up z
   | Op_reset i -> Zone.Dbm.reset z i
   | Op_constrain (i, j, strict, n) ->
-    if i <> j then
-      Zone.Dbm.constrain z i j
-        (if strict then Zone.Bound.lt n else Zone.Bound.le n)
+    if i <> j then Zone.Dbm.constrain z i j (dbm_bound strict n)
 
 let build_dbm ops =
   let z = Zone.Dbm.zero dbm_dims in
   List.iter (apply_dbm_op z) ops;
   z
 
-let arb_dbm_ops =
+(* At the wide size a random trail empties most zones, and only
+   non-empty ones reach extrapolation, so a constraint that would empty
+   the zone is dropped instead. *)
+let build_dbm_wide ops =
+  let z = Zone.Dbm.zero dbm_dims_wide in
+  List.iter
+    (fun op ->
+      match op with
+      | Op_constrain (i, j, strict, n)
+        when i <> j && not (Zone.Dbm.satisfiable z i j (dbm_bound strict n)) ->
+        ()
+      | Op_up | Op_reset _ | Op_constrain _ -> apply_dbm_op z op)
+    ops;
+  z
+
+let arb_dbm_ops_at dims ~max_len =
   QCheck.make
     ~print:(Fmt.to_to_string Fmt.(list ~sep:semi pp_dbm_op))
-    QCheck.Gen.(list_size (int_range 0 10) gen_dbm_op)
+    QCheck.Gen.(list_size (int_range 0 max_len) (gen_dbm_op_at dims))
+
+let arb_dbm_ops = arb_dbm_ops_at dbm_dims ~max_len:10
+
+(* Longer trails at the wide size, so that most of its clocks end up
+   constrained. *)
+let arb_dbm_ops_wide = arb_dbm_ops_at dbm_dims_wide ~max_len:40
 
 (* Non-negative extrapolation ceilings, one per clock (index 0 fixed 0). *)
-let arb_dbm_ceilings =
+let arb_dbm_ceilings_at dims =
   QCheck.make
     ~print:(Fmt.to_to_string Fmt.(Dump.array int))
     QCheck.Gen.(
       map
         (fun l -> Array.of_list (0 :: l))
-        (list_size (return (dbm_dims - 1)) (int_range 0 10)))
+        (list_size (return (dims - 1)) (int_range 0 10)))
+
+let arb_dbm_ceilings = arb_dbm_ceilings_at dbm_dims

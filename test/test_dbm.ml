@@ -333,6 +333,127 @@ let prefilter_props =
   @ included_pairs "equal weights and inclusion imply equal" (fun a b ->
         Dbm.weight a <> Dbm.weight b || Dbm.equal a b)
 
+(* --- reference closure --------------------------------------------------- *)
+
+(* The kernels in [Dbm] read the bound encoding locally and re-close
+   extrapolated zones over the loosened entries only.  These properties
+   pin them byte for byte to a naive Floyd-Warshall written with
+   [Bound.add] alone, at table1's scale as well as the small one. *)
+
+(* Row [i]'s pivot entry is read once per pivot, as [Dbm] does; on a
+   negative cycle the relaxation order shows in the bytes. *)
+let ref_close dim m =
+  let at i j = (i * dim) + j in
+  for k = 0 to dim - 1 do
+    for i = 0 to dim - 1 do
+      let dik = m.(at i k) in
+      for j = 0 to dim - 1 do
+        let through = Bound.add dik m.(at k j) in
+        if through < m.(at i j) then m.(at i j) <- through
+      done
+    done
+  done;
+  if List.exists (fun i -> m.(at i i) < Bound.zero) (List.init dim Fun.id)
+  then m.(0) <- Bound.lt 0;
+  m
+
+let ref_empty m = m.(0) < Bound.zero
+
+(* ExtraM and ExtraLU as entrywise rules on the raw matrix. *)
+let widen_m dim m k =
+  Array.mapi
+    (fun p b ->
+      let i = p / dim and j = p mod dim in
+      if i = j then b
+      else if (not (Bound.is_infinite b)) && b > Bound.le k.(i) then
+        Bound.infinity
+      else if b < Bound.lt (-k.(j)) then Bound.lt (-k.(j))
+      else b)
+    m
+
+let widen_lu dim m l u =
+  Array.mapi
+    (fun p b ->
+      let i = p / dim and j = p mod dim in
+      if i = j then b
+      else if i <> 0 && (not (Bound.is_infinite b)) && b > Bound.le l.(i) then
+        Bound.infinity
+      else if j <> 0 && b < Bound.lt (-u.(j)) then Bound.lt (-u.(j))
+      else b)
+    m
+
+(* Arbitrary matrices, canonical or not, negative cycles included. *)
+let arb_matrix dim =
+  let bound =
+    QCheck.Gen.(
+      frequency
+        [ (1, return Bound.infinity);
+          (4,
+           map2 Gen.dbm_bound bool (int_range (-10) 10)) ])
+  in
+  let diagonal =
+    QCheck.Gen.(
+      frequency [ (9, return Bound.zero); (1, map Bound.le (int_range (-2) 2)) ])
+  in
+  QCheck.make
+    ~print:(Fmt.to_to_string Fmt.(Dump.array int))
+    QCheck.Gen.(
+      map Array.of_list
+        (flatten_l
+           (List.init (dim * dim) (fun p ->
+                if p / dim = p mod dim then diagonal else bound))))
+
+let arb_constraint dim =
+  QCheck.(
+    quad (int_range 0 (dim - 1)) (int_range 0 (dim - 1)) bool
+      (int_range (-8) 8))
+
+let reference_props dim arb_ops build =
+  let ceilings = Gen.arb_dbm_ceilings_at dim in
+  let name s = Printf.sprintf "%s (dim %d)" s dim in
+  [ QCheck.Test.make ~name:(name "canonicalize = reference closure")
+      ~count:500 (arb_matrix dim) (fun m ->
+        let z = Dbm.of_ints ~dim m in
+        Dbm.canonicalize z;
+        Dbm.to_ints z = ref_close dim (Array.copy m));
+    QCheck.Test.make ~name:(name "constrain = tighten, then reference closure")
+      ~count:1000
+      (QCheck.pair arb_ops (arb_constraint dim))
+      (fun (ops, (i, j, strict, n)) ->
+        QCheck.assume (i <> j);
+        let z = build ops in
+        QCheck.assume (not (Dbm.is_empty z));
+        let b = Gen.dbm_bound strict n in
+        let expected = Dbm.to_ints z in
+        let p = (i * dim) + j in
+        if b < expected.(p) then expected.(p) <- b;
+        let expected = ref_close dim expected in
+        Dbm.constrain z i j b;
+        Dbm.is_empty z = ref_empty expected
+        && (Dbm.is_empty z || Dbm.to_ints z = expected));
+    QCheck.Test.make
+      ~name:(name "extrapolate = ExtraM rule, then reference closure")
+      ~count:1000 (QCheck.pair arb_ops ceilings) (fun (ops, k) ->
+        let z = build ops in
+        QCheck.assume (not (Dbm.is_empty z));
+        let expected = ref_close dim (widen_m dim (Dbm.to_ints z) k) in
+        Dbm.extrapolate z k;
+        (not (Dbm.is_empty z)) && Dbm.to_ints z = expected);
+    QCheck.Test.make
+      ~name:(name "extrapolate_lu = ExtraLU rule, then reference closure")
+      ~count:1000
+      (QCheck.triple arb_ops ceilings ceilings)
+      (fun (ops, l, u) ->
+        let z = build ops in
+        QCheck.assume (not (Dbm.is_empty z));
+        let expected = ref_close dim (widen_lu dim (Dbm.to_ints z) l u) in
+        Dbm.extrapolate_lu z l u;
+        (not (Dbm.is_empty z)) && Dbm.to_ints z = expected) ]
+
+let reference_closure_props =
+  reference_props Gen.dbm_dims Gen.arb_dbm_ops Gen.build_dbm
+  @ reference_props Gen.dbm_dims_wide Gen.arb_dbm_ops_wide Gen.build_dbm_wide
+
 let suite =
   [ Alcotest.test_case "bound encoding order" `Quick test_bound_encoding;
     Alcotest.test_case "bound addition" `Quick test_bound_add;
@@ -367,3 +488,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_extrapolate_lu_preserves_inclusion;
     QCheck_alcotest.to_alcotest prop_hash_respects_equal ]
   @ List.map QCheck_alcotest.to_alcotest prefilter_props
+  @ List.map QCheck_alcotest.to_alcotest reference_closure_props

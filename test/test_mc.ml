@@ -421,6 +421,73 @@ let test_store_keeps_expanding_zone () =
   Alcotest.(check bool) "other subsumed zone reused" true
     (scratch == parent_zone)
 
+(* --- replay of recorded successors ------------------------------------- *)
+
+(* Delta replay rebuilds a successor from the zone [fire_pre] recorded
+   before extrapolation, through [admit_pre].  Extrapolation re-closes
+   only the entries it loosens, which is exact only on a canonical
+   input, so this checks over a whole GPCA PSM exploration (Table I's
+   input-delay query) that every recorded zone replays to [fire]'s
+   successor byte for byte. *)
+let test_admit_pre_replays_fire ~lu () =
+  let params = Gpca.Params.default in
+  let psm = (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net in
+  let ceiling =
+    2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc
+  in
+  let monitor =
+    Mc.Monitor.delay ~trigger:Gpca.Model.bolus_req
+      ~response:(Transform.Names.input_chan Gpca.Model.bolus_req)
+      ~clock:Mc.Query.delay_monitor_clock ~ceiling ()
+  in
+  let t = Mc.Explorer.make ~monitor ~lu psm in
+  let replayed = ref 0 in
+  let check_replay pool st cd succ =
+    let zone (s : Mc.Explorer.state) = Zone.Dbm.to_ints s.st_zone in
+    match (Mc.Explorer.fire_pre t pool st cd, succ) with
+    | Mc.Explorer.Fired_dead, None -> ()
+    | Mc.Explorer.Fired_live { fl_state; fl_locs; fl_vars; fl_mon; fl_pre }, _
+      ->
+      let admitted =
+        Mc.Explorer.admit_pre t ~locs:fl_locs ~vars:fl_vars ~mon:fl_mon
+          ~pre:fl_pre
+      in
+      (match (admitted, succ) with
+       | Some (a : Mc.Explorer.state), Some (s : Mc.Explorer.state) ->
+         incr replayed;
+         if
+           a.st_locs <> s.st_locs || a.st_vars <> s.st_vars
+           || a.st_mon <> s.st_mon || zone a <> zone s
+         then Alcotest.fail "admit_pre differs from fire"
+       | None, None -> ()
+       | Some _, None | None, Some _ ->
+         Alcotest.fail "admit_pre and fire disagree on emptiness");
+      Option.iter
+        (fun (s : Mc.Explorer.state) -> Zone.Dbm.Pool.release pool s.st_zone)
+        fl_state
+    | Mc.Explorer.Fired_dead, Some _ ->
+      Alcotest.fail "fire_pre dead where fire is live"
+  in
+  let expand pool st =
+    List.map
+      (fun cd ->
+        let succ = Mc.Explorer.fire t pool st cd in
+        check_replay pool st cd succ;
+        (cd, succ))
+      (Mc.Explorer.candidates t st)
+  in
+  let o =
+    Mc.Explorer.sup_clock ~expand t
+      ~pred:(Mc.Explorer.mon_in t "Waiting")
+      ~clock:Mc.Query.delay_monitor_clock
+  in
+  (match o.Mc.Explorer.so_sup with
+   | Mc.Explorer.Sup (490, _) -> ()
+   | sup ->
+     Alcotest.failf "input delay: expected sup 490, got %a"
+       Mc.Explorer.pp_sup_result sup);
+  Alcotest.(check bool) "successors replayed" true (!replayed > 1000)
+
 let suite =
   [ Alcotest.test_case "reach within invariant" `Quick
       test_reach_within_invariant;
@@ -445,4 +512,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_store_subsume;
     QCheck_alcotest.to_alcotest prop_store_equality;
     Alcotest.test_case "store keeps the expanding zone" `Quick
-      test_store_keeps_expanding_zone ]
+      test_store_keeps_expanding_zone;
+    Alcotest.test_case "admit_pre replays fire (ExtraM)" `Quick
+      (test_admit_pre_replays_fire ~lu:false);
+    Alcotest.test_case "admit_pre replays fire (ExtraLU)" `Quick
+      (test_admit_pre_replays_fire ~lu:true) ]
