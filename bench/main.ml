@@ -689,7 +689,9 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
 (* Zones for the DBM kernel rows: every 8th successor of the gpca-psm-mc
    search (dim 9: eight clocks and the reference), as [fire_pre] recorded
    it just before extrapolation, together with the search's ExtraM
-   constants. *)
+   constants.  Also the search's offers to its passed list, in order: the
+   initial state, then every non-empty successor, as (node, zone) with
+   the node an index into the returned discrete states. *)
 let gpca_mc_zones psm =
   let ceiling =
     2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc
@@ -703,6 +705,20 @@ let gpca_mc_zones psm =
   let k = (Mc.Explorer.compiled t).Compiled.c_max_consts in
   let dim = Array.length k in
   let fired = ref 0 and zones = ref [] in
+  let nodes = Hashtbl.create 64 and offers = ref [] in
+  let offer (st : Mc.Explorer.state) =
+    let key = (st.st_locs, st.st_vars, st.st_mon) in
+    let node =
+      match Hashtbl.find_opt nodes key with
+      | Some i -> i
+      | None ->
+        let i = Hashtbl.length nodes in
+        Hashtbl.replace nodes key i;
+        i
+    in
+    offers := (node, Zone.Dbm.copy st.st_zone) :: !offers
+  in
+  offer (Mc.Explorer.initial_state t);
   let expand pool st =
     List.map
       (fun cd ->
@@ -716,14 +732,48 @@ let gpca_mc_zones psm =
                fl_state;
              zones := Zone.Dbm.of_ints ~dim fl_pre :: !zones
            | Mc.Explorer.Fired_dead -> ());
-        (cd, Mc.Explorer.fire t pool st cd))
+        let succ = Mc.Explorer.fire t pool st cd in
+        Option.iter offer succ;
+        (cd, succ))
       (Mc.Explorer.candidates t st)
   in
   ignore
     (Mc.Explorer.sup_clock ~expand t
        ~pred:(Mc.Explorer.mon_in t "Waiting")
        ~clock:Mc.Query.delay_monitor_clock);
-  (Array.of_list (List.rev !zones), k)
+  let discrete = Array.make (Hashtbl.length nodes) ([||], [||], 0) in
+  Hashtbl.iter (fun key i -> discrete.(i) <- key) nodes;
+  (Array.of_list (List.rev !zones), k, Array.of_list (List.rev !offers),
+   discrete)
+
+(* The recorded offers replayed, in order, into a fresh passed list:
+   one run is one whole replay, each zone through a pool copy as [fire]
+   would have made it.  [expanding] is -1 throughout: the replay never
+   reads a parent's zone again, so a subsumed parent may go back to the
+   pool. *)
+let passed_replay offers discrete =
+  let module P = Mc.Explorer.Passed in
+  let dim = Zone.Dbm.dim (snd offers.(0)) in
+  let pool = Zone.Dbm.Pool.create dim in
+  let state (locs, vars, mon) zone =
+    { Mc.Explorer.st_locs = locs; st_vars = vars; st_mon = mon;
+      st_zone = zone }
+  in
+  fun () ->
+    let p = P.create ~subsume:true pool in
+    let nodes =
+      Array.mapi
+        (fun h d -> P.node ~hash:h (state d (Zone.Dbm.zero dim)))
+        discrete
+    in
+    let id = ref 0 in
+    Array.iter
+      (fun (node, z) ->
+        let st = state discrete.(node) (Zone.Dbm.Pool.copy pool z) in
+        match P.add p nodes.(node) ~expanding:(-1) ~id:!id st with
+        | Some _ -> incr id
+        | None -> ())
+      offers
 
 let bechamel_suite () =
   let open Bechamel in
@@ -731,11 +781,17 @@ let bechamel_suite () =
   let bolus_psm =
     lazy (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params)
   in
-  let zones, k = gpca_mc_zones (Lazy.force bolus_psm).Transform.psm_net in
+  let zones, k, offers, discrete =
+    gpca_mc_zones (Lazy.force bolus_psm).Transform.psm_net
+  in
   (* Each run takes the next sampled zone through a pool, so the kernel
-     timings include a dim^2 blit. *)
+     timings include a dim^2 copy.  A search's pooled matrices are
+     long-lived, so they sit in the major heap; the pool's one matrix is
+     promoted there first, so the copy costs what it costs in a search. *)
   let on_zones kernel =
     let pool = Zone.Dbm.Pool.create (Array.length k) and next = ref 0 in
+    Zone.Dbm.Pool.release pool (Zone.Dbm.copy zones.(0));
+    Gc.full_major ();
     Staged.stage (fun () ->
         let r = !next in
         next := (r + 1) mod Array.length zones;
@@ -796,6 +852,10 @@ let bechamel_suite () =
              Zone.Dbm.reset z 3;
              Zone.Dbm.extrapolate z
                [| 0; 10; 20; 30; 40; 50; 60; 70; 80; 90 |]));
+      Test.make ~name:"infra:dbm-pool-copy" (on_zones (fun _ _ -> ()));
+      (* reported per offer, below *)
+      Test.make ~name:"infra:passed-add-gpca-mc"
+        (Staged.stage (passed_replay offers discrete));
       Test.make ~name:"infra:dbm-extrapolate-gpca-mc"
         (on_zones (fun _ z -> Zone.Dbm.extrapolate z k));
       (* A tightening constraint per zone: clock [1 + r mod 8]'s upper
@@ -830,6 +890,10 @@ let bechamel_suite () =
   List.iter
     (fun (name, v) ->
       match Analyze.OLS.estimates v with
+      | Some [ t ] when name = "psv/infra:passed-add-gpca-mc" ->
+        Fmt.pr "%-36s %14.0f ns/offer (%d offers)@." name
+          (t /. float (Array.length offers))
+          (Array.length offers)
       | Some [ t ] -> Fmt.pr "%-36s %14.0f ns/run@." name t
       | Some _ | None -> Fmt.pr "%-36s (no estimate)@." name)
     rows

@@ -525,10 +525,14 @@ type entry = {
    without recomputing it.  Collisions are resolved by structural
    comparison here.
 
-   The live entries occupy [pw_live.(0 .. pw_len-1)] in no particular
-   order; [pw_keys] holds their {!Zone.Dbm.write_key} keys, [key_len]
-   ints per entry at the same index, so a subsumption scan reads one
-   flat int array and dereferences an entry only when its key passes. *)
+   Entries occupy the slots [pw_live.(0 .. pw_len-1)] in insertion
+   order, and [pw_keys] holds their {!Zone.Dbm.write_key} keys, [key_len]
+   ints per slot at the same index, so a subsumption scan reads one flat
+   int array and dereferences an entry only when its key passes.  A
+   killed entry leaves a hole until the node is compacted ([pw_holes]
+   counts them).  Every full block of {!Passed.block} slots has two
+   summaries, [key_len] ints per block in [pw_bmax] and [pw_bmin]: the
+   componentwise max and min of the keys of its live entries. *)
 type pw_node = {
   pw_hash : int;
   pw_locs : int array;
@@ -536,7 +540,10 @@ type pw_node = {
   pw_mon : int;
   mutable pw_live : entry array;
   mutable pw_keys : int array;
-  mutable pw_len : int;
+  mutable pw_bmax : int array;
+  mutable pw_bmin : int array;
+  mutable pw_len : int;  (* slots in use, holes included *)
+  mutable pw_holes : int;
 }
 
 module Passed = struct
@@ -546,25 +553,46 @@ module Passed = struct
   let entry_id e = e.e_id
   let entry_dead e = e.e_dead
 
+  let block = 8
+
   let node ~hash st =
     { pw_hash = hash; pw_locs = st.st_locs; pw_vars = st.st_vars;
-      pw_mon = st.st_mon; pw_live = [||]; pw_keys = [||]; pw_len = 0 }
+      pw_mon = st.st_mon; pw_live = [||]; pw_keys = [||]; pw_bmax = [||];
+      pw_bmin = [||]; pw_len = 0; pw_holes = 0 }
 
-  let live n = List.init n.pw_len (fun i -> n.pw_live.(i))
+  (* A slot holds a dead entry exactly when it is a hole. *)
+  let live n =
+    let acc = ref [] in
+    for i = n.pw_len - 1 downto 0 do
+      let e = n.pw_live.(i) in
+      if not e.e_dead then acc := e :: !acc
+    done;
+    !acc
 
-  (* Per-search scratch: the dedup mode, the newcomer's key and the
-     indices of the entries it covers, in decreasing order. *)
+  let slots n = n.pw_len
+
+  (* Per-search scratch: the dedup mode, the newcomer's key, the indices
+     of the entries it covers, and the dead entry that fills holes and
+     unused slots, so a slot never pins a killed entry or its zone. *)
   type t = {
     subsume : bool;
     pool : Zone.Dbm.Pool.t;
     klen : int;
     nkey : int array;
     mutable kills : int array;
+    hole : entry;
   }
 
   let create ~subsume pool =
     let klen = Zone.Dbm.key_len (Zone.Dbm.Pool.dim pool) in
-    { subsume; pool; klen; nkey = Array.make klen 0; kills = [||] }
+    let hole =
+      { e_id = -1;
+        e_state =
+          { st_locs = [||]; st_vars = [||]; st_mon = -1;
+            st_zone = Zone.Dbm.zero 1 };
+        e_dead = true }
+    in
+    { subsume; pool; klen; nkey = Array.make klen 0; kills = [||]; hole }
 
   (* [a.(ao + p) >= b.(bo + p)] at every [p < len]: the key of the zone
      at [bo] is dominated by the one at [ao].  A plain loop, not a local
@@ -577,38 +605,100 @@ module Passed = struct
     done;
     !p = len
 
+  (* Key copies into the node's long-lived arrays: a typed loop, as in
+     {!Zone.Dbm.Pool.copy}, since [Array.blit] would run [caml_modify]
+     on every int. *)
+  let blit_ints (src : int array) so (dst : int array) d len =
+    for p = 0 to len - 1 do
+      dst.(d + p) <- src.(so + p)
+    done
+
   (* The newcomer's key goes to [sc.nkey]; its head is returned. *)
   let write_key sc z =
     let head = if sc.subsume then Zone.Dbm.weight z else Zone.Dbm.hash z in
     Zone.Dbm.write_key z ~head sc.nkey 0;
     head
 
-  (* Append [e], whose key is in [sc.nkey]. *)
+  (* Rebuild block [b]'s summaries from its live slots.  A block of
+     holes gets max [min_int] and min [max_int], which fail both block
+     compares. *)
+  let summarise sc n b =
+    let klen = sc.klen and keys = n.pw_keys in
+    let bmax = n.pw_bmax and bmin = n.pw_bmin and o = b * klen in
+    for p = o to o + klen - 1 do
+      bmax.(p) <- min_int;
+      bmin.(p) <- max_int
+    done;
+    for s = b * block to ((b + 1) * block) - 1 do
+      if not n.pw_live.(s).e_dead then
+        for p = 0 to klen - 1 do
+          let k = keys.((s * klen) + p) in
+          if k > bmax.(o + p) then bmax.(o + p) <- k;
+          if k < bmin.(o + p) then bmin.(o + p) <- k
+        done
+    done
+
+  (* Append [e], whose key is in [sc.nkey], and summarise the block it
+     fills (only inclusion probes read summaries).  Capacity starts at 4
+     slots, so a node that never fills a block pays nothing for them. *)
   let append sc n e =
     let klen = sc.klen in
     if n.pw_len = Array.length n.pw_live then begin
       let cap = max 4 (2 * n.pw_len) in
-      let live = Array.make cap e and keys = Array.make (cap * klen) 0 in
+      let live = Array.make cap sc.hole and keys = Array.make (cap * klen) 0 in
       Array.blit n.pw_live 0 live 0 n.pw_len;
-      Array.blit n.pw_keys 0 keys 0 (n.pw_len * klen);
+      blit_ints n.pw_keys 0 keys 0 (n.pw_len * klen);
       n.pw_live <- live;
-      n.pw_keys <- keys
+      n.pw_keys <- keys;
+      if sc.subsume then begin
+        let nsum = cap / block * klen and used = n.pw_len / block * klen in
+        let bmax = Array.make nsum 0 and bmin = Array.make nsum 0 in
+        blit_ints n.pw_bmax 0 bmax 0 used;
+        blit_ints n.pw_bmin 0 bmin 0 used;
+        n.pw_bmax <- bmax;
+        n.pw_bmin <- bmin
+      end
     end;
-    n.pw_live.(n.pw_len) <- e;
-    Array.blit sc.nkey 0 n.pw_keys (n.pw_len * klen) klen;
-    n.pw_len <- n.pw_len + 1
+    let s = n.pw_len in
+    n.pw_live.(s) <- e;
+    blit_ints sc.nkey 0 n.pw_keys (s * klen) klen;
+    n.pw_len <- s + 1;
+    if sc.subsume && (s + 1) mod block = 0 then summarise sc n (s / block)
 
-  (* Swap-remove: the last entry fills slot [i], and the vacated slot
-     points at [filler] so it pins nothing dead.  Removing indices in
-     decreasing order keeps every pending index valid. *)
-  let remove sc n i filler =
-    let last = n.pw_len - 1 in
-    if i <> last then begin
-      n.pw_live.(i) <- n.pw_live.(last);
-      Array.blit n.pw_keys (last * sc.klen) n.pw_keys (i * sc.klen) sc.klen
-    end;
-    n.pw_live.(last) <- filler;
-    n.pw_len <- last
+  (* Make slot [i] a hole.  Its key fails both compares within two
+     positions: no weight reaches [max_int], so no newcomer's key
+     dominates it, and position 1, entry (0, 0) of a non-empty zone, is
+     [le 0] > [min_int], so it dominates no newcomer's key.  Summaries
+     built earlier still bound the remaining live keys. *)
+  let punch sc n i =
+    let off = i * sc.klen in
+    n.pw_keys.(off) <- max_int;
+    n.pw_keys.(off + 1) <- min_int;
+    n.pw_live.(i) <- sc.hole;
+    n.pw_holes <- n.pw_holes + 1
+
+  (* Stable compaction: live slots slide down in order, the vacated
+     tail refers to the filler, and every full block is summarised
+     afresh. *)
+  let compact sc n =
+    let klen = sc.klen and live = n.pw_live and keys = n.pw_keys in
+    let w = ref 0 in
+    for r = 0 to n.pw_len - 1 do
+      let e = live.(r) in
+      if not e.e_dead then begin
+        if !w < r then begin
+          live.(!w) <- e;
+          blit_ints keys (r * klen) keys (!w * klen) klen
+        end;
+        incr w
+      end
+    done;
+    Array.fill live !w (n.pw_len - !w) sc.hole;
+    n.pw_len <- !w;
+    n.pw_holes <- 0;
+    for b = 0 to (!w / block) - 1 do
+      summarise sc n b
+    done
 
   (* Store an entry without a subsumption scan (snapshot restore). *)
   let restore sc n e =
@@ -619,16 +709,21 @@ module Passed = struct
      to the node.  Covered (by inclusion, or by equality without
      subsumption): its zone goes back to the pool and the result is
      [None].  Otherwise it is stored as entry [id], and when subsuming,
-     every live entry its zone includes is marked dead, leaves the node
+     every live entry its zone includes is marked dead, leaves a hole
      and returns its zone to the pool — except the entry being expanded
      ([expanding]), whose zone the rest of its expansion still reads.
 
      One pass, newest first, decides both: an entry is tested as a
      cover when its key dominates the newcomer's, as a victim when the
      newcomer's dominates its own, by {!Zone.Dbm.includes} only after
-     the key compare passes.  Victims are applied only once the pass
-     ends uncovered, so the outcome is exactly "exists cover, else
-     remove all victims" whatever the entry order. *)
+     the key compare passes.  The unsummarised tail is scanned slot by
+     slot, then each full block is entered only in the directions its
+     summaries allow: no entry can cover unless the block max dominates
+     the newcomer's key, and none can be a victim unless the newcomer's
+     key dominates the block min (inclusion implies key dominance).
+     Victims are applied only once the pass ends uncovered, so the
+     outcome is exactly "exists cover, else remove all victims" whatever
+     the entry order. *)
   let add sc n ~expanding ~id st =
     let z = st.st_zone in
     let klen = sc.klen and nk = sc.nkey in
@@ -638,18 +733,31 @@ module Passed = struct
     if sc.subsume then begin
       if Array.length sc.kills < n.pw_len then
         sc.kills <- Array.make (2 * n.pw_len) 0;
+      (* [lo] is the first slot of the current group (the tail, then
+         block [b]); [cover]/[kill] are the directions it allows *)
+      let b = ref (n.pw_len / block) in
+      let lo = ref (!b * block) and cover = ref true and kill = ref true in
       while (not !covered) && !i >= 0 do
-        let off = !i * klen in
-        if key_ge keys off nk 0 klen
-           && Zone.Dbm.includes live.(!i).e_state.st_zone z
-        then covered := true
-        else if key_ge nk 0 keys off klen
-                && Zone.Dbm.includes z live.(!i).e_state.st_zone
-        then begin
-          sc.kills.(!nkills) <- !i;
-          incr nkills
-        end;
-        decr i
+        if !i < !lo then begin
+          decr b;
+          lo := !b * block;
+          cover := key_ge n.pw_bmax (!b * klen) nk 0 klen;
+          kill := key_ge nk 0 n.pw_bmin (!b * klen) klen;
+          if not (!cover || !kill) then i := !lo - 1
+        end
+        else begin
+          let off = !i * klen in
+          if !cover && key_ge keys off nk 0 klen
+             && Zone.Dbm.includes live.(!i).e_state.st_zone z
+          then covered := true
+          else if !kill && key_ge nk 0 keys off klen
+                  && Zone.Dbm.includes z live.(!i).e_state.st_zone
+          then begin
+            sc.kills.(!nkills) <- !i;
+            incr nkills
+          end;
+          decr i
+        end
       done
     end
     else
@@ -671,9 +779,12 @@ module Passed = struct
         victim.e_dead <- true;
         if victim.e_id <> expanding then
           Zone.Dbm.Pool.release sc.pool victim.e_state.st_zone;
-        remove sc n j e
+        punch sc n j
       done;
       append sc n e;
+      (* holes at half the slots: each compaction is paid for by the
+         removals since the last one *)
+      if 2 * n.pw_holes >= n.pw_len && n.pw_holes > 0 then compact sc n;
       Some e
     end
 end
@@ -1098,15 +1209,17 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
       (fun _ bucket ->
         List.iter
           (fun n ->
+            (* in insertion order, holes (dead fillers) skipped *)
             for i = n.pw_len - 1 downto 0 do
               let e = n.pw_live.(i) in
-              entries :=
-                { se_id = e.e_id;
-                  se_locs = e.e_state.st_locs;
-                  se_vars = e.e_state.st_vars;
-                  se_mon = e.e_state.st_mon;
-                  se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
-                :: !entries
+              if not e.e_dead then
+                entries :=
+                  { se_id = e.e_id;
+                    se_locs = e.e_state.st_locs;
+                    se_vars = e.e_state.st_vars;
+                    se_mon = e.e_state.st_mon;
+                    se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
+                  :: !entries
             done)
           !bucket)
       store;

@@ -366,15 +366,26 @@ module Passed : sig
   val entry_id : entry -> int
   val entry_dead : entry -> bool
 
-  (** The live entries of one discrete state. *)
+  (** The live entries of one discrete state, in insertion order.  A
+      killed entry leaves a hole in its slot until holes reach half the
+      slots and the node is compacted, in order. *)
   type node
+
+  (** Slots per summarised block: every full block of slots keeps the
+      componentwise max and min of its live entries' keys, so one
+      compare can rule out the whole block as covers or as victims. *)
+  val block : int
 
   (** [node ~hash st] is an empty node for [st]'s discrete part;
       [hash] is its {!hash_discrete}. *)
   val node : hash:int -> state -> node
 
-  (** The node's live entries, in no particular order. *)
+  (** The node's live entries, oldest first. *)
   val live : node -> entry list
+
+  (** Slots in use: the live entries plus the holes not yet compacted
+      away. *)
+  val slots : node -> int
 
   (** Per-search scratch: the dedup mode and the pool that covered and
       subsumed zones return to. *)
@@ -389,7 +400,8 @@ module Passed : sig
       part with a non-empty zone.  If a live entry covers it, [st]'s
       zone returns to the pool and the result is [None].  Otherwise it
       is stored as entry [id] and returned; when subsuming, every live
-      entry whose zone it includes is marked dead and leaves the node,
+      entry whose zone it includes is marked dead and leaves the node
+      (its slot becomes a hole),
       and its zone returns to the pool unless its id is [expanding]
       (the entry whose successors are being generated). *)
   val add : t -> node -> expanding:int -> id:int -> state -> entry option

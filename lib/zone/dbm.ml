@@ -240,13 +240,16 @@ let weight z =
    (n-1, 0)).  For non-empty [a] and [b], [includes a b] is pointwise
    [b.m <= a.m], so with [head = weight] the key of [b] is <= the key of
    [a] at every position: a failed key compare refutes inclusion
-   without touching the matrices. *)
+   without touching the matrices.  Keys go to long-lived arrays, so the
+   copies are typed loops (see [Pool.copy]). *)
 let key_len n = 2 * n
 
 let write_key z ~head keys off =
   let n = z.n in
   keys.(off) <- head;
-  Array.blit z.m 0 keys (off + 1) n;
+  for j = 0 to n - 1 do
+    keys.(off + 1 + j) <- z.m.(j)
+  done;
   for i = 1 to n - 1 do
     keys.(off + n + i) <- z.m.(i * n)
   done
@@ -330,12 +333,18 @@ module Pool = struct
 
   let base_copy = copy
 
+  (* A typed loop, not [Array.blit]: a pooled matrix lives in the major
+     heap, where the polymorphic blit runs [caml_modify] on every entry;
+     stores into an [int array] need no write barrier. *)
   let copy p src =
     assert (src.n = p.p_dim);
     match p.p_free with
     | z :: rest ->
       p.p_free <- rest;
-      Array.blit src.m 0 z.m 0 (Array.length src.m);
+      let s = src.m and d = z.m in
+      for i = 0 to Array.length s - 1 do
+        Array.unsafe_set d i (Array.unsafe_get s i)
+      done;
       z
     | [] -> base_copy src
 

@@ -330,60 +330,161 @@ let arb_zone_seq =
       Fmt.(to_to_string (list ~sep:cut (brackets (list ~sep:semi Gen.pp_dbm_op))))
     (list_size (int_range 1 40) zone)
 
+(* What one run of the store against the reference reached. *)
+type store_run = {
+  max_slots : int;   (* most slots a node used, holes included *)
+  compactions : int; (* stores after which the node used no more slots *)
+}
+
 (* The store against a naive reference on one discrete state: a list,
    newest first, checked for a cover with [List.exists], then (when
    subsuming) filtered of the entries the newcomer includes.  After
    every step the covered decision, the live ids and the dead flags of
-   every entry stored so far must agree. *)
-let store_matches_reference ~subsume seq =
-  let pool = Zone.Dbm.Pool.create Gen.dbm_dims in
+   every entry stored so far must agree, and the pool must hold exactly
+   the zones the step gave up: the newcomer's when covered, else every
+   victim's but the one being expanded.  The expanded id rotates over a
+   victim, a surviving entry and none. *)
+let store_matches_reference ~subsume ~dim zones =
+  let pool = Zone.Dbm.Pool.create dim in
   let p = P.create ~subsume pool in
-  let zones =
-    List.filter (fun z -> not (Zone.Dbm.is_empty z)) (List.map Gen.build_dbm seq)
-  in
-  let node = P.node ~hash:0 (state_of (Zone.Dbm.zero Gen.dbm_dims)) in
-  let live = ref [] and dead = ref [] and entries = ref [] in
+  let zones = List.filter (fun z -> not (Zone.Dbm.is_empty z)) zones in
+  let node = P.node ~hash:0 (state_of (Zone.Dbm.zero dim)) in
+  let live = ref [] and dead = Hashtbl.create 64 and entries = ref [] in
+  let max_slots = ref 0 and compactions = ref 0 in
   let ids l = List.sort compare (List.map fst l) in
+  (* drain the pool: [given_up] in some order, then a fresh matrix *)
+  let check_pool id given_up =
+    let left = ref given_up in
+    List.iter
+      (fun _ ->
+        let z = Zone.Dbm.Pool.copy pool (Zone.Dbm.zero dim) in
+        if not (List.memq z !left) then
+          QCheck.Test.fail_reportf "step %d: pool returned a zone not given up"
+            id;
+        left := List.filter (fun y -> y != z) !left)
+      given_up;
+    let z = Zone.Dbm.Pool.copy pool (Zone.Dbm.zero dim) in
+    if List.memq z zones then
+      QCheck.Test.fail_reportf "step %d: pool holds a zone not given up" id
+  in
   List.iteri
     (fun id z ->
       let covers (_, y) =
         if subsume then Zone.Dbm.includes y z else Zone.Dbm.equal y z
       in
       let covered = List.exists covers !live in
+      let victims, kept =
+        if covered || not subsume then ([], !live)
+        else List.partition (fun (_, y) -> Zone.Dbm.includes z y) !live
+      in
+      let expanding =
+        match (id mod 3, victims, kept) with
+        | 0, (v, _) :: _, _ | 1, _, (v, _) :: _ -> v
+        | _ -> -1
+      in
       if not covered then begin
-        let victims, kept =
-          if subsume then
-            List.partition (fun (_, y) -> Zone.Dbm.includes z y) !live
-          else ([], !live)
-        in
-        dead := List.map fst victims @ !dead;
+        List.iter (fun (v, _) -> Hashtbl.replace dead v ()) victims;
         live := (id, z) :: kept
       end;
-      (match P.add p node ~expanding:(-1) ~id (state_of z) with
+      let slots_before = P.slots node in
+      (match P.add p node ~expanding ~id (state_of z) with
        | None ->
          if not covered then QCheck.Test.fail_reportf "step %d: store covered it" id
        | Some e ->
          if covered then QCheck.Test.fail_reportf "step %d: store kept it" id;
          entries := e :: !entries);
+      let slots = P.slots node in
+      max_slots := max !max_slots slots;
+      if (not covered) && slots <= slots_before then incr compactions;
+      check_pool id
+        (if covered then [ z ]
+         else
+           List.filter_map
+             (fun (v, y) -> if v = expanding then None else Some y)
+             victims);
       let store_live = List.sort compare (List.map P.entry_id (P.live node)) in
       if store_live <> ids !live then
         QCheck.Test.fail_reportf "step %d: live sets differ" id;
       List.iter
         (fun e ->
-          if P.entry_dead e <> List.mem (P.entry_id e) !dead then
+          if P.entry_dead e <> Hashtbl.mem dead (P.entry_id e) then
             QCheck.Test.fail_reportf "step %d: entry %d dead flag differs" id
               (P.entry_id e))
         !entries)
     zones;
+  { max_slots = !max_slots; compactions = !compactions }
+
+let prop_store ~subsume seq =
+  ignore
+    (store_matches_reference ~subsume ~dim:Gen.dbm_dims
+       (List.map Gen.build_dbm seq)
+      : store_run);
   true
 
 let prop_store_subsume =
   QCheck.Test.make ~name:"passed store = reference (inclusion)" ~count:500
-    arb_zone_seq (store_matches_reference ~subsume:true)
+    arb_zone_seq (prop_store ~subsume:true)
 
 let prop_store_equality =
   QCheck.Test.make ~name:"passed store = reference (equality)" ~count:200
-    arb_zone_seq (store_matches_reference ~subsume:false)
+    arb_zone_seq (prop_store ~subsume:false)
+
+(* Dim-9 zones (gpca-psm-mc's size) in long sequences, so nodes fill
+   several summarised blocks and compact.  A zone delays and resets the
+   eight clocks in turn (x1 >= x2 >= ... >= x8), then boxes each clock
+   with probability 9 in 10 into a narrow random window: such zones are
+   mostly incomparable, a wide antichain.  One zone in 12 boxes only a
+   few clocks, in wide windows, and kills a share of the node. *)
+let arb_wide_zone_seq =
+  let open QCheck.Gen in
+  let box ~p ~width i =
+    let* on = float_bound_inclusive 1.0 in
+    if on >= p then return []
+    else
+      let* lo = int_range 0 12 and* w = int_range 0 width in
+      return
+        [ Gen.Op_constrain (0, i, false, -lo);
+          Gen.Op_constrain (i, 0, false, lo + w) ]
+  in
+  let stair =
+    List.concat_map
+      (fun i -> [ Gen.Op_up; Gen.Op_reset (i + 1) ])
+      (List.init 8 Fun.id)
+    @ [ Gen.Op_up ]
+  in
+  let zone =
+    let* wide = int_range 0 11 in
+    let p, width = if wide = 0 then (0.3, 12) else (0.9, 3) in
+    let+ boxes = flatten_l (List.init 8 (fun i -> box ~p ~width (i + 1))) in
+    stair @ List.concat boxes
+  in
+  QCheck.make
+    ~print:(fun seq -> Printf.sprintf "<%d dim-9 zones>" (List.length seq))
+    (list_size (int_range 100 300) zone)
+
+(* The store against the reference at scale; the run must also show
+   that the generator reaches what it is for: some cases fill three
+   blocks, and some compact. *)
+let test_store_at_scale () =
+  let blocks = ref 0 and compacted = ref 0 in
+  let prop seq =
+    let r =
+      store_matches_reference ~subsume:true ~dim:Gen.dbm_dims_wide
+        (List.map Gen.build_dbm_wide seq)
+    in
+    if r.max_slots >= 3 * P.block then incr blocks;
+    if r.compactions > 0 then incr compacted;
+    true
+  in
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| 0x5107e; 9 |])
+    (QCheck.Test.make ~name:"passed store = reference (dim 9, long)" ~count:60
+       arb_wide_zone_seq prop);
+  Alcotest.(check bool)
+    (Printf.sprintf "cases filling 3 blocks (%d) and compacting (%d)" !blocks
+       !compacted)
+    true
+    (!blocks > 0 && !compacted > 0)
 
 (* A successor may subsume its own parent (a move that frees a clock):
    the parent dies, but its zone must not return to the pool while it
@@ -511,6 +612,8 @@ let suite =
     Alcotest.test_case "search limit" `Quick test_search_limit;
     QCheck_alcotest.to_alcotest prop_store_subsume;
     QCheck_alcotest.to_alcotest prop_store_equality;
+    Alcotest.test_case "passed store = reference at scale" `Quick
+      test_store_at_scale;
     Alcotest.test_case "store keeps the expanding zone" `Quick
       test_store_keeps_expanding_zone;
     Alcotest.test_case "admit_pre replays fire (ExtraM)" `Quick

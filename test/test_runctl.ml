@@ -201,6 +201,96 @@ let test_fingerprint_mismatch () =
   | _ -> Alcotest.fail "resumed a snapshot of a different network"
   | exception Invalid_argument _ -> ()
 
+(* The GPCA PSM's input-delay query (Table I's verified 490), cut at
+   jobs = 1 at three state budgets.  Each snapshot resumes twice: as
+   written, and with its entries reversed.  A snapshot lists every
+   node's live entries in insertion order, and a restore appends them
+   without a subsumption scan, so the reversed one rebuilds every node
+   in the opposite order; subsumption decides the same whatever the
+   order, so both must end at the uninterrupted sup, visited and stored
+   counts. *)
+let test_resume_entry_order () =
+  let params = Gpca.Params.default in
+  let psm =
+    (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net
+  in
+  let clock = Mc.Query.delay_monitor_clock in
+  let t =
+    Mc.Explorer.make
+      ~monitor:
+        (Mc.Monitor.delay ~trigger:Gpca.Model.bolus_req
+           ~response:(Transform.Names.input_chan Gpca.Model.bolus_req)
+           ~clock
+           ~ceiling:
+             (2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc)
+           ())
+      psm
+  in
+  let query ?ctl ?resume () =
+    Mc.Explorer.sup_clock ?ctl ?resume t ~pred:(Mc.Explorer.mon_in t "Waiting")
+      ~clock
+  in
+  let full = query () in
+  let stats r = r.Mc.Explorer.so_stats in
+  Alcotest.(check bool) "reference run completes past the largest cut" true
+    (full.Mc.Explorer.so_interrupt = None
+     && (stats full).Mc.Explorer.visited > 8000);
+  (match full.Mc.Explorer.so_sup with
+   | Mc.Explorer.Sup (490, _) -> ()
+   | sup ->
+     Alcotest.failf "input delay: expected sup 490, got %a"
+       Mc.Explorer.pp_sup_result sup);
+  let reversed snap =
+    let module E = Mc.Explorer in
+    E.make_snapshot t ~label:("sup:" ^ clock)
+      ~subsume:true ~next_id:(E.snapshot_next_id snap)
+      ~visited:(E.snapshot_visited snap) ~stored:(E.snapshot_stored snap)
+      ~entries:(List.rev (E.snapshot_entries snap))
+      ~queue:(E.snapshot_queue snap) ~trace:(E.snapshot_trace snap)
+      ~payload:(E.snapshot_payload snap)
+  in
+  (* per discrete state, ids in the order the snapshot lists them *)
+  let node_ids snap =
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun se ->
+        let key = (se.Mc.Explorer.se_locs, se.se_vars, se.se_mon) in
+        Hashtbl.replace tbl key
+          (se.se_id :: Option.value ~default:[] (Hashtbl.find_opt tbl key)))
+      (Mc.Explorer.snapshot_entries snap);
+    Hashtbl.fold (fun _ ids acc -> List.rev ids :: acc) tbl []
+  in
+  List.iter
+    (fun budget ->
+      let cut =
+        query ~ctl:(Mc.Runctl.create ~budget:(state_budget budget) ()) ()
+      in
+      let snap =
+        match cut.Mc.Explorer.so_snapshot with
+        | Some s -> s
+        | None -> Alcotest.failf "cut at %d: no snapshot" budget
+      in
+      List.iter
+        (fun ids ->
+          if ids <> List.sort compare ids then
+            Alcotest.failf
+              "cut at %d: a node's entries are not in insertion order" budget)
+        (node_ids snap);
+      List.iter
+        (fun (how, snap) ->
+          let r = query ~resume:snap () in
+          let name what = Printf.sprintf "cut at %d, %s: %s" budget how what in
+          Alcotest.(check bool) (name "completes") true
+            (r.Mc.Explorer.so_interrupt = None);
+          Alcotest.(check bool) (name "sup") true
+            (r.Mc.Explorer.so_sup = full.Mc.Explorer.so_sup);
+          Alcotest.(check int) (name "visited") (stats full).Mc.Explorer.visited
+            (stats r).Mc.Explorer.visited;
+          Alcotest.(check int) (name "stored") (stats full).Mc.Explorer.stored
+            (stats r).Mc.Explorer.stored)
+        [ ("as written", snap); ("entries reversed", reversed snap) ])
+    [ 500; 3000; 8000 ]
+
 let suite =
   [ Alcotest.test_case "state budget -> Unknown" `Quick
       test_state_budget_unknown;
@@ -213,4 +303,6 @@ let suite =
     Alcotest.test_case "load_snapshot errors" `Quick
       test_load_snapshot_errors;
     Alcotest.test_case "fingerprint mismatch rejected" `Quick
-      test_fingerprint_mismatch ]
+      test_fingerprint_mismatch;
+    Alcotest.test_case "resume is entry-order independent" `Quick
+      test_resume_entry_order ]
