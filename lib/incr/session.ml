@@ -23,7 +23,8 @@ type prev = {
   pv_result : Mc.Query.result;
   pv_budget : Store.Entry.budget;
   pv_wall_ms : float;
-  pv_graph : Delta.graph;
+  pv_graph : (Delta.graph, string) result Lazy.t;
+      (* read from disk only by the rung that replays it *)
 }
 
 type t = {
@@ -51,25 +52,24 @@ let prev_of_disk t qtext =
        match Xta.Parse.network s.Store.Session.ss_net with
        | Error _ -> None
        | Ok old_net -> (
-         match
-           Option.map Delta.decode (Store.Session.load_graph disk skey)
-         with
-         | Some (Ok graph) -> (
-           (* The result itself lives in the ordinary store under the
-              session's recorded key. *)
-           match Store.Disk.lookup disk s.Store.Session.ss_result_key with
-           | Store.Disk.Hit e ->
-             Some
-               { pv_net = old_net;
-                 pv_key = s.Store.Session.ss_result_key;
-                 pv_result =
-                   { Mc.Query.res_outcome =
-                       Qcache.outcome_of_entry e.Store.Entry.en_outcome;
-                     res_stats = Qcache.stats_of_entry e.Store.Entry.en_stats };
-                 pv_budget = e.Store.Entry.en_budget;
-                 pv_wall_ms = e.Store.Entry.en_prov.Store.Entry.pv_wall_ms;
-                 pv_graph = graph }
-           | _ -> None)
+         (* The result itself lives in the ordinary store under the
+            session's recorded key. *)
+         match Store.Disk.lookup disk s.Store.Session.ss_result_key with
+         | Store.Disk.Hit e ->
+           Some
+             { pv_net = old_net;
+               pv_key = s.Store.Session.ss_result_key;
+               pv_result =
+                 { Mc.Query.res_outcome =
+                     Qcache.outcome_of_entry e.Store.Entry.en_outcome;
+                   res_stats = Qcache.stats_of_entry e.Store.Entry.en_stats };
+               pv_budget = e.Store.Entry.en_budget;
+               pv_wall_ms = e.Store.Entry.en_prov.Store.Entry.pv_wall_ms;
+               pv_graph =
+                 lazy
+                   (match Store.Session.load_graph disk skey with
+                    | Some blob -> Delta.decode blob
+                    | None -> Error "no graph") }
          | _ -> None)))
 
 let prev_for t qtext =
@@ -81,8 +81,8 @@ let remember t qtext pv =
   t.s_prev <- (qtext, pv) :: List.remove_assoc qtext t.s_prev
 
 (* Best-effort persistence: failures are swallowed — the session is a
-   cache of a cache. *)
-let persist t qtext pv =
+   cache of a cache.  [graph] is [pv]'s, already in memory. *)
+let persist t qtext pv graph =
   match t.s_cache with
   | None -> ()
   | Some cache -> (
@@ -104,7 +104,7 @@ let persist t qtext pv =
           ss_net = text;
           ss_result_key = pv.pv_key;
           ss_manifest = manifest };
-      Store.Session.save_graph disk skey (Delta.encode pv.pv_graph)
+      Store.Session.save_graph disk skey (Delta.encode graph)
     with _ -> ())
 
 (* --- entries ---------------------------------------------------------- *)
@@ -154,21 +154,19 @@ let run ?ctl ?limit t net q =
           pv_result = run.Delta.dr_result;
           pv_budget = requested;
           pv_wall_ms = wall_ms;
-          pv_graph = run.Delta.dr_graph }
+          pv_graph = Lazy.from_val (Ok run.Delta.dr_graph) }
       in
       remember t qtext pv;
-      persist t qtext pv;
+      persist t qtext pv run.Delta.dr_graph;
       { so_result = run.Delta.dr_result;
         so_rung = Full;
         so_replayed = 0;
         so_expanded = run.Delta.dr_expanded;
         so_answer_ms = wall_ms }
     in
-    let delta pv =
+    let delta pv graph =
       let t0 = Unix.gettimeofday () in
-      match
-        Delta.replay ?ctl ?limit ~old_net:pv.pv_net ~graph:pv.pv_graph net q
-      with
+      match Delta.replay ?ctl ?limit ~old_net:pv.pv_net ~graph net q with
       | Error _ -> full ()
       | Ok run ->
         let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
@@ -182,10 +180,10 @@ let run ?ctl ?limit t net q =
             pv_result = run.Delta.dr_result;
             pv_budget = requested;
             pv_wall_ms = wall_ms;
-            pv_graph = run.Delta.dr_graph }
+            pv_graph = Lazy.from_val (Ok run.Delta.dr_graph) }
         in
         remember t qtext pv';
-        persist t qtext pv';
+        persist t qtext pv' run.Delta.dr_graph;
         { so_result = run.Delta.dr_result;
           so_rung = Delta;
           so_replayed = run.Delta.dr_replayed;
@@ -221,4 +219,10 @@ let run ?ctl ?limit t net q =
             so_replayed = 0;
             so_expanded = 0;
             so_answer_ms = 0. }
-        | Ok () | Error _ -> delta pv))
+        | Ok () | Error _ -> (
+          (* A missing or corrupt graph costs a full run.  It is read
+             before [delta] starts its timer: [so_answer_ms] times the
+             answering exploration alone. *)
+          match Lazy.force pv.pv_graph with
+          | Ok graph -> delta pv graph
+          | Error _ -> full ())))

@@ -20,7 +20,10 @@
     ladder where the last one left it.  Rung counters feed
     {!Analysis.Qcache.note_rung} and surface in cache stats and serve
     stats frames.  Persistence is strictly best-effort — a missing or
-    corrupt session costs a full run, never an answer. *)
+    corrupt session costs a full run, never an answer.  A resumed
+    session reads its graph blob (megabytes on zone-dense models) only
+    when the delta rung is about to replay it: store and cone hits never
+    touch it, so a missing or corrupt graph costs only the replay. *)
 
 type rung = Store_hit | Cone_hit | Delta | Full
 

@@ -25,8 +25,15 @@ let pp ppf t = Format.pp_print_string ppf (to_hex t)
 (* Two 64-bit FNV-1a lanes over the same byte stream, with distinct
    offset bases and the second lane's input bytes perturbed, so the
    lanes never collapse onto each other; a murmur3-style finalizer mixes
-   the lanes into the published halves.  ~3 multiplies per byte — cheap
-   enough for model-text-sized inputs (tens of kB). *)
+   the lanes into the published halves.
+
+   The module frames multi-megabyte blobs (marshalled zone graphs), so
+   the per-byte cost matters.  A write to a mutable [int64] field boxes,
+   so each multi-byte atom runs its loop over two local [int64] refs
+   instead — ocamlopt keeps those unboxed in registers, flambda or not —
+   and writes the lanes back to the builder once per call.  The byte
+   stream, and so every digest, is fixed: test_store pins golden
+   vectors. *)
 
 type builder = { mutable a : int64; mutable b : int64 }
 
@@ -34,16 +41,25 @@ let fnv_prime = 0x100000001b3L
 
 let builder () = { a = 0xcbf29ce484222325L; b = 0x6c62272e07bb0142L }
 
+let[@inline] lane h c = Int64.mul (Int64.logxor h (Int64.of_int c)) fnv_prime
+
 let add_byte st c =
-  st.a <- Int64.mul (Int64.logxor st.a (Int64.of_int c)) fnv_prime;
-  st.b <- Int64.mul (Int64.logxor st.b (Int64.of_int (c lxor 0xa5))) fnv_prime
+  st.a <- lane st.a c;
+  st.b <- lane st.b (c lxor 0xa5)
 
 let add_char st c = add_byte st (Char.code c)
 
-let add_int64 st v =
+(* Little-endian bytes of [v]; inlined so [add_int]'s conversion never
+   boxes. *)
+let[@inline] add_int64 st v =
+  let a = ref st.a and b = ref st.b in
   for shift = 0 to 7 do
-    add_byte st (Int64.to_int (Int64.shift_right_logical v (8 * shift)) land 0xff)
-  done
+    let c = Int64.to_int (Int64.shift_right_logical v (8 * shift)) land 0xff in
+    a := lane !a c;
+    b := lane !b (c lxor 0xa5)
+  done;
+  st.a <- !a;
+  st.b <- !b
 
 let add_int st v = add_int64 st (Int64.of_int v)
 
@@ -51,7 +67,14 @@ let add_bool st b = add_byte st (if b then 1 else 0)
 
 let add_string st s =
   add_int st (String.length s);
-  String.iter (fun c -> add_byte st (Char.code c)) s
+  let a = ref st.a and b = ref st.b in
+  for i = 0 to String.length s - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    a := lane !a c;
+    b := lane !b (c lxor 0xa5)
+  done;
+  st.a <- !a;
+  st.b <- !b
 
 let add_int_array st a =
   add_int st (Array.length a);

@@ -12,7 +12,14 @@
     collisions and bit rot, not adversaries.  It is deterministic across
     runs, platforms and OCaml versions (no [Hashtbl.hash], no
     [Marshal] in the input path), which is what lets one store serve
-    many processes over time. *)
+    many processes over time.
+
+    It also frames multi-megabyte blobs (the session layer's marshalled
+    zone graphs), so the fold is written for throughput: each string or
+    integer atom runs over two unboxed local lanes and touches the
+    builder once, allocating nothing per byte.  The output is fixed —
+    golden vectors in the test suite pin it, since changing a single bit
+    would orphan every persisted entry, session and snapshot. *)
 
 type t = { hi : int64; lo : int64 }
 

@@ -24,54 +24,49 @@ let path disk name = Filename.concat (Disk.dir disk) name
 (* Same framing as PSVSTORE1 entries: magic, payload digest, payload
    length, payload.  The digest is verified before the payload is
    interpreted, so truncation and bit rot surface as [Error], never as
-   a parse crash (or, for graphs, a [Marshal] segfault). *)
-let frame magic payload =
-  Printf.sprintf "%s\n%s\n%d\n%s" magic
-    (D128.to_hex (D128.of_string payload))
-    (String.length payload) payload
-
-let unframe magic raw =
+   a parse crash (or, for graphs, a [Marshal] segfault).  The header and
+   the payload go through the channel as separate strings: a graph
+   payload runs to megabytes, and each whole-file copy of it would be
+   one more allocation of that size. *)
+let read_framed magic p =
   let ( let* ) = Result.bind in
-  let line_end from =
-    match String.index_from_opt raw from '\n' with
-    | Some i -> Ok i
-    | None -> Error "truncated header"
+  let unframe ic =
+    let line () =
+      match In_channel.input_line ic with
+      | Some l -> Ok l
+      | None -> Error "truncated header"
+    in
+    let* m = line () in
+    let* () = if m = magic then Ok () else Error "bad magic" in
+    let* d = line () in
+    let* digest =
+      match D128.of_hex d with
+      | Some d -> Ok d
+      | None -> Error "bad payload digest line"
+    in
+    let* l = line () in
+    let* len =
+      match int_of_string_opt l with
+      | Some n when n >= 0 -> Ok n
+      | _ -> Error "bad payload length line"
+    in
+    let* () =
+      if in_channel_length ic - pos_in ic = len then Ok ()
+      else Error "payload length mismatch (truncated?)"
+    in
+    let payload = really_input_string ic len in
+    if D128.equal (D128.of_string payload) digest then Ok payload
+    else Error "payload digest mismatch"
   in
-  let* e1 = line_end 0 in
-  let* () =
-    if String.sub raw 0 e1 = magic then Ok () else Error "bad magic"
-  in
-  let* e2 = line_end (e1 + 1) in
-  let* digest =
-    match D128.of_hex (String.sub raw (e1 + 1) (e2 - e1 - 1)) with
-    | Some d -> Ok d
-    | None -> Error "bad payload digest line"
-  in
-  let* e3 = line_end (e2 + 1) in
-  let* len =
-    match int_of_string_opt (String.sub raw (e2 + 1) (e3 - e2 - 1)) with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error "bad payload length line"
-  in
-  let body_start = e3 + 1 in
-  let* () =
-    if String.length raw - body_start = len then Ok ()
-    else Error "payload length mismatch (truncated?)"
-  in
-  let payload = String.sub raw body_start len in
-  if D128.equal (D128.of_string payload) digest then Ok payload
-  else Error "payload digest mismatch"
-
-let read_raw p =
-  let ic = open_in_bin p in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  match In_channel.with_open_bin p unframe with
+  | r -> r
+  | exception Sys_error msg -> Error msg
+  | exception End_of_file -> Error "payload length mismatch (truncated?)"
 
 (* Atomic publish via tmp + rename, mirroring [Disk.insert]. *)
 let tmp_counter = Atomic.make 0
 
-let write_raw disk name content =
+let write_framed disk name magic payload =
   let tmp =
     Filename.concat (Disk.dir disk)
       (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ())
@@ -81,7 +76,11 @@ let write_raw disk name content =
     let oc = open_out_bin tmp in
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc content);
+      (fun () ->
+        Printf.fprintf oc "%s\n%s\n%d\n" magic
+          (D128.to_hex (D128.of_string payload))
+          (String.length payload);
+        output_string oc payload);
     Unix.rename tmp (path disk name)
   with
   | () -> ()
@@ -158,35 +157,27 @@ let of_json j =
   Ok { ss_tag; ss_query; ss_net; ss_result_key; ss_manifest }
 
 let save disk s =
-  write_raw disk
+  write_framed disk
     (sess_name (session_key ~tag:s.ss_tag ~query:s.ss_query))
-    (frame magic_sess (Json.to_string (to_json s)))
+    magic_sess
+    (Json.to_string (to_json s))
 
 let load disk key =
   let p = path disk (sess_name key) in
   if not (Sys.file_exists p) then Error "no session"
   else
-    match read_raw p with
-    | exception (Sys_error msg) -> Error msg
-    | raw ->
-      let ( let* ) = Result.bind in
-      let* payload = unframe magic_sess raw in
-      let* json = Json.parse payload in
-      of_json json
+    let ( let* ) = Result.bind in
+    let* payload = read_framed magic_sess p in
+    let* json = Json.parse payload in
+    of_json json
 
 let save_graph disk key blob =
-  write_raw disk (graph_name key) (frame magic_graph blob)
+  write_framed disk (graph_name key) magic_graph blob
 
 let load_graph disk key =
   let p = path disk (graph_name key) in
   if not (Sys.file_exists p) then None
-  else
-    match read_raw p with
-    | exception (Sys_error _) -> None
-    | raw -> (
-      match unframe magic_graph raw with
-      | Ok payload -> Some payload
-      | Error _ -> None)
+  else Result.to_option (read_framed magic_graph p)
 
 let remove disk key =
   List.iter
@@ -216,12 +207,7 @@ type fsck = {
    even when the framing digest is internally consistent. *)
 let check_session disk file =
   let ( let* ) = Result.bind in
-  let* raw =
-    match read_raw (path disk file) with
-    | raw -> Ok raw
-    | exception (Sys_error msg) -> Error msg
-  in
-  let* payload = unframe magic_sess raw in
+  let* payload = read_framed magic_sess (path disk file) in
   let* json = Json.parse payload in
   let* s = of_json json in
   let* () =
@@ -237,9 +223,7 @@ let check_session disk file =
   else Error "manifest does not match recomputed per-automaton digests"
 
 let check_graph disk file =
-  match read_raw (path disk file) with
-  | exception (Sys_error msg) -> Error msg
-  | raw -> Result.map (fun _ -> ()) (unframe magic_graph raw)
+  Result.map ignore (read_framed magic_graph (path disk file))
 
 let fsck disk =
   let acc =

@@ -485,6 +485,115 @@ let test_session_fsck_catches_corruption () =
       Alcotest.(check (list (pair string string))) "clean after gc" []
         fsck'.Store.Session.sk_bad)
 
+(* --- the graph is read only by the rung that replays it ---------------- *)
+
+let open_cache dir =
+  match Store.Disk.open_ dir with
+  | Ok d -> (d, Analysis.Qcache.make d)
+  | Error msg -> Alcotest.failf "open store: %s" msg
+
+let store_files dir suffix =
+  List.filter
+    (fun f -> Filename.check_suffix f suffix)
+    (Array.to_list (Sys.readdir dir))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* Damage every persisted graph blob. *)
+let damage_graphs dir how =
+  List.iter
+    (fun f ->
+      let p = Filename.concat dir f in
+      match how with
+      | `Delete -> Sys.remove p
+      | `Truncate ->
+        let raw = read_file p in
+        write_file p (String.sub raw 0 (String.length raw - 1)))
+    (store_files dir ".psvg")
+
+let damage_name = function `Delete -> "deleted" | `Truncate -> "truncated"
+
+(* Run [q] on [toy_net] in one session, damage its graph, and hand a
+   fresh session over the same store (a new process) to [k]. *)
+let with_damaged_session how q k =
+  with_store_dir (fun dir ->
+      let _, cache = open_cache dir in
+      let first = Incr.Session.make ~cache ~tag:"lazy" () in
+      let o1 = Incr.Session.run first toy_net q in
+      damage_graphs dir how;
+      let disk, cache = open_cache dir in
+      k disk (Incr.Session.make ~cache ~tag:"lazy" ()) o1)
+
+let test_session_cone_without_graph () =
+  List.iter
+    (fun how ->
+      let q = query "E<> Receiver.Busy" in
+      with_damaged_session how q (fun _ sess o1 ->
+          let inert = with_automaton toy_net "Idler" idler' in
+          let o = Incr.Session.run sess inert q in
+          Alcotest.(check string)
+            (damage_name how ^ " graph: cone still answers")
+            "cone"
+            (Incr.Session.rung_name o.Incr.Session.so_rung);
+          Alcotest.(check string)
+            (damage_name how ^ " graph: stored result")
+            (result_json o1.Incr.Session.so_result)
+            (result_json o.Incr.Session.so_result)))
+    [ `Delete; `Truncate ]
+
+let test_session_replay_without_graph () =
+  List.iter
+    (fun how ->
+      let q = query "A[] v == 0" in
+      with_damaged_session how q (fun disk sess _ ->
+          let edited = with_automaton toy_net "Sender" sender_tweaked in
+          let o = Incr.Session.run sess edited q in
+          Alcotest.(check string)
+            (damage_name how ^ " graph: replay falls back to full")
+            "full"
+            (Incr.Session.rung_name o.Incr.Session.so_rung);
+          check_scratch_equal
+            (damage_name how ^ " graph: full result")
+            edited q o.Incr.Session.so_result;
+          let fsck = Store.Session.fsck disk in
+          Alcotest.(check int) "session re-persisted" 1 fsck.Store.Session.sk_ok;
+          Alcotest.(check int) "good graph re-persisted" 1
+            fsck.Store.Session.sk_graphs;
+          Alcotest.(check (list (pair string string))) "nothing bad" []
+            fsck.Store.Session.sk_bad))
+    [ `Delete; `Truncate ]
+
+(* Session and graph files framed by hand with the reference digest —
+   the bytes the original per-byte fold wrote — must be what the store
+   writes today, and must still replay on the delta rung. *)
+let test_session_reference_frames_replay () =
+  with_store_dir (fun dir ->
+      let q = query "A[] v == 0" in
+      let _, cache = open_cache dir in
+      ignore (Incr.Session.run (Incr.Session.make ~cache ~tag:"compat" ()) toy_net q);
+      List.iter
+        (fun (suffix, magic) ->
+          match store_files dir suffix with
+          | [ f ] ->
+            let p = Filename.concat dir f in
+            let raw = read_file p in
+            let framed = Ref_d128.frame magic (Ref_d128.payload raw) in
+            Alcotest.(check bool) (magic ^ " bytes unchanged") true
+              (String.equal raw framed);
+            write_file p framed
+          | fs -> Alcotest.failf "%d %s files" (List.length fs) suffix)
+        [ (".psvs", "PSVSESS1"); (".psvg", "PSVGRAPH1") ];
+      let _, cache = open_cache dir in
+      let edited = with_automaton toy_net "Sender" sender_tweaked in
+      let o = Incr.Session.run (Incr.Session.make ~cache ~tag:"compat" ()) edited q in
+      Alcotest.(check string) "reference-framed session replays" "delta"
+        (Incr.Session.rung_name o.Incr.Session.so_rung);
+      check_scratch_equal "reference-framed delta result" edited q
+        o.Incr.Session.so_result)
+
 (* --- disk stats corrupt-bytes split ------------------------------------ *)
 
 let test_stats_corrupt_bytes () =
@@ -547,4 +656,10 @@ let suite =
     Alcotest.test_case "session persistence" `Quick test_session_persistence;
     Alcotest.test_case "session fsck" `Quick
       test_session_fsck_catches_corruption;
+    Alcotest.test_case "cone rung needs no graph" `Quick
+      test_session_cone_without_graph;
+    Alcotest.test_case "damaged graph falls back to full" `Quick
+      test_session_replay_without_graph;
+    Alcotest.test_case "reference-framed session replays" `Quick
+      test_session_reference_frames_replay;
     Alcotest.test_case "stats corrupt bytes" `Quick test_stats_corrupt_bytes ]

@@ -56,6 +56,63 @@ let test_d128_sensitivity () =
   Alcotest.(check bool) "content-sensitive" false
     (Store.D128.equal (digest [ "a" ]) (digest [ "b" ]))
 
+(* Golden vectors, computed with the original per-byte fold: every
+   store key, session key and frame digest depends on these bits. *)
+let mib_vector =
+  String.init (1 lsl 20) (fun i -> Char.chr ((i * 131 + i / 7) land 0xff))
+
+let test_d128_golden () =
+  let hex = Alcotest.(check string) in
+  hex "empty string" "a0971191a0cc277c4048d136ee8402da"
+    (Store.D128.to_hex (Store.D128.of_string ""));
+  hex "hello" "e0bab4dbc02c67fc1a1cc4d1eb76a334"
+    (Store.D128.to_hex (Store.D128.of_string "hello"));
+  let st = Store.D128.builder () in
+  Store.D128.add_int st 42;
+  Store.D128.add_int64 st (-1L);
+  Store.D128.add_bool st true;
+  Store.D128.add_char st 'x';
+  Store.D128.add_int_array st [| 0; -7; max_int |];
+  Store.D128.add_string st "psv";
+  hex "every atom kind" "a12d6ba011bda41eac6b3d69588315c0"
+    (Store.D128.to_hex (Store.D128.value st));
+  hex "1 MiB vector" "7deaabd0bcfc43f4b4be055f77ac4bc1"
+    (Store.D128.to_hex (Store.D128.of_string mib_vector))
+
+type atom =
+  | Int of int
+  | Int64 of int64
+  | Bool of bool
+  | Char of char
+  | Str of string
+  | Ints of int array
+
+let gen_atom =
+  let open QCheck.Gen in
+  frequency
+    [ (2, map (fun n -> Int n) (oneof [ int; small_signed_int ]));
+      (1, map (fun n -> Int64 n) ui64);
+      (1, map (fun b -> Bool b) bool);
+      (1, map (fun c -> Char c) char);
+      (3, map (fun s -> Str s) (string_size (int_bound 300)));
+      (1, map (fun a -> Ints a) (array_size (int_bound 20) int)) ]
+
+let prop_d128_matches_reference =
+  QCheck.Test.make ~name:"d128 = per-byte reference fold" ~count:2000
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_bound 12) gen_atom))
+    (fun atoms ->
+      let st = Store.D128.builder () and rf = Ref_d128.builder () in
+      List.iter
+        (function
+          | Int n -> Store.D128.add_int st n; Ref_d128.add_int rf n
+          | Int64 n -> Store.D128.add_int64 st n; Ref_d128.add_int64 rf n
+          | Bool b -> Store.D128.add_bool st b; Ref_d128.add_bool rf b
+          | Char c -> Store.D128.add_char st c; Ref_d128.add_char rf c
+          | Str s -> Store.D128.add_string st s; Ref_d128.add_string rf s
+          | Ints a -> Store.D128.add_int_array st a; Ref_d128.add_int_array rf a)
+        atoms;
+      String.equal (Store.D128.to_hex (Store.D128.value st)) (Ref_d128.hex rf))
+
 (* --- Json ---------------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -602,6 +659,8 @@ let test_old_snapshot_version () =
 let suite =
   [ Alcotest.test_case "d128 hex round-trip" `Quick test_d128_hex;
     Alcotest.test_case "d128 sensitivity" `Quick test_d128_sensitivity;
+    Alcotest.test_case "d128 golden vectors" `Quick test_d128_golden;
+    QCheck_alcotest.to_alcotest prop_d128_matches_reference;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json errors" `Quick test_json_errors;
     Alcotest.test_case "query to_string round-trip" `Quick
