@@ -516,7 +516,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
   (* More workers than cores measures scheduler contention, not
      scaling; drop those rows unless explicitly asked to keep them. *)
   let jobs_list =
-    let avail = Mc.Parsearch.recommended_jobs () in
+    let avail = Mc.Explorer.recommended_jobs () in
     if allow_oversubscribe then jobs_list
     else
       List.filter
@@ -632,9 +632,14 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
                        (q.Analysis.Queries.qs_name, speedup)
                        :: !gate_violations
                    | Some _ | None -> ());
+                  (* the first run's visited count: order-dependent at
+                     jobs > 1, it shows how much work the partitioned
+                     search did *)
                   Printf.sprintf
-                    "{\"jobs\": %d, \"wall_ms\": %.1f, \"speedup\": %.2f}"
-                    jobs wj speedup)
+                    "{\"jobs\": %d, \"wall_ms\": %.1f, \"speedup\": %.2f, \
+                     \"visited\": %d}"
+                    jobs wj speedup
+                    rj.Analysis.Queries.dr_stats.Mc.Explorer.visited)
                 jobs_list
             in
             Printf.sprintf ", \"jobs_scaling\": [%s]"

@@ -14,11 +14,10 @@ let max_delay ?(jobs = 1) ?limit ?ctl ?resume net ~trigger ~response ~ceiling =
     Mc.Monitor.delay ~trigger ~response ~clock:monitor_clock ~ceiling ()
   in
   let t = Mc.Explorer.make ~monitor ?limit net in
-  (* Parsearch delegates jobs <= 1 to the sequential path; snapshots
-     use one format either way, so a checkpoint taken at any [jobs]
-     resumes at any other *)
+  (* snapshots use one format at every [jobs], so a checkpoint taken at
+     any [jobs] resumes at any other *)
   let o =
-    Mc.Parsearch.sup_clock ~jobs ?ctl ?resume t
+    Mc.Explorer.sup_clock ~jobs ?ctl ?resume t
       ~pred:(Mc.Explorer.mon_in t "Waiting")
       ~clock:monitor_clock
   in

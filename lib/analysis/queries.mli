@@ -26,7 +26,7 @@ type delay_result = {
     interrupted run from its snapshot — same trigger, response, ceiling
     and network required ({!Mc.Explorer.sup_clock} checks the
     fingerprint).  [jobs] (default 1) runs the exploration itself on
-    that many domains via {!Mc.Parsearch}: identical sup, and the same
+    that many domains ({!Mc.Explorer.search}): identical sup, and the same
     snapshot format — a checkpoint taken at any [jobs] resumes at any
     other.
     @raise Invalid_argument when the snapshot does not match. *)

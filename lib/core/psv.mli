@@ -48,7 +48,7 @@ module Codegen = Codegen
     response requirement [P(bound)] on any network (PIM or PSM).
     Three-valued: [Unknown] when a govern token's budget interrupted the
     search before a definite answer.  [jobs] runs the exploration on
-    that many domains ({!Mc.Parsearch}) — same verdict. *)
+    that many domains ({!Mc.Explorer.search}) — same verdict. *)
 val verify_response :
   ?jobs:int -> ?limit:int -> ?ctl:Mc.Runctl.t ->
   Model.network -> trigger:string -> response:string -> bound:int ->

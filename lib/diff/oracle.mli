@@ -7,7 +7,7 @@
     - {b truth} — the sequential explorer's sup against the generator's
       known-by-construction value ({!Gen.Exact}) or analytic Lemma-2
       window ({!Gen.Between}, reported as the {!Analytic} check);
-    - {b jobs} — {!Mc.Parsearch} at [config.jobs] domains must return
+    - {b jobs} — the explorer at [config.jobs] domains must return
       the identical outcome (the library's determinism guarantee);
     - {b bounded} — [bounded: t -> r within ub] must hold and
       [within floor - 1] must fail, exercising the verdict path on both

@@ -150,13 +150,10 @@ let make ?(monitor = Monitor.trivial) ?tight ?(limit = default_limit)
 
 let compiled t = t.comp
 
-let state_limit t = t.limit
-
 let fresh_pool t = Zone.Dbm.Pool.create (t.comp.Compiled.c_nclocks + 1)
 
 (* DBM index and exact-reporting ceiling of a (typically monitor) clock,
-   as used by sup queries.  Shared with the parallel explorer so both
-   resolve clock names identically. *)
+   as used by sup queries. *)
 let monitor_clock_info t clock =
   let ci =
     match List.assoc_opt clock t.mon_clock_index with
@@ -941,10 +938,9 @@ let load_snapshot path =
   | End_of_file -> Error "truncated snapshot"
   | Failure msg -> Error ("corrupt snapshot: " ^ msg)
 
-(* Shared resume guard: a snapshot replays correctly only into the same
-   search space (fingerprint), the same query kind (label), the same
-   dedup mode and the same zone dimension.  Used by the sequential
-   [search] below and by the parallel store restore (Parsearch). *)
+(* Resume guard: a snapshot replays correctly only into the same search
+   space (fingerprint), the same query kind (label), the same dedup mode
+   and the same zone dimension. *)
 let check_snapshot t ~label ~subsume snap =
   if not (Store.D128.equal snap.snap_fingerprint (fingerprint t)) then
     invalid_arg
@@ -956,9 +952,8 @@ let check_snapshot t ~label ~subsume snap =
   if snap.snap_dim <> t.comp.Compiled.c_nclocks + 1 then
     invalid_arg "Explorer: snapshot zone dimension differs"
 
-(* Accessors and a builder for foreign stores (the sharded parallel one)
-   that restore from and serialize to the same PSVSNAP2 format, so a
-   checkpoint taken at any [--jobs] resumes at any other. *)
+(* Accessors and a builder, for tools and tests that inspect or rebuild
+   a snapshot. *)
 let snapshot_next_id s = s.snap_next_id
 let snapshot_visited s = s.snap_visited
 let snapshot_stored s = s.snap_stored
@@ -990,45 +985,221 @@ type search_result = {
   sr_snapshot : snapshot option;
 }
 
-(* Generic search: calls [visit] on every stored state (including the
-   initial one); stops early when [visit] returns [`Stop].  [on_expanded]
-   is called after a state's successors have been generated, with the
-   number of (non-empty) successors -- used by the timelock detector.
+let recommended_jobs () = Domain.recommended_domain_count ()
 
-   Budgets ([ctl] and the explorer's state limit) are polled at the top
-   of the loop, before popping, so an interrupted search leaves the
-   waiting queue intact: the snapshot then restarts exactly where the
-   uninterrupted run would have continued.  [label] names the query kind
-   and must match on resume; [payload] is called at snapshot time to
-   save the caller's accumulator (e.g. the running sup). *)
-let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
-    ?(subsume = true) ?expand ?ctl ?resume ?(label = "")
-    ?(payload = fun () -> "") t visit =
-  let pool = fresh_pool t in
-  let passed = Passed.create ~subsume pool in
-  let store : (int, pw_node list ref) Hashtbl.t = Hashtbl.create 4096 in
-  (* trace side table: (parent, movers) per stored id, for witness
-     reconstruction; grows geometrically *)
-  let trace = ref (Array.make 1024 (-1, [])) in
-  let record_trace id parent movers =
-    let cap = Array.length !trace in
-    if id >= cap then begin
-      let bigger = Array.make (2 * cap) (-1, []) in
-      Array.blit !trace 0 bigger 0 cap;
-      trace := bigger
-    end;
-    !trace.(id) <- (parent, movers)
+(* A successor on its way to the partition that owns its discrete state,
+   with the hash it was routed on. *)
+type message = {
+  m_hash : int;
+  m_depth : int;
+  m_parent : int;
+  m_movers : (int * Compiled.cedge) list;
+  m_state : state;
+}
+
+(* Why a search is winding down.  [Running] is an immediate constructor,
+   so first-one-wins transitions are [compare_and_set stop Running _]. *)
+type stop =
+  | Running
+  | Found of int  (* id of the entry that stopped the search *)
+  | Interrupted of Runctl.reason
+  | Crashed of exn * string  (* the first crash, with its backtrace *)
+
+(* Waiting entries by depth (successor of depth [d] at [d + 1]): a pop
+   takes the shallowest entry, first in first out within a depth.  A
+   one-partition search pushes depths in non-decreasing order, so there
+   this is exactly a FIFO queue. *)
+module Levels = struct
+  type t = {
+    mutable lv : entry Queue.t array;
+    mutable lo : int;  (* every depth below is empty *)
+    mutable size : int;
+  }
+
+  let create () = { lv = [| Queue.create () |]; lo = 0; size = 0 }
+
+  let push t d e =
+    let n = Array.length t.lv in
+    if d >= n then
+      t.lv <-
+        Array.init (max (d + 1) (2 * n)) (fun i ->
+            if i < n then t.lv.(i) else Queue.create ());
+    Queue.push e t.lv.(d);
+    if d < t.lo then t.lo <- d;
+    t.size <- t.size + 1
+
+  let is_empty t = t.size = 0
+
+  (* the shallowest entry, whose depth is then [lo]; [t] must not be
+     empty *)
+  let rec peek t =
+    let q = t.lv.(t.lo) in
+    if Queue.is_empty q then begin
+      t.lo <- t.lo + 1;
+      peek t
+    end
+    else Queue.peek q
+
+  let drop t =
+    ignore (Queue.pop t.lv.(t.lo) : entry);
+    t.size <- t.size - 1
+
+  let length t = t.size
+
+  let fold f acc t = Array.fold_left (Queue.fold f) acc t.lv
+end
+
+(* One partition of the passed/waiting store: the nodes whose discrete
+   hash it owns, their waiting entries, the trace rows of the entries it
+   numbered and a DBM pool.  Only the domain that owns it touches it
+   while the search runs; other domains reach it through [pt_inbox]. *)
+type part = {
+  pt_index : int;
+  pt_pool : Zone.Dbm.Pool.t;
+  pt_passed : Passed.t;
+  pt_nodes : (int, pw_node list ref) Hashtbl.t;
+  pt_waiting : Levels.t;
+  mutable pt_trace : (int * (int * Compiled.cedge) list) array;
+      (* (parent id, movers) of the k-th entry this partition stored *)
+  mutable pt_count : int;  (* entries stored, so rows in [pt_trace] *)
+  mutable pt_expanding : int;
+      (* the entry under expansion: its zone must not go back to the pool
+         if a successor subsumes it, since the remaining candidates of
+         the expansion still read it *)
+  mutable pt_ticks : int;  (* polls, for striped ctl sampling *)
+  pt_inbox : message list list Atomic.t;  (* delivered batches *)
+  pt_out : message list array;  (* per owning partition, newest first *)
+  pt_nout : int array;
+  pt_idle : bool Atomic.t;
+}
+
+(* Successors travel to their owner in batches of this many, or sooner
+   when the owner runs out of work. *)
+let batch_size = 64
+
+(* Idle partitions spin this many [cpu_relax] rounds before sleeping. *)
+let spin_rounds = 2048
+
+(* The generic search loop: calls [visit p st] on every stored state
+   (including the initial one), from the domain owning partition [p];
+   stops early when [visit] returns [`Stop].  [on_expanded] is called
+   after a state's successors have been generated, with the number of
+   (non-empty) successors -- used by the timelock detector.
+
+   With [jobs > 1] the store is split into [jobs] partitions by discrete
+   hash, one per domain (owner-computes): a domain expands only the
+   entries it owns and sends every other successor, in batches, to the
+   partition that owns it.  With [jobs = 1] the one partition owns
+   everything and no successor ever leaves it.
+
+   Budgets ([ctl] and the explorer's state limit) are polled before an
+   entry is taken, so an interrupted search leaves the waiting queues
+   intact; a budget/cancel interrupt lets in-flight expansions finish and
+   delivers their successors, so the snapshot is a coherent cut that
+   resumes where the uninterrupted run would have continued.  [label]
+   names the query kind and must match on resume; [payload] is called at
+   snapshot time to save the caller's accumulator (e.g. the running
+   sup). *)
+let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
+    ?(on_transition = fun _ -> ()) ?(subsume = true) ?expand ?order ?ctl
+    ?resume ?(label = "") ?(payload = fun () -> "") t visit =
+  let jobs = max 1 jobs in
+  let par = jobs > 1 in
+  Option.iter (check_snapshot t ~label ~subsume) resume;
+  (* the one table of a jobs = 1 search keeps its historical size: the
+     size fixes the table's iteration order, hence a snapshot's bytes *)
+  let parts =
+    Array.init jobs (fun i ->
+        let pool = fresh_pool t in
+        { pt_index = i;
+          pt_pool = pool;
+          pt_passed = Passed.create ~subsume pool;
+          pt_nodes = Hashtbl.create (if par then 256 else 4096);
+          pt_waiting = Levels.create ();
+          pt_trace = Array.make 1024 (-1, []);
+          pt_count = 0;
+          pt_expanding = -1;
+          pt_ticks = 0;
+          pt_inbox = Atomic.make [];
+          pt_out = Array.make jobs [];
+          pt_nout = Array.make jobs 0;
+          pt_idle = Atomic.make false })
   in
-  let next_id = ref 0 in
-  let stored = ref 0 in
-  let visited = ref 0 in
-  let waiting : entry Queue.t = Queue.create () in
-  (* the entry currently being expanded: its zone must not go back to the
-     pool even if a successor subsumes it, because the remaining
-     candidates of this expansion still read it *)
-  let expanding = ref (-1) in
+  (* the FNV hash mixes upwards only (its low bits are parities of the
+     vectors' low bits), so it is finalised before it splits the store *)
+  let owner h =
+    if par then begin
+      let h = (h lxor (h lsr 29)) * 0x3f4a7c15 in
+      ((h lxor (h lsr 32)) land max_int) mod jobs
+    end
+    else 0
+  in
+  (* Ids below [base] are the resumed snapshot's; partition [p] numbers
+     its k-th entry [base + p + k * jobs]. *)
+  let base = match resume with Some s -> s.snap_next_id | None -> 0 in
+  let stored0 = match resume with Some s -> s.snap_stored | None -> 0 in
+  let visited =
+    Atomic.make (match resume with Some s -> s.snap_visited | None -> 0)
+  in
+  (* the state budget is reserved, not detected: [visited] never passes
+     [hard_limit], even transiently, whatever the number of domains *)
+  let hard_limit =
+    match Option.bind ctl (fun c -> (Runctl.budget c).Runctl.b_states) with
+    | Some n -> min n t.limit
+    | None -> t.limit
+  in
+  let stop = Atomic.make Running in
+  let running () = match Atomic.get stop with Running -> true | _ -> false in
+  (* an interrupt lets expansions in flight finish, so the store stays a
+     coherent cut; a witness or a crash abandons them *)
+  let proceed () =
+    match Atomic.get stop with
+    | Running | Interrupted _ -> true
+    | Found _ | Crashed _ -> false
+  in
+  let halt s = ignore (Atomic.compare_and_set stop Running s) in
+  (* a witness found while an interrupt winds down still answers *)
+  let found id =
+    match Atomic.get stop with
+    | (Running | Interrupted _) as s ->
+      ignore (Atomic.compare_and_set stop s (Found id))
+    | Found _ | Crashed _ -> ()
+  in
+  let crashed exn = halt (Crashed (exn, Printexc.get_backtrace ())) in
+  let supervised f = if par then try f () with exn -> crashed exn else f () in
   let progress =
     match !progress_hook with Some h -> Some h | None -> Lazy.force env_progress
+  in
+  (* trace rows of a resumed snapshot, edges looked up by (automaton,
+     declaration index) *)
+  let base_rows =
+    match resume with
+    | None -> [||]
+    | Some snap ->
+      let edges =
+        Array.map
+          (fun a ->
+            let tbl = Hashtbl.create 64 in
+            Array.iter
+              (List.iter (fun ce ->
+                   Hashtbl.replace tbl ce.Compiled.ce_index ce))
+              a.Compiled.ca_out;
+            tbl)
+          t.comp.Compiled.c_automata
+      in
+      Array.map
+        (fun (parent, movers) ->
+          ( parent,
+            List.map (fun (ai, idx) -> (ai, Hashtbl.find edges.(ai) idx))
+              movers ))
+        snap.snap_trace
+  in
+  let row id =
+    if id < base then
+      if id < Array.length base_rows then base_rows.(id) else (-1, [])
+    else
+      let p = parts.((id - base) mod jobs) and k = (id - base) / jobs in
+      if k < p.pt_count then p.pt_trace.(k) else (-1, [])
   in
   let find_node bucket h st =
     let rec go = function
@@ -1041,14 +1212,13 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
     in
     go !bucket
   in
-  let node_for st =
-    let h = hash_discrete st.st_locs st.st_vars st.st_mon in
+  let node_for p h st =
     let bucket =
-      match Hashtbl.find_opt store h with
+      match Hashtbl.find_opt p.pt_nodes h with
       | Some b -> b
       | None ->
         let b = ref [] in
-        Hashtbl.replace store h b;
+        Hashtbl.replace p.pt_nodes h b;
         b
     in
     match find_node bucket h st with
@@ -1058,64 +1228,216 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
       bucket := n :: !bucket;
       n
   in
-  let add_state parent movers st =
+  (* offer [st] to its owner [p]; a stored state is queued and visited *)
+  let add_state p h depth parent movers st =
+    let k = p.pt_count in
+    let id = base + p.pt_index + (k * jobs) in
     match
-      Passed.add passed (node_for st) ~expanding:!expanding ~id:!next_id st
+      Passed.add p.pt_passed (node_for p h st) ~expanding:p.pt_expanding ~id
+        st
     with
-    | None -> None
-    | Some e as r ->
-      incr next_id;
-      incr stored;
-      record_trace e.e_id parent movers;
-      Queue.push e waiting;
-      r
+    | None -> ()
+    | Some e ->
+      if k = Array.length p.pt_trace then begin
+        let bigger = Array.make (2 * k) (-1, []) in
+        Array.blit p.pt_trace 0 bigger 0 k;
+        p.pt_trace <- bigger
+      end;
+      p.pt_trace.(k) <- (parent, movers);
+      p.pt_count <- k + 1;
+      Levels.push p.pt_waiting depth e;
+      (match visit p.pt_index st with
+       | `Stop -> found id
+       | `Continue -> ())
   in
-  let stopped = ref None in
-  let consider entry =
-    match visit entry.e_state with
-    | `Stop -> stopped := Some entry
-    | `Continue -> ()
+  (* termination: [pending] counts the partitions at work plus the
+     batches sent and not yet taken; a batch is counted before it is
+     pushed and an idle partition counts itself back in before taking
+     one, so [pending = 0] means no work exists and none can appear *)
+  let pending = Atomic.make jobs in
+  let flush p o =
+    let batch = p.pt_out.(o) in
+    p.pt_out.(o) <- [];
+    p.pt_nout.(o) <- 0;
+    Atomic.incr pending;
+    let inbox = parts.(o).pt_inbox in
+    let rec push () =
+      let cur = Atomic.get inbox in
+      if not (Atomic.compare_and_set inbox cur (batch :: cur)) then push ()
+    in
+    push ()
   in
-  (* edge lookup by (automaton, declaration index), for rebuilding the
-     trace table of a snapshot; forced only on resume *)
-  let edge_by_index =
-    lazy
-      (Array.map
-         (fun a ->
-           let tbl = Hashtbl.create 64 in
-           Array.iter
-             (List.iter (fun ce ->
-                  Hashtbl.replace tbl ce.Compiled.ce_index ce))
-             a.Compiled.ca_out;
-           tbl)
-         t.comp.Compiled.c_automata)
+  let flush_all p =
+    for o = 0 to jobs - 1 do
+      if p.pt_nout.(o) > 0 then flush p o
+    done
+  in
+  let route p h depth parent movers st =
+    let o = owner h in
+    if o = p.pt_index then add_state p h depth parent movers st
+    else begin
+      p.pt_out.(o) <-
+        { m_hash = h; m_depth = depth; m_parent = parent; m_movers = movers;
+          m_state = st }
+        :: p.pt_out.(o);
+      p.pt_nout.(o) <- p.pt_nout.(o) + 1;
+      if p.pt_nout.(o) >= batch_size then flush p o
+    end
+  in
+  (* store the delivered batches, oldest first; [order] puts the highest
+     scores of the delivery first *)
+  let receive p =
+    match Atomic.exchange p.pt_inbox [] with
+    | [] -> ()
+    | batches ->
+      let msgs = List.concat_map List.rev (List.rev batches) in
+      let msgs =
+        match order with
+        | None -> msgs
+        | Some score ->
+          List.map (fun m -> (- score m.m_state, m)) msgs
+          |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+          |> List.map snd
+      in
+      List.iter
+        (fun m ->
+          if proceed () then
+            add_state p m.m_hash m.m_depth m.m_parent m.m_movers m.m_state)
+        msgs;
+      ignore (Atomic.fetch_and_add pending (- List.length batches))
+  in
+  let poll p =
+    let v = Atomic.get visited in
+    if (not par) && v >= t.limit then Some (Runctl.State_budget t.limit)
+    else
+      match ctl with
+      | None -> None
+      | Some c when par ->
+        let tick = p.pt_ticks in
+        p.pt_ticks <- tick + 1;
+        Runctl.check_striped c ~visited:v ~tick
+      | Some c -> Runctl.check c ~visited:v
+  in
+  (* the visited count after reserving one expansion, or [-1] when the
+     budget is spent *)
+  let rec reserve () =
+    let v = Atomic.get visited in
+    if v >= hard_limit then -1
+    else if Atomic.compare_and_set visited v (v + 1) then v + 1
+    else reserve ()
+  in
+  let expand_one p depth e =
+    p.pt_expanding <- e.e_id;
+    let successors = ref 0 in
+    let handle cd st =
+      incr successors;
+      on_transition cd;
+      route p (hash_discrete st.st_locs st.st_vars st.st_mon) (depth + 1)
+        e.e_id cd.cd_movers st
+    in
+    (match expand with
+     | None ->
+       List.iter
+         (fun cd ->
+           if proceed () then
+             match fire t p.pt_pool e.e_state cd with
+             | None -> ()
+             | Some st -> handle cd st)
+         (candidates t e.e_state)
+     | Some f ->
+       (* an expansion override produces the whole (candidate, successor)
+          list up front; processing still honors [`Stop] exactly like the
+          inline path, so verdicts, counters and callback order are
+          byte-identical *)
+       List.iter
+         (fun (cd, succ) ->
+           if proceed () then
+             match succ with None -> () | Some st -> handle cd st)
+         (f p.pt_pool e.e_state));
+    p.pt_expanding <- -1;
+    if proceed () then
+      match on_expanded e.e_state !successors with
+      | `Stop -> found e.e_id
+      | `Continue -> ()
+  in
+  let step p =
+    match poll p with
+    | Some r -> halt (Interrupted r)
+    | None ->
+      let e = Levels.peek p.pt_waiting in
+      let depth = p.pt_waiting.Levels.lo in
+      if e.e_dead then Levels.drop p.pt_waiting
+      else begin
+        let v = reserve () in
+        if v < 0 then halt (Interrupted (Runctl.State_budget hard_limit))
+        else begin
+          Levels.drop p.pt_waiting;
+          (match progress with
+           | Some hook when p.pt_index = 0 && v mod 1_000 = 0 ->
+             hook
+               { pr_visited = v;
+                 pr_stored =
+                   Array.fold_left (fun n q -> n + q.pt_count) stored0 parts;
+                 pr_queue =
+                   Array.fold_left
+                     (fun n q -> n + Levels.length q.pt_waiting)
+                     0 parts }
+           | Some _ | None -> ());
+          expand_one p depth e
+        end
+      end
+  in
+  (* out of work: hand every buffered successor over and wait; [true]
+     when a batch arrived, [false] when the search is over *)
+  let rest p =
+    flush_all p;
+    Atomic.set p.pt_idle true;
+    Atomic.decr pending;
+    let rec wait rounds =
+      if not (running ()) then false
+      else
+        match Atomic.get p.pt_inbox with
+        | _ :: _ ->
+          Atomic.incr pending;
+          Atomic.set p.pt_idle false;
+          true
+        | [] ->
+          if Atomic.get pending = 0 then false
+          else begin
+            if rounds < spin_rounds then Domain.cpu_relax ()
+            else
+              Unix.sleepf
+                (if rounds < spin_rounds + 256 then 0.000_05 else 0.000_5);
+            wait (rounds + 1)
+          end
+    in
+    wait 0
+  in
+  let rec work p =
+    if running () then begin
+      (match Atomic.get p.pt_inbox with [] -> () | _ :: _ -> receive p);
+      if not (Levels.is_empty p.pt_waiting) then begin
+        step p;
+        if par then
+          for o = 0 to jobs - 1 do
+            if p.pt_nout.(o) > 0 && Atomic.get parts.(o).pt_idle then flush p o
+          done;
+        work p
+      end
+      else if par && rest p then work p
+    end
   in
   (match resume with
    | None ->
-     let initial = initial_state t in
-     if not (Zone.Dbm.is_empty initial.st_zone) then begin
-       match add_state (-1) [] initial with
-       | Some e -> consider e
-       | None -> ()
-     end
+     supervised (fun () ->
+         let initial = initial_state t in
+         if not (Zone.Dbm.is_empty initial.st_zone) then begin
+           let h =
+             hash_discrete initial.st_locs initial.st_vars initial.st_mon
+           in
+           add_state parts.(owner h) h 0 (-1) [] initial
+         end)
    | Some snap ->
-     check_snapshot t ~label ~subsume snap;
-     next_id := snap.snap_next_id;
-     visited := snap.snap_visited;
-     stored := snap.snap_stored;
-     let cap = ref (Array.length !trace) in
-     while !cap < snap.snap_next_id do
-       cap := 2 * !cap
-     done;
-     trace := Array.make !cap (-1, []);
-     let edges = Lazy.force edge_by_index in
-     Array.iteri
-       (fun id (parent, movers) ->
-         !trace.(id) <-
-           ( parent,
-             List.map (fun (ai, idx) -> (ai, Hashtbl.find edges.(ai) idx))
-               movers ))
-       snap.snap_trace;
      let by_id = Hashtbl.create 4096 in
      List.iter
        (fun se ->
@@ -1124,134 +1446,120 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(on_transition = fun _ -> ())
              st_zone = Zone.Dbm.of_ints ~dim:snap.snap_dim se.se_zone }
          in
          let e = { e_id = se.se_id; e_state = st; e_dead = false } in
-         Hashtbl.replace by_id se.se_id e;
-         Passed.restore passed (node_for st) e)
+         let h = hash_discrete st.st_locs st.st_vars st.st_mon in
+         let p = parts.(owner h) in
+         Hashtbl.replace by_id se.se_id (p, e);
+         Passed.restore p.pt_passed (node_for p h st) e)
        snap.snap_entries;
      (* the visit callback is NOT replayed for restored states: they were
         considered when first stored, and the caller's accumulator comes
         back through [snap_payload] *)
      Array.iter
-       (fun id -> Queue.push (Hashtbl.find by_id id) waiting)
+       (fun id ->
+         let p, e = Hashtbl.find by_id id in
+         Levels.push p.pt_waiting 0 e)
        snap.snap_queue);
-  let interrupt = ref None in
-  let poll () =
-    if !visited >= t.limit then interrupt := Some (Runctl.State_budget t.limit)
-    else
-      match ctl with
-      | None -> ()
-      | Some c ->
-        (match Runctl.check c ~visited:!visited with
-         | Some r -> interrupt := Some r
-         | None -> ())
-  in
-  while !stopped = None && !interrupt = None && not (Queue.is_empty waiting) do
-    poll ();
-    if !interrupt = None then begin
-    let e = Queue.pop waiting in
-    if not e.e_dead then begin
-      incr visited;
-      (match progress with
-       | Some hook when !visited mod 1_000 = 0 ->
-         hook
-           { pr_visited = !visited; pr_stored = !stored;
-             pr_queue = Queue.length waiting }
-       | Some _ | None -> ());
-      expanding := e.e_id;
-      let successors = ref 0 in
-      let handle cd st =
-        incr successors;
-        on_transition cd;
-        match add_state e.e_id cd.cd_movers st with
-        | Some e' -> consider e'
-        | None -> ()
-      in
-      (match expand with
-       | None ->
-         List.iter
-           (fun cd ->
-             if !stopped = None then
-               match fire t pool e.e_state cd with
-               | None -> ()
-               | Some st -> handle cd st)
-           (candidates t e.e_state)
-       | Some f ->
-         (* an expansion override produces the whole (candidate,
-            successor) list up front; processing still honors [`Stop]
-            exactly like the inline path, so verdicts, counters and
-            callback order are byte-identical *)
-         List.iter
-           (fun (cd, succ) ->
-             if !stopped = None then
-               match succ with None -> () | Some st -> handle cd st)
-           (f pool e.e_state));
-      if !stopped = None then
-        match on_expanded e.e_state !successors with
-        | `Stop -> stopped := Some e
-        | `Continue -> ()
-    end
-    end
-  done;
-  let chain_of entry =
+  if not par then work parts.(0)
+  else begin
+    let domains =
+      Array.init (jobs - 1) (fun i ->
+          Domain.spawn (fun () -> supervised (fun () -> work parts.(i + 1))))
+    in
+    supervised (fun () -> work parts.(0));
+    Array.iter Domain.join domains;
+    (* after the join, which orders every domain's writes before these
+       reads: an interrupted run stores what was still in flight, so the
+       snapshot misses no successor of an expanded entry *)
+    if proceed () then
+      supervised (fun () ->
+          Array.iter flush_all parts;
+          Array.iter receive parts)
+  end;
+  let chain_of id =
     let rec walk acc id =
       if id < 0 then acc
       else
-        let parent, movers = !trace.(id) in
+        let parent, movers = row id in
         if parent < 0 then acc else walk (movers :: acc) parent
     in
-    walk [] entry.e_id
+    walk [] id
   in
-  let frontier =
-    Queue.fold (fun n e -> if e.e_dead then n else n + 1) 0 waiting
+  let stats =
+    { visited = Atomic.get visited;
+      stored = Array.fold_left (fun n p -> n + p.pt_count) stored0 parts;
+      frontier =
+        Array.fold_left
+          (fun n p ->
+            Levels.fold (fun n e -> if e.e_dead then n else n + 1) n
+              p.pt_waiting)
+          0 parts }
   in
+  (* partition by partition, each node's entries in insertion order and
+     each waiting list shallowest first, so at jobs = 1 the queue is the
+     FIFO order *)
   let build_snapshot () =
     let entries = ref [] in
-    Hashtbl.iter
-      (fun _ bucket ->
-        List.iter
-          (fun n ->
-            (* in insertion order, holes (dead fillers) skipped *)
-            for i = n.pw_len - 1 downto 0 do
-              let e = n.pw_live.(i) in
-              if not e.e_dead then
-                entries :=
-                  { se_id = e.e_id;
-                    se_locs = e.e_state.st_locs;
-                    se_vars = e.e_state.st_vars;
-                    se_mon = e.e_state.st_mon;
-                    se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
-                  :: !entries
-            done)
-          !bucket)
-      store;
-    let queue_ids =
-      Queue.fold (fun acc e -> if e.e_dead then acc else e.e_id :: acc)
-        [] waiting
+    Array.iter
+      (fun p ->
+        Hashtbl.iter
+          (fun _ bucket ->
+            List.iter
+              (fun n ->
+                for i = n.pw_len - 1 downto 0 do
+                  let e = n.pw_live.(i) in
+                  if not e.e_dead then
+                    entries :=
+                      { se_id = e.e_id;
+                        se_locs = e.e_state.st_locs;
+                        se_vars = e.e_state.st_vars;
+                        se_mon = e.e_state.st_mon;
+                        se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
+                      :: !entries
+                done)
+              !bucket)
+          p.pt_nodes)
+      parts;
+    let queue =
+      Array.fold_left
+        (fun acc p ->
+          Levels.fold
+            (fun acc e -> if e.e_dead then acc else e.e_id :: acc)
+            acc p.pt_waiting)
+        [] parts
       |> List.rev |> Array.of_list
     in
-    let trace_tbl =
-      Array.init !next_id (fun id ->
-          let parent, movers = !trace.(id) in
-          (parent, List.map (fun (ai, ce) -> (ai, ce.Compiled.ce_index)) movers))
+    let next_id =
+      base + (jobs * Array.fold_left (fun n p -> max n p.pt_count) 0 parts)
     in
-    { snap_fingerprint = fingerprint t;
-      snap_label = label;
-      snap_dim = t.comp.Compiled.c_nclocks + 1;
-      snap_subsume = subsume;
-      snap_next_id = !next_id;
-      snap_visited = !visited;
-      snap_stored = !stored;
-      snap_entries = !entries;
-      snap_queue = queue_ids;
-      snap_trace = trace_tbl;
-      snap_payload = payload () }
+    make_snapshot t ~label ~subsume ~next_id ~visited:stats.visited
+      ~stored:stats.stored
+      ~entries:!entries
+      ~queue
+      ~trace:
+        (Array.init next_id (fun id ->
+             let parent, movers = row id in
+             ( parent,
+               List.map (fun (ai, ce) -> (ai, ce.Compiled.ce_index)) movers )))
+      ~payload:(payload ())
   in
-  { sr_chain = Option.map chain_of !stopped;
-    sr_stats = { visited = !visited; stored = !stored; frontier };
-    sr_interrupt = !interrupt;
-    sr_snapshot =
-      (match !interrupt with
-       | Some _ -> Some (build_snapshot ())
-       | None -> None) }
+  let result ?chain ?interrupt ?snapshot () =
+    { sr_chain = chain; sr_stats = stats; sr_interrupt = interrupt;
+      sr_snapshot = snapshot }
+  in
+  match Atomic.get stop with
+  | Running -> result ()
+  | Found id -> result ~chain:(chain_of id) ()
+  | Interrupted r -> result ~interrupt:r ~snapshot:(build_snapshot ()) ()
+  | Crashed (exn, bt) ->
+    (* supervision: the crashing domain has exited and the others wound
+       down; the caller sees a diagnosed Unknown, never an escaping
+       exception, and no snapshot (the cut may be incoherent) *)
+    let b = String.trim bt in
+    let diag =
+      if b = "" then Printexc.to_string exn
+      else Printexc.to_string exn ^ "\n" ^ b
+    in
+    result ~interrupt:(Runctl.Crash diag) ()
 
 let describe_chain t chain =
   List.map
@@ -1264,15 +1572,15 @@ type reach_result = {
   r_interrupt : Runctl.reason option;
 }
 
-let reachable ?expand ?ctl t pred =
-  let visit st = if pred st then `Stop else `Continue in
-  let r = search ?expand ?ctl ~label:"reachable" t visit in
+let reachable ?jobs ?expand ?ctl t pred =
+  let visit _ st = if pred st then `Stop else `Continue in
+  let r = search ?jobs ?expand ?ctl ~label:"reachable" t visit in
   { r_trace = Option.map (describe_chain t) r.sr_chain;
     r_stats = r.sr_stats;
     r_interrupt = r.sr_interrupt }
 
-let safe ?ctl t pred =
-  let r = reachable ?ctl t pred in
+let safe ?jobs ?ctl t pred =
+  let r = reachable ?jobs ?ctl t pred in
   match r.r_trace, r.r_interrupt with
   | Some trace, _ -> (Refuted (Some trace), r.r_stats)
   | None, Some reason -> (Unknown reason, r.r_stats)
@@ -1290,20 +1598,38 @@ type sup_outcome = {
   so_snapshot : snapshot option;
 }
 
-let sup_clock ?expand ?ctl ?resume t ~pred ~clock =
+(* The larger of two sups: [Sup_exceeds] dominates, and at equal values
+   the non-strict bound wins ([<= v] is the weaker claim). *)
+let max_sup a b =
+  match a, b with
+  | Sup_exceeds c, _ | _, Sup_exceeds c -> Sup_exceeds c
+  | Sup_unreached, x | x, Sup_unreached -> x
+  | Sup (v1, s1), Sup (v2, s2) ->
+    if v1 > v2 then a else if v2 > v1 then b else Sup (v1, s1 && s2)
+
+let sup_clock ?jobs ?expand ?ctl ?resume t ~pred ~clock =
   let ci, ceiling = monitor_clock_info t clock in
+  let label = "sup:" ^ clock in
   (* the running sup travels with the snapshot: on interrupt it is
      marshalled into the payload, on resume restored from it, so the
-     states considered before the interrupt are not re-visited *)
-  let best =
-    ref
-      (match resume with
-       | Some snap when snap.snap_payload <> "" ->
-         (Marshal.from_string snap.snap_payload 0 : sup_result)
-       | Some _ | None -> Sup_unreached)
+     states considered before the interrupt are not re-visited.  The
+     snapshot is validated before its payload is unmarshalled. *)
+  let restored =
+    match resume with
+    | Some snap ->
+      check_snapshot t ~label ~subsume:true snap;
+      if snap.snap_payload = "" then Sup_unreached
+      else (Marshal.from_string snap.snap_payload 0 : sup_result)
+    | None -> Sup_unreached
   in
-  let update st =
+  (* one running sup per partition, each updated only by its owner *)
+  let best =
+    Array.init (max 1 (Option.value jobs ~default:1)) (fun p ->
+        ref (if p = 0 then restored else Sup_unreached))
+  in
+  let update p st =
     if pred st then begin
+      let best = best.(p) in
       let b = Zone.Dbm.sup_clock st.st_zone ci in
       if Zone.Bound.is_infinite b then best := Sup_exceeds ceiling
       else begin
@@ -1317,10 +1643,19 @@ let sup_clock ?expand ?ctl ?resume t ~pred ~clock =
     end;
     `Continue
   in
-  let label = "sup:" ^ clock in
-  let payload () = Marshal.to_string !best [] in
-  let r = search ?expand ?ctl ?resume ~label ~payload t update in
-  { so_sup = !best;
+  let merged () =
+    Array.fold_left (fun acc b -> max_sup acc !b) Sup_unreached best
+  in
+  (* max-delay-first: a partition stores the highest monitor-clock
+     suprema of a delivery first, so the sup peaks early and subsumption
+     prunes the low-delay successors *)
+  let order st =
+    let b = Zone.Dbm.sup_clock st.st_zone ci in
+    if Zone.Bound.is_infinite b then max_int else Zone.Bound.constant b
+  in
+  let payload () = Marshal.to_string (merged ()) [] in
+  let r = search ?jobs ?expand ~order ?ctl ?resume ~label ~payload t update in
+  { so_sup = merged ();
     so_stats = r.sr_stats;
     so_interrupt = r.sr_interrupt;
     so_snapshot = r.sr_snapshot }
@@ -1358,7 +1693,7 @@ let find_timelock ?ctl t =
      so the timelock search deduplicates by zone equality only. *)
   let r =
     search ?ctl ~on_expanded ~subsume:false ~label:"timelock" t
-      (fun _ -> `Continue)
+      (fun _ _ -> `Continue)
   in
   { r_trace = Option.map (describe_chain t) r.sr_chain;
     r_stats = r.sr_stats;
@@ -1390,10 +1725,7 @@ let pp_timed_step ppf step =
    reduction) with an extra never-reset clock measuring absolute time;
    the clock's interval at each firing gives the possible firing times of
    that step among runs following this chain.  [None] means the chain is
-   infeasible — some guard or invariant empties the zone along the way.
-   Exposed separately from [timed_trace] so a witness chain found by a
-   different search (e.g. the parallel explorer) can be validated and
-   annotated. *)
+   infeasible — some guard or invariant empties the zone along the way. *)
 let replay t chain =
     let tclock = "psv_abs_time" in
     let comp =
@@ -1495,9 +1827,9 @@ let replay t chain =
       chain;
     if !feasible then Some (List.rev !steps) else None
 
-let timed_trace t pred =
-  let visit st = if pred st then `Stop else `Continue in
-  match (search ~label:"reachable" t visit).sr_chain with
+let timed_trace ?jobs t pred =
+  let visit _ st = if pred st then `Stop else `Continue in
+  match (search ?jobs ~label:"reachable" t visit).sr_chain with
   | None -> None
   | Some chain -> replay t chain
 
@@ -1521,7 +1853,7 @@ let coverage t =
           false)
   in
   let fired : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let visit st =
+  let visit _ st =
     Array.iteri (fun ai li -> seen_locs.(ai).(li) <- true) st.st_locs;
     `Continue
   in

@@ -11,7 +11,21 @@
     explorer's own state limit, or any budget of a supplied
     {!Runctl.t}) stops cleanly and reports the partial statistics and
     the interruption {!Runctl.reason} instead of raising.  The timed
-    queries additionally emit a resumable {!snapshot} at that point. *)
+    queries additionally emit a resumable {!snapshot} at that point.
+
+    {b Domains.}  The queries that take [?jobs] (default 1) run the one
+    search loop ({!search}) on that many domains.  The passed/waiting
+    store is partitioned by discrete-state hash, one partition per
+    domain, and each domain expands only the states it owns
+    (owner-computes); a successor owned elsewhere travels to its owner
+    in a batch.  Verdicts and sups are identical for every [jobs]: the
+    search runs to the same zone-graph fixpoint.  Visited/stored counts,
+    witness traces and the partial sup of an interrupted run depend on
+    the exploration order and may differ at [jobs > 1]; [jobs = 1] is
+    the sequential search, counts and snapshots included.  A domain that
+    raises at [jobs > 1] does not kill the process: the search returns
+    [Unknown (Crash diagnosis)] and no snapshot.  Library functions do
+    not clamp [jobs] to the host's cores (see {!recommended_jobs}). *)
 
 type t
 
@@ -43,10 +57,13 @@ val pp_verdict : Format.formatter -> verdict -> unit
 (** {1 Progress reporting}
 
     All searches report through one stats hook, called every 1000
-    visited states.  The default hook prints to stderr when
-    [PSV_MC_PROGRESS] is set in the environment (checked once, not per
-    state); {!set_progress_hook} replaces it for embedding (TUIs,
-    logging, cancellation timers). *)
+    visited states, always from the calling domain: at [jobs > 1] only
+    when that domain's own expansion lands on a multiple of 1000, with
+    counts read from the other partitions as they stand.  A search
+    reads the hook once, when it starts.  The default hook prints to
+    stderr when [PSV_MC_PROGRESS] is set in the environment (checked
+    once, not per state); {!set_progress_hook} replaces it for
+    embedding (TUIs, logging, cancellation timers). *)
 
 type progress = {
   pr_visited : int;  (** states popped and expanded so far *)
@@ -59,10 +76,11 @@ val set_progress_hook : (progress -> unit) option -> unit
 (** {1 Snapshots}
 
     A snapshot freezes an interrupted search: the live passed/waiting
-    store (discrete state plus DBM rows), the waiting queue in FIFO
-    order, the trace side-table, the visited/stored counters and the
-    query's own accumulator.  Resuming continues to a byte-identical
-    verdict and statistics versus an uninterrupted run.
+    store (discrete state plus DBM rows), the waiting queue, the trace
+    side-table, the visited/stored counters and the query's own
+    accumulator — one format at every [jobs].  Resuming continues to the
+    verdict of an uninterrupted run, and at [jobs = 1] on both sides to
+    byte-identical statistics.
 
     Snapshots are written with a magic header carrying a format version
     ([PSVSNAP2]); {!load_snapshot} rejects foreign files, and names the
@@ -147,15 +165,19 @@ type reach_result = {
 }
 
 (** [reachable t pred] is the UPPAAL query [E<> pred].  [expand]
-    overrides successor generation as in {!search}. *)
+    overrides successor generation as in {!search}.  At [jobs > 1] the
+    witness is a real zone-graph path but need not be the sequential
+    one. *)
 val reachable :
+  ?jobs:int ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t -> t -> (state -> bool) -> reach_result
 
 (** [safe t pred] is [A[] not pred]: [Proved] when no reachable state
     satisfies [pred], [Refuted] with the witness trace otherwise,
     [Unknown] when interrupted first. *)
-val safe : ?ctl:Runctl.t -> t -> (state -> bool) -> verdict * stats
+val safe :
+  ?jobs:int -> ?ctl:Runctl.t -> t -> (state -> bool) -> verdict * stats
 
 type sup_result =
   | Sup_unreached          (** no reachable state satisfies the predicate *)
@@ -180,11 +202,17 @@ type sup_outcome = {
     exactly.
 
     [resume] continues a previous interrupted run of the {e same} query
-    on the {e same} model; the running sup is restored from the
-    snapshot, and the combined run reaches the same result, visited and
-    stored counts as an uninterrupted one.
+    on the {e same} model, taken at any [jobs]; the running sup is
+    restored from the snapshot, and the combined run reaches the same
+    result as an uninterrupted one (at [jobs = 1] on both sides, the
+    same visited and stored counts too).
+
+    At [jobs > 1] each partition folds its own running sup, merged by
+    max at the end, and a delivery of successors to a partition is
+    stored highest monitor-clock supremum first.
     @raise Invalid_argument when the snapshot does not match. *)
 val sup_clock :
+  ?jobs:int ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t -> ?resume:snapshot ->
   t -> pred:(state -> bool) -> clock:string -> sup_outcome
@@ -224,20 +252,12 @@ type timed_step = {
 }
 
 (** [timed_trace t pred] is {!reachable} with timing: the witness chain is
-    replayed exactly (no extrapolation) with an absolute-time clock, and
-    each step is annotated with its feasible firing-time interval.
-    [None] if the predicate is unreachable. *)
-val timed_trace : t -> (state -> bool) -> timed_step list option
-
-(** [replay t chain] replays a transition chain (as returned in
-    {!search_result.sr_chain}) exactly — no extrapolation, no activity
-    reduction — with an extra absolute-time clock, and annotates each
-    step with its feasible firing-time interval.  [None] when the chain
-    is infeasible (a guard or invariant empties the zone), so it doubles
-    as a feasibility check for witnesses found by other searches (e.g.
-    {!Parsearch}). *)
-val replay :
-  t -> (int * Ta.Compiled.cedge) list list -> timed_step list option
+    replayed exactly (no extrapolation, no activity reduction) with an
+    absolute-time clock, and each step is annotated with its feasible
+    firing-time interval.  [None] if the predicate is unreachable (or
+    not reached within budget).  Every chain the search returns is a
+    real zone-graph path, at any [jobs], so its replay succeeds. *)
+val timed_trace : ?jobs:int -> t -> (state -> bool) -> timed_step list option
 
 val pp_timed_step : Format.formatter -> timed_step -> unit
 
@@ -256,22 +276,15 @@ val coverage : t -> coverage
 
 (** {1 Expansion engine}
 
-    The successor-generation primitives behind {!search}, exposed so the
-    domain-parallel explorer ({!Parsearch}) drives the {e same} firing
-    semantics through its own sharded store.  Library-internal in
-    spirit: prefer the query functions above. *)
+    The successor-generation primitives behind {!search}, exposed for
+    the incremental explorer ([Incr.Delta]), its [expand] hooks and the
+    benchmarks.  Library-internal in spirit: prefer the query functions
+    above. *)
 
 (** The initial symbolic state (delay-closed, invariant-constrained,
     extrapolated).  Its zone may be empty if the initial invariants are
     unsatisfiable. *)
 val initial_state : t -> state
-
-(** The explorer's visited-state limit (the [limit] given to {!make}). *)
-val state_limit : t -> int
-
-(** A fresh DBM scratch pool of the explorer's zone dimension.  Pools
-    are single-domain: a parallel search creates one per worker. *)
-val fresh_pool : t -> Zone.Dbm.Pool.t
 
 (** All discrete transition candidates enabled in (the discrete part of)
     a state, in the deterministic enumeration order of the sequential
@@ -350,14 +363,13 @@ val describe_chain :
   t -> (int * Ta.Compiled.cedge) list list -> string list
 
 (** The FNV-style hash of a discrete state (locations, variables,
-    monitor state) that keys the passed/waiting store.  Exposed so a
-    sharded store routes on the same hash it probes with, computing it
-    once per state. *)
+    monitor state) that keys the passed/waiting store and picks the
+    partition owning the state at [jobs > 1]. *)
 val hash_discrete : int array -> int array -> int -> int
 
 (** The live zones of one discrete state in {!search}'s passed/waiting
-    store, exposed so tests can drive it directly.  Library-internal in
-    spirit. *)
+    store (in every partition, at any [jobs]), exposed so tests can drive
+    it directly.  Library-internal in spirit. *)
 module Passed : sig
   (** A stored state: its id, the state, and whether a later zone of
       the same discrete state subsumed it. *)
@@ -409,10 +421,9 @@ end
 
 (** {2 Snapshot plumbing}
 
-    The pieces a foreign passed/waiting store (the sharded one of
-    {!Parsearch}) needs to restore from and serialize to the same
-    PSVSNAP2 format as the sequential search, so a checkpoint taken at
-    any [--jobs] resumes at any other.  Library-internal in spirit. *)
+    A snapshot's content, for tools and tests that inspect or rebuild
+    one.  The format is the same at every [jobs], so a checkpoint taken
+    at any [jobs] resumes at any other.  Library-internal in spirit. *)
 
 (** A stored state flattened for serialization: the raw discrete
     vectors plus the zone's encoded bound matrix
@@ -425,13 +436,6 @@ type snap_entry = {
   se_zone : int array;
 }
 
-(** [check_snapshot t ~label ~subsume snap] is the resume guard shared
-    by every store: fingerprint, query label, dedup mode and zone
-    dimension must all match.
-    @raise Invalid_argument when they do not (same messages as the
-    sequential resume path). *)
-val check_snapshot : t -> label:string -> subsume:bool -> snapshot -> unit
-
 val snapshot_next_id : snapshot -> int
 val snapshot_visited : snapshot -> int
 val snapshot_stored : snapshot -> int
@@ -439,8 +443,9 @@ val snapshot_stored : snapshot -> int
 (** Every live passed/waiting state of the interrupted run. *)
 val snapshot_entries : snapshot -> snap_entry list
 
-(** Ids of the waiting (not yet expanded) entries, in the order the
-    producing store drained them. *)
+(** Ids of the waiting (not yet expanded) entries: in FIFO order at
+    [jobs = 1]; at [jobs > 1] partition by partition, each shallowest
+    first. *)
 val snapshot_queue : snapshot -> int array
 
 (** Per id: parent id and the step's movers as
@@ -452,16 +457,12 @@ val snapshot_trace : snapshot -> (int * (int * int) list) array
 val snapshot_payload : snapshot -> string
 
 (** [make_snapshot t ...] assembles a snapshot carrying [t]'s
-    fingerprint and zone dimension; the counters, store content and
-    payload come from the caller's store. *)
+    fingerprint and zone dimension from the given counters, store
+    content and payload. *)
 val make_snapshot :
   t -> label:string -> subsume:bool -> next_id:int -> visited:int ->
   stored:int -> entries:snap_entry list -> queue:int array ->
   trace:(int * (int * int) list) array -> payload:string -> snapshot
-
-(** DBM index and exact-reporting ceiling of a (typically monitor)
-    clock, as resolved by {!sup_clock}. *)
-val monitor_clock_info : t -> string -> int * int
 
 (** The result of a raw {!search}: the witness chain when the visit
     callback stopped the search, the final statistics, the interruption
@@ -473,15 +474,31 @@ type search_result = {
   sr_snapshot : snapshot option;
 }
 
-(** The generic sequential search loop: calls [visit] on every stored
-    state (including the initial one) and stops early when it returns
-    [`Stop].  [on_expanded] runs after a state's successors were
-    generated, with the count of non-empty successors; [on_transition]
-    on every fired candidate.  [subsume:false] deduplicates by zone
-    equality instead of inclusion.  [label] names the query kind (must
-    match on [resume]); [payload] saves the caller's accumulator into
-    the snapshot.  All higher-level queries — sequential and the
-    [jobs = 1] parallel path — go through here.
+(** [Domain.recommended_domain_count ()]: the number of domains this
+    host can run in parallel.  CLI layers clamp a user-supplied [--jobs]
+    to it (more domains than cores only adds contention); the library
+    does {e not} clamp, so tests can exercise multi-domain schedules on
+    any host. *)
+val recommended_jobs : unit -> int
+
+(** The one search loop behind every query.  It calls [visit p st] on
+    every stored state (including the initial one) and stops early when
+    it returns [`Stop]; [p] is the partition that stored [st], and all
+    calls for one [p] come from one domain, so per-partition accumulators
+    need no lock.  [on_expanded] runs after a state's successors were
+    generated, with the count of non-empty successors; [on_transition] on
+    every fired candidate.  [subsume:false] deduplicates by zone equality
+    instead of inclusion.  [label] names the query kind (must match on
+    [resume]); [payload] saves the caller's accumulator into the
+    snapshot.
+
+    [jobs] (default 1) is the number of partitions, one domain each (see
+    the module preamble); [order] scores successors, and a partition
+    stores the successors delivered to it together highest score first.
+    At [jobs = 1] nothing is delivered and [order] is never called.  At
+    [jobs > 1] the hooks run on the domain that owns the partition, so
+    [visit], [on_expanded], [on_transition] and [expand] must tolerate
+    running on several domains at once.
 
     [expand] overrides successor generation for one popped state: it
     must return, in the enumeration order of {!candidates}, every
@@ -492,12 +509,14 @@ type search_result = {
     override — e.g. the memoized replay of [Incr.Delta] — yields
     byte-identical results and statistics to the inline path. *)
 val search :
+  ?jobs:int ->
   ?on_expanded:(state -> int -> [ `Stop | `Continue ]) ->
   ?on_transition:(candidate -> unit) ->
   ?subsume:bool ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
+  ?order:(state -> int) ->
   ?ctl:Runctl.t ->
   ?resume:snapshot ->
   ?label:string ->
   ?payload:(unit -> string) ->
-  t -> (state -> [ `Stop | `Continue ]) -> search_result
+  t -> (int -> state -> [ `Stop | `Continue ]) -> search_result

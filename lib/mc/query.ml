@@ -238,7 +238,7 @@ let eval ?(jobs = 1) ?ctl ?limit net q =
   match q with
   | Exists_eventually p ->
     let t = Explorer.make ?limit net in
-    let r = Parsearch.reachable ~jobs ?ctl t (compile_pred t p) in
+    let r = Explorer.reachable ~jobs ?ctl t (compile_pred t p) in
     let outcome =
       match r.Explorer.r_trace, r.Explorer.r_interrupt with
       | Some _, _ -> Holds  (* a witness is a witness, budget or not *)
@@ -249,7 +249,7 @@ let eval ?(jobs = 1) ?ctl ?limit net q =
   | Always p ->
     let t = Explorer.make ?limit net in
     let r =
-      Parsearch.reachable ~jobs ?ctl t (fun st -> not (compile_pred t p st))
+      Explorer.reachable ~jobs ?ctl t (fun st -> not (compile_pred t p st))
     in
     let outcome =
       match r.Explorer.r_trace, r.Explorer.r_interrupt with
@@ -264,7 +264,7 @@ let eval ?(jobs = 1) ?ctl ?limit net q =
     in
     let t = Explorer.make ?limit ~monitor net in
     let o =
-      Parsearch.sup_clock ~jobs ?ctl t
+      Explorer.sup_clock ~jobs ?ctl t
         ~pred:(Explorer.mon_in t "Waiting")
         ~clock:delay_monitor_clock
     in
@@ -281,7 +281,7 @@ let eval ?(jobs = 1) ?ctl ?limit net q =
     in
     let t = Explorer.make ?limit ~monitor net in
     let o =
-      Parsearch.sup_clock ~jobs ?ctl t
+      Explorer.sup_clock ~jobs ?ctl t
         ~pred:(Explorer.mon_in t "Waiting")
         ~clock:delay_monitor_clock
     in

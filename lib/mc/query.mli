@@ -65,9 +65,8 @@ val to_string : t -> string
 
 (** [eval net q] builds the needed explorer (with a delay monitor for the
     timed queries) and evaluates under the optional [ctl] govern token.
-    [jobs] (default 1) selects the number of exploration domains; with
-    [jobs > 1] evaluation goes through {!Parsearch} — same outcome,
-    order-dependent statistics (see {!Parsearch}).
+    [jobs] (default 1) selects the number of exploration domains — same
+    outcome, order-dependent statistics at [jobs > 1] (see {!Explorer}).
     @raise Ta.Compiled.Compile_error on an
     invalid network, [Not_found] if the query names an unknown process,
     location or variable. *)

@@ -14,7 +14,7 @@ type budget = {
 let no_budget = { b_time_s = None; b_states = None; b_mem_bytes = None }
 
 (* Both mutable fields are [Atomic.t] because one token is shared by
-   every domain of a parallel search (Parsearch).  A plain mutable bool
+   every domain of a partitioned search (Explorer.search at jobs > 1).  A plain mutable bool
    written by the cancelling domain (or a signal handler) carries no
    inter-domain publication guarantee under the OCaml 5 memory model: a
    worker could spin on a stale cached value forever.  [Atomic.get/set]

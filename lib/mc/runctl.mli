@@ -12,8 +12,8 @@
     overshoot a budget by one sampling interval.  The visited-state
     budget is exact.
 
-    {b Domain-safety.}  One token may be shared by every worker of a
-    parallel search ({!Parsearch}) and by a SIGINT handler, so the
+    {b Domain-safety.}  One token may be shared by every domain of a
+    partitioned search ({!Explorer.search} at [jobs > 1]) and by a SIGINT handler, so the
     mutable state ([cancelled], the sampling tick counter) lives in
     [Atomic.t] cells.  The OCaml 5 memory model gives plain mutable
     fields no publication guarantee between domains — a worker polling a

@@ -446,7 +446,27 @@ let test_inflight_cap () =
 
 (* --- drain under load: every admitted request answered, store clean -------- *)
 
+(* The test holds the gpca search at a gate instead of guessing how long
+   it runs: the explorer's progress hook (first called 1000 states in)
+   parks the worker until the test opens the gate, which it does only
+   after [request_drain].  The three requests go out in one write, so
+   the event loop admits all of them in the read that admits request 1,
+   long before that search reaches the gate. *)
 let test_drain_under_load () =
+  let at_gate = Atomic.make false and opened = Atomic.make false in
+  let gate _ =
+    Atomic.set at_gate true;
+    let deadline = Unix.gettimeofday () +. 30. in
+    while (not (Atomic.get opened)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done
+  in
+  Mc.Explorer.set_progress_hook (Some gate);
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set opened true;
+      Mc.Explorer.set_progress_hook None)
+  @@ fun () ->
   with_store_dir (fun dir ->
       let store =
         match Store.Disk.open_ dir with
@@ -466,12 +486,23 @@ let test_drain_under_load () =
             Fun.protect
               ~finally:(fun () -> close cl)
               (fun () ->
-                send_line cl (request ~id:1 ~model:"gpca" slow_query);
-                send_line cl (request ~id:2 ~model:"gpca" slow_query);
-                send_line cl (request ~id:3 ~model:"gpca" slow_query);
-                (* let the worker start on request 1, then pull the plug *)
-                Unix.sleepf 0.3;
+                send cl
+                  (String.concat ""
+                     (List.map
+                        (fun id -> request ~id ~model:"gpca" slow_query ^ "\n")
+                        [ 1; 2; 3 ]));
+                (* request 1 is running once its search is at the gate;
+                   pull the plug, then let it see the cancellation *)
+                let deadline = Unix.gettimeofday () +. 30. in
+                while
+                  (not (Atomic.get at_gate)) && Unix.gettimeofday () < deadline
+                do
+                  Unix.sleepf 0.001
+                done;
+                if not (Atomic.get at_gate) then
+                  Alcotest.fail "the gpca search never reached the gate";
                 Analysis.Serve.request_drain drain;
+                Atomic.set opened true;
                 let replies =
                   List.init 3 (fun _ ->
                       parse_response (recv_line ~timeout_s:30. cl))

@@ -1,8 +1,8 @@
-(* Determinism of the domain-parallel explorer: for every worker count,
-   verdicts and sup values must match the sequential search exactly —
-   on completed runs, under injected cancellation, and under budget
-   interrupts (where the partial sup must stay a sound lower bound).
-   jobs = 1 must be byte-identical to the sequential explorer. *)
+(* Determinism of the search loop across domain counts: for every
+   [jobs], verdicts and sup values must match the sequential search
+   exactly — on completed runs, under injected cancellation, and under
+   budget interrupts (where the partial sup must stay a sound lower
+   bound).  jobs = 1 must be byte-identical to the sequential search. *)
 
 open Ta
 
@@ -115,8 +115,8 @@ let test_sup_determinism () =
         jobs_list)
     (sup_cases ())
 
-(* jobs = 1 must take the sequential code path wholesale: same sup, and
-   the same order-dependent statistics. *)
+(* jobs = 1 is the sequential search: same sup, and the same
+   order-dependent statistics, as the default entry point. *)
 let test_jobs1_byte_identical () =
   let net = Test_runctl.railroad_psm () in
   let monitor =
@@ -126,7 +126,7 @@ let test_jobs1_byte_identical () =
   let t = Mc.Explorer.make ~monitor net in
   let pred = Mc.Explorer.mon_in t "Waiting" in
   let seq = Mc.Explorer.sup_clock t ~pred ~clock:"psv_delay_mon" in
-  let par = Mc.Parsearch.sup_clock ~jobs:1 t ~pred ~clock:"psv_delay_mon" in
+  let par = Mc.Explorer.sup_clock ~jobs:1 t ~pred ~clock:"psv_delay_mon" in
   Alcotest.(check bool) "same sup" true
     (par.Mc.Explorer.so_sup = seq.Mc.Explorer.so_sup);
   Alcotest.(check int) "same visited" seq.Mc.Explorer.so_stats.Mc.Explorer.visited
@@ -244,7 +244,7 @@ let test_timed_witness_feasible () =
   let pred = Mc.Explorer.at t ~aut:"Pump" ~loc:"Infusing" in
   List.iter
     (fun jobs ->
-      match Mc.Parsearch.timed_witness ~jobs t pred with
+      match Mc.Explorer.timed_trace ~jobs t pred with
       | Some steps ->
         Alcotest.(check bool)
           (Printf.sprintf "jobs=%d: non-empty witness" jobs)
@@ -361,7 +361,7 @@ let test_random_networks_cross_jobs () =
         let t = Mc.Explorer.make net in
         (* every generated automaton has locations L0..L{n-1}, n >= 2 *)
         let pred = Mc.Explorer.at t ~aut:"B" ~loc:"L1" in
-        verdict_shape (fst (Mc.Parsearch.safe ~jobs t pred))
+        verdict_shape (fst (Mc.Explorer.safe ~jobs t pred))
       in
       let sup jobs =
         (Analysis.Queries.max_delay ~jobs net ~trigger:"bc" ~response:"bin"
@@ -442,7 +442,7 @@ let test_crash_supervised () =
   List.iter
     (fun jobs ->
       match
-        Mc.Parsearch.safe ~jobs t (fun _ -> failwith "poisoned predicate")
+        Mc.Explorer.safe ~jobs t (fun _ -> failwith "poisoned predicate")
       with
       | Mc.Explorer.Unknown (Mc.Runctl.Crash diag), _stats ->
         Alcotest.(check bool)
@@ -458,9 +458,9 @@ let test_crash_supervised () =
     [ 2; 4 ]
 
 (* A crash in the middle of the search, not on the seed: by then the
-   other workers hold quiescence tokens for buffered and queued work,
-   and they must exit on the stop cell regardless — a worker waiting
-   for [pending] to drain would hang this test (and the suite). *)
+   other domains have work queued and batches in flight, and they must
+   exit on the stop cell regardless — a domain waiting for [pending] to
+   drain would hang this test (and the suite). *)
 let test_midsearch_crash_quiesces () =
   List.iter
     (fun jobs ->
@@ -471,7 +471,7 @@ let test_midsearch_crash_quiesces () =
         else false
       in
       let t = Mc.Explorer.make (Test_runctl.railroad_psm ()) in
-      match Mc.Parsearch.safe ~jobs t pred with
+      match Mc.Explorer.safe ~jobs t pred with
       | Mc.Explorer.Unknown (Mc.Runctl.Crash diag), _ ->
         Alcotest.(check bool)
           (Printf.sprintf "jobs=%d: diagnosis names the exception" jobs)
@@ -549,6 +549,246 @@ let prop_random_scheme =
       in
       sup 1 = sup 4)
 
+(* --- the one search loop at every jobs, on fuzz instances --------------- *)
+
+(* What a naive sequential sup search reaches: a FIFO queue and, per
+   discrete state, a plain list of live zones — a newcomer some live zone
+   includes is dropped, otherwise it replaces every live zone it
+   includes.  [Mc.Explorer.search] at [jobs = 1] must reproduce it
+   exactly: sup, counters and, under a budget, the cut. *)
+type ref_run = {
+  rr_sup : Mc.Explorer.sup_result;
+  rr_visited : int;
+  rr_stored : int;
+  rr_live : (int * int array * int array * int * int array) list;
+      (* id, locs, vars, mon, zone — by id *)
+  rr_queue : int list;  (* live waiting ids, FIFO *)
+}
+
+let reference_sup ?(budget = max_int) t ~clock ~ceiling =
+  let comp = Mc.Explorer.compiled t in
+  let ci = Ta.Compiled.clock_index comp clock in
+  let waiting = Mc.Explorer.mon_in t "Waiting" in
+  let pool = Zone.Dbm.Pool.create (comp.Ta.Compiled.c_nclocks + 1) in
+  let live = Hashtbl.create 64 and dead = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let next = ref 0 and visited = ref 0 in
+  let best = ref Mc.Explorer.Sup_unreached in
+  let offer (st : Mc.Explorer.state) =
+    let key = (st.Mc.Explorer.st_locs, st.st_vars, st.st_mon) in
+    let z = st.st_zone in
+    let zs = Option.value (Hashtbl.find_opt live key) ~default:[] in
+    if not (List.exists (fun (_, y) -> Zone.Dbm.includes y z) zs) then begin
+      let victims, kept =
+        List.partition (fun (_, y) -> Zone.Dbm.includes z y) zs
+      in
+      List.iter (fun (v, _) -> Hashtbl.replace dead v ()) victims;
+      let id = !next in
+      incr next;
+      Hashtbl.replace live key ((id, z) :: kept);
+      Queue.push (id, st) queue;
+      if waiting st then begin
+        let b = Zone.Dbm.sup_clock z ci in
+        if Zone.Bound.is_infinite b then best := Mc.Explorer.Sup_exceeds ceiling
+        else
+          let v = Zone.Bound.constant b and strict = Zone.Bound.is_strict b in
+          match !best with
+          | Mc.Explorer.Sup_exceeds _ -> ()
+          | Mc.Explorer.Sup_unreached -> best := Mc.Explorer.Sup (v, strict)
+          | Mc.Explorer.Sup (v0, s0) ->
+            if v > v0 || (v = v0 && s0 && not strict) then
+              best := Mc.Explorer.Sup (v, strict)
+      end
+    end
+  in
+  let initial = Mc.Explorer.initial_state t in
+  if not (Zone.Dbm.is_empty initial.Mc.Explorer.st_zone) then offer initial;
+  let cut = ref false in
+  while (not !cut) && not (Queue.is_empty queue) do
+    if !visited >= budget then cut := true
+    else begin
+      let id, st = Queue.pop queue in
+      if not (Hashtbl.mem dead id) then begin
+        incr visited;
+        List.iter
+          (fun cd ->
+            match Mc.Explorer.fire t pool st cd with
+            | Some s -> offer s
+            | None -> ())
+          (Mc.Explorer.candidates t st)
+      end
+    end
+  done;
+  let rr_live =
+    Hashtbl.fold
+      (fun (locs, vars, mon) zs acc ->
+        List.map (fun (id, z) -> (id, locs, vars, mon, Zone.Dbm.to_ints z)) zs
+        @ acc)
+      live []
+    |> List.sort compare
+  in
+  { rr_sup = !best;
+    rr_visited = !visited;
+    rr_stored = !next;
+    rr_live;
+    rr_queue =
+      Queue.fold
+        (fun acc (id, _) -> if Hashtbl.mem dead id then acc else id :: acc)
+        [] queue
+      |> List.rev }
+
+let fuzz_instance (k, index) =
+  Diff.Gen.instance ~seed:16 ~index (List.nth Diff.Gen.all_shapes k)
+
+let fuzz_explorer (inst : Diff.Gen.instance) =
+  let monitor =
+    Mc.Monitor.delay ~trigger:inst.Diff.Gen.trigger
+      ~response:inst.Diff.Gen.response ~clock:"psv_delay_mon"
+      ~ceiling:inst.Diff.Gen.ceiling ()
+  in
+  Mc.Explorer.make ~monitor inst.Diff.Gen.net
+
+let arb_fuzz_instance =
+  QCheck.make
+    ~print:(fun ki -> (fuzz_instance ki).Diff.Gen.id)
+    QCheck.Gen.(pair (int_range 0 3) (int_range 0 9_999))
+
+let snapshot_bytes snap =
+  let file = Filename.temp_file "psv_test_snap" ".psvsnap" in
+  Mc.Explorer.save_snapshot file snap;
+  let bytes = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  bytes
+
+(* jobs = 1: sup, visited, stored and frontier equal the reference, and a
+   cut at half the visited count is the reference's cut, byte for byte
+   across runs.  jobs = 2 and 4: the same sup, the same bounded-response
+   verdicts on both sides of the sup, and a jobs-2 cut resumes at jobs 1
+   and 4 to that sup. *)
+let prop_one_loop_every_jobs =
+  QCheck.Test.make ~count:24
+    ~name:"fuzz instances: one search loop at jobs 1/2/4"
+    arb_fuzz_instance (fun ki ->
+      let inst = fuzz_instance ki in
+      let clock = "psv_delay_mon" and ceiling = inst.Diff.Gen.ceiling in
+      let sup ?jobs ?ctl ?resume () =
+        let t = fuzz_explorer inst in
+        Mc.Explorer.sup_clock ?jobs ?ctl ?resume t
+          ~pred:(Mc.Explorer.mon_in t "Waiting") ~clock
+      in
+      let budget n =
+        Mc.Runctl.create
+          ~budget:{ Mc.Runctl.no_budget with Mc.Runctl.b_states = Some n } ()
+      in
+      let fail fmt =
+        QCheck.Test.fail_reportf ("%s: " ^^ fmt) inst.Diff.Gen.id
+      in
+      let full = reference_sup (fuzz_explorer inst) ~clock ~ceiling in
+      let s1 = sup ~jobs:1 () in
+      let st = s1.Mc.Explorer.so_stats in
+      if s1.Mc.Explorer.so_sup <> full.rr_sup then fail "jobs=1 sup differs";
+      if (st.Mc.Explorer.visited, st.stored, st.frontier)
+         <> (full.rr_visited, full.rr_stored, 0)
+      then
+        fail "jobs=1 visited/stored/frontier %d/%d/%d, reference %d/%d/0"
+          st.visited st.stored st.frontier full.rr_visited full.rr_stored;
+      let half = max 1 (full.rr_visited / 2) in
+      let cut () = sup ~jobs:1 ~ctl:(budget half) () in
+      let c1 = cut ()
+      and rcut =
+        reference_sup ~budget:half (fuzz_explorer inst) ~clock ~ceiling
+      in
+      (match c1.Mc.Explorer.so_snapshot with
+       | None ->
+         if full.rr_visited > half then
+           fail "jobs=1 cut at %d: no snapshot" half
+       | Some snap ->
+         let entries =
+           List.map
+             (fun se ->
+               Mc.Explorer.
+                 (se.se_id, se.se_locs, se.se_vars, se.se_mon, se.se_zone))
+             (Mc.Explorer.snapshot_entries snap)
+         in
+         if List.sort compare entries <> rcut.rr_live then
+           fail "jobs=1 cut: entries differ";
+         if Array.to_list (Mc.Explorer.snapshot_queue snap) <> rcut.rr_queue
+         then fail "jobs=1 cut: queue differs";
+         if Mc.Explorer.
+              (snapshot_visited snap, snapshot_stored snap)
+            <> (rcut.rr_visited, rcut.rr_stored)
+         then fail "jobs=1 cut: counters differ";
+         let again = Option.get (cut ()).Mc.Explorer.so_snapshot in
+         if snapshot_bytes snap <> snapshot_bytes again then
+           fail "jobs=1 cut: snapshot bytes differ between runs");
+      let outcome jobs bound =
+        (Mc.Query.eval ~jobs inst.Diff.Gen.net
+           (Mc.Query.Bounded_response
+              { trigger = inst.Diff.Gen.trigger;
+                response = inst.Diff.Gen.response; bound }))
+          .Mc.Query.res_outcome
+      in
+      let ub = Diff.Gen.ub inst and floor = inst.Diff.Gen.floor in
+      List.iter
+        (fun jobs ->
+          let sj = sup ~jobs () in
+          if sj.Mc.Explorer.so_sup <> full.rr_sup then
+            fail "jobs=%d sup %a, jobs=1 %a" jobs pp_sup sj.Mc.Explorer.so_sup
+              pp_sup full.rr_sup;
+          List.iter
+            (fun bound ->
+              if outcome jobs bound <> outcome 1 bound then
+                fail "jobs=%d: bounded within %d differs from jobs=1" jobs
+                  bound)
+            [ ub; floor - 1 ])
+        [ 2; 4 ];
+      (match (sup ~jobs:2 ~ctl:(budget half) ()).Mc.Explorer.so_snapshot with
+       | None -> ()
+       | Some snap ->
+         List.iter
+           (fun jobs ->
+             let r = sup ~jobs ~resume:snap () in
+             if r.Mc.Explorer.so_sup <> full.rr_sup then
+               fail "jobs=2 cut resumed at jobs=%d: sup differs" jobs)
+           [ 1; 4 ]);
+      true)
+
+(* Every partition's store is the [Explorer.Passed] node store: the zone
+   stream one discrete state receives in a fuzz exploration, offered to
+   a node, matches the naive reference of [Test_mc]. *)
+let prop_owner_store_matches_reference =
+  QCheck.Test.make ~count:12
+    ~name:"fuzz zone streams: per-owner store = reference"
+    arb_fuzz_instance (fun ki ->
+      let t = fuzz_explorer (fuzz_instance ki) in
+      let dim = (Mc.Explorer.compiled t).Ta.Compiled.c_nclocks + 1 in
+      let streams = Hashtbl.create 64 in
+      let record (st : Mc.Explorer.state) =
+        let key = (st.Mc.Explorer.st_locs, st.st_vars, st.st_mon) in
+        let z = Zone.Dbm.of_ints ~dim (Zone.Dbm.to_ints st.st_zone) in
+        Hashtbl.replace streams key
+          (z :: Option.value (Hashtbl.find_opt streams key) ~default:[])
+      in
+      let expand pool st =
+        List.map
+          (fun cd ->
+            let succ = Mc.Explorer.fire t pool st cd in
+            Option.iter record succ;
+            (cd, succ))
+          (Mc.Explorer.candidates t st)
+      in
+      ignore
+        (Mc.Explorer.sup_clock ~expand t ~pred:(Mc.Explorer.mon_in t "Waiting")
+           ~clock:"psv_delay_mon"
+          : Mc.Explorer.sup_outcome);
+      Hashtbl.iter
+        (fun _ zones ->
+          ignore
+            (Test_mc.store_matches_reference ~subsume:true ~dim (List.rev zones)
+              : Test_mc.store_run))
+        streams;
+      true)
+
 let suite =
   [ Alcotest.test_case "sup determinism across jobs" `Quick
       test_sup_determinism;
@@ -574,4 +814,6 @@ let suite =
       test_crash_supervised;
     Alcotest.test_case "mid-search crash quiesces" `Quick
       test_midsearch_crash_quiesces;
-    QCheck_alcotest.to_alcotest prop_random_scheme ]
+    QCheck_alcotest.to_alcotest prop_random_scheme;
+    QCheck_alcotest.to_alcotest prop_one_loop_every_jobs;
+    QCheck_alcotest.to_alcotest prop_owner_store_matches_reference ]
