@@ -1,12 +1,11 @@
 (* Incremental re-verification benchmark: randomized edit-one-constant
    sequences over the Table-1 GPCA suite, each edit re-verified through
    the {!Incr.Session} ladder and checked against a from-scratch
-   sequential run.  Writes BENCH_incr.json (cold/warm/delta wall times
-   plus the ladder-rung breakdown) and exits 1 on any delta-vs-scratch
-   verdict mismatch or a gate violation.
+   sequential run.  Writes BENCH_incr.json (cold/warm wall times, the
+   per-edit answer times and the ladder-rung breakdown) and exits 1 on
+   any incremental-vs-scratch verdict mismatch.
 
-   Usage: incr_bench [--edits N] [--seed N] [--gate-ratio R]
-                     [--gate-floor-ms MS] [--max-states N] [-o FILE]
+   Usage: incr_bench [--edits N] [--seed N] [--max-states N] [-o FILE]
 
    Edit-one-constant sequences can produce models whose zone graph
    explodes — e.g. nudging one side of a periodic [p == K] guard /
@@ -17,13 +16,9 @@
    reverted, which keeps the probe deterministic (the visited count at
    jobs 1 does not depend on timing) and the bench finite.
 
-   --gate-ratio R fails the run unless every spec's median delta answer
-   time is at most R * the cold answer time.  Times compared are
-   [Incr.Session.so_answer_ms] — the answering exploration alone, so the
-   cold and delta columns exclude graph persistence on both sides.
-   Specs whose cold answer is below --gate-floor-ms (default 50) are
-   reported but exempt from the ratio gate: at sub-millisecond cold
-   times the ratio is timer noise. *)
+   Answer times are [Incr.Session.so_answer_ms] — the answering
+   exploration alone, without session persistence — except on the store
+   and cone rungs, which do not explore and report the whole call. *)
 
 let params = Gpca.Params.default
 
@@ -61,14 +56,6 @@ let time f =
   let r = f () in
   (r, 1000. *. (Unix.gettimeofday () -. t0))
 
-let median xs =
-  match List.sort compare xs with
-  | [] -> 0.
-  | sorted ->
-    let n = List.length sorted in
-    if n mod 2 = 1 then List.nth sorted (n / 2)
-    else (List.nth sorted ((n / 2) - 1) +. List.nth sorted (n / 2)) /. 2.
-
 let outcome_json (r : Mc.Query.result) =
   Store.Json.to_string
     (Store.Entry.outcome_to_json
@@ -104,12 +91,10 @@ type edit_row = {
 type spec_row = {
   sr_name : string;
   sr_cold_ms : float;  (* cold answering exploration (so_answer_ms) *)
-  sr_cold_total_ms : float;  (* cold Session.run incl. graph persist *)
+  sr_cold_total_ms : float;  (* cold Session.run incl. persistence *)
   sr_warm_ms : float;
   sr_edits : edit_row list;
-  sr_delta_median_ms : float;
-  sr_ratio : float;
-  sr_rungs : int * int * int * int;  (* store, cone, delta, full *)
+  sr_rungs : int * int * int;  (* store, cone, full *)
   sr_skipped : int;  (* edits whose scratch probe blew the state budget *)
 }
 
@@ -148,8 +133,8 @@ let run_spec ~seed ~edits ~index ~max_states dir
   let cold_ms = cold_o.Incr.Session.so_answer_ms in
   let _, warm_ms = time (fun () -> Incr.Session.run sess net0 q) in
   let rng = Random.State.make [| seed; index |] in
-  let store_n = ref 0 and cone_n = ref 0 and delta_n = ref 0
-  and full_n = ref 0 and skipped_n = ref 0 in
+  let store_n = ref 0 and cone_n = ref 0 and full_n = ref 0
+  and skipped_n = ref 0 in
   let net = ref net0 in
   let rows = ref [] in
   for _ = 1 to edits do
@@ -184,8 +169,7 @@ let run_spec ~seed ~edits ~index ~max_states dir
          (match rung with
           | Incr.Session.Store_hit -> incr store_n
           | Incr.Session.Cone_hit -> incr cone_n
-          | Incr.Session.Delta -> incr delta_n
-          | Incr.Session.Full -> incr full_n);
+          | Incr.Session.Delta | Incr.Session.Full -> incr full_n);
          let ok =
            String.equal (outcome_json scratch)
              (outcome_json o.Incr.Session.so_result)
@@ -205,47 +189,25 @@ let run_spec ~seed ~edits ~index ~max_states dir
              er_match = ok }
            :: !rows)
   done;
-  let rows = List.rev !rows in
-  (* the ladder's whole point is constant edits landing on the delta
-     rung — the median is over the re-explorations it actually ran *)
-  let delta_times =
-    List.filter_map
-      (fun r -> if r.er_rung = "delta" then Some r.er_ms else None)
-      rows
-  in
-  let delta_median =
-    match delta_times with
-    | [] ->
-      median
-        (List.filter_map
-           (fun r -> if r.er_rung = "skipped" then None else Some r.er_ms)
-           rows)
-    | ts -> median ts
-  in
   { sr_name = s.Analysis.Queries.qs_name;
     sr_cold_ms = cold_ms;
     sr_cold_total_ms = cold_total_ms;
     sr_warm_ms = warm_ms;
-    sr_edits = rows;
-    sr_delta_median_ms = delta_median;
-    sr_ratio = (if cold_ms > 0. then delta_median /. cold_ms else 0.);
-    sr_rungs = (!store_n, !cone_n, !delta_n, !full_n);
+    sr_edits = List.rev !rows;
+    sr_rungs = (!store_n, !cone_n, !full_n);
     sr_skipped = !skipped_n }
 
 let row_json r =
-  let store_n, cone_n, delta_n, full_n = r.sr_rungs in
+  let store_n, cone_n, full_n = r.sr_rungs in
   let open Store.Json in
   Obj
     [ ("name", String r.sr_name);
       ("cold_ms", Float r.sr_cold_ms);
       ("cold_total_ms", Float r.sr_cold_total_ms);
       ("warm_ms", Float r.sr_warm_ms);
-      ("delta_median_ms", Float r.sr_delta_median_ms);
-      ("delta_to_cold_ratio", Float r.sr_ratio);
       ( "rungs",
         Obj
-          [ ("store", Int store_n); ("cone", Int cone_n);
-            ("delta", Int delta_n); ("full", Int full_n);
+          [ ("store", Int store_n); ("cone", Int cone_n); ("full", Int full_n);
             ("skipped", Int r.sr_skipped) ] );
       ( "edits",
         List
@@ -259,16 +221,12 @@ let row_json r =
              r.sr_edits) ) ]
 
 let () =
-  let edits = ref 12 and seed = ref 7 and gate = ref None
-  and gate_floor = ref 50. and max_states = ref 200_000
+  let edits = ref 12 and seed = ref 7 and max_states = ref 200_000
   and out = ref "BENCH_incr.json" in
   let rec parse = function
     | [] -> ()
     | "--edits" :: v :: rest -> edits := int_of_string v; parse rest
     | "--seed" :: v :: rest -> seed := int_of_string v; parse rest
-    | "--gate-ratio" :: v :: rest -> gate := Some (float_of_string v); parse rest
-    | "--gate-floor-ms" :: v :: rest ->
-      gate_floor := float_of_string v; parse rest
     | "--max-states" :: v :: rest -> max_states := int_of_string v; parse rest
     | ("-o" | "--output") :: v :: rest -> out := v; parse rest
     | arg :: _ -> Printf.eprintf "incr_bench: unknown argument %s\n" arg; exit 3
@@ -304,14 +262,12 @@ let () =
       close_out oc;
       List.iter
         (fun r ->
-          let store_n, cone_n, delta_n, full_n = r.sr_rungs in
+          let store_n, cone_n, full_n = r.sr_rungs in
           Printf.printf
             "%-18s cold %7.1f ms (%7.1f with persist)  warm %5.2f ms  \
-             delta median %6.2f ms (%.1f%% of cold)  rungs: %d store, \
-             %d cone, %d delta, %d full, %d skipped\n"
-            r.sr_name r.sr_cold_ms r.sr_cold_total_ms r.sr_warm_ms
-            r.sr_delta_median_ms (100. *. r.sr_ratio) store_n cone_n delta_n
-            full_n r.sr_skipped)
+             rungs: %d store, %d cone, %d full, %d skipped\n"
+            r.sr_name r.sr_cold_ms r.sr_cold_total_ms r.sr_warm_ms store_n
+            cone_n full_n r.sr_skipped)
         rows;
       Printf.printf "wrote %s\n" !out;
       if mismatches <> [] then begin
@@ -319,15 +275,4 @@ let () =
           (List.length mismatches)
           (if List.length mismatches = 1 then "" else "es");
         exit 1
-      end;
-      match !gate with
-      | None -> ()
-      | Some ratio ->
-        let gated = List.filter (fun r -> r.sr_cold_ms >= !gate_floor) rows in
-        let worst = List.fold_left (fun acc r -> max acc r.sr_ratio) 0. gated in
-        if worst > ratio then begin
-          Printf.eprintf
-            "incr_bench: gate violated: worst delta/cold ratio %.3f > %.3f\n"
-            worst ratio;
-          exit 1
-        end)
+      end)

@@ -792,32 +792,6 @@ let bechamel_suite () =
   let mib =
     String.init (1 lsl 20) (fun i -> Char.chr ((i * 131 + i / 7) land 0xff))
   in
-  (* gpca-psm-input's zone graph, as the --delta session persists it,
-     through a scratch store (removed after the suite). *)
-  let graph =
-    let ceiling =
-      2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc
-    in
-    let q =
-      Mc.Query.Sup_delay
-        { trigger = Gpca.Model.bolus_req;
-          response = Transform.Names.input_chan Gpca.Model.bolus_req;
-          ceiling }
-    in
-    (Incr.Delta.record (Lazy.force bolus_psm).Transform.psm_net q)
-      .Incr.Delta.dr_graph
-  in
-  let graph_dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "psv_bench_graph_%d" (Unix.getpid ()))
-  in
-  let graph_disk =
-    match Store.Disk.open_ graph_dir with
-    | Ok disk -> disk
-    | Error msg -> failwith ("bench: scratch store: " ^ msg)
-  in
-  let graph_key = Store.D128.of_string "bench-graph" in
   (* Each run takes the next sampled zone through a pool, so the kernel
      timings include a dim^2 copy.  A search's pooled matrices are
      long-lived, so they sit in the major heap; the pool's one matrix is
@@ -905,13 +879,7 @@ let bechamel_suite () =
              let text = Xta.Print.to_string psm.Transform.psm_net in
              Xta.Parse.network text));
       Test.make ~name:"infra:d128-1mib"
-        (Staged.stage (fun () -> Store.D128.of_string mib));
-      Test.make ~name:"infra:session-graph-save-load"
-        (Staged.stage (fun () ->
-             Store.Session.save_graph graph_disk graph_key
-               (Incr.Delta.encode graph);
-             Option.map Incr.Delta.decode
-               (Store.Session.load_graph graph_disk graph_key))) ]
+        (Staged.stage (fun () -> Store.D128.of_string mib)) ]
   in
   let cfg =
     Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) ~stabilize:false ()
@@ -924,10 +892,6 @@ let bechamel_suite () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat graph_dir f))
-    (Sys.readdir graph_dir);
-  Unix.rmdir graph_dir;
   header "Bechamel timings (per-run estimates)";
   let rows =
     Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
@@ -940,10 +904,6 @@ let bechamel_suite () =
         Fmt.pr "%-36s %14.0f ns/offer (%d offers)@." name
           (t /. float (Array.length offers))
           (Array.length offers)
-      | Some [ t ] when name = "psv/infra:session-graph-save-load" ->
-        Fmt.pr "%-36s %14.0f ns/run (%d nodes, %.1f MB blob)@." name t
-          (Incr.Delta.size graph)
-          (float (String.length (Incr.Delta.encode graph)) /. 1e6)
       | Some [ t ] -> Fmt.pr "%-36s %14.0f ns/run@." name t
       | Some _ | None -> Fmt.pr "%-36s (no estimate)@." name)
     rows

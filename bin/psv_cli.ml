@@ -228,12 +228,12 @@ let delta_arg =
   Arg.(value & flag
        & info [ "delta" ]
            ~doc:"Incremental re-verification: remember each query's \
-                 previous run (network, result, exploration graph) in \
-                 the $(b,--cache) store and answer edits through the \
-                 cheapest sound rung — store hit, cone-of-influence \
-                 hit, delta re-exploration — falling back to a full \
-                 run.  Verdicts and sups are identical to a \
-                 from-scratch sequential run.  Requires $(b,--cache); \
+                 previous run (network and result) in the \
+                 $(b,--cache) store and answer edits through the \
+                 cheapest sound rung — store hit, then \
+                 cone-of-influence hit — falling back to a full \
+                 sequential run.  Verdicts, sups and statistics are \
+                 identical to $(b,--jobs) 1.  Requires $(b,--cache); \
                  forces sequential exploration.")
 
 (* open (creating if needed) the --cache store; corrupt entries warn on
@@ -272,9 +272,9 @@ let incr_session ~cache ~tag =
   | Some cache -> Incr.Session.make ~cache ~tag ()
 
 let report_rung (o : Incr.Session.outcome) wall_ms =
-  Fmt.epr "incr: %s rung (%d replayed, %d expanded, %.1f ms)@."
+  Fmt.epr "incr: %s rung (%d expanded, %.1f ms)@."
     (Incr.Session.rung_name o.Incr.Session.so_rung)
-    o.Incr.Session.so_replayed o.Incr.Session.so_expanded wall_ms
+    o.Incr.Session.so_expanded wall_ms
 
 (* degraded completion: the run finished and every query was answered,
    but the result store was bypassed for part of the batch.  Documented
@@ -780,8 +780,8 @@ let check_cmd =
     report_cache cache;
     (match cache with
      | Some c when delta ->
-       let cone, dl, fl = Analysis.Qcache.rung_counts c in
-       Fmt.epr "incr: %d cone, %d delta, %d full@." cone dl fl
+       let cone, fl = Analysis.Qcache.rung_counts c in
+       Fmt.epr "incr: %d cone, %d full@." cone fl
      | Some _ | None -> ());
     if !failures > 0 then exit 1
     else if !unknowns > 0 then exit 2
@@ -874,12 +874,12 @@ let watch_cmd =
               match Incr.Session.run ~ctl sess net q with
               | o ->
                 Fmt.pr
-                  "[%s] %s: %a  (%s rung, %.1f ms, %d replayed, %d expanded)@."
+                  "[%s] %s: %a  (%s rung, %.1f ms, %d expanded)@."
                   label (Mc.Query.to_string q) Mc.Query.pp_outcome
                   o.Incr.Session.so_result.Mc.Query.res_outcome
                   (Incr.Session.rung_name o.Incr.Session.so_rung)
                   (1000. *. (Unix.gettimeofday () -. t0))
-                  o.Incr.Session.so_replayed o.Incr.Session.so_expanded
+                  o.Incr.Session.so_expanded
               | exception Not_found ->
                 Fmt.pr "[%s] %s: ERROR unknown process, location or variable@."
                   label (Mc.Query.to_string q))
@@ -906,8 +906,8 @@ let watch_cmd =
     (Cmd.info "watch"
        ~doc:"Watch a model file and re-verify the given queries after \
              every edit, answering through the incremental ladder — \
-             store hit, cone-of-influence hit, delta re-exploration, \
-             full run — and printing the rung and wall time per edit.  \
+             store hit, cone-of-influence hit, full sequential run — \
+             and printing the rung and wall time per edit.  \
              With $(b,--cache) the session persists across restarts.")
     Term.(const run $ file $ queries $ poll_ms $ max_edits $ budget_time_arg
           $ budget_states_arg $ budget_mem_arg $ cache_arg $ store_retries_arg)
@@ -1574,7 +1574,7 @@ let fuzz_cmd =
         scenarios;
         sim_faults;
         cache;
-        delta = true;
+        ladder = true;
         mutation =
           (if skew = 0 then None else Some (Diff.Oracle.Sup_skew skew)) }
     in
@@ -1620,7 +1620,7 @@ let fuzz_cmd =
           let shrinkable (d : Diff.Oracle.discrepancy) =
             match d.Diff.Oracle.d_check with
             | Diff.Oracle.Jobs | Diff.Oracle.Xta | Diff.Oracle.Store_trip
-            | Diff.Oracle.Delta_replay -> true
+            | Diff.Oracle.Ladder -> true
             | Diff.Oracle.Truth | Diff.Oracle.Analytic | Diff.Oracle.Bounded
             | Diff.Oracle.Sim -> false
           in
@@ -1750,7 +1750,7 @@ let fuzz_cmd =
              explorer vs ground truth, parallel search at $(b,--jobs) \
              domains, bounded verdicts on both sides of the sup, \
              textual round-trip, store round-trip (with $(b,--cache)), \
-             incremental delta replay on a seeded edit, and simulated \
+             the incremental ladder on a seeded edit, and simulated \
              measurement for transformed PSM instances.  Any \
              disagreement is a discrepancy; with $(b,--shrink) it is \
              minimised and written into $(b,--corpus) as a replayable \
@@ -1897,9 +1897,9 @@ let cache_fsck_cmd =
     List.iter
       (fun file -> Fmt.pr "TMP  %s: orphaned temp file (writer dead)@." file)
       r.Store.Disk.fk_tmp;
-    (* the incremental sessions (v2 manifests + exploration graphs)
-       verify on the same pass: digests recomputed per automaton from
-       the reparsed network text *)
+    (* the incremental sessions (v2 manifests, plus any graph blobs an
+       older build left) verify on the same pass: digests recomputed per
+       automaton from the reparsed network text *)
     let sr = Store.Session.fsck store in
     List.iter
       (fun (file, problem) -> Fmt.pr "BAD  %s: %s@." file problem)

@@ -4,7 +4,6 @@ type t = {
   misses : int Atomic.t;
   errors : int Atomic.t;
   incr_cone : int Atomic.t;
-  incr_delta : int Atomic.t;
   incr_full : int Atomic.t;
   breaker : Fault.Breaker.t;
   warn : string -> unit;
@@ -21,7 +20,6 @@ let make ?(warn = default_warn) ?breaker disk =
     misses = Atomic.make 0;
     errors = Atomic.make 0;
     incr_cone = Atomic.make 0;
-    incr_delta = Atomic.make 0;
     incr_full = Atomic.make 0;
     breaker;
     warn }
@@ -37,11 +35,10 @@ let degraded t = Fault.Breaker.tripped t.breaker
    store-hit rung is the plain [hits] counter above. *)
 let note_rung t = function
   | `Cone -> Atomic.incr t.incr_cone
-  | `Delta -> Atomic.incr t.incr_delta
   | `Full -> Atomic.incr t.incr_full
 
 let rung_counts t =
-  (Atomic.get t.incr_cone, Atomic.get t.incr_delta, Atomic.get t.incr_full)
+  (Atomic.get t.incr_cone, Atomic.get t.incr_full)
 
 (* Counter export for the serve metrics surface: everything a stats
    frame reports about the store, including the breaker's state machine
@@ -56,7 +53,6 @@ let stats_json t =
       ( "incr",
         Obj
           [ ("cone", Int (Atomic.get t.incr_cone));
-            ("delta", Int (Atomic.get t.incr_delta));
             ("full", Int (Atomic.get t.incr_full)) ] );
       ( "breaker",
         Obj

@@ -39,17 +39,17 @@ val breaker : t -> Fault.Breaker.t
 val degraded : t -> bool
 
 (** [note_rung t rung] bumps the incremental layer's ladder counter:
-    which rung ([`Cone] reuse, [`Delta] re-exploration, [`Full]
-    recompute) answered a re-verification.  The store-hit rung is the
-    ordinary {!hits} counter. *)
-val note_rung : t -> [ `Cone | `Delta | `Full ] -> unit
+    which rung ([`Cone] reuse or [`Full] recompute) answered a
+    re-verification.  The store-hit rung is the ordinary {!hits}
+    counter. *)
+val note_rung : t -> [ `Cone | `Full ] -> unit
 
-(** [(cone, delta, full)] rung counters. *)
-val rung_counts : t -> int * int * int
+(** [(cone, full)] rung counters. *)
+val rung_counts : t -> int * int
 
 (** The cache's live counters and breaker state as one JSON object —
-    [{"hits", "misses", "errors", "degraded", "incr": {"cone", "delta",
-    "full"}, "breaker": {"state", "trips", "probes", "failures"}}] —
+    [{"hits", "misses", "errors", "degraded", "incr": {"cone", "full"},
+    "breaker": {"state", "trips", "probes", "failures"}}] —
     embedded in serve stats frames.  All sources are atomic, so a
     snapshot may be taken while worker domains evaluate. *)
 val stats_json : t -> Store.Json.t

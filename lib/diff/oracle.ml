@@ -7,7 +7,7 @@ type config = {
   scenarios : int;
   sim_faults : Sim.Engine.faults option;
   cache : Analysis.Qcache.t option;
-  delta : bool;
+  ladder : bool;
   mutation : mutation option;
 }
 
@@ -16,7 +16,7 @@ let default =
     scenarios = 3;
     sim_faults = None;
     cache = None;
-    delta = true;
+    ladder = true;
     mutation = None }
 
 type check =
@@ -26,7 +26,7 @@ type check =
   | Bounded
   | Xta
   | Store_trip
-  | Delta_replay
+  | Ladder
   | Sim
 
 let check_name = function
@@ -36,7 +36,7 @@ let check_name = function
   | Bounded -> "bounded"
   | Xta -> "xta"
   | Store_trip -> "store"
-  | Delta_replay -> "delta"
+  | Ladder -> "ladder"
   | Sim -> "sim"
 
 let check_of_name = function
@@ -46,7 +46,7 @@ let check_of_name = function
   | "bounded" -> Some Bounded
   | "xta" -> Some Xta
   | "store" -> Some Store_trip
-  | "delta" -> Some Delta_replay
+  | "ladder" -> Some Ladder
   | "sim" -> Some Sim
   | _ -> None
 
@@ -117,7 +117,7 @@ let core cfg ~net ~q ~seed =
         (outcome_str r1'.Mc.Query.res_outcome)
         (outcome_str r1.Mc.Query.res_outcome));
   (* incremental ladder on a seeded edit vs a from-scratch run *)
-  (if cfg.delta then
+  (if cfg.ladder then
      match
        Incr.Edit.random_edit (Random.State.make [| 0xde17a; seed |]) net
      with
@@ -130,7 +130,7 @@ let core cfg ~net ~q ~seed =
        in
        let scratch = Mc.Query.eval edit.Incr.Edit.ed_net q in
        if incr_o.Mc.Query.res_outcome <> scratch.Mc.Query.res_outcome then
-         add Delta_replay "after %S ladder says %s, scratch says %s"
+         add Ladder "after %S ladder says %s, scratch says %s"
            edit.Incr.Edit.ed_desc
            (outcome_str incr_o.Mc.Query.res_outcome)
            (outcome_str scratch.Mc.Query.res_outcome));

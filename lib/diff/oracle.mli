@@ -16,9 +16,9 @@
       must preserve the outcome byte-for-byte;
     - {b store} — with a cache attached, the warm store answer must
       equal the cold computed one (entry round-trip);
-    - {b delta} — a seeded {!Incr.Edit.random_edit} re-verified through
-      the {!Incr.Session} ladder must match a from-scratch run on the
-      edited network;
+    - {b ladder} — a seeded {!Incr.Edit.random_edit} re-verified through
+      the {!Incr.Session} ladder (cone or full rung) must match a
+      from-scratch run on the edited network;
     - {b sim} — for {!Gen.Psm_scheme} instances, measured M-C delays
       over randomized scenarios must stay within [[floor, sup]]; under
       a fault profile (which only ever stretches delays) the upper
@@ -38,11 +38,11 @@ type config = {
       (** measure under a degraded platform; disables the sim upper
           comparison, keeps the floor *)
   cache : Analysis.Qcache.t option;  (** enables the store round-trip *)
-  delta : bool;  (** enables the incremental-replay cross-check *)
+  ladder : bool;  (** enables the incremental-ladder cross-check *)
   mutation : mutation option;
 }
 
-(** [jobs = 2], [scenarios = 3], no faults, no cache, [delta = true],
+(** [jobs = 2], [scenarios = 3], no faults, no cache, [ladder = true],
     no mutation. *)
 val default : config
 
@@ -53,7 +53,7 @@ type check =
   | Bounded
   | Xta
   | Store_trip
-  | Delta_replay
+  | Ladder
   | Sim
 
 val check_name : check -> string
@@ -73,10 +73,10 @@ type verdict = {
 }
 
 (** The construction-independent answerer pairs (jobs, xta, store,
-    delta) on a bare network + query — the subset that stays meaningful
+    ladder) on a bare network + query — the subset that stays meaningful
     on shrunk networks, where the generator's truth no longer applies.
     Returns the jobs-1 result, its (possibly mutated) outcome, and the
-    discrepancies.  [seed] keys the delta edit.  May raise whatever
+    discrepancies.  [seed] keys the ladder edit.  May raise whatever
     {!Mc.Query.eval} raises on a hostile network. *)
 val core :
   config ->

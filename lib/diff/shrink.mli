@@ -22,7 +22,7 @@
     entries stable artifacts.
 
     Only construction-independent discrepancies ({!Oracle.Jobs},
-    {!Oracle.Xta}, {!Oracle.Store_trip}, {!Oracle.Delta_replay}) can be
+    {!Oracle.Xta}, {!Oracle.Store_trip}, {!Oracle.Ladder}) can be
     shrunk: the generator's ground truth does not survive surgery on
     the network. *)
 

@@ -23,8 +23,6 @@ type prev = {
   pv_result : Mc.Query.result;
   pv_budget : Store.Entry.budget;
   pv_wall_ms : float;
-  pv_graph : (Delta.graph, string) result Lazy.t;
-      (* read from disk only by the rung that replays it *)
 }
 
 type t = {
@@ -64,12 +62,7 @@ let prev_of_disk t qtext =
                      Qcache.outcome_of_entry e.Store.Entry.en_outcome;
                    res_stats = Qcache.stats_of_entry e.Store.Entry.en_stats };
                pv_budget = e.Store.Entry.en_budget;
-               pv_wall_ms = e.Store.Entry.en_prov.Store.Entry.pv_wall_ms;
-               pv_graph =
-                 lazy
-                   (match Store.Session.load_graph disk skey with
-                    | Some blob -> Delta.decode blob
-                    | None -> Error "no graph") }
+               pv_wall_ms = e.Store.Entry.en_prov.Store.Entry.pv_wall_ms }
          | _ -> None)))
 
 let prev_for t qtext =
@@ -81,14 +74,13 @@ let remember t qtext pv =
   t.s_prev <- (qtext, pv) :: List.remove_assoc qtext t.s_prev
 
 (* Best-effort persistence: failures are swallowed — the session is a
-   cache of a cache.  [graph] is [pv]'s, already in memory. *)
-let persist t qtext pv graph =
+   cache of a cache. *)
+let persist t qtext pv =
   match t.s_cache with
   | None -> ()
   | Some cache -> (
     try
       let disk = Qcache.disk cache in
-      let skey = Store.Session.session_key ~tag:t.s_tag ~query:qtext in
       let text = Xta.Print.to_string pv.pv_net in
       (* The manifest is computed from the reparsed text, not the
          in-memory network: fsck recomputes it the same way, so a
@@ -103,8 +95,7 @@ let persist t qtext pv graph =
           ss_query = qtext;
           ss_net = text;
           ss_result_key = pv.pv_key;
-          ss_manifest = manifest };
-      Store.Session.save_graph disk skey (Delta.encode graph)
+          ss_manifest = manifest }
     with _ -> ())
 
 (* --- entries ---------------------------------------------------------- *)
@@ -143,52 +134,24 @@ let run ?ctl ?limit t net q =
   | None ->
     let full () =
       let t0 = Unix.gettimeofday () in
-      let run = Delta.record ?ctl ?limit net q in
+      let r = Mc.Query.eval ~jobs:1 ?ctl ?limit net q in
       let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
       note t `Full;
-      publish t
-        (entry_of ~key:k ~qtext ~budget:requested ~wall_ms run.Delta.dr_result);
+      publish t (entry_of ~key:k ~qtext ~budget:requested ~wall_ms r);
       let pv =
         { pv_net = net;
           pv_key = k;
-          pv_result = run.Delta.dr_result;
+          pv_result = r;
           pv_budget = requested;
-          pv_wall_ms = wall_ms;
-          pv_graph = Lazy.from_val (Ok run.Delta.dr_graph) }
+          pv_wall_ms = wall_ms }
       in
       remember t qtext pv;
-      persist t qtext pv run.Delta.dr_graph;
-      { so_result = run.Delta.dr_result;
+      persist t qtext pv;
+      { so_result = r;
         so_rung = Full;
         so_replayed = 0;
-        so_expanded = run.Delta.dr_expanded;
+        so_expanded = r.Mc.Query.res_stats.Mc.Explorer.visited;
         so_answer_ms = wall_ms }
-    in
-    let delta pv graph =
-      let t0 = Unix.gettimeofday () in
-      match Delta.replay ?ctl ?limit ~old_net:pv.pv_net ~graph net q with
-      | Error _ -> full ()
-      | Ok run ->
-        let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-        note t `Delta;
-        publish t
-          (entry_of ~key:k ~qtext ~budget:requested ~wall_ms
-             run.Delta.dr_result);
-        let pv' =
-          { pv_net = net;
-            pv_key = k;
-            pv_result = run.Delta.dr_result;
-            pv_budget = requested;
-            pv_wall_ms = wall_ms;
-            pv_graph = Lazy.from_val (Ok run.Delta.dr_graph) }
-        in
-        remember t qtext pv';
-        persist t qtext pv' run.Delta.dr_graph;
-        { so_result = run.Delta.dr_result;
-          so_rung = Delta;
-          so_replayed = run.Delta.dr_replayed;
-          so_expanded = run.Delta.dr_expanded;
-          so_answer_ms = wall_ms }
     in
     (match prev_for t qtext with
      | None -> full ()
@@ -211,18 +174,12 @@ let run ?ctl ?limit t net q =
           publish t
             (entry_of ~key:k ~qtext ~budget:pv.pv_budget
                ~wall_ms:pv.pv_wall_ms pv.pv_result);
-          (* The session deliberately stays at [pv]: the graph still
-             describes [pv_net], and future cone checks re-diff against
-             it, so drift in the invisible part keeps hitting. *)
+          (* The session deliberately stays at [pv]: future cone checks
+             re-diff against [pv_net], so drift in the invisible part
+             keeps hitting. *)
           { so_result = pv.pv_result;
             so_rung = Cone_hit;
             so_replayed = 0;
             so_expanded = 0;
             so_answer_ms = 0. }
-        | Ok () | Error _ -> (
-          (* A missing or corrupt graph costs a full run.  It is read
-             before [delta] starts its timer: [so_answer_ms] times the
-             answering exploration alone. *)
-          match Lazy.force pv.pv_graph with
-          | Ok graph -> delta pv graph
-          | Error _ -> full ())))
+        | Ok () | Error _ -> full ()))

@@ -248,10 +248,6 @@ let describe t cd =
 
 let movers cd = cd.cd_movers
 
-let candidate ~movers ~chan = { cd_movers = movers; cd_chan = chan }
-
-let candidate_chan cd = cd.cd_chan
-
 (* [fire t pool st cd] applies candidate [cd] to [st].  The successor
    zone is taken from [pool]; candidates whose guard (or target
    invariant) empties the zone return their scratch matrix to the pool
@@ -314,8 +310,8 @@ let fire t pool st cd =
    guards, updates, monitor step, resets, activity reduction, invariants,
    delay closure — depends only on the model structure, never on the
    extrapolation constants, so a recorded pre-extrapolation zone stays
-   valid across edits that merely move a maximal constant; the delta
-   explorer re-applies the {e current} extrapolation at replay time.
+   valid across edits that merely move a maximal constant, and
+   [admit_pre] re-applies the {e current} extrapolation.
    Emptiness is decided before extrapolation (widening cannot empty a
    non-empty canonical zone), so [Fired_dead] is extrapolation-independent
    too. *)
@@ -399,24 +395,6 @@ let admit_pre t ~locs ~vars ~mon ~pre =
   else Zone.Dbm.extrapolate z t.k;
   if Zone.Dbm.is_empty z then None
   else Some { st_locs = locs; st_vars = vars; st_mon = mon; st_zone = z }
-
-(* [admit_post] rebuilds a successor from its recorded post-extrapolation
-   zone verbatim — no extrapolation, no re-closure.  Sound only
-   when this explorer extrapolates exactly like the recording one
-   ({!same_extrapolation}): the recorded encoding then already is what
-   [admit_pre] would recompute from the pre zone.  A zero-length [post]
-   records a successor that extrapolation emptied. *)
-let admit_post t ~locs ~vars ~mon ~post =
-  if Array.length post = 0 then None
-  else
-    let dim = t.comp.Compiled.c_nclocks + 1 in
-    Some
-      { st_locs = locs; st_vars = vars; st_mon = mon;
-        st_zone = Zone.Dbm.of_ints ~dim post }
-
-let same_extrapolation a b =
-  a.use_lu = b.use_lu && a.k = b.k && a.lconsts = b.lconsts
-  && a.uconsts = b.uconsts
 
 (* --- transition enumeration ------------------------------------------ *)
 

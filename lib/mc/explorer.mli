@@ -165,9 +165,10 @@ type reach_result = {
 }
 
 (** [reachable t pred] is the UPPAAL query [E<> pred].  [expand]
-    overrides successor generation as in {!search}.  At [jobs > 1] the
-    witness is a real zone-graph path but need not be the sequential
-    one. *)
+    overrides successor generation as in {!search}; it stays because
+    the per-layer benchmark drivers trace the explorer through it.  At
+    [jobs > 1] the witness is a real zone-graph path but need not be
+    the sequential one. *)
 val reachable :
   ?jobs:int ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
@@ -277,9 +278,8 @@ val coverage : t -> coverage
 (** {1 Expansion engine}
 
     The successor-generation primitives behind {!search}, exposed for
-    the incremental explorer ([Incr.Delta]), its [expand] hooks and the
-    benchmarks.  Library-internal in spirit: prefer the query functions
-    above. *)
+    the [expand] hooks, the tests and the benchmarks.  Library-internal
+    in spirit: prefer the query functions above. *)
 
 (** The initial symbolic state (delay-closed, invariant-constrained,
     extrapolated).  Its zone may be empty if the initial invariants are
@@ -316,47 +316,24 @@ type fired =
       fl_pre : int array;
     }
 
-(** [fire] with the pre-extrapolation successor zone exposed — the
-    recording primitive of the incremental explorer ([Incr.Delta]).
-    Identical pipeline and zone results to {!fire}. *)
+(** [fire] with the pre-extrapolation successor zone exposed.
+    Identical pipeline and zone results to {!fire}.  Kept only because
+    the per-layer benchmark driver times firing and extrapolation apart
+    with it. *)
 val fire_pre : t -> Zone.Dbm.Pool.t -> state -> candidate -> fired
 
 (** [admit_pre t ~locs ~vars ~mon ~pre] rebuilds a successor recorded by
     {!fire_pre}: decodes [pre], applies {e this} explorer's
-    extrapolation, and returns exactly what {!fire} would have — so a
-    replayed successor is byte-identical to a freshly fired one even
-    when the maximal constants moved between recording and replay. *)
+    extrapolation, and returns exactly what {!fire} would have.  Kept
+    only because the per-layer benchmark driver times extrapolation with
+    it. *)
 val admit_pre :
   t -> locs:int array -> vars:int array -> mon:int -> pre:int array ->
   state option
 
-(** [admit_post t ~locs ~vars ~mon ~post] rebuilds a successor from its
-    recorded {e post}-extrapolation zone, skipping extrapolation and the
-    re-closure it entails.  Sound only when this
-    explorer's extrapolation equals the recording explorer's
-    ({!same_extrapolation}); the recorded encoding then already is
-    exactly what {!admit_pre} would recompute.  A zero-length [post]
-    denotes a successor extrapolation emptied, and yields [None]. *)
-val admit_post :
-  t -> locs:int array -> vars:int array -> mon:int -> post:int array ->
-  state option
-
-(** Whether two explorers extrapolate identically — same scheme
-    (k-norm vs LU) and equal per-clock constant tables — so zones
-    recorded under one admit verbatim under the other. *)
-val same_extrapolation : t -> t -> bool
-
 (** The moving edges of a candidate, as [(automaton index, edge)] pairs —
     the per-step payload of a witness chain. *)
 val movers : candidate -> (int * Ta.Compiled.cedge) list
-
-(** [candidate ~movers ~chan] rebuilds a candidate from its parts (the
-    replay counterpart of {!movers}/{!candidate_chan}); [chan] is the
-    synchronising channel index, [None] for internal moves. *)
-val candidate :
-  movers:(int * Ta.Compiled.cedge) list -> chan:int option -> candidate
-
-val candidate_chan : candidate -> int option
 
 (** Human-readable description of each step of a witness chain. *)
 val describe_chain :
@@ -506,7 +483,7 @@ val recommended_jobs : unit -> int
     that successor ([None] pairs are permitted and skipped).  The loop
     then runs the identical bookkeeping (visit order, subsumption,
     counters, [`Stop] short-circuit) over the list, so a correct
-    override — e.g. the memoized replay of [Incr.Delta] — yields
+    override — e.g. the benchmarks' traced firing — yields
     byte-identical results and statistics to the inline path. *)
 val search :
   ?jobs:int ->

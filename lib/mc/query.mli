@@ -81,7 +81,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val compile_pred : Explorer.t -> pred -> Explorer.state -> bool
 
 (** The reserved clock name of the delay monitor {!eval} composes for
-    the timed queries — exposed so an alternative evaluation engine
-    (the incremental explorer) builds a monitor with the identical
+    the timed queries — exposed so tests and benchmarks that drive
+    {!Explorer} directly build a monitor with the identical
     fingerprint. *)
 val delay_monitor_clock : string

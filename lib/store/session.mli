@@ -2,23 +2,20 @@
 
     A session remembers, for one (model tag, query) pair, what the
     previous successful run saw: the canonical network text, its
-    {!Key.manifest}, the v1 result key the answer was stored under, and
-    (separately) a marshalled zone-graph blob that lets the delta
-    explorer replay the previous exploration.  Sessions live beside the
-    result entries in the same {!Disk} store directory:
+    {!Key.manifest} and the v1 result key the answer was stored under.
+    Sessions live beside the result entries in the same {!Disk} store
+    directory:
 
     - [<hex>.psvs] — framed canonical JSON (magic ["PSVSESS1"], payload
       digest and length lines exactly like the entry format), holding
       schema, tag, query, network text, result key and manifest;
     - [<hex>.psvg] — framed binary blob (magic ["PSVGRAPH1"], digest
-      and length lines, then a [Marshal] payload).  The digest is
-      checked {e before} unmarshalling, so bit rot never reaches
-      [Marshal.from_string].
+      and length lines, then an opaque payload): the zone graph older
+      builds recorded for their delta rung.  This build never writes
+      one, but still digest-checks and collects those it finds.
 
     Sessions are best-effort by design: a missing or corrupt session
-    file merely costs a full re-exploration, never a wrong answer.  The
-    graph blob is opaque to this module — the incremental layer owns
-    its type and its compatibility checks. *)
+    file merely costs a full re-exploration, never a wrong answer. *)
 
 type t = {
   ss_tag : string;      (** model identity: a file path, or ["gpca:<prop>"] *)
@@ -40,7 +37,8 @@ val load : Disk.t -> D128.t -> (t, string) result
 
 (** The graph blob rides under the same key in a separate [.psvg]
     file; [save_graph] overwrites, [load_graph] is [None] when absent
-    or corrupt. *)
+    or corrupt.  Kept only because the edit-loop benchmark driver
+    restores graphs between ops; the library no longer calls either. *)
 val save_graph : Disk.t -> D128.t -> string -> unit
 
 val load_graph : Disk.t -> D128.t -> string option

@@ -4,11 +4,12 @@
    against a from-scratch sequential {!Mc.Query.eval}.
 
    The bar per rung:
-   - [Delta] and [Full] answers must be byte-equal to scratch as Entry
-     JSON — outcome, sup AND statistics;
+   - [Full] answers must be byte-equal to scratch as Entry JSON —
+     outcome, sup AND statistics;
    - [Store_hit] and [Cone_hit] answers carry the producing run's
      statistics by design, so they are compared on verdict kind and sup
-     only. *)
+     only;
+   - the retired [Delta] rung must never answer. *)
 
 module M = Ta.Model
 module Q = Mc.Query
@@ -37,6 +38,17 @@ let outcome_kind (r : Q.result) =
     Printf.sprintf "sup%s%d" (if strict then "<" else "=") v
   | Q.Sup (Mc.Explorer.Sup_exceeds c) -> Printf.sprintf "sup>%d" c
   | Q.Unknown _ -> "unknown"
+
+(* The per-rung bar of the preamble. *)
+let check_rung where scratch (o : Incr.Session.outcome) =
+  match o.Incr.Session.so_rung with
+  | Incr.Session.Full ->
+    Alcotest.(check string) where (result_json scratch)
+      (result_json o.Incr.Session.so_result)
+  | Incr.Session.Store_hit | Incr.Session.Cone_hit ->
+    Alcotest.(check string) where (outcome_kind scratch)
+      (outcome_kind o.Incr.Session.so_result)
+  | Incr.Session.Delta -> Alcotest.failf "%s: the retired delta rung answered" where
 
 (* --- model zoo --------------------------------------------------------- *)
 
@@ -94,13 +106,7 @@ let run_sequence ~seed ~steps (name, base, qtexts) =
             (Incr.Session.rung_name o.Incr.Session.so_rung)
             (Q.to_string q)
         in
-        match o.Incr.Session.so_rung with
-        | Incr.Session.Delta | Incr.Session.Full ->
-          Alcotest.(check string) where (result_json scratch)
-            (result_json o.Incr.Session.so_result)
-        | Incr.Session.Store_hit | Incr.Session.Cone_hit ->
-          Alcotest.(check string) where (outcome_kind scratch)
-            (outcome_kind o.Incr.Session.so_result))
+        check_rung where scratch o)
       queries
   done
 
@@ -160,13 +166,7 @@ let test_cached_sequences () =
             Printf.sprintf "cached seed=%d step=%d rung=%s" seed step
               (Incr.Session.rung_name o.Incr.Session.so_rung)
           in
-          match o.Incr.Session.so_rung with
-          | Incr.Session.Delta | Incr.Session.Full ->
-            Alcotest.(check string) where (result_json scratch)
-              (result_json o.Incr.Session.so_result)
-          | Incr.Session.Store_hit | Incr.Session.Cone_hit ->
-            Alcotest.(check string) where (outcome_kind scratch)
-              (outcome_kind o.Incr.Session.so_result)
+          check_rung where scratch o
         done
       done;
       (* the persisted sessions all verify *)

@@ -118,7 +118,7 @@ let test_check_names () =
         true
         (O.check_of_name (O.check_name c) = Some c))
     [ O.Truth; O.Analytic; O.Jobs; O.Bounded; O.Xta; O.Store_trip;
-      O.Delta_replay; O.Sim ]
+      O.Ladder; O.Sim ]
 
 (* --- shrinking ------------------------------------------------------- *)
 

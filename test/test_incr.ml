@@ -1,8 +1,8 @@
 (* Tests of the incremental re-verification subsystem: the psv-key-v2
-   manifest, the cone-of-influence decision, the delta record/replay
-   engine (byte-equality with from-scratch sequential runs is the hard
-   bar), the session ladder with its persistence, and the corrupt-bytes
-   split in the disk stats. *)
+   manifest, the cone-of-influence decision, the session ladder with its
+   persistence (byte-equality of full-rung answers with from-scratch
+   sequential runs is the hard bar), and the corrupt-bytes split in the
+   disk stats. *)
 
 module M = Ta.Model
 module Q = Mc.Query
@@ -241,7 +241,7 @@ let test_cone_check () =
   Alcotest.(check bool) "decl change misses" false
     (ok (Incr.Cone.check ~old_net:toy_net net_decl q))
 
-(* --- delta record/replay ---------------------------------------------- *)
+(* --- answers against scratch ------------------------------------------ *)
 
 let result_json (r : Q.result) =
   Store.Json.to_string
@@ -257,137 +257,171 @@ let check_scratch_equal label net q (r : Q.result) =
   let scratch = Q.eval ~jobs:1 net q in
   Alcotest.(check string) label (result_json scratch) (result_json r)
 
-let test_delta_record_matches_scratch () =
+let check_rung label want (o : Incr.Session.outcome) =
+  Alcotest.(check string) label want (Incr.Session.rung_name o.Incr.Session.so_rung)
+
+(* A cold session answers every query on the full rung, byte-equal to a
+   from-scratch run, and reports that run's visited states. *)
+let test_full_rung_matches_scratch () =
   List.iter
     (fun qtext ->
       let q = query qtext in
-      let run = Incr.Delta.record toy_net q in
-      check_scratch_equal ("record " ^ qtext) toy_net q run.Incr.Delta.dr_result;
-      Alcotest.(check bool) ("graph nonempty " ^ qtext) true
-        (Incr.Delta.size run.Incr.Delta.dr_graph > 0))
+      let o = Incr.Session.run (Incr.Session.make ~tag:"scratch" ()) toy_net q in
+      check_rung ("cold " ^ qtext) "full" o;
+      check_scratch_equal ("full " ^ qtext) toy_net q o.Incr.Session.so_result;
+      Alcotest.(check int) ("expanded " ^ qtext)
+        o.Incr.Session.so_result.Q.res_stats.Mc.Explorer.visited
+        o.Incr.Session.so_expanded;
+      Alcotest.(check bool) ("explored " ^ qtext) true
+        (o.Incr.Session.so_expanded > 0);
+      Alcotest.(check int) ("nothing replayed " ^ qtext) 0
+        o.Incr.Session.so_replayed)
     [ "E<> Receiver.Busy"; "A[] v == 0"; "A[] not Sender.Work" ]
 
-let test_delta_replay_identical_net () =
+(* Rerunning on an identical network explores nothing: the cone rung
+   answers in memory, the store rung when a cache is attached. *)
+let test_identical_net_explores_nothing () =
   let q = query "A[] v == 0" in
-  let base = Incr.Delta.record toy_net q in
-  match
-    Incr.Delta.replay ~old_net:toy_net ~graph:base.Incr.Delta.dr_graph toy_net q
-  with
-  | Error msg -> Alcotest.failf "identical-net replay refused: %s" msg
-  | Ok run ->
-    check_scratch_equal "identical replay" toy_net q run.Incr.Delta.dr_result;
-    Alcotest.(check int) "no real expansions" 0 run.Incr.Delta.dr_expanded;
-    Alcotest.(check bool) "everything replayed" true
-      (run.Incr.Delta.dr_replayed > 0)
-
-let test_delta_replay_after_edit () =
-  let q = query "E<> Receiver.Busy" in
-  let base = Incr.Delta.record toy_net q in
-  let edited = with_automaton toy_net "Sender" sender_tweaked in
-  match
-    Incr.Delta.replay ~old_net:toy_net ~graph:base.Incr.Delta.dr_graph edited q
-  with
-  | Error msg -> Alcotest.failf "edited replay refused: %s" msg
-  | Ok run ->
-    check_scratch_equal "edited replay" edited q run.Incr.Delta.dr_result
-
-let test_delta_fallback_triggers () =
-  let q = query "E<> Receiver.Busy" in
-  let base = Incr.Delta.record toy_net q in
-  let refused net =
-    match
-      Incr.Delta.replay ~old_net:toy_net ~graph:base.Incr.Delta.dr_graph net q
-    with
-    | Error _ -> true
-    | Ok _ -> false
+  let rerun label want sess =
+    let o1 = Incr.Session.run sess toy_net q in
+    let o2 = Incr.Session.run sess toy_net q in
+    check_rung (label ^ " rung") want o2;
+    Alcotest.(check int) (label ^ " no expansions") 0 o2.Incr.Session.so_expanded;
+    Alcotest.(check (float 0.)) (label ^ " no answer time") 0.
+      o2.Incr.Session.so_answer_ms;
+    Alcotest.(check string) (label ^ " same answer")
+      (result_json o1.Incr.Session.so_result)
+      (result_json o2.Incr.Session.so_result)
   in
-  (* added clock *)
-  Alcotest.(check bool) "clock added refused" true
-    (refused
-       (M.network ~name:"toy" ~clocks:[ "x"; "y"; "z" ]
-          ~vars:[ ("v", M.flag ()) ]
-          ~channels:[ ("c", M.Binary) ]
-          [ sender; receiver; idler; capped ]));
-  (* added automaton *)
-  Alcotest.(check bool) "automaton added refused" true
-    (refused
-       (M.add_automata toy_net
-          [ M.automaton ~name:"Extra" ~initial:"I"
-              [ M.location "I" ]
-              [ M.edge "I" "I" ] ]));
-  (* urgency added *)
+  rerun "in memory" "cone" (Incr.Session.make ~tag:"same" ());
+  with_store_dir (fun dir ->
+      match Store.Disk.open_ dir with
+      | Error msg -> Alcotest.failf "open store: %s" msg
+      | Ok disk ->
+        rerun "with store" "store"
+          (Incr.Session.make ~cache:(Analysis.Qcache.make disk) ~tag:"same" ()))
+
+(* A chain of visible edits, including the edit back to the original
+   network: each is re-explored and each answer equals scratch. *)
+let test_full_rung_after_edit () =
+  List.iter
+    (fun qtext ->
+      let q = query qtext in
+      let sess = Incr.Session.make ~tag:"edits" () in
+      ignore (Incr.Session.run sess toy_net q);
+      let edited = with_automaton toy_net "Sender" sender_tweaked in
+      List.iteri
+        (fun i net ->
+          let o = Incr.Session.run sess net q in
+          let label = Printf.sprintf "%s edit %d" qtext i in
+          check_rung label "full" o;
+          check_scratch_equal label net q o.Incr.Session.so_result)
+        [ edited; toy_net; edited ])
+    [ "E<> Receiver.Busy"; "A[] not Sender.Work" ]
+
+(* Edits the cone cannot see through — a new clock, a new automaton
+   touching the query's variable, urgency in an otherwise inert
+   component — and a query the session has never answered all fall to
+   the full rung, never to a stale answer. *)
+let test_structural_edits_reexplore () =
+  let q = query "E<> Receiver.Busy" in
+  let fresh () =
+    let sess = Incr.Session.make ~tag:"structural" () in
+    ignore (Incr.Session.run sess toy_net q);
+    sess
+  in
+  let writer =
+    M.automaton ~name:"Extra" ~initial:"I"
+      [ M.location "I" ]
+      [ M.edge ~updates:[ ("v", Ta.Expr.int 1) ] "I" "I" ]
+  in
   let urgent_idler =
     M.automaton ~name:"Idler" ~initial:"A"
       [ M.location "A"; M.location ~kind:M.Urgent "B" ]
       [ M.edge "A" "B"; M.edge "B" "A" ]
   in
-  Alcotest.(check bool) "urgency added refused" true
-    (refused (with_automaton toy_net "Idler" urgent_idler));
-  (* wrong graph: different query *)
-  (match
-     Incr.Delta.replay ~old_net:toy_net ~graph:base.Incr.Delta.dr_graph toy_net
-       (query "A[] v == 0")
-   with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "foreign query accepted")
+  List.iter
+    (fun (label, net) ->
+      let o = Incr.Session.run (fresh ()) net q in
+      check_rung (label ^ " rung") "full" o;
+      check_scratch_equal label net q o.Incr.Session.so_result)
+    [ ( "clock added",
+        M.network ~name:"toy" ~clocks:[ "x"; "y"; "z" ]
+          ~vars:[ ("v", M.flag ()) ]
+          ~channels:[ ("c", M.Binary) ]
+          [ sender; receiver; idler; capped ] );
+      ("writer added", M.add_automata toy_net [ writer ]);
+      ("urgency added", with_automaton toy_net "Idler" urgent_idler) ];
+  let other = query "A[] v == 0" in
+  let o = Incr.Session.run (fresh ()) toy_net other in
+  check_rung "foreign query rung" "full" o;
+  check_scratch_equal "foreign query" toy_net other o.Incr.Session.so_result
 
-let test_graph_codec () =
-  let q = query "A[] v == 0" in
-  let run = Incr.Delta.record toy_net q in
-  let blob = Incr.Delta.encode run.Incr.Delta.dr_graph in
-  (match Incr.Delta.decode blob with
-   | Ok g ->
-     Alcotest.(check int) "size round-trips"
-       (Incr.Delta.size run.Incr.Delta.dr_graph)
-       (Incr.Delta.size g)
-   | Error msg -> Alcotest.failf "decode failed: %s" msg);
-  (match Incr.Delta.decode "garbage" with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "decoded garbage")
+(* The cone rung returns an earlier answer only under the entry reuse
+   rule: an inconclusive answer found under a small state limit does not
+   answer an unlimited request. *)
+let test_cone_respects_budget () =
+  let q = query "A[] v == 0 or v == 1" in
+  let sess = Incr.Session.make ~tag:"budget" () in
+  let o1 = Incr.Session.run ~limit:1 sess toy_net q in
+  (match o1.Incr.Session.so_result.Q.res_outcome with
+   | Q.Unknown _ -> ()
+   | _ -> Alcotest.fail "a one-state limit should leave the query open");
+  let inert = with_automaton toy_net "Idler" idler' in
+  let o2 = Incr.Session.run sess inert q in
+  check_rung "larger budget re-explores" "full" o2;
+  check_scratch_equal "unlimited answer" inert q o2.Incr.Session.so_result;
+  let o3 = Incr.Session.run ~limit:1 sess toy_net q in
+  check_rung "definitive answer serves a smaller budget" "cone" o3;
+  Alcotest.(check string) "definitive answer returned"
+    (result_json o2.Incr.Session.so_result)
+    (result_json o3.Incr.Session.so_result)
 
-(* --- sup-query delta --------------------------------------------------- *)
+(* --- sup queries on the ladder ----------------------------------------- *)
 
 (* Sender->Receiver delay: trigger [c], response [d] (Receiver's
    acknowledgement), so the timed queries run with a monitor. *)
-let timed_receiver =
+let timed_receiver bound =
   M.automaton ~name:"Receiver" ~initial:"Wait"
-    [ M.location ~inv:[ Ta.Clockcons.le "r" 7 ] "Busy"; M.location "Wait" ]
+    [ M.location ~inv:[ Ta.Clockcons.le "r" bound ] "Busy"; M.location "Wait" ]
     [ M.edge ~sync:(M.Recv "c") ~resets:[ "r" ]
         ~updates:[ ("v", Ta.Expr.int 1) ]
         "Wait" "Busy";
       M.edge ~guard:[ Ta.Clockcons.ge "r" 3 ] ~sync:(M.Send "d") "Busy" "Wait" ]
 
 let timed_net =
-  M.network ~name:"timed" ~clocks:[ "x"; "r" ]
+  M.network ~name:"timed" ~clocks:[ "x"; "r"; "y" ]
     ~vars:[ ("v", M.flag ()) ]
     ~channels:[ ("c", M.Binary); ("d", M.Broadcast) ]
-    [ sender; timed_receiver ]
+    [ sender; timed_receiver 7; idler ]
 
-let test_delta_sup_query () =
+let test_session_sup_queries () =
+  let sess = Incr.Session.make ~tag:"timed" () in
   let q = query "sup: c -> d ceiling 100" in
-  let run = Incr.Delta.record timed_net q in
-  check_scratch_equal "sup record" timed_net q run.Incr.Delta.dr_result;
-  (* constant edit inside the receiver, then replay *)
-  let receiver' =
-    M.automaton ~name:"Receiver" ~initial:"Wait"
-      [ M.location ~inv:[ Ta.Clockcons.le "r" 9 ] "Busy"; M.location "Wait" ]
-      [ M.edge ~sync:(M.Recv "c") ~resets:[ "r" ]
-          ~updates:[ ("v", Ta.Expr.int 1) ]
-          "Wait" "Busy";
-        M.edge ~guard:[ Ta.Clockcons.ge "r" 3 ] ~sync:(M.Send "d") "Busy"
-          "Wait" ]
-  in
-  let edited = with_automaton timed_net "Receiver" receiver' in
-  match
-    Incr.Delta.replay ~old_net:timed_net ~graph:run.Incr.Delta.dr_graph edited q
-  with
-  | Error msg -> Alcotest.failf "sup replay refused: %s" msg
-  | Ok r2 ->
-    check_scratch_equal "sup replay" edited q r2.Incr.Delta.dr_result;
-    (* bounded: same monitor, different ladder *)
-    let qb = query "bounded: c -> d within 20" in
-    let rb = Incr.Delta.record edited qb in
-    check_scratch_equal "bounded record" edited qb rb.Incr.Delta.dr_result
+  let o1 = Incr.Session.run sess timed_net q in
+  check_rung "sup cold" "full" o1;
+  check_scratch_equal "sup cold" timed_net q o1.Incr.Session.so_result;
+  (* an inert edit keeps the bound *)
+  let inert = with_automaton timed_net "Idler" idler' in
+  let o2 = Incr.Session.run sess inert q in
+  check_rung "sup inert edit" "cone" o2;
+  Alcotest.(check string) "sup kept"
+    (result_json o1.Incr.Session.so_result)
+    (result_json o2.Incr.Session.so_result);
+  (* a constant edit inside the receiver moves the bound *)
+  let edited = with_automaton timed_net "Receiver" (timed_receiver 9) in
+  let o3 = Incr.Session.run sess edited q in
+  check_rung "sup constant edit" "full" o3;
+  check_scratch_equal "sup constant edit" edited q o3.Incr.Session.so_result;
+  Alcotest.(check bool) "the bound moved" false
+    (String.equal
+       (result_json o1.Incr.Session.so_result)
+       (result_json o3.Incr.Session.so_result));
+  (* bounded: same monitor, different query *)
+  let qb = query "bounded: c -> d within 20" in
+  let ob = Incr.Session.run sess edited qb in
+  check_rung "bounded cold" "full" ob;
+  check_scratch_equal "bounded" edited qb ob.Incr.Session.so_result
 
 (* --- session ladder ---------------------------------------------------- *)
 
@@ -417,20 +451,25 @@ let test_session_ladder () =
       Alcotest.(check string) "cone returns the cached verdict"
         (result_json o1.Incr.Session.so_result)
         (result_json o3.Incr.Session.so_result);
-      (* visible constant edit: delta rung, scratch-identical *)
+      (* visible constant edit: full rung, scratch-identical *)
       let edited = with_automaton toy_net "Sender" sender_tweaked in
       let o4 = Incr.Session.run sess edited q in
-      Alcotest.(check string) "visible edit re-explores on delta" "delta"
+      Alcotest.(check string) "visible edit re-explores on full" "full"
         (Incr.Session.rung_name o4.Incr.Session.so_rung);
-      check_scratch_equal "delta result" edited q o4.Incr.Session.so_result;
+      check_scratch_equal "full result after edit" edited q
+        o4.Incr.Session.so_result;
+      Alcotest.(check int) "full rung reports its visited states"
+        o4.Incr.Session.so_result.Q.res_stats.Mc.Explorer.visited
+        o4.Incr.Session.so_expanded;
       (* rung counters surfaced through the cache stats *)
-      let cone, delta, full = Analysis.Qcache.rung_counts cache in
-      Alcotest.(check (list int)) "rung counters" [ 1; 1; 1 ]
-        [ cone; delta; full ];
+      let cone, full = Analysis.Qcache.rung_counts cache in
+      Alcotest.(check (list int)) "rung counters" [ 1; 2 ] [ cone; full ];
       (match
          Store.Json.member "incr" (Analysis.Qcache.stats_json cache)
        with
-       | Some (Store.Json.Obj _) -> ()
+       | Some (Store.Json.Obj fields) ->
+         Alcotest.(check (list string)) "incr object keys" [ "cone"; "full" ]
+           (List.map fst fields)
        | _ -> Alcotest.fail "stats_json lacks the incr object"))
 
 let test_session_persistence () =
@@ -448,14 +487,14 @@ let test_session_persistence () =
       let sess2 = Incr.Session.make ~cache ~tag:"persist" () in
       let edited = with_automaton toy_net "Sender" sender_tweaked in
       let o = Incr.Session.run sess2 edited q in
-      Alcotest.(check string) "fresh session replays from disk" "delta"
+      Alcotest.(check string) "fresh session re-explores on full" "full"
         (Incr.Session.rung_name o.Incr.Session.so_rung);
-      check_scratch_equal "persisted delta result" edited q
+      check_scratch_equal "persisted full result" edited q
         o.Incr.Session.so_result;
-      (* session files verify *)
+      (* session files verify, and no graph is written any more *)
       let fsck = Store.Session.fsck disk in
       Alcotest.(check int) "one good session" 1 fsck.Store.Session.sk_ok;
-      Alcotest.(check int) "one good graph" 1 fsck.Store.Session.sk_graphs;
+      Alcotest.(check int) "no graphs" 0 fsck.Store.Session.sk_graphs;
       Alcotest.(check (list (pair string string))) "no bad session files" []
         fsck.Store.Session.sk_bad)
 
@@ -485,7 +524,7 @@ let test_session_fsck_catches_corruption () =
       Alcotest.(check (list (pair string string))) "clean after gc" []
         fsck'.Store.Session.sk_bad)
 
-(* --- the graph is read only by the rung that replays it ---------------- *)
+(* --- stores written by older builds ------------------------------------ *)
 
 let open_cache dir =
   match Store.Disk.open_ dir with
@@ -502,6 +541,61 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
+(* The session file round-trips every field; an absent or garbled file
+   loads as an error, never as a session. *)
+let test_session_codec () =
+  with_store_dir (fun dir ->
+      let disk =
+        match Store.Disk.open_ dir with
+        | Ok d -> d
+        | Error msg -> Alcotest.failf "open store: %s" msg
+      in
+      let qtext = Q.to_string (query "A[] v == 0") in
+      let key = Store.Session.session_key ~tag:"codec" ~query:qtext in
+      (match Store.Session.load disk key with
+       | Error "no session" -> ()
+       | Error msg -> Alcotest.failf "absent session: %s" msg
+       | Ok _ -> Alcotest.fail "absent session loaded");
+      let s =
+        { Store.Session.ss_tag = "codec";
+          ss_query = qtext;
+          ss_net = Xta.Print.to_string toy_net;
+          ss_result_key = Store.Key.digest ~query:qtext toy_net;
+          ss_manifest = Store.Key.manifest toy_net }
+      in
+      Store.Session.save disk s;
+      (match Store.Session.load disk key with
+       | Error msg -> Alcotest.failf "load failed: %s" msg
+       | Ok s' ->
+         Alcotest.(check string) "tag" s.Store.Session.ss_tag s'.Store.Session.ss_tag;
+         Alcotest.(check string) "query" s.Store.Session.ss_query
+           s'.Store.Session.ss_query;
+         Alcotest.(check string) "network text" s.Store.Session.ss_net
+           s'.Store.Session.ss_net;
+         Alcotest.(check bool) "result key" true
+           (Store.D128.equal s.Store.Session.ss_result_key
+              s'.Store.Session.ss_result_key);
+         Alcotest.(check bool) "manifest" true
+           (Store.Key.manifest_equal s.Store.Session.ss_manifest
+              s'.Store.Session.ss_manifest));
+      (match Store.Session.list disk with
+       | [ f ] -> write_file (Filename.concat dir f) "garbage"
+       | fs -> Alcotest.failf "%d session files" (List.length fs));
+      match Store.Session.load disk key with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "decoded garbage")
+
+(* Beside every session, the zone-graph blob an older build recorded for
+   its delta rung: framed by hand with the reference digest, the payload
+   opaque (its magic line, then bytes this build never reads). *)
+let write_legacy_graphs dir =
+  List.iter
+    (fun f ->
+      let graph = Filename.chop_suffix f ".psvs" ^ ".psvg" in
+      write_file (Filename.concat dir graph)
+        (Ref_d128.frame "PSVGRAPH1" ("PSVIG2\n" ^ String.make 64 '\x01')))
+    (store_files dir ".psvs")
+
 (* Damage every persisted graph blob. *)
 let damage_graphs dir how =
   List.iter
@@ -516,22 +610,24 @@ let damage_graphs dir how =
 
 let damage_name = function `Delete -> "deleted" | `Truncate -> "truncated"
 
-(* Run [q] on [toy_net] in one session, damage its graph, and hand a
-   fresh session over the same store (a new process) to [k]. *)
+(* Run [q] on [toy_net] in one session, add an older build's graph and
+   damage it, and hand a fresh session over the same store (a new
+   process) to [k]. *)
 let with_damaged_session how q k =
   with_store_dir (fun dir ->
       let _, cache = open_cache dir in
       let first = Incr.Session.make ~cache ~tag:"lazy" () in
       let o1 = Incr.Session.run first toy_net q in
+      write_legacy_graphs dir;
       damage_graphs dir how;
-      let disk, cache = open_cache dir in
-      k disk (Incr.Session.make ~cache ~tag:"lazy" ()) o1)
+      let _, cache = open_cache dir in
+      k (Incr.Session.make ~cache ~tag:"lazy" ()) o1)
 
 let test_session_cone_without_graph () =
   List.iter
     (fun how ->
       let q = query "E<> Receiver.Busy" in
-      with_damaged_session how q (fun _ sess o1 ->
+      with_damaged_session how q (fun sess o1 ->
           let inert = with_automaton toy_net "Idler" idler' in
           let o = Incr.Session.run sess inert q in
           Alcotest.(check string)
@@ -544,15 +640,25 @@ let test_session_cone_without_graph () =
             (result_json o.Incr.Session.so_result)))
     [ `Delete; `Truncate ]
 
+(* A damaged graph an older build left beside the session costs nothing
+   on the full rung: the edit is answered from scratch, the session is
+   re-persisted, no graph is written, and fsck still reports the
+   damaged blob until gc collects it. *)
 let test_session_replay_without_graph () =
   List.iter
     (fun how ->
       let q = query "A[] v == 0" in
-      with_damaged_session how q (fun disk sess _ ->
+      with_store_dir (fun dir ->
+          let _, cache = open_cache dir in
+          ignore (Incr.Session.run (Incr.Session.make ~cache ~tag:"lazy" ()) toy_net q);
+          write_legacy_graphs dir;
+          damage_graphs dir how;
+          let disk, cache = open_cache dir in
+          let sess = Incr.Session.make ~cache ~tag:"lazy" () in
           let edited = with_automaton toy_net "Sender" sender_tweaked in
           let o = Incr.Session.run sess edited q in
           Alcotest.(check string)
-            (damage_name how ^ " graph: replay falls back to full")
+            (damage_name how ^ " graph: edit answers on full")
             "full"
             (Incr.Session.rung_name o.Incr.Session.so_rung);
           check_scratch_equal
@@ -560,39 +666,51 @@ let test_session_replay_without_graph () =
             edited q o.Incr.Session.so_result;
           let fsck = Store.Session.fsck disk in
           Alcotest.(check int) "session re-persisted" 1 fsck.Store.Session.sk_ok;
-          Alcotest.(check int) "good graph re-persisted" 1
-            fsck.Store.Session.sk_graphs;
-          Alcotest.(check (list (pair string string))) "nothing bad" []
-            fsck.Store.Session.sk_bad))
+          Alcotest.(check int) "no good graph" 0 fsck.Store.Session.sk_graphs;
+          Alcotest.(check int) "damaged graph reported"
+            (match how with `Delete -> 0 | `Truncate -> 1)
+            (List.length fsck.Store.Session.sk_bad);
+          Alcotest.(check int) "gc collects it"
+            (match how with `Delete -> 0 | `Truncate -> 1)
+            (Store.Session.gc disk);
+          Alcotest.(check (list string)) "no graph left" []
+            (store_files dir ".psvg");
+          Alcotest.(check int) "session survives gc" 1
+            (Store.Session.fsck disk).Store.Session.sk_ok))
     [ `Delete; `Truncate ]
 
-(* Session and graph files framed by hand with the reference digest —
-   the bytes the original per-byte fold wrote — must be what the store
-   writes today, and must still replay on the delta rung. *)
+(* A session file framed by hand with the reference digest — the bytes
+   the original per-byte fold wrote — must be what the store writes
+   today.  Beside it, the graph an older build would have left: this
+   build ignores it, answers the edit on the full rung, and fsck stays
+   clean. *)
 let test_session_reference_frames_replay () =
   with_store_dir (fun dir ->
       let q = query "A[] v == 0" in
       let _, cache = open_cache dir in
       ignore (Incr.Session.run (Incr.Session.make ~cache ~tag:"compat" ()) toy_net q);
-      List.iter
-        (fun (suffix, magic) ->
-          match store_files dir suffix with
-          | [ f ] ->
-            let p = Filename.concat dir f in
-            let raw = read_file p in
-            let framed = Ref_d128.frame magic (Ref_d128.payload raw) in
-            Alcotest.(check bool) (magic ^ " bytes unchanged") true
-              (String.equal raw framed);
-            write_file p framed
-          | fs -> Alcotest.failf "%d %s files" (List.length fs) suffix)
-        [ (".psvs", "PSVSESS1"); (".psvg", "PSVGRAPH1") ];
-      let _, cache = open_cache dir in
+      (match store_files dir ".psvs" with
+       | [ f ] ->
+         let p = Filename.concat dir f in
+         let raw = read_file p in
+         let framed = Ref_d128.frame "PSVSESS1" (Ref_d128.payload raw) in
+         Alcotest.(check bool) "PSVSESS1 bytes unchanged" true
+           (String.equal raw framed);
+         write_file p framed
+       | fs -> Alcotest.failf "%d .psvs files" (List.length fs));
+      write_legacy_graphs dir;
+      let disk, cache = open_cache dir in
       let edited = with_automaton toy_net "Sender" sender_tweaked in
       let o = Incr.Session.run (Incr.Session.make ~cache ~tag:"compat" ()) edited q in
-      Alcotest.(check string) "reference-framed session replays" "delta"
+      Alcotest.(check string) "reference-framed session answers on full" "full"
         (Incr.Session.rung_name o.Incr.Session.so_rung);
-      check_scratch_equal "reference-framed delta result" edited q
-        o.Incr.Session.so_result)
+      check_scratch_equal "reference-framed full result" edited q
+        o.Incr.Session.so_result;
+      let fsck = Store.Session.fsck disk in
+      Alcotest.(check int) "session verifies" 1 fsck.Store.Session.sk_ok;
+      Alcotest.(check int) "older graph verifies" 1 fsck.Store.Session.sk_graphs;
+      Alcotest.(check (list (pair string string))) "fsck clean" []
+        fsck.Store.Session.sk_bad)
 
 (* --- disk stats corrupt-bytes split ------------------------------------ *)
 
@@ -642,18 +760,18 @@ let suite =
     Alcotest.test_case "cone channel chain" `Quick test_cone_channel_chain;
     Alcotest.test_case "cone var aliasing" `Quick test_cone_var_aliasing;
     Alcotest.test_case "cone check" `Quick test_cone_check;
-    Alcotest.test_case "delta record = scratch" `Quick
-      test_delta_record_matches_scratch;
-    Alcotest.test_case "delta replay identical net" `Quick
-      test_delta_replay_identical_net;
-    Alcotest.test_case "delta replay after edit" `Quick
-      test_delta_replay_after_edit;
-    Alcotest.test_case "delta fallback triggers" `Quick
-      test_delta_fallback_triggers;
-    Alcotest.test_case "graph codec" `Quick test_graph_codec;
-    Alcotest.test_case "delta sup queries" `Quick test_delta_sup_query;
+    Alcotest.test_case "full rung = scratch" `Quick
+      test_full_rung_matches_scratch;
+    Alcotest.test_case "identical net explores nothing" `Quick
+      test_identical_net_explores_nothing;
+    Alcotest.test_case "full rung after edit" `Quick test_full_rung_after_edit;
+    Alcotest.test_case "structural edits re-explore" `Quick
+      test_structural_edits_reexplore;
+    Alcotest.test_case "cone respects budget" `Quick test_cone_respects_budget;
+    Alcotest.test_case "session sup queries" `Quick test_session_sup_queries;
     Alcotest.test_case "session ladder" `Quick test_session_ladder;
     Alcotest.test_case "session persistence" `Quick test_session_persistence;
+    Alcotest.test_case "session codec" `Quick test_session_codec;
     Alcotest.test_case "session fsck" `Quick
       test_session_fsck_catches_corruption;
     Alcotest.test_case "cone rung needs no graph" `Quick

@@ -524,8 +524,8 @@ let test_store_keeps_expanding_zone () =
 
 (* --- replay of recorded successors ------------------------------------- *)
 
-(* Delta replay rebuilds a successor from the zone [fire_pre] recorded
-   before extrapolation, through [admit_pre].  Extrapolation re-closes
+(* [admit_pre] rebuilds a successor from the zone [fire_pre] recorded
+   before extrapolation (the per-layer benchmarks time the two apart).  Extrapolation re-closes
    only the entries it loosens, which is exact only on a canonical
    input, so this checks over a whole GPCA PSM exploration (Table I's
    input-delay query) that every recorded zone replays to [fire]'s
