@@ -154,8 +154,8 @@ let e7_constructions () =
   List.iter
     (fun name ->
       let a = Model.find_automaton net name in
-      Fmt.pr "%a@.@." Xta.Print.network
-        (Model.network ~name:("fragment_" ^ name)
+      Fmt.pr "%s@.@."
+        (Xta.Print.to_string @@ Model.network ~name:("fragment_" ^ name)
            ~clocks:net.Model.net_clocks ~vars:net.Model.net_vars
            ~channels:net.Model.net_channels [ a ]))
     [ "IFMI_BolusReq"; "IFOC_StartInfusion"; "EXEIO" ]

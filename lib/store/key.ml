@@ -8,14 +8,15 @@ let network_digest net =
   D128.add_string st (Xta.Print.to_string net);
   D128.value st
 
-let digest ?(tight = true) ?(lu = true) ?(reduce = true) ~query net =
+let digest ~query net =
   let st = D128.builder () in
   D128.add_string st schema;
   D128.add_string st (Xta.Print.to_string net);
   D128.add_string st query;
-  D128.add_bool st tight;
-  D128.add_bool st lu;
-  D128.add_bool st reduce;
+  (* three schema constants: psv-key-v1 has always ended with them *)
+  D128.add_bool st true;
+  D128.add_bool st true;
+  D128.add_bool st true;
   D128.value st
 
 (* --- psv-key-v2: per-automaton manifest ------------------------------- *)

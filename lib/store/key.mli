@@ -1,8 +1,8 @@
 (** Canonical cache keys.
 
     The key identifies everything that determines a verification result:
-    the network, the query, and the result-affecting explorer
-    configuration (extrapolation flags).  It deliberately excludes run
+    the network and the query (cached evaluations always run the
+    explorer's default configuration).  It deliberately excludes run
     budgets — those govern {e whether} the run finishes, not what the
     answer is — so a result computed under one budget can answer
     requests made under another (see {!Entry.reusable}).
@@ -19,13 +19,13 @@
     ingredient. *)
 val network_digest : Ta.Model.network -> D128.t
 
-(** [digest ?tight ?lu ?reduce ~query net] is the full cache key.
-    [query] must be canonical query text ([Mc.Query.to_string]).
-    Defaults mirror the explorer's: [tight=true], [lu=true],
-    [reduce=true]. *)
-val digest :
-  ?tight:bool -> ?lu:bool -> ?reduce:bool -> query:string ->
-  Ta.Model.network -> D128.t
+(** [digest ~query net] is the full cache key.  [query] must be
+    canonical query text ([Mc.Query.to_string]).  After the query the
+    key hashes three [true] bytes.  They are psv-key-v1 schema
+    constants, kept so existing keys do not move; they are not the
+    explorer's configuration (whose defaults differ) and nothing sets
+    them. *)
+val digest : query:string -> Ta.Model.network -> D128.t
 
 (** {1 psv-key-v2: per-automaton manifests}
 

@@ -52,15 +52,43 @@ let sat values atoms =
   in
   List.for_all check atoms
 
-let pp_rel ppf rel =
-  let s = match rel with Lt -> "<" | Le -> "<=" | Eq -> "==" | Ge -> ">=" | Gt -> ">" in
-  Fmt.string ppf s
+(* The canonical text of a conjunction is written into a [Buffer] (it
+   is part of the [.xta] text store keys digest); [pp_atom] and [pp]
+   wrap the same writers for diagnostics. *)
+let rel_text = function Lt -> "<" | Le -> "<=" | Eq -> "==" | Ge -> ">=" | Gt -> ">"
 
-let pp_atom ppf = function
-  | Simple (x, rel, n) -> Fmt.pf ppf "%s %a %d" x pp_rel rel n
-  | Diff (x, y, rel, n) -> Fmt.pf ppf "%s - %s %a %d" x y pp_rel rel n
+let write_atom b atom =
+  let cmp rel n =
+    Buffer.add_char b ' ';
+    Buffer.add_string b (rel_text rel);
+    Buffer.add_char b ' ';
+    Buffer.add_string b (string_of_int n)
+  in
+  match atom with
+  | Simple (x, rel, n) ->
+    Buffer.add_string b x;
+    cmp rel n
+  | Diff (x, y, rel, n) ->
+    Buffer.add_string b x;
+    Buffer.add_string b " - ";
+    Buffer.add_string b y;
+    cmp rel n
 
-let pp ppf atoms =
+let write b atoms =
   match atoms with
-  | [] -> Fmt.string ppf "true"
-  | atoms -> Fmt.(list ~sep:(any " && ") pp_atom) ppf atoms
+  | [] -> Buffer.add_string b "true"
+  | first :: rest ->
+    write_atom b first;
+    List.iter
+      (fun atom ->
+        Buffer.add_string b " && ";
+        write_atom b atom)
+      rest
+
+let text write v =
+  let b = Buffer.create 32 in
+  write b v;
+  Buffer.contents b
+
+let pp_atom ppf atom = Fmt.string ppf (text write_atom atom)
+let pp ppf atoms = Fmt.string ppf (text write atoms)

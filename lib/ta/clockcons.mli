@@ -34,5 +34,13 @@ val max_consts : t -> (string * int) list
     symbolic semantics. *)
 val sat : (string -> int) -> t -> bool
 
+(** {1 Printing}
+
+    [write b atoms] appends the canonical text of a conjunction
+    (["x <= 5 && x - y < 3"], ["true"] when empty) that {!Xta.Print}
+    embeds in guards and invariants.  [pp_atom] and [pp] print the same
+    text through [Format], for diagnostics. *)
+
+val write : Buffer.t -> t -> unit
 val pp_atom : Format.formatter -> atom -> unit
 val pp : Format.formatter -> t -> unit

@@ -120,34 +120,74 @@ let rec compile_pred ~index p =
     let fa = compile_pred ~index a in
     fun vals -> not (fa vals)
 
-(* Negative literals print parenthesised so that printing is stable under
+(* Printing writes into a [Buffer]: this text is part of the canonical
+   [.xta] form that store keys digest, so it has one implementation and
+   the [pp_*] functions are thin wrappers for diagnostics.
+
+   Negative literals print parenthesised so that printing is stable under
    re-parsing: both [Int (-7)] and [Neg (Int 7)] render as ["(-7)"]. *)
-let rec pp_expr ppf e =
+let rec write_expr b e =
   match e with
-  | Int n -> if n < 0 then Fmt.pf ppf "(%d)" n else Fmt.int ppf n
-  | Var x -> Fmt.string ppf x
-  | Add (a, b) -> Fmt.pf ppf "(%a + %a)" pp_expr a pp_expr b
-  | Sub (a, b) -> Fmt.pf ppf "(%a - %a)" pp_expr a pp_expr b
-  | Mul (a, b) -> Fmt.pf ppf "(%a * %a)" pp_expr a pp_expr b
-  | Neg a -> Fmt.pf ppf "(-%a)" pp_expr a
+  | Int n ->
+    if n < 0 then begin
+      Buffer.add_char b '(';
+      Buffer.add_string b (string_of_int n);
+      Buffer.add_char b ')'
+    end
+    else Buffer.add_string b (string_of_int n)
+  | Var x -> Buffer.add_string b x
+  | Add (x, y) -> write_binop b x " + " y
+  | Sub (x, y) -> write_binop b x " - " y
+  | Mul (x, y) -> write_binop b x " * " y
+  | Neg a ->
+    Buffer.add_string b "(-";
+    write_expr b a;
+    Buffer.add_char b ')'
 
-let pp_rel ppf rel =
-  let s =
-    match rel with
-    | Lt -> "<"
-    | Le -> "<="
-    | Eq -> "=="
-    | Ge -> ">="
-    | Gt -> ">"
-    | Ne -> "!="
-  in
-  Fmt.string ppf s
+and write_binop b x op y =
+  Buffer.add_char b '(';
+  write_expr b x;
+  Buffer.add_string b op;
+  write_expr b y;
+  Buffer.add_char b ')'
 
-let rec pp_pred ppf p =
+let rel_text = function
+  | Lt -> "<"
+  | Le -> "<="
+  | Eq -> "=="
+  | Ge -> ">="
+  | Gt -> ">"
+  | Ne -> "!="
+
+let rec write_pred b p =
   match p with
-  | True -> Fmt.string ppf "true"
-  | False -> Fmt.string ppf "false"
-  | Cmp (a, rel, b) -> Fmt.pf ppf "%a %a %a" pp_expr a pp_rel rel pp_expr b
-  | And (a, b) -> Fmt.pf ppf "(%a && %a)" pp_pred a pp_pred b
-  | Or (a, b) -> Fmt.pf ppf "(%a || %a)" pp_pred a pp_pred b
-  | Not a -> Fmt.pf ppf "!(%a)" pp_pred a
+  | True -> Buffer.add_string b "true"
+  | False -> Buffer.add_string b "false"
+  | Cmp (x, rel, y) ->
+    write_expr b x;
+    Buffer.add_char b ' ';
+    Buffer.add_string b (rel_text rel);
+    Buffer.add_char b ' ';
+    write_expr b y
+  | And (x, y) -> write_connective b x " && " y
+  | Or (x, y) -> write_connective b x " || " y
+  | Not a ->
+    Buffer.add_string b "!(";
+    write_pred b a;
+    Buffer.add_char b ')'
+
+and write_connective b x op y =
+  Buffer.add_char b '(';
+  write_pred b x;
+  Buffer.add_string b op;
+  write_pred b y;
+  Buffer.add_char b ')'
+
+let text write v =
+  let b = Buffer.create 32 in
+  write b v;
+  Buffer.contents b
+
+let pp_expr ppf e = Fmt.string ppf (text write_expr e)
+let pp_rel ppf rel = Fmt.string ppf (rel_text rel)
+let pp_pred ppf p = Fmt.string ppf (text write_pred p)

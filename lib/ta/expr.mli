@@ -64,7 +64,15 @@ val eval_pred : (string -> int) -> pred -> bool
 val compile_expr : index:(string -> int) -> t -> int array -> int
 val compile_pred : index:(string -> int) -> pred -> int array -> bool
 
-(** {1 Pretty-printing} *)
+(** {1 Printing}
+
+    The writers append the canonical text that {!Xta.Print} embeds in
+    guards and updates: fully parenthesised binary operators, negative
+    literals as ["(-7)"].  The [pp_*] functions print the same text
+    through [Format], for diagnostics. *)
+
+val write_expr : Buffer.t -> t -> unit
+val write_pred : Buffer.t -> pred -> unit
 
 val pp_expr : Format.formatter -> t -> unit
 val pp_rel : Format.formatter -> rel -> unit

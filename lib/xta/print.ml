@@ -1,73 +1,136 @@
 open Ta
 
-let pp_clockcons ppf atoms = Clockcons.pp ppf atoms
+(* Store keys digest this text, so its layout is part of the key schema
+   (test/ref_print.ml pins it): a list comma (clocks, commit and urgent
+   names, resets, assigns) is followed by a newline at the enclosing
+   block's indentation, column 0 at top level and in a process body,
+   column 2 inside a [trans] item. *)
 
-let pp_state ppf (l : Model.location) =
-  if l.Model.loc_inv = [] then Fmt.string ppf l.Model.loc_name
-  else Fmt.pf ppf "%s { %a }" l.Model.loc_name pp_clockcons l.Model.loc_inv
+let add = Buffer.add_string
 
-let pp_kind_group ppf (kw, names) =
-  if names <> [] then
-    Fmt.pf ppf "  %s %a;@," kw Fmt.(list ~sep:comma string) names
+let add_list b ~sep write = function
+  | [] -> ()
+  | first :: rest ->
+    write b first;
+    List.iter
+      (fun x ->
+        add b sep;
+        write b x)
+      rest
 
-let pp_trans ppf (e : Model.edge) =
-  Fmt.pf ppf "%s -> %s {" e.Model.edge_src e.Model.edge_dst;
-  if e.Model.edge_guard <> [] then
-    Fmt.pf ppf " guard %a;" pp_clockcons e.Model.edge_guard;
-  (match e.Model.edge_pred with
-   | Expr.True -> ()
-   | pred -> Fmt.pf ppf " when %a;" Expr.pp_pred pred);
-  (match e.Model.edge_sync with
-   | Model.Tau -> ()
-   | Model.Send c -> Fmt.pf ppf " sync %s!;" c
-   | Model.Recv c -> Fmt.pf ppf " sync %s?;" c);
-  if e.Model.edge_resets <> [] then
-    Fmt.pf ppf " reset %a;" Fmt.(list ~sep:comma string) e.Model.edge_resets;
-  if e.Model.edge_updates <> [] then begin
-    let pp_update ppf (v, rhs) = Fmt.pf ppf "%s := %a" v Expr.pp_expr rhs in
-    Fmt.pf ppf " assign %a;" Fmt.(list ~sep:comma pp_update) e.Model.edge_updates
-  end;
-  Fmt.string ppf " }"
+let write_state b (l : Model.location) =
+  add b l.Model.loc_name;
+  if l.Model.loc_inv <> [] then begin
+    add b " { ";
+    Clockcons.write b l.Model.loc_inv;
+    add b " }"
+  end
 
-let pp_process ppf (a : Model.automaton) =
-  Fmt.pf ppf "@[<v>process %s {@," a.Model.aut_name;
-  Fmt.pf ppf "  @[<v>state@,  %a;@]@,"
-    Fmt.(list ~sep:(any ",@,  ") pp_state)
-    a.Model.aut_locations;
-  let of_kind kind =
+let write_kind_group b (a : Model.automaton) kw kind =
+  match
     List.filter_map
       (fun (l : Model.location) ->
         if l.Model.loc_kind = kind then Some l.Model.loc_name else None)
       a.Model.aut_locations
-  in
-  pp_kind_group ppf ("commit", of_kind Model.Committed);
-  pp_kind_group ppf ("urgent", of_kind Model.Urgent);
-  Fmt.pf ppf "  init %s;@," a.Model.aut_initial;
-  if a.Model.aut_edges <> [] then
-    Fmt.pf ppf "  @[<v>trans@,  %a;@]@,"
-      Fmt.(list ~sep:(any ",@,  ") pp_trans)
-      a.Model.aut_edges;
-  Fmt.pf ppf "}@]"
+  with
+  | [] -> ()
+  | names ->
+    add b "  ";
+    add b kw;
+    add b " ";
+    add_list b ~sep:",\n" add names;
+    add b ";\n"
 
-let network ppf (net : Model.network) =
-  Fmt.pf ppf "@[<v>network %s;@,@," net.Model.net_name;
-  if net.Model.net_clocks <> [] then
-    Fmt.pf ppf "clock %a;@,"
-      Fmt.(list ~sep:comma string)
-      net.Model.net_clocks;
+let write_update b (v, rhs) =
+  add b v;
+  add b " := ";
+  Expr.write_expr b rhs
+
+let write_trans b (e : Model.edge) =
+  add b e.Model.edge_src;
+  add b " -> ";
+  add b e.Model.edge_dst;
+  add b " {";
+  if e.Model.edge_guard <> [] then begin
+    add b " guard ";
+    Clockcons.write b e.Model.edge_guard;
+    add b ";"
+  end;
+  (match e.Model.edge_pred with
+   | Expr.True -> ()
+   | pred ->
+     add b " when ";
+     Expr.write_pred b pred;
+     add b ";");
+  (match e.Model.edge_sync with
+   | Model.Tau -> ()
+   | Model.Send c ->
+     add b " sync ";
+     add b c;
+     add b "!;"
+   | Model.Recv c ->
+     add b " sync ";
+     add b c;
+     add b "?;");
+  if e.Model.edge_resets <> [] then begin
+    add b " reset ";
+    add_list b ~sep:",\n  " add e.Model.edge_resets;
+    add b ";"
+  end;
+  if e.Model.edge_updates <> [] then begin
+    add b " assign ";
+    add_list b ~sep:",\n  " write_update e.Model.edge_updates;
+    add b ";"
+  end;
+  add b " }"
+
+let write_process b (a : Model.automaton) =
+  add b "process ";
+  add b a.Model.aut_name;
+  add b " {\n  state\n    ";
+  add_list b ~sep:",\n    " write_state a.Model.aut_locations;
+  add b ";\n";
+  write_kind_group b a "commit" Model.Committed;
+  write_kind_group b a "urgent" Model.Urgent;
+  add b "  init ";
+  add b a.Model.aut_initial;
+  add b ";\n";
+  if a.Model.aut_edges <> [] then begin
+    add b "  trans\n    ";
+    add_list b ~sep:",\n    " write_trans a.Model.aut_edges;
+    add b ";\n"
+  end;
+  add b "}"
+
+let to_string (net : Model.network) =
+  let b = Buffer.create 4096 in
+  add b "network ";
+  add b net.Model.net_name;
+  add b ";\n\n";
+  if net.Model.net_clocks <> [] then begin
+    add b "clock ";
+    add_list b ~sep:",\n" add net.Model.net_clocks;
+    add b ";\n"
+  end;
   List.iter
     (fun (v, d) ->
-      Fmt.pf ppf "int[%d,%d] %s = %d;@," d.Model.var_min d.Model.var_max v
-        d.Model.var_init)
+      add b "int[";
+      add b (string_of_int d.Model.var_min);
+      add b ",";
+      add b (string_of_int d.Model.var_max);
+      add b "] ";
+      add b v;
+      add b " = ";
+      add b (string_of_int d.Model.var_init);
+      add b ";\n")
     net.Model.net_vars;
   List.iter
     (fun (c, kind) ->
-      match kind with
-      | Model.Binary -> Fmt.pf ppf "chan %s;@," c
-      | Model.Broadcast -> Fmt.pf ppf "broadcast chan %s;@," c)
+      add b
+        (match kind with Model.Binary -> "chan " | Model.Broadcast -> "broadcast chan ");
+      add b c;
+      add b ";\n")
     net.Model.net_channels;
-  Fmt.pf ppf "@,%a@]"
-    Fmt.(list ~sep:(any "@,@,") pp_process)
-    net.Model.net_automata
-
-let to_string net = Fmt.str "%a" network net
+  add b "\n";
+  add_list b ~sep:"\n\n" write_process net.Model.net_automata;
+  Buffer.contents b

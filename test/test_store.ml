@@ -255,11 +255,39 @@ let test_key_perturbation () =
   Alcotest.(check bool) "query text feeds the key" false
     (Store.D128.equal
        (Store.Key.digest ~query:"E<> P.Busy" net)
-       (Store.Key.digest ~query:"E<> P.Idle" net));
-  Alcotest.(check bool) "explorer flags feed the key" false
-    (Store.D128.equal
-       (Store.Key.digest ~lu:true ~query:"E<> P.Busy" net)
-       (Store.Key.digest ~lu:false ~query:"E<> P.Busy" net))
+       (Store.Key.digest ~query:"E<> P.Idle" net))
+
+(* Keys, digests and manifests computed before the canonical printer
+   moved from Format to Buffer writers.  Every one must hold bit for
+   bit: a moved key orphans every store entry, session and snapshot
+   written before it. *)
+let test_golden_keys () =
+  let hex label expect d = Alcotest.(check string) label expect (Store.D128.to_hex d) in
+  let psm = Test_xta.load_model "gpca_bolus_psm.xta" in
+  let mimos = Test_xta.load_model "mimos_pipeline.xta" in
+  let query text =
+    match Mc.Query.parse text with
+    | Ok q -> q
+    | Error msg -> Alcotest.failf "query %S: %s" text msg
+  in
+  hex "network_digest gpca_bolus_psm" "2c16419bb93b4f9f2babb59b1a927aaa"
+    (Store.Key.network_digest psm);
+  hex "network_digest mimos_pipeline" "3649bc2b1386c4692cd4ebb414bc80ac"
+    (Store.Key.network_digest mimos);
+  hex "qcache key gpca_bolus_psm reach" "73ab009f1c824ad334edb0483a0e4eb2"
+    (Analysis.Qcache.key psm (query "E<> Pump_IO.Infusing"));
+  hex "qcache key gpca_bolus_psm sup" "1b7a2f45b4589247995be230c76c9ed4"
+    (Analysis.Qcache.key psm
+       (query "sup: m_BolusReq -> c_StartInfusion ceiling 2860"));
+  let inst = Diff.Gen.instance ~seed:42 ~index:3 Diff.Gen.Psm_scheme in
+  Alcotest.(check string) "generated query" "sup: m_req -> c_ack ceiling 64"
+    (Mc.Query.to_string (Diff.Gen.query inst));
+  hex "qcache key Psm_scheme seed 42 index 3" "6aaad603a24c72d6b634b353af9a71b0"
+    (Analysis.Qcache.key inst.Diff.Gen.net (Diff.Gen.query inst));
+  hex "manifest gpca_bolus_psm" "6c4bd17a33dcd4ecc8e40767902ae804"
+    (Store.Key.manifest_digest (Store.Key.manifest psm));
+  hex "manifest mimos_pipeline" "f946e89c4cf6361f0ef86592a4176064"
+    (Store.Key.manifest_digest (Store.Key.manifest mimos))
 
 (* --- entries -------------------------------------------------------------- *)
 
@@ -669,6 +697,7 @@ let suite =
       test_key_stability;
     Alcotest.test_case "key changes under perturbation" `Quick
       test_key_perturbation;
+    Alcotest.test_case "golden keys and manifests" `Quick test_golden_keys;
     Alcotest.test_case "entry json round-trip" `Quick test_entry_json_roundtrip;
     Alcotest.test_case "budget dominance" `Quick test_budget_dominance;
     Alcotest.test_case "reuse rule" `Quick test_reusable;
