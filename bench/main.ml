@@ -533,6 +533,15 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
         jobs_list
   in
   let gate_violations = ref [] in
+  (* The output file is opened before the first query runs, so an
+     unwritable path fails in a moment, not after the whole suite. *)
+  let out =
+    Option.map
+      (fun p ->
+        try (p, open_out p)
+        with Sys_error msg -> prerr_endline ("bench: --json: " ^ msg); exit 3)
+      path
+  in
   let cache =
     Option.map
       (fun dir ->
@@ -670,10 +679,9 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
       faults_field
       (String.concat ",\n" rows)
   in
-  (match path with
+  (match out with
    | None -> print_string body
-   | Some p ->
-     let oc = open_out p in
+   | Some (p, oc) ->
      output_string oc body;
      close_out oc;
      Printf.printf "wrote %s\n" p);
@@ -755,8 +763,9 @@ let gpca_mc_zones psm =
    one run is one whole replay, each zone through a pool copy as [fire]
    would have made it.  [expanding] is -1 throughout: the replay never
    reads a parent's zone again, so a subsumed parent may go back to the
-   pool. *)
-let passed_replay offers discrete =
+   pool.  The search's ExtraM constants [k] size the keys' lanes, as in
+   the search. *)
+let passed_replay k offers discrete =
   let module P = Mc.Explorer.Passed in
   let dim = Zone.Dbm.dim (snd offers.(0)) in
   let pool = Zone.Dbm.Pool.create dim in
@@ -765,7 +774,7 @@ let passed_replay offers discrete =
       st_zone = zone }
   in
   fun () ->
-    let p = P.create ~subsume:true pool in
+    let p = P.create ~subsume:true ~max_const:(Array.fold_left max 0 k) pool in
     let nodes =
       Array.mapi
         (fun h d -> P.node ~hash:h (state d (Zone.Dbm.zero dim)))
@@ -863,7 +872,7 @@ let bechamel_suite () =
       Test.make ~name:"infra:dbm-pool-copy" (on_zones (fun _ _ -> ()));
       (* reported per offer, below *)
       Test.make ~name:"infra:passed-add-gpca-mc"
-        (Staged.stage (passed_replay offers discrete));
+        (Staged.stage (passed_replay k offers discrete));
       Test.make ~name:"infra:dbm-extrapolate-gpca-mc"
         (on_zones (fun _ z -> Zone.Dbm.extrapolate z k));
       (* A tightening constraint per zone: clock [1 + r mod 8]'s upper

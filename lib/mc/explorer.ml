@@ -152,6 +152,15 @@ let compiled t = t.comp
 
 let fresh_pool t = Zone.Dbm.Pool.create (t.comp.Compiled.c_nclocks + 1)
 
+(* The largest constant a stored zone is extrapolated against, monitor
+   ceilings included: it sizes the lanes of the subsumption keys. *)
+let max_const t =
+  let top = Array.fold_left max 0 in
+  List.fold_left
+    (fun m (_, c) -> max m c)
+    (max (top t.k) (max (top t.lconsts) (top t.uconsts)))
+    t.mon_ceiling
+
 (* DBM index and exact-reporting ceiling of a (typically monitor) clock,
    as used by sup queries. *)
 let monitor_clock_info t clock =
@@ -501,13 +510,13 @@ type entry = {
    comparison here.
 
    Entries occupy the slots [pw_live.(0 .. pw_len-1)] in insertion
-   order, and [pw_keys] holds their {!Zone.Dbm.write_key} keys, [key_len]
+   order, and [pw_keys] holds their {!Zone.Dbm.Key} keys, [Key.len]
    ints per slot at the same index, so a subsumption scan reads one flat
    int array and dereferences an entry only when its key passes.  A
    killed entry leaves a hole until the node is compacted ([pw_holes]
    counts them).  Every full block of {!Passed.block} slots has two
-   summaries, [key_len] ints per block in [pw_bmax] and [pw_bmin]: the
-   componentwise max and min of the keys of its live entries. *)
+   summaries, [Key.len] ints per block in [pw_bmax] and [pw_bmin]: the
+   lane-wise max and min of the keys of its live entries. *)
 type pw_node = {
   pw_hash : int;
   pw_locs : int array;
@@ -546,20 +555,23 @@ module Passed = struct
 
   let slots n = n.pw_len
 
-  (* Per-search scratch: the dedup mode, the newcomer's key, the indices
-     of the entries it covers, and the dead entry that fills holes and
-     unused slots, so a slot never pins a killed entry or its zone. *)
+  (* Per-search scratch: the dedup mode, the key layout, the newcomer's
+     key, the indices of the entries it covers, and the dead entry that
+     fills holes and unused slots, so a slot never pins a killed entry or
+     its zone. *)
   type t = {
     subsume : bool;
     pool : Zone.Dbm.Pool.t;
+    fmt : Zone.Dbm.Key.t;
     klen : int;
     nkey : int array;
     mutable kills : int array;
     hole : entry;
   }
 
-  let create ~subsume pool =
-    let klen = Zone.Dbm.key_len (Zone.Dbm.Pool.dim pool) in
+  let create ~subsume ~max_const pool =
+    let fmt = Zone.Dbm.Key.make ~dim:(Zone.Dbm.Pool.dim pool) ~max_const in
+    let klen = Zone.Dbm.Key.len fmt in
     let hole =
       { e_id = -1;
         e_state =
@@ -567,18 +579,8 @@ module Passed = struct
             st_zone = Zone.Dbm.zero 1 };
         e_dead = true }
     in
-    { subsume; pool; klen; nkey = Array.make klen 0; kills = [||]; hole }
-
-  (* [a.(ao + p) >= b.(bo + p)] at every [p < len]: the key of the zone
-     at [bo] is dominated by the one at [ao].  A plain loop, not a local
-     closure: this is the innermost loop of the search. *)
-  let key_ge (a : int array) ao (b : int array) bo len =
-    let p = ref 0 in
-    while !p < len && Array.unsafe_get a (ao + !p) >= Array.unsafe_get b (bo + !p)
-    do
-      incr p
-    done;
-    !p = len
+    { subsume; pool; fmt; klen; nkey = Array.make klen 0; kills = [||];
+      hole }
 
   (* Key copies into the node's long-lived arrays: a typed loop, as in
      {!Zone.Dbm.Pool.copy}, since [Array.blit] would run [caml_modify]
@@ -591,26 +593,18 @@ module Passed = struct
   (* The newcomer's key goes to [sc.nkey]; its head is returned. *)
   let write_key sc z =
     let head = if sc.subsume then Zone.Dbm.weight z else Zone.Dbm.hash z in
-    Zone.Dbm.write_key z ~head sc.nkey 0;
+    Zone.Dbm.Key.write sc.fmt z ~head sc.nkey 0;
     head
 
   (* Rebuild block [b]'s summaries from its live slots.  A block of
-     holes gets max [min_int] and min [max_int], which fail both block
+     holes keeps the cleared summaries, which fail both block
      compares. *)
   let summarise sc n b =
-    let klen = sc.klen and keys = n.pw_keys in
-    let bmax = n.pw_bmax and bmin = n.pw_bmin and o = b * klen in
-    for p = o to o + klen - 1 do
-      bmax.(p) <- min_int;
-      bmin.(p) <- max_int
-    done;
+    let max = n.pw_bmax and min = n.pw_bmin and o = b * sc.klen in
+    Zone.Dbm.Key.summary_clear sc.fmt ~max ~min o;
     for s = b * block to ((b + 1) * block) - 1 do
       if not n.pw_live.(s).e_dead then
-        for p = 0 to klen - 1 do
-          let k = keys.((s * klen) + p) in
-          if k > bmax.(o + p) then bmax.(o + p) <- k;
-          if k < bmin.(o + p) then bmin.(o + p) <- k
-        done
+        Zone.Dbm.Key.summary_add sc.fmt ~max ~min o n.pw_keys (s * sc.klen)
     done
 
   (* Append [e], whose key is in [sc.nkey], and summarise the block it
@@ -640,15 +634,11 @@ module Passed = struct
     n.pw_len <- s + 1;
     if sc.subsume && (s + 1) mod block = 0 then summarise sc n (s / block)
 
-  (* Make slot [i] a hole.  Its key fails both compares within two
-     positions: no weight reaches [max_int], so no newcomer's key
-     dominates it, and position 1, entry (0, 0) of a non-empty zone, is
-     [le 0] > [min_int], so it dominates no newcomer's key.  Summaries
-     built earlier still bound the remaining live keys. *)
+  (* Make slot [i] a hole: its key fails both compares at the head or
+     the first word ({!Zone.Dbm.Key.hole}).  Summaries built earlier
+     still bound the remaining live keys. *)
   let punch sc n i =
-    let off = i * sc.klen in
-    n.pw_keys.(off) <- max_int;
-    n.pw_keys.(off + 1) <- min_int;
+    Zone.Dbm.Key.hole sc.fmt n.pw_keys (i * sc.klen);
     n.pw_live.(i) <- sc.hole;
     n.pw_holes <- n.pw_holes + 1
 
@@ -701,7 +691,7 @@ module Passed = struct
      the entry order. *)
   let add sc n ~expanding ~id st =
     let z = st.st_zone in
-    let klen = sc.klen and nk = sc.nkey in
+    let fmt = sc.fmt and klen = sc.klen and nk = sc.nkey in
     let head = write_key sc z in
     let keys = n.pw_keys and live = n.pw_live in
     let covered = ref false and nkills = ref 0 and i = ref (n.pw_len - 1) in
@@ -716,16 +706,16 @@ module Passed = struct
         if !i < !lo then begin
           decr b;
           lo := !b * block;
-          cover := key_ge n.pw_bmax (!b * klen) nk 0 klen;
-          kill := key_ge nk 0 n.pw_bmin (!b * klen) klen;
+          cover := Zone.Dbm.Key.ge fmt n.pw_bmax (!b * klen) nk 0;
+          kill := Zone.Dbm.Key.ge fmt nk 0 n.pw_bmin (!b * klen);
           if not (!cover || !kill) then i := !lo - 1
         end
         else begin
           let off = !i * klen in
-          if !cover && key_ge keys off nk 0 klen
+          if !cover && Zone.Dbm.Key.ge fmt keys off nk 0
              && Zone.Dbm.includes live.(!i).e_state.st_zone z
           then covered := true
-          else if !kill && key_ge nk 0 keys off klen
+          else if !kill && Zone.Dbm.Key.ge fmt nk 0 keys off
                   && Zone.Dbm.includes z live.(!i).e_state.st_zone
           then begin
             sc.kills.(!nkills) <- !i;
@@ -737,7 +727,7 @@ module Passed = struct
     end
     else
       while (not !covered) && !i >= 0 do
-        if keys.(!i * klen) = head
+        if Zone.Dbm.Key.head keys (!i * klen) = head
            && Zone.Dbm.equal live.(!i).e_state.st_zone z
         then covered := true;
         decr i
@@ -771,20 +761,24 @@ type progress = {
 }
 
 (* Single stats hook for progress output.  [PSV_MC_PROGRESS] is consulted
-   once, not per state; [set_progress_hook] overrides the default
-   stderr printer. *)
+   once, when the program starts, not per state; [set_progress_hook]
+   overrides the default stderr printer. *)
 let progress_hook : (progress -> unit) option ref = ref None
 
 let set_progress_hook h = progress_hook := h
 
+(* Read at module initialisation, not lazily: a [Lazy.t] forced by two
+   domains at once raises [Lazy.Undefined] in one of them, and two
+   domains can start their first searches together (a query batch run
+   by [Analysis.Queries.pool_map] at [jobs > 1]).  No test can make that
+   window deterministic, so nothing here is forced at search time. *)
 let env_progress =
-  lazy
-    (if Sys.getenv_opt "PSV_MC_PROGRESS" <> None then
-       Some
-         (fun p ->
-           Printf.eprintf "[mc] visited %d stored %d queue %d\n%!" p.pr_visited
-             p.pr_stored p.pr_queue)
-     else None)
+  if Sys.getenv_opt "PSV_MC_PROGRESS" <> None then
+    Some
+      (fun p ->
+        Printf.eprintf "[mc] visited %d stored %d queue %d\n%!" p.pr_visited
+          p.pr_stored p.pr_queue)
+  else None
 
 let hash_discrete locs vars mon =
   let h = ref (mon + 0x9e3779b9) in
@@ -1086,12 +1080,13 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
   Option.iter (check_snapshot t ~label ~subsume) resume;
   (* the one table of a jobs = 1 search keeps its historical size: the
      size fixes the table's iteration order, hence a snapshot's bytes *)
+  let max_const = max_const t in
   let parts =
     Array.init jobs (fun i ->
         let pool = fresh_pool t in
         { pt_index = i;
           pt_pool = pool;
-          pt_passed = Passed.create ~subsume pool;
+          pt_passed = Passed.create ~subsume ~max_const pool;
           pt_nodes = Hashtbl.create (if par then 256 else 4096);
           pt_waiting = Levels.create ();
           pt_trace = Array.make 1024 (-1, []);
@@ -1146,7 +1141,7 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
   let crashed exn = halt (Crashed (exn, Printexc.get_backtrace ())) in
   let supervised f = if par then try f () with exn -> crashed exn else f () in
   let progress =
-    match !progress_hook with Some h -> Some h | None -> Lazy.force env_progress
+    match !progress_hook with Some h -> Some h | None -> env_progress
   in
   (* trace rows of a resumed snapshot, edges looked up by (automaton,
      declaration index) *)

@@ -361,8 +361,9 @@ module Passed : sig
   type node
 
   (** Slots per summarised block: every full block of slots keeps the
-      componentwise max and min of its live entries' keys, so one
-      compare can rule out the whole block as covers or as victims. *)
+      lane-wise max and min of its live entries' {!Zone.Dbm.Key} keys,
+      so one compare can rule out the whole block as covers or as
+      victims. *)
   val block : int
 
   (** [node ~hash st] is an empty node for [st]'s discrete part;
@@ -380,10 +381,13 @@ module Passed : sig
       subsumed zones return to. *)
   type t
 
-  (** [create ~subsume pool]: with [subsume], dedup by zone inclusion
-      (and drop live entries a new zone includes); without, by zone
-      equality. *)
-  val create : subsume:bool -> Zone.Dbm.Pool.t -> t
+  (** [create ~subsume ~max_const pool]: with [subsume], dedup by zone
+      inclusion (and drop live entries a new zone includes); without,
+      by zone equality.  [max_const] is the largest extrapolation
+      constant of the stored zones; it sizes the keys' lanes
+      ({!Zone.Dbm.Key.make}), and zones with larger bounds are still
+      handled exactly, with less pruning by the keys. *)
+  val create : subsume:bool -> max_const:int -> Zone.Dbm.Pool.t -> t
 
   (** [add p n ~expanding ~id st] offers [st], a state of [n]'s discrete
       part with a non-empty zone.  If a live entry covers it, [st]'s

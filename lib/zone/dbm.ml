@@ -235,24 +235,154 @@ let weight z =
   done;
   !s
 
-(* Key layout, [key_len n = 2n] ints: [head], then row 0 (entries
-   (0, 0) .. (0, n-1)), then column 0 below the diagonal ((1, 0) ..
-   (n-1, 0)).  For non-empty [a] and [b], [includes a b] is pointwise
-   [b.m <= a.m], so with [head = weight] the key of [b] is <= the key of
-   [a] at every position: a failed key compare refutes inclusion
-   without touching the matrices.  Keys go to long-lived arrays, so the
-   copies are typed loops (see [Pool.copy]). *)
-let key_len n = 2 * n
+(* --- subsumption keys -------------------------------------------------- *)
 
-let write_key z ~head keys off =
-  let n = z.n in
-  keys.(off) <- head;
-  for j = 0 to n - 1 do
-    keys.(off + 1 + j) <- z.m.(j)
-  done;
-  for i = 1 to n - 1 do
-    keys.(off + n + i) <- z.m.(i * n)
-  done
+(* A key is the caller's full-int [head], then the zone's clock bounds
+   packed into lanes: the upper bounds (column 0) from the highest clock
+   down, then the lower bounds (row 0) likewise; entry (0, 0) is [le 0]
+   in every non-empty zone and is left out.  A lane is [width] bits, the
+   top one a guard bit that is 0 in every key; [lanes] lanes share an
+   int, lane [q] of a word at bits [q * width ..].
+
+   The lane map is monotone: a finite bound [b] becomes [b + bias]
+   clamped to [0 .. top - 1], and [Bound.infinity] becomes [top], the
+   largest [width - 1]-bit value.  [bias] is twice the largest constant
+   [c] the searched zones compare against, so every bound of an
+   extrapolated zone, from [lt (-c)] up to [le c], maps unclamped.
+   Since [includes a b] is pointwise [b.m <= a.m] and the map is
+   monotone, it implies [b]'s lanes are [<=] [a]'s, and a head of
+   {!weight} keeps that at the head too.  Clamping only merges values,
+   so a bound outside the range costs pruning power, never soundness.
+
+   With [G] the guard bits of a word, [(a lor G) - b] subtracts lane by
+   lane without borrowing across lanes (each lane computes
+   [2^(width-1) + a_q - b_q >= 1]), and lane [q]'s guard bit survives
+   iff [a_q >= b_q]: one subtraction tests a whole word. *)
+module Key = struct
+  type zone = t
+
+  type t = {
+    k_dim : int;
+    width : int;
+    lanes : int;
+    words : int;
+    bias : int;
+    top : int;
+    guard : int;  (* the guard bits of every lane of a word *)
+    value : int;  (* the value bits of every lane of a word *)
+  }
+
+  let bits_for v =
+    let rec go b = if 1 lsl b > v then b else go (b + 1) in
+    go 1
+
+  let make ~dim ~max_const =
+    assert (dim >= 1);
+    let c = min (max max_const 0) ((1 lsl 28) - 1) in
+    (* finite lane values run to [4c + 1] and [top] sits above them *)
+    let width = bits_for ((4 * c) + 2) + 1 in
+    let lanes = Sys.int_size / width in
+    let words = max 1 ((2 * (dim - 1) + lanes - 1) / lanes) in
+    let guard = ref 0 in
+    for q = 0 to lanes - 1 do
+      guard := !guard lor (1 lsl ((q * width) + width - 1))
+    done;
+    let guard = !guard in
+    { k_dim = dim; width; lanes; words; bias = 2 * c;
+      top = (1 lsl (width - 1)) - 1; guard;
+      value = guard - (guard lsr (width - 1)) }
+
+  let len f = 1 + f.words
+  let width f = f.width
+  let lanes f = f.lanes
+
+  let[@inline] lane f b =
+    if b = inf then f.top
+    else if b >= f.top - 1 - f.bias then f.top - 1
+    else if b <= - f.bias then 0
+    else b + f.bias
+
+  (* Lane [q] is column 0 of clock [n - 1 - q], then row 0 of clock
+     [2n - 2 - q]; the words fill from bit 0 up, with no division. *)
+  let write f (z : zone) ~head keys off =
+    assert (z.n = f.k_dim);
+    let n = z.n and m = z.m in
+    keys.(off) <- head;
+    let w = ref (off + 1) and acc = ref 0 and shift = ref 0 in
+    let full = f.lanes * f.width in
+    for q = 0 to (2 * (n - 1)) - 1 do
+      let b = if q < n - 1 then m.((n - 1 - q) * n) else m.((2 * n) - 2 - q) in
+      acc := !acc lor (lane f b lsl !shift);
+      shift := !shift + f.width;
+      if !shift = full then begin
+        keys.(!w) <- !acc;
+        incr w;
+        acc := 0;
+        shift := 0
+      end
+    done;
+    while !w <= off + f.words do
+      keys.(!w) <- !acc;
+      incr w;
+      acc := 0
+    done
+
+  let head (keys : int array) off = keys.(off)
+
+  (* A plain loop, not a local closure: this is the innermost loop of
+     the search. *)
+  let ge f (a : int array) ao (b : int array) bo =
+    Array.unsafe_get a ao >= Array.unsafe_get b bo
+    &&
+    let g = f.guard and stop = f.words in
+    let p = ref 1 in
+    while
+      !p <= stop
+      && ((Array.unsafe_get a (ao + !p) lor g) - Array.unsafe_get b (bo + !p))
+         land g
+         = g
+    do
+      incr p
+    done;
+    !p > stop
+
+  (* No weight reaches [max_int], so no key dominates a hole.  A non-empty
+     zone's first lane, the upper bound of clock [dim - 1], is at least
+     [le 0] and maps above 0, so a hole's all-zero first word dominates
+     no key.  (At dim 1 there are no lanes, but every non-empty zone is
+     equal there, so a store never kills an entry and makes no hole.) *)
+  let hole f keys off =
+    keys.(off) <- max_int;
+    for w = 1 to f.words do
+      keys.(off + w) <- 0
+    done
+
+  let summary_clear f ~max ~min off =
+    max.(off) <- min_int;
+    min.(off) <- max_int;
+    for w = 1 to f.words do
+      max.(off + w) <- 0;
+      min.(off + w) <- f.value
+    done
+
+  (* The value bits of every lane of [a] that is [>=] the same lane of
+     [b]: each surviving guard bit, less one. *)
+  let ge_mask f a b =
+    let t = ((a lor f.guard) - b) land f.guard in
+    t - (t lsr (f.width - 1))
+
+  let summary_add f ~max ~min off (keys : int array) ko =
+    let k = keys.(ko) in
+    if k > max.(off) then max.(off) <- k;
+    if k < min.(off) then min.(off) <- k;
+    for w = 1 to f.words do
+      let k = keys.(ko + w) and hi = max.(off + w) and lo = min.(off + w) in
+      let m = ge_mask f hi k in
+      max.(off + w) <- (hi land m) lor (k land lnot m);
+      let m = ge_mask f k lo in
+      min.(off + w) <- (lo land m) lor (k land lnot m)
+    done
+end
 
 let to_ints z = Array.copy z.m
 

@@ -85,28 +85,90 @@ val weight : t -> int
 
 (** {2 Subsumption keys}
 
-    A key is a flat summary of a zone that refutes most inclusions with
-    a few integer compares: [key_len dim = 2 * dim] ints, laid out as a
-    caller-chosen [head] (the {!weight}, for inclusion probes), then
-    row 0 of the matrix (the [(0, j)] entries, [j = 0 .. dim-1]), then
-    column 0 below the diagonal (the [(i, 0)] entries,
-    [i = 1 .. dim-1]) — each clock's lower and upper bound.
+    A key is a flat summary of a non-empty zone that refutes most
+    inclusions with a few integer compares, and the only place that
+    knows its layout is this module.  It is a caller-chosen full-int
+    [head] (the {!weight}, for inclusion probes), then the zone's clock
+    bounds packed several to a machine word: the upper bounds (column 0)
+    from the highest clock index down, then the lower bounds (row 0)
+    likewise.  Entry (0, 0) is [le 0] in every non-empty zone and is
+    left out.  A bound becomes a small {e lane} value by a monotone map
+    (strict below non-strict at one constant, [Bound.infinity] the top
+    value), and the lane width is derived from the largest constant the
+    searched zones compare against, so that every bound of an
+    extrapolated zone maps to a distinct value.  Bounds outside that
+    range are clamped, which is monotone too: they lose pruning power,
+    never soundness.  Unused lanes of the last word are 0 in every key.
 
     {b Soundness.}  For non-empty [a] and [b], [includes a b] holds iff
-    every encoded bound of [b] is [<=] the matching bound of [a]; row 0
-    and column 0 are such bounds, and {!weight} is monotone in them.  So
-    with [head = weight], [includes a b] implies that the key of [b] is
-    [<=] the key of [a] at {e every} position, and a single position
-    where it is greater proves [not (includes a b)].  The premise
-    matters: an empty [b] is included in everything whatever its key,
-    so keys prefilter only stores of non-empty zones (the explorer never
-    stores an empty one). *)
+    every encoded bound of [b] is [<=] the matching bound of [a]; the
+    lanes are monotone images of such bounds, and {!weight} is monotone
+    in them.  So with [head = weight], [includes a b] implies
+    [ge fmt ka kb] for their keys, and [not (ge fmt ka kb)] proves
+    [not (includes a b)].  The premise matters: an empty [b] is included
+    in everything whatever its key, so keys prefilter only stores of
+    non-empty zones (the explorer never stores an empty one). *)
+module Key : sig
+  type zone := t
 
-val key_len : int -> int
+  (** The layout of the keys of one search: dimension and lane width. *)
+  type t
 
-(** [write_key z ~head keys off] writes [z]'s key into
-    [keys.(off) .. keys.(off + key_len (dim z) - 1)]. *)
-val write_key : t -> head:int -> int array -> int -> unit
+  (** [make ~dim ~max_const] lays out keys of [dim]-dimensional zones
+      whose extrapolation constants are at most [max_const].  Each lane
+      holds the [4 * max_const + 3] values from [lt (-max_const)] to
+      [le max_const] and infinity, plus a guard bit, and a word holds as
+      many lanes as fit in an [int]: four 15-bit lanes up to
+      [max_const = 4095], three up to [262143], two beyond, where
+      constants past [2{^28} - 1] are clamped. *)
+  val make : dim:int -> max_const:int -> t
+
+  (** Ints per key: the head and the packed words. *)
+  val len : t -> int
+
+  (** Bits per lane, guard bit included. *)
+  val width : t -> int
+
+  (** Lanes per word. *)
+  val lanes : t -> int
+
+  (** The lane value of an encoded bound: monotone in the bound,
+      [Bound.infinity] the largest value, finite bounds clamped below
+      it. *)
+  val lane : t -> Bound.t -> int
+
+  (** [write fmt z ~head keys off] writes [z]'s key into [keys.(off)
+      .. keys.(off + len fmt - 1)].  [z] has [fmt]'s dimension. *)
+  val write : t -> zone -> head:int -> int array -> int -> unit
+
+  (** The head of the key at [off]. *)
+  val head : int array -> int -> int
+
+  (** [ge fmt a ao b bo]: the key at [a.(ao)] dominates the one at
+      [b.(bo)], head and every lane [>=].  One subtraction tests all
+      the lanes of a word. *)
+  val ge : t -> int array -> int -> int array -> int -> bool
+
+  (** [hole fmt keys off] overwrites the key at [off] with one that
+      dominates no key and that no key dominates: head [max_int] (no
+      {!weight} reaches it) and an all-zero first word (the first lane
+      of a non-empty zone, an upper bound, is never 0).  At dim 1 keys
+      have no lanes and a hole dominates every key; there all non-empty
+      zones are equal, so a store never kills and has no holes. *)
+  val hole : t -> int array -> int -> unit
+
+  (** [summary_clear fmt ~max ~min off] starts an empty block summary
+      at [off] in both arrays: a max that dominates no key and a min
+      that no key dominates. *)
+  val summary_clear : t -> max:int array -> min:int array -> int -> unit
+
+  (** [summary_add fmt ~max ~min off keys ko] widens the summary at
+      [off] by the key at [keys.(ko)]: [max] becomes the lane-wise
+      (and head) maximum of both, [min] the minimum, so [max] dominates
+      every key added and every key added dominates [min]. *)
+  val summary_add :
+    t -> max:int array -> min:int array -> int -> int array -> int -> unit
+end
 
 (** [to_ints z] is the raw encoded bound matrix, row-major, as a fresh
     array — the serialization counterpart of {!of_ints}.  The encoding

@@ -292,12 +292,19 @@ let prop_hash_respects_equal =
 (* The explorer tests [includes a b] only when [a]'s weight and key
    dominate [b]'s, so the prefilter must never reject a true inclusion.
    Random pairs rarely nest, so [b] is also derived from [a] by further
-   constraints, which keeps it inside [a] by construction. *)
+   constraints, which keeps it inside [a] by construction.  The random
+   zones' constants lie within 8: keys are tested in a layout that fits
+   them and in one that clamps every bound past 1. *)
 
-let key z =
-  let k = Array.make (Dbm.key_len (Dbm.dim z)) 0 in
-  Dbm.write_key z ~head:(Dbm.weight z) k 0;
+let key fmt z =
+  let k = Array.make (Dbm.Key.len fmt) 0 in
+  Dbm.Key.write fmt z ~head:(Dbm.weight z) k 0;
   k
+
+let fitting = Dbm.Key.make ~dim:Gen.dbm_dims ~max_const:8
+let clamping = Dbm.Key.make ~dim:Gen.dbm_dims ~max_const:1
+
+let dominates fmt a b = Dbm.Key.ge fmt (key fmt a) 0 (key fmt b) 0
 
 let arb_nested =
   let constrain_only =
@@ -329,9 +336,196 @@ let prefilter_props =
   included_pairs "includes implies weight order" (fun a b ->
       Dbm.weight a >= Dbm.weight b)
   @ included_pairs "includes implies key dominance" (fun a b ->
-        Array.for_all2 (fun ka kb -> kb <= ka) (key a) (key b))
+        dominates fitting a b && dominates clamping a b)
   @ included_pairs "equal weights and inclusion imply equal" (fun a b ->
         Dbm.weight a <> Dbm.weight b || Dbm.equal a b)
+
+(* --- key layout ------------------------------------------------------------ *)
+
+(* The lane map at its edges, in a layout for constants up to 100. *)
+let test_key_lane_edges () =
+  let fmt = Dbm.Key.make ~dim:9 ~max_const:100 in
+  let lane = Dbm.Key.lane fmt in
+  let top = (1 lsl (Dbm.Key.width fmt - 1)) - 1 in
+  let ordered what bounds =
+    let lanes = List.map lane bounds in
+    Alcotest.(check bool) what true
+      (List.for_all2 ( < ) (List.rev (List.tl (List.rev lanes))) (List.tl lanes))
+  in
+  ordered "strict below non-strict at one constant"
+    Bound.[ lt 5; le 5; lt 6; le 6 ];
+  ordered "negative row-0 bounds keep their order"
+    Bound.[ lt (-100); le (-100); lt (-3); le (-3); lt 0; zero ];
+  Alcotest.(check int) "the lowest constant maps to 0" 0 (lane (Bound.lt (-100)));
+  Alcotest.(check int) "infinity is the top lane" top (lane Bound.infinity);
+  ordered "the highest constant sits below infinity"
+    Bound.[ lt 100; le 100; infinity ];
+  Alcotest.(check int) "clamped below" 0 (lane (Bound.lt (-101)));
+  Alcotest.(check int) "clamped far below" 0 (lane (Bound.le (-1_000_000)));
+  Alcotest.(check int) "clamped above" (top - 1) (lane (Bound.le 1_000_000));
+  Alcotest.(check bool) "clamping is monotone" true
+    (lane (Bound.le 100) <= lane (Bound.lt 101) && lane (Bound.lt 101) < top)
+
+(* Lane widths and words per key as the constants grow: small constants
+   pack more lanes into a word. *)
+let test_key_sizes () =
+  let shape max_const =
+    let fmt = Dbm.Key.make ~dim:9 ~max_const in
+    (Dbm.Key.width fmt, Dbm.Key.lanes fmt)
+  in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "six 10-bit lanes" (10, 6) (shape 100);
+  Alcotest.check pair "four 15-bit lanes" (15, 4) (shape 4095);
+  Alcotest.check pair "three 16-bit lanes" (16, 3) (shape 4096);
+  Alcotest.check pair "three lanes at 262143" (21, 3) (shape 262143);
+  Alcotest.check pair "two lanes past it" (22, 2) (shape 262144);
+  Alcotest.check pair "huge constants clamp at two lanes" (31, 2)
+    (shape (1 lsl 40));
+  let lens max_const =
+    List.map
+      (fun dim -> Dbm.Key.len (Dbm.Key.make ~dim ~max_const))
+      [ 1; 2; 3; 5; 9 ]
+  in
+  Alcotest.(check (list int)) "ints per key, 6 lanes" [ 2; 2; 2; 3; 4 ] (lens 100);
+  Alcotest.(check (list int)) "ints per key, 4 lanes" [ 2; 2; 2; 3; 5 ]
+    (lens 4095);
+  Alcotest.(check (list int)) "ints per key, 3 lanes" [ 2; 2; 3; 4; 7 ]
+    (lens 9000)
+
+(* The unused lanes of a partial last word are 0, and a hole key
+   dominates nothing and is dominated by nothing. *)
+let test_key_partial_word_and_hole () =
+  let fmt = Dbm.Key.make ~dim:3 ~max_const:9000 in
+  let z = Dbm.zero 3 in
+  Dbm.up z;
+  Dbm.constrain z 1 0 (Bound.le 20);
+  let k = key fmt z in
+  Alcotest.(check int) "last word holds one lane" 0
+    (k.(2) lsr (Dbm.Key.width fmt - 1));
+  List.iter
+    (fun dim ->
+      let fmt = Dbm.Key.make ~dim ~max_const:8 in
+      let hole = Array.make (Dbm.Key.len fmt) 0 in
+      Dbm.Key.hole fmt hole 0;
+      List.iter
+        (fun z ->
+          let k = key fmt z in
+          Alcotest.(check bool) (Printf.sprintf "dim %d: hole covers" dim) false
+            (Dbm.Key.ge fmt hole 0 k 0);
+          Alcotest.(check bool) (Printf.sprintf "dim %d: hole killed" dim) false
+            (Dbm.Key.ge fmt k 0 hole 0))
+        (let point = Dbm.zero dim and open_ = Dbm.zero dim in
+         Dbm.up open_;
+         [ point; open_ ]))
+    [ 2; 3; 5; 9 ]
+
+(* At dim 1 a key has one all-zero word, and all keys are equal. *)
+let test_key_dim_one () =
+  let fmt = Dbm.Key.make ~dim:1 ~max_const:8 in
+  let a = Dbm.zero 1 and b = Dbm.zero 1 in
+  Dbm.up b;
+  Alcotest.(check (array int)) "one empty word" [| Dbm.weight a; 0 |] (key fmt a);
+  Alcotest.(check bool) "equal keys dominate" true
+    (dominates fmt a b && dominates fmt b a)
+
+(* [Key.ge] against its definition, lane by lane through [Key.lane],
+   at dims whose last word is partial or full, in layouts of every lane
+   count, over zones whose constants reach past the layout's (so some
+   bounds clamp).  Half the pairs nest, so both outcomes occur. *)
+let ref_ge fmt a b =
+  let lane = Dbm.Key.lane fmt in
+  Dbm.weight a >= Dbm.weight b
+  && List.for_all
+       (fun i ->
+         lane (Dbm.get a i 0) >= lane (Dbm.get b i 0)
+         && lane (Dbm.get a 0 i) >= lane (Dbm.get b 0 i))
+       (List.init (Dbm.dim a - 1) succ)
+
+type key_case = {
+  kc_dim : int;
+  kc_max_const : int;
+  kc_scale : int;
+  kc_a : Gen.dbm_op list;
+  kc_b : Gen.dbm_op list;
+  kc_nested : bool;
+  kc_more : Gen.dbm_op list list;  (* further zones, for summaries *)
+}
+
+let build_scaled dim scale ops =
+  let z = Dbm.zero dim in
+  List.iter
+    (function
+      | Gen.Op_constrain (i, j, strict, n) ->
+        Gen.apply_dbm_op z (Gen.Op_constrain (i, j, strict, n * scale))
+      | op -> Gen.apply_dbm_op z op)
+    ops;
+  z
+
+let arb_key_case =
+  let open QCheck.Gen in
+  let gen =
+    let* kc_dim = oneofl [ 2; 3; 5; 9 ]
+    and* kc_max_const = oneofl [ 0; 8; 4095; 9000; 70_000; 300_000 ]
+    and* kc_scale = oneofl [ 1; 600; 10_000; 50_000 ]
+    and* kc_nested = bool in
+    let ops = list_size (int_range 0 12) (Gen.gen_dbm_op_at kc_dim) in
+    let* kc_a = ops and* more = ops
+    and* kc_more = list_size (int_range 0 6) ops in
+    let kc_b =
+      if kc_nested then
+        kc_a @ List.filter (function Gen.Op_constrain _ -> true | _ -> false) more
+      else more
+    in
+    return { kc_dim; kc_max_const; kc_scale; kc_a; kc_b; kc_nested; kc_more }
+  in
+  QCheck.make gen ~print:(fun c ->
+      Fmt.str "dim %d, max_const %d, scale %d, a: %a; b: %a" c.kc_dim
+        c.kc_max_const c.kc_scale
+        Fmt.(list ~sep:semi Gen.pp_dbm_op) c.kc_a
+        Fmt.(list ~sep:semi Gen.pp_dbm_op) c.kc_b)
+
+let prop_key_ge_matches_lanes =
+  QCheck.Test.make ~name:"key dominance = lane-wise dominance" ~count:2000
+    arb_key_case (fun c ->
+      let a = build_scaled c.kc_dim c.kc_scale c.kc_a
+      and b = build_scaled c.kc_dim c.kc_scale c.kc_b in
+      QCheck.assume (not (Dbm.is_empty a || Dbm.is_empty b));
+      let fmt = Dbm.Key.make ~dim:c.kc_dim ~max_const:c.kc_max_const in
+      dominates fmt a b = ref_ge fmt a b && dominates fmt b a = ref_ge fmt b a)
+
+(* A block summary dominates every key added to it (max) and is
+   dominated by every one (min); over one key, or a chain of two, it is
+   exactly the extreme keys. *)
+let prop_key_summaries =
+  QCheck.Test.make ~name:"block summaries bound their keys" ~count:500
+    arb_key_case (fun c ->
+      let fmt = Dbm.Key.make ~dim:c.kc_dim ~max_const:c.kc_max_const in
+      let zones =
+        List.filter
+          (fun z -> not (Dbm.is_empty z))
+          (List.map (build_scaled c.kc_dim c.kc_scale)
+             (c.kc_a :: c.kc_b :: c.kc_more))
+      in
+      QCheck.assume (zones <> []);
+      let len = Dbm.Key.len fmt in
+      let summary keys =
+        let max = Array.make len 0 and min = Array.make len 0 in
+        Dbm.Key.summary_clear fmt ~max ~min 0;
+        List.iter (fun k -> Dbm.Key.summary_add fmt ~max ~min 0 k 0) keys;
+        (max, min)
+      in
+      let keys = List.map (key fmt) zones in
+      let max, min = summary keys in
+      List.for_all
+        (fun k -> Dbm.Key.ge fmt max 0 k 0 && Dbm.Key.ge fmt k 0 min 0)
+        keys
+      && List.for_all (fun k -> summary [ k ] = (k, k)) keys
+      &&
+      let a = build_scaled c.kc_dim c.kc_scale c.kc_a
+      and b = build_scaled c.kc_dim c.kc_scale c.kc_b in
+      (not c.kc_nested) || Dbm.is_empty b
+      || (let ka = key fmt a and kb = key fmt b in
+          summary [ kb; ka ] = (ka, kb) && summary [ ka; kb ] = (ka, kb)))
 
 (* --- reference closure --------------------------------------------------- *)
 
@@ -488,4 +682,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_extrapolate_lu_preserves_inclusion;
     QCheck_alcotest.to_alcotest prop_hash_respects_equal ]
   @ List.map QCheck_alcotest.to_alcotest prefilter_props
+  @ [ Alcotest.test_case "key lane edges" `Quick test_key_lane_edges;
+      Alcotest.test_case "key sizes" `Quick test_key_sizes;
+      Alcotest.test_case "key partial word and hole" `Quick
+        test_key_partial_word_and_hole;
+      Alcotest.test_case "key at dim 1" `Quick test_key_dim_one;
+      QCheck_alcotest.to_alcotest prop_key_ge_matches_lanes;
+      QCheck_alcotest.to_alcotest prop_key_summaries ]
   @ List.map QCheck_alcotest.to_alcotest reference_closure_props

@@ -343,10 +343,11 @@ type store_run = {
    every entry stored so far must agree, and the pool must hold exactly
    the zones the step gave up: the newcomer's when covered, else every
    victim's but the one being expanded.  The expanded id rotates over a
-   victim, a surviving entry and none. *)
-let store_matches_reference ~subsume ~dim zones =
+   victim, a surviving entry and none.  [max_const] sizes the keys'
+   lanes, as the largest extrapolation constant does in a search. *)
+let store_matches_reference ~subsume ~max_const ~dim zones =
   let pool = Zone.Dbm.Pool.create dim in
-  let p = P.create ~subsume pool in
+  let p = P.create ~subsume ~max_const pool in
   let zones = List.filter (fun z -> not (Zone.Dbm.is_empty z)) zones in
   let node = P.node ~hash:0 (state_of (Zone.Dbm.zero dim)) in
   let live = ref [] and dead = Hashtbl.create 64 and entries = ref [] in
@@ -416,7 +417,7 @@ let store_matches_reference ~subsume ~dim zones =
 
 let prop_store ~subsume seq =
   ignore
-    (store_matches_reference ~subsume ~dim:Gen.dbm_dims
+    (store_matches_reference ~subsume ~max_const:8 ~dim:Gen.dbm_dims
        (List.map Gen.build_dbm seq)
       : store_run);
   true
@@ -434,8 +435,9 @@ let prop_store_equality =
    eight clocks in turn (x1 >= x2 >= ... >= x8), then boxes each clock
    with probability 9 in 10 into a narrow random window: such zones are
    mostly incomparable, a wide antichain.  One zone in 12 boxes only a
-   few clocks, in wide windows, and kills a share of the node. *)
-let arb_wide_zone_seq =
+   few clocks, in wide windows, and kills a share of the node.  Every
+   constant is a multiple of [scale], at most [24 * scale]. *)
+let arb_wide_zone_seq ?(scale = 1) () =
   let open QCheck.Gen in
   let box ~p ~width i =
     let* on = float_bound_inclusive 1.0 in
@@ -443,8 +445,8 @@ let arb_wide_zone_seq =
     else
       let* lo = int_range 0 12 and* w = int_range 0 width in
       return
-        [ Gen.Op_constrain (0, i, false, -lo);
-          Gen.Op_constrain (i, 0, false, lo + w) ]
+        [ Gen.Op_constrain (0, i, false, -lo * scale);
+          Gen.Op_constrain (i, 0, false, (lo + w) * scale) ]
   in
   let stair =
     List.concat_map
@@ -469,8 +471,8 @@ let test_store_at_scale () =
   let blocks = ref 0 and compacted = ref 0 in
   let prop seq =
     let r =
-      store_matches_reference ~subsume:true ~dim:Gen.dbm_dims_wide
-        (List.map Gen.build_dbm_wide seq)
+      store_matches_reference ~subsume:true ~max_const:24
+        ~dim:Gen.dbm_dims_wide (List.map Gen.build_dbm_wide seq)
     in
     if r.max_slots >= 3 * P.block then incr blocks;
     if r.compactions > 0 then incr compacted;
@@ -479,12 +481,51 @@ let test_store_at_scale () =
   QCheck.Test.check_exn
     ~rand:(Random.State.make [| 0x5107e; 9 |])
     (QCheck.Test.make ~name:"passed store = reference (dim 9, long)" ~count:60
-       arb_wide_zone_seq prop);
+       (arb_wide_zone_seq ()) prop);
   Alcotest.(check bool)
     (Printf.sprintf "cases filling 3 blocks (%d) and compacting (%d)" !blocks
        !compacted)
     true
     (!blocks > 0 && !compacted > 0)
+
+(* The same at constants past one 15-bit lane: the zones' constants run
+   to 48000 in steps of 2000, and the keys are laid out for constants up
+   to 9000, so the lanes are wider than 15 bits and the bounds far past
+   9000 clamp, at both ends. *)
+let test_store_wide_lanes () =
+  let max_const = 9000 in
+  let fmt = Zone.Dbm.Key.make ~dim:Gen.dbm_dims_wide ~max_const in
+  let lane = Zone.Dbm.Key.lane fmt in
+  let top = lane Zone.Bound.infinity in
+  let high = ref 0 and low = ref 0 in
+  let prop seq =
+    let zones = List.map Gen.build_dbm_wide seq in
+    List.iter
+      (fun z ->
+        for i = 1 to Gen.dbm_dims_wide - 1 do
+          let up = Zone.Dbm.get z i 0 and down = Zone.Dbm.get z 0 i in
+          if up <> Zone.Bound.infinity
+             && lane (up - 1) = top - 1
+          then incr high;
+          if down < Zone.Bound.lt (-max_const) then incr low
+        done)
+      zones;
+    ignore
+      (store_matches_reference ~subsume:true ~max_const
+         ~dim:Gen.dbm_dims_wide zones
+        : store_run);
+    true
+  in
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| 0x5107e; 15 |])
+    (QCheck.Test.make ~name:"passed store = reference (wide lanes)" ~count:30
+       (arb_wide_zone_seq ~scale:2000 ()) prop);
+  Alcotest.(check bool) "lanes wider than 15 bits" true
+    (Zone.Dbm.Key.width fmt > 15);
+  Alcotest.(check bool)
+    (Printf.sprintf "bounds clamped above (%d) and below (%d)" !high !low)
+    true
+    (!high > 0 && !low > 0)
 
 (* A successor may subsume its own parent (a move that frees a clock):
    the parent dies, but its zone must not return to the pool while it
@@ -500,7 +541,7 @@ let test_store_keeps_expanding_zone () =
   in
   let run ~expanding =
     let pool = Zone.Dbm.Pool.create 2 in
-    let p = P.create ~subsume:true pool in
+    let p = P.create ~subsume:true ~max_const:0 pool in
     let node = P.node ~hash:0 (state_of (point ())) in
     let parent_zone = point () in
     let parent =
@@ -614,6 +655,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_store_equality;
     Alcotest.test_case "passed store = reference at scale" `Quick
       test_store_at_scale;
+    Alcotest.test_case "passed store = reference, wide lanes" `Quick
+      test_store_wide_lanes;
     Alcotest.test_case "store keeps the expanding zone" `Quick
       test_store_keeps_expanding_zone;
     Alcotest.test_case "admit_pre replays fire (ExtraM)" `Quick

@@ -784,7 +784,11 @@ let prop_owner_store_matches_reference =
       Hashtbl.iter
         (fun _ zones ->
           ignore
-            (Test_mc.store_matches_reference ~subsume:true ~dim (List.rev zones)
+            (Test_mc.store_matches_reference ~subsume:true
+               ~max_const:
+                 (Array.fold_left max 0
+                    (Mc.Explorer.compiled t).Ta.Compiled.c_max_consts)
+               ~dim (List.rev zones)
               : Test_mc.store_run))
         streams;
       true)

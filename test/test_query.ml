@@ -83,6 +83,40 @@ let test_parse_errors () =
   bad "E<> W .";
   bad "X[] true"
 
+(* Sup queries whose ceilings widen the subsumption keys' lanes (9000:
+   three 17-bit lanes per word where table1's constants fit four 15-bit
+   ones; 70000: three 20-bit lanes), on the PSM as [psv export --psm] writes it and [psv
+   check] reads it back.  The sups and the visited/stored counts are
+   pinned from the search with unpacked keys: the lane layout must
+   change neither. *)
+let test_wide_lane_pins () =
+  let text =
+    Xta.Print.to_string
+      (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only Gpca.Params.default)
+        .Transform.psm_net
+  in
+  let net =
+    match Xta.Parse.network text with
+    | Ok net -> net
+    | Error msg -> Alcotest.failf "exported PSM does not parse: %s" msg
+  in
+  List.iter
+    (fun (text, sup, visited, stored) ->
+      match Mc.Query.parse text with
+      | Error msg -> Alcotest.failf "parse of %S failed: %s" text msg
+      | Ok q ->
+        let r = Mc.Query.eval net q in
+        (match r.Mc.Query.res_outcome with
+         | Mc.Query.Sup (Mc.Explorer.Sup (v, false)) when v = sup -> ()
+         | o -> Alcotest.failf "%s: expected sup <= %d, got %a" text sup
+                  Mc.Query.pp_outcome o);
+        let st = r.Mc.Query.res_stats in
+        Alcotest.(check (pair int int)) (text ^ ": visited, stored")
+          (visited, stored)
+          (st.Mc.Explorer.visited, st.Mc.Explorer.stored))
+    [ ("sup: m_BolusReq -> c_StartInfusion ceiling 9000", 1430, 21024, 22166);
+      ("sup: m_BolusReq -> i_BolusReq ceiling 70000", 490, 8638, 8882) ]
+
 let suite =
   [ Alcotest.test_case "E<> queries" `Quick test_exists;
     Alcotest.test_case "A[] queries" `Quick test_always;
@@ -91,4 +125,5 @@ let suite =
       test_connective_structure;
     Alcotest.test_case "sup query" `Quick test_sup;
     Alcotest.test_case "bounded query" `Quick test_bounded;
-    Alcotest.test_case "parse errors" `Quick test_parse_errors ]
+    Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "wide-lane sup pins" `Quick test_wide_lane_pins ]
