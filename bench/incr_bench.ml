@@ -22,6 +22,14 @@
 
 let params = Gpca.Params.default
 
+(* One query of the workload: a name for reporting, a thunk building
+   its network, and the sup query itself. *)
+type spec = {
+  sp_name : string;
+  sp_net : unit -> Ta.Model.network;
+  sp_query : Mc.Query.t;
+}
+
 let specs () =
   let gpca_psm =
     lazy (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net
@@ -30,8 +38,8 @@ let specs () =
     2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc
   in
   let spec name net ~trigger ~response ~ceiling =
-    { Analysis.Queries.qs_name = name; qs_net = net; qs_trigger = trigger;
-      qs_response = response; qs_ceiling = ceiling }
+    { sp_name = name; sp_net = net;
+      sp_query = Mc.Query.Sup_delay { trigger; response; ceiling } }
   in
   [ spec "gpca-pim-mc"
       (fun () -> Gpca.Model.network ~variant:Gpca.Model.Bolus_only params)
@@ -111,24 +119,18 @@ let scratch_probe ~max_states net q =
     Error r.Mc.Query.res_stats.Mc.Explorer.visited
   | _ -> Ok r
 
-let run_spec ~seed ~edits ~index ~max_states dir
-    (s : Analysis.Queries.query_spec) =
+let run_spec ~seed ~edits ~index ~max_states dir s =
   let disk =
-    match Store.Disk.open_ (Filename.concat dir s.Analysis.Queries.qs_name) with
+    match Store.Disk.open_ (Filename.concat dir s.sp_name) with
     | Ok d -> d
     | Error msg -> failwith msg
   in
   let cache = Analysis.Qcache.make disk in
   let sess =
-    Incr.Session.make ~cache ~tag:("bench:" ^ s.Analysis.Queries.qs_name) ()
+    Incr.Session.make ~cache ~tag:("bench:" ^ s.sp_name) ()
   in
-  let q =
-    Mc.Query.Sup_delay
-      { trigger = s.Analysis.Queries.qs_trigger;
-        response = s.Analysis.Queries.qs_response;
-        ceiling = s.Analysis.Queries.qs_ceiling }
-  in
-  let net0 = s.Analysis.Queries.qs_net () in
+  let q = s.sp_query in
+  let net0 = s.sp_net () in
   let cold_o, cold_total_ms = time (fun () -> Incr.Session.run sess net0 q) in
   let cold_ms = cold_o.Incr.Session.so_answer_ms in
   let _, warm_ms = time (fun () -> Incr.Session.run sess net0 q) in
@@ -177,7 +179,7 @@ let run_spec ~seed ~edits ~index ~max_states dir
          if not ok then
            Printf.eprintf
              "MISMATCH %s after %S (%s rung):\n  incremental %s\n  scratch     %s\n"
-             s.Analysis.Queries.qs_name ed.Incr.Edit.ed_desc
+             s.sp_name ed.Incr.Edit.ed_desc
              (Incr.Session.rung_name rung)
              (outcome_json o.Incr.Session.so_result)
              (outcome_json scratch);
@@ -189,7 +191,7 @@ let run_spec ~seed ~edits ~index ~max_states dir
              er_match = ok }
            :: !rows)
   done;
-  { sr_name = s.Analysis.Queries.qs_name;
+  { sr_name = s.sp_name;
     sr_cold_ms = cold_ms;
     sr_cold_total_ms = cold_total_ms;
     sr_warm_ms = warm_ms;

@@ -24,11 +24,11 @@ let e4_pim_verification () =
   header "E4 (Fig. 1): the platform-independent model meets REQ1";
   let net = Gpca.Model.network ~variant:Gpca.Model.Bolus_only params in
   let r =
-    Analysis.Queries.max_delay net ~trigger:Gpca.Model.bolus_req
+    Mc.Query.max_delay net ~trigger:Gpca.Model.bolus_req
       ~response:Gpca.Model.start_infusion ~ceiling:1000
   in
   Fmt.pr "PIM max delay bolus-request -> infusion-start: %a@."
-    Mc.Explorer.pp_sup_result r.Analysis.Queries.dr_sup;
+    Mc.Explorer.pp_sup_result r.Mc.Explorer.so_sup;
   Fmt.pr "PIM |= P(500): %a@." Mc.Explorer.pp_verdict
     (Psv.verify_response net ~trigger:Gpca.Model.bolus_req
        ~response:Gpca.Model.start_infusion ~bound:500)
@@ -175,10 +175,10 @@ let a1_period_sweep () =
       let analytic = (Gpca.Experiment.analytic_bounds p).Gpca.Experiment.a_mc in
       let psm = Gpca.Model.psm ~variant:Gpca.Model.Bolus_only p in
       let verified =
-        (Analysis.Queries.max_delay ~limit:500_000 psm.Transform.psm_net
+        (Mc.Query.max_delay ~limit:500_000 psm.Transform.psm_net
            ~trigger:Gpca.Model.bolus_req ~response:Gpca.Model.start_infusion
            ~ceiling:(3 * analytic))
-          .Analysis.Queries.dr_sup
+          .Mc.Explorer.so_sup
       in
       Fmt.pr "%8d | %13d | %13s@." period analytic
         (Fmt.str "%a" Mc.Explorer.pp_sup_result verified))
@@ -397,17 +397,29 @@ let railroad_psm ~headway ~invocation =
   in
   (Transform.psm_of_pim pim scheme).Transform.psm_net
 
-(* The workload is a list of {!Analysis.Queries.query_spec} — the same
-   data-carrying form the CLI's [sweep] uses — so the cache rows below
-   can route the identical queries through {!Analysis.Queries.run_all}
-   with a store attached. *)
+(* One sup query of the workload: a name for reporting, a thunk
+   building its network, and the boundary pair with its ceiling.  The
+   cache rows below route the identical query through {!Analysis.Qcache}
+   as its {!Mc.Query.Sup_delay}. *)
+type spec = {
+  qs_name : string;
+  qs_net : unit -> Ta.Model.network;
+  qs_trigger : string;
+  qs_response : string;
+  qs_ceiling : int;
+}
+
+let spec_query q =
+  Mc.Query.Sup_delay
+    { trigger = q.qs_trigger; response = q.qs_response; ceiling = q.qs_ceiling }
+
 let explorer_queries () =
   let gpca_psm =
     lazy (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net
   in
   let gpca_ceiling = 2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc in
   let spec name net ~trigger ~response ~ceiling =
-    { Analysis.Queries.qs_name = name; qs_net = net; qs_trigger = trigger;
+    { qs_name = name; qs_net = net; qs_trigger = trigger;
       qs_response = response; qs_ceiling = ceiling }
   in
   [ spec "gpca-pim-mc"
@@ -437,22 +449,11 @@ let explorer_queries () =
       (fun () -> railroad_psm ~headway:0 ~invocation:(Scheme.Aperiodic 0))
       ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320 ]
 
-let run_spec ~jobs (q : Analysis.Queries.query_spec) =
-  Analysis.Queries.max_delay ~jobs (q.Analysis.Queries.qs_net ())
-    ~trigger:q.Analysis.Queries.qs_trigger
-    ~response:q.Analysis.Queries.qs_response
-    ~ceiling:q.Analysis.Queries.qs_ceiling
+let run_spec ~jobs q =
+  Mc.Query.max_delay ~jobs (q.qs_net ()) ~trigger:q.qs_trigger
+    ~response:q.qs_response ~ceiling:q.qs_ceiling
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_string s = Store.Json.to_string (Store.Json.String s)
 
 let median l =
   let a = Array.of_list (List.sort compare l) in
@@ -479,24 +480,19 @@ let timed_runs ~repeat ~jobs q =
 (* Cold-vs-warm timing of one query through the persistent store: the
    entry is evicted first, so the first governed run pays the search and
    the insert, the second answers purely from disk. *)
-let cache_runs cache (q : Analysis.Queries.query_spec) =
-  let key =
-    Analysis.Qcache.key (q.Analysis.Queries.qs_net ())
-      (Analysis.Queries.spec_query q)
-  in
+let cache_runs cache q =
+  let key = Analysis.Qcache.key (q.qs_net ()) (spec_query q) in
   Store.Disk.remove (Analysis.Qcache.disk cache) key;
   let timed () =
     let t0 = Unix.gettimeofday () in
-    let r =
-      List.hd (Analysis.Queries.run_all ~cache [ q ])
-    in
-    (snd r, 1000.0 *. (Unix.gettimeofday () -. t0))
+    let r = Analysis.Qcache.eval cache (q.qs_net ()) (spec_query q) in
+    (r.Mc.Query.res_outcome, 1000.0 *. (Unix.gettimeofday () -. t0))
   in
   let cold_r, cold_ms = timed () in
   let warm_r, warm_ms = timed () in
-  if warm_r.Analysis.Queries.dr_sup <> cold_r.Analysis.Queries.dr_sup then begin
+  if warm_r <> cold_r then begin
     Printf.eprintf "bench: %s: warm cache sup disagrees with cold run\n"
-      q.Analysis.Queries.qs_name;
+      q.qs_name;
     exit 1
   end;
   (cold_r, cold_ms, warm_ms)
@@ -581,7 +577,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
     List.map
       (fun q ->
         let r, wall_ms, wall_min, alloc_mb = timed_runs ~repeat ~jobs:1 q in
-        let stats = r.Analysis.Queries.dr_stats in
+        let stats = r.Mc.Explorer.so_stats in
         let cache_cells =
           match cache with
           | None -> ""
@@ -598,12 +594,11 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
           | Some (fcache, fstats) ->
             let before = Atomic.get fstats.Fault.Io.fs_faults in
             let fr, fcold_ms, fwarm_ms = cache_runs fcache q in
-            if fr.Analysis.Queries.dr_sup <> r.Analysis.Queries.dr_sup
-            then begin
+            if fr <> Mc.Query.Sup r.Mc.Explorer.so_sup then begin
               Printf.eprintf
                 "bench: %s: sup under fault injection disagrees with the \
                  clean run\n"
-                q.Analysis.Queries.qs_name;
+                q.qs_name;
               exit 1
             end;
             Printf.sprintf
@@ -624,11 +619,10 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
                   let rj, wj, _, _ = timed_runs ~repeat ~jobs q in
                   (* parallel exploration must agree with the sequential
                      sup — a mismatch is a correctness bug, not noise *)
-                  if rj.Analysis.Queries.dr_sup <> r.Analysis.Queries.dr_sup
-                  then begin
+                  if rj.Mc.Explorer.so_sup <> r.Mc.Explorer.so_sup then begin
                     Printf.eprintf
                       "bench: %s: jobs=%d sup disagrees with sequential\n"
-                      q.Analysis.Queries.qs_name jobs;
+                      q.qs_name jobs;
                     exit 1
                   end;
                   let speedup = wall_ms /. wj in
@@ -638,7 +632,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
                           && stats.Mc.Explorer.visited >= gate_threshold
                           && speedup < g ->
                      gate_violations :=
-                       (q.Analysis.Queries.qs_name, speedup)
+                       (q.qs_name, speedup)
                        :: !gate_violations
                    | Some _ | None -> ());
                   (* the first run's visited count: order-dependent at
@@ -648,7 +642,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
                     "{\"jobs\": %d, \"wall_ms\": %.1f, \"speedup\": %.2f, \
                      \"visited\": %d}"
                     jobs wj speedup
-                    rj.Analysis.Queries.dr_stats.Mc.Explorer.visited)
+                    rj.Mc.Explorer.so_stats.Mc.Explorer.visited)
                 jobs_list
             in
             Printf.sprintf ", \"jobs_scaling\": [%s]"
@@ -656,13 +650,13 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
           end
         in
         Printf.sprintf
-          "    {\"name\": \"%s\", \"visited\": %d, \"stored\": %d, \
+          "    {\"name\": %s, \"visited\": %d, \"stored\": %d, \
            \"wall_ms\": %.1f, \"wall_ms_min\": %.1f, \"repeat\": %d, \
-           \"alloc_mb\": %.1f, \"result\": \"%s\"%s%s}"
-          (json_escape q.Analysis.Queries.qs_name) stats.Mc.Explorer.visited
+           \"alloc_mb\": %.1f, \"result\": %s%s%s}"
+          (json_string q.qs_name) stats.Mc.Explorer.visited
           stats.Mc.Explorer.stored wall_ms wall_min repeat alloc_mb
-          (json_escape
-             (Fmt.str "%a" Mc.Explorer.pp_sup_result r.Analysis.Queries.dr_sup))
+          (json_string
+             (Fmt.str "%a" Mc.Explorer.pp_sup_result r.Mc.Explorer.so_sup))
           scaling (cache_cells ^ fault_cells))
       (explorer_queries ())
   in
@@ -670,8 +664,8 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
     match faults with
     | None -> ""
     | Some p ->
-      Printf.sprintf "  \"faults\": \"%s\",\n"
-        (json_escape (Fault.Profile.to_string p))
+      Printf.sprintf "  \"faults\": %s,\n"
+        (json_string (Fault.Profile.to_string p))
   in
   let body =
     Printf.sprintf
@@ -820,7 +814,7 @@ let bechamel_suite () =
     [ Test.make ~name:"E1:verified-input-bound"
         (Staged.stage (fun () ->
              let psm = Lazy.force bolus_psm in
-             Analysis.Queries.max_delay psm.Transform.psm_net
+             Mc.Query.max_delay psm.Transform.psm_net
                ~trigger:Gpca.Model.bolus_req
                ~response:(Transform.Names.input_chan Gpca.Model.bolus_req)
                ~ceiling:2000));

@@ -8,7 +8,6 @@
      bounds         print the analytic Lemma-1/2 bounds of a scheme
      sweep-schemes  grid sweep of implementation schemes, analytic
                     prefilter racing the zone explorer per point
-     sweep          period sweep — thin alias over the same engine
      simulate       run the platform simulator on the GPCA case study
      export         write the GPCA PIM / PSM as .xta text
 
@@ -309,17 +308,6 @@ let table1_cmd =
 
 (* --- verify ------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_sup = function
   | Mc.Explorer.Sup_unreached -> {|{"kind": "unreached"}|}
   | Mc.Explorer.Sup (v, strict) ->
@@ -386,137 +374,102 @@ let verify_cmd =
     if delta then begin
       if jobs > 1 then die "--delta forces sequential exploration; drop --jobs";
       if checkpoint <> None || resume <> None then
-        die "--delta is exclusive with --checkpoint/--resume";
-      let q =
-        match bound with
-        | Some b -> Mc.Query.Bounded_response { trigger; response; bound = b }
-        | None -> Mc.Query.Sup_delay { trigger; response; ceiling }
-      in
-      let sess = incr_session ~cache ~tag:file in
-      let t0 = Unix.gettimeofday () in
-      let o =
-        try Incr.Session.run ~ctl sess net q
-        with Not_found -> die "unknown channel %S or %S" trigger response
-      in
-      report_rung o (1000. *. (Unix.gettimeofday () -. t0));
-      report_cache cache;
-      let outcome = o.Incr.Session.so_result.Mc.Query.res_outcome in
-      let st = o.Incr.Session.so_result.Mc.Query.res_stats in
-      if json then begin
-        let verdict_str, reason =
-          match outcome with
-          | Mc.Query.Holds | Mc.Query.Sup _ -> ("proved", None)
-          | Mc.Query.Fails _ -> ("refuted", None)
-          | Mc.Query.Unknown (r, _) ->
-            ("unknown", Some (Mc.Runctl.reason_tag r))
-        in
-        Fmt.pr
-          {|{"verdict": "%s", "reason": %s, "bound": %s, "sup": %s, "stats": %s, "rung": "%s"}@.|}
-          verdict_str
-          (match reason with
-           | Some tag -> Printf.sprintf "%S" tag
-           | None -> "null")
-          (match bound with Some b -> string_of_int b | None -> "null")
-          (match outcome with
-           | Mc.Query.Sup s | Mc.Query.Unknown (_, Some s) -> json_sup s
-           | _ -> "null")
-          (json_stats st)
-          (Incr.Session.rung_name o.Incr.Session.so_rung)
-      end
-      else begin
-        (match bound with
-         | Some b ->
-           Fmt.pr "P(%d) %s -> %s: %s@." b trigger response
-             (match outcome with
-              | Mc.Query.Holds -> "SATISFIED"
-              | Mc.Query.Fails _ -> "VIOLATED"
-              | Mc.Query.Unknown (r, _) ->
-                Fmt.str "UNKNOWN (%a)" Mc.Runctl.pp_reason r
-              | Mc.Query.Sup _ -> "SATISFIED")
-         | None -> Fmt.pr "%a@." Mc.Query.pp_outcome outcome);
-        Fmt.pr "states: %d visited, %d stored, %d frontier@."
-          st.Mc.Explorer.visited st.Mc.Explorer.stored st.Mc.Explorer.frontier
-      end;
-      match outcome with
-      | Mc.Query.Fails _ -> exit 1
-      | Mc.Query.Unknown _ -> exit 2
-      | Mc.Query.Holds | Mc.Query.Sup _ -> exit_degraded cache; exit 0
+        die "--delta is exclusive with --checkpoint/--resume"
     end;
-    let r =
+    (* one question, whatever answers it: the sup, decided against
+       --bound by Mc.Query.bounded_of_sup *)
+    let q = Mc.Query.Sup_delay { trigger; response; ceiling } in
+    let snapshot = ref None in
+    let search () =
+      let o =
+        Mc.Query.max_delay ~jobs ~ctl ?resume:resume_snap net ~trigger
+          ~response ~ceiling
+      in
+      snapshot := o.Mc.Explorer.so_snapshot;
+      Mc.Query.result_of_sup o
+    in
+    let r, trailer =
       try
-        match cache with
-        | Some _ ->
-          (* run_all with a single spec is exactly max_delay behind the
-             lookup-before-run / insert-after protocol *)
-          let spec =
-            { Analysis.Queries.qs_name = "verify";
-              qs_net = (fun () -> net);
-              qs_trigger = trigger;
-              qs_response = response;
-              qs_ceiling = ceiling }
-          in
-          (match
-             Analysis.Queries.run_all ~jobs:1 ~search_jobs:jobs ~ctl ?cache
-               [ spec ]
-           with
-           | [ (_, r) ] -> r
-           | _ -> assert false)
-        | None ->
-          Psv.max_delay ~jobs ~ctl ?resume:resume_snap net ~trigger ~response
-            ~ceiling
+        if delta then begin
+          let sess = incr_session ~cache ~tag:file in
+          let t0 = Unix.gettimeofday () in
+          let o = Incr.Session.run ~ctl sess net q in
+          report_rung o (1000. *. (Unix.gettimeofday () -. t0));
+          (o.Incr.Session.so_result, `Rung o.Incr.Session.so_rung)
+        end
+        else
+          match cache with
+          | Some c ->
+            (Analysis.Qcache.cached c ~jobs ~ctl net q ~run:search, `Checkpoint)
+          | None -> (search (), `Checkpoint)
       with
       | Invalid_argument msg -> die "%s" msg
       | Not_found -> die "unknown channel %S or %S" trigger response
     in
     report_cache cache;
     let written =
-      match checkpoint, r.Analysis.Queries.dr_snapshot with
+      match checkpoint, !snapshot with
       | Some path, Some snap ->
         (try Mc.Explorer.save_snapshot path snap; Some path
          with Sys_error msg -> die "cannot write checkpoint: %s" msg)
       | (Some _ | None), _ -> None
     in
+    let outcome = r.Mc.Query.res_outcome and st = r.Mc.Query.res_stats in
+    let sup =
+      match outcome with
+      | Mc.Query.Sup s | Mc.Query.Unknown (_, Some s) -> s
+      | Mc.Query.Unknown (_, None) | Mc.Query.Holds | Mc.Query.Fails _ ->
+        Mc.Explorer.Sup_unreached
+    in
+    (* a sup query is "proved" when the sup is exact *)
     let verdict =
       match bound with
-      | Some b -> Analysis.Queries.verdict_of_delay r ~bound:b
-      | None -> (
-        (* sup query: "proved" here just means the sup is exact *)
-        match r.Analysis.Queries.dr_interrupt with
-        | Some reason -> Mc.Explorer.Unknown reason
-        | None -> Mc.Explorer.Proved)
+      | Some b -> Mc.Query.bounded_of_sup outcome ~bound:b
+      | None -> outcome
     in
     if json then begin
       let verdict_str, reason =
         match verdict with
-        | Mc.Explorer.Proved -> ("proved", None)
-        | Mc.Explorer.Refuted _ -> ("refuted", None)
-        | Mc.Explorer.Unknown reason ->
+        | Mc.Query.Holds | Mc.Query.Sup _ -> ("proved", None)
+        | Mc.Query.Fails _ -> ("refuted", None)
+        | Mc.Query.Unknown (reason, _) ->
           ("unknown", Some (Mc.Runctl.reason_tag reason))
       in
+      let trailer =
+        match trailer with
+        | `Rung rung ->
+          Printf.sprintf {|"rung": "%s"|} (Incr.Session.rung_name rung)
+        | `Checkpoint ->
+          Printf.sprintf {|"checkpoint": %s|}
+            (match written with
+             | Some p -> Store.Json.to_string (Store.Json.String p)
+             | None -> "null")
+      in
       Fmt.pr
-        {|{"verdict": "%s", "reason": %s, "bound": %s, "sup": %s, "stats": %s, "checkpoint": %s}@.|}
+        {|{"verdict": "%s", "reason": %s, "bound": %s, "sup": %s, "stats": %s, %s}@.|}
         verdict_str
         (match reason with
          | Some tag -> Printf.sprintf "%S" tag
          | None -> "null")
         (match bound with Some b -> string_of_int b | None -> "null")
-        (json_sup r.Analysis.Queries.dr_sup)
-        (json_stats r.Analysis.Queries.dr_stats)
-        (match written with
-         | Some p -> Printf.sprintf "\"%s\"" (json_escape p)
-         | None -> "null")
+        (json_sup sup) (json_stats st) trailer
     end
     else begin
       (match bound with
        | Some b ->
          Fmt.pr "P(%d) %s -> %s: %s@." b trigger response
            (match verdict with
-            | Mc.Explorer.Proved -> "SATISFIED"
-            | Mc.Explorer.Refuted _ -> "VIOLATED"
-            | Mc.Explorer.Unknown reason ->
+            | Mc.Query.Holds | Mc.Query.Sup _ -> "SATISFIED"
+            | Mc.Query.Fails _ -> "VIOLATED"
+            | Mc.Query.Unknown (reason, _) ->
               Fmt.str "UNKNOWN (%a)" Mc.Runctl.pp_reason reason)
-       | None -> Fmt.pr "%a@." Analysis.Queries.pp_delay_result r);
-      let st = r.Analysis.Queries.dr_stats in
+       | None ->
+         Fmt.pr "max delay %s -> %s: %a (%d states)%s@." trigger response
+           Mc.Explorer.pp_sup_result sup st.Mc.Explorer.visited
+           (match verdict with
+            | Mc.Query.Unknown (reason, _) ->
+              Fmt.str " [interrupted: %a]" Mc.Runctl.pp_reason reason
+            | Mc.Query.Holds | Mc.Query.Fails _ | Mc.Query.Sup _ -> ""));
       Fmt.pr "states: %d visited, %d stored, %d frontier@."
         st.Mc.Explorer.visited st.Mc.Explorer.stored st.Mc.Explorer.frontier;
       match written with
@@ -524,15 +477,16 @@ let verify_cmd =
       | None -> ()
     end;
     match verdict with
-    | Mc.Explorer.Proved -> ()
-    | Mc.Explorer.Refuted _ -> exit 1
-    | Mc.Explorer.Unknown _ -> exit 2
+    | Mc.Query.Holds | Mc.Query.Sup _ -> exit_degraded cache
+    | Mc.Query.Fails _ -> exit 1
+    | Mc.Query.Unknown _ -> exit 2
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Verify a bounded-response requirement, or compute the maximum \
              delay.  Exit codes: 0 proved, 1 refuted, 2 unknown \
-             (interrupted by a budget or ^C), 3 usage or parse error.")
+             (interrupted by a budget or ^C), 3 usage or parse error, \
+             4 proved but the $(b,--cache) store was degraded.")
     Term.(const run $ file $ trigger $ response $ bound $ ceiling $ jobs_arg
           $ budget_time_arg $ budget_states_arg $ budget_mem_arg
           $ checkpoint $ resume $ json $ cache_arg $ delta_arg
@@ -702,7 +656,7 @@ let check_cmd =
              (function _, _, Ok (_, ctl) -> Some ctl | _, _, Error _ -> None)
              parsed);
         let results =
-          Analysis.Queries.pool_map ~jobs
+          Analysis.Pool.map ~jobs
             (fun (lineno, line, item) ->
               match item with
               | Error msg -> (lineno, line, Error msg)
@@ -929,7 +883,7 @@ let json_point (pr : Analysis.Sweep.point_result) =
      | Some s -> Printf.sprintf {|, "sup": %s|} (json_sup s))
     (json_cost pr.Analysis.Sweep.pr_cost)
 
-let json_sweep_outcome ?(extra = "") (o : Analysis.Sweep.outcome) =
+let json_sweep_outcome ~extra (o : Analysis.Sweep.outcome) =
   Printf.sprintf
     {|{"points": %d, "pass": %d, "fail": %d, "unknown": %d, "invalid": %d, "analytic_pass": %d, "analytic_fail": %d, "explored": %d, "memo_hits": %d, "mc_runs": %d, "skip_rate": %.4f, "audited": %d, "audit_mismatches": %d, "interrupted": %d, "wall_ms": %.1f, "pareto": [%s]%s}|}
     o.Analysis.Sweep.o_points o.Analysis.Sweep.o_pass o.Analysis.Sweep.o_fail
@@ -968,10 +922,10 @@ let pp_sweep_summary (o : Analysis.Sweep.outcome) =
     (List.length o.Analysis.Sweep.o_pareto);
   Fmt.pr "%16s | %8.0f@." "wall ms" o.Analysis.Sweep.o_wall_ms
 
-(* shared by sweep-schemes and the sweep alias: run the engine with a
-   streaming sink, report, and fold the outcome into the exit-code
-   contract (1 audit mismatch, 2 interrupted, 4 degraded) *)
-let run_sweep_engine ~cfg ~points ~build ~cache ~json ~points_out ~extra_json =
+(* run the sweep engine with a streaming sink, report, and fold the
+   outcome into the exit-code contract (1 audit mismatch, 2 interrupted,
+   4 degraded) *)
+let run_sweep_engine ~cfg ~points ~build ~cache ~json ~points_out ~extra =
   let sink, close_sink =
     match points_out with
     | None -> (None, fun () -> ())
@@ -989,7 +943,7 @@ let run_sweep_engine ~cfg ~points ~build ~cache ~json ~points_out ~extra_json =
   let outcome = Analysis.Sweep.run cfg ~points ~build in
   close_sink ();
   report_cache cache;
-  if json then print_endline (json_sweep_outcome ~extra:(extra_json outcome) outcome)
+  if json then print_endline (json_sweep_outcome ~extra outcome)
   else pp_sweep_summary outcome;
   List.iter
     (fun (i, diag) -> Fmt.epr "sweep: audit mismatch at point %d: %s@." i diag)
@@ -1121,9 +1075,9 @@ let sweep_schemes_cmd =
     run_sweep_engine ~cfg ~points
       ~build:(Gpca.Sweep_space.build ~base ~req grid)
       ~cache ~json ~points_out
-      ~extra_json:(fun _ ->
-        Printf.sprintf {|, "req": %d, "base": "%s"|} req
-          (Gpca.Sweep_space.base_name base))
+      ~extra:
+        (Printf.sprintf {|, "req": %d, "base": "%s"|} req
+           (Gpca.Sweep_space.base_name base))
   in
   Cmd.v
     (Cmd.info "sweep-schemes"
@@ -1145,99 +1099,6 @@ let sweep_schemes_cmd =
           $ no_prefilter_arg $ audit_arg $ batch_arg $ points_out_arg
           $ json_arg $ jobs_arg $ budget_time_arg $ budget_states_arg
           $ budget_mem_arg $ cache_arg $ store_retries_arg)
-
-(* --- sweep (period-sweep alias over the same engine) -------------------- *)
-
-let sweep_cmd =
-  let periods =
-    Arg.(value & opt string "50,100,200"
-         & info [ "periods" ] ~docv:"LIST"
-             ~doc:"Comma-separated invocation periods to sweep.")
-  in
-  let limit =
-    Arg.(value & opt int 500_000
-         & info [ "limit" ] ~docv:"N" ~doc:"Per-query state limit.")
-  in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the summary as JSON on stdout.")
-  in
-  let run periods limit json jobs budget_time budget_states budget_mem cache
-      store_retries =
-    let jobs = check_jobs jobs in
-    let cache = open_cache ~retries:store_retries cache in
-    let periods =
-      List.map
-        (fun s ->
-          match int_of_string_opt (String.trim s) with
-          | Some p when p > 0 -> p
-          | Some _ | None -> die "bad --periods entry %S" s)
-        (String.split_on_char ',' periods)
-    in
-    let periods = Array.of_list periods in
-    let base = Gpca.Sweep_space.Table1 in
-    let req = Gpca.Sweep_space.default_req base in
-    (* thin alias over the sweep-schemes engine: one point per period,
-       execution window tied to the period as the original sweep did *)
-    let build i =
-      let period = periods.(i) in
-      Gpca.Sweep_space.spec_of_assignment ~base ~req
-        [ ("period", period); ("wcet", period) ]
-    in
-    let ctl =
-      make_ctl ~time:budget_time ~states:budget_states ~mem:budget_mem
-    in
-    let results = ref [] in
-    let cfg =
-      { Analysis.Sweep.default_config with
-        Analysis.Sweep.sw_jobs = jobs;
-        sw_limit = Some limit;
-        sw_ctl = Some ctl;
-        sw_cache = cache;
-        sw_emit = Some (fun pr -> results := pr :: !results) }
-    in
-    let outcome =
-      Analysis.Sweep.run cfg ~points:(Array.length periods) ~build
-    in
-    report_cache cache;
-    if json then
-      print_endline
-        (json_sweep_outcome
-           ~extra:(Printf.sprintf {|, "req": %d|} req)
-           outcome)
-    else begin
-      Fmt.pr "%8s | %8s | %8s | %8s | %13s@." "period" "req" "ub" "verdict"
-        "verified";
-      List.iter
-        (fun (pr : Analysis.Sweep.point_result) ->
-          Fmt.pr "%8d | %8d | %8d | %8s | %13s@."
-            periods.(pr.Analysis.Sweep.pr_index)
-            req pr.Analysis.Sweep.pr_ub
-            (Analysis.Sweep.verdict_name pr.Analysis.Sweep.pr_verdict)
-            (match pr.Analysis.Sweep.pr_sup with
-             | Some s -> Fmt.str "%a" Mc.Explorer.pp_sup_result s
-             | None ->
-               Analysis.Sweep.decision_name pr.Analysis.Sweep.pr_decision))
-        (List.rev !results)
-    end;
-    if outcome.Analysis.Sweep.o_interrupted > 0 then begin
-      Fmt.epr "sweep: %d point%s interrupted@."
-        outcome.Analysis.Sweep.o_interrupted
-        (if outcome.Analysis.Sweep.o_interrupted = 1 then "" else "s");
-      exit 2
-    end
-    else exit_degraded cache
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:"Sweep GPCA invocation periods against REQ1 — a thin front \
-             end to $(b,sweep-schemes) over the period axis (execution \
-             window tied to the period): each period is decided \
-             analytically when the bounds suffice and model checked \
-             otherwise, $(b,--jobs) at a time.  Exit codes: 0 complete, \
-             2 some points interrupted, 3 usage error, 4 degraded store.")
-    Term.(const run $ periods $ limit $ json_arg $ jobs_arg $ budget_time_arg
-          $ budget_states_arg $ budget_mem_arg $ cache_arg $ store_retries_arg)
 
 (* --- trace ----------------------------------------------------------------- *)
 
@@ -2187,7 +2048,7 @@ let main =
   Cmd.group
     (Cmd.info "psv" ~version:"1.0.0"
        ~doc:"Platform-specific timing verification in model-based implementation.")
-    [ table1_cmd; verify_cmd; query_cmd; check_cmd; watch_cmd; sweep_cmd;
+    [ table1_cmd; verify_cmd; query_cmd; check_cmd; watch_cmd;
       sweep_schemes_cmd; serve_cmd; cache_cmd; trace_cmd; transform_cmd;
       codegen_cmd; bounds_cmd; simulate_cmd; fuzz_cmd; export_cmd ]
 

@@ -82,7 +82,7 @@ let () =
   in
   Fmt.pr "Analytic relaxed bound (Lemma 2): %d ms@." analytic;
   Fmt.pr "Verified PSM bound:               %a@." Mc.Explorer.pp_sup_result
-    verified.Analysis.Queries.dr_sup;
+    verified.Mc.Explorer.so_sup;
 
   (* 6. Cross-check on the simulated implementation. *)
   let typical =

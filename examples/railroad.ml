@@ -83,7 +83,7 @@ let verify_psm label invocation =
   let bound =
     (Psv.max_delay psm.Transform.psm_net ~trigger:"m_Train"
        ~response:"c_GateDown" ~ceiling:(4 * requirement_bound))
-      .Analysis.Queries.dr_sup
+      .Mc.Explorer.so_sup
   in
   let analytic =
     Analysis.Bounds.relaxed_mc_delay s ~input:"m_Train" ~output:"c_GateDown"
@@ -172,7 +172,7 @@ let show_platform_race () =
   let bound =
     (Psv.max_delay psm.Transform.psm_net ~trigger:"m_Train"
        ~response:"c_GateDown" ~ceiling:(4 * requirement_bound))
-      .Analysis.Queries.dr_sup
+      .Mc.Explorer.so_sup
   in
   Fmt.pr "%-24s train -> gate-down sup: %a@." "PSM (headway 0)"
     Mc.Explorer.pp_sup_result bound;

@@ -9,7 +9,8 @@
 
    printing the Lemma-1/2 analytic bound next to the model-checked bound
    for each point.  The grid points are independent queries, so the two
-   timed sweeps run on a domain pool (Queries.run_all).
+   timed sweeps run on a domain pool (Analysis.Pool.map over
+   Mc.Query.max_delay).
 
    Run with: dune exec examples/scheme_explorer.exe -- [--jobs N] *)
 
@@ -32,26 +33,23 @@ let jobs =
    zone graph reports "too large" instead of stalling the sweep. *)
 let state_limit = 400_000
 
-let describe_result (r : Analysis.Queries.delay_result) =
-  match r.Analysis.Queries.dr_interrupt with
+let describe_result (r : Mc.Explorer.sup_outcome) =
+  match r.Mc.Explorer.so_interrupt with
   | Some (Mc.Runctl.State_budget n) -> Fmt.str "(> %d states)" n
   | Some reason -> Fmt.str "(%a)" Mc.Runctl.pp_reason reason
-  | None -> Fmt.str "%a" Mc.Explorer.pp_sup_result r.Analysis.Queries.dr_sup
+  | None -> Fmt.str "%a" Mc.Explorer.pp_sup_result r.Mc.Explorer.so_sup
 
-(* One grid point = one mc-boundary sup query on the point's PSM.  The
-   network thunk runs on the worker domain: each domain builds and
-   explores its own PSM. *)
-let mc_spec ~name p =
-  { Analysis.Queries.qs_name = name;
-    qs_net =
-      (fun () ->
-        (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only p).Transform.psm_net);
-    qs_trigger = Gpca.Model.bolus_req;
-    qs_response = Gpca.Model.start_infusion;
-    qs_ceiling = 3 * (Gpca.Experiment.analytic_bounds p).Gpca.Experiment.a_mc }
+(* One grid point = one mc-boundary sup query on the point's PSM, built
+   and explored on the worker domain: no model structure is shared
+   between domains. *)
+let verify_point p =
+  Mc.Query.max_delay ~limit:state_limit
+    (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only p).Transform.psm_net
+    ~trigger:Gpca.Model.bolus_req ~response:Gpca.Model.start_infusion
+    ~ceiling:(3 * (Gpca.Experiment.analytic_bounds p).Gpca.Experiment.a_mc)
 
 let run_grid points =
-  Analysis.Queries.run_all ~jobs ~limit:state_limit points
+  Analysis.Pool.map ~jobs (fun (_, p) -> verify_point p) points
 
 let sweep_period () =
   Fmt.pr "== Invocation period sweep (polling 50, WCET window tracks period) ==@.";
@@ -67,13 +65,9 @@ let sweep_period () =
         (period, p))
       [ 20; 50; 100; 200; 250 ]
   in
-  let results =
-    run_grid
-      (List.map (fun (period, p) -> mc_spec ~name:(string_of_int period) p)
-         points)
-  in
+  let results = run_grid points in
   List.iter2
-    (fun (period, p) (_, r) ->
+    (fun (period, p) r ->
       let analytic = (Gpca.Experiment.analytic_bounds p).Gpca.Experiment.a_mc in
       Fmt.pr "%8d | %14d | %14s@." period analytic (describe_result r))
     points results
@@ -87,12 +81,9 @@ let sweep_polling () =
         (poll_interval, { base with Gpca.Params.poll_interval }))
       [ 25; 50; 100; 200 ]
   in
-  let results =
-    run_grid
-      (List.map (fun (poll, p) -> mc_spec ~name:(string_of_int poll) p) points)
-  in
+  let results = run_grid points in
   List.iter2
-    (fun (poll_interval, p) (_, r) ->
+    (fun (poll_interval, p) r ->
       let analytic = (Gpca.Experiment.analytic_bounds p).Gpca.Experiment.a_mc in
       Fmt.pr "%8d | %14d | %14s@." poll_interval analytic (describe_result r))
     points results

@@ -190,7 +190,7 @@ let provenance ~jobs ~wall_ms =
 
 (* --- cached evaluation -------------------------------------------------- *)
 
-let eval t ?(jobs = 1) ?ctl ?limit net q =
+let cached t ?(jobs = 1) ?ctl ?limit net q ~run =
   let requested = entry_budget ?limit ?ctl () in
   let k = key net q in
   match find t ~requested k with
@@ -199,7 +199,7 @@ let eval t ?(jobs = 1) ?ctl ?limit net q =
       res_stats = stats_of_entry e.Store.Entry.en_stats }
   | None ->
     let t0 = Unix.gettimeofday () in
-    let r = Mc.Query.eval ~jobs ?ctl ?limit net q in
+    let r = run () in
     let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
     insert t
       { Store.Entry.en_key = k;
@@ -209,3 +209,7 @@ let eval t ?(jobs = 1) ?ctl ?limit net q =
         en_budget = requested;
         en_prov = provenance ~jobs ~wall_ms };
     r
+
+let eval t ?jobs ?ctl ?limit net q =
+  cached t ?jobs ?ctl ?limit net q ~run:(fun () ->
+      Mc.Query.eval ?jobs ?ctl ?limit net q)

@@ -90,9 +90,17 @@ val stats_of_entry : Store.Entry.stats -> Mc.Explorer.stats
     and the current time. *)
 val provenance : jobs:int -> wall_ms:float -> Store.Entry.provenance
 
-(** [eval t net q] is {!Mc.Query.eval} behind the cache: answer from the
-    store when a reusable entry exists, otherwise evaluate and insert.
-    The cached path returns the producing run's statistics. *)
+(** [cached t net q ~run] answers [q] on [net] from the store when a
+    reusable entry exists — with the producing run's statistics —
+    otherwise calls [run] (which must evaluate [q] on [net] under the
+    same [ctl] and [limit]) and publishes its result.  [jobs] (default 1)
+    is recorded in the entry's provenance. *)
+val cached :
+  t -> ?jobs:int -> ?ctl:Mc.Runctl.t -> ?limit:int ->
+  Ta.Model.network -> Mc.Query.t -> run:(unit -> Mc.Query.result) ->
+  Mc.Query.result
+
+(** [eval t net q] is {!cached} around {!Mc.Query.eval}. *)
 val eval :
   t -> ?jobs:int -> ?ctl:Mc.Runctl.t -> ?limit:int ->
   Ta.Model.network -> Mc.Query.t -> Mc.Query.result

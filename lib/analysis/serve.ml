@@ -418,7 +418,7 @@ let run cfg ?cache ?drain:dtoken ~load_model ~read_line ~write_line () =
       (* hits and errors pass through; only `Run items cost anything,
          and the pool spreads them over [sv_jobs] domains *)
       List.iter respond
-        (Queries.pool_map ~jobs:cfg.sv_jobs
+        (Pool.map ~jobs:cfg.sv_jobs
            (fun item ->
              let t0 = Unix.gettimeofday () in
              let r = evaluate cfg ?cache ?drain:dtoken item in

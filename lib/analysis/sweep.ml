@@ -147,11 +147,36 @@ let classify cfg sp =
     else if sp.sp_lb > sp.sp_req then C_analytic (Fail, By_lower_bound)
     else C_explore
 
-let verdict_of_delay r ~bound =
-  match Queries.verdict_of_delay r ~bound with
-  | Mc.Explorer.Proved -> Pass
-  | Mc.Explorer.Refuted _ -> Fail
-  | Mc.Explorer.Unknown _ -> Unknown
+(* One exploration of the undecided band: the sup with ceiling =
+   requirement, so the bound check is exact and a partial sup past the
+   ceiling still refutes. *)
+let explore cfg sp =
+  let net = sp.sp_net () in
+  let q =
+    Mc.Query.Sup_delay
+      { trigger = sp.sp_trigger; response = sp.sp_response;
+        ceiling = sp.sp_req }
+  in
+  let r =
+    match cfg.sw_cache with
+    | None -> Mc.Query.eval ?limit:cfg.sw_limit ?ctl:cfg.sw_ctl net q
+    | Some cache ->
+      Qcache.eval cache ?limit:cfg.sw_limit ?ctl:cfg.sw_ctl net q
+  in
+  let verdict =
+    match Mc.Query.bounded_of_sup r.Mc.Query.res_outcome ~bound:sp.sp_req with
+    | Mc.Query.Holds -> Pass
+    | Mc.Query.Fails _ -> Fail
+    | Mc.Query.Unknown _ | Mc.Query.Sup _ -> Unknown
+  in
+  let sup, interrupted =
+    match r.Mc.Query.res_outcome with
+    | Mc.Query.Sup s -> (s, false)
+    | Mc.Query.Unknown (_, partial) ->
+      (Option.value partial ~default:Mc.Explorer.Sup_unreached, true)
+    | Mc.Query.Holds | Mc.Query.Fails _ -> (Mc.Explorer.Sup_unreached, false)
+  in
+  (verdict, sup, interrupted)
 
 let run cfg ~points ~build =
   if points < 0 then invalid_arg "Sweep.run: negative point count";
@@ -199,36 +224,15 @@ let run cfg ~points ~build =
           if !analytic_seen mod cfg.sw_audit = 0 then want_explore specs.(k)
         | C_analytic _ | C_invalid _ -> ())
       classified;
-    let qspecs =
-      Hashtbl.fold
-        (fun key sp acc ->
-          { Queries.qs_name = key;
-            qs_net = sp.sp_net;
-            qs_trigger = sp.sp_trigger;
-            qs_response = sp.sp_response;
-            (* ceiling = requirement: the bound check is exact, and a
-               partial sup past the ceiling still refutes *)
-            qs_ceiling = sp.sp_req }
-          :: acc)
-        to_run []
-    in
-    if qspecs <> [] then begin
-      let results =
-        Queries.run_all ~jobs:cfg.sw_jobs ?limit:cfg.sw_limit ?ctl:cfg.sw_ctl
-          ?cache:cfg.sw_cache qspecs
-      in
-      List.iter
-        (fun ((qs : Queries.query_spec), r) ->
-          let sp = Hashtbl.find to_run qs.Queries.qs_name in
-          incr mc_runs;
-          (match r.Queries.dr_interrupt with
-           | Some _ -> incr interrupted
-           | None -> ());
-          Hashtbl.replace memo sp.sp_key
-            ( verdict_of_delay r ~bound:sp.sp_req,
-              r.Queries.dr_sup ))
-        results
-    end;
+    let pending = Hashtbl.fold (fun key sp acc -> (key, sp) :: acc) to_run [] in
+    List.iter
+      (fun (key, (verdict, sup, interrupted_run)) ->
+        incr mc_runs;
+        if interrupted_run then incr interrupted;
+        Hashtbl.replace memo key (verdict, sup))
+      (Pool.map ~jobs:cfg.sw_jobs
+         (fun (key, sp) -> (key, explore cfg sp))
+         pending);
     (* resolve the batch in index order *)
     Array.iteri
       (fun k cls ->

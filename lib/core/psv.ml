@@ -14,7 +14,6 @@ module Scheme = Scheme
 module Pim = Transform.Pim
 module Transform = Transform
 module Bounds = Analysis.Bounds
-module Queries = Analysis.Queries
 module Constraints = Analysis.Constraints
 module Sim = Sim
 module Gpca = Gpca
@@ -22,9 +21,15 @@ module Xta = Xta
 module Codegen = Codegen
 
 let verify_response ?jobs ?limit ?ctl net ~trigger ~response ~bound =
-  Analysis.Queries.satisfies_response_bound ?jobs ?limit ?ctl net ~trigger
-    ~response ~bound
+  match
+    (Query.eval ?jobs ?ctl ?limit net
+       (Query.Bounded_response { trigger; response; bound }))
+      .Query.res_outcome
+  with
+  | Query.Holds | Query.Sup _ -> Explorer.Proved
+  | Query.Fails trace -> Explorer.Refuted trace
+  | Query.Unknown (reason, _) -> Explorer.Unknown reason
 
-let max_delay = Analysis.Queries.max_delay
+let max_delay = Query.max_delay
 
 let transform = Transform.psm_of_pim

@@ -14,7 +14,7 @@
     + transform the PIM into the platform-specific model
       ({!Transform.psm_of_pim});
     + re-verify on the PSM, derive the relaxed bound
-      [Δ'mc = Δmi + Δoc + Δio-internal] ({!Bounds}, {!Queries}) after
+      [Δ'mc = Δmi + Δoc + Δio-internal] ({!Bounds}, {!Query}) after
       checking the four boundedness constraints ({!Constraints});
     + cross-validate against the simulated implementation ({!Sim}).
 
@@ -37,7 +37,6 @@ module Scheme = Scheme
 module Pim = Transform.Pim
 module Transform = Transform
 module Bounds = Analysis.Bounds
-module Queries = Analysis.Queries
 module Constraints = Analysis.Constraints
 module Sim = Sim
 module Gpca = Gpca
@@ -54,12 +53,13 @@ val verify_response :
   Model.network -> trigger:string -> response:string -> bound:int ->
   Mc.Explorer.verdict
 
-(** Verified maximum delay between two synchronisations. *)
+(** Verified maximum delay between two synchronisations
+    ({!Mc.Query.max_delay}). *)
 val max_delay :
   ?jobs:int -> ?limit:int -> ?ctl:Mc.Runctl.t -> ?resume:Mc.Explorer.snapshot ->
   Model.network ->
   trigger:string -> response:string -> ceiling:int ->
-  Analysis.Queries.delay_result
+  Mc.Explorer.sup_outcome
 
 (** Alias for {!Transform.psm_of_pim}. *)
 val transform : Pim.t -> Scheme.t -> Transform.psm

@@ -43,8 +43,8 @@ let verified_bounds ?ceiling p =
   let psm = Model.psm ~variant:Model.Bolus_only p in
   let net = psm.Transform.psm_net in
   let sup ~trigger ~response =
-    (Analysis.Queries.max_delay net ~trigger ~response ~ceiling)
-      .Analysis.Queries.dr_sup
+    (Mc.Query.max_delay net ~trigger ~response ~ceiling)
+      .Mc.Explorer.so_sup
   in
   let constraints = Analysis.Constraints.check_all psm in
   let overflow_free =
@@ -198,8 +198,8 @@ let supplemental ?(verify_psm = false) p =
   let scheme = Params.scheme p in
   let pim_net = Model.network ~variant:Model.Full p in
   let pim_sup ~trigger ~response =
-    (Analysis.Queries.max_delay pim_net ~trigger ~response ~ceiling:2000)
-      .Analysis.Queries.dr_sup
+    (Mc.Query.max_delay pim_net ~trigger ~response ~ceiling:2000)
+      .Mc.Explorer.so_sup
   in
   let analytic ~input ~output ~internal =
     Analysis.Bounds.relaxed_mc_delay scheme ~input ~output ~internal
@@ -210,9 +210,9 @@ let supplemental ?(verify_psm = false) p =
       let psm = Model.psm ~variant:Model.Full p in
       let sup ~trigger ~response =
         Some
-          ((Analysis.Queries.max_delay ~limit:2_000_000 psm.Transform.psm_net
+          ((Mc.Query.max_delay ~limit:2_000_000 psm.Transform.psm_net
               ~trigger ~response ~ceiling:2000)
-             .Analysis.Queries.dr_sup)
+             .Mc.Explorer.so_sup)
       in
       ( sup ~trigger:Model.empty_syringe ~response:Model.alarm,
         sup ~trigger:Model.pause_req ~response:Model.pause_infusion )

@@ -770,7 +770,7 @@ let set_progress_hook h = progress_hook := h
 (* Read at module initialisation, not lazily: a [Lazy.t] forced by two
    domains at once raises [Lazy.Undefined] in one of them, and two
    domains can start their first searches together (a query batch run
-   by [Analysis.Queries.pool_map] at [jobs > 1]).  No test can make that
+   by [Analysis.Pool.map] at [jobs > 1]).  No test can make that
    window deterministic, so nothing here is forced at search time. *)
 let env_progress =
   if Sys.getenv_opt "PSV_MC_PROGRESS" <> None then

@@ -232,7 +232,35 @@ let compile_pred t p =
   in
   build p
 
-let delay_monitor_clock = "psv_query_mon"
+let delay_monitor_clock = "psv_delay_mon"
+
+let max_delay ?(jobs = 1) ?limit ?ctl ?resume net ~trigger ~response ~ceiling =
+  let monitor =
+    Monitor.delay ~trigger ~response ~clock:delay_monitor_clock ~ceiling ()
+  in
+  let t = Explorer.make ?limit ~monitor net in
+  Explorer.sup_clock ~jobs ?ctl ?resume t
+    ~pred:(Explorer.mon_in t "Waiting")
+    ~clock:delay_monitor_clock
+
+let result_of_sup (o : Explorer.sup_outcome) =
+  let outcome =
+    match o.Explorer.so_interrupt with
+    | Some reason -> Unknown (reason, Some o.Explorer.so_sup)
+    | None -> Sup o.Explorer.so_sup
+  in
+  { res_outcome = outcome; res_stats = o.Explorer.so_stats }
+
+let bounded_of_sup outcome ~bound =
+  match outcome with
+  | Sup Explorer.Sup_unreached -> Holds  (* the trigger never fires *)
+  | Sup (Explorer.Sup (v, _)) -> if v <= bound then Holds else Fails None
+  | Sup (Explorer.Sup_exceeds _) -> Fails None
+  (* the partial sup only grows with more exploration, so a partial
+     value already past the bound refutes even under interruption *)
+  | Unknown (_, Some (Explorer.Sup (v, _))) when v > bound -> Fails None
+  | Unknown (_, Some (Explorer.Sup_exceeds _)) -> Fails None
+  | Unknown _ | Holds | Fails _ -> outcome
 
 let eval ?(jobs = 1) ?ctl ?limit net q =
   match q with
@@ -259,45 +287,14 @@ let eval ?(jobs = 1) ?ctl ?limit net q =
     in
     { res_outcome = outcome; res_stats = r.Explorer.r_stats }
   | Sup_delay { trigger; response; ceiling } ->
-    let monitor =
-      Monitor.delay ~trigger ~response ~clock:delay_monitor_clock ~ceiling ()
-    in
-    let t = Explorer.make ?limit ~monitor net in
-    let o =
-      Explorer.sup_clock ~jobs ?ctl t
-        ~pred:(Explorer.mon_in t "Waiting")
-        ~clock:delay_monitor_clock
-    in
-    let outcome =
-      match o.Explorer.so_interrupt with
-      | Some reason -> Unknown (reason, Some o.Explorer.so_sup)
-      | None -> Sup o.Explorer.so_sup
-    in
-    { res_outcome = outcome; res_stats = o.Explorer.so_stats }
+    result_of_sup (max_delay ~jobs ?ctl ?limit net ~trigger ~response ~ceiling)
   | Bounded_response { trigger; response; bound } ->
-    let monitor =
-      Monitor.delay ~trigger ~response ~clock:delay_monitor_clock
-        ~ceiling:bound ()
+    (* the sup with ceiling = bound: exact at the bound *)
+    let r =
+      result_of_sup
+        (max_delay ~jobs ?ctl ?limit net ~trigger ~response ~ceiling:bound)
     in
-    let t = Explorer.make ?limit ~monitor net in
-    let o =
-      Explorer.sup_clock ~jobs ?ctl t
-        ~pred:(Explorer.mon_in t "Waiting")
-        ~clock:delay_monitor_clock
-    in
-    let outcome =
-      match o.Explorer.so_interrupt, o.Explorer.so_sup with
-      | None, Explorer.Sup_unreached -> Holds
-      | None, Explorer.Sup (v, _) ->
-        if v <= bound then Holds else Fails None
-      | None, Explorer.Sup_exceeds _ -> Fails None
-      (* the partial sup only grows with more exploration, so a partial
-         value already past the bound refutes even under interruption *)
-      | Some _, Explorer.Sup (v, _) when v > bound -> Fails None
-      | Some _, Explorer.Sup_exceeds _ -> Fails None
-      | Some reason, partial -> Unknown (reason, Some partial)
-    in
-    { res_outcome = outcome; res_stats = o.Explorer.so_stats }
+    { r with res_outcome = bounded_of_sup r.res_outcome ~bound }
 
 let pp_outcome ppf = function
   | Holds -> Fmt.string ppf "holds"

@@ -67,11 +67,43 @@ val to_string : t -> string
     timed queries) and evaluates under the optional [ctl] govern token.
     [jobs] (default 1) selects the number of exploration domains — same
     outcome, order-dependent statistics at [jobs > 1] (see {!Explorer}).
+    [Sup_delay] is {!max_delay}; [Bounded_response] is the same search
+    with [ceiling = bound], decided by {!bounded_of_sup}.
     @raise Ta.Compiled.Compile_error on an
     invalid network, [Not_found] if the query names an unknown process,
     location or variable. *)
 val eval :
   ?jobs:int -> ?ctl:Runctl.t -> ?limit:int -> Ta.Model.network -> t -> result
+
+(** [max_delay net ~trigger ~response ~ceiling] is the supremum, over all
+    runs, of the time between a [trigger] synchronisation and the
+    following [response] synchronisation, measured by a non-blocking
+    monitor on {!delay_monitor_clock}.  [Sup_exceeds] means the delay is
+    not bounded by [ceiling] (possibly unbounded).  Works on a PIM and a
+    PSM alike, since both expose the boundary events as channels.
+
+    [resume] continues an interrupted run from its snapshot — same
+    trigger, response, ceiling and network required
+    ({!Explorer.sup_clock} checks the fingerprint).  Snapshots use one
+    format at every [jobs], so a checkpoint taken at any [jobs] resumes
+    at any other.
+    @raise Invalid_argument when the snapshot does not match. *)
+val max_delay :
+  ?jobs:int -> ?limit:int -> ?ctl:Runctl.t -> ?resume:Explorer.snapshot ->
+  Ta.Model.network ->
+  trigger:string -> response:string -> ceiling:int -> Explorer.sup_outcome
+
+(** The [Sup_delay] result of a sup search: [Sup] when it finished,
+    [Unknown] with the partial sup when it was interrupted. *)
+val result_of_sup : Explorer.sup_outcome -> result
+
+(** [bounded_of_sup o ~bound] decides the requirement [P(bound)] from a
+    [Sup_delay] outcome searched with [ceiling = bound]: [Holds] when the
+    sup is at most [bound] (or the trigger never fires), [Fails None]
+    when it exceeds it — also from an interrupted search's partial sup,
+    which only grows — and the interruption's [Unknown] otherwise.
+    Other outcomes are returned unchanged. *)
+val bounded_of_sup : outcome -> bound:int -> outcome
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
@@ -80,8 +112,8 @@ val pp_outcome : Format.formatter -> outcome -> unit
     @raise Not_found on unknown names. *)
 val compile_pred : Explorer.t -> pred -> Explorer.state -> bool
 
-(** The reserved clock name of the delay monitor {!eval} composes for
-    the timed queries — exposed so tests and benchmarks that drive
+(** The reserved clock name of the delay monitor {!max_delay} composes
+    for the timed queries — exposed so tests and benchmarks that drive
     {!Explorer} directly build a monitor with the identical
     fingerprint. *)
 val delay_monitor_clock : string

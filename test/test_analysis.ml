@@ -173,11 +173,11 @@ let test_satisfies_response_bound () =
       [ worker; env ]
   in
   Alcotest.(check bool) "P(8) holds" true
-    (Analysis.Queries.satisfies_response_bound net ~trigger:"req"
+    (Psv.verify_response net ~trigger:"req"
        ~response:"resp" ~bound:8
      = Mc.Explorer.Proved);
   (match
-     Analysis.Queries.satisfies_response_bound net ~trigger:"req"
+     Psv.verify_response net ~trigger:"req"
        ~response:"resp" ~bound:7
    with
    | Mc.Explorer.Refuted _ -> ()
@@ -185,7 +185,7 @@ let test_satisfies_response_bound () =
      Alcotest.fail "P(7) should be refuted");
   (* never-triggered requirement is vacuously true *)
   Alcotest.(check bool) "vacuous" true
-    (Analysis.Queries.satisfies_response_bound net ~trigger:"ghost"
+    (Psv.verify_response net ~trigger:"ghost"
        ~response:"resp" ~bound:1
      = Mc.Explorer.Proved)
 

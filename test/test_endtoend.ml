@@ -162,9 +162,9 @@ let prop_measured_within_verified =
       | Some delay ->
         let psm = Transform.psm_of_pim (lamp_pim scheme) scheme in
         let verified =
-          (Analysis.Queries.max_delay psm.Transform.psm_net
+          (Mc.Query.max_delay psm.Transform.psm_net
              ~trigger:"m_Press" ~response:"c_On" ~ceiling:(2 * analytic))
-            .Analysis.Queries.dr_sup
+            .Mc.Explorer.so_sup
         in
         (match verified with
          | Mc.Explorer.Sup (bound, _) ->
@@ -196,9 +196,9 @@ let prop_analytic_dominates_verified =
       in
       let psm = Transform.psm_of_pim (lamp_pim scheme) scheme in
       let verified =
-        (Analysis.Queries.max_delay psm.Transform.psm_net ~trigger:"m_Press"
+        (Mc.Query.max_delay psm.Transform.psm_net ~trigger:"m_Press"
            ~response:"c_On" ~ceiling:(2 * analytic))
-          .Analysis.Queries.dr_sup
+          .Mc.Explorer.so_sup
       in
       match verified with
       | Mc.Explorer.Sup (bound, _) ->

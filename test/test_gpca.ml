@@ -18,7 +18,7 @@ let test_pim_bound_exactly_500 () =
     Psv.max_delay net ~trigger:Gpca.Model.bolus_req
       ~response:Gpca.Model.start_infusion ~ceiling:1000
   in
-  (match r.Analysis.Queries.dr_sup with
+  (match r.Mc.Explorer.so_sup with
    | Mc.Explorer.Sup (500, false) -> ()
    | sup ->
      Alcotest.failf "PIM internal bound should be <= 500, got %a"

@@ -94,24 +94,24 @@ let test_sup_determinism () =
   List.iter
     (fun (name, net, trigger, response, ceiling) ->
       let seq =
-        Analysis.Queries.max_delay (net ()) ~trigger ~response ~ceiling
+        Mc.Query.max_delay (net ()) ~trigger ~response ~ceiling
       in
       Alcotest.(check bool)
         (name ^ ": sequential run completes")
         true
-        (seq.Analysis.Queries.dr_interrupt = None);
+        (seq.Mc.Explorer.so_interrupt = None);
       List.iter
         (fun jobs ->
           let par =
-            Analysis.Queries.max_delay ~jobs (net ()) ~trigger ~response
+            Mc.Query.max_delay ~jobs (net ()) ~trigger ~response
               ~ceiling
           in
-          if par.Analysis.Queries.dr_interrupt <> None then
+          if par.Mc.Explorer.so_interrupt <> None then
             Alcotest.failf "%s: jobs=%d run was interrupted" name jobs;
-          if par.Analysis.Queries.dr_sup <> seq.Analysis.Queries.dr_sup then
+          if par.Mc.Explorer.so_sup <> seq.Mc.Explorer.so_sup then
             Alcotest.failf "%s: jobs=%d sup %a <> sequential %a" name jobs
-              pp_sup par.Analysis.Queries.dr_sup pp_sup
-              seq.Analysis.Queries.dr_sup)
+              pp_sup par.Mc.Explorer.so_sup pp_sup
+              seq.Mc.Explorer.so_sup)
         jobs_list)
     (sup_cases ())
 
@@ -185,25 +185,25 @@ let test_precancelled () =
       let ctl = Mc.Runctl.create () in
       Mc.Runctl.cancel ctl;
       let r =
-        Analysis.Queries.max_delay ~jobs ~ctl (Test_runctl.railroad_psm ())
+        Mc.Query.max_delay ~jobs ~ctl (Test_runctl.railroad_psm ())
           ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320
       in
-      if r.Analysis.Queries.dr_interrupt <> Some Mc.Runctl.Cancelled then
+      if r.Mc.Explorer.so_interrupt <> Some Mc.Runctl.Cancelled then
         Alcotest.failf "jobs=%d: expected a cancellation interrupt" jobs;
       Alcotest.(check int)
         (Printf.sprintf "jobs=%d: nothing visited" jobs)
-        0 r.Analysis.Queries.dr_stats.Mc.Explorer.visited;
+        0 r.Mc.Explorer.so_stats.Mc.Explorer.visited;
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d: sup unreached" jobs)
         true
-        (r.Analysis.Queries.dr_sup = Mc.Explorer.Sup_unreached))
+        (r.Mc.Explorer.so_sup = Mc.Explorer.Sup_unreached))
     jobs_list
 
 (* Under a state budget the parallel partial sup must stay a lower
    bound on the true sup (any stored state is reachable). *)
 let test_budget_partial_sup () =
   let full =
-    Analysis.Queries.max_delay (Test_runctl.railroad_psm ())
+    Mc.Query.max_delay (Test_runctl.railroad_psm ())
       ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320
   in
   let le_sup partial total =
@@ -221,20 +221,20 @@ let test_budget_partial_sup () =
           ()
       in
       let r =
-        Analysis.Queries.max_delay ~jobs ~ctl (Test_runctl.railroad_psm ())
+        Mc.Query.max_delay ~jobs ~ctl (Test_runctl.railroad_psm ())
           ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320
       in
-      (match r.Analysis.Queries.dr_interrupt with
+      (match r.Mc.Explorer.so_interrupt with
        | Some (Mc.Runctl.State_budget 200) -> ()
        | other ->
          Alcotest.failf "jobs=%d: expected a state-budget interrupt, got %a"
            jobs
            Fmt.(option Mc.Runctl.pp_reason)
            other);
-      if not (le_sup r.Analysis.Queries.dr_sup full.Analysis.Queries.dr_sup)
+      if not (le_sup r.Mc.Explorer.so_sup full.Mc.Explorer.so_sup)
       then
         Alcotest.failf "jobs=%d: partial sup %a above the true sup %a" jobs
-          pp_sup r.Analysis.Queries.dr_sup pp_sup full.Analysis.Queries.dr_sup)
+          pp_sup r.Mc.Explorer.so_sup pp_sup full.Mc.Explorer.so_sup)
     jobs_list
 
 (* Witness chains found in parallel must replay: the sequential replay
@@ -258,7 +258,7 @@ let test_timed_witness_feasible () =
    other [jobs] to the same sup as an uninterrupted run. *)
 let test_parallel_checkpoint_resume () =
   let query ?jobs ?ctl ?resume () =
-    Analysis.Queries.max_delay ?jobs ?ctl ?resume
+    Mc.Query.max_delay ?jobs ?ctl ?resume
       (Test_runctl.railroad_psm ()) ~trigger:"m_Train"
       ~response:"c_GateDown" ~ceiling:320
   in
@@ -269,11 +269,11 @@ let test_parallel_checkpoint_resume () =
   in
   let full = query () in
   Alcotest.(check bool) "reference run completes" true
-    (full.Analysis.Queries.dr_interrupt = None);
+    (full.Mc.Explorer.so_interrupt = None);
   List.iter
     (fun (cut_jobs, resume_jobs) ->
       let cut = query ~jobs:cut_jobs ~ctl:(budget_ctl ()) () in
-      (match cut.Analysis.Queries.dr_interrupt with
+      (match cut.Mc.Explorer.so_interrupt with
        | Some (Mc.Runctl.State_budget _) -> ()
        | other ->
          Alcotest.failf "cut at jobs=%d: expected a state-budget interrupt, got %a"
@@ -281,7 +281,7 @@ let test_parallel_checkpoint_resume () =
            Fmt.(option Mc.Runctl.pp_reason)
            other);
       let snap =
-        match cut.Analysis.Queries.dr_snapshot with
+        match cut.Mc.Explorer.so_snapshot with
         | Some s -> s
         | None ->
           Alcotest.failf "cut at jobs=%d: interrupted run carries no snapshot"
@@ -296,20 +296,20 @@ let test_parallel_checkpoint_resume () =
       in
       Sys.remove file;
       let resumed = query ~jobs:resume_jobs ~resume:snap () in
-      if resumed.Analysis.Queries.dr_interrupt <> None then
+      if resumed.Mc.Explorer.so_interrupt <> None then
         Alcotest.failf "resume at jobs=%d: run was interrupted" resume_jobs;
-      if resumed.Analysis.Queries.dr_sup <> full.Analysis.Queries.dr_sup then
+      if resumed.Mc.Explorer.so_sup <> full.Mc.Explorer.so_sup then
         Alcotest.failf
           "cut jobs=%d -> resume jobs=%d: sup %a <> uninterrupted %a"
-          cut_jobs resume_jobs pp_sup resumed.Analysis.Queries.dr_sup pp_sup
-          full.Analysis.Queries.dr_sup)
+          cut_jobs resume_jobs pp_sup resumed.Mc.Explorer.so_sup pp_sup
+          full.Mc.Explorer.so_sup)
     [ (1, 4); (2, 1); (2, 4); (4, 4) ];
   (* a mismatched snapshot is still rejected on the parallel path: the
      fingerprint check runs before any state is restored *)
   let cut = query ~ctl:(budget_ctl ()) () in
-  let snap = Option.get cut.Analysis.Queries.dr_snapshot in
+  let snap = Option.get cut.Mc.Explorer.so_snapshot in
   match
-    Analysis.Queries.max_delay ~jobs:2 ~resume:snap
+    Mc.Query.max_delay ~jobs:2 ~resume:snap
       (Test_runctl.railroad_psm ()) ~trigger:"m_Train" ~response:"c_GateDown"
       ~ceiling:640
   with
@@ -327,16 +327,16 @@ let test_budget_never_overshoots () =
         ()
     in
     let r =
-      Analysis.Queries.max_delay ~jobs:8 ~ctl (Test_runctl.railroad_psm ())
+      Mc.Query.max_delay ~jobs:8 ~ctl (Test_runctl.railroad_psm ())
         ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320
     in
-    (match r.Analysis.Queries.dr_interrupt with
+    (match r.Mc.Explorer.so_interrupt with
      | Some (Mc.Runctl.State_budget 64) -> ()
      | other ->
        Alcotest.failf "expected State_budget 64, got %a"
          Fmt.(option Mc.Runctl.pp_reason)
          other);
-    let v = r.Analysis.Queries.dr_stats.Mc.Explorer.visited in
+    let v = r.Mc.Explorer.so_stats.Mc.Explorer.visited in
     if v > 64 then
       Alcotest.failf "visited %d overshoots the 64-state budget" v
   done
@@ -364,9 +364,9 @@ let test_random_networks_cross_jobs () =
         verdict_shape (fst (Mc.Explorer.safe ~jobs t pred))
       in
       let sup jobs =
-        (Analysis.Queries.max_delay ~jobs net ~trigger:"bc" ~response:"bin"
+        (Mc.Query.max_delay ~jobs net ~trigger:"bc" ~response:"bin"
            ~ceiling:16)
-          .Analysis.Queries.dr_sup
+          .Mc.Explorer.so_sup
       in
       let v1 = safe 1 and s1 = sup 1 in
       List.iter
@@ -382,33 +382,6 @@ let test_random_networks_cross_jobs () =
         [ 2; 4; 8 ])
     nets
 
-(* run_all: order-preserving, same answers as one-by-one evaluation. *)
-let test_run_all () =
-  let specs =
-    [ { Analysis.Queries.qs_name = "periodic25";
-        qs_net = Test_runctl.railroad_psm;
-        qs_trigger = "m_Train"; qs_response = "c_GateDown"; qs_ceiling = 320 };
-      { Analysis.Queries.qs_name = "race";
-        qs_net = railroad_race_psm;
-        qs_trigger = "m_Train"; qs_response = "c_GateDown"; qs_ceiling = 320 } ]
-  in
-  let seq = Analysis.Queries.run_all ~jobs:1 specs in
-  List.iter
-    (fun jobs ->
-      let par = Analysis.Queries.run_all ~jobs specs in
-      Alcotest.(check (list string))
-        (Printf.sprintf "jobs=%d: order preserved" jobs)
-        (List.map (fun (s, _) -> s.Analysis.Queries.qs_name) seq)
-        (List.map (fun (s, _) -> s.Analysis.Queries.qs_name) par);
-      List.iter2
-        (fun (_, a) (_, b) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "jobs=%d: same sup" jobs)
-            true
-            (a.Analysis.Queries.dr_sup = b.Analysis.Queries.dr_sup))
-        seq par)
-    jobs_list
-
 let test_pool_map () =
   let items = List.init 37 Fun.id in
   let seq = List.map (fun i -> i * i) items in
@@ -417,11 +390,11 @@ let test_pool_map () =
       Alcotest.(check (list int))
         (Printf.sprintf "jobs=%d square map" jobs)
         seq
-        (Analysis.Queries.pool_map ~jobs (fun i -> i * i) items))
+        (Analysis.Pool.map ~jobs (fun i -> i * i) items))
     [ 1; 2; 4; 64 ];
   (* exception propagation *)
   match
-    Analysis.Queries.pool_map ~jobs:4
+    Analysis.Pool.map ~jobs:4
       (fun i -> if i = 20 then failwith "boom" else i)
       items
   with
@@ -543,9 +516,9 @@ let prop_random_scheme =
         (Transform.psm_of_pim pim scheme).Transform.psm_net
       in
       let sup jobs =
-        (Analysis.Queries.max_delay ~jobs net ~trigger:"m_Train"
+        (Mc.Query.max_delay ~jobs net ~trigger:"m_Train"
            ~response:"c_GateDown" ~ceiling:400)
-          .Analysis.Queries.dr_sup
+          .Mc.Explorer.so_sup
       in
       sup 1 = sup 4)
 
@@ -812,7 +785,6 @@ let suite =
       test_budget_never_overshoots;
     Alcotest.test_case "random networks agree across jobs" `Quick
       test_random_networks_cross_jobs;
-    Alcotest.test_case "run_all matches one-by-one" `Quick test_run_all;
     Alcotest.test_case "pool_map" `Quick test_pool_map;
     Alcotest.test_case "worker crash is supervised" `Quick
       test_crash_supervised;

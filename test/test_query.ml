@@ -117,6 +117,63 @@ let test_wide_lane_pins () =
     [ ("sup: m_BolusReq -> c_StartInfusion ceiling 9000", 1430, 21024, 22166);
       ("sup: m_BolusReq -> i_BolusReq ceiling 70000", 490, 8638, 8882) ]
 
+(* [Bounded_response] is the [Sup_delay] search with ceiling = bound,
+   decided by [bounded_of_sup]: the same outcome and the same statistics,
+   for a bound below the sup, at it and above it, and under a state
+   limit that cuts each search in half. *)
+let test_bounded_is_sup () =
+  let cases =
+    ("railroad-psm", Test_runctl.railroad_psm (), "m_Train", "c_GateDown", 320)
+    :: List.map
+         (fun shape ->
+           let i = Diff.Gen.instance ~seed:20 ~index:3 shape in
+           ( i.Diff.Gen.id, i.Diff.Gen.net, i.Diff.Gen.trigger,
+             i.Diff.Gen.response, i.Diff.Gen.ceiling ))
+         Diff.Gen.all_shapes
+  in
+  List.iter
+    (fun (name, net, trigger, response, ceiling) ->
+      let sup_query ceiling = Mc.Query.Sup_delay { trigger; response; ceiling } in
+      let sup =
+        match (Mc.Query.eval net (sup_query ceiling)).Mc.Query.res_outcome with
+        | Mc.Query.Sup (Mc.Explorer.Sup (v, _)) -> v
+        | o -> Alcotest.failf "%s: expected a finite sup, got %a" name
+                 Mc.Query.pp_outcome o
+      in
+      let agree ?limit bound =
+        let label =
+          Printf.sprintf "%s, bound %d%s" name bound
+            (match limit with
+             | Some l -> Printf.sprintf ", limit %d" l
+             | None -> "")
+        in
+        let via_sup = Mc.Query.eval ?limit net (sup_query bound) in
+        let bounded =
+          Mc.Query.eval ?limit net
+            (Mc.Query.Bounded_response { trigger; response; bound })
+        in
+        let expected = Mc.Query.bounded_of_sup via_sup.Mc.Query.res_outcome ~bound in
+        if bounded.Mc.Query.res_outcome <> expected then
+          Alcotest.failf "%s: bounded %a, sup against the bound %a" label
+            Mc.Query.pp_outcome bounded.Mc.Query.res_outcome
+            Mc.Query.pp_outcome expected;
+        if bounded.Mc.Query.res_stats <> via_sup.Mc.Query.res_stats then
+          Alcotest.failf "%s: statistics differ" label;
+        via_sup
+      in
+      List.iter
+        (fun bound ->
+          let full = agree bound in
+          let limit =
+            max 1 (full.Mc.Query.res_stats.Mc.Explorer.visited / 2)
+          in
+          match (agree ~limit bound).Mc.Query.res_outcome with
+          | Mc.Query.Unknown _ -> ()
+          | o -> Alcotest.failf "%s, bound %d: limit %d did not interrupt (%a)"
+                   name bound limit Mc.Query.pp_outcome o)
+        [ sup - 1; sup; sup + 1 ])
+    cases
+
 let suite =
   [ Alcotest.test_case "E<> queries" `Quick test_exists;
     Alcotest.test_case "A[] queries" `Quick test_always;
@@ -125,5 +182,7 @@ let suite =
       test_connective_structure;
     Alcotest.test_case "sup query" `Quick test_sup;
     Alcotest.test_case "bounded query" `Quick test_bounded;
+    Alcotest.test_case "bounded = sup against the bound" `Quick
+      test_bounded_is_sup;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "wide-lane sup pins" `Quick test_wide_lane_pins ]

@@ -134,20 +134,20 @@ let railroad_psm () =
   (Transform.psm_of_pim pim scheme).Transform.psm_net
 
 let railroad_delay ?ctl ?resume () =
-  Analysis.Queries.max_delay ?ctl ?resume (railroad_psm ()) ~trigger:"m_Train"
+  Mc.Query.max_delay ?ctl ?resume (railroad_psm ()) ~trigger:"m_Train"
     ~response:"c_GateDown" ~ceiling:320
 
 let test_checkpoint_roundtrip () =
   let straight = railroad_delay () in
   Alcotest.(check bool) "straight run completes" true
-    (straight.Analysis.Queries.dr_interrupt = None);
+    (straight.Mc.Explorer.so_interrupt = None);
   (* interrupt in the middle *)
   let ctl = Mc.Runctl.create ~budget:(state_budget 200) () in
   let cut = railroad_delay ~ctl () in
   Alcotest.(check bool) "interrupted mid-search" true
-    (cut.Analysis.Queries.dr_interrupt = Some (Mc.Runctl.State_budget 200));
+    (cut.Mc.Explorer.so_interrupt = Some (Mc.Runctl.State_budget 200));
   let snap =
-    match cut.Analysis.Queries.dr_snapshot with
+    match cut.Mc.Explorer.so_snapshot with
     | Some s -> s
     | None -> Alcotest.fail "interrupted run carries no snapshot"
   in
@@ -164,15 +164,15 @@ let test_checkpoint_roundtrip () =
       in
       let resumed = railroad_delay ~resume:reloaded () in
       Alcotest.(check bool) "resumed run completes" true
-        (resumed.Analysis.Queries.dr_interrupt = None);
+        (resumed.Mc.Explorer.so_interrupt = None);
       Alcotest.(check bool) "same sup" true
-        (resumed.Analysis.Queries.dr_sup = straight.Analysis.Queries.dr_sup);
+        (resumed.Mc.Explorer.so_sup = straight.Mc.Explorer.so_sup);
       Alcotest.(check int) "same visited count"
-        straight.Analysis.Queries.dr_stats.Mc.Explorer.visited
-        resumed.Analysis.Queries.dr_stats.Mc.Explorer.visited;
+        straight.Mc.Explorer.so_stats.Mc.Explorer.visited
+        resumed.Mc.Explorer.so_stats.Mc.Explorer.visited;
       Alcotest.(check int) "same stored count"
-        straight.Analysis.Queries.dr_stats.Mc.Explorer.stored
-        resumed.Analysis.Queries.dr_stats.Mc.Explorer.stored)
+        straight.Mc.Explorer.so_stats.Mc.Explorer.stored
+        resumed.Mc.Explorer.so_stats.Mc.Explorer.stored)
 
 let test_load_snapshot_errors () =
   (match Mc.Explorer.load_snapshot "/nonexistent/psv.snap" with
@@ -192,10 +192,10 @@ let test_load_snapshot_errors () =
 let test_fingerprint_mismatch () =
   let ctl = Mc.Runctl.create ~budget:(state_budget 200) () in
   let cut = railroad_delay ~ctl () in
-  let snap = Option.get cut.Analysis.Queries.dr_snapshot in
+  let snap = Option.get cut.Mc.Explorer.so_snapshot in
   (* same query shape, different network: the fingerprint must reject *)
   match
-    Analysis.Queries.max_delay ~resume:snap (big_net ()) ~trigger:"m_Train"
+    Mc.Query.max_delay ~resume:snap (big_net ()) ~trigger:"m_Train"
       ~response:"c_GateDown" ~ceiling:320
   with
   | _ -> Alcotest.fail "resumed a snapshot of a different network"

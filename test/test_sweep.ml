@@ -197,6 +197,55 @@ let test_pareto_only_pass () =
         costs)
     costs
 
+(* The persistent store extends the sweep's dedup across runs: a second
+   sweep of the same grid over the same store is answered by store hits
+   alone, point for point identical to the first. *)
+let test_cached_rerun () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "psv_sweep_cache_%d" (Unix.getpid ()))
+  in
+  let rec rm path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+        Unix.rmdir path
+      end
+      else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> try rm dir with _ -> ()) (fun () ->
+      let grid = grid_of race_axes in
+      let sweep () =
+        let cache =
+          match Store.Disk.open_ dir with
+          | Ok disk -> Analysis.Qcache.make disk
+          | Error msg -> Alcotest.failf "open store: %s" msg
+        in
+        let points = ref [] in
+        let cfg =
+          { Analysis.Sweep.default_config with
+            Analysis.Sweep.sw_limit = Some 300_000;
+            sw_cache = Some cache;
+            sw_emit = Some (fun pr -> points := pr :: !points) }
+        in
+        let o =
+          Analysis.Sweep.run cfg ~points:(Scheme.Grid.cardinality grid)
+            ~build:(Gpca.Sweep_space.build ~base:small ~req:150 grid)
+        in
+        (List.rev !points, o, cache)
+      in
+      let cold, cold_o, cold_cache = sweep () in
+      let warm, warm_o, warm_cache = sweep () in
+      Alcotest.(check bool) "the cold run explored" true
+        (cold_o.Analysis.Sweep.o_mc_runs > 0);
+      Alcotest.(check int) "cold: every run a miss"
+        cold_o.Analysis.Sweep.o_mc_runs (Analysis.Qcache.misses cold_cache);
+      Alcotest.(check (pair int int)) "warm: every run a store hit"
+        (warm_o.Analysis.Sweep.o_mc_runs, 0)
+        (Analysis.Qcache.hits warm_cache, Analysis.Qcache.misses warm_cache);
+      Alcotest.(check bool) "identical point results" true (cold = warm))
+
 (* --- seeded property: lb <= verified sup <= ub --------------------------- *)
 
 (* random Small-base points kept cheap: short periods and polls so each
@@ -231,13 +280,13 @@ let prop_bounds_bracket_sup =
       | Some _ -> QCheck.assume_fail ()
       | None ->
         let r =
-          Analysis.Queries.max_delay
+          Mc.Query.max_delay
             (s.Analysis.Sweep.sp_net ())
             ~trigger:s.Analysis.Sweep.sp_trigger
             ~response:s.Analysis.Sweep.sp_response
             ~ceiling:(s.Analysis.Sweep.sp_ub + 1)
         in
-        (match r.Analysis.Queries.dr_sup with
+        (match r.Mc.Explorer.so_sup with
          | Mc.Explorer.Sup (v, _) ->
            (* the lower bound never overshoots, regardless of loss *)
            if v < s.Analysis.Sweep.sp_lb then
@@ -268,4 +317,6 @@ let suite =
       test_race_verdicts_agree;
     Alcotest.test_case "pareto: frontier invariants" `Slow
       test_pareto_only_pass;
+    Alcotest.test_case "cache: rerun is all store hits" `Quick
+      test_cached_rerun;
     QCheck_alcotest.to_alcotest prop_bounds_bracket_sup ]

@@ -289,15 +289,15 @@ let test_psm_end_to_end_reachability () =
 let test_psm_delay_grows () =
   (* The platform can only add delay: verified PSM bound >= PIM bound. *)
   let pim_bound =
-    (Analysis.Queries.max_delay pim_net ~trigger:"m_Press" ~response:"c_On"
+    (Mc.Query.max_delay pim_net ~trigger:"m_Press" ~response:"c_On"
        ~ceiling:1000)
-      .Analysis.Queries.dr_sup
+      .Mc.Explorer.so_sup
   in
   let psm = Transform.psm_of_pim (pim ()) (scheme ()) in
   let psm_bound =
-    (Analysis.Queries.max_delay psm.Transform.psm_net ~trigger:"m_Press"
+    (Mc.Query.max_delay psm.Transform.psm_net ~trigger:"m_Press"
        ~response:"c_On" ~ceiling:1000)
-      .Analysis.Queries.dr_sup
+      .Mc.Explorer.so_sup
   in
   match pim_bound, psm_bound with
   | Mc.Explorer.Sup (a, _), Mc.Explorer.Sup (b, _) ->

@@ -110,9 +110,9 @@ let test_roundtrip_preserves_semantics () =
   | Error msg -> Alcotest.failf "re-parse failed: %s" msg
   | Ok net2 ->
     let sup n =
-      (Analysis.Queries.max_delay n ~trigger:Gpca.Model.bolus_req
+      (Mc.Query.max_delay n ~trigger:Gpca.Model.bolus_req
          ~response:Gpca.Model.start_infusion ~ceiling:1000)
-        .Analysis.Queries.dr_sup
+        .Mc.Explorer.so_sup
     in
     Alcotest.(check bool) "same verified bound" true (sup net = sup net2)
 
