@@ -1,9 +1,9 @@
 (* Incremental re-verification benchmark: randomized edit-one-constant
-   sequences over the Table-1 GPCA suite, each edit re-verified through
-   the {!Incr.Session} ladder and checked against a from-scratch
-   sequential run.  Writes BENCH_incr.json (cold/warm wall times, the
-   per-edit answer times and the ladder-rung breakdown) and exits 1 on
-   any incremental-vs-scratch verdict mismatch.
+   sequences over the Table-1 GPCA suite ({!Suite.gpca}), each edit
+   re-verified through the {!Incr.Session} ladder and checked against a
+   from-scratch sequential run.  Writes BENCH_incr.json (cold/warm wall
+   times, the per-edit answer times and the ladder-rung breakdown) and
+   exits 1 on any incremental-vs-scratch verdict mismatch.
 
    Usage: incr_bench [--edits N] [--seed N] [--max-states N] [-o FILE]
 
@@ -19,45 +19,6 @@
    Answer times are [Incr.Session.so_answer_ms] — the answering
    exploration alone, without session persistence — except on the store
    and cone rungs, which do not explore and report the whole call. *)
-
-let params = Gpca.Params.default
-
-(* One query of the workload: a name for reporting, a thunk building
-   its network, and the sup query itself. *)
-type spec = {
-  sp_name : string;
-  sp_net : unit -> Ta.Model.network;
-  sp_query : Mc.Query.t;
-}
-
-let specs () =
-  let gpca_psm =
-    lazy (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net
-  in
-  let gpca_ceiling =
-    2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc
-  in
-  let spec name net ~trigger ~response ~ceiling =
-    { sp_name = name; sp_net = net;
-      sp_query = Mc.Query.Sup_delay { trigger; response; ceiling } }
-  in
-  [ spec "gpca-pim-mc"
-      (fun () -> Gpca.Model.network ~variant:Gpca.Model.Bolus_only params)
-      ~trigger:Gpca.Model.bolus_req ~response:Gpca.Model.start_infusion
-      ~ceiling:1000;
-    spec "gpca-psm-input"
-      (fun () -> Lazy.force gpca_psm)
-      ~trigger:Gpca.Model.bolus_req
-      ~response:(Transform.Names.input_chan Gpca.Model.bolus_req)
-      ~ceiling:gpca_ceiling;
-    spec "gpca-psm-output"
-      (fun () -> Lazy.force gpca_psm)
-      ~trigger:(Transform.Names.output_chan Gpca.Model.start_infusion)
-      ~response:Gpca.Model.start_infusion ~ceiling:gpca_ceiling;
-    spec "gpca-psm-mc"
-      (fun () -> Lazy.force gpca_psm)
-      ~trigger:Gpca.Model.bolus_req ~response:Gpca.Model.start_infusion
-      ~ceiling:gpca_ceiling ]
 
 let time f =
   let t0 = Unix.gettimeofday () in
@@ -121,16 +82,16 @@ let scratch_probe ~max_states net q =
 
 let run_spec ~seed ~edits ~index ~max_states dir s =
   let disk =
-    match Store.Disk.open_ (Filename.concat dir s.sp_name) with
+    match Store.Disk.open_ (Filename.concat dir s.Suite.qs_name) with
     | Ok d -> d
     | Error msg -> failwith msg
   in
   let cache = Analysis.Qcache.make disk in
   let sess =
-    Incr.Session.make ~cache ~tag:("bench:" ^ s.sp_name) ()
+    Incr.Session.make ~cache ~tag:("bench:" ^ s.Suite.qs_name) ()
   in
-  let q = s.sp_query in
-  let net0 = s.sp_net () in
+  let q = Suite.query s in
+  let net0 = s.Suite.qs_net () in
   let cold_o, cold_total_ms = time (fun () -> Incr.Session.run sess net0 q) in
   let cold_ms = cold_o.Incr.Session.so_answer_ms in
   let _, warm_ms = time (fun () -> Incr.Session.run sess net0 q) in
@@ -179,7 +140,7 @@ let run_spec ~seed ~edits ~index ~max_states dir s =
          if not ok then
            Printf.eprintf
              "MISMATCH %s after %S (%s rung):\n  incremental %s\n  scratch     %s\n"
-             s.sp_name ed.Incr.Edit.ed_desc
+             s.Suite.qs_name ed.Incr.Edit.ed_desc
              (Incr.Session.rung_name rung)
              (outcome_json o.Incr.Session.so_result)
              (outcome_json scratch);
@@ -191,7 +152,7 @@ let run_spec ~seed ~edits ~index ~max_states dir s =
              er_match = ok }
            :: !rows)
   done;
-  { sr_name = s.sp_name;
+  { sr_name = s.Suite.qs_name;
     sr_cold_ms = cold_ms;
     sr_cold_total_ms = cold_total_ms;
     sr_warm_ms = warm_ms;
@@ -240,7 +201,7 @@ let () =
           (fun index s ->
             run_spec ~seed:!seed ~edits:!edits ~index
               ~max_states:!max_states dir s)
-          (specs ())
+          (Suite.gpca ())
       in
       let mismatches =
         List.concat_map

@@ -397,61 +397,24 @@ let railroad_psm ~headway ~invocation =
   in
   (Transform.psm_of_pim pim scheme).Transform.psm_net
 
-(* One sup query of the workload: a name for reporting, a thunk
-   building its network, and the boundary pair with its ceiling.  The
-   cache rows below route the identical query through {!Analysis.Qcache}
-   as its {!Mc.Query.Sup_delay}. *)
-type spec = {
-  qs_name : string;
-  qs_net : unit -> Ta.Model.network;
-  qs_trigger : string;
-  qs_response : string;
-  qs_ceiling : int;
-}
-
-let spec_query q =
-  Mc.Query.Sup_delay
-    { trigger = q.qs_trigger; response = q.qs_response; ceiling = q.qs_ceiling }
-
+(* The GPCA rows come from {!Suite}; the cache rows below route the
+   identical query through {!Analysis.Qcache} as its {!Suite.query}. *)
 let explorer_queries () =
-  let gpca_psm =
-    lazy (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net
-  in
-  let gpca_ceiling = 2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc in
-  let spec name net ~trigger ~response ~ceiling =
-    { qs_name = name; qs_net = net; qs_trigger = trigger;
-      qs_response = response; qs_ceiling = ceiling }
-  in
-  [ spec "gpca-pim-mc"
-      (fun () -> Gpca.Model.network ~variant:Gpca.Model.Bolus_only params)
-      ~trigger:Gpca.Model.bolus_req ~response:Gpca.Model.start_infusion
-      ~ceiling:1000;
-    spec "gpca-psm-input"
-      (fun () -> Lazy.force gpca_psm)
-      ~trigger:Gpca.Model.bolus_req
-      ~response:(Transform.Names.input_chan Gpca.Model.bolus_req)
-      ~ceiling:gpca_ceiling;
-    spec "gpca-psm-output"
-      (fun () -> Lazy.force gpca_psm)
-      ~trigger:(Transform.Names.output_chan Gpca.Model.start_infusion)
-      ~response:Gpca.Model.start_infusion ~ceiling:gpca_ceiling;
-    spec "gpca-psm-mc"
-      (fun () -> Lazy.force gpca_psm)
-      ~trigger:Gpca.Model.bolus_req ~response:Gpca.Model.start_infusion
-      ~ceiling:gpca_ceiling;
-    spec "railroad-psm-event"
-      (fun () -> railroad_psm ~headway:300 ~invocation:(Scheme.Aperiodic 0))
-      ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320;
-    spec "railroad-psm-periodic25"
-      (fun () -> railroad_psm ~headway:300 ~invocation:(Scheme.Periodic 25))
-      ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320;
-    spec "railroad-psm-race"
-      (fun () -> railroad_psm ~headway:0 ~invocation:(Scheme.Aperiodic 0))
-      ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320 ]
+  let spec = Suite.spec in
+  Suite.gpca ()
+  @ [ spec "railroad-psm-event"
+        (fun () -> railroad_psm ~headway:300 ~invocation:(Scheme.Aperiodic 0))
+        ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320;
+      spec "railroad-psm-periodic25"
+        (fun () -> railroad_psm ~headway:300 ~invocation:(Scheme.Periodic 25))
+        ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320;
+      spec "railroad-psm-race"
+        (fun () -> railroad_psm ~headway:0 ~invocation:(Scheme.Aperiodic 0))
+        ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320 ]
 
 let run_spec ~jobs q =
-  Mc.Query.max_delay ~jobs (q.qs_net ()) ~trigger:q.qs_trigger
-    ~response:q.qs_response ~ceiling:q.qs_ceiling
+  Mc.Query.max_delay ~jobs (q.Suite.qs_net ()) ~trigger:q.Suite.qs_trigger
+    ~response:q.Suite.qs_response ~ceiling:q.Suite.qs_ceiling
 
 let json_string s = Store.Json.to_string (Store.Json.String s)
 
@@ -481,18 +444,18 @@ let timed_runs ~repeat ~jobs q =
    entry is evicted first, so the first governed run pays the search and
    the insert, the second answers purely from disk. *)
 let cache_runs cache q =
-  let key = Analysis.Qcache.key (q.qs_net ()) (spec_query q) in
+  let key = Analysis.Qcache.key (q.Suite.qs_net ()) (Suite.query q) in
   Store.Disk.remove (Analysis.Qcache.disk cache) key;
   let timed () =
     let t0 = Unix.gettimeofday () in
-    let r = Analysis.Qcache.eval cache (q.qs_net ()) (spec_query q) in
+    let r = Analysis.Qcache.eval cache (q.Suite.qs_net ()) (Suite.query q) in
     (r.Mc.Query.res_outcome, 1000.0 *. (Unix.gettimeofday () -. t0))
   in
   let cold_r, cold_ms = timed () in
   let warm_r, warm_ms = timed () in
   if warm_r <> cold_r then begin
     Printf.eprintf "bench: %s: warm cache sup disagrees with cold run\n"
-      q.qs_name;
+      q.Suite.qs_name;
     exit 1
   end;
   (cold_r, cold_ms, warm_ms)
@@ -598,7 +561,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
               Printf.eprintf
                 "bench: %s: sup under fault injection disagrees with the \
                  clean run\n"
-                q.qs_name;
+                q.Suite.qs_name;
               exit 1
             end;
             Printf.sprintf
@@ -622,7 +585,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
                   if rj.Mc.Explorer.so_sup <> r.Mc.Explorer.so_sup then begin
                     Printf.eprintf
                       "bench: %s: jobs=%d sup disagrees with sequential\n"
-                      q.qs_name jobs;
+                      q.Suite.qs_name jobs;
                     exit 1
                   end;
                   let speedup = wall_ms /. wj in
@@ -632,7 +595,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
                           && stats.Mc.Explorer.visited >= gate_threshold
                           && speedup < g ->
                      gate_violations :=
-                       (q.qs_name, speedup)
+                       (q.Suite.qs_name, speedup)
                        :: !gate_violations
                    | Some _ | None -> ());
                   (* the first run's visited count: order-dependent at
@@ -653,7 +616,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
           "    {\"name\": %s, \"visited\": %d, \"stored\": %d, \
            \"wall_ms\": %.1f, \"wall_ms_min\": %.1f, \"repeat\": %d, \
            \"alloc_mb\": %.1f, \"result\": %s%s%s}"
-          (json_string q.qs_name) stats.Mc.Explorer.visited
+          (json_string q.Suite.qs_name) stats.Mc.Explorer.visited
           stats.Mc.Explorer.stored wall_ms wall_min repeat alloc_mb
           (json_string
              (Fmt.str "%a" Mc.Explorer.pp_sup_result r.Mc.Explorer.so_sup))
@@ -948,9 +911,13 @@ let () =
       | [ ("--repeat" | "--jobs" | "--cache" | "--faults" | "--scaling-gate")
           as flag ] ->
         bad "bench: %s needs a value" flag
-      | p :: rest ->
-        path := Some p;
-        parse rest
+      | flag :: _ when String.length flag > 1 && flag.[0] = '-' ->
+        bad "bench: unknown option %s" flag
+      | p :: rest -> (
+        match !path with
+        | None -> path := Some p; parse rest
+        | Some first ->
+          bad "bench: unexpected argument %s (output path already %s)" p first)
     in
     parse rest;
     explorer_bench_json ?path:!path ?cache_dir:!cache_dir ?faults:!faults

@@ -1439,7 +1439,25 @@ let fuzz_cmd =
         mutation =
           (if skew = 0 then None else Some (Diff.Oracle.Sup_skew skew)) }
     in
-    let out_chan = Option.map open_out out in
+    (* both outputs fail here, before the first instance runs, rather
+       than as an uncaught exception halfway through the corpus *)
+    let out_chan =
+      Option.map
+        (fun path ->
+          try open_out path with Sys_error msg -> die "--out: %s" msg)
+        out
+    in
+    if shrink then begin
+      let rec mkdirs dir =
+        if not (Sys.file_exists dir) then begin
+          mkdirs (Filename.dirname dir);
+          Sys.mkdir dir 0o755
+        end
+      in
+      (try mkdirs corpus with Sys_error msg -> die "--corpus: %s" msg);
+      if not (Sys.is_directory corpus) then
+        die "--corpus: %s: not a directory" corpus
+    end;
     let emit doc =
       let line = Store.Json.to_string doc in
       if json then print_endline line;
@@ -1523,8 +1541,10 @@ let fuzz_cmd =
                     ("edges", Int edges) ]
               in
               incr shrunk;
-              Diff.Shrink.write_entry ~dir:corpus ~id:inst.Diff.Gen.id
-                ~query_text:(Mc.Query.to_string q) ~meta_json:meta r)
+              try
+                Diff.Shrink.write_entry ~dir:corpus ~id:inst.Diff.Gen.id
+                  ~query_text:(Mc.Query.to_string q) ~meta_json:meta r
+              with Sys_error msg -> die "--corpus: %s" msg)
             result
         end
       in
@@ -1580,11 +1600,12 @@ let fuzz_cmd =
                    ( "shapes",
                      Obj
                        (List.map
-                          (fun (name, c, d, _) ->
+                          (fun (name, c, d, t) ->
                             ( name,
                               Obj
                                 [ ("instances", Int c);
-                                  ("discrepancies", Int d) ] ))
+                                  ("discrepancies", Int d);
+                                  ("wall_ms", Float t) ] ))
                           shape_rows) ) ] ) ])
     else begin
       Fmt.pr "@.%-12s %10s %14s %10s@." "shape" "instances" "discrepancies"

@@ -124,7 +124,8 @@ let race_axes =
     ("signal", [ 0; 1 ]);
     ("buffer", [ 1; 2 ]) ]
 
-let run_grid ~prefilter ~audit () =
+(* [wrap] post-processes every point's spec before the engine sees it *)
+let run_grid ?(wrap = Fun.id) ~prefilter ~audit () =
   let grid = grid_of race_axes in
   let points = Scheme.Grid.cardinality grid in
   let vs = Array.make points Analysis.Sweep.Unknown in
@@ -141,7 +142,7 @@ let run_grid ~prefilter ~audit () =
   in
   let o =
     Analysis.Sweep.run cfg ~points
-      ~build:(Gpca.Sweep_space.build ~base:small ~req:150 grid)
+      ~build:(fun i -> wrap (Gpca.Sweep_space.build ~base:small ~req:150 grid i))
   in
   (vs, o)
 
@@ -171,6 +172,28 @@ let test_race_verdicts_agree () =
   Alcotest.(check bool) "memo dedup happened" true
     (pre.Analysis.Sweep.o_memo_hits > 0
      || baseline.Analysis.Sweep.o_memo_hits > 0)
+
+(* The audit has teeth: a bound that claims every valid point meets the
+   requirement (ub 0, loss-free) turns each one into an analytic Pass,
+   and an --audit 1 run must then flag exactly the points the
+   explorer-everywhere baseline fails — none if auditing were skipped. *)
+let test_audit_catches_unsound_bound () =
+  let base_vs, _ = run_grid ~prefilter:false ~audit:0 () in
+  let lying sp = { sp with Analysis.Sweep.sp_ub = 0; sp_sound = true } in
+  let _, lied = run_grid ~wrap:lying ~prefilter:true ~audit:1 () in
+  let fails = ref [] in
+  Array.iteri
+    (fun i v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "baseline point %d decided" i)
+        false
+        (v = Analysis.Sweep.Unknown);
+      if v = Analysis.Sweep.Fail then fails := i :: !fails)
+    base_vs;
+  Alcotest.(check bool) "baseline has failing points" true (!fails <> []);
+  Alcotest.(check (list int)) "mismatches are the baseline's fails"
+    (List.rev !fails)
+    (List.map fst lied.Analysis.Sweep.o_audit_mismatches)
 
 let test_pareto_only_pass () =
   let _, pre = run_grid ~prefilter:true ~audit:0 () in
@@ -315,6 +338,8 @@ let suite =
     Alcotest.test_case "pareto: dominates" `Quick test_dominates;
     Alcotest.test_case "race: prefilter = explorer" `Slow
       test_race_verdicts_agree;
+    Alcotest.test_case "race: audit catches an unsound bound" `Slow
+      test_audit_catches_unsound_bound;
     Alcotest.test_case "pareto: frontier invariants" `Slow
       test_pareto_only_pass;
     Alcotest.test_case "cache: rerun is all store hits" `Quick
