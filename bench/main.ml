@@ -425,20 +425,21 @@ let median l =
 
 (* [repeat] timed runs of one query at a fixed worker count: the result
    of the first run plus median and min wall time, and the allocation of
-   the first run (allocation is deterministic per run shape). *)
+   the first run, in MB and in minor-heap words (allocation is
+   deterministic per run shape at jobs 1). *)
 let timed_runs ~repeat ~jobs q =
   let results =
     List.init repeat (fun _ ->
-        let a0 = Gc.allocated_bytes () in
+        let a0 = Gc.allocated_bytes () and w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         let r = run_spec ~jobs q in
         let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
         let alloc_mb = (Gc.allocated_bytes () -. a0) /. 1048576.0 in
-        (r, wall_ms, alloc_mb))
+        (r, wall_ms, (alloc_mb, Gc.minor_words () -. w0)))
   in
   let walls = List.map (fun (_, w, _) -> w) results in
-  let r, _, alloc_mb = List.hd results in
-  (r, median walls, List.fold_left min infinity walls, alloc_mb)
+  let r, _, alloc = List.hd results in
+  (r, median walls, List.fold_left min infinity walls, alloc)
 
 (* Cold-vs-warm timing of one query through the persistent store: the
    entry is evicted first, so the first governed run pays the search and
@@ -539,7 +540,9 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
   let rows =
     List.map
       (fun q ->
-        let r, wall_ms, wall_min, alloc_mb = timed_runs ~repeat ~jobs:1 q in
+        let r, wall_ms, wall_min, (alloc_mb, minor_words) =
+          timed_runs ~repeat ~jobs:1 q
+        in
         let stats = r.Mc.Explorer.so_stats in
         let cache_cells =
           match cache with
@@ -615,9 +618,9 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
         Printf.sprintf
           "    {\"name\": %s, \"visited\": %d, \"stored\": %d, \
            \"wall_ms\": %.1f, \"wall_ms_min\": %.1f, \"repeat\": %d, \
-           \"alloc_mb\": %.1f, \"result\": %s%s%s}"
+           \"alloc_mb\": %.1f, \"minor_words\": %.0f, \"result\": %s%s%s}"
           (json_string q.Suite.qs_name) stats.Mc.Explorer.visited
-          stats.Mc.Explorer.stored wall_ms wall_min repeat alloc_mb
+          stats.Mc.Explorer.stored wall_ms wall_min repeat alloc_mb minor_words
           (json_string
              (Fmt.str "%a" Mc.Explorer.pp_sup_result r.Mc.Explorer.so_sup))
           scaling (cache_cells ^ fault_cells))

@@ -190,55 +190,74 @@ let mon_in t name =
 
 (* --- zone plumbing --------------------------------------------------- *)
 
+(* The walks below are top-level recursions and loops, not [List.iter]
+   over a local closure: they run on every fired candidate, and a
+   closure would be allocated per call. *)
+
 let bound_of_dc (dc : Compiled.dconstraint) =
   if dc.Compiled.dc_strict then Zone.Bound.lt dc.Compiled.dc_bound
   else Zone.Bound.le dc.Compiled.dc_bound
 
-let apply_dconstraints z dcs =
-  List.iter
-    (fun (dc : Compiled.dconstraint) ->
-      Zone.Dbm.constrain z dc.Compiled.dc_i dc.Compiled.dc_j (bound_of_dc dc))
-    dcs
+let rec apply_dconstraints z = function
+  | [] -> ()
+  | (dc : Compiled.dconstraint) :: rest ->
+    Zone.Dbm.constrain z dc.Compiled.dc_i dc.Compiled.dc_j (bound_of_dc dc);
+    apply_dconstraints z rest
 
-let apply_invariants t locs z =
-  Array.iteri
-    (fun ai li ->
-      apply_dconstraints z t.comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_inv)
-    locs
+let apply_invariants comp locs z =
+  let auts = comp.Compiled.c_automata in
+  for ai = 0 to Array.length locs - 1 do
+    apply_dconstraints z auts.(ai).Compiled.ca_locs.(locs.(ai)).Compiled.cl_inv
+  done
 
-let loc_kind t ai li =
-  t.comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_kind
+let rec reset_clocks z = function
+  | [] -> ()
+  | c :: rest ->
+    Zone.Dbm.reset z c;
+    reset_clocks z rest
 
-let committed_present t locs =
-  let n = Array.length locs in
-  let rec loop ai =
-    ai < n
-    && (loc_kind t ai locs.(ai) = Model.Committed || loop (ai + 1))
-  in
-  loop 0
+let rec free_clocks z = function
+  | [] -> ()
+  | c :: rest ->
+    Zone.Dbm.free z c;
+    free_clocks z rest
 
-let no_delay_present t locs =
-  let n = Array.length locs in
-  let rec loop ai =
-    ai < n
-    && ((match loc_kind t ai locs.(ai) with
-         | Model.Urgent | Model.Committed -> true
-         | Model.Normal -> false)
-        || loop (ai + 1))
-  in
-  loop 0
+let loc_kind comp ai li =
+  comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_kind
+
+(* Whether some automaton sits in a location of a kind [pick] accepts. *)
+let rec occupied comp pick locs ai =
+  ai < Array.length locs
+  && (pick (loc_kind comp ai locs.(ai)) || occupied comp pick locs (ai + 1))
+
+let committed = function Model.Committed -> true | _ -> false
+let no_delay = function Model.Urgent | Model.Committed -> true | _ -> false
+let no_delay_present comp locs = occupied comp no_delay locs 0
 
 (* Clocks the monitor declares inactive carry no information; freeing them
    merges zones that differ only in their value. *)
 let free_inactive_monitor_clocks t mon_state z =
-  List.iter (Zone.Dbm.free z) t.mon_free.(mon_state)
+  free_clocks z t.mon_free.(mon_state)
 
 (* Activity reduction: free the clocks that are dead at an automaton's
    current location (see Compiled.cl_free). *)
 let free_inactive_automaton_clocks t ai li z =
   if t.reduce then
-    List.iter (Zone.Dbm.free z)
+    free_clocks z
       t.comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_free
+
+(* Target invariants, then the delay closure under them unless an urgent
+   or committed location stops time. *)
+let settle comp locs z =
+  apply_invariants comp locs z;
+  if not (Zone.Dbm.is_empty z || no_delay_present comp locs) then begin
+    Zone.Dbm.up z;
+    apply_invariants comp locs z
+  end
+
+let extrapolate t z =
+  if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
+  else Zone.Dbm.extrapolate z t.k
 
 (* --- transition firing ------------------------------------------------ *)
 
@@ -249,81 +268,90 @@ type candidate = {
   cd_chan : int option;
 }
 
-let describe t cd =
-  let heads =
-    List.map (fun (_, ce) -> Compiled.describe_edge t.comp ce) cd.cd_movers
-  in
-  String.concat " | " heads
+let describe t movers =
+  String.concat " | "
+    (List.map (fun (_, ce) -> Compiled.describe_edge t.comp ce) movers)
 
-let movers cd = cd.cd_movers
+let rec apply_guards z = function
+  | [] -> ()
+  | (_, ce) :: rest ->
+    apply_dconstraints z ce.Compiled.ce_guard;
+    apply_guards z rest
 
-(* [fire t pool st cd] applies candidate [cd] to [st].  The successor
-   zone is taken from [pool]; candidates whose guard (or target
-   invariant) empties the zone return their scratch matrix to the pool
-   instead of leaving it to the GC -- in a typical exploration most
+(* Move each mover to its target in [locs] and reset its clocks; the
+   result is the valuation after the movers' updates, in order ([vals]
+   itself while they update nothing). *)
+let rec retarget comp locs z vals = function
+  | [] -> vals
+  | (ai, ce) :: rest ->
+    locs.(ai) <- ce.Compiled.ce_dst;
+    reset_clocks z ce.Compiled.ce_resets;
+    let vals =
+      if ce.Compiled.ce_updates = [] then vals
+      else Compiled.apply_updates comp vals ce.Compiled.ce_updates
+    in
+    retarget comp locs z vals rest
+
+let rec free_movers t z = function
+  | [] -> ()
+  | (ai, ce) :: rest ->
+    free_inactive_automaton_clocks t ai ce.Compiled.ce_dst z;
+    free_movers t z rest
+
+(* Every step of firing [cd] from [st] but the extrapolation: guards,
+   locations, updates, resets, the monitor step, activity reduction,
+   target invariants and delay closure.  The zone comes from [pool] and
+   goes back to it when it empties -- in a typical exploration most
    candidates die here, so this removes the dominant allocation. *)
-let fire t pool st cd =
+let advance t pool st cd =
   let z = Zone.Dbm.Pool.copy pool st.st_zone in
-  let dead () =
+  apply_guards z cd.cd_movers;
+  if Zone.Dbm.is_empty z then begin
     Zone.Dbm.Pool.release pool z;
     None
-  in
-  List.iter (fun (_, ce) -> apply_dconstraints z ce.Compiled.ce_guard)
-    cd.cd_movers;
-  if Zone.Dbm.is_empty z then dead ()
+  end
   else begin
-    let locs' = Array.copy st.st_locs in
-    List.iter (fun (ai, ce) -> locs'.(ai) <- ce.Compiled.ce_dst) cd.cd_movers;
-    let vars' =
-      (* [apply_updates] copies the valuation; share the parent's array
-         for the common case of update-free movers *)
-      List.fold_left
-        (fun vals (_, ce) ->
-          if ce.Compiled.ce_updates = [] then vals
-          else Compiled.apply_updates t.comp vals ce.Compiled.ce_updates)
-        st.st_vars cd.cd_movers
-    in
-    let mon', mon_resets =
+    let locs = Array.copy st.st_locs in
+    let vars = retarget t.comp locs z st.st_vars cd.cd_movers in
+    let mon =
       match cd.cd_chan with
-      | None -> (st.st_mon, [])
+      | None -> st.st_mon
       | Some ch ->
         (match t.mon_step.(ch).(st.st_mon) with
-         | Some (dst, resets) -> (dst, resets)
-         | None -> (st.st_mon, []))
+         | Some (dst, resets) ->
+           reset_clocks z resets;
+           dst
+         | None -> st.st_mon)
     in
-    List.iter
-      (fun (_, ce) -> List.iter (Zone.Dbm.reset z) ce.Compiled.ce_resets)
-      cd.cd_movers;
-    List.iter (Zone.Dbm.reset z) mon_resets;
-    free_inactive_monitor_clocks t mon' z;
-    List.iter
-      (fun (ai, ce) ->
-        free_inactive_automaton_clocks t ai ce.Compiled.ce_dst z)
-      cd.cd_movers;
-    apply_invariants t locs' z;
-    if Zone.Dbm.is_empty z then dead ()
-    else begin
-      if not (no_delay_present t locs') then begin
-        Zone.Dbm.up z;
-        apply_invariants t locs' z
-      end;
-      if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
-      else Zone.Dbm.extrapolate z t.k;
-      if Zone.Dbm.is_empty z then dead ()
-      else Some { st_locs = locs'; st_vars = vars'; st_mon = mon'; st_zone = z }
+    free_inactive_monitor_clocks t mon z;
+    free_movers t z cd.cd_movers;
+    settle t.comp locs z;
+    if Zone.Dbm.is_empty z then begin
+      Zone.Dbm.Pool.release pool z;
+      None
     end
+    else Some { st_locs = locs; st_vars = vars; st_mon = mon; st_zone = z }
   end
 
+let extrapolated t pool = function
+  | None -> None
+  | Some s as live ->
+    extrapolate t s.st_zone;
+    if Zone.Dbm.is_empty s.st_zone then begin
+      Zone.Dbm.Pool.release pool s.st_zone;
+      None
+    end
+    else live
+
+let fire t pool st cd = extrapolated t pool (advance t pool st cd)
+
 (* [fire_pre] is [fire] with the successor zone additionally exposed as it
-   stood just {e before} extrapolation.  Everything up to that point —
-   guards, updates, monitor step, resets, activity reduction, invariants,
-   delay closure — depends only on the model structure, never on the
-   extrapolation constants, so a recorded pre-extrapolation zone stays
-   valid across edits that merely move a maximal constant, and
-   [admit_pre] re-applies the {e current} extrapolation.
-   Emptiness is decided before extrapolation (widening cannot empty a
-   non-empty canonical zone), so [Fired_dead] is extrapolation-independent
-   too. *)
+   stood just {e before} extrapolation.  Everything up to that point
+   depends only on the model structure, never on the extrapolation
+   constants, so [admit_pre] re-applies the {e current} extrapolation to
+   a recorded zone.  Emptiness is decided before extrapolation (widening
+   cannot empty a non-empty canonical zone), so [Fired_dead] is
+   extrapolation-independent too. *)
 type fired =
   | Fired_dead
   | Fired_live of {
@@ -335,158 +363,102 @@ type fired =
     }
 
 let fire_pre t pool st cd =
-  let z = Zone.Dbm.Pool.copy pool st.st_zone in
-  let dead () =
-    Zone.Dbm.Pool.release pool z;
-    Fired_dead
-  in
-  List.iter (fun (_, ce) -> apply_dconstraints z ce.Compiled.ce_guard)
-    cd.cd_movers;
-  if Zone.Dbm.is_empty z then dead ()
-  else begin
-    let locs' = Array.copy st.st_locs in
-    List.iter (fun (ai, ce) -> locs'.(ai) <- ce.Compiled.ce_dst) cd.cd_movers;
-    let vars' =
-      List.fold_left
-        (fun vals (_, ce) ->
-          if ce.Compiled.ce_updates = [] then vals
-          else Compiled.apply_updates t.comp vals ce.Compiled.ce_updates)
-        st.st_vars cd.cd_movers
-    in
-    let mon', mon_resets =
-      match cd.cd_chan with
-      | None -> (st.st_mon, [])
-      | Some ch ->
-        (match t.mon_step.(ch).(st.st_mon) with
-         | Some (dst, resets) -> (dst, resets)
-         | None -> (st.st_mon, []))
-    in
-    List.iter
-      (fun (_, ce) -> List.iter (Zone.Dbm.reset z) ce.Compiled.ce_resets)
-      cd.cd_movers;
-    List.iter (Zone.Dbm.reset z) mon_resets;
-    free_inactive_monitor_clocks t mon' z;
-    List.iter
-      (fun (ai, ce) ->
-        free_inactive_automaton_clocks t ai ce.Compiled.ce_dst z)
-      cd.cd_movers;
-    apply_invariants t locs' z;
-    if Zone.Dbm.is_empty z then dead ()
-    else begin
-      if not (no_delay_present t locs') then begin
-        Zone.Dbm.up z;
-        apply_invariants t locs' z
-      end;
-      let fl_pre = Zone.Dbm.to_ints z in
-      if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
-      else Zone.Dbm.extrapolate z t.k;
-      let fl_state =
-        if Zone.Dbm.is_empty z then begin
-          Zone.Dbm.Pool.release pool z;
-          None
-        end
-        else
-          Some { st_locs = locs'; st_vars = vars'; st_mon = mon'; st_zone = z }
-      in
-      Fired_live
-        { fl_state; fl_locs = locs'; fl_vars = vars'; fl_mon = mon'; fl_pre }
-    end
-  end
+  match advance t pool st cd with
+  | None -> Fired_dead
+  | Some s as live ->
+    let fl_pre = Zone.Dbm.to_ints s.st_zone in
+    Fired_live
+      { fl_state = extrapolated t pool live; fl_locs = s.st_locs;
+        fl_vars = s.st_vars; fl_mon = s.st_mon; fl_pre }
 
 (* Replay counterpart of [fire_pre]: rebuild a recorded successor from its
    pre-extrapolation zone and finish with {e this} explorer's
    extrapolation, so the state comes out exactly as [fire] on the current
    model would produce it. *)
 let admit_pre t ~locs ~vars ~mon ~pre =
-  let dim = t.comp.Compiled.c_nclocks + 1 in
-  let z = Zone.Dbm.of_ints ~dim pre in
-  if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
-  else Zone.Dbm.extrapolate z t.k;
+  let z = Zone.Dbm.of_ints ~dim:(t.comp.Compiled.c_nclocks + 1) pre in
+  extrapolate t z;
   if Zone.Dbm.is_empty z then None
   else Some { st_locs = locs; st_vars = vars; st_mon = mon; st_zone = z }
 
 (* --- transition enumeration ------------------------------------------ *)
 
-(* Combos in lexicographic order (leftmost list most significant), built
-   by consing onto the suffix combos -- no list appends. *)
-let cartesian choice_lists =
-  List.fold_right
-    (fun choices acc ->
-      List.concat_map (fun c -> List.map (fun rest -> c :: rest) acc) choices)
-    choice_lists
-    [ [] ]
+(* With a committed location occupied, only candidates that move out of
+   one may fire. *)
+let rec leaves_committed comp = function
+  | [] -> false
+  | (ai, ce) :: rest ->
+    committed (loc_kind comp ai ce.Compiled.ce_src)
+    || leaves_committed comp rest
 
+let push comp com acc movers chan =
+  if com && not (leaves_committed comp movers) then acc
+  else { cd_movers = movers; cd_chan = chan } :: acc
+
+(* A broadcast's receiver combinations in lexicographic order (the first
+   automaton's choice most significant), [sender] first in each. *)
+let rec push_combos comp com acc sender chan picked = function
+  | [] -> push comp com acc (sender :: List.rev picked) chan
+  | choices :: rest -> push_choices comp com acc sender chan picked rest choices
+
+and push_choices comp com acc sender chan picked rest = function
+  | [] -> acc
+  | c :: cs ->
+    let acc = push_combos comp com acc sender chan (c :: picked) rest in
+    push_choices comp com acc sender chan picked rest cs
+
+(* The enumeration order: tau edges by automaton, then per channel each
+   enabled sender (automata ascending, an automaton's edges last
+   declared first) with every receiver choice -- a binary channel's
+   receivers in the senders' order, a broadcast's combinations above,
+   over each other automaton's enabled edges in declaration order. *)
 let candidates t st =
-  let comp = t.comp in
+  let comp = t.comp and locs = st.st_locs and vars = st.st_vars in
   let nauts = Array.length comp.Compiled.c_automata in
-  let com = committed_present t st.st_locs in
-  let allowed movers =
-    (not com)
-    || List.exists
-         (fun (ai, ce) -> loc_kind t ai ce.Compiled.ce_src = Model.Committed)
-         movers
-  in
+  let com = occupied comp committed locs 0 in
   let acc = ref [] in
-  let add movers chan =
-    let cd = { cd_movers = movers; cd_chan = chan } in
-    if allowed movers then acc := cd :: !acc
-  in
-  let enabled ce = ce.Compiled.ce_pred st.st_vars in
-  (* internal moves *)
   for ai = 0 to nauts - 1 do
-    Array.iter
-      (fun ce -> if enabled ce then add [ (ai, ce) ] None)
-      t.taus.(ai).(st.st_locs.(ai))
+    let es = t.taus.(ai).(locs.(ai)) in
+    for x = 0 to Array.length es - 1 do
+      let ce = es.(x) in
+      if ce.Compiled.ce_pred vars then
+        acc := push comp com !acc [ (ai, ce) ] None
+    done
   done;
-  (* synchronisations, per channel *)
-  let nchans = Array.length comp.Compiled.c_chan_kinds in
-  for ch = 0 to nchans - 1 do
-    let senders = ref [] in
-    for ai = nauts - 1 downto 0 do
-      Array.iter
-        (fun ce -> if enabled ce then senders := (ai, ce) :: !senders)
-        t.sends.(ai).(st.st_locs.(ai)).(ch)
-    done;
-    if !senders <> [] then begin
-      match comp.Compiled.c_chan_kinds.(ch) with
-      | Model.Binary ->
-        let receivers = ref [] in
-        for ai = nauts - 1 downto 0 do
-          Array.iter
-            (fun ce -> if enabled ce then receivers := (ai, ce) :: !receivers)
-            t.recvs.(ai).(st.st_locs.(ai)).(ch)
-        done;
-        List.iter
-          (fun (sa, se) ->
-            List.iter
-              (fun (ra, re) ->
-                if sa <> ra then add [ (sa, se); (ra, re) ] (Some ch))
-              !receivers)
-          !senders
-      | Model.Broadcast ->
-        let recv_choices sa =
-          let per_aut = ref [] in
-          for ai = nauts - 1 downto 0 do
-            if ai <> sa then begin
-              let edges =
-                Array.fold_right
-                  (fun ce acc -> if enabled ce then (ai, ce) :: acc else acc)
-                  t.recvs.(ai).(st.st_locs.(ai)).(ch)
-                  []
-              in
-              if edges <> [] then per_aut := edges :: !per_aut
-            end
-          done;
-          !per_aut
-        in
-        List.iter
-          (fun (sa, se) ->
-            let combos = cartesian (recv_choices sa) in
-            List.iter
-              (fun receivers -> add ((sa, se) :: receivers) (Some ch))
-              combos)
-          !senders
-    end
+  for ch = 0 to Array.length comp.Compiled.c_chan_kinds - 1 do
+    let binary = comp.Compiled.c_chan_kinds.(ch) = Model.Binary in
+    for sa = 0 to nauts - 1 do
+      let ses = t.sends.(sa).(locs.(sa)).(ch) in
+      for x = Array.length ses - 1 downto 0 do
+        let se = ses.(x) in
+        if se.Compiled.ce_pred vars then
+          if binary then
+            for ra = 0 to nauts - 1 do
+              if ra <> sa then begin
+                let res = t.recvs.(ra).(locs.(ra)).(ch) in
+                for y = Array.length res - 1 downto 0 do
+                  let re = res.(y) in
+                  if re.Compiled.ce_pred vars then
+                    acc := push comp com !acc [ (sa, se); (ra, re) ] (Some ch)
+                done
+              end
+            done
+          else begin
+            let choices = ref [] in
+            for ra = nauts - 1 downto 0 do
+              if ra <> sa then begin
+                let res = t.recvs.(ra).(locs.(ra)).(ch) and edges = ref [] in
+                for y = Array.length res - 1 downto 0 do
+                  let re = res.(y) in
+                  if re.Compiled.ce_pred vars then edges := (ra, re) :: !edges
+                done;
+                if !edges <> [] then choices := !edges :: !choices
+              end
+            done;
+            acc := push_combos comp com !acc (sa, se) (Some ch) [] !choices
+          end
+      done
+    done
   done;
   List.rev !acc
 
@@ -558,7 +530,9 @@ module Passed = struct
   (* Per-search scratch: the dedup mode, the key layout, the newcomer's
      key, the indices of the entries it covers, and the dead entry that
      fills holes and unused slots, so a slot never pins a killed entry or
-     its zone. *)
+     its zone.  [offer] and [slots] are the zone on offer and the node's
+     entries during an [add]; the key scan's callbacks read them, so
+     they are built once per search, not per offer. *)
   type t = {
     subsume : bool;
     pool : Zone.Dbm.Pool.t;
@@ -566,7 +540,13 @@ module Passed = struct
     klen : int;
     nkey : int array;
     mutable kills : int array;
+    mutable nkills : int;
     hole : entry;
+    mutable offer : Zone.Dbm.t;
+    mutable slots : entry array;
+    covers : int -> bool;
+    victim : int -> unit;
+    same : int -> bool;
   }
 
   let create ~subsume ~max_const pool =
@@ -579,8 +559,21 @@ module Passed = struct
             st_zone = Zone.Dbm.zero 1 };
         e_dead = true }
     in
-    { subsume; pool; fmt; klen; nkey = Array.make klen 0; kills = [||];
-      hole }
+    let rec sc =
+      { subsume; pool; fmt; klen; nkey = Array.make klen 0; kills = [||];
+        nkills = 0; hole; offer = hole.e_state.st_zone; slots = [||];
+        covers =
+          (fun s -> Zone.Dbm.includes sc.slots.(s).e_state.st_zone sc.offer);
+        victim =
+          (fun s ->
+            if Zone.Dbm.includes sc.offer sc.slots.(s).e_state.st_zone
+            then begin
+              sc.kills.(sc.nkills) <- s;
+              sc.nkills <- sc.nkills + 1
+            end);
+        same = (fun s -> Zone.Dbm.equal sc.slots.(s).e_state.st_zone sc.offer) }
+    in
+    sc
 
   (* Key copies into the node's long-lived arrays: a typed loop, as in
      {!Zone.Dbm.Pool.copy}, since [Array.blit] would run [caml_modify]
@@ -590,11 +583,10 @@ module Passed = struct
       dst.(d + p) <- src.(so + p)
     done
 
-  (* The newcomer's key goes to [sc.nkey]; its head is returned. *)
+  (* The newcomer's key goes to [sc.nkey]. *)
   let write_key sc z =
     let head = if sc.subsume then Zone.Dbm.weight z else Zone.Dbm.hash z in
-    Zone.Dbm.Key.write sc.fmt z ~head sc.nkey 0;
-    head
+    Zone.Dbm.Key.write sc.fmt z ~head sc.nkey 0
 
   (* Rebuild block [b]'s summaries from its live slots.  A block of
      holes keeps the cleared summaries, which fail both block
@@ -667,7 +659,7 @@ module Passed = struct
 
   (* Store an entry without a subsumption scan (snapshot restore). *)
   let restore sc n e =
-    ignore (write_key sc e.e_state.st_zone : int);
+    write_key sc e.e_state.st_zone;
     append sc n e
 
   (* [add sc n ~expanding ~id st] offers [st] (of [n]'s discrete state)
@@ -678,67 +670,39 @@ module Passed = struct
      and returns its zone to the pool — except the entry being expanded
      ([expanding]), whose zone the rest of its expansion still reads.
 
-     One pass, newest first, decides both: an entry is tested as a
-     cover when its key dominates the newcomer's, as a victim when the
-     newcomer's dominates its own, by {!Zone.Dbm.includes} only after
-     the key compare passes.  The unsummarised tail is scanned slot by
-     slot, then each full block is entered only in the directions its
-     summaries allow: no entry can cover unless the block max dominates
-     the newcomer's key, and none can be a victim unless the newcomer's
-     key dominates the block min (inclusion implies key dominance).
-     Victims are applied only once the pass ends uncovered, so the
-     outcome is exactly "exists cover, else remove all victims" whatever
-     the entry order. *)
+     One pass, newest first ({!Zone.Dbm.Key.scan}), decides both: an
+     entry is tested as a cover when its key dominates the newcomer's,
+     as a victim when the newcomer's dominates its own, by
+     {!Zone.Dbm.includes} only after the key compare passes, and whole
+     blocks are skipped where their summaries rule both out (inclusion
+     implies key dominance).  Victims are applied only once the pass
+     ends uncovered, so the outcome is exactly "exists cover, else
+     remove all victims" whatever the entry order. *)
   let add sc n ~expanding ~id st =
     let z = st.st_zone in
-    let fmt = sc.fmt and klen = sc.klen and nk = sc.nkey in
-    let head = write_key sc z in
-    let keys = n.pw_keys and live = n.pw_live in
-    let covered = ref false and nkills = ref 0 and i = ref (n.pw_len - 1) in
-    if sc.subsume then begin
-      if Array.length sc.kills < n.pw_len then
-        sc.kills <- Array.make (2 * n.pw_len) 0;
-      (* [lo] is the first slot of the current group (the tail, then
-         block [b]); [cover]/[kill] are the directions it allows *)
-      let b = ref (n.pw_len / block) in
-      let lo = ref (!b * block) and cover = ref true and kill = ref true in
-      while (not !covered) && !i >= 0 do
-        if !i < !lo then begin
-          decr b;
-          lo := !b * block;
-          cover := Zone.Dbm.Key.ge fmt n.pw_bmax (!b * klen) nk 0;
-          kill := Zone.Dbm.Key.ge fmt nk 0 n.pw_bmin (!b * klen);
-          if not (!cover || !kill) then i := !lo - 1
-        end
-        else begin
-          let off = !i * klen in
-          if !cover && Zone.Dbm.Key.ge fmt keys off nk 0
-             && Zone.Dbm.includes live.(!i).e_state.st_zone z
-          then covered := true
-          else if !kill && Zone.Dbm.Key.ge fmt nk 0 keys off
-                  && Zone.Dbm.includes z live.(!i).e_state.st_zone
-          then begin
-            sc.kills.(!nkills) <- !i;
-            incr nkills
-          end;
-          decr i
-        end
-      done
-    end
-    else
-      while (not !covered) && !i >= 0 do
-        if Zone.Dbm.Key.head keys (!i * klen) = head
-           && Zone.Dbm.equal live.(!i).e_state.st_zone z
-        then covered := true;
-        decr i
-      done;
-    if !covered then begin
+    write_key sc z;
+    sc.offer <- z;
+    sc.slots <- n.pw_live;
+    sc.nkills <- 0;
+    let covered =
+      if sc.subsume then begin
+        if Array.length sc.kills < n.pw_len then
+          sc.kills <- Array.make (2 * n.pw_len) 0;
+        Zone.Dbm.Key.scan sc.fmt ~block ~keys:n.pw_keys ~bmax:n.pw_bmax
+          ~bmin:n.pw_bmin ~len:n.pw_len sc.nkey ~cover:sc.covers
+          ~victim:sc.victim
+      end
+      else
+        Zone.Dbm.Key.find_equal sc.fmt ~keys:n.pw_keys ~len:n.pw_len sc.nkey
+          sc.same
+    in
+    if covered then begin
       Zone.Dbm.Pool.release sc.pool z;
       None
     end
     else begin
       let e = { e_id = id; e_state = st; e_dead = false } in
-      for k = 0 to !nkills - 1 do
+      for k = 0 to sc.nkills - 1 do
         let j = sc.kills.(k) in
         let victim = n.pw_live.(j) in
         victim.e_dead <- true;
@@ -782,8 +746,12 @@ let env_progress =
 
 let hash_discrete locs vars mon =
   let h = ref (mon + 0x9e3779b9) in
-  Array.iter (fun v -> h := (!h lxor v) * 0x01000193) locs;
-  Array.iter (fun v -> h := (!h lxor v) * 0x01000193) vars;
+  for i = 0 to Array.length locs - 1 do
+    h := (!h lxor locs.(i)) * 0x01000193
+  done;
+  for i = 0 to Array.length vars - 1 do
+    h := (!h lxor vars.(i)) * 0x01000193
+  done;
   !h land max_int
 
 let initial_state t =
@@ -795,13 +763,8 @@ let initial_state t =
   let z = Zone.Dbm.zero (comp.Compiled.c_nclocks + 1) in
   free_inactive_monitor_clocks t t.monitor.Monitor.mon_initial z;
   Array.iteri (fun ai li -> free_inactive_automaton_clocks t ai li z) locs;
-  apply_invariants t locs z;
-  if not (no_delay_present t locs) then begin
-    Zone.Dbm.up z;
-    apply_invariants t locs z
-  end;
-  if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
-  else Zone.Dbm.extrapolate z t.k;
+  settle t.comp locs z;
+  extrapolate t z;
   { st_locs = locs; st_vars = vars; st_mon = t.monitor.Monitor.mon_initial;
     st_zone = z }
 
@@ -1534,10 +1497,6 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
     in
     result ~interrupt:(Runctl.Crash diag) ()
 
-let describe_chain t chain =
-  List.map
-    (fun movers -> describe t { cd_movers = movers; cd_chan = None })
-    chain
 
 type reach_result = {
   r_trace : string list option;
@@ -1548,7 +1507,7 @@ type reach_result = {
 let reachable ?jobs ?expand ?ctl t pred =
   let visit _ st = if pred st then `Stop else `Continue in
   let r = search ?jobs ?expand ?ctl ~label:"reachable" t visit in
-  { r_trace = Option.map (describe_chain t) r.sr_chain;
+  { r_trace = Option.map (List.map (describe t)) r.sr_chain;
     r_stats = r.sr_stats;
     r_interrupt = r.sr_interrupt }
 
@@ -1648,7 +1607,7 @@ let pp_sup_result ppf = function
    states -- no successors but unbounded delay -- are not timelocks. *)
 let find_timelock ?ctl t =
   let time_blocked st =
-    no_delay_present t st.st_locs
+    no_delay_present t.comp st.st_locs
     ||
     let z = st.st_zone in
     let dim = Zone.Dbm.dim z in
@@ -1668,7 +1627,7 @@ let find_timelock ?ctl t =
     search ?ctl ~on_expanded ~subsume:false ~label:"timelock" t
       (fun _ _ -> `Continue)
   in
-  { r_trace = Option.map (describe_chain t) r.sr_chain;
+  { r_trace = Option.map (List.map (describe t)) r.sr_chain;
     r_stats = r.sr_stats;
     r_interrupt = r.sr_interrupt }
 
@@ -1704,7 +1663,6 @@ let replay t chain =
     let comp =
       Compiled.compile ~extra_clocks:[ tclock ] t.comp.Compiled.c_model
     in
-    let nauts = Array.length comp.Compiled.c_automata in
     let find_edge ai idx =
       let a = comp.Compiled.c_automata.(ai) in
       let hit = ref None in
@@ -1715,25 +1673,6 @@ let replay t chain =
       | Some ce -> ce
       | None -> assert false
     in
-    let invariants locs z =
-      Array.iteri
-        (fun ai li ->
-          apply_dconstraints z
-            comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_inv)
-        locs
-    in
-    let blocked locs =
-      let rec loop ai =
-        ai < nauts
-        && ((match comp.Compiled.c_automata.(ai)
-                     .Compiled.ca_locs.(locs.(ai)).Compiled.cl_kind
-             with
-             | Model.Urgent | Model.Committed -> true
-             | Model.Normal -> false)
-            || loop (ai + 1))
-      in
-      loop 0
-    in
     let dim = comp.Compiled.c_nclocks + 1 in
     let ti = Compiled.clock_index comp tclock in
     let locs =
@@ -1741,11 +1680,7 @@ let replay t chain =
     in
     let vars = ref (Array.copy comp.Compiled.c_var_init) in
     let z = Zone.Dbm.zero dim in
-    invariants !locs z;
-    if not (blocked !locs) then begin
-      Zone.Dbm.up z;
-      invariants !locs z
-    end;
+    settle comp !locs z;
     let steps = ref [] in
     let feasible = ref (not (Zone.Dbm.is_empty z)) in
     List.iter
@@ -1757,9 +1692,7 @@ let replay t chain =
                 (ai, find_edge ai ce.Compiled.ce_index))
               movers
           in
-          List.iter
-            (fun (_, ce) -> apply_dconstraints z ce.Compiled.ce_guard)
-            movers';
+          apply_guards z movers';
           if Zone.Dbm.is_empty z then feasible := false
           else begin
             let lo, lo_strict = Zone.Dbm.inf_clock z ti in
@@ -1771,29 +1704,14 @@ let replay t chain =
                   (Zone.Bound.constant hi_bound, Zone.Bound.is_strict hi_bound)
             in
             steps :=
-              { td_desc =
-                  describe t { cd_movers = movers; cd_chan = None };
+              { td_desc = describe t movers;
                 td_earliest = (lo, lo_strict);
                 td_latest = hi }
               :: !steps;
             let next_locs = Array.copy !locs in
-            List.iter
-              (fun (ai, ce) -> next_locs.(ai) <- ce.Compiled.ce_dst)
-              movers';
-            vars :=
-              List.fold_left
-                (fun vals (_, ce) ->
-                  Compiled.apply_updates comp vals ce.Compiled.ce_updates)
-                !vars movers';
-            List.iter
-              (fun (_, ce) -> List.iter (Zone.Dbm.reset z) ce.Compiled.ce_resets)
-              movers';
+            vars := retarget comp next_locs z !vars movers';
             locs := next_locs;
-            invariants !locs z;
-            if not (blocked !locs) then begin
-              Zone.Dbm.up z;
-              invariants !locs z
-            end;
+            settle comp !locs z;
             if Zone.Dbm.is_empty z then feasible := false
           end
         end)

@@ -147,12 +147,17 @@ val mon_in : t -> string -> state -> bool
     ({!Runctl.create}); without one, only the explorer's state limit
     applies. *)
 
-(** A candidate discrete transition out of a state: the moving edges in
-    update order plus the synchronising channel, precomputed by
+(** A candidate discrete transition out of a state, built by
     {!candidates} (declared here because the [expand] hooks below name
     it; the expansion engine itself lives at the end of this
     interface). *)
-type candidate
+type candidate = private {
+  cd_movers : (int * Ta.Compiled.cedge) list;
+      (** the moving edges in update order (sender first), as
+          [(automaton index, edge)] pairs: the per-step payload of a
+          witness chain *)
+  cd_chan : int option;  (** the synchronising channel's index *)
+}
 
 type reach_result = {
   r_trace : string list option;
@@ -331,19 +336,6 @@ val admit_pre :
   t -> locs:int array -> vars:int array -> mon:int -> pre:int array ->
   state option
 
-(** The moving edges of a candidate, as [(automaton index, edge)] pairs —
-    the per-step payload of a witness chain. *)
-val movers : candidate -> (int * Ta.Compiled.cedge) list
-
-(** Human-readable description of each step of a witness chain. *)
-val describe_chain :
-  t -> (int * Ta.Compiled.cedge) list list -> string list
-
-(** The FNV-style hash of a discrete state (locations, variables,
-    monitor state) that keys the passed/waiting store and picks the
-    partition owning the state at [jobs > 1]. *)
-val hash_discrete : int array -> int array -> int -> int
-
 (** The live zones of one discrete state in {!search}'s passed/waiting
     store (in every partition, at any [jobs]), exposed so tests can drive
     it directly.  Library-internal in spirit. *)
@@ -367,7 +359,7 @@ module Passed : sig
   val block : int
 
   (** [node ~hash st] is an empty node for [st]'s discrete part;
-      [hash] is its {!hash_discrete}. *)
+      [hash] is the discrete part's hash, which the node keeps. *)
   val node : hash:int -> state -> node
 
   (** The node's live entries, oldest first. *)

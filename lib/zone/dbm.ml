@@ -149,6 +149,12 @@ let reclose_touched z cols ends =
     done
   done
 
+(* [widen]'s touched list, one per domain (the search's domains
+   extrapolate at once), grown to the largest dimension it has seen. *)
+type touched = { mutable cols : int array; mutable ends : int array }
+
+let touched_key = Domain.DLS.new_key (fun () -> { cols = [||]; ends = [||] })
+
 (* The widening scan shared by both extrapolations: an entry above
    [le upper.(i)] is dropped to infinity, one below [lt (-lower.(j))]
    raised to it.  ExtraLU exempts row 0 from the drop and column 0 from
@@ -156,7 +162,12 @@ let reclose_touched z cols ends =
 let widen z ~lu upper lower =
   if not (is_empty z) then begin
     let n = z.n and m = z.m in
-    let cols = Array.make (n * n) 0 and ends = Array.make n 0 in
+    let scratch = Domain.DLS.get touched_key in
+    if Array.length scratch.ends < n then begin
+      scratch.cols <- Array.make (n * n) 0;
+      scratch.ends <- Array.make n 0
+    end;
+    let cols = scratch.cols and ends = scratch.ends in
     let touched = ref 0 in
     for i = 0 to n - 1 do
       let ri = i * n and above = le upper.(i) and drops = (not lu) || i <> 0 in
@@ -327,11 +338,9 @@ module Key = struct
       acc := 0
     done
 
-  let head (keys : int array) off = keys.(off)
-
-  (* A plain loop, not a local closure: this is the innermost loop of
-     the search. *)
-  let ge f (a : int array) ao (b : int array) bo =
+  (* A plain loop, not a local closure, inlined into {!scan} below:
+     this is the innermost loop of the search. *)
+  let[@inline] ge f (a : int array) ao (b : int array) bo =
     Array.unsafe_get a ao >= Array.unsafe_get b bo
     &&
     let g = f.guard and stop = f.words in
@@ -382,6 +391,43 @@ module Key = struct
       let m = ge_mask f k lo in
       min.(off + w) <- (lo land m) lor (k land lnot m)
     done
+
+  (* Newest first: the tail slot by slot, then each full block of
+     [block] slots, entered only in the directions its summaries allow
+     ([up]: the block max dominates [nk], so a slot may cover; [down]:
+     [nk] dominates the block min, so a slot may be a victim).  Every
+     [ge] here is inlined, so the loop makes no call until a key compare
+     passes. *)
+  let scan f ~block ~keys ~bmax ~bmin ~len nk ~cover ~victim =
+    let klen = 1 + f.words in
+    let covered = ref false and i = ref (len - 1) and b = ref (len / block) in
+    let lo = ref (!b * block) and up = ref true and down = ref true in
+    while (not !covered) && !i >= 0 do
+      if !i < !lo then begin
+        decr b;
+        lo := !b * block;
+        up := ge f bmax (!b * klen) nk 0;
+        down := ge f nk 0 bmin (!b * klen);
+        if not (!up || !down) then i := !lo - 1
+      end
+      else begin
+        let off = !i * klen in
+        if !up && ge f keys off nk 0 && cover !i then covered := true
+        else begin
+          if !down && ge f nk 0 keys off then victim !i;
+          decr i
+        end
+      end
+    done;
+    !covered
+
+  let find_equal f ~keys ~len nk same =
+    let klen = 1 + f.words and head = nk.(0) in
+    let i = ref (len - 1) in
+    while !i >= 0 && not (keys.(!i * klen) = head && same !i) do
+      decr i
+    done;
+    !i >= 0
 end
 
 let to_ints z = Array.copy z.m

@@ -141,9 +141,6 @@ module Key : sig
       .. keys.(off + len fmt - 1)].  [z] has [fmt]'s dimension. *)
   val write : t -> zone -> head:int -> int array -> int -> unit
 
-  (** The head of the key at [off]. *)
-  val head : int array -> int -> int
-
   (** [ge fmt a ao b bo]: the key at [a.(ao)] dominates the one at
       [b.(bo)], head and every lane [>=].  One subtraction tests all
       the lanes of a word. *)
@@ -168,6 +165,27 @@ module Key : sig
       every key added and every key added dominates [min]. *)
   val summary_add :
     t -> max:int array -> min:int array -> int -> int array -> int -> unit
+
+  (** [scan fmt ~block ~keys ~bmax ~bmin ~len nk ~cover ~victim] is a
+      subsumption pass over the [len] keys in [keys], newest (slot
+      [len - 1]) first, for the newcomer key [nk].  Each full block of
+      [block] slots has its summaries at [block index * len fmt] in
+      [bmax]/[bmin]; the slots past the last full block are scanned one
+      by one, then each block only in the directions its summaries
+      allow.  [cover s] runs on a slot whose key dominates [nk] and
+      [victim s] on one [nk] dominates, and only then; the pass stops
+      at the first [cover] that returns [true], and the result is
+      whether one did.  Holes ({!hole}) never pass a compare. *)
+  val scan :
+    t -> block:int -> keys:int array -> bmax:int array -> bmin:int array ->
+    len:int -> int array -> cover:(int -> bool) -> victim:(int -> unit) ->
+    bool
+
+  (** [find_equal fmt ~keys ~len nk same]: whether [same s] holds for
+      some slot, newest first, tested only where the key's head equals
+      [nk]'s (equality dedup, whose heads are zone hashes). *)
+  val find_equal :
+    t -> keys:int array -> len:int -> int array -> (int -> bool) -> bool
 end
 
 (** [to_ints z] is the raw encoded bound matrix, row-major, as a fresh

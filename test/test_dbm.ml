@@ -648,6 +648,161 @@ let reference_closure_props =
   reference_props Gen.dbm_dims Gen.arb_dbm_ops Gen.build_dbm
   @ reference_props Gen.dbm_dims_wide Gen.arb_dbm_ops_wide Gen.build_dbm_wide
 
+(* --- subsumption scan ---------------------------------------------------- *)
+
+(* [Key.scan] against a slot-by-slot pass with [Key.ge] and [includes],
+   newest first, on random nodes.  Some slots are holes, punched before
+   their block was summarised or after (its summaries then still count
+   the dead key), and the last block may be partial.  Stored zones are
+   random, or the newcomer's trail with more constraints (a victim) or
+   without its last ones (a cover); in half the nodes no stored zone
+   covers the newcomer, so the scan runs to the end.  Both passes must
+   agree on whether the newcomer is covered and on the victims, in
+   order; a hole never reaches a callback. *)
+type scan_case = {
+  sc_block : int;
+  sc_base : Gen.dbm_op list;
+  sc_extra : Gen.dbm_op list;  (* constraints: the newcomer is base @ extra *)
+  sc_cover : bool;  (* whether covering zones are kept *)
+  sc_slots : (int * Gen.dbm_op list * int) list;
+      (* (random / looser / tighter, trail, live / hole before / after) *)
+}
+
+let arb_scan_case =
+  let open QCheck.Gen in
+  let constraints =
+    map
+      (List.filter (function Gen.Op_constrain _ -> true | _ -> false))
+      (list_size (int_range 0 4) Gen.gen_dbm_op)
+  in
+  let slot =
+    triple (int_range 0 2) (QCheck.gen Gen.arb_dbm_ops)
+      (frequency [ (6, return 0); (1, return 1); (1, return 2) ])
+  in
+  let gen =
+    let* sc_block = oneofl [ 1; 3; 8 ] and* sc_base = QCheck.gen Gen.arb_dbm_ops
+    and* sc_extra = constraints and* sc_cover = bool
+    and* sc_slots = list_size (int_range 0 40) slot in
+    return { sc_block; sc_base; sc_extra; sc_cover; sc_slots }
+  in
+  QCheck.make gen ~print:(fun c ->
+      Fmt.str "block %d, %d slots, offer: %a" c.sc_block
+        (List.length c.sc_slots)
+        Fmt.(list ~sep:semi Gen.pp_dbm_op)
+        (c.sc_base @ c.sc_extra))
+
+let scan_matches fmt c =
+  let block = c.sc_block and klen = Dbm.Key.len fmt in
+  let offer = build (c.sc_base @ c.sc_extra) in
+  let slots =
+    Array.of_list
+      (List.filter_map
+         (fun (kind, ops, hole) ->
+           let z =
+             match kind with
+             | 0 -> build ops
+             | 1 -> build c.sc_base
+             | _ ->
+               build
+                 (c.sc_base @ c.sc_extra
+                  @ List.filter
+                      (function Gen.Op_constrain _ -> true | _ -> false)
+                      ops)
+           in
+           if Dbm.is_empty z || ((not c.sc_cover) && Dbm.includes z offer)
+           then None
+           else Some (z, hole))
+         c.sc_slots)
+  in
+  let len = Array.length slots in
+  let keys = Array.make ((len + 1) * klen) 0 in
+  Array.iteri
+    (fun s (z, hole) ->
+      Dbm.Key.write fmt z ~head:(Dbm.weight z) keys (s * klen);
+      if hole = 1 then Dbm.Key.hole fmt keys (s * klen))
+    slots;
+  let nblocks = len / block in
+  let bmax = Array.make ((nblocks + 1) * klen) 0 in
+  let bmin = Array.make ((nblocks + 1) * klen) 0 in
+  for b = 0 to nblocks - 1 do
+    Dbm.Key.summary_clear fmt ~max:bmax ~min:bmin (b * klen);
+    for s = b * block to ((b + 1) * block) - 1 do
+      if snd slots.(s) <> 1 then
+        Dbm.Key.summary_add fmt ~max:bmax ~min:bmin (b * klen) keys (s * klen)
+    done
+  done;
+  Array.iteri
+    (fun s (_, hole) -> if hole = 2 then Dbm.Key.hole fmt keys (s * klen))
+    slots;
+  let nk = key fmt offer in
+  let zone s =
+    if snd slots.(s) <> 0 then Alcotest.failf "hole %d reached a callback" s;
+    fst slots.(s)
+  in
+  let victims = ref [] in
+  let covered =
+    Dbm.Key.scan fmt ~block ~keys ~bmax ~bmin ~len nk
+      ~cover:(fun s -> Dbm.includes (zone s) offer)
+      ~victim:(fun s ->
+        if Dbm.includes offer (zone s) then victims := s :: !victims)
+  in
+  let rec reference s found =
+    if s < 0 then (false, found)
+    else
+      let z = fst slots.(s) and off = s * klen in
+      if Dbm.Key.ge fmt keys off nk 0 && Dbm.includes z offer then (true, found)
+      else if Dbm.Key.ge fmt nk 0 keys off && Dbm.includes offer z then
+        reference (s - 1) (s :: found)
+      else reference (s - 1) found
+  in
+  (not (Dbm.is_empty offer)) && (covered, !victims) = reference (len - 1) []
+
+let prop_key_scan =
+  QCheck.Test.make ~name:"key scan = slot-by-slot ge + includes" ~count:1000
+    arb_scan_case (fun c ->
+      QCheck.assume (not (Dbm.is_empty (build (c.sc_base @ c.sc_extra))));
+      scan_matches fitting c && scan_matches clamping c)
+
+(* --- per-domain extrapolation scratch ------------------------------------ *)
+
+(* The extrapolations' touched-entry list is per domain.  Two domains
+   extrapolate at once, one the dim-4 zones then the dim-9 ones, the
+   other the reverse (so each grows its scratch while the other uses
+   its own), and must reproduce a sequential run's bytes. *)
+let test_widen_domains () =
+  let rand = Random.State.make [| 22 |] in
+  let jobs dim arb_ops build =
+    List.filter_map
+      (fun i ->
+        let z = build (QCheck.Gen.generate1 ~rand (QCheck.gen arb_ops)) in
+        let ceilings = QCheck.gen (Gen.arb_dbm_ceilings_at dim) in
+        let l = QCheck.Gen.generate1 ~rand ceilings in
+        let u = QCheck.Gen.generate1 ~rand ceilings in
+        if Dbm.is_empty z then None else Some (z, l, u, i mod 2 = 0))
+      (List.init 300 Fun.id)
+  in
+  let run (z, l, u, lu) =
+    let z = Dbm.copy z in
+    if lu then Dbm.extrapolate_lu z l u else Dbm.extrapolate z l;
+    Dbm.to_ints z
+  in
+  let small = jobs Gen.dbm_dims Gen.arb_dbm_ops Gen.build_dbm in
+  let wide = jobs Gen.dbm_dims_wide Gen.arb_dbm_ops_wide Gen.build_dbm_wide in
+  let expect jobs = List.map (fun j -> (j, run j)) jobs in
+  let a = expect (small @ wide) and b = expect (wide @ small) in
+  let mismatches cases () =
+    let bad = ref 0 in
+    for _ = 1 to 20 do
+      List.iter (fun (j, want) -> if run j <> want then incr bad) cases
+    done;
+    !bad
+  in
+  let other = Domain.spawn (mismatches b) in
+  let here = mismatches a () in
+  let there = Domain.join other in
+  Alcotest.(check (pair int int)) "no mismatch in either domain" (0, 0)
+    (here, there)
+
 let suite =
   [ Alcotest.test_case "bound encoding order" `Quick test_bound_encoding;
     Alcotest.test_case "bound addition" `Quick test_bound_add;
@@ -688,5 +843,8 @@ let suite =
         test_key_partial_word_and_hole;
       Alcotest.test_case "key at dim 1" `Quick test_key_dim_one;
       QCheck_alcotest.to_alcotest prop_key_ge_matches_lanes;
-      QCheck_alcotest.to_alcotest prop_key_summaries ]
+      QCheck_alcotest.to_alcotest prop_key_summaries;
+      QCheck_alcotest.to_alcotest prop_key_scan;
+      Alcotest.test_case "extrapolation scratch per domain" `Quick
+        test_widen_domains ]
   @ List.map QCheck_alcotest.to_alcotest reference_closure_props

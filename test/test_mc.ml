@@ -630,6 +630,142 @@ let test_admit_pre_replays_fire ~lu () =
        Mc.Explorer.pp_sup_result sup);
   Alcotest.(check bool) "successors replayed" true (!replayed > 1000)
 
+(* --- candidate order ---------------------------------------------------- *)
+
+(* [Explorer.candidates] against the closure-based enumeration it
+   replaced ([Ref_candidates]), on every state a search stores: equal
+   lists, in order, of movers as (automaton, edge index) and channel.
+   Returns the states checked, the most movers in one candidate and the
+   states with a committed location. *)
+let check_candidates name ?monitor net =
+  let t = Mc.Explorer.make ?monitor net in
+  let comp = Mc.Explorer.compiled t in
+  let reference = Ref_candidates.tables comp in
+  let states = ref 0 and widest = ref 0 and committed = ref 0 in
+  let committed_at ai li =
+    comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_kind
+    = Model.Committed
+  in
+  let visit _ (st : Mc.Explorer.state) =
+    incr states;
+    if Array.exists Fun.id (Array.mapi committed_at st.st_locs) then
+      incr committed;
+    let got =
+      List.map
+        (fun (cd : Mc.Explorer.candidate) ->
+          ( List.map (fun (ai, ce) -> (ai, ce.Compiled.ce_index)) cd.cd_movers,
+            cd.cd_chan ))
+        (Mc.Explorer.candidates t st)
+    in
+    if got <> Ref_candidates.candidates reference st then
+      Alcotest.failf "%s: candidates differ from the reference in state %d"
+        name !states;
+    List.iter (fun (ms, _) -> widest := max !widest (List.length ms)) got;
+    `Continue
+  in
+  let r = Mc.Explorer.search ~label:"candidates" t visit in
+  if r.Mc.Explorer.sr_interrupt <> None then
+    Alcotest.failf "%s: search interrupted" name;
+  (!states, !widest, !committed)
+
+(* Every order the enumeration fixes, in one state: two tau edges, two
+   senders on a binary and on a broadcast channel in one automaton, and
+   receivers with one or two edges per automaton on each. *)
+let orders_net () =
+  let loops name edges =
+    Model.automaton ~name ~initial:"L" [ loc "L" ]
+      (List.map (fun sync -> edge ?sync "L" "L") edges)
+  in
+  let send c = Some (Model.Send c) and recv c = Some (Model.Recv c) in
+  Model.network ~name:"orders" ~clocks:[] ~vars:[]
+    ~channels:[ ("a", Model.Binary); ("b", Model.Broadcast) ]
+    [ loops "S" [ None; send "a"; send "b"; None; send "a"; send "b" ];
+      loops "R1" [ recv "a"; recv "b"; recv "a"; recv "b" ];
+      loops "R2" [ recv "b"; recv "a"; recv "b" ] ]
+
+let delay_monitor ~trigger ~response ~ceiling =
+  Mc.Monitor.delay ~trigger ~response ~clock:Mc.Query.delay_monitor_clock
+    ~ceiling ()
+
+let gpca_psm () =
+  (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only Gpca.Params.default)
+    .Transform.psm_net
+
+let test_candidate_order () =
+  let add (s, w, c) (s', w', c') = (s + s', max w w', c + c') in
+  let gpca =
+    check_candidates "gpca-psm-mc"
+      ~monitor:
+        (delay_monitor ~trigger:Gpca.Model.bolus_req
+           ~response:Gpca.Model.start_infusion ~ceiling:2000)
+      (gpca_psm ())
+  in
+  let railroad =
+    List.fold_left add (0, 0, 0)
+      (List.map
+         (fun (name, headway, invocation) ->
+           check_candidates name
+             ~monitor:
+               (delay_monitor ~trigger:"m_Train" ~response:"c_GateDown"
+                  ~ceiling:320)
+             (Test_runctl.railroad_psm ~headway ~invocation ()))
+         [ ("railroad-event", 300, Scheme.Aperiodic 0);
+           ("railroad-periodic25", 300, Scheme.Periodic 25);
+           ("railroad-race", 0, Scheme.Aperiodic 0) ])
+  in
+  let fan_in =
+    List.fold_left add (0, 0, 0)
+      (List.init 12 (fun index ->
+           let i = Diff.Gen.instance ~seed:42 ~index Diff.Gen.Fan_in in
+           check_candidates i.Diff.Gen.id
+             ~monitor:
+               (delay_monitor ~trigger:i.Diff.Gen.trigger
+                  ~response:i.Diff.Gen.response ~ceiling:i.Diff.Gen.ceiling)
+             i.Diff.Gen.net))
+  in
+  let committed = check_candidates "committed" (committed_net ()) in
+  let orders = check_candidates "orders" (orders_net ()) in
+  List.iter
+    (fun (name, (states, widest, _)) ->
+      if states < 10 || widest < 2 then
+        Alcotest.failf "%s: %d states, at most %d movers" name states widest)
+    [ ("gpca", gpca); ("railroad", railroad); ("fan-in", fan_in) ];
+  let _, fan_widest, fan_committed = fan_in and _, _, hot = committed in
+  let _, orders_widest, _ = orders in
+  Alcotest.(check bool) "broadcasts with two receivers" true
+    (fan_widest >= 3 && orders_widest = 3);
+  Alcotest.(check bool) "committed states checked" true
+    (fan_committed > 0 && hot > 0)
+
+(* --- allocation budget --------------------------------------------------- *)
+
+(* The search's per-successor path allocates no closure and the
+   extrapolation no scratch, so gpca-psm-input (Table I's input delay)
+   allocates ~1.5M minor words at jobs 1, against 7.9M with a closure
+   per walk and a touched-list array per extrapolation.  A
+   deterministic count, unlike a time. *)
+let test_allocation_budget () =
+  let ceiling =
+    2 * (Gpca.Experiment.analytic_bounds Gpca.Params.default)
+          .Gpca.Experiment.a_mc
+  in
+  let q =
+    Mc.Query.Sup_delay
+      { trigger = Gpca.Model.bolus_req;
+        response = Transform.Names.input_chan Gpca.Model.bolus_req;
+        ceiling }
+  in
+  let net = gpca_psm () in
+  let w0 = Gc.minor_words () in
+  let r = Mc.Query.eval ~jobs:1 net q in
+  let words = Gc.minor_words () -. w0 in
+  (match r.Mc.Query.res_outcome with
+   | Mc.Query.Sup (Mc.Explorer.Sup (490, _)) -> ()
+   | _ -> Alcotest.fail "gpca-psm-input: expected sup 490");
+  if words > 2.5e6 then
+    Alcotest.failf "gpca-psm-input allocated %.0f minor words (budget 2.5M)"
+      words
+
 let suite =
   [ Alcotest.test_case "reach within invariant" `Quick
       test_reach_within_invariant;
@@ -662,4 +798,8 @@ let suite =
     Alcotest.test_case "admit_pre replays fire (ExtraM)" `Quick
       (test_admit_pre_replays_fire ~lu:false);
     Alcotest.test_case "admit_pre replays fire (ExtraLU)" `Quick
-      (test_admit_pre_replays_fire ~lu:true) ]
+      (test_admit_pre_replays_fire ~lu:true);
+    Alcotest.test_case "candidates = closure-based reference" `Quick
+      test_candidate_order;
+    Alcotest.test_case "gpca-psm-input minor-word budget" `Quick
+      test_allocation_budget ]

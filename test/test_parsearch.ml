@@ -28,49 +28,7 @@ let gpca_psm =
    invocation — its m-to-c delay is unbounded, so the sup query answers
    [Sup_exceeds] and the bounded-response check refutes. *)
 let railroad_race_psm () =
-  let loc = Model.location and edge = Model.edge in
-  let controller =
-    Model.automaton ~name:"GateCtrl" ~initial:"Open"
-      [ loc "Open";
-        loc ~inv:[ Clockcons.le "g" 5 ] "Lowering";
-        loc "Closed" ]
-      [ edge ~sync:(Model.Recv "m_Train") ~resets:[ "g" ] "Open" "Lowering";
-        edge ~sync:(Model.Send "c_GateDown") "Lowering" "Closed";
-        edge ~sync:(Model.Recv "m_Clear") "Closed" "Open" ]
-  in
-  let track =
-    Model.automaton ~name:"Track" ~initial:"Away"
-      [ loc "Away";
-        loc "Approaching";
-        loc ~inv:[ Clockcons.le "t" 1_500 ] "Passing" ]
-      [ edge ~sync:(Model.Send "m_Train") ~resets:[ "t" ] "Away" "Approaching";
-        edge ~sync:(Model.Recv "c_GateDown") ~resets:[ "t" ] "Approaching"
-          "Passing";
-        edge
-          ~guard:[ Clockcons.ge "t" 1_000 ]
-          ~sync:(Model.Send "m_Clear") ~resets:[ "t" ] "Passing" "Away" ]
-  in
-  let net =
-    Model.network ~name:"railroad" ~clocks:[ "g"; "t" ] ~vars:[]
-      ~channels:
-        [ ("m_Train", Model.Broadcast);
-          ("m_Clear", Model.Broadcast);
-          ("c_GateDown", Model.Broadcast) ]
-      [ controller; track ]
-  in
-  let pim = Transform.Pim.make net ~software:"GateCtrl" ~environment:"Track" in
-  let scheme =
-    { Scheme.is_name = "ecu";
-      is_inputs =
-        [ ("m_Train", Scheme.interrupt_input (Scheme.delay 1 4));
-          ("m_Clear", Scheme.interrupt_input (Scheme.delay 1 4)) ];
-      is_outputs = [ ("c_GateDown", Scheme.pulse_output (Scheme.delay 5 20)) ];
-      is_input_comm = Scheme.Buffer (2, Scheme.Read_all);
-      is_output_comm = Scheme.Buffer (2, Scheme.Read_all);
-      is_invocation = Scheme.Aperiodic 0;
-      is_exec = { Scheme.wcet_min = 1; wcet_max = 8 } }
-  in
-  (Transform.psm_of_pim pim scheme).Transform.psm_net
+  Test_runctl.railroad_psm ~headway:0 ~invocation:(Scheme.Aperiodic 0) ()
 
 (* name, net thunk, trigger, response, ceiling *)
 let sup_cases () =
@@ -84,8 +42,9 @@ let sup_cases () =
       Gpca.Model.bolus_req,
       Transform.Names.input_chan Gpca.Model.bolus_req,
       gpca_ceiling );
-    ("railroad-periodic25", Test_runctl.railroad_psm, "m_Train", "c_GateDown",
-     320);
+    ( "railroad-periodic25",
+      (fun () -> Test_runctl.railroad_psm ()),
+      "m_Train", "c_GateDown", 320 );
     ("railroad-race", railroad_race_psm, "m_Train", "c_GateDown", 320) ]
 
 let pp_sup = Mc.Explorer.pp_sup_result
@@ -150,7 +109,8 @@ let test_verdict_determinism () =
             Mc.Explorer.pp_verdict v Mc.Explorer.pp_verdict expected)
       jobs_list
   in
-  check_verdicts "railroad-periodic25 |= P(320)" Test_runctl.railroad_psm
+  check_verdicts "railroad-periodic25 |= P(320)"
+    (fun () -> Test_runctl.railroad_psm ())
     ~bound:320 Mc.Explorer.Proved;
   check_verdicts "railroad-race |/= P(320)" railroad_race_psm ~bound:320
     (Mc.Explorer.Refuted None)

@@ -86,8 +86,10 @@ let test_parse_duration () =
 (* --- checkpoint/resume -------------------------------------------------- *)
 
 (* The railroad gate controller PSM: a timed model whose sup query takes
-   a few thousand states — room to interrupt in the middle. *)
-let railroad_psm () =
+   a few thousand states — room to interrupt in the middle.  [headway]
+   is the least time between trains (0: none), [invocation] the
+   software's. *)
+let railroad_psm ?(headway = 300) ?(invocation = Scheme.Periodic 25) () =
   let controller =
     Model.automaton ~name:"GateCtrl" ~initial:"Open"
       [ loc "Open";
@@ -103,7 +105,7 @@ let railroad_psm () =
         loc "Approaching";
         loc ~inv:[ Clockcons.le "t" 1_500 ] "Passing" ]
       [ edge
-          ~guard:[ Clockcons.ge "t" 300 ]
+          ~guard:(if headway = 0 then [] else [ Clockcons.ge "t" headway ])
           ~sync:(Model.Send "m_Train") ~resets:[ "t" ] "Away" "Approaching";
         edge ~sync:(Model.Recv "c_GateDown") ~resets:[ "t" ] "Approaching"
           "Passing";
@@ -128,7 +130,7 @@ let railroad_psm () =
       is_outputs = [ ("c_GateDown", Scheme.pulse_output (Scheme.delay 5 20)) ];
       is_input_comm = Scheme.Buffer (2, Scheme.Read_all);
       is_output_comm = Scheme.Buffer (2, Scheme.Read_all);
-      is_invocation = Scheme.Periodic 25;
+      is_invocation = invocation;
       is_exec = { Scheme.wcet_min = 1; wcet_max = 8 } }
   in
   (Transform.psm_of_pim pim scheme).Transform.psm_net
