@@ -27,8 +27,7 @@ let time f =
 
 let outcome_json (r : Mc.Query.result) =
   Store.Json.to_string
-    (Store.Entry.outcome_to_json
-       (Analysis.Qcache.outcome_to_entry r.Mc.Query.res_outcome))
+    (Store.Entry.outcome_to_json r.Mc.Query.res_outcome)
 
 (* a throwaway store so the warm rung is the real disk path *)
 let with_store_dir f =

@@ -29,7 +29,7 @@ let e4_pim_verification () =
   in
   Fmt.pr "PIM max delay bolus-request -> infusion-start: %a@."
     Mc.Explorer.pp_sup_result r.Mc.Explorer.so_sup;
-  Fmt.pr "PIM |= P(500): %a@." Mc.Explorer.pp_verdict
+  Fmt.pr "PIM |= P(500): %a@." Mc.Query.pp_outcome
     (Psv.verify_response net ~trigger:Gpca.Model.bolus_req
        ~response:Gpca.Model.start_infusion ~bound:500)
 

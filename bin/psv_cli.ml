@@ -157,14 +157,14 @@ let make_ctl ~time ~states ~mem =
   Mc.Runctl.install_sigint ctl;
   ctl
 
-(* for batch runs: fresh tokens (each query gets the full budget) but a
-   single ^C cancels the whole fleet *)
-let install_sigint_all ctls =
-  try
-    ignore
-      (Sys.signal Sys.sigint
-         (Sys.Signal_handle (fun _ -> List.iter Mc.Runctl.cancel ctls)))
-  with Invalid_argument _ | Sys_error _ -> ()
+(* For batch runs: [batch_ctls] returns a token maker to call when a
+   query's evaluation starts, so each query gets the full budget from its
+   own start.  The tokens are siblings of one root that holds the SIGINT
+   handler, so one ^C cancels the whole batch (the tokens already made
+   and every one made after); a second ^C terminates. *)
+let batch_ctls ~time ~states ~mem =
+  let root = make_ctl ~time ~states ~mem in
+  fun () -> Mc.Runctl.sibling root
 
 let load_resume path =
   match Mc.Explorer.load_snapshot path with
@@ -612,71 +612,28 @@ let check_cmd =
         Fmt.pr "%3d  %-5s  %s  [%a]@." lineno status line
           Mc.Query.pp_outcome result.Mc.Query.res_outcome
     in
-    let results =
-      if jobs <= 1 then
-        (* sequential: evaluate (and, for the table, print) incrementally *)
-        List.map
-          (fun (lineno, line) ->
-            let res =
-              match Mc.Query.parse line with
-              | Error msg -> Error msg
-              | Ok q -> (
-                (* a fresh token per query: each one gets the full budget *)
-                let ctl =
-                  make_ctl ~time:budget_time ~states:budget_states
-                    ~mem:budget_mem
-                in
-                match eval_one ~ctl q with
-                | result -> Ok result
-                | exception Not_found ->
-                  Error "unknown process, location or variable"
-                | exception exn ->
-                  Error ("evaluation crashed: " ^ Printexc.to_string exn))
-            in
-            if not json then report (lineno, line, res);
-            (lineno, line, res))
-          numbered
-      else begin
-        (* parallel: parse everything up front, give each query a fresh
-           token (full budget each), let one ^C cancel the whole batch,
-           then print in file order *)
-        let budget =
-          make_budget ~time:budget_time ~states:budget_states ~mem:budget_mem
-        in
-        let parsed =
-          List.map
-            (fun (lineno, line) ->
-              match Mc.Query.parse line with
-              | Error msg -> (lineno, line, Error msg)
-              | Ok q -> (lineno, line, Ok (q, Mc.Runctl.create ~budget ())))
-            numbered
-        in
-        install_sigint_all
-          (List.filter_map
-             (function _, _, Ok (_, ctl) -> Some ctl | _, _, Error _ -> None)
-             parsed);
-        let results =
-          Analysis.Pool.map ~jobs
-            (fun (lineno, line, item) ->
-              match item with
-              | Error msg -> (lineno, line, Error msg)
-              | Ok (q, ctl) ->
-                (* catch everything on the worker: one poisoned query
-                   reports an error row instead of killing the batch *)
-                (match eval_one ~ctl q with
-                 | result -> (lineno, line, Ok result)
-                 | exception Not_found ->
-                   (lineno, line, Error "unknown process, location or variable")
-                 | exception exn ->
-                   ( lineno,
-                     line,
-                     Error ("evaluation crashed: " ^ Printexc.to_string exn) )))
-            parsed
-        in
-        if not json then List.iter report results;
-        results
-      end
+    let next_ctl =
+      batch_ctls ~time:budget_time ~states:budget_states ~mem:budget_mem
     in
+    let eval_line (lineno, line) =
+      let res =
+        match Mc.Query.parse line with
+        | Error msg -> Error msg
+        | Ok q -> (
+          (* catch everything on the worker: one poisoned query reports
+             an error row instead of killing the batch *)
+          match eval_one ~ctl:(next_ctl ()) q with
+          | result -> Ok result
+          | exception Not_found -> Error "unknown process, location or variable"
+          | exception exn ->
+            Error ("evaluation crashed: " ^ Printexc.to_string exn))
+      in
+      (* at --jobs 1 the pool is an in-order map, so rows stream *)
+      if jobs <= 1 && not json then report (lineno, line, res);
+      (lineno, line, res)
+    in
+    let results = Analysis.Pool.map ~jobs eval_line numbered in
+    if jobs > 1 && not json then List.iter report results;
     let failures = ref 0 and unknowns = ref 0 in
     List.iter
       (fun (_, _, res) ->
@@ -706,13 +663,8 @@ let check_cmd =
           Obj
             (common
             @ [ ("status", String status);
-                ( "outcome",
-                  Store.Entry.outcome_to_json
-                    (Analysis.Qcache.outcome_to_entry r.Mc.Query.res_outcome)
-                );
-                ( "stats",
-                  Store.Entry.stats_to_json
-                    (Analysis.Qcache.stats_to_entry r.Mc.Query.res_stats) ) ])
+                ("outcome", Store.Entry.outcome_to_json r.Mc.Query.res_outcome);
+                ("stats", Store.Entry.stats_to_json r.Mc.Query.res_stats) ])
       in
       print_endline
         (to_string

@@ -21,7 +21,7 @@ let () =
       ~response:Gpca.Model.start_infusion ~bound
   in
   Fmt.pr "PIM |= P(%d): %a  (REQ1 holds on the model)@.@." bound
-    Mc.Explorer.pp_verdict pim_ok;
+    Mc.Query.pp_outcome pim_ok;
 
   Fmt.pr "== Step 2: the platform-specific model ==@.";
   let psm = Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params in
@@ -32,7 +32,7 @@ let () =
       ~response:Gpca.Model.start_infusion ~bound
   in
   Fmt.pr "PSM |= P(%d): %a  (the platform breaks REQ1)@.@." bound
-    Mc.Explorer.pp_verdict psm_ok;
+    Mc.Query.pp_outcome psm_ok;
 
   Fmt.pr "== Step 3: boundedness constraints and the relaxed bound ==@.";
   let constraints = Analysis.Constraints.check_all psm in
@@ -46,7 +46,7 @@ let () =
       ~response:Gpca.Model.start_infusion ~bound:analytic.Gpca.Experiment.a_mc
   in
   Fmt.pr "PSM |= P(%d): %a  (the relaxed requirement holds)@.@."
-    analytic.Gpca.Experiment.a_mc Mc.Explorer.pp_verdict relaxed_ok;
+    analytic.Gpca.Experiment.a_mc Mc.Query.pp_outcome relaxed_ok;
 
   Fmt.pr "== Step 4: Table I ==@.";
   let table = Gpca.Experiment.table1 ~seed:42 params in

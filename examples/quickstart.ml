@@ -56,7 +56,7 @@ let () =
     Psv.verify_response pim_net ~trigger:"m_Press" ~response:"c_On" ~bound
   in
   Fmt.pr "PIM:  press -> lamp-on within %d ms: %a@." bound
-    Mc.Explorer.pp_verdict pim_ok;
+    Mc.Query.pp_outcome pim_ok;
 
   (* 4. Transform to the PSM and re-verify: P(50) fails on the platform. *)
   let pim = Transform.Pim.make pim_net ~software:"Controller" ~environment:"User" in
@@ -66,7 +66,7 @@ let () =
       ~response:"c_On" ~bound
   in
   Fmt.pr "PSM:  press -> lamp-on within %d ms: %a@." bound
-    Mc.Explorer.pp_verdict psm_ok;
+    Mc.Query.pp_outcome psm_ok;
 
   (* 5. The four constraints hold, so the delay is bounded; compute the
      analytic relaxed bound and the verified one. *)

@@ -92,9 +92,9 @@ let verify_psm label invocation =
   Fmt.pr "%-24s P(%d): %-9s verified sup %-8s analytic %d@." label
     requirement_bound
     (match ok with
-     | Mc.Explorer.Proved -> "holds"
-     | Mc.Explorer.Refuted _ -> "VIOLATED"
-     | Mc.Explorer.Unknown _ -> "unknown")
+     | Mc.Query.Holds | Mc.Query.Sup _ -> "holds"
+     | Mc.Query.Fails _ -> "VIOLATED"
+     | Mc.Query.Unknown _ -> "unknown")
     (Fmt.str "%a" Mc.Explorer.pp_sup_result bound)
     analytic;
   let constraints = Analysis.Constraints.check_all psm in
@@ -165,9 +165,9 @@ let show_platform_race () =
   in
   Fmt.pr "%-24s P(%d): %s@." "PIM (headway 0)" requirement_bound
     (match pim_ok with
-     | Mc.Explorer.Proved -> "holds"
-     | Mc.Explorer.Refuted _ -> "VIOLATED"
-     | Mc.Explorer.Unknown _ -> "unknown");
+     | Mc.Query.Holds | Mc.Query.Sup _ -> "holds"
+     | Mc.Query.Fails _ -> "VIOLATED"
+     | Mc.Query.Unknown _ -> "unknown");
   let psm = Transform.psm_of_pim racy_pim (scheme ~invocation:(Scheme.Aperiodic 0)) in
   let bound =
     (Psv.max_delay psm.Transform.psm_net ~trigger:"m_Train"
@@ -207,9 +207,9 @@ let () =
   in
   Fmt.pr "%-24s P(%d): %s@." "PIM (headway 300)" requirement_bound
     (match pim_ok with
-     | Mc.Explorer.Proved -> "holds"
-     | Mc.Explorer.Refuted _ -> "VIOLATED"
-     | Mc.Explorer.Unknown _ -> "unknown");
+     | Mc.Query.Holds | Mc.Query.Sup _ -> "holds"
+     | Mc.Query.Fails _ -> "VIOLATED"
+     | Mc.Query.Unknown _ -> "unknown");
   verify_psm "PSM event-driven" (Scheme.Aperiodic 0);
   verify_psm "PSM periodic(25)" (Scheme.Periodic 25);
   verify_psm "PSM periodic(60)" (Scheme.Periodic 60);

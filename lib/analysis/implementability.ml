@@ -63,9 +63,3 @@ let check_window_widths (psm : Transform.psm) =
 let find_timelock ?limit (psm : Transform.psm) =
   let t = Mc.Explorer.make ?limit psm.Transform.psm_net in
   (Mc.Explorer.find_timelock t).Mc.Explorer.r_trace
-
-let pp_window_warning ppf w =
-  Fmt.pf ppf
-    "edge %s: guard window of %d on clock %s is narrower than one \
-     invocation cycle (%d); the reaction can fall between compute stages"
-    w.ww_edge w.ww_window w.ww_clock w.ww_needed

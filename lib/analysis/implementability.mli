@@ -32,5 +32,3 @@ val check_window_widths : Transform.psm -> window_warning list
 (** Model-check the PSM for a reachable timelock; returns the witness
     trace when one exists. *)
 val find_timelock : ?limit:int -> Transform.psm -> string list option
-
-val pp_window_warning : Format.formatter -> window_warning -> unit

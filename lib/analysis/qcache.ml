@@ -116,7 +116,7 @@ let find t ~requested key =
    computed result has already been produced and will be returned. *)
 let insert t entry =
   match entry.Store.Entry.en_outcome with
-  | Store.Entry.Unknown ((Store.Entry.Cancelled | Store.Entry.Crash _), _) -> ()
+  | Mc.Query.Unknown ((Mc.Runctl.Cancelled | Mc.Runctl.Crash _), _) -> ()
   | _ ->
     if Fault.Breaker.allow t.breaker then begin
       match Store.Disk.insert t.disk entry with
@@ -130,55 +130,9 @@ let insert t entry =
              (Printexc.to_string exn))
     end
 
-(* --- conversions -------------------------------------------------------- *)
-
-let sup_to_entry = function
-  | Mc.Explorer.Sup_unreached -> Store.Entry.Sup_unreached
-  | Mc.Explorer.Sup (v, strict) -> Store.Entry.Sup_value (v, strict)
-  | Mc.Explorer.Sup_exceeds c -> Store.Entry.Sup_exceeds c
-
-let sup_of_entry = function
-  | Store.Entry.Sup_unreached -> Mc.Explorer.Sup_unreached
-  | Store.Entry.Sup_value (v, strict) -> Mc.Explorer.Sup (v, strict)
-  | Store.Entry.Sup_exceeds c -> Mc.Explorer.Sup_exceeds c
-
-let reason_to_entry = function
-  | Mc.Runctl.Time_budget s -> Store.Entry.Time_budget s
-  | Mc.Runctl.State_budget n -> Store.Entry.State_budget n
-  | Mc.Runctl.Memory_budget n -> Store.Entry.Memory_budget n
-  | Mc.Runctl.Cancelled -> Store.Entry.Cancelled
-  | Mc.Runctl.Crash msg -> Store.Entry.Crash msg
-
-let reason_of_entry = function
-  | Store.Entry.Time_budget s -> Mc.Runctl.Time_budget s
-  | Store.Entry.State_budget n -> Mc.Runctl.State_budget n
-  | Store.Entry.Memory_budget n -> Mc.Runctl.Memory_budget n
-  | Store.Entry.Cancelled -> Mc.Runctl.Cancelled
-  | Store.Entry.Crash msg -> Mc.Runctl.Crash msg
-
-let outcome_to_entry = function
-  | Mc.Query.Holds -> Store.Entry.Holds
-  | Mc.Query.Fails trace -> Store.Entry.Fails trace
-  | Mc.Query.Sup s -> Store.Entry.Sup (sup_to_entry s)
-  | Mc.Query.Unknown (reason, partial) ->
-    Store.Entry.Unknown (reason_to_entry reason, Option.map sup_to_entry partial)
-
-let outcome_of_entry = function
-  | Store.Entry.Holds -> Mc.Query.Holds
-  | Store.Entry.Fails trace -> Mc.Query.Fails trace
-  | Store.Entry.Sup s -> Mc.Query.Sup (sup_of_entry s)
-  | Store.Entry.Unknown (reason, partial) ->
-    Mc.Query.Unknown (reason_of_entry reason, Option.map sup_of_entry partial)
-
-let stats_to_entry s =
-  { Store.Entry.visited = s.Mc.Explorer.visited;
-    stored = s.Mc.Explorer.stored;
-    frontier = s.Mc.Explorer.frontier }
-
-let stats_of_entry s =
-  { Mc.Explorer.visited = s.Store.Entry.visited;
-    stored = s.Store.Entry.stored;
-    frontier = s.Store.Entry.frontier }
+(* Identities, kept only because perfbench compiles against them. *)
+let outcome_to_entry o = o
+let stats_to_entry s = s
 
 let tool = "psv/1.0.0"
 
@@ -190,24 +144,27 @@ let provenance ~jobs ~wall_ms =
 
 (* --- cached evaluation -------------------------------------------------- *)
 
+let entry ~key ~query ~budget ~jobs ~wall_ms (r : Mc.Query.result) =
+  { Store.Entry.en_key = key;
+    en_query = query;
+    en_outcome = r.res_outcome;
+    en_stats = r.res_stats;
+    en_budget = budget;
+    en_prov = provenance ~jobs ~wall_ms }
+
+let result (e : Store.Entry.t) =
+  { Mc.Query.res_outcome = e.en_outcome; res_stats = e.en_stats }
+
 let cached t ?(jobs = 1) ?ctl ?limit net q ~run =
-  let requested = entry_budget ?limit ?ctl () in
-  let k = key net q in
-  match find t ~requested k with
-  | Some e ->
-    { Mc.Query.res_outcome = outcome_of_entry e.Store.Entry.en_outcome;
-      res_stats = stats_of_entry e.Store.Entry.en_stats }
+  let budget = entry_budget ?limit ?ctl () in
+  let key = key net q in
+  match find t ~requested:budget key with
+  | Some e -> result e
   | None ->
     let t0 = Unix.gettimeofday () in
     let r = run () in
     let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-    insert t
-      { Store.Entry.en_key = k;
-        en_query = Mc.Query.to_string q;
-        en_outcome = outcome_to_entry r.Mc.Query.res_outcome;
-        en_stats = stats_to_entry r.Mc.Query.res_stats;
-        en_budget = requested;
-        en_prov = provenance ~jobs ~wall_ms };
+    insert t (entry ~key ~query:(Mc.Query.to_string q) ~budget ~jobs ~wall_ms r);
     r
 
 let eval t ?jobs ?ctl ?limit net q =

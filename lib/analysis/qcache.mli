@@ -1,12 +1,10 @@
 (** The bridge between the model checker and the persistent result
     store ({!Store.Disk}).
 
-    [lib/store] sits below [mc] in the dependency order, so its entry
-    type mirrors the checker's result types with plain constructors;
-    this module owns the conversions and the lookup-before-run /
-    insert-after protocol.  Hit and miss counters live on the handle and
-    are atomic, so a cache may be shared across the [--jobs] domain
-    pool.
+    This module owns the lookup-before-run / insert-after protocol and
+    the one place a store entry is built from a result ({!entry}).  Hit
+    and miss counters live on the handle and are atomic, so a cache may
+    be shared across the [--jobs] domain pool.
 
     {b Degraded mode.}  A {!Fault.Breaker} guards the store: host-level
     failures ({!Store.Disk.Unavailable} reads, raised inserts) count
@@ -77,18 +75,26 @@ val find : t -> requested:Store.Entry.budget -> Store.D128.t -> Store.Entry.t op
     swallowed: publishing is strictly best-effort. *)
 val insert : t -> Store.Entry.t -> unit
 
-val outcome_to_entry : Mc.Query.outcome -> Store.Entry.outcome
-val outcome_of_entry : Store.Entry.outcome -> Mc.Query.outcome
-val sup_to_entry : Mc.Explorer.sup_result -> Store.Entry.sup
-val sup_of_entry : Store.Entry.sup -> Mc.Explorer.sup_result
-val reason_to_entry : Mc.Runctl.reason -> Store.Entry.reason
-val reason_of_entry : Store.Entry.reason -> Mc.Runctl.reason
-val stats_to_entry : Mc.Explorer.stats -> Store.Entry.stats
-val stats_of_entry : Store.Entry.stats -> Mc.Explorer.stats
+(** Identities: an entry holds the checker's own {!Mc.Query.outcome}
+    and {!Mc.Explorer.stats}.  Kept only because perfbench compiles
+    against them. *)
+val outcome_to_entry : Mc.Query.outcome -> Mc.Query.outcome
+val stats_to_entry : Mc.Explorer.stats -> Mc.Explorer.stats
 
 (** [provenance ~jobs ~wall_ms] stamps an entry with this tool's version
     and the current time. *)
 val provenance : jobs:int -> wall_ms:float -> Store.Entry.provenance
+
+(** [entry ~key ~query ~budget ~jobs ~wall_ms r] is the store entry for
+    result [r] of canonical query text [query], computed under [budget]
+    on [jobs] domains in [wall_ms], stamped with {!provenance}. *)
+val entry :
+  key:Store.D128.t -> query:string -> budget:Store.Entry.budget -> jobs:int ->
+  wall_ms:float -> Mc.Query.result -> Store.Entry.t
+
+(** The result an entry records: its outcome and the producing run's
+    statistics. *)
+val result : Store.Entry.t -> Mc.Query.result
 
 (** [cached t net q ~run] answers [q] on [net] from the store when a
     reusable entry exists — with the producing run's statistics —

@@ -35,6 +35,7 @@ let request_drain d =
   Atomic.set d.dr_flag true;
   List.iter Mc.Runctl.cancel (Atomic.get d.dr_ctls)
 
+(* Attach an in-flight evaluation's token: a drain request cancels it. *)
 let register_ctl d ctl =
   let rec add () =
     let cur = Atomic.get d.dr_ctls in
@@ -102,6 +103,8 @@ let utf8_valid s =
 
 let replacement = "\xEF\xBF\xBD" (* U+FFFD *)
 
+(* Every byte outside a valid UTF-8 sequence becomes U+FFFD, so an error
+   message echoing a request fragment cannot poison the LDJSON output. *)
 let sanitize_utf8 s =
   if utf8_valid s then s
   else begin
@@ -196,6 +199,7 @@ type reply =
   | `Ok of Store.Json.t * Mc.Query.result
   | `Stats of Store.Json.t ]
 
+(* [sv_budget] with [b_time_s] tightened to [sv_request_timeout]. *)
 let effective_budget cfg =
   match cfg.sv_request_timeout with
   | None -> cfg.sv_budget
@@ -300,16 +304,13 @@ let evaluate cfg ?cache ?drain:dtoken (item : prepared) : reply =
       (r, wall_ms)
     with
     | r, wall_ms ->
-      (match cache with
-      | Some c ->
-        Qcache.insert c
-          { Store.Entry.en_key = ri.ri_key;
-            en_query = Mc.Query.to_string ri.ri_query;
-            en_outcome = Qcache.outcome_to_entry r.Mc.Query.res_outcome;
-            en_stats = Qcache.stats_to_entry r.Mc.Query.res_stats;
-            en_budget = ri.ri_budget;
-            en_prov = Qcache.provenance ~jobs:1 ~wall_ms }
-      | None -> ());
+      Option.iter
+        (fun c ->
+          Qcache.insert c
+            (Qcache.entry ~key:ri.ri_key
+               ~query:(Mc.Query.to_string ri.ri_query) ~budget:ri.ri_budget
+               ~jobs:1 ~wall_ms r))
+        cache;
       finish (`Ok (ri.ri_id, r))
     | exception Not_found ->
       finish (`Err (ri.ri_id, "unknown process, location or variable", None))
@@ -323,6 +324,15 @@ let with_degraded ?cache fields =
     match cache with Some c -> Qcache.degraded c | None -> false
   in
   if degraded then fields @ [ ("degraded", Store.Json.Bool true) ] else fields
+
+let answer ?cache id ~cached outcome stats =
+  Store.Json.Obj
+    (with_degraded ?cache
+       [ ("id", id);
+         ("status", Store.Json.String "ok");
+         ("cached", Store.Json.Bool cached);
+         ("outcome", Store.Entry.outcome_to_json outcome);
+         ("stats", Store.Entry.stats_to_json stats) ])
 
 let reply_json ?cache ?stats_json (reply : reply) =
   let open Store.Json in
@@ -341,27 +351,9 @@ let reply_json ?cache ?stats_json (reply : reply) =
     in
     (Obj (with_degraded ?cache base), true)
   | `Hit (id, (e : Store.Entry.t)) ->
-    ( Obj
-        (with_degraded ?cache
-           [ ("id", id);
-             ("status", String "ok");
-             ("cached", Bool true);
-             ("outcome", Store.Entry.outcome_to_json e.Store.Entry.en_outcome);
-             ("stats", Store.Entry.stats_to_json e.Store.Entry.en_stats) ]),
-      false )
+    (answer ?cache id ~cached:true e.en_outcome e.en_stats, false)
   | `Ok (id, (r : Mc.Query.result)) ->
-    ( Obj
-        (with_degraded ?cache
-           [ ("id", id);
-             ("status", String "ok");
-             ("cached", Bool false);
-             ( "outcome",
-               Store.Entry.outcome_to_json
-                 (Qcache.outcome_to_entry r.Mc.Query.res_outcome) );
-             ( "stats",
-               Store.Entry.stats_to_json
-                 (Qcache.stats_to_entry r.Mc.Query.res_stats) ) ]),
-      false )
+    (answer ?cache id ~cached:false r.res_outcome r.res_stats, false)
   | `Stats id ->
     let body =
       match stats_json with

@@ -66,23 +66,9 @@ val draining : drain -> bool
 val request_drain : drain -> unit
 (** Idempotent; safe from a signal handler. *)
 
-val register_ctl : drain -> Mc.Runctl.t -> unit
-(** Attach an in-flight evaluation's governance token to the drain
-    token: a drain request cancels it.  If the drain already fired the
-    token is cancelled immediately. *)
-
-val unregister_ctl : drain -> Mc.Runctl.t -> unit
-(** Detach a finished evaluation's token (physical equality) so a
-    long-lived listener does not accumulate dead tokens. *)
-
 (** {2 Input hygiene} *)
 
 val utf8_valid : string -> bool
-
-val sanitize_utf8 : string -> string
-(** Replace every byte that is not part of a valid UTF-8 sequence with
-    U+FFFD, so error messages that echo request fragments can never
-    poison the LDJSON output stream. *)
 
 val fd_line_reader :
   ?poll_s:float ->
@@ -129,9 +115,6 @@ type reply =
   | `Hit of Store.Json.t * Store.Entry.t
   | `Ok of Store.Json.t * Mc.Query.result
   | `Stats of Store.Json.t ]
-
-val effective_budget : config -> Mc.Runctl.budget
-(** [sv_budget] with [b_time_s] tightened to [sv_request_timeout]. *)
 
 val prepare :
   config ->

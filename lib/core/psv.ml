@@ -21,14 +21,9 @@ module Xta = Xta
 module Codegen = Codegen
 
 let verify_response ?jobs ?limit ?ctl net ~trigger ~response ~bound =
-  match
-    (Query.eval ?jobs ?ctl ?limit net
-       (Query.Bounded_response { trigger; response; bound }))
-      .Query.res_outcome
-  with
-  | Query.Holds | Query.Sup _ -> Explorer.Proved
-  | Query.Fails trace -> Explorer.Refuted trace
-  | Query.Unknown (reason, _) -> Explorer.Unknown reason
+  (Query.eval ?jobs ?ctl ?limit net
+     (Query.Bounded_response { trigger; response; bound }))
+    .Query.res_outcome
 
 let max_delay = Query.max_delay
 

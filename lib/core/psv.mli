@@ -44,14 +44,15 @@ module Xta = Xta
 module Codegen = Codegen
 
 (** [verify_response net ~trigger ~response ~bound] checks the bounded
-    response requirement [P(bound)] on any network (PIM or PSM).
-    Three-valued: [Unknown] when a govern token's budget interrupted the
-    search before a definite answer.  [jobs] runs the exploration on
-    that many domains ({!Mc.Explorer.search}) — same verdict. *)
+    response requirement [P(bound)] on any network (PIM or PSM):
+    [Holds], [Fails] (with a counterexample when available), or
+    [Unknown] when a govern token's budget interrupted the search before
+    a definite answer.  [jobs] runs the exploration on that many domains
+    ({!Mc.Explorer.search}) — same outcome. *)
 val verify_response :
   ?jobs:int -> ?limit:int -> ?ctl:Mc.Runctl.t ->
   Model.network -> trigger:string -> response:string -> bound:int ->
-  Mc.Explorer.verdict
+  Mc.Query.outcome
 
 (** Verified maximum delay between two synchronisations
     ({!Mc.Query.max_delay}). *)

@@ -36,7 +36,6 @@ val pause_infusion : string
 (** {1 Clock names} *)
 
 val software_clock : string
-val env_clock : string
 
 (** {1 Model builders} *)
 

@@ -70,6 +70,9 @@ let validate_axes names =
 
 (* --- per-point construction --------------------------------------------- *)
 
+(* One grid assignment resolved against the base parameters: the
+   per-point parameters (software timing and devices) and the bolus-path
+   scheme. *)
 let scheme_of_point base asg =
   let p0 = params_of_base base in
   let get name default =

@@ -14,25 +14,13 @@ type base =
           point explores in 1-100 ms — the grid/bench preset *)
   | Table1  (** the paper's calibrated constants *)
 
-val params_of_base : base -> Params.t
 val base_of_string : string -> (base, string) result
 val base_name : base -> string
 
 (** REQ1 for the base: 500 ms against Table I, 60 against [Small]. *)
 val default_req : base -> int
 
-(** The recognised axis names with one-line descriptions ([period],
-    [poll], [buffer], [policy], [comm], [mech], [signal], [in_dmin],
-    [in_dmax], [out_dmin], [out_dmax], [wcet]). *)
-val axis_names : (string * string) list
-
 val validate_axes : string list -> (unit, string) result
-
-(** [scheme_of_point base assignment] resolves one grid assignment
-    against the base parameters: the per-point {!Params.t} (software
-    timing and devices) and the bolus-path {!Scheme.t}. *)
-val scheme_of_point :
-  base -> (string * int) list -> Params.t * Scheme.t
 
 (** The platform cost vector of a point, componentwise minimised by
     the Pareto frontier: buffer slots, invocation rate, detection rate

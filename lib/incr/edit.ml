@@ -91,6 +91,7 @@ let flippable = function
   | CC.Simple (_, CC.Eq, _) | CC.Diff (_, _, CC.Eq, _) -> false
   | _ -> true
 
+(* Flip one non-[Eq] comparison between strict and non-strict. *)
 let tweak_guard rng net =
   match sites flippable net with
   | [] -> None
@@ -131,6 +132,9 @@ let inert_automaton name =
     [ M.location "A"; M.location "B" ]
     [ M.edge "A" "B"; M.edge "B" "A" ]
 
+(* Add a disconnected, time-inert two-location automaton (declarations
+   unchanged), or remove one added earlier: the cone's automaton
+   add/remove path. *)
 let toggle_inert rng net =
   let ours =
     List.filter

@@ -13,16 +13,9 @@ type edit = {
     signed amount — the paper's edit-one-constant workflow. *)
 val tweak_constant : Random.State.t -> Ta.Model.network -> edit option
 
-(** Flip one non-[Eq] comparison between strict and non-strict
-    ([<]/[<=], [>]/[>=]). *)
-val tweak_guard : Random.State.t -> Ta.Model.network -> edit option
-
-(** Add a disconnected, time-inert two-location automaton (no channels,
-    variables or clocks — declarations unchanged), or remove one added
-    earlier.  Exercises the automaton add/remove path of the cone. *)
-val toggle_inert : Random.State.t -> Ta.Model.network -> edit option
-
-(** One random edit drawn from the applicable classes above.
+(** One random edit drawn from the applicable classes: {!tweak_constant}
+    (twice as likely), a guard's strictness flipped ([<]/[<=],
+    [>]/[>=]), or a disconnected time-inert automaton added or removed.
     @raise Invalid_argument if no class applies (a network with no
     clock constraints at all). *)
 val random_edit : Random.State.t -> Ta.Model.network -> edit

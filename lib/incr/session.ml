@@ -16,13 +16,11 @@ type outcome = {
   so_answer_ms : float;
 }
 
-(* What the ladder remembers about the previous run of one query. *)
+(* What the ladder remembers about the previous run of one query: the
+   network it ran on and the entry its result is stored under. *)
 type prev = {
   pv_net : Ta.Model.network;
-  pv_key : Store.D128.t;  (* v1 key its result is stored under *)
-  pv_result : Mc.Query.result;
-  pv_budget : Store.Entry.budget;
-  pv_wall_ms : float;
+  pv_entry : Store.Entry.t;
 }
 
 type t = {
@@ -53,16 +51,7 @@ let prev_of_disk t qtext =
          (* The result itself lives in the ordinary store under the
             session's recorded key. *)
          match Store.Disk.lookup disk s.Store.Session.ss_result_key with
-         | Store.Disk.Hit e ->
-           Some
-             { pv_net = old_net;
-               pv_key = s.Store.Session.ss_result_key;
-               pv_result =
-                 { Mc.Query.res_outcome =
-                     Qcache.outcome_of_entry e.Store.Entry.en_outcome;
-                   res_stats = Qcache.stats_of_entry e.Store.Entry.en_stats };
-               pv_budget = e.Store.Entry.en_budget;
-               pv_wall_ms = e.Store.Entry.en_prov.Store.Entry.pv_wall_ms }
+         | Store.Disk.Hit e -> Some { pv_net = old_net; pv_entry = e }
          | _ -> None)))
 
 let prev_for t qtext =
@@ -94,19 +83,11 @@ let persist t qtext pv =
         { Store.Session.ss_tag = t.s_tag;
           ss_query = qtext;
           ss_net = text;
-          ss_result_key = pv.pv_key;
+          ss_result_key = pv.pv_entry.Store.Entry.en_key;
           ss_manifest = manifest }
     with _ -> ())
 
 (* --- entries ---------------------------------------------------------- *)
-
-let entry_of ~key ~qtext ~budget ~wall_ms (r : Mc.Query.result) =
-  { Store.Entry.en_key = key;
-    en_query = qtext;
-    en_outcome = Qcache.outcome_to_entry r.Mc.Query.res_outcome;
-    en_stats = Qcache.stats_to_entry r.Mc.Query.res_stats;
-    en_budget = budget;
-    en_prov = Qcache.provenance ~jobs:1 ~wall_ms }
 
 let publish t entry =
   match t.s_cache with None -> () | Some c -> Qcache.insert c entry
@@ -124,9 +105,7 @@ let run ?ctl ?limit t net q =
   in
   match store_hit with
   | Some e ->
-    { so_result =
-        { Mc.Query.res_outcome = Qcache.outcome_of_entry e.Store.Entry.en_outcome;
-          res_stats = Qcache.stats_of_entry e.Store.Entry.en_stats };
+    { so_result = Qcache.result e;
       so_rung = Store_hit;
       so_replayed = 0;
       so_expanded = 0;
@@ -137,14 +116,11 @@ let run ?ctl ?limit t net q =
       let r = Mc.Query.eval ~jobs:1 ?ctl ?limit net q in
       let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
       note t `Full;
-      publish t (entry_of ~key:k ~qtext ~budget:requested ~wall_ms r);
-      let pv =
-        { pv_net = net;
-          pv_key = k;
-          pv_result = r;
-          pv_budget = requested;
-          pv_wall_ms = wall_ms }
+      let e =
+        Qcache.entry ~key:k ~query:qtext ~budget:requested ~jobs:1 ~wall_ms r
       in
+      publish t e;
+      let pv = { pv_net = net; pv_entry = e } in
       remember t qtext pv;
       persist t qtext pv;
       { so_result = r;
@@ -156,28 +132,20 @@ let run ?ctl ?limit t net q =
     (match prev_for t qtext with
      | None -> full ()
      | Some pv ->
-       let cone_reusable () =
-         (* The previous result answers this request only under the
-            entry reuse rule: definitive, or produced under a budget
-            dominating the requested one. *)
-         Store.Entry.reusable
-           (entry_of ~key:pv.pv_key ~qtext ~budget:pv.pv_budget
-              ~wall_ms:pv.pv_wall_ms pv.pv_result)
-           ~requested
-       in
+       (* The previous result answers this request only under the entry
+          reuse rule: definitive, or produced under a budget dominating
+          the requested one. *)
        (match Cone.check ~old_net:pv.pv_net net q with
-        | Ok () when cone_reusable () ->
+        | Ok () when Store.Entry.reusable pv.pv_entry ~requested ->
           note t `Cone;
           (* Republish under the new network's key so an identical
              rerun answers on the store rung; the entry keeps the
              producing run's budget and provenance. *)
-          publish t
-            (entry_of ~key:k ~qtext ~budget:pv.pv_budget
-               ~wall_ms:pv.pv_wall_ms pv.pv_result);
+          publish t { pv.pv_entry with Store.Entry.en_key = k };
           (* The session deliberately stays at [pv]: future cone checks
              re-diff against [pv_net], so drift in the invisible part
              keeps hitting. *)
-          { so_result = pv.pv_result;
+          { so_result = Qcache.result pv.pv_entry;
             so_rung = Cone_hit;
             so_replayed = 0;
             so_expanded = 0;

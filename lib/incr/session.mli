@@ -21,7 +21,10 @@
     a missing or corrupt session costs a full run, never an answer. *)
 
 (** [Delta] is never produced; it stays only because benchmark drivers
-    outside the library still match on it. *)
+    outside the library still match on it — as do
+    {!Analysis.Qcache.outcome_to_entry} and
+    {!Analysis.Qcache.stats_to_entry}, identities since store entries
+    hold the checker's own result types. *)
 type rung = Store_hit | Cone_hit | Delta | Full
 
 val rung_name : rung -> string

@@ -6,9 +6,7 @@ type t = {
   mon_clock_index : (string * int) list;  (* monitor clock name -> DBM index *)
   mon_ceiling : (string * int) list;
   k : int array;  (* ExtraM constants, per DBM clock index *)
-  lconsts : int array;  (* ExtraLU lower constants *)
-  uconsts : int array;  (* ExtraLU upper constants *)
-  use_lu : bool;
+  tight : bool;
   limit : int;
   reduce : bool;
   (* per automaton, per location: tau edges, and send/receive edges
@@ -39,39 +37,29 @@ type stats = {
   frontier : int;
 }
 
-type verdict =
-  | Proved
-  | Refuted of string list option
-  | Unknown of Runctl.reason
-
-let pp_verdict ppf = function
-  | Proved -> Fmt.string ppf "proved"
-  | Refuted None -> Fmt.string ppf "REFUTED"
-  | Refuted (Some trace) ->
-    Fmt.pf ppf "REFUTED (counterexample of %d steps)" (List.length trace)
-  | Unknown reason -> Fmt.pf ppf "unknown: %a" Runctl.pp_reason reason
-
 let default_limit = 2_000_000
 
+(* A copy of per-clock constants; [tight] raises every real clock's to
+   the largest of the compiled maximal constants. *)
+let tightened ~tight comp consts =
+  let c = Array.copy consts in
+  if tight then begin
+    let hi = Array.fold_left max 0 comp.Compiled.c_max_consts in
+    for i = 1 to Array.length c - 1 do
+      c.(i) <- hi
+    done
+  end;
+  c
+
 let make ?(monitor = Monitor.trivial) ?tight ?(limit = default_limit)
-    ?(reduce = true) ?(lu = false) net =
+    ?(reduce = true) net =
   let mon_clocks = List.map fst monitor.Monitor.mon_clocks in
   let comp =
     Compiled.compile ~extra_clocks:mon_clocks
       ~clock_ceilings:monitor.Monitor.mon_clocks net
   in
   let tight = match tight with Some b -> b | None -> false in
-  let k = Array.copy comp.Compiled.c_max_consts in
-  let lconsts = Array.copy comp.Compiled.c_lower_consts in
-  let uconsts = Array.copy comp.Compiled.c_upper_consts in
-  if tight then begin
-    let hi = Array.fold_left max 0 k in
-    for i = 1 to Array.length k - 1 do
-      k.(i) <- hi;
-      lconsts.(i) <- hi;
-      uconsts.(i) <- hi
-    done
-  end;
+  let k = tightened ~tight comp comp.Compiled.c_max_consts in
   let mon_clock_index =
     List.map (fun c -> (c, Compiled.clock_index comp c)) mon_clocks
   in
@@ -137,9 +125,7 @@ let make ?(monitor = Monitor.trivial) ?tight ?(limit = default_limit)
     mon_clock_index;
     mon_ceiling = monitor.Monitor.mon_clocks;
     k;
-    lconsts;
-    uconsts;
-    use_lu = lu;
+    tight;
     limit;
     reduce;
     taus;
@@ -153,12 +139,13 @@ let compiled t = t.comp
 let fresh_pool t = Zone.Dbm.Pool.create (t.comp.Compiled.c_nclocks + 1)
 
 (* The largest constant a stored zone is extrapolated against, monitor
-   ceilings included: it sizes the lanes of the subsumption keys. *)
+   ceilings included: it sizes the lanes of the subsumption keys.  (The
+   compiled lower/upper constants never exceed [k] clock by clock.) *)
 let max_const t =
   let top = Array.fold_left max 0 in
   List.fold_left
     (fun m (_, c) -> max m c)
-    (max (top t.k) (max (top t.lconsts) (top t.uconsts)))
+    (top t.k)
     t.mon_ceiling
 
 (* DBM index and exact-reporting ceiling of a (typically monitor) clock,
@@ -255,9 +242,7 @@ let settle comp locs z =
     apply_invariants comp locs z
   end
 
-let extrapolate t z =
-  if t.use_lu then Zone.Dbm.extrapolate_lu z t.lconsts t.uconsts
-  else Zone.Dbm.extrapolate z t.k
+let extrapolate t z = Zone.Dbm.extrapolate z t.k
 
 (* --- transition firing ------------------------------------------------ *)
 
@@ -781,7 +766,7 @@ type snap_entry = {
 }
 
 type snapshot = {
-  snap_fingerprint : Store.D128.t;
+  snap_fingerprint : Keys.D128.t;
   snap_label : string;  (* which query took it; resume must match *)
   snap_dim : int;
   snap_subsume : bool;
@@ -804,43 +789,47 @@ let snapshot_magic = "PSVSNAP2"
 (* Structural digest of everything that shapes the exploration: a
    snapshot resumes correctly only against a byte-equivalent search
    space.  The model contribution is a digest of the source network's
-   canonical [Xta.Print] text ({!Store.Key.network_digest}), which —
+   canonical [Xta.Print] text ({!Keys.Key.network_digest}), which —
    unlike the pre-PSVSNAP2 structural walk — covers guards, invariants
    and updates, not just the automaton skeleton.  The monitor step table
    is included, so two delay monitors over different trigger/response
    pairs fingerprint differently even though their automata are
    isomorphic. *)
 let fingerprint t =
-  let st = Store.D128.builder () in
-  let net_d = Store.Key.network_digest t.comp.Compiled.c_model in
-  Store.D128.add_int64 st net_d.Store.D128.hi;
-  Store.D128.add_int64 st net_d.Store.D128.lo;
-  Store.D128.add_int_array st t.k;
-  Store.D128.add_int_array st t.lconsts;
-  Store.D128.add_int_array st t.uconsts;
-  Store.D128.add_bool st t.use_lu;
-  Store.D128.add_bool st t.reduce;
-  Store.D128.add_int st (Array.length t.monitor.Monitor.mon_states);
-  Store.D128.add_int st t.monitor.Monitor.mon_initial;
-  Store.D128.add_int st (List.length t.mon_ceiling);
+  let st = Keys.D128.builder () in
+  let net_d = Keys.Key.network_digest t.comp.Compiled.c_model in
+  Keys.D128.add_int64 st net_d.Keys.D128.hi;
+  Keys.D128.add_int64 st net_d.Keys.D128.lo;
+  Keys.D128.add_int_array st t.k;
+  (* The lower/upper constants and the flag of the retired ExtraLU mode,
+     still hashed so existing checkpoints keep their fingerprint. *)
+  Keys.D128.add_int_array st
+    (tightened ~tight:t.tight t.comp t.comp.Compiled.c_lower_consts);
+  Keys.D128.add_int_array st
+    (tightened ~tight:t.tight t.comp t.comp.Compiled.c_upper_consts);
+  Keys.D128.add_bool st false;
+  Keys.D128.add_bool st t.reduce;
+  Keys.D128.add_int st (Array.length t.monitor.Monitor.mon_states);
+  Keys.D128.add_int st t.monitor.Monitor.mon_initial;
+  Keys.D128.add_int st (List.length t.mon_ceiling);
   List.iter
     (fun (c, ceiling) ->
-      Store.D128.add_string st c;
-      Store.D128.add_int st ceiling)
+      Keys.D128.add_string st c;
+      Keys.D128.add_int st ceiling)
     t.mon_ceiling;
   Array.iter
     (fun row ->
-      Store.D128.add_int st (Array.length row);
+      Keys.D128.add_int st (Array.length row);
       Array.iter
         (function
-          | None -> Store.D128.add_int st (-1)
+          | None -> Keys.D128.add_int st (-1)
           | Some (dst, resets) ->
-            Store.D128.add_int st dst;
-            Store.D128.add_int st (List.length resets);
-            List.iter (Store.D128.add_int st) resets)
+            Keys.D128.add_int st dst;
+            Keys.D128.add_int st (List.length resets);
+            List.iter (Keys.D128.add_int st) resets)
         row)
     t.mon_step;
-  Store.D128.value st
+  Keys.D128.value st
 
 let save_snapshot path snap =
   let oc = open_out_bin path in
@@ -877,7 +866,7 @@ let load_snapshot path =
    space (fingerprint), the same query kind (label), the same dedup mode
    and the same zone dimension. *)
 let check_snapshot t ~label ~subsume snap =
-  if not (Store.D128.equal snap.snap_fingerprint (fingerprint t)) then
+  if not (Keys.D128.equal snap.snap_fingerprint (fingerprint t)) then
     invalid_arg
       "Explorer: snapshot does not match this model/monitor/configuration";
   if snap.snap_label <> label then
@@ -1036,7 +1025,7 @@ let spin_rounds = 2048
    snapshot time to save the caller's accumulator (e.g. the running
    sup). *)
 let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
-    ?(on_transition = fun _ -> ()) ?(subsume = true) ?expand ?order ?ctl
+    ?(subsume = true) ?expand ?order ?ctl
     ?resume ?(label = "") ?(payload = fun () -> "") t visit =
   let jobs = max 1 jobs in
   let par = jobs > 1 in
@@ -1267,7 +1256,6 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
     let successors = ref 0 in
     let handle cd st =
       incr successors;
-      on_transition cd;
       route p (hash_discrete st.st_locs st.st_vars st.st_mon) (depth + 1)
         e.e_id cd.cd_movers st
     in
@@ -1511,13 +1499,6 @@ let reachable ?jobs ?expand ?ctl t pred =
     r_stats = r.sr_stats;
     r_interrupt = r.sr_interrupt }
 
-let safe ?jobs ?ctl t pred =
-  let r = reachable ?jobs ?ctl t pred in
-  match r.r_trace, r.r_interrupt with
-  | Some trace, _ -> (Refuted (Some trace), r.r_stats)
-  | None, Some reason -> (Unknown reason, r.r_stats)
-  | None, None -> (Proved, r.r_stats)
-
 type sup_result =
   | Sup_unreached
   | Sup of int * bool
@@ -1723,59 +1704,3 @@ let timed_trace ?jobs t pred =
   match (search ?jobs ~label:"reachable" t visit).sr_chain with
   | None -> None
   | Some chain -> replay t chain
-
-(* --- coverage ----------------------------------------------------------- *)
-
-type coverage = {
-  cov_unreached_locations : (string * string) list;
-  cov_unfired_edges : string list;
-  cov_stats : stats;
-}
-
-(* Explore everything, recording which locations were entered and which
-   edges fired; the complement is dead model structure worth reviewing. *)
-let coverage t =
-  let comp = t.comp in
-  let nauts = Array.length comp.Compiled.c_automata in
-  let seen_locs =
-    Array.init nauts (fun ai ->
-        Array.make
-          (Array.length comp.Compiled.c_automata.(ai).Compiled.ca_locs)
-          false)
-  in
-  let fired : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let visit _ st =
-    Array.iteri (fun ai li -> seen_locs.(ai).(li) <- true) st.st_locs;
-    `Continue
-  in
-  let on_transition cd =
-    List.iter
-      (fun (ai, (ce : Compiled.cedge)) ->
-        Hashtbl.replace fired (ai, ce.Compiled.ce_index) ())
-      cd.cd_movers
-  in
-  let stats = (search ~on_transition ~label:"coverage" t visit).sr_stats in
-  let unreached = ref [] in
-  Array.iteri
-    (fun ai seen ->
-      let a = comp.Compiled.c_automata.(ai) in
-      Array.iteri
-        (fun li entered ->
-          if not entered then
-            unreached :=
-              (a.Compiled.ca_name, a.Compiled.ca_locs.(li).Compiled.cl_name)
-              :: !unreached)
-        seen)
-    seen_locs;
-  let unfired = ref [] in
-  Array.iteri
-    (fun ai a ->
-      Array.iter
-        (List.iter (fun (ce : Compiled.cedge) ->
-             if not (Hashtbl.mem fired (ai, ce.Compiled.ce_index)) then
-               unfired := Compiled.describe_edge comp ce :: !unfired))
-        a.Compiled.ca_out)
-    comp.Compiled.c_automata;
-  { cov_unreached_locations = List.rev !unreached;
-    cov_unfired_edges = List.rev !unfired;
-    cov_stats = stats }

@@ -43,17 +43,6 @@ type stats = {
   frontier : int;  (** live waiting-queue length when the search ended *)
 }
 
-(** The three-valued verdict of a governed check.  The verdict lattice
-    is [Unknown < Proved], [Unknown < Refuted]: more budget can turn
-    [Unknown] into either definite answer, but never flips a definite
-    answer. *)
-type verdict =
-  | Proved
-  | Refuted of string list option  (** counterexample trace when available *)
-  | Unknown of Runctl.reason       (** search interrupted before an answer *)
-
-val pp_verdict : Format.formatter -> verdict -> unit
-
 (** {1 Progress reporting}
 
     All searches report through one stats hook, called every 1000
@@ -87,7 +76,7 @@ val set_progress_hook : (progress -> unit) option -> unit
     version mismatch when handed a snapshot from an older build
     ([PSVSNAP1]) so the user knows to simply re-run the query.  A
     snapshot also records a 128-bit structural fingerprint
-    ({!Store.D128}) of the model text, monitor and explorer
+    ({!Keys.D128}) of the model text, monitor and explorer
     configuration — resuming against anything else is refused with
     [Invalid_argument]. *)
 
@@ -118,17 +107,10 @@ val load_snapshot : string -> (snapshot, string) result
     clocks outside their active states are freed, collapsing zones that
     differ only in dead-clock values.  Reachability, safety and
     monitor-clock sup results are unaffected; disable it only to inspect
-    raw zones.
-
-    [lu] (default [false]) switches from classic maximal-constant
-    extrapolation (ExtraM) to the coarser lower/upper-bound ExtraLU,
-    which can shrink the zone graph when guards are one-sided.  Both are
-    exact for location reachability (the library rejects diagonal
-    constraints in models, the case where these abstractions would be
-    unsound). *)
+    raw zones. *)
 val make :
   ?monitor:Monitor.t -> ?tight:bool -> ?limit:int -> ?reduce:bool ->
-  ?lu:bool -> Ta.Model.network -> t
+  Ta.Model.network -> t
 
 (** The default visited-state limit, [2_000_000]. *)
 val default_limit : int
@@ -178,12 +160,6 @@ val reachable :
   ?jobs:int ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t -> t -> (state -> bool) -> reach_result
-
-(** [safe t pred] is [A[] not pred]: [Proved] when no reachable state
-    satisfies [pred], [Refuted] with the witness trace otherwise,
-    [Unknown] when interrupted first. *)
-val safe :
-  ?jobs:int -> ?ctl:Runctl.t -> t -> (state -> bool) -> verdict * stats
 
 type sup_result =
   | Sup_unreached          (** no reachable state satisfies the predicate *)
@@ -266,19 +242,6 @@ type timed_step = {
 val timed_trace : ?jobs:int -> t -> (state -> bool) -> timed_step list option
 
 val pp_timed_step : Format.formatter -> timed_step -> unit
-
-(** Structural coverage of a full exploration: locations never entered
-    and edges never fired in any reachable state.  Dead structure in a
-    verified model usually means a modeling mistake (an unreachable
-    error handler, a guard that can never be satisfied). *)
-type coverage = {
-  cov_unreached_locations : (string * string) list;
-      (** (automaton, location) pairs *)
-  cov_unfired_edges : string list;  (** edge descriptions *)
-  cov_stats : stats;
-}
-
-val coverage : t -> coverage
 
 (** {1 Expansion engine}
 
@@ -459,8 +422,7 @@ val recommended_jobs : unit -> int
     it returns [`Stop]; [p] is the partition that stored [st], and all
     calls for one [p] come from one domain, so per-partition accumulators
     need no lock.  [on_expanded] runs after a state's successors were
-    generated, with the count of non-empty successors; [on_transition] on
-    every fired candidate.  [subsume:false] deduplicates by zone equality
+    generated, with the count of non-empty successors.  [subsume:false] deduplicates by zone equality
     instead of inclusion.  [label] names the query kind (must match on
     [resume]); [payload] saves the caller's accumulator into the
     snapshot.
@@ -470,7 +432,7 @@ val recommended_jobs : unit -> int
     stores the successors delivered to it together highest score first.
     At [jobs = 1] nothing is delivered and [order] is never called.  At
     [jobs > 1] the hooks run on the domain that owns the partition, so
-    [visit], [on_expanded], [on_transition] and [expand] must tolerate
+    [visit], [on_expanded] and [expand] must tolerate
     running on several domains at once.
 
     [expand] overrides successor generation for one popped state: it
@@ -484,7 +446,6 @@ val recommended_jobs : unit -> int
 val search :
   ?jobs:int ->
   ?on_expanded:(state -> int -> [ `Stop | `Continue ]) ->
-  ?on_transition:(candidate -> unit) ->
   ?subsume:bool ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?order:(state -> int) ->

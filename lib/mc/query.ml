@@ -181,7 +181,7 @@ let string_of_rel = function
 (* Every binary node is parenthesized, so the output re-parses to the
    same tree regardless of the grammar's precedence and associativity;
    [parse (to_string q) = Ok q] is checked by the test suite.  This is
-   the canonical query text that feeds the cache key ({!Store.Key}). *)
+   the canonical query text that feeds the cache key ({!Keys.Key}). *)
 let rec pred_to_string = function
   | At (aut, loc) -> aut ^ "." ^ loc
   | Cmp (v, rel, n) -> Printf.sprintf "%s %s %d" v (string_of_rel rel) n

@@ -35,6 +35,9 @@ let create ?(budget = no_budget) () =
 
 let budget t = t.budget
 
+let sibling t =
+  { t with started = Unix.gettimeofday (); ticks = Atomic.make 0 }
+
 let cancel t = Atomic.set t.is_cancelled true
 
 let cancelled t = Atomic.get t.is_cancelled

@@ -52,6 +52,14 @@ val create : ?budget:budget -> unit -> t
 (** The budget the token was created with. *)
 val budget : t -> budget
 
+(** [sibling t] is a fresh token with [t]'s budget whose wall clock
+    starts now, sharing [t]'s cancellation: cancelling any token of the
+    family cancels them all, those made later included.  A batch makes
+    one per query as that query starts, so a query queued behind others
+    still gets its whole time budget, and one {!install_sigint} on the
+    root cancels the batch. *)
+val sibling : t -> t
+
 (** Request cancellation; the next poll observes it.  Idempotent and
     safe to call from a signal handler. *)
 val cancel : t -> unit

@@ -70,5 +70,4 @@ val faults :
     without fault injection. *)
 val run : seed:int -> ?faults:faults -> config -> entry list
 
-val pp_event : Format.formatter -> event -> unit
 val pp_entry : Format.formatter -> entry -> unit

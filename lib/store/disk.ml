@@ -11,7 +11,7 @@ let tmp_counter = Atomic.make 0
 
 let dir t = t.dir
 let marker_path dir = Filename.concat dir marker
-let entry_name key = D128.to_hex key ^ ".psve"
+let entry_name key = Keys.D128.to_hex key ^ ".psve"
 let entry_path t key = Filename.concat t.dir (entry_name key)
 
 let is_store dir = Sys.file_exists (marker_path dir)
@@ -83,7 +83,7 @@ let decode_entry raw =
   let* e2 = line_end (e1 + 1) in
   let digest_hex = String.sub raw (e1 + 1) (e2 - e1 - 1) in
   let* digest =
-    match D128.of_hex digest_hex with
+    match Keys.D128.of_hex digest_hex with
     | Some d -> Ok d
     | None -> Error "bad payload digest line"
   in
@@ -100,7 +100,7 @@ let decode_entry raw =
   in
   let payload = String.sub raw body_start len in
   let* () =
-    if D128.equal (D128.of_string payload) digest then Ok ()
+    if Keys.D128.equal (Keys.D128.of_string payload) digest then Ok ()
     else Error "payload digest mismatch"
   in
   let* json = Json.parse payload in
@@ -125,14 +125,14 @@ let lookup t key =
   if not (t.io.Fault.Io.file_exists path) then Miss
   else
     match read_entry t path with
-    | Hit e when not (D128.equal e.Entry.en_key key) ->
+    | Hit e when not (Keys.D128.equal e.Entry.en_key key) ->
       Corrupt "entry key does not match file name"
     | r -> r
 
 let encode_entry entry =
   let payload = Json.to_string (Entry.to_json entry) in
   Printf.sprintf "%s\n%s\n%d\n%s" version
-    (D128.to_hex (D128.of_string payload))
+    (Keys.D128.to_hex (Keys.D128.of_string payload))
     (String.length payload) payload
 
 let insert t entry =

@@ -65,7 +65,7 @@ type lookup =
       (** host I/O failed even after retries — the store is sick, the
           entry may well be fine; feeds the cache circuit breaker *)
 
-val lookup : t -> D128.t -> lookup
+val lookup : t -> Keys.D128.t -> lookup
 
 (** [insert t entry] durably publishes [entry] under its key,
     overwriting any previous entry for that key.  Raises (after
@@ -74,7 +74,7 @@ val lookup : t -> D128.t -> lookup
 val insert : t -> Entry.t -> unit
 
 (** [remove t key] deletes the entry for [key] if present. *)
-val remove : t -> D128.t -> unit
+val remove : t -> Keys.D128.t -> unit
 
 (** Folds over all well-formed entries; ill-formed files are passed to
     [warn] (default: a [Logs]-style line on stderr) and skipped. *)

@@ -1,22 +1,6 @@
-type sup =
-  | Sup_unreached
-  | Sup_value of int * bool
-  | Sup_exceeds of int
-
-type reason =
-  | Time_budget of float
-  | State_budget of int
-  | Memory_budget of int
-  | Cancelled
-  | Crash of string
-
-type outcome =
-  | Holds
-  | Fails of string list option
-  | Sup of sup
-  | Unknown of reason * sup option
-
-type stats = { visited : int; stored : int; frontier : int }
+module Explorer = Mc.Explorer
+module Query = Mc.Query
+module Runctl = Mc.Runctl
 
 type budget = {
   bg_limit : int;
@@ -33,21 +17,16 @@ type provenance = {
 }
 
 type t = {
-  en_key : D128.t;
+  en_key : Keys.D128.t;
   en_query : string;
-  en_outcome : outcome;
-  en_stats : stats;
+  en_outcome : Mc.Query.outcome;
+  en_stats : Mc.Explorer.stats;
   en_budget : budget;
   en_prov : provenance;
 }
 
 let unlimited =
   { bg_limit = max_int; bg_states = None; bg_time_s = None; bg_mem_bytes = None }
-
-let definitive e =
-  match e.en_outcome with
-  | Holds | Fails _ | Sup _ -> true
-  | Unknown _ -> false
 
 (* [None] is "unlimited": it dominates everything and is dominated only
    by another [None]. *)
@@ -65,36 +44,36 @@ let budget_dominates ~cached ~requested =
 
 let reusable e ~requested =
   match e.en_outcome with
-  | Holds | Fails _ | Sup _ -> true
-  | Unknown ((Cancelled | Crash _), _) -> false
-  | Unknown _ -> budget_dominates ~cached:e.en_budget ~requested
+  | Query.Holds | Query.Fails _ | Query.Sup _ -> true
+  | Query.Unknown ((Runctl.Cancelled | Runctl.Crash _), _) -> false
+  | Query.Unknown _ -> budget_dominates ~cached:e.en_budget ~requested
 
 (* --- json --------------------------------------------------------------- *)
 
 let sup_to_json = function
-  | Sup_unreached -> Json.Obj [ ("kind", Json.String "unreached") ]
-  | Sup_value (v, strict) ->
+  | Explorer.Sup_unreached -> Json.Obj [ ("kind", Json.String "unreached") ]
+  | Explorer.Sup (v, strict) ->
     Json.Obj
       [ ("kind", Json.String "value");
         ("value", Json.Int v);
         ("strict", Json.Bool strict) ]
-  | Sup_exceeds c ->
+  | Explorer.Sup_exceeds c ->
     Json.Obj [ ("kind", Json.String "exceeds"); ("ceiling", Json.Int c) ]
 
 let reason_to_json = function
-  | Time_budget s ->
+  | Runctl.Time_budget s ->
     Json.Obj [ ("tag", Json.String "time-budget"); ("value", Json.Float s) ]
-  | State_budget n ->
+  | Runctl.State_budget n ->
     Json.Obj [ ("tag", Json.String "state-budget"); ("value", Json.Int n) ]
-  | Memory_budget n ->
+  | Runctl.Memory_budget n ->
     Json.Obj [ ("tag", Json.String "memory-budget"); ("value", Json.Int n) ]
-  | Cancelled -> Json.Obj [ ("tag", Json.String "cancelled") ]
-  | Crash msg ->
+  | Runctl.Cancelled -> Json.Obj [ ("tag", Json.String "cancelled") ]
+  | Runctl.Crash msg ->
     Json.Obj [ ("tag", Json.String "crash"); ("message", Json.String msg) ]
 
 let outcome_to_json = function
-  | Holds -> Json.Obj [ ("kind", Json.String "holds") ]
-  | Fails trace ->
+  | Query.Holds -> Json.Obj [ ("kind", Json.String "holds") ]
+  | Query.Fails trace ->
     Json.Obj
       [ ("kind", Json.String "fails");
         ( "trace",
@@ -102,15 +81,16 @@ let outcome_to_json = function
           | None -> Json.Null
           | Some steps -> Json.List (List.map (fun s -> Json.String s) steps) )
       ]
-  | Sup s -> Json.Obj [ ("kind", Json.String "sup"); ("sup", sup_to_json s) ]
-  | Unknown (reason, partial) ->
+  | Query.Sup s ->
+    Json.Obj [ ("kind", Json.String "sup"); ("sup", sup_to_json s) ]
+  | Query.Unknown (reason, partial) ->
     Json.Obj
       [ ("kind", Json.String "unknown");
         ("reason", reason_to_json reason);
         ( "partial",
           match partial with None -> Json.Null | Some s -> sup_to_json s ) ]
 
-let stats_to_json s =
+let stats_to_json (s : Explorer.stats) =
   Json.Obj
     [ ("visited", Json.Int s.visited);
       ("stored", Json.Int s.stored);
@@ -121,7 +101,7 @@ let opt_float_json = function None -> Json.Null | Some f -> Json.Float f
 
 let to_json e =
   Json.Obj
-    [ ("key", Json.String (D128.to_hex e.en_key));
+    [ ("key", Json.String (Keys.D128.to_hex e.en_key));
       ("query", Json.String e.en_query);
       ("outcome", outcome_to_json e.en_outcome);
       ("stats", stats_to_json e.en_stats);
@@ -165,14 +145,14 @@ let opt_field name conv j =
 let sup_of_json j =
   let* kind = coerce "kind" Json.to_str j in
   match kind with
-  | "unreached" -> Ok Sup_unreached
+  | "unreached" -> Ok Explorer.Sup_unreached
   | "value" ->
     let* v = coerce "value" Json.to_int j in
     let* strict = coerce "strict" Json.to_bool j in
-    Ok (Sup_value (v, strict))
+    Ok (Explorer.Sup (v, strict))
   | "exceeds" ->
     let* c = coerce "ceiling" Json.to_int j in
-    Ok (Sup_exceeds c)
+    Ok (Explorer.Sup_exceeds c)
   | k -> Error (Printf.sprintf "unknown sup kind %S" k)
 
 let reason_of_json j =
@@ -180,29 +160,29 @@ let reason_of_json j =
   match tag with
   | "time-budget" ->
     let* v = coerce "value" Json.to_float j in
-    Ok (Time_budget v)
+    Ok (Runctl.Time_budget v)
   | "state-budget" ->
     let* v = coerce "value" Json.to_int j in
-    Ok (State_budget v)
+    Ok (Runctl.State_budget v)
   | "memory-budget" ->
     let* v = coerce "value" Json.to_int j in
-    Ok (Memory_budget v)
-  | "cancelled" -> Ok Cancelled
+    Ok (Runctl.Memory_budget v)
+  | "cancelled" -> Ok Runctl.Cancelled
   | "crash" ->
     let* msg = coerce "message" Json.to_str j in
-    Ok (Crash msg)
+    Ok (Runctl.Crash msg)
   | t -> Error (Printf.sprintf "unknown interrupt reason %S" t)
 
 let outcome_of_json j =
   let* kind = coerce "kind" Json.to_str j in
   match kind with
-  | "holds" -> Ok Holds
+  | "holds" -> Ok Query.Holds
   | "fails" -> (
     match Json.member "trace" j with
-    | None | Some Json.Null -> Ok (Fails None)
+    | None | Some Json.Null -> Ok (Query.Fails None)
     | Some (Json.List items) ->
       let rec strings acc = function
-        | [] -> Ok (Fails (Some (List.rev acc)))
+        | [] -> Ok (Query.Fails (Some (List.rev acc)))
         | Json.String s :: rest -> strings (s :: acc) rest
         | _ -> Error "trace step is not a string"
       in
@@ -211,7 +191,7 @@ let outcome_of_json j =
   | "sup" ->
     let* s = field "sup" j in
     let* s = sup_of_json s in
-    Ok (Sup s)
+    Ok (Query.Sup s)
   | "unknown" ->
     let* r = field "reason" j in
     let* reason = reason_of_json r in
@@ -222,19 +202,19 @@ let outcome_of_json j =
         let* s = sup_of_json s in
         Ok (Some s)
     in
-    Ok (Unknown (reason, partial))
+    Ok (Query.Unknown (reason, partial))
   | k -> Error (Printf.sprintf "unknown outcome kind %S" k)
 
 let stats_of_json j =
   let* visited = coerce "visited" Json.to_int j in
   let* stored = coerce "stored" Json.to_int j in
   let* frontier = coerce "frontier" Json.to_int j in
-  Ok { visited; stored; frontier }
+  Ok { Explorer.visited; stored; frontier }
 
 let of_json j =
   let* key_hex = coerce "key" Json.to_str j in
   let* en_key =
-    match D128.of_hex key_hex with
+    match Keys.D128.of_hex key_hex with
     | Some k -> Ok k
     | None -> Error "field \"key\" is not a 128-bit hex digest"
   in
@@ -261,20 +241,15 @@ let of_json j =
       en_budget = { bg_limit; bg_states; bg_time_s; bg_mem_bytes };
       en_prov = { pv_tool; pv_jobs; pv_wall_ms; pv_created } }
 
-let pp_sup ppf = function
-  | Sup_unreached -> Fmt.string ppf "unreached"
-  | Sup_value (v, strict) -> Fmt.pf ppf "%s %d" (if strict then "<" else "<=") v
-  | Sup_exceeds c -> Fmt.pf ppf "> %d (ceiling)" c
-
 let pp ppf e =
   let kind =
     match e.en_outcome with
-    | Holds -> "holds"
-    | Fails _ -> "fails"
-    | Sup _ -> "sup"
-    | Unknown _ -> "unknown"
+    | Query.Holds -> "holds"
+    | Query.Fails _ -> "fails"
+    | Query.Sup _ -> "sup"
+    | Query.Unknown _ -> "unknown"
   in
-  Fmt.pf ppf "%s %s [%s]" (D128.to_hex e.en_key) e.en_query kind;
+  Fmt.pf ppf "%s %s [%s]" (Keys.D128.to_hex e.en_key) e.en_query kind;
   match e.en_outcome with
-  | Sup s -> Fmt.pf ppf " %a" pp_sup s
+  | Query.Sup s -> Fmt.pf ppf " %a" Explorer.pp_sup_result s
   | _ -> ()

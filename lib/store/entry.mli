@@ -1,10 +1,6 @@
-(** A cached verification result.
-
-    Entries deliberately mirror the model checker's result types with
-    plain, library-local constructors: the store sits {e below} [mc] in
-    the dependency order (the explorer uses {!D128} for its snapshot
-    fingerprint), so it cannot name [Mc.Explorer.verdict] directly.
-    [Analysis.Qcache] owns the conversions.
+(** A cached verification result: the model checker's own
+    {!Mc.Query.outcome} and {!Mc.Explorer.stats}, keyed and stamped
+    with the budget and provenance of the run that produced them.
 
     {b Reuse rule (budget dominance).}  Definitive outcomes ([Holds],
     [Fails], [Sup]) are facts about the model: once computed under
@@ -18,26 +14,6 @@
     Cancelled runs ([^C]) are never reused: cancellation says nothing
     about any budget.  The same goes for [Crash] — a worker-domain
     failure is a fact about the host, not the model. *)
-
-type sup =
-  | Sup_unreached
-  | Sup_value of int * bool  (** supremum; [true] means strict *)
-  | Sup_exceeds of int       (** exceeds the query ceiling *)
-
-type reason =
-  | Time_budget of float
-  | State_budget of int
-  | Memory_budget of int
-  | Cancelled
-  | Crash of string  (** a worker domain died; diagnostic attached *)
-
-type outcome =
-  | Holds
-  | Fails of string list option       (** counterexample trace *)
-  | Sup of sup
-  | Unknown of reason * sup option    (** partial sup when available *)
-
-type stats = { visited : int; stored : int; frontier : int }
 
 (** The budget a run was (or would be) governed by.  [bg_limit] is the
     explorer's own visited-state limit; the optional components mirror
@@ -57,19 +33,15 @@ type provenance = {
 }
 
 type t = {
-  en_key : D128.t;      (** the content-addressed key ({!Key}) *)
+  en_key : Keys.D128.t; (** the content-addressed key ({!Keys.Key}) *)
   en_query : string;    (** canonical query text, for humans and [fsck] *)
-  en_outcome : outcome;
-  en_stats : stats;
+  en_outcome : Mc.Query.outcome;
+  en_stats : Mc.Explorer.stats;
   en_budget : budget;
   en_prov : provenance;
 }
 
 val unlimited : budget
-
-(** [true] for [Holds], [Fails] and [Sup] — outcomes that hold under
-    any budget. *)
-val definitive : t -> bool
 
 (** [budget_dominates ~cached ~requested]: every component of [cached]
     is at least as generous as [requested]'s. *)
@@ -78,9 +50,11 @@ val budget_dominates : cached:budget -> requested:budget -> bool
 (** The reuse rule above. *)
 val reusable : t -> requested:budget -> bool
 
-val outcome_to_json : outcome -> Json.t
-val outcome_of_json : Json.t -> (outcome, string) result
-val stats_to_json : stats -> Json.t
+(** The wire form of an outcome and of search statistics: the bytes of
+    [.psve] entries, [psv serve] responses and [psv check --json]
+    rows. *)
+val outcome_to_json : Mc.Query.outcome -> Json.t
+val stats_to_json : Mc.Explorer.stats -> Json.t
 
 val to_json : t -> Json.t
 

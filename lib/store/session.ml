@@ -6,19 +6,19 @@ type t = {
   ss_tag : string;
   ss_query : string;
   ss_net : string;
-  ss_result_key : D128.t;
-  ss_manifest : Key.manifest;
+  ss_result_key : Keys.D128.t;
+  ss_manifest : Keys.Key.manifest;
 }
 
 let session_key ~tag ~query =
-  let st = D128.builder () in
-  D128.add_string st schema;
-  D128.add_string st tag;
-  D128.add_string st query;
-  D128.value st
+  let st = Keys.D128.builder () in
+  Keys.D128.add_string st schema;
+  Keys.D128.add_string st tag;
+  Keys.D128.add_string st query;
+  Keys.D128.value st
 
-let sess_name key = D128.to_hex key ^ ".psvs"
-let graph_name key = D128.to_hex key ^ ".psvg"
+let sess_name key = Keys.D128.to_hex key ^ ".psvs"
+let graph_name key = Keys.D128.to_hex key ^ ".psvg"
 let path disk name = Filename.concat (Disk.dir disk) name
 
 (* Same framing as PSVSTORE1 entries: magic, payload digest, payload
@@ -40,7 +40,7 @@ let read_framed magic p =
     let* () = if m = magic then Ok () else Error "bad magic" in
     let* d = line () in
     let* digest =
-      match D128.of_hex d with
+      match Keys.D128.of_hex d with
       | Some d -> Ok d
       | None -> Error "bad payload digest line"
     in
@@ -55,7 +55,7 @@ let read_framed magic p =
       else Error "payload length mismatch (truncated?)"
     in
     let payload = really_input_string ic len in
-    if D128.equal (D128.of_string payload) digest then Ok payload
+    if Keys.D128.equal (Keys.D128.of_string payload) digest then Ok payload
     else Error "payload digest mismatch"
   in
   match In_channel.with_open_bin p unframe with
@@ -78,7 +78,7 @@ let write_framed disk name magic payload =
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
         Printf.fprintf oc "%s\n%s\n%d\n" magic
-          (D128.to_hex (D128.of_string payload))
+          (Keys.D128.to_hex (Keys.D128.of_string payload))
           (String.length payload);
         output_string oc payload);
     Unix.rename tmp (path disk name)
@@ -88,23 +88,23 @@ let write_framed disk name magic payload =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise exn
 
-let manifest_to_json (m : Key.manifest) =
+let manifest_to_json (m : Keys.Key.manifest) =
   Json.Obj
     [
-      ("decls", Json.String (D128.to_hex m.Key.mf_decls));
+      ("decls", Json.String (Keys.D128.to_hex m.Keys.Key.mf_decls));
       ( "automata",
         Json.List
           (List.map
              (fun (name, d) ->
-               Json.List [ Json.String name; Json.String (D128.to_hex d) ])
-             m.Key.mf_automata) );
+               Json.List [ Json.String name; Json.String (Keys.D128.to_hex d) ])
+             m.Keys.Key.mf_automata) );
     ]
 
 let manifest_of_json j =
   let ( let* ) = Option.bind in
   let* decls = Json.member "decls" j in
   let* decls = Json.to_str decls in
-  let* decls = D128.of_hex decls in
+  let* decls = Keys.D128.of_hex decls in
   let* autos = Json.member "automata" j in
   let* autos = Json.to_list autos in
   let* autos =
@@ -113,12 +113,12 @@ let manifest_of_json j =
         let* acc = acc in
         match item with
         | Json.List [ Json.String name; Json.String hex ] ->
-          let* d = D128.of_hex hex in
+          let* d = Keys.D128.of_hex hex in
           Some ((name, d) :: acc)
         | _ -> None)
       (Some []) autos
   in
-  Some { Key.mf_decls = decls; mf_automata = List.rev autos }
+  Some { Keys.Key.mf_decls = decls; mf_automata = List.rev autos }
 
 let to_json s =
   Json.Obj
@@ -127,7 +127,7 @@ let to_json s =
       ("tag", Json.String s.ss_tag);
       ("query", Json.String s.ss_query);
       ("net", Json.String s.ss_net);
-      ("result_key", Json.String (D128.to_hex s.ss_result_key));
+      ("result_key", Json.String (Keys.D128.to_hex s.ss_result_key));
       ("manifest", manifest_to_json s.ss_manifest);
     ]
 
@@ -145,7 +145,7 @@ let of_json j =
   let* ss_net = str "net" in
   let* key_hex = str "result_key" in
   let* ss_result_key =
-    match D128.of_hex key_hex with
+    match Keys.D128.of_hex key_hex with
     | Some k -> Ok k
     | None -> Error "bad result_key"
   in
@@ -219,7 +219,7 @@ let check_session disk file =
     | Ok net -> Ok net
     | Error msg -> Error ("stored network does not parse: " ^ msg)
   in
-  if Key.manifest_equal (Key.manifest net) s.ss_manifest then Ok ()
+  if Keys.Key.manifest_equal (Keys.Key.manifest net) s.ss_manifest then Ok ()
   else Error "manifest does not match recomputed per-automaton digests"
 
 let check_graph disk file =

@@ -8,7 +8,6 @@ type t = atom list
 
 let tt = []
 
-let simple x rel n = Simple (x, rel, n)
 let lt x n = Simple (x, Lt, n)
 let le x n = Simple (x, Le, n)
 let eq_ x n = Simple (x, Eq, n)

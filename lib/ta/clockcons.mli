@@ -13,9 +13,6 @@ type t = atom list
 
 val tt : t
 
-(** [simple x rel n] is the constraint [x ~ n]. *)
-val simple : string -> rel -> int -> atom
-
 val lt : string -> int -> atom
 val le : string -> int -> atom
 val eq_ : string -> int -> atom

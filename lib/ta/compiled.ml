@@ -309,7 +309,6 @@ let find_in_array name arr =
 
 let clock_index c name = find_in_array name c.c_clock_names
 let var_index c name = find_in_array name c.c_var_names
-let chan_index c name = find_in_array name c.c_chan_names
 
 let loc_index c ~aut name =
   let ai =

@@ -86,9 +86,6 @@ val clock_index : t -> string -> int
 val var_index : t -> string -> int
 (** @raise Not_found *)
 
-val chan_index : t -> string -> int
-(** @raise Not_found *)
-
 val loc_index : t -> aut:string -> string -> int * int
 (** [(automaton index, location index)].  @raise Not_found *)
 

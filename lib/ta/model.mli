@@ -126,7 +126,5 @@ val validate : network -> string list
 val size : network -> int * int
 (** [(locations, edges)] summed over all automata. *)
 
-val pp_sync : Format.formatter -> sync -> unit
-val pp_edge : Format.formatter -> edge -> unit
 val pp_automaton : Format.formatter -> automaton -> unit
 val pp : Format.formatter -> network -> unit

@@ -149,17 +149,17 @@ let reclose_touched z cols ends =
     done
   done
 
-(* [widen]'s touched list, one per domain (the search's domains
+(* [extrapolate]'s touched list, one per domain (the search's domains
    extrapolate at once), grown to the largest dimension it has seen. *)
 type touched = { mutable cols : int array; mutable ends : int array }
 
 let touched_key = Domain.DLS.new_key (fun () -> { cols = [||]; ends = [||] })
 
-(* The widening scan shared by both extrapolations: an entry above
-   [le upper.(i)] is dropped to infinity, one below [lt (-lower.(j))]
-   raised to it.  ExtraLU exempts row 0 from the drop and column 0 from
-   the raise. *)
-let widen z ~lu upper lower =
+(* ExtraM: an entry above [le k.(i)] is dropped to infinity, one below
+   [lt (-k.(j))] raised to it; then only the touched entries are
+   re-closed. *)
+let extrapolate z k =
+  assert (Array.length k = z.n && k.(0) = 0);
   if not (is_empty z) then begin
     let n = z.n and m = z.m in
     let scratch = Domain.DLS.get touched_key in
@@ -170,15 +170,15 @@ let widen z ~lu upper lower =
     let cols = scratch.cols and ends = scratch.ends in
     let touched = ref 0 in
     for i = 0 to n - 1 do
-      let ri = i * n and above = le upper.(i) and drops = (not lu) || i <> 0 in
+      let ri = i * n and above = le k.(i) in
       for j = 0 to n - 1 do
         if i <> j then begin
           let b = m.(ri + j) in
           let b' =
-            if drops && b <> inf && b > above then inf
+            if b <> inf && b > above then inf
             else
-              let below = lt (-lower.(j)) in
-              if ((not lu) || j <> 0) && b < below then below else b
+              let below = lt (-k.(j)) in
+              if b < below then below else b
           in
           if b' <> b then begin
             m.(ri + j) <- b';
@@ -191,15 +191,6 @@ let widen z ~lu upper lower =
     done;
     if !touched > 0 then reclose_touched z cols ends
   end
-
-let extrapolate z k =
-  assert (Array.length k = z.n && k.(0) = 0);
-  widen z ~lu:false k k
-
-let extrapolate_lu z l u =
-  assert (
-    Array.length l = z.n && Array.length u = z.n && l.(0) = 0 && u.(0) = 0);
-  widen z ~lu:true l u
 
 let includes a b =
   assert (a.n = b.n);

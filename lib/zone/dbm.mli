@@ -55,14 +55,6 @@ val free : t -> int -> unit
     is {e not} repaired.  A non-empty zone stays non-empty. *)
 val extrapolate : t -> int array -> unit
 
-(** Lower/upper-bound extrapolation (ExtraLU, Behrmann et al.): [l.(i)]
-    is the largest constant in lower-bound comparisons against clock [i],
-    [u.(i)] in upper-bound comparisons; both [l.(0)] and [u.(0)] must
-    be 0.  Coarser than ExtraM (equal when [l = u = k]) and exact for
-    location reachability of diagonal-free automata.  Same precondition
-    (a canonical input) and cost as {!extrapolate}. *)
-val extrapolate_lu : t -> int array -> int array -> unit
-
 (** [includes a b] is whether [b]'s valuation set is a subset of [a]'s.
     Both must be canonical.  An empty [b] is included in everything. *)
 val includes : t -> t -> bool

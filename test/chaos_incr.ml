@@ -22,12 +22,8 @@ let query text =
 let result_json (r : Q.result) =
   Store.Json.to_string
     (Store.Json.Obj
-       [ ("outcome",
-          Store.Entry.outcome_to_json
-            (Analysis.Qcache.outcome_to_entry r.Q.res_outcome));
-         ("stats",
-          Store.Entry.stats_to_json
-            (Analysis.Qcache.stats_to_entry r.Q.res_stats)) ])
+       [ ("outcome", Store.Entry.outcome_to_json r.Q.res_outcome);
+         ("stats", Store.Entry.stats_to_json r.Q.res_stats) ])
 
 let outcome_kind (r : Q.result) =
   match r.Q.res_outcome with

@@ -161,8 +161,8 @@ let test_concurrent_writers_transients () =
       let sample key query =
         { Store.Entry.en_key = key;
           en_query = query;
-          en_outcome = Store.Entry.Holds;
-          en_stats = { Store.Entry.visited = 1; stored = 1; frontier = 0 };
+          en_outcome = Mc.Query.Holds;
+          en_stats = { Mc.Explorer.visited = 1; stored = 1; frontier = 0 };
           en_budget = Store.Entry.unlimited;
           en_prov =
             { Store.Entry.pv_tool = "psv/chaos";
@@ -302,8 +302,8 @@ let test_interrupt_window () =
       let entry =
         { Store.Entry.en_key = key;
           en_query = "E<> P.Busy";
-          en_outcome = Store.Entry.Holds;
-          en_stats = { Store.Entry.visited = 1; stored = 1; frontier = 0 };
+          en_outcome = Mc.Query.Holds;
+          en_stats = { Mc.Explorer.visited = 1; stored = 1; frontier = 0 };
           en_budget = Store.Entry.unlimited;
           en_prov =
             { Store.Entry.pv_tool = "psv/chaos";

@@ -175,19 +175,19 @@ let test_satisfies_response_bound () =
   Alcotest.(check bool) "P(8) holds" true
     (Psv.verify_response net ~trigger:"req"
        ~response:"resp" ~bound:8
-     = Mc.Explorer.Proved);
+     = Mc.Query.Holds);
   (match
      Psv.verify_response net ~trigger:"req"
        ~response:"resp" ~bound:7
    with
-   | Mc.Explorer.Refuted _ -> ()
-   | Mc.Explorer.Proved | Mc.Explorer.Unknown _ ->
+   | Mc.Query.Fails _ -> ()
+   | Mc.Query.Holds | Mc.Query.Sup _ | Mc.Query.Unknown _ ->
      Alcotest.fail "P(7) should be refuted");
   (* never-triggered requirement is vacuously true *)
   Alcotest.(check bool) "vacuous" true
     (Psv.verify_response net ~trigger:"ghost"
        ~response:"resp" ~bound:1
-     = Mc.Explorer.Proved)
+     = Mc.Query.Holds)
 
 let suite =
   [ Alcotest.test_case "Lemma 1: interrupt + read-all" `Quick

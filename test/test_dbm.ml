@@ -122,40 +122,6 @@ let test_extrapolate_keeps_small_bounds () =
   Dbm.extrapolate z [| 0; 10 |];
   Alcotest.(check int) "bound within k kept" (Bound.le 5) (Dbm.sup_clock z 1)
 
-let test_extrapolate_lu_directions () =
-  (* u bounds survive up to u, lower bounds clamp at -u; l governs the
-     upper-bound drop *)
-  let z = Dbm.zero 2 in
-  Dbm.up z;
-  Dbm.constrain z 1 0 (Bound.le 8);
-  let z_lu = Dbm.copy z in
-  (* l = 3: the upper bound 8 > 3 is dropped even though u = 10 *)
-  Dbm.extrapolate_lu z_lu [| 0; 3 |] [| 0; 10 |];
-  Alcotest.(check int) "upper bound beyond l dropped" Bound.infinity
-    (Dbm.sup_clock z_lu 1);
-  let z2 = Dbm.zero 2 in
-  Dbm.up z2;
-  Dbm.constrain z2 0 1 (Bound.le (-7));  (* x1 >= 7 *)
-  Dbm.extrapolate_lu z2 [| 0; 10 |] [| 0; 4 |];
-  (* lower bound 7 clamps at u = 4 (strictly) *)
-  let lo, strict = Dbm.inf_clock z2 1 in
-  Alcotest.(check (pair int bool)) "lower bound clamped at u" (4, true)
-    (lo, strict)
-
-let test_extrapolate_lu_equals_m_when_same () =
-  let build () =
-    let z = Dbm.zero 3 in
-    Dbm.up z;
-    Dbm.constrain z 1 0 (Bound.le 12);
-    Dbm.constrain z 0 2 (Bound.lt (-4));
-    z
-  in
-  let zm = build () and zlu = build () in
-  Dbm.extrapolate zm [| 0; 6; 6 |];
-  Dbm.extrapolate_lu zlu [| 0; 6; 6 |] [| 0; 6; 6 |];
-  Alcotest.(check bool) "ExtraLU with l=u=k equals ExtraM" true
-    (Dbm.equal zm zlu)
-
 (* Regression: two empty DBMs of different dimensions are not equal (and
    an empty zone never equals a non-empty one). *)
 let test_equal_requires_dimension () =
@@ -264,19 +230,6 @@ let prop_extrapolate_preserves_inclusion =
       let z' = Dbm.copy z in
       Dbm.extrapolate z' k;
       Dbm.includes z' z)
-
-(* Same for ExtraLU, which is additionally coarser than (or equal to)
-   ExtraM with k = max l u. *)
-let prop_extrapolate_lu_preserves_inclusion =
-  QCheck.Test.make ~name:"extrapolate_lu includes ExtraM and original"
-    ~count:1000
-    (QCheck.triple Gen.arb_dbm_ops Gen.arb_dbm_ceilings Gen.arb_dbm_ceilings)
-    (fun (ops, l, u) ->
-      let z = build ops in
-      let z_lu = Dbm.copy z and z_m = Dbm.copy z in
-      Dbm.extrapolate_lu z_lu l u;
-      Dbm.extrapolate z_m (Array.map2 max l u);
-      Dbm.includes z_lu z && Dbm.includes z_lu z_m)
 
 (* Hash is compatible with equality (the explorer's equality-dedup mode
    filters by hash before comparing). *)
@@ -565,17 +518,6 @@ let widen_m dim m k =
       else b)
     m
 
-let widen_lu dim m l u =
-  Array.mapi
-    (fun p b ->
-      let i = p / dim and j = p mod dim in
-      if i = j then b
-      else if i <> 0 && (not (Bound.is_infinite b)) && b > Bound.le l.(i) then
-        Bound.infinity
-      else if j <> 0 && b < Bound.lt (-u.(j)) then Bound.lt (-u.(j))
-      else b)
-    m
-
 (* Arbitrary matrices, canonical or not, negative cycles included. *)
 let arb_matrix dim =
   let bound =
@@ -632,16 +574,6 @@ let reference_props dim arb_ops build =
         QCheck.assume (not (Dbm.is_empty z));
         let expected = ref_close dim (widen_m dim (Dbm.to_ints z) k) in
         Dbm.extrapolate z k;
-        (not (Dbm.is_empty z)) && Dbm.to_ints z = expected);
-    QCheck.Test.make
-      ~name:(name "extrapolate_lu = ExtraLU rule, then reference closure")
-      ~count:1000
-      (QCheck.triple arb_ops ceilings ceilings)
-      (fun (ops, l, u) ->
-        let z = build ops in
-        QCheck.assume (not (Dbm.is_empty z));
-        let expected = ref_close dim (widen_lu dim (Dbm.to_ints z) l u) in
-        Dbm.extrapolate_lu z l u;
         (not (Dbm.is_empty z)) && Dbm.to_ints z = expected) ]
 
 let reference_closure_props =
@@ -765,7 +697,7 @@ let prop_key_scan =
 
 (* --- per-domain extrapolation scratch ------------------------------------ *)
 
-(* The extrapolations' touched-entry list is per domain.  Two domains
+(* Extrapolation's touched-entry list is per domain.  Two domains
    extrapolate at once, one the dim-4 zones then the dim-9 ones, the
    other the reverse (so each grows its scratch while the other uses
    its own), and must reproduce a sequential run's bytes. *)
@@ -773,17 +705,16 @@ let test_widen_domains () =
   let rand = Random.State.make [| 22 |] in
   let jobs dim arb_ops build =
     List.filter_map
-      (fun i ->
+      (fun _ ->
         let z = build (QCheck.Gen.generate1 ~rand (QCheck.gen arb_ops)) in
         let ceilings = QCheck.gen (Gen.arb_dbm_ceilings_at dim) in
-        let l = QCheck.Gen.generate1 ~rand ceilings in
-        let u = QCheck.Gen.generate1 ~rand ceilings in
-        if Dbm.is_empty z then None else Some (z, l, u, i mod 2 = 0))
+        let k = QCheck.Gen.generate1 ~rand ceilings in
+        if Dbm.is_empty z then None else Some (z, k))
       (List.init 300 Fun.id)
   in
-  let run (z, l, u, lu) =
+  let run (z, k) =
     let z = Dbm.copy z in
-    if lu then Dbm.extrapolate_lu z l u else Dbm.extrapolate z l;
+    Dbm.extrapolate z k;
     Dbm.to_ints z
   in
   let small = jobs Gen.dbm_dims Gen.arb_dbm_ops Gen.build_dbm in
@@ -821,10 +752,6 @@ let suite =
       test_extrapolate_drops_big_bounds;
     Alcotest.test_case "extrapolation keeps small bounds" `Quick
       test_extrapolate_keeps_small_bounds;
-    Alcotest.test_case "ExtraLU directions" `Quick
-      test_extrapolate_lu_directions;
-    Alcotest.test_case "ExtraLU degenerates to ExtraM" `Quick
-      test_extrapolate_lu_equals_m_when_same;
     Alcotest.test_case "equal requires same dimension" `Quick
       test_equal_requires_dimension;
     QCheck_alcotest.to_alcotest prop_constrain_is_intersection;
@@ -834,7 +761,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_canonical_stable;
     QCheck_alcotest.to_alcotest prop_mutual_inclusion_is_equal;
     QCheck_alcotest.to_alcotest prop_extrapolate_preserves_inclusion;
-    QCheck_alcotest.to_alcotest prop_extrapolate_lu_preserves_inclusion;
     QCheck_alcotest.to_alcotest prop_hash_respects_equal ]
   @ List.map QCheck_alcotest.to_alcotest prefilter_props
   @ [ Alcotest.test_case "key lane edges" `Quick test_key_lane_edges;

@@ -1,5 +1,5 @@
-(* Tests for the supporting features: stimulus patterns, coverage
-   reporting, and the supplemental GPCA requirements. *)
+(* Tests for the supporting features: stimulus patterns and the
+   supplemental GPCA requirements. *)
 
 open Ta
 
@@ -42,64 +42,6 @@ let test_stimulus_jittered_in_range () =
         (at >= base && at < base +. 5.0))
     events
 
-(* --- coverage -------------------------------------------------------------- *)
-
-let test_coverage_flags_dead_structure () =
-  let a =
-    Model.automaton ~name:"P" ~initial:"A"
-      [ loc "A"; loc "B"; loc "Dead" ]
-      [ edge "A" "B";
-        (* unreachable: guard can never hold *)
-        edge ~pred:Expr.False "A" "Dead" ]
-  in
-  let net =
-    Model.network ~name:"cov" ~clocks:[] ~vars:[] ~channels:[] [ a ]
-  in
-  let t = Mc.Explorer.make net in
-  let cov = Mc.Explorer.coverage t in
-  Alcotest.(check (list (pair string string))) "dead location"
-    [ ("P", "Dead") ]
-    cov.Mc.Explorer.cov_unreached_locations;
-  Alcotest.(check int) "dead edge" 1
-    (List.length cov.Mc.Explorer.cov_unfired_edges)
-
-let test_coverage_clean_model () =
-  let net = Gpca.Model.network ~variant:Gpca.Model.Bolus_only Gpca.Params.default in
-  let t = Mc.Explorer.make net in
-  let cov = Mc.Explorer.coverage t in
-  Alcotest.(check (list (pair string string))) "all locations live" []
-    cov.Mc.Explorer.cov_unreached_locations;
-  Alcotest.(check (list string)) "all edges live" []
-    cov.Mc.Explorer.cov_unfired_edges
-
-let test_coverage_full_gpca_psm () =
-  (* Every location and edge of the bolus-only PSM is exercised — the
-     generated platform automata contain no dead structure (the overflow
-     branches are unreachable by design, so exclude loss edges). *)
-  let psm = Gpca.Model.psm ~variant:Gpca.Model.Bolus_only Gpca.Params.default in
-  let t = Mc.Explorer.make psm.Transform.psm_net in
-  let cov = Mc.Explorer.coverage t in
-  Alcotest.(check (list (pair string string))) "locations live" []
-    cov.Mc.Explorer.cov_unreached_locations;
-  (* any never-fired edge must belong to a generated platform automaton's
-     loss/overflow branch (unreachable by design when the constraints
-     hold), never to the software or environment *)
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec scan i =
-      i + nn <= nh && (String.sub hay i nn = needle || scan (i + 1))
-    in
-    scan 0
-  in
-  List.iter
-    (fun desc ->
-      Alcotest.(check bool)
-        (Fmt.str "unfired edge belongs to the platform: %s" desc)
-        true
-        (contains desc "IFMI" || contains desc "EXEIO"
-         || contains desc "IFOC"))
-    cov.Mc.Explorer.cov_unfired_edges
-
 (* --- supplemental GPCA requirements ---------------------------------------- *)
 
 let test_supplemental_pim_bounds () =
@@ -138,12 +80,6 @@ let suite =
       test_stimulus_merge_sorted;
     Alcotest.test_case "stimulus: jitter in range" `Quick
       test_stimulus_jittered_in_range;
-    Alcotest.test_case "coverage flags dead structure" `Quick
-      test_coverage_flags_dead_structure;
-    Alcotest.test_case "coverage: GPCA PIM is clean" `Quick
-      test_coverage_clean_model;
-    Alcotest.test_case "coverage: PSM dead structure is loss-only" `Slow
-      test_coverage_full_gpca_psm;
     Alcotest.test_case "supplemental PIM bounds" `Quick
       test_supplemental_pim_bounds;
     Alcotest.test_case "pause path behavior" `Quick

@@ -10,7 +10,7 @@ let test_pim_meets_req1 () =
   Alcotest.(check bool) "PIM |= P(500)" true
     (Psv.verify_response net ~trigger:Gpca.Model.bolus_req
        ~response:Gpca.Model.start_infusion ~bound:Gpca.Params.req1_bound
-     = Mc.Explorer.Proved)
+     = Mc.Query.Holds)
 
 let test_pim_bound_exactly_500 () =
   let net = Gpca.Model.network ~variant:Gpca.Model.Bolus_only params in
@@ -30,8 +30,8 @@ let test_psm_violates_req1 () =
      Psv.verify_response psm.Transform.psm_net ~trigger:Gpca.Model.bolus_req
        ~response:Gpca.Model.start_infusion ~bound:Gpca.Params.req1_bound
    with
-   | Mc.Explorer.Refuted _ -> ()
-   | Mc.Explorer.Proved | Mc.Explorer.Unknown _ ->
+   | Mc.Query.Fails _ -> ()
+   | Mc.Query.Holds | Mc.Query.Sup _ | Mc.Query.Unknown _ ->
      Alcotest.fail "PSM should refute P(500)")
 
 let check_sup label expected = function
@@ -60,7 +60,7 @@ let test_psm_satisfies_relaxed_bound () =
   Alcotest.(check bool) "PSM |= P(1430)" true
     (Psv.verify_response psm.Transform.psm_net ~trigger:Gpca.Model.bolus_req
        ~response:Gpca.Model.start_infusion ~bound:1430
-     = Mc.Explorer.Proved)
+     = Mc.Query.Holds)
 
 (* The paper's headline: every measured delay is bounded by the verified
    bound (Theorem 1's conclusion observed on the implementation). *)
@@ -98,7 +98,7 @@ let test_full_variant_alarm_path () =
   Alcotest.(check bool) "alarm within 150" true
     (Psv.verify_response net ~trigger:Gpca.Model.empty_syringe
        ~response:Gpca.Model.alarm ~bound:params.Gpca.Params.alarm_max
-     = Mc.Explorer.Proved)
+     = Mc.Query.Holds)
 
 let test_model_validates () =
   List.iter

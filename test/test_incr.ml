@@ -246,12 +246,8 @@ let test_cone_check () =
 let result_json (r : Q.result) =
   Store.Json.to_string
     (Store.Json.Obj
-       [ ("outcome",
-          Store.Entry.outcome_to_json
-            (Analysis.Qcache.outcome_to_entry r.Q.res_outcome));
-         ("stats",
-          Store.Entry.stats_to_json
-            (Analysis.Qcache.stats_to_entry r.Q.res_stats)) ])
+       [ ("outcome", Store.Entry.outcome_to_json r.Q.res_outcome);
+         ("stats", Store.Entry.stats_to_json r.Q.res_stats) ])
 
 let check_scratch_equal label net q (r : Q.result) =
   let scratch = Q.eval ~jobs:1 net q in
@@ -724,8 +720,8 @@ let test_stats_corrupt_bytes () =
       let entry key =
         { Store.Entry.en_key = key;
           en_query = "E<> true";
-          en_outcome = Store.Entry.Holds;
-          en_stats = { Store.Entry.visited = 1; stored = 1; frontier = 0 };
+          en_outcome = Mc.Query.Holds;
+          en_stats = { Mc.Explorer.visited = 1; stored = 1; frontier = 0 };
           en_budget = Store.Entry.unlimited;
           en_prov =
             { Store.Entry.pv_tool = "test";

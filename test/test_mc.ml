@@ -279,16 +279,15 @@ let test_sup_lower_bound_exact () =
 
 let test_safe () =
   let t = Mc.Explorer.make (one_step ~lo:5) in
-  let v, _ = Mc.Explorer.safe t (Mc.Explorer.at t ~aut:"P" ~loc:"B") in
-  (match v with
-   | Mc.Explorer.Refuted (Some trace) ->
+  let r = Mc.Explorer.reachable t (Mc.Explorer.at t ~aut:"P" ~loc:"B") in
+  (match r.Mc.Explorer.r_trace with
+   | Some trace ->
      Alcotest.(check bool) "counterexample non-empty" true (trace <> [])
-   | Mc.Explorer.Refuted None -> Alcotest.fail "refutation lost its trace"
-   | Mc.Explorer.Proved | Mc.Explorer.Unknown _ ->
-     Alcotest.fail "B is reachable so not safe");
+   | None -> Alcotest.fail "B is reachable so not safe");
   let t2 = Mc.Explorer.make (one_step ~lo:11) in
-  let v2, _ = Mc.Explorer.safe t2 (Mc.Explorer.at t2 ~aut:"P" ~loc:"B") in
-  Alcotest.(check bool) "B unreachable so safe" true (v2 = Mc.Explorer.Proved)
+  let r2 = Mc.Explorer.reachable t2 (Mc.Explorer.at t2 ~aut:"P" ~loc:"B") in
+  Alcotest.(check bool) "B unreachable so safe" true
+    (r2.Mc.Explorer.r_trace = None && r2.Mc.Explorer.r_interrupt = None)
 
 let test_search_limit () =
   (* An unbounded counter would explode; the limit must interrupt the
@@ -571,7 +570,7 @@ let test_store_keeps_expanding_zone () =
    input, so this checks over a whole GPCA PSM exploration (Table I's
    input-delay query) that every recorded zone replays to [fire]'s
    successor byte for byte. *)
-let test_admit_pre_replays_fire ~lu () =
+let test_admit_pre_replays_fire () =
   let params = Gpca.Params.default in
   let psm = (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net in
   let ceiling =
@@ -582,7 +581,7 @@ let test_admit_pre_replays_fire ~lu () =
       ~response:(Transform.Names.input_chan Gpca.Model.bolus_req)
       ~clock:Mc.Query.delay_monitor_clock ~ceiling ()
   in
-  let t = Mc.Explorer.make ~monitor ~lu psm in
+  let t = Mc.Explorer.make ~monitor psm in
   let replayed = ref 0 in
   let check_replay pool st cd succ =
     let zone (s : Mc.Explorer.state) = Zone.Dbm.to_ints s.st_zone in
@@ -796,9 +795,7 @@ let suite =
     Alcotest.test_case "store keeps the expanding zone" `Quick
       test_store_keeps_expanding_zone;
     Alcotest.test_case "admit_pre replays fire (ExtraM)" `Quick
-      (test_admit_pre_replays_fire ~lu:false);
-    Alcotest.test_case "admit_pre replays fire (ExtraLU)" `Quick
-      (test_admit_pre_replays_fire ~lu:true);
+      test_admit_pre_replays_fire;
     Alcotest.test_case "candidates = closure-based reference" `Quick
       test_candidate_order;
     Alcotest.test_case "gpca-psm-input minor-word budget" `Quick

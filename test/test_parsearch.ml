@@ -106,14 +106,14 @@ let test_verdict_determinism () =
         in
         if v <> expected then
           Alcotest.failf "%s: jobs=%d verdict %a, expected %a" name jobs
-            Mc.Explorer.pp_verdict v Mc.Explorer.pp_verdict expected)
+            Mc.Query.pp_outcome v Mc.Query.pp_outcome expected)
       jobs_list
   in
   check_verdicts "railroad-periodic25 |= P(320)"
     (fun () -> Test_runctl.railroad_psm ())
-    ~bound:320 Mc.Explorer.Proved;
+    ~bound:320 Mc.Query.Holds;
   check_verdicts "railroad-race |/= P(320)" railroad_race_psm ~bound:320
-    (Mc.Explorer.Refuted None)
+    (Mc.Query.Fails None)
 
 let test_query_eval_jobs () =
   let net = gpca_pim () in
@@ -310,10 +310,11 @@ let test_random_networks_cross_jobs () =
   let nets =
     List.init 12 (fun _ -> QCheck.Gen.generate1 ~rand Gen.gen_network)
   in
-  let verdict_shape = function
-    | Mc.Explorer.Proved -> "proved"
-    | Mc.Explorer.Refuted _ -> "refuted"
-    | Mc.Explorer.Unknown _ -> "unknown"
+  let verdict_shape r =
+    match r.Mc.Explorer.r_trace, r.Mc.Explorer.r_interrupt with
+    | Some _, _ -> "refuted"
+    | None, Some _ -> "unknown"
+    | None, None -> "proved"
   in
   List.iteri
     (fun i net ->
@@ -321,7 +322,7 @@ let test_random_networks_cross_jobs () =
         let t = Mc.Explorer.make net in
         (* every generated automaton has locations L0..L{n-1}, n >= 2 *)
         let pred = Mc.Explorer.at t ~aut:"B" ~loc:"L1" in
-        verdict_shape (fst (Mc.Explorer.safe ~jobs t pred))
+        verdict_shape (Mc.Explorer.reachable ~jobs t pred)
       in
       let sup jobs =
         (Mc.Query.max_delay ~jobs net ~trigger:"bc" ~response:"bin"
@@ -370,21 +371,28 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
+let pp_reach ppf r =
+  match r.Mc.Explorer.r_trace, r.Mc.Explorer.r_interrupt with
+  | Some trace, _ -> Fmt.pf ppf "found (%d steps)" (List.length trace)
+  | None, Some reason -> Fmt.pf ppf "unknown: %a" Mc.Runctl.pp_reason reason
+  | None, None -> Fmt.string ppf "unreachable"
+
 let test_crash_supervised () =
   let t = Mc.Explorer.make (Test_runctl.railroad_psm ()) in
   List.iter
     (fun jobs ->
       match
-        Mc.Explorer.safe ~jobs t (fun _ -> failwith "poisoned predicate")
+        Mc.Explorer.reachable ~jobs t (fun _ -> failwith "poisoned predicate")
       with
-      | Mc.Explorer.Unknown (Mc.Runctl.Crash diag), _stats ->
+      | { Mc.Explorer.r_trace = None; r_interrupt = Some (Mc.Runctl.Crash diag); _ }
+        ->
         Alcotest.(check bool)
           (Printf.sprintf "jobs=%d: diagnosis names the exception" jobs)
           true
           (contains diag "poisoned predicate")
-      | v, _ ->
+      | r ->
         Alcotest.failf "jobs=%d: expected a crash-diagnosed Unknown, got %a"
-          jobs Mc.Explorer.pp_verdict v
+          jobs pp_reach r
       | exception exn ->
         Alcotest.failf "jobs=%d: crash escaped supervision: %s" jobs
           (Printexc.to_string exn))
@@ -404,15 +412,16 @@ let test_midsearch_crash_quiesces () =
         else false
       in
       let t = Mc.Explorer.make (Test_runctl.railroad_psm ()) in
-      match Mc.Explorer.safe ~jobs t pred with
-      | Mc.Explorer.Unknown (Mc.Runctl.Crash diag), _ ->
+      match Mc.Explorer.reachable ~jobs t pred with
+      | { Mc.Explorer.r_trace = None; r_interrupt = Some (Mc.Runctl.Crash diag); _ }
+        ->
         Alcotest.(check bool)
           (Printf.sprintf "jobs=%d: diagnosis names the exception" jobs)
           true
           (contains diag "mid-search crash")
-      | v, _ ->
+      | r ->
         Alcotest.failf "jobs=%d: expected a crash-diagnosed Unknown, got %a"
-          jobs Mc.Explorer.pp_verdict v
+          jobs pp_reach r
       | exception exn ->
         Alcotest.failf "jobs=%d: crash escaped supervision: %s" jobs
           (Printexc.to_string exn))

@@ -174,6 +174,31 @@ let test_bounded_is_sup () =
         [ sup - 1; sup; sup + 1 ])
     cases
 
+(* [psv check]'s table prints each row's outcome with [pp_outcome], and
+   the examples and bench driver print verdicts with it, so its words
+   are part of the output. *)
+let test_pp_outcome_text () =
+  List.iter
+    (fun (outcome, want) ->
+      Alcotest.(check string) want want (Fmt.str "%a" Mc.Query.pp_outcome outcome))
+    [ (Mc.Query.Holds, "holds");
+      (Mc.Query.Fails None, "FAILS");
+      (Mc.Query.Fails (Some [ "a"; "b"; "c" ]), "FAILS (counterexample of 3 steps)");
+      (Mc.Query.Sup Mc.Explorer.Sup_unreached, "sup = unreached");
+      (Mc.Query.Sup (Mc.Explorer.Sup (440, false)), "sup = <= 440");
+      (Mc.Query.Sup (Mc.Explorer.Sup (7, true)), "sup = < 7");
+      (Mc.Query.Sup (Mc.Explorer.Sup_exceeds 2000), "sup = > 2000 (ceiling)");
+      ( Mc.Query.Unknown (Mc.Runctl.Time_budget 1.5, None),
+        "UNKNOWN (time budget (1.5s) exhausted)" );
+      ( Mc.Query.Unknown
+          (Mc.Runctl.State_budget 1000, Some (Mc.Explorer.Sup (7, true))),
+        "UNKNOWN (state budget (1000) exhausted; sup so far < 7)" );
+      ( Mc.Query.Unknown (Mc.Runctl.Memory_budget (64 * 1024 * 1024), None),
+        "UNKNOWN (memory budget (64 MB) exhausted)" );
+      (Mc.Query.Unknown (Mc.Runctl.Cancelled, None), "UNKNOWN (cancelled)");
+      ( Mc.Query.Unknown (Mc.Runctl.Crash "boom", None),
+        "UNKNOWN (worker crashed: boom)" ) ]
+
 let suite =
   [ Alcotest.test_case "E<> queries" `Quick test_exists;
     Alcotest.test_case "A[] queries" `Quick test_always;
@@ -185,4 +210,5 @@ let suite =
     Alcotest.test_case "bounded = sup against the bound" `Quick
       test_bounded_is_sup;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
-    Alcotest.test_case "wide-lane sup pins" `Quick test_wide_lane_pins ]
+    Alcotest.test_case "wide-lane sup pins" `Quick test_wide_lane_pins;
+    Alcotest.test_case "pp_outcome text" `Quick test_pp_outcome_text ]

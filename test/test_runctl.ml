@@ -65,6 +65,48 @@ let test_cancellation () =
   Alcotest.(check bool) "nothing visited" true
     (r.Mc.Explorer.r_stats.Mc.Explorer.visited = 0)
 
+(* A batch's query queued behind others gets its whole time budget: a
+   sibling's clock starts when it is made, not when its root was. *)
+let test_sibling_clock () =
+  let root =
+    Mc.Runctl.create
+      ~budget:{ Mc.Runctl.no_budget with Mc.Runctl.b_time_s = Some 0.05 }
+      ()
+  in
+  Unix.sleepf 0.1;
+  let late = Mc.Runctl.sibling root in
+  Alcotest.(check bool) "same budget" true
+    (Mc.Runctl.budget late = Mc.Runctl.budget root);
+  (match Mc.Runctl.check root ~visited:0 with
+   | Some (Mc.Runctl.Time_budget _) -> ()
+   | other ->
+     Alcotest.failf "root: expected a time-budget stop, got %a"
+       Fmt.(option Mc.Runctl.pp_reason)
+       other);
+  (match Mc.Runctl.check late ~visited:0 with
+   | None -> ()
+   | Some reason ->
+     Alcotest.failf "fresh sibling stopped: %a" Mc.Runctl.pp_reason reason)
+
+(* One ^C cancels the whole batch: the tokens already made, the ones made
+   after, and the root through any of them. *)
+let test_sibling_cancellation () =
+  let root = Mc.Runctl.create () in
+  let early = Mc.Runctl.sibling root in
+  Mc.Runctl.cancel root;
+  let late = Mc.Runctl.sibling root in
+  List.iter
+    (fun (name, ctl) ->
+      Alcotest.(check bool) name true
+        (Mc.Runctl.check ctl ~visited:0 = Some Mc.Runctl.Cancelled))
+    [ ("made before the cancel", early); ("made after the cancel", late) ];
+  let root2 = Mc.Runctl.create () in
+  let s = Mc.Runctl.sibling root2 in
+  Alcotest.(check bool) "not cancelled yet" false (Mc.Runctl.cancelled root2);
+  Mc.Runctl.cancel s;
+  Alcotest.(check bool) "a sibling's cancel reaches the root" true
+    (Mc.Runctl.cancelled root2)
+
 let test_parse_duration () =
   let ok s expected =
     match Mc.Runctl.parse_duration s with
@@ -299,6 +341,10 @@ let suite =
     Alcotest.test_case "time budget -> Unknown" `Quick
       test_time_budget_unknown;
     Alcotest.test_case "cancellation" `Quick test_cancellation;
+    Alcotest.test_case "sibling starts its own clock" `Quick
+      test_sibling_clock;
+    Alcotest.test_case "siblings share cancellation" `Quick
+      test_sibling_cancellation;
     Alcotest.test_case "parse_duration" `Quick test_parse_duration;
     Alcotest.test_case "checkpoint round-trip" `Quick
       test_checkpoint_roundtrip;

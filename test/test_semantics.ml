@@ -72,10 +72,6 @@ let prop_reduction_invariant =
          ignore (Mc.Explorer.reachable t collect);
          List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen [])))
 
-let prop_lu_agrees =
-  prop_agrees ~reduce_label:"ExtraLU"
-    ~make_explorer:(fun net -> Mc.Explorer.make ~lu:true net)
-
 let prop_tight_invariant =
   QCheck.Test.make
     ~name:"tight extrapolation does not change reachable locations"
@@ -94,6 +90,5 @@ let prop_tight_invariant =
 let suite =
   [ QCheck_alcotest.to_alcotest prop_zone_vs_discrete;
     QCheck_alcotest.to_alcotest prop_zone_vs_discrete_noreduce;
-    QCheck_alcotest.to_alcotest prop_lu_agrees;
     QCheck_alcotest.to_alcotest prop_reduction_invariant;
     QCheck_alcotest.to_alcotest prop_tight_invariant ]

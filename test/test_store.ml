@@ -291,12 +291,12 @@ let test_golden_keys () =
 
 (* --- entries -------------------------------------------------------------- *)
 
-let sample_entry ?(key = Store.D128.of_string "k") ?(outcome = Store.Entry.Holds)
+let sample_entry ?(key = Store.D128.of_string "k") ?(outcome = Mc.Query.Holds)
     ?(budget = Store.Entry.unlimited) () =
   { Store.Entry.en_key = key;
     en_query = "E<> P.Busy";
     en_outcome = outcome;
-    en_stats = { Store.Entry.visited = 10; stored = 8; frontier = 0 };
+    en_stats = { Mc.Explorer.visited = 10; stored = 8; frontier = 0 };
     en_budget = budget;
     en_prov =
       { Store.Entry.pv_tool = "psv/test";
@@ -308,17 +308,17 @@ let entry_eq = Alcotest.testable Store.Entry.pp (fun a b -> a = b)
 
 let test_entry_json_roundtrip () =
   let outcomes =
-    [ Store.Entry.Holds;
-      Store.Entry.Fails None;
-      Store.Entry.Fails (Some [ "step 1"; "step 2" ]);
-      Store.Entry.Sup Store.Entry.Sup_unreached;
-      Store.Entry.Sup (Store.Entry.Sup_value (440, false));
-      Store.Entry.Sup (Store.Entry.Sup_exceeds 2000);
-      Store.Entry.Unknown (Store.Entry.Time_budget 1.5, None);
-      Store.Entry.Unknown
-        (Store.Entry.State_budget 1000, Some (Store.Entry.Sup_value (7, true)));
-      Store.Entry.Unknown (Store.Entry.Memory_budget 4096, None);
-      Store.Entry.Unknown (Store.Entry.Cancelled, None) ]
+    [ Mc.Query.Holds;
+      Mc.Query.Fails None;
+      Mc.Query.Fails (Some [ "step 1"; "step 2" ]);
+      Mc.Query.Sup Mc.Explorer.Sup_unreached;
+      Mc.Query.Sup (Mc.Explorer.Sup (440, false));
+      Mc.Query.Sup (Mc.Explorer.Sup_exceeds 2000);
+      Mc.Query.Unknown (Mc.Runctl.Time_budget 1.5, None);
+      Mc.Query.Unknown
+        (Mc.Runctl.State_budget 1000, Some (Mc.Explorer.Sup (7, true)));
+      Mc.Query.Unknown (Mc.Runctl.Memory_budget 4096, None);
+      Mc.Query.Unknown (Mc.Runctl.Cancelled, None) ]
   in
   List.iter
     (fun outcome ->
@@ -333,6 +333,77 @@ let test_entry_json_roundtrip () =
       | Ok e' -> Alcotest.check entry_eq "entry round-trips" e e'
       | Error msg -> Alcotest.failf "of_json: %s" msg)
     outcomes
+
+(* The bytes of every outcome shape, pinned: a round-trip cannot catch a
+   renamed tag, and a store written by one build must be read by the
+   next. *)
+let entry_golden =
+  let partial = Mc.Explorer.Sup (7, true) in
+  let unknown r tag =
+    [ ( Mc.Query.Unknown (r, None),
+        {|{"kind":"unknown","reason":|} ^ tag ^ {|,"partial":null}|} );
+      ( Mc.Query.Unknown (r, Some partial),
+        {|{"kind":"unknown","reason":|} ^ tag
+        ^ {|,"partial":{"kind":"value","value":7,"strict":true}}|} ) ]
+  in
+  [ (Mc.Query.Holds, {|{"kind":"holds"}|});
+    (Mc.Query.Fails None, {|{"kind":"fails","trace":null}|});
+    ( Mc.Query.Fails (Some [ "step 1"; "step 2" ]),
+      {|{"kind":"fails","trace":["step 1","step 2"]}|} );
+    ( Mc.Query.Sup Mc.Explorer.Sup_unreached,
+      {|{"kind":"sup","sup":{"kind":"unreached"}}|} );
+    ( Mc.Query.Sup (Mc.Explorer.Sup (440, false)),
+      {|{"kind":"sup","sup":{"kind":"value","value":440,"strict":false}}|} );
+    ( Mc.Query.Sup (Mc.Explorer.Sup (7, true)),
+      {|{"kind":"sup","sup":{"kind":"value","value":7,"strict":true}}|} );
+    ( Mc.Query.Sup (Mc.Explorer.Sup_exceeds 2000),
+      {|{"kind":"sup","sup":{"kind":"exceeds","ceiling":2000}}|} ) ]
+  @ unknown (Mc.Runctl.Time_budget 1.5) {|{"tag":"time-budget","value":1.5}|}
+  @ unknown (Mc.Runctl.State_budget 1000)
+      {|{"tag":"state-budget","value":1000}|}
+  @ unknown (Mc.Runctl.Memory_budget 4096)
+      {|{"tag":"memory-budget","value":4096}|}
+  @ unknown Mc.Runctl.Cancelled {|{"tag":"cancelled"}|}
+  @ unknown
+      (Mc.Runctl.Crash {|worker 1: Failure("boom")|})
+      {|{"tag":"crash","message":"worker 1: Failure(\"boom\")"}|}
+
+let golden_budget =
+  { Store.Entry.bg_limit = 500_000;
+    bg_states = Some 1000;
+    bg_time_s = Some 1.5;
+    bg_mem_bytes = None }
+
+let golden_entry_bytes outcome_bytes =
+  {|{"key":"113d20b2d4221555ba4bcf1475b2109f","query":"E<> P.Busy","outcome":|}
+  ^ outcome_bytes
+  ^ {|,"stats":{"visited":10,"stored":8,"frontier":0},|}
+  ^ {|"budget":{"limit":500000,"states":1000,"time_s":1.5,"mem_bytes":null},|}
+  ^ {|"provenance":{"tool":"psv/test","jobs":1,"wall_ms":12.5,"created":1700000000}}|}
+
+let test_entry_json_golden () =
+  List.iter
+    (fun (outcome, outcome_bytes) ->
+      let e = sample_entry ~outcome ~budget:golden_budget () in
+      Alcotest.(check string)
+        "entry bytes"
+        (golden_entry_bytes outcome_bytes)
+        (Store.Json.to_string (Store.Entry.to_json e)))
+    entry_golden
+
+(* The other direction: the pinned bytes, as a store written by an
+   earlier build holds them, decode to the entry that wrote them. *)
+let test_entry_json_golden_decode () =
+  List.iter
+    (fun (outcome, outcome_bytes) ->
+      let bytes = golden_entry_bytes outcome_bytes in
+      match Result.bind (Store.Json.parse bytes) Store.Entry.of_json with
+      | Ok e ->
+        Alcotest.check entry_eq outcome_bytes
+          (sample_entry ~outcome ~budget:golden_budget ())
+          e
+      | Error msg -> Alcotest.failf "%s: %s" outcome_bytes msg)
+    entry_golden
 
 let budget ?states ?time_s ?mem ?(limit = 1000) () =
   { Store.Entry.bg_limit = limit;
@@ -366,10 +437,10 @@ let test_reusable () =
   in
   (* definitive results answer any budget, even a bigger one *)
   Alcotest.(check bool) "Holds reusable under a bigger budget" true
-    (reusable Store.Entry.Holds ~requested:big);
+    (reusable Mc.Query.Holds ~requested:big);
   Alcotest.(check bool) "Sup reusable under a bigger budget" true
-    (reusable (Store.Entry.Sup (Store.Entry.Sup_value (5, false))) ~requested:big);
-  let unk = Store.Entry.Unknown (Store.Entry.State_budget 100, None) in
+    (reusable (Mc.Query.Sup (Mc.Explorer.Sup (5, false))) ~requested:big);
+  let unk = Mc.Query.Unknown (Mc.Runctl.State_budget 100, None) in
   (* Unknown only travels downward in budget *)
   Alcotest.(check bool) "Unknown not reusable under a bigger budget" false
     (reusable unk ~requested:big);
@@ -378,7 +449,7 @@ let test_reusable () =
   Alcotest.(check bool) "cancelled never reusable" false
     (Store.Entry.reusable
        (sample_entry
-          ~outcome:(Store.Entry.Unknown (Store.Entry.Cancelled, None))
+          ~outcome:(Mc.Query.Unknown (Mc.Runctl.Cancelled, None))
           ~budget:big ())
        ~requested:small)
 
@@ -406,7 +477,7 @@ let test_disk_roundtrip () =
        | Store.Disk.Hit e' -> Alcotest.check entry_eq "durable" e e'
        | _ -> Alcotest.fail "entry lost across reopen");
       (* overwrite with a different outcome *)
-      let e2 = { e with Store.Entry.en_outcome = Store.Entry.Fails None } in
+      let e2 = { e with Store.Entry.en_outcome = Mc.Query.Fails None } in
       Store.Disk.insert store e2;
       (match Store.Disk.lookup store e.Store.Entry.en_key with
        | Store.Disk.Hit e' -> Alcotest.check entry_eq "overwritten" e2 e'
@@ -661,6 +732,127 @@ let test_qcache_unknown_dominance () =
       | Mc.Query.Holds -> ()
       | o -> Alcotest.failf "expected cached Holds, got %a" Mc.Query.pp_outcome o)
 
+(* --- one entry for every path ------------------------------------------ *)
+
+let cachetest_query () =
+  match Mc.Query.parse "sup: a -> b ceiling 100" with
+  | Ok q -> q
+  | Error msg -> Alcotest.failf "query: %s" msg
+
+let test_qcache_entry_builder () =
+  let r =
+    { Mc.Query.res_outcome = Mc.Query.Sup (Mc.Explorer.Sup (440, false));
+      res_stats = { Mc.Explorer.visited = 10; stored = 8; frontier = 2 } }
+  in
+  let key = Store.D128.of_string "k" in
+  let before = Unix.gettimeofday () in
+  let e =
+    Analysis.Qcache.entry ~key ~query:"sup: a -> b ceiling 100"
+      ~budget:golden_budget ~jobs:3 ~wall_ms:12.5 r
+  in
+  Alcotest.(check string) "key" (Store.D128.to_hex key)
+    (Store.D128.to_hex e.Store.Entry.en_key);
+  Alcotest.(check string) "query" "sup: a -> b ceiling 100"
+    e.Store.Entry.en_query;
+  Alcotest.(check bool) "budget" true (e.Store.Entry.en_budget = golden_budget);
+  let pv = e.Store.Entry.en_prov in
+  Alcotest.(check bool) "tool" true
+    (String.length pv.Store.Entry.pv_tool > 4
+     && String.sub pv.Store.Entry.pv_tool 0 4 = "psv/");
+  Alcotest.(check int) "jobs" 3 pv.Store.Entry.pv_jobs;
+  Alcotest.(check (float 0.)) "wall" 12.5 pv.Store.Entry.pv_wall_ms;
+  Alcotest.(check bool) "stamped now" true
+    (pv.Store.Entry.pv_created >= before
+     && pv.Store.Entry.pv_created <= Unix.gettimeofday ());
+  Alcotest.(check bool) "result round-trips" true
+    (Analysis.Qcache.result e = r)
+
+(* Kept for benchmark drivers that still call them: both must stay the
+   identity now that an entry holds the checker's own types. *)
+let test_qcache_identity_shims () =
+  List.iter
+    (fun (outcome, _) ->
+      Alcotest.(check bool)
+        (Fmt.str "%a" Mc.Query.pp_outcome outcome)
+        true
+        (Analysis.Qcache.outcome_to_entry outcome = outcome))
+    entry_golden;
+  let stats = { Mc.Explorer.visited = 10; stored = 8; frontier = 2 } in
+  Alcotest.(check bool) "stats" true
+    (Analysis.Qcache.stats_to_entry stats = stats)
+
+let test_qcache_entry_budget () =
+  Alcotest.(check bool) "no token: unlimited at the default limit" true
+    (Analysis.Qcache.entry_budget ()
+     = { Store.Entry.unlimited with
+         Store.Entry.bg_limit = Mc.Explorer.default_limit });
+  let ctl =
+    Mc.Runctl.create
+      ~budget:
+        { Mc.Runctl.b_time_s = Some 2.0;
+          b_states = Some 5000;
+          b_mem_bytes = Some 4096 }
+      ()
+  in
+  Alcotest.(check bool) "token components and explicit limit" true
+    (Analysis.Qcache.entry_budget ~limit:700 ~ctl ()
+     = { Store.Entry.bg_limit = 700;
+         bg_states = Some 5000;
+         bg_time_s = Some 2.0;
+         bg_mem_bytes = Some 4096 })
+
+let serve_request = {|{"id":1,"model":"m.xta","query":"sup: a -> b ceiling 100"}|}
+
+let test_qcache_reads_serve_entry () =
+  with_store_dir (fun dir ->
+      let cache = Analysis.Qcache.make ~warn:(fun _ -> ()) (open_store dir) in
+      let net = parse_net model_text in
+      let cfg = Analysis.Serve.default_config in
+      let served =
+        match
+          Analysis.Serve.evaluate cfg ~cache
+            (Analysis.Serve.prepare cfg ~cache
+               ~load_model:(fun _ -> Ok net)
+               serve_request)
+        with
+        | `Ok (_, r) -> r
+        | _ -> Alcotest.fail "serve did not evaluate the request"
+      in
+      let hits = Analysis.Qcache.hits cache in
+      let r = Analysis.Qcache.eval cache net (cachetest_query ()) in
+      Alcotest.(check int) "check hits the served entry" (hits + 1)
+        (Analysis.Qcache.hits cache);
+      Alcotest.(check bool) "same result" true (r = served))
+
+let test_serve_reads_qcache_entry () =
+  with_store_dir (fun dir ->
+      let cache = Analysis.Qcache.make ~warn:(fun _ -> ()) (open_store dir) in
+      let net = parse_net model_text in
+      let r = Analysis.Qcache.eval cache net (cachetest_query ()) in
+      let cfg = Analysis.Serve.default_config in
+      match
+        Analysis.Serve.prepare cfg ~cache ~load_model:(fun _ -> Ok net)
+          serve_request
+      with
+      | `Hit (_, e) ->
+        Alcotest.(check bool) "same result" true (Analysis.Qcache.result e = r)
+      | _ -> Alcotest.fail "serve missed the entry written by check")
+
+let test_qcache_reads_session_entry () =
+  with_store_dir (fun dir ->
+      let cache = Analysis.Qcache.make ~warn:(fun _ -> ()) (open_store dir) in
+      let net = parse_net model_text in
+      let q = cachetest_query () in
+      let session = Incr.Session.make ~cache ~tag:"cachetest" () in
+      let so = Incr.Session.run session net q in
+      Alcotest.(check string) "session computed" "full"
+        (Incr.Session.rung_name so.Incr.Session.so_rung);
+      let hits = Analysis.Qcache.hits cache in
+      let r = Analysis.Qcache.eval cache net q in
+      Alcotest.(check int) "check hits the session's entry" (hits + 1)
+        (Analysis.Qcache.hits cache);
+      Alcotest.(check bool) "same result" true (r = so.Incr.Session.so_result))
+
 (* --- snapshots reject the previous format -------------------------------- *)
 
 let test_old_snapshot_version () =
@@ -684,6 +876,47 @@ let test_old_snapshot_version () =
            in
            contains 0))
 
+(* Snapshot files carry a fingerprint of the explorer's configuration;
+   an empty snapshot's bytes are that fingerprint plus fixed fields, so
+   pinning them pins the fingerprint.  Checkpoints written by earlier
+   builds resume only while these stay put. *)
+let test_snapshot_fingerprint_golden () =
+  let params = Gpca.Params.default in
+  let psm =
+    (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net
+  in
+  let monitor =
+    Mc.Monitor.delay ~trigger:Gpca.Model.bolus_req
+      ~response:Gpca.Model.start_infusion ~clock:Mc.Query.delay_monitor_clock
+      ~ceiling:2000 ()
+  in
+  let digest t =
+    let snap =
+      Mc.Explorer.make_snapshot t ~label:"sup" ~subsume:true ~next_id:0
+        ~visited:0 ~stored:0 ~entries:[] ~queue:[||] ~trace:[||] ~payload:""
+    in
+    let path = Filename.temp_file "psv_test" ".snap" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        Mc.Explorer.save_snapshot path snap;
+        Store.D128.to_hex
+          (Store.D128.of_string
+             (In_channel.with_open_bin path In_channel.input_all)))
+  in
+  List.iter
+    (fun (label, t, want) ->
+      Alcotest.(check string) label want (digest t))
+    [ ( "psm, delay monitor",
+        Mc.Explorer.make ~monitor psm,
+        "c05fe7e29e296c9f15476ea6775a5042" );
+      ( "psm, delay monitor, tight",
+        Mc.Explorer.make ~monitor ~tight:true psm,
+        "88f792c31efc39201b8193917e878c3b" );
+      ( "psm, no reduction",
+        Mc.Explorer.make ~reduce:false psm,
+        "3360aa98edfaa6d7fb21df751373a6b6" ) ]
+
 let suite =
   [ Alcotest.test_case "d128 hex round-trip" `Quick test_d128_hex;
     Alcotest.test_case "d128 sensitivity" `Quick test_d128_sensitivity;
@@ -699,6 +932,9 @@ let suite =
       test_key_perturbation;
     Alcotest.test_case "golden keys and manifests" `Quick test_golden_keys;
     Alcotest.test_case "entry json round-trip" `Quick test_entry_json_roundtrip;
+    Alcotest.test_case "entry json golden bytes" `Quick test_entry_json_golden;
+    Alcotest.test_case "entry json golden decode" `Quick
+      test_entry_json_golden_decode;
     Alcotest.test_case "budget dominance" `Quick test_budget_dominance;
     Alcotest.test_case "reuse rule" `Quick test_reusable;
     Alcotest.test_case "disk insert/lookup/remove" `Quick test_disk_roundtrip;
@@ -709,5 +945,17 @@ let suite =
     Alcotest.test_case "qcache hit/miss" `Quick test_qcache_hit_miss;
     Alcotest.test_case "qcache unknown dominance" `Quick
       test_qcache_unknown_dominance;
+    Alcotest.test_case "qcache entry builder" `Quick test_qcache_entry_builder;
+    Alcotest.test_case "qcache identity shims" `Quick
+      test_qcache_identity_shims;
+    Alcotest.test_case "qcache entry budget" `Quick test_qcache_entry_budget;
+    Alcotest.test_case "check reads a serve entry" `Quick
+      test_qcache_reads_serve_entry;
+    Alcotest.test_case "serve reads a check entry" `Quick
+      test_serve_reads_qcache_entry;
+    Alcotest.test_case "check reads a session entry" `Quick
+      test_qcache_reads_session_entry;
+    Alcotest.test_case "snapshot fingerprint golden bytes" `Quick
+      test_snapshot_fingerprint_golden;
     Alcotest.test_case "old snapshot version rejected" `Quick
       test_old_snapshot_version ]
