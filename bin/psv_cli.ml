@@ -1387,7 +1387,6 @@ let fuzz_cmd =
         scenarios;
         sim_faults;
         cache;
-        ladder = true;
         mutation =
           (if skew = 0 then None else Some (Diff.Oracle.Sup_skew skew)) }
     in

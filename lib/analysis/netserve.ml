@@ -145,8 +145,6 @@ let listen cfg ?cache ?drain:dtoken ?on_ready ~load_model () =
     let conns : (int, conn) Hashtbl.t = Hashtbl.create 16 in
     let next_id = ref 0 in
     let conns_total = ref 0 in
-    let served = ref 0 in
-    let errors = ref 0 in
     let shed_inflight = ref 0 in
     let stop_reason = ref Drained in
     let listener_open = ref true in
@@ -154,7 +152,7 @@ let listen cfg ?cache ?drain:dtoken ?on_ready ~load_model () =
     let over_error_limit () =
       match scfg.Serve.sv_max_errors with
       | None -> false
-      | Some m -> !errors > m
+      | Some m -> Metrics.errors metrics > m
     in
     let gauges () =
       { Metrics.g_queue_depth = Admission.depth queue;
@@ -174,10 +172,8 @@ let listen cfg ?cache ?drain:dtoken ?on_ready ~load_model () =
            server memory: past the cap the connection is dropped. *)
         if conn.c_out_bytes > cfg.ns_max_out_bytes then conn.c_dead <- true
       end;
-      incr served;
       Metrics.incr_answered metrics;
       if is_err then begin
-        incr errors;
         Metrics.incr_errors metrics;
         if over_error_limit () then begin
           stop_reason := Error_limit;
@@ -340,12 +336,8 @@ let listen cfg ?cache ?drain:dtoken ?on_ready ~load_model () =
           match Hashtbl.find_opt conns id with
           | None ->
             (* client vanished mid-evaluation; the verdict still counts *)
-            incr served;
             Metrics.incr_answered metrics;
-            if is_err then begin
-              incr errors;
-              Metrics.incr_errors metrics
-            end
+            if is_err then Metrics.incr_errors metrics
           | Some conn ->
             conn.c_inflight <- conn.c_inflight - 1;
             send conn doc is_err)
@@ -488,8 +480,8 @@ let listen cfg ?cache ?drain:dtoken ?on_ready ~load_model () =
       (fun () ->
         loop ();
         Ok
-          { no_served = !served;
-            no_errors = !errors;
+          { no_served = Metrics.answered metrics;
+            no_errors = Metrics.errors metrics;
             no_shed = Admission.shed queue + !shed_inflight;
             no_conns = !conns_total;
             no_stop = !stop_reason })

@@ -64,16 +64,8 @@ let stats_json t =
 let key net q = Store.Key.digest ~query:(Mc.Query.to_string q) net
 
 let entry_budget ?limit ?ctl () =
-  let bg_limit = Option.value limit ~default:Mc.Explorer.default_limit in
-  match ctl with
-  | None ->
-    { Store.Entry.unlimited with Store.Entry.bg_limit }
-  | Some ctl ->
-    let b = Mc.Runctl.budget ctl in
-    { Store.Entry.bg_limit;
-      bg_states = b.Mc.Runctl.b_states;
-      bg_time_s = b.Mc.Runctl.b_time_s;
-      bg_mem_bytes = b.Mc.Runctl.b_mem_bytes }
+  Store.Entry.budget_of ?limit
+    (match ctl with None -> Mc.Runctl.no_budget | Some c -> Mc.Runctl.budget c)
 
 (* The breaker guards host I/O, not content: [Unavailable] (sick disk)
    counts as a failure, [Corrupt] (bad bytes on a healthy disk) does
@@ -111,6 +103,19 @@ let find t ~requested key =
       Atomic.incr t.misses;
       None
 
+(* The key leaves budgets out, so an [Unknown] may land on a key that
+   already holds an answer at least as good under its own budget: a
+   definitive outcome, or an [Unknown] of a dominating budget.  That
+   entry stays; overwriting it would turn later hits into misses. *)
+let superseded t entry =
+  match entry.Store.Entry.en_outcome with
+  | Mc.Query.Unknown _ -> (
+    match Store.Disk.lookup t.disk entry.Store.Entry.en_key with
+    | Store.Disk.Hit e ->
+      Store.Entry.reusable e ~requested:entry.Store.Entry.en_budget
+    | Store.Disk.Miss | Store.Disk.Corrupt _ | Store.Disk.Unavailable _ -> false)
+  | _ -> false
+
 (* Publishing is also fallible and also must never hurt the query: an
    insert failure is logged, fed to the breaker, and swallowed — the
    computed result has already been produced and will be returned. *)
@@ -118,7 +123,7 @@ let insert t entry =
   match entry.Store.Entry.en_outcome with
   | Mc.Query.Unknown ((Mc.Runctl.Cancelled | Mc.Runctl.Crash _), _) -> ()
   | _ ->
-    if Fault.Breaker.allow t.breaker then begin
+    if Fault.Breaker.allow t.breaker && not (superseded t entry) then begin
       match Store.Disk.insert t.disk entry with
       | () -> Fault.Breaker.success t.breaker
       | exception exn ->

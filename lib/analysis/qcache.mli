@@ -71,8 +71,11 @@ val find : t -> requested:Store.Entry.budget -> Store.D128.t -> Store.Entry.t op
 
 (** [insert t entry] publishes [entry] — unless its outcome is a
     cancelled or crashed [Unknown], which says nothing reusable about
-    any run.  Insert failures are warned, fed to the breaker, and
-    swallowed: publishing is strictly best-effort. *)
+    any run, or it is an [Unknown] and the entry already stored under
+    its key is {!Store.Entry.reusable} under its budget (a definitive
+    outcome, or an [Unknown] of a dominating budget), which stays.
+    Insert failures are warned, fed to the breaker, and swallowed:
+    publishing is strictly best-effort. *)
 val insert : t -> Store.Entry.t -> unit
 
 (** Identities: an entry holds the checker's own {!Mc.Query.outcome}

@@ -259,13 +259,8 @@ let prepare cfg ?cache ~load_model line : prepared =
             match Mc.Query.parse query with
             | Error msg -> `Err (id, "query: " ^ msg, None)
             | Ok q -> (
-              let budget = effective_budget cfg in
               let requested =
-                { Store.Entry.bg_limit =
-                    Option.value limit ~default:Mc.Explorer.default_limit;
-                  bg_states = budget.Mc.Runctl.b_states;
-                  bg_time_s = budget.Mc.Runctl.b_time_s;
-                  bg_mem_bytes = budget.Mc.Runctl.b_mem_bytes }
+                Store.Entry.budget_of ?limit (effective_budget cfg)
               in
               let item =
                 { ri_id = id;
@@ -380,19 +375,13 @@ let busy_json ?cache ?(reason = "server busy: request queue full") id =
 (* --- the batch loop ------------------------------------------------------ *)
 
 let run cfg ?cache ?drain:dtoken ~load_model ~read_line ~write_line () =
-  let served = ref 0 in
-  let errors = ref 0 in
   let metrics = Metrics.create () in
   let stats_json () =
     Metrics.to_json metrics ?cache ()
   in
   let respond reply =
     let doc, is_error = reply_json ?cache ~stats_json reply in
-    if is_error then begin
-      incr errors;
-      Metrics.incr_errors metrics
-    end;
-    incr served;
+    if is_error then Metrics.incr_errors metrics;
     Metrics.incr_answered metrics;
     write_line (Store.Json.to_string doc)
   in
@@ -419,7 +408,9 @@ let run cfg ?cache ?drain:dtoken ~load_model ~read_line ~write_line () =
            prepared)
   in
   let over_error_limit () =
-    match cfg.sv_max_errors with None -> false | Some m -> !errors > m
+    match cfg.sv_max_errors with
+    | None -> false
+    | Some m -> Metrics.errors metrics > m
   in
   let rec loop batch =
     match read_line () with
@@ -439,4 +430,6 @@ let run cfg ?cache ?drain:dtoken ~load_model ~read_line ~write_line () =
         | _ -> Eof)
   in
   let stop = loop [] in
-  { sv_served = !served; sv_errors = !errors; sv_stop = stop }
+  { sv_served = Metrics.answered metrics;
+    sv_errors = Metrics.errors metrics;
+    sv_stop = stop }

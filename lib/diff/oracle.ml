@@ -7,7 +7,6 @@ type config = {
   scenarios : int;
   sim_faults : Sim.Engine.faults option;
   cache : Analysis.Qcache.t option;
-  ladder : bool;
   mutation : mutation option;
 }
 
@@ -16,7 +15,6 @@ let default =
     scenarios = 3;
     sim_faults = None;
     cache = None;
-    ladder = true;
     mutation = None }
 
 type check =
@@ -117,23 +115,20 @@ let core cfg ~net ~q ~seed =
         (outcome_str r1'.Mc.Query.res_outcome)
         (outcome_str r1.Mc.Query.res_outcome));
   (* incremental ladder on a seeded edit vs a from-scratch run *)
-  (if cfg.ladder then
-     match
-       Incr.Edit.random_edit (Random.State.make [| 0xde17a; seed |]) net
-     with
-     | exception Invalid_argument _ -> ()
-     | edit ->
-       let sess = Incr.Session.make ~tag:"fuzz" () in
-       ignore (Incr.Session.run sess net q);
-       let incr_o =
-         (Incr.Session.run sess edit.Incr.Edit.ed_net q).Incr.Session.so_result
-       in
-       let scratch = Mc.Query.eval edit.Incr.Edit.ed_net q in
-       if incr_o.Mc.Query.res_outcome <> scratch.Mc.Query.res_outcome then
-         add Ladder "after %S ladder says %s, scratch says %s"
-           edit.Incr.Edit.ed_desc
-           (outcome_str incr_o.Mc.Query.res_outcome)
-           (outcome_str scratch.Mc.Query.res_outcome));
+  (match Incr.Edit.random_edit (Random.State.make [| 0xde17a; seed |]) net with
+  | exception Invalid_argument _ -> ()
+  | edit ->
+    let sess = Incr.Session.make ~tag:"fuzz" () in
+    ignore (Incr.Session.run sess net q);
+    let incr_o =
+      (Incr.Session.run sess edit.Incr.Edit.ed_net q).Incr.Session.so_result
+    in
+    let scratch = Mc.Query.eval edit.Incr.Edit.ed_net q in
+    if incr_o.Mc.Query.res_outcome <> scratch.Mc.Query.res_outcome then
+      add Ladder "after %S ladder says %s, scratch says %s"
+        edit.Incr.Edit.ed_desc
+        (outcome_str incr_o.Mc.Query.res_outcome)
+        (outcome_str scratch.Mc.Query.res_outcome));
   (r1, o1, List.rev !discs)
 
 (* ------------------------------------------- simulator cross-check -- *)

@@ -38,12 +38,10 @@ type config = {
       (** measure under a degraded platform; disables the sim upper
           comparison, keeps the floor *)
   cache : Analysis.Qcache.t option;  (** enables the store round-trip *)
-  ladder : bool;  (** enables the incremental-ladder cross-check *)
   mutation : mutation option;
 }
 
-(** [jobs = 2], [scenarios = 3], no faults, no cache, [ladder = true],
-    no mutation. *)
+(** [jobs = 2], [scenarios = 3], no faults, no cache, no mutation. *)
 val default : config
 
 type check =

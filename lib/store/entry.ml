@@ -28,6 +28,12 @@ type t = {
 let unlimited =
   { bg_limit = max_int; bg_states = None; bg_time_s = None; bg_mem_bytes = None }
 
+let budget_of ?(limit = Explorer.default_limit) (b : Runctl.budget) =
+  { bg_limit = limit;
+    bg_states = b.b_states;
+    bg_time_s = b.b_time_s;
+    bg_mem_bytes = b.b_mem_bytes }
+
 (* [None] is "unlimited": it dominates everything and is dominated only
    by another [None]. *)
 let ge_opt cached requested =

@@ -43,6 +43,11 @@ type t = {
 
 val unlimited : budget
 
+(** [budget_of ?limit b] is the entry budget of a run governed by
+    [Mc.Runctl] budget [b] under explorer state limit [limit] (default
+    {!Mc.Explorer.default_limit}). *)
+val budget_of : ?limit:int -> Mc.Runctl.budget -> budget
+
 (** [budget_dominates ~cached ~requested]: every component of [cached]
     is at least as generous as [requested]'s. *)
 val budget_dominates : cached:budget -> requested:budget -> bool

@@ -114,6 +114,65 @@ let test_sequences case () =
     run_sequence ~seed ~steps:6 case
   done
 
+(* The Table-I PSM's m->c sup (<= 1430), the heaviest answer the ladder
+   re-derives: 2 seeds x 4 edits, every step checked against scratch.
+   An edit can desynchronise a periodic guard from its invariant and
+   fragment every zone, so each edit is first probed from scratch under
+   an exact visited-state budget (deterministic at jobs 1); an edit that
+   blows it is reverted and the sequence goes on from the previous
+   network. *)
+let probe_states = 200_000
+
+let test_gpca_psm_mc () =
+  let params = Gpca.Params.default in
+  let psm =
+    (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net
+  in
+  let q =
+    Q.Sup_delay
+      { trigger = Gpca.Model.bolus_req;
+        response = Gpca.Model.start_infusion;
+        ceiling =
+          2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc }
+  in
+  let probe net =
+    let budget =
+      { Mc.Runctl.no_budget with Mc.Runctl.b_states = Some probe_states }
+    in
+    let r = Q.eval ~jobs:1 ~ctl:(Mc.Runctl.create ~budget ()) net q in
+    match r.Q.res_outcome with
+    | Q.Unknown (Mc.Runctl.State_budget _, _) -> None
+    | _ -> Some r
+  in
+  let accepted = ref 0 in
+  for seed = 1 to 2 do
+    let rng = Random.State.make [| 0x1AC2; seed |] in
+    let sess =
+      Incr.Session.make ~tag:(Printf.sprintf "chaos-psm-mc-%d" seed) ()
+    in
+    let net = ref psm in
+    let step k scratch =
+      let o = Incr.Session.run sess !net q in
+      check_rung
+        (Printf.sprintf "gpca-psm-mc seed=%d step=%d rung=%s" seed k
+           (Incr.Session.rung_name o.Incr.Session.so_rung))
+        scratch o
+    in
+    step 0 (Q.eval ~jobs:1 psm q);
+    for k = 1 to 4 do
+      let edit = Incr.Edit.random_edit rng !net in
+      match probe edit.Incr.Edit.ed_net with
+      | None -> ()
+      | Some scratch ->
+        incr accepted;
+        net := edit.Incr.Edit.ed_net;
+        step k scratch
+    done
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "some edits stay under the probe budget (%d of 8)" !accepted)
+    true (!accepted > 0)
+
 (* The same chase through a disk-backed session, exercising the store
    and cone rungs plus the persistence round-trip mid-sequence. *)
 let tmp_counter = ref 0
@@ -175,5 +234,6 @@ let suite =
     (fun ((name, _, _) as case) ->
       Alcotest.test_case (name ^ " x20 seeds") `Slow (test_sequences case))
     cases
-  @ [ Alcotest.test_case "cached+restart x10 seeds" `Slow
+  @ [ Alcotest.test_case "gpca-psm-mc sup x2 seeds" `Slow test_gpca_psm_mc;
+      Alcotest.test_case "cached+restart x10 seeds" `Slow
         test_cached_sequences ]

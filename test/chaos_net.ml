@@ -211,51 +211,59 @@ let test_matches_batch () =
 
 (* --- many concurrent connections share the pool and the cache -------------- *)
 
+(* 4 and 8 clients: more connections than worker domains, all on one
+   store *)
 let test_concurrent_conns () =
-  with_store_dir (fun dir ->
-      let store =
-        match Store.Disk.open_ dir with
-        | Ok s -> s
-        | Error msg -> Alcotest.failf "open_: %s" msg
-      in
-      let cache = Analysis.Qcache.make ~warn:(fun _ -> ()) store in
-      let outcome, () =
-        with_server ~cache (fun path _drain ->
-            let clients = List.init 4 (fun i -> (i, connect path)) in
-            Fun.protect
-              ~finally:(fun () -> List.iter (fun (_, c) -> close c) clients)
-              (fun () ->
-                (* everyone asks the same three queries: the first
-                   client to evaluate populates the store, the rest
-                   hit it *)
-                List.iter
-                  (fun (i, cl) ->
-                    send_line cl (request ~id:((i * 10) + 1) "E<> P.Busy");
-                    send_line cl (request ~id:((i * 10) + 2) "A[] P.Idle");
-                    send_line cl
-                      (request ~id:((i * 10) + 3) "E<> (P.Idle and Q.S)"))
-                  clients;
-                List.iter
-                  (fun (i, cl) ->
-                    let got =
-                      List.init 3 (fun _ -> parse_response (recv_line cl))
-                    in
+  List.iter
+    (fun n ->
+      with_store_dir (fun dir ->
+          let store =
+            match Store.Disk.open_ dir with
+            | Ok s -> s
+            | Error msg -> Alcotest.failf "open_: %s" msg
+          in
+          let cache = Analysis.Qcache.make ~warn:(fun _ -> ()) store in
+          let outcome, () =
+            with_server ~cache (fun path _drain ->
+                let clients = List.init n (fun i -> (i, connect path)) in
+                Fun.protect
+                  ~finally:(fun () -> List.iter (fun (_, c) -> close c) clients)
+                  (fun () ->
+                    (* everyone asks the same three queries: the first
+                       client to evaluate populates the store, the rest
+                       hit it *)
                     List.iter
-                      (fun j ->
-                        Alcotest.(check string) "status ok" "ok" (status j))
-                      got;
-                    let ids = List.sort compare (List.map int_id got) in
-                    Alcotest.(check (list int))
-                      "each connection gets exactly its own ids"
-                      [ (i * 10) + 1; (i * 10) + 2; (i * 10) + 3 ]
-                      ids)
-                  clients))
-      in
-      Alcotest.(check int) "12 responses" 12
-        outcome.Analysis.Netserve.no_served;
-      Alcotest.(check int) "4 connections" 4
-        outcome.Analysis.Netserve.no_conns;
-      Alcotest.(check int) "no errors" 0 outcome.Analysis.Netserve.no_errors)
+                      (fun (i, cl) ->
+                        send_line cl (request ~id:((i * 10) + 1) "E<> P.Busy");
+                        send_line cl (request ~id:((i * 10) + 2) "A[] P.Idle");
+                        send_line cl
+                          (request ~id:((i * 10) + 3) "E<> (P.Idle and Q.S)"))
+                      clients;
+                    List.iter
+                      (fun (i, cl) ->
+                        let got =
+                          List.init 3 (fun _ -> parse_response (recv_line cl))
+                        in
+                        List.iter
+                          (fun j ->
+                            Alcotest.(check string) "status ok" "ok" (status j))
+                          got;
+                        let ids = List.sort compare (List.map int_id got) in
+                        Alcotest.(check (list int))
+                          "each connection gets exactly its own ids"
+                          [ (i * 10) + 1; (i * 10) + 2; (i * 10) + 3 ]
+                          ids)
+                      clients))
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%d responses" (3 * n))
+            (3 * n) outcome.Analysis.Netserve.no_served;
+          Alcotest.(check int)
+            (Printf.sprintf "%d connections" n)
+            n outcome.Analysis.Netserve.no_conns;
+          Alcotest.(check int) "no errors" 0
+            outcome.Analysis.Netserve.no_errors))
+    [ 4; 8 ]
 
 (* --- a client that vanishes mid-request harms nobody ----------------------- *)
 
@@ -326,6 +334,8 @@ let test_slowloris () =
 
 (* --- a full admission queue sheds loudly, never hangs ---------------------- *)
 
+(* One connection, then eight: the queue is shared, so a burst on one
+   connection must shed the others' requests too. *)
 let test_queue_shed () =
   let ncfg path =
     { (default_ncfg path) with
@@ -333,52 +343,62 @@ let test_queue_shed () =
       ns_serve =
         { Analysis.Serve.default_config with Analysis.Serve.sv_jobs = 1 } }
   in
-  let outcome, () =
-    with_server ~ncfg (fun path _drain ->
-        let cl = connect path in
-        Fun.protect
-          ~finally:(fun () -> close cl)
-          (fun () ->
-            (* six slow requests in one burst against queue capacity 1
-               and one worker: at most two can be in flight or queued;
-               the rest must come back as busy frames immediately *)
-            let burst =
-              String.concat ""
-                (List.init 6 (fun i ->
-                     request ~id:(i + 1) ~model:"gpca" slow_query ^ "\n"))
-            in
-            send cl burst;
-            let replies =
-              List.init 6 (fun _ -> parse_response (recv_line ~timeout_s:60. cl))
-            in
-            let ids = List.sort compare (List.map int_id replies) in
-            Alcotest.(check (list int)) "every request answered"
-              [ 1; 2; 3; 4; 5; 6 ] ids;
-            let busy, rest =
-              List.partition (fun j -> status j = "busy") replies
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "most of the burst shed (%d busy)"
-                 (List.length busy))
-              true
-              (List.length busy >= 3);
-            List.iter
-              (fun j ->
-                Alcotest.(check string) "admitted requests answered ok" "ok"
-                  (status j))
-              rest;
-            List.iter
-              (fun j ->
-                let msg = str (member "error" j) in
-                Alcotest.(check bool) "busy frame is diagnosed" true
-                  (String.length msg > 0))
-              busy))
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "outcome counted the shed (%d)"
-       outcome.Analysis.Netserve.no_shed)
-    true
-    (outcome.Analysis.Netserve.no_shed >= 3)
+  List.iter
+    (fun n ->
+      let outcome, () =
+        with_server ~ncfg (fun path _drain ->
+            let clients = List.init n (fun _ -> connect path) in
+            Fun.protect
+              ~finally:(fun () -> List.iter close clients)
+              (fun () ->
+                (* six slow requests per connection in one burst against
+                   queue capacity 1 and one worker: at most two can be in
+                   flight or queued; the rest must come back as busy
+                   frames immediately *)
+                List.iter
+                  (fun cl ->
+                    send cl
+                      (String.concat ""
+                         (List.init 6 (fun i ->
+                              request ~id:(i + 1) ~model:"gpca" slow_query
+                              ^ "\n"))))
+                  clients;
+                List.iter
+                  (fun cl ->
+                    let replies =
+                      List.init 6 (fun _ ->
+                          parse_response (recv_line ~timeout_s:60. cl))
+                    in
+                    let ids = List.sort compare (List.map int_id replies) in
+                    Alcotest.(check (list int)) "every request answered"
+                      [ 1; 2; 3; 4; 5; 6 ] ids;
+                    let busy, rest =
+                      List.partition (fun j -> status j = "busy") replies
+                    in
+                    Alcotest.(check bool)
+                      (Printf.sprintf "most of the burst shed (%d busy)"
+                         (List.length busy))
+                      true
+                      (List.length busy >= 3);
+                    List.iter
+                      (fun j ->
+                        Alcotest.(check string) "admitted requests answered ok"
+                          "ok" (status j))
+                      rest;
+                    List.iter
+                      (fun j ->
+                        let msg = str (member "error" j) in
+                        Alcotest.(check bool) "busy frame is diagnosed" true
+                          (String.length msg > 0))
+                      busy)
+                  clients))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "outcome counted the shed (%d of %d)"
+           outcome.Analysis.Netserve.no_shed (6 * n))
+        true
+        (outcome.Analysis.Netserve.no_shed >= 3 * n))
+    [ 1; 8 ]
 
 (* --- per-connection fairness: one client cannot hog the queue -------------- *)
 

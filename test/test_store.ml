@@ -732,6 +732,52 @@ let test_qcache_unknown_dominance () =
       | Mc.Query.Holds -> ()
       | o -> Alcotest.failf "expected cached Holds, got %a" Mc.Query.pp_outcome o)
 
+(* The key leaves budgets out, so a budget-limited run of a query whose
+   answer is already stored publishes an Unknown under the answer's key
+   (two requests of one serve batch, one with a "limit", both miss).
+   The Unknown must not displace the answer, nor an Unknown of a bigger
+   budget; it may replace an Unknown of a smaller one. *)
+let test_qcache_unknown_keeps_answer () =
+  with_store_dir (fun dir ->
+      let cache = Analysis.Qcache.make ~warn:(fun _ -> ()) (open_store dir) in
+      let q =
+        match Mc.Query.parse "sup: a -> b ceiling 100" with
+        | Ok q -> q
+        | Error msg -> Alcotest.failf "query: %s" msg
+      in
+      let key = Analysis.Qcache.key (parse_net model_text) q in
+      let put outcome budget =
+        Analysis.Qcache.insert cache
+          (Analysis.Qcache.entry ~key ~query:(Mc.Query.to_string q) ~budget
+             ~jobs:1 ~wall_ms:1.0
+             { Mc.Query.res_outcome = outcome;
+               res_stats =
+                 { Mc.Explorer.visited = 1; stored = 1; frontier = 0 } })
+      in
+      let limit n = Analysis.Qcache.entry_budget ~limit:n () in
+      let text o = Store.Json.to_string (Store.Entry.outcome_to_json o) in
+      let found requested =
+        match Analysis.Qcache.find cache ~requested key with
+        | None -> "miss"
+        | Some e -> text e.Store.Entry.en_outcome
+      in
+      let sup = Mc.Query.Sup (Mc.Explorer.Sup (5, false)) in
+      let unknown n = Mc.Query.Unknown (Mc.Runctl.State_budget n, None) in
+      put sup (Analysis.Qcache.entry_budget ());
+      put (unknown 500) (limit 500);
+      Alcotest.(check string) "an unlimited find still hits the sup" (text sup)
+        (found (Analysis.Qcache.entry_budget ()));
+      Alcotest.(check string) "and so does the limited one" (text sup)
+        (found (limit 500));
+      Store.Disk.remove (Analysis.Qcache.disk cache) key;
+      put (unknown 500) (limit 500);
+      put (unknown 2000) (limit 2000);
+      Alcotest.(check string) "a bigger budget's Unknown replaces a smaller one"
+        (text (unknown 2000)) (found (limit 2000));
+      put (unknown 800) (limit 800);
+      Alcotest.(check string) "a smaller budget's Unknown does not"
+        (text (unknown 2000)) (found (limit 2000)))
+
 (* --- one entry for every path ------------------------------------------ *)
 
 let cachetest_query () =
@@ -945,6 +991,8 @@ let suite =
     Alcotest.test_case "qcache hit/miss" `Quick test_qcache_hit_miss;
     Alcotest.test_case "qcache unknown dominance" `Quick
       test_qcache_unknown_dominance;
+    Alcotest.test_case "qcache unknown keeps a stored answer" `Quick
+      test_qcache_unknown_keeps_answer;
     Alcotest.test_case "qcache entry builder" `Quick test_qcache_entry_builder;
     Alcotest.test_case "qcache identity shims" `Quick
       test_qcache_identity_shims;
