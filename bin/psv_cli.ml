@@ -39,7 +39,10 @@ let write_out output text =
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc text)
+        (fun () ->
+          output_string oc text;
+          (* a failed flush (a full disk) raises here, not in [finally] *)
+          close_out oc)
     with Sys_error msg -> die "%s" msg)
 
 let load_network path =
@@ -1627,9 +1630,7 @@ let codegen_cmd =
     let prefix = Codegen.prefix pim in
     let write name text =
       let path = Filename.concat directory name in
-      let oc = open_out path in
-      output_string oc text;
-      close_out oc;
+      write_out (Some path) text;
       Fmt.pr "wrote %s@." path
     in
     write (prefix ^ ".h") (Codegen.emit_header pim);

@@ -5,7 +5,6 @@ type 'a t = {
   nonempty : Condition.t;
   mutable closed : bool;
   shed : int Atomic.t;
-  accepted : int Atomic.t;
 }
 
 let create ~capacity () =
@@ -14,12 +13,10 @@ let create ~capacity () =
     mu = Mutex.create ();
     nonempty = Condition.create ();
     closed = false;
-    shed = Atomic.make 0;
-    accepted = Atomic.make 0 }
+    shed = Atomic.make 0 }
 
 let capacity t = t.cap
 let shed t = Atomic.get t.shed
-let accepted t = Atomic.get t.accepted
 
 let depth t =
   Mutex.lock t.mu;
@@ -39,7 +36,7 @@ let try_push t v =
     Condition.signal t.nonempty
   end;
   Mutex.unlock t.mu;
-  if not ok then Atomic.incr t.shed else Atomic.incr t.accepted;
+  if not ok then Atomic.incr t.shed;
   ok
 
 (* Workers block here between requests.  After [close], the queue keeps
@@ -65,9 +62,3 @@ let close t =
   t.closed <- true;
   Condition.broadcast t.nonempty;
   Mutex.unlock t.mu
-
-let closed t =
-  Mutex.lock t.mu;
-  let c = t.closed in
-  Mutex.unlock t.mu;
-  c

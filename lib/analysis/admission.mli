@@ -6,8 +6,7 @@
     {!pop} in FIFO order.  A full queue never blocks the producer —
     {!try_push} returns [false] immediately and the caller answers the
     client with a diagnosed "busy" response (the 429 of the wire
-    protocol).  Shed and accepted counts are exported to the metrics
-    surface.
+    protocol).  The shed count is exported to the metrics surface.
 
     Domain-safe (mutex + condition); {!pop} blocks until an item
     arrives or the queue is closed and drained. *)
@@ -32,11 +31,7 @@ val close : 'a t -> unit
 (** Stop admitting; wake every blocked consumer.  Already-queued items
     remain poppable so a graceful drain can answer them. *)
 
-val closed : 'a t -> bool
 val depth : 'a t -> int
 
 val shed : 'a t -> int
 (** Requests refused by {!try_push} so far. *)
-
-val accepted : 'a t -> int
-(** Requests admitted by {!try_push} so far. *)

@@ -8,14 +8,6 @@ type ('k, 'v) t = {
 let create ~capacity () =
   { cap = max 1 capacity; tbl = Hashtbl.create 16; tick = 0; mu = Mutex.create () }
 
-let capacity t = t.cap
-
-let length t =
-  Mutex.lock t.mu;
-  let n = Hashtbl.length t.tbl in
-  Mutex.unlock t.mu;
-  n
-
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f

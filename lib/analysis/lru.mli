@@ -15,16 +15,6 @@ type ('k, 'v) t
 val create : capacity:int -> unit -> ('k, 'v) t
 (** [capacity] is clamped to at least 1. *)
 
-val capacity : ('k, 'v) t -> int
-val length : ('k, 'v) t -> int
-
-val find : ('k, 'v) t -> 'k -> 'v option
-(** Refreshes the entry's recency on a hit. *)
-
-val add : ('k, 'v) t -> 'k -> 'v -> unit
-(** No-op when the key is already present; evicts the
-    least-recently-used entry when the cache is full. *)
-
 val find_or_add : ('k, 'v) t -> 'k -> ('k -> 'v) -> 'v
 (** [find_or_add t k f] is the cached value, or [f k] computed (outside
     the lock), inserted and returned. *)

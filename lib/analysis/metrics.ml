@@ -60,13 +60,6 @@ let percentile sorted q =
     let i = int_of_float (Float.round (q *. float_of_int (n - 1))) in
     sorted.(max 0 (min (n - 1) i))
 
-let percentiles t =
-  let sorted, _ = snapshot t in
-  if Array.length sorted = 0 then None
-  else
-    Some
-      (percentile sorted 0.50, percentile sorted 0.90, percentile sorted 0.99)
-
 type gauges = {
   g_queue_depth : int;
   g_queue_capacity : int;

@@ -19,17 +19,11 @@ val incr_answered : t -> unit
 val incr_errors : t -> unit
 val incr_busy : t -> unit
 
-val received : t -> int
 val answered : t -> int
 val errors : t -> int
-val busy : t -> int
 
 val record : t -> float -> unit
 (** Record one request latency in milliseconds. *)
-
-val percentiles : t -> (float * float * float) option
-(** [(p50, p90, p99)] over the retained window, [None] before the
-    first {!record}.  Nearest-rank. *)
 
 (** Point-in-time values owned by the host (the network event loop):
     queue state from {!Admission}, connection counts. *)

@@ -28,7 +28,6 @@ let disk t = t.disk
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
 let errors t = Atomic.get t.errors
-let breaker t = t.breaker
 let degraded t = Fault.Breaker.tripped t.breaker
 
 (* Ladder-rung counters of the incremental layer ([Incr.Session]); the

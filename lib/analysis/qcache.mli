@@ -29,8 +29,6 @@ val misses : t -> int
 (** Store faults absorbed so far (unavailable reads + failed inserts). *)
 val errors : t -> int
 
-val breaker : t -> Fault.Breaker.t
-
 (** True once the breaker has ever tripped: some answers were (or are
     being) computed without the store.  Reported in cache stats and
     reflected in the CLI's degraded-completion exit code. *)

@@ -27,7 +27,7 @@ let pp ppf t = Format.pp_print_string ppf (to_hex t)
    lanes never collapse onto each other; a murmur3-style finalizer mixes
    the lanes into the published halves.
 
-   The module frames multi-megabyte blobs (marshalled zone graphs), so
+   The module digests multi-megabyte payloads (framed checkpoints), so
    the per-byte cost matters.  A write to a mutable [int64] field boxes,
    so each multi-byte atom runs its loop over two local [int64] refs
    instead — ocamlopt keeps those unboxed in registers, flambda or not —

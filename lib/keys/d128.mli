@@ -14,12 +14,13 @@
     [Marshal] in the input path), which is what lets one store serve
     many processes over time.
 
-    It also frames multi-megabyte blobs (the session layer's marshalled
-    zone graphs), so the fold is written for throughput: each string or
-    integer atom runs over two unboxed local lanes and touches the
-    builder once, allocating nothing per byte.  The output is fixed —
-    golden vectors in the test suite pin it, since changing a single bit
-    would orphan every persisted entry, session and snapshot. *)
+    It is also the payload digest of every {!Frame}d file, and an
+    explorer checkpoint runs to megabytes, so the fold is written for
+    throughput: each string or integer atom runs over two unboxed local
+    lanes and touches the builder once, allocating nothing per byte.
+    The output is fixed — golden vectors in the test suite pin it,
+    since changing a single bit would orphan every persisted entry,
+    session and snapshot. *)
 
 type t = { hi : int64; lo : int64 }
 

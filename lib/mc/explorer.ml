@@ -781,10 +781,12 @@ type snapshot = {
 }
 
 (* Format version lives in the magic string: bump the digit whenever the
-   [snapshot] record layout or the fingerprint scheme changes, so stale
-   files are rejected by the magic check instead of a Marshal
-   segfault. *)
-let snapshot_magic = "PSVSNAP2"
+   [snapshot] record layout, the fingerprint scheme or the file framing
+   changes, so stale files are rejected by the magic check instead of a
+   Marshal segfault.  PSVSNAP3 frames the marshalled record with the
+   store's digest and length lines ({!Keys.Frame}): a truncated or
+   bit-flipped checkpoint is refused before [Marshal] reads a byte. *)
+let snapshot_magic = "PSVSNAP3"
 
 (* Structural digest of everything that shapes the exploration: a
    snapshot resumes correctly only against a byte-equivalent search
@@ -832,35 +834,31 @@ let fingerprint t =
   Keys.D128.value st
 
 let save_snapshot path snap =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc snapshot_magic;
-      Marshal.to_channel oc (snap : snapshot) [];
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        (Keys.Frame.frame ~magic:snapshot_magic
+           (Marshal.to_string (snap : snapshot) []));
+      (* the channel closes without raising: flush here, so a full disk
+         is an error and not a truncated checkpoint *)
       flush oc)
 
 let load_snapshot path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let magic = really_input_string ic (String.length snapshot_magic) in
-        if magic = snapshot_magic then
-          Ok (Marshal.from_channel ic : snapshot)
-        else if String.length magic >= 7 && String.sub magic 0 7 = "PSVSNAP"
-        then
-          Error
-            (Printf.sprintf
-               "snapshot version %s is not readable by this build (wants %s); \
-                re-run the query without --resume to regenerate it"
-               magic snapshot_magic)
-        else Error "not a psv snapshot")
-  with
-  | Sys_error msg -> Error msg
-  | End_of_file -> Error "truncated snapshot"
-  | Failure msg -> Error ("corrupt snapshot: " ^ msg)
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | raw -> (
+    match Keys.Frame.unframe ~magic:snapshot_magic raw with
+    | Ok payload -> (
+      match (Marshal.from_string payload 0 : snapshot) with
+      | snap -> Ok snap
+      | exception Failure msg -> Error ("corrupt snapshot: " ^ msg))
+    | Error (Keys.Frame.Corrupt msg) -> Error ("corrupt snapshot: " ^ msg)
+    | Error (Keys.Frame.Version v) ->
+      Error
+        (Printf.sprintf
+           "snapshot version %s is not readable by this build (wants %s); \
+            re-run the query without --resume to regenerate it"
+           v snapshot_magic)
+    | Error Keys.Frame.Foreign -> Error "not a psv snapshot")
 
 (* Resume guard: a snapshot replays correctly only into the same search
    space (fingerprint), the same query kind (label), the same dedup mode

@@ -71,10 +71,14 @@ val set_progress_hook : (progress -> unit) option -> unit
     verdict of an uninterrupted run, and at [jobs = 1] on both sides to
     byte-identical statistics.
 
-    Snapshots are written with a magic header carrying a format version
-    ([PSVSNAP2]); {!load_snapshot} rejects foreign files, and names the
-    version mismatch when handed a snapshot from an older build
-    ([PSVSNAP1]) so the user knows to simply re-run the query.  A
+    Snapshots are {!Keys.Frame} files: a magic carrying the format
+    version ([PSVSNAP3]), the payload's digest and length, then the
+    marshalled record.  {!load_snapshot} checks all three before
+    [Marshal] reads a byte, so a truncated or bit-flipped file is an
+    [Error], never a crash; it rejects foreign files, and names the
+    version when handed a snapshot from an older build ([PSVSNAP1],
+    [PSVSNAP2]) so the user knows to simply re-run the query.  The
+    digest guards against corruption, not forgery.  A
     snapshot also records a 128-bit structural fingerprint
     ({!Keys.D128}) of the model text, monitor and explorer
     configuration — resuming against anything else is refused with

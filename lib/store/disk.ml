@@ -12,7 +12,6 @@ let tmp_counter = Atomic.make 0
 let dir t = t.dir
 let marker_path dir = Filename.concat dir marker
 let entry_name key = Keys.D128.to_hex key ^ ".psve"
-let entry_path t key = Filename.concat t.dir (entry_name key)
 
 let is_store dir = Sys.file_exists (marker_path dir)
 
@@ -56,94 +55,59 @@ let open_ ?(io = Fault.Io.real) ?(retry = Fault.Retry.default) ?(create = true)
 
 let open_existing ?io ?retry path = open_ ?io ?retry ~create:false path
 
-type lookup =
-  | Hit of Entry.t
+type 'a read =
+  | Hit of 'a
   | Miss
   | Corrupt of string
   | Unavailable of string
 
-(* Parse one entry file body. The digest and length lines guard the
-   payload: both are checked before the JSON parser runs, so truncation
-   and bit rot surface as [Error] here, not as a parse crash. *)
-let decode_entry raw =
-  let ( let* ) = Result.bind in
-  let line_end from =
-    match String.index_from_opt raw from '\n' with
-    | Some i -> Ok i
-    | None -> Error "truncated header"
-  in
-  let* e1 = line_end 0 in
-  let magic = String.sub raw 0 e1 in
-  let* () =
-    if magic = version then Ok ()
-    else if String.length magic >= 8 && String.sub magic 0 8 = "PSVSTORE" then
-      Error (Printf.sprintf "entry version %S (this build reads %S)" magic version)
-    else Error "not a psv store entry"
-  in
-  let* e2 = line_end (e1 + 1) in
-  let digest_hex = String.sub raw (e1 + 1) (e2 - e1 - 1) in
-  let* digest =
-    match Keys.D128.of_hex digest_hex with
-    | Some d -> Ok d
-    | None -> Error "bad payload digest line"
-  in
-  let* e3 = line_end (e2 + 1) in
-  let* len =
-    match int_of_string_opt (String.sub raw (e2 + 1) (e3 - e2 - 1)) with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error "bad payload length line"
-  in
-  let body_start = e3 + 1 in
-  let* () =
-    if String.length raw - body_start = len then Ok ()
-    else Error "payload length mismatch (truncated entry?)"
-  in
-  let payload = String.sub raw body_start len in
-  let* () =
-    if Keys.D128.equal (Keys.D128.of_string payload) digest then Ok ()
-    else Error "payload digest mismatch"
-  in
-  let* json = Json.parse payload in
-  Entry.of_json json
+type lookup = Entry.t read
 
 (* I/O-level failure (retries exhausted) is [Unavailable] — the device
    or directory is sick, and the cache layer's circuit breaker feeds on
    it.  A readable file with bad content is [Corrupt] — the host is
-   fine, the data is not, so it does not count against the breaker. *)
-let read_entry t path =
-  match read_file t path with
-  | raw -> (
-    match decode_entry raw with
-    | Ok e -> Hit e
-    | Error msg -> Corrupt msg)
-  | exception Sys_error msg -> Unavailable msg
-  | exception Unix.Unix_error (e, op, _) ->
-    Unavailable (Printf.sprintf "%s: %s" op (Unix.error_message e))
-
-let lookup t key =
-  let path = entry_path t key in
+   fine, the data is not, so it does not count against the breaker.
+   The frame's digest and length are checked before [decode] runs. *)
+let read_with t ~magic ~decode name =
+  let path = Filename.concat t.dir name in
   if not (t.io.Fault.Io.file_exists path) then Miss
   else
-    match read_entry t path with
-    | Hit e when not (Keys.D128.equal e.Entry.en_key key) ->
-      Corrupt "entry key does not match file name"
-    | r -> r
+    match read_file t path with
+    | raw -> (
+      match Keys.Frame.unframe ~magic raw with
+      | Ok payload -> (
+        match decode payload with Ok v -> Hit v | Error msg -> Corrupt msg)
+      | Error (Keys.Frame.Corrupt msg) -> Corrupt msg
+      | Error (Keys.Frame.Version v) ->
+        Corrupt (Printf.sprintf "version %S (this build reads %S)" v magic)
+      | Error Keys.Frame.Foreign ->
+        Corrupt (Printf.sprintf "not a %s file" magic))
+    | exception Sys_error msg -> Unavailable msg
+    | exception Unix.Unix_error (e, op, _) ->
+      Unavailable (Printf.sprintf "%s: %s" op (Unix.error_message e))
 
-let encode_entry entry =
-  let payload = Json.to_string (Entry.to_json entry) in
-  Printf.sprintf "%s\n%s\n%d\n%s" version
-    (Keys.D128.to_hex (Keys.D128.of_string payload))
-    (String.length payload) payload
+let read_framed t ~magic name = read_with t ~magic ~decode:Result.ok name
 
-let insert t entry =
+let read_entry t name =
+  read_with t ~magic:version
+    ~decode:(fun payload -> Result.bind (Json.parse payload) Entry.of_json)
+    name
+
+let lookup t key =
+  match read_entry t (entry_name key) with
+  | Hit e when not (Keys.D128.equal e.Entry.en_key key) ->
+    Corrupt "entry key does not match file name"
+  | r -> r
+
+let write_framed t ~magic name payload =
   let tmp =
     Filename.concat t.dir
       (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ())
          (Atomic.fetch_and_add tmp_counter 1))
   in
   match
-    write_file t tmp (encode_entry entry);
-    rename t tmp (entry_path t entry.Entry.en_key)
+    write_file t tmp (Keys.Frame.frame ~magic payload);
+    rename t tmp (Filename.concat t.dir name)
   with
   | () -> ()
   | exception exn ->
@@ -152,14 +116,23 @@ let insert t entry =
     (try t.io.Fault.Io.remove tmp with _ -> ());
     raise exn
 
-let remove t key =
-  try t.io.Fault.Io.remove (entry_path t key) with
-  | Sys_error _ | Unix.Unix_error _ -> ()
+let insert t entry =
+  write_framed t ~magic:version (entry_name entry.Entry.en_key)
+    (Json.to_string (Entry.to_json entry))
 
-let entry_files t =
+let remove_file t name =
+  match t.io.Fault.Io.remove (Filename.concat t.dir name) with
+  | () -> true
+  | exception (Sys_error _ | Unix.Unix_error _) -> false
+
+let remove t key = ignore (remove_file t (entry_name key))
+
+let files t ~suffix =
   t.io.Fault.Io.readdir t.dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".psve")
+  |> List.filter (fun f -> Filename.check_suffix f suffix)
   |> List.sort String.compare
+
+let entry_files t = files t ~suffix:".psve"
 
 (* [.tmp.<pid>.<n>] files belong to a live writer mid-publish or to a
    writer that died between write and rename.  Liveness is decided by
@@ -188,7 +161,7 @@ let default_warn msg = Printf.eprintf "psv: store: warning: %s\n%!" msg
 let fold ?(warn = default_warn) t ~init ~f =
   List.fold_left
     (fun acc file ->
-      match read_entry t (Filename.concat t.dir file) with
+      match read_entry t file with
       | Hit e -> f acc e
       | Miss -> acc
       | Corrupt msg | Unavailable msg ->
@@ -206,9 +179,8 @@ type stats = {
 let stats t =
   List.fold_left
     (fun acc file ->
-      let path = Filename.concat t.dir file in
-      let bytes = t.io.Fault.Io.file_size path in
-      match read_entry t path with
+      let bytes = t.io.Fault.Io.file_size (Filename.concat t.dir file) in
+      match read_entry t file with
       | Hit _ ->
         { acc with st_entries = acc.st_entries + 1; st_bytes = acc.st_bytes + bytes }
       | Miss | Corrupt _ | Unavailable _ ->
@@ -219,23 +191,17 @@ let stats t =
     (entry_files t)
 
 let gc t =
-  let removed = ref 0 in
-  Array.iter
-    (fun file ->
-      let path = Filename.concat t.dir file in
+  Array.fold_left
+    (fun removed file ->
       let orphan_tmp = is_tmp file && not (tmp_owner_alive file) in
       let corrupt =
         Filename.check_suffix file ".psve"
-        && match read_entry t path with Corrupt _ -> true | _ -> false
+        && match read_entry t file with Corrupt _ -> true | _ -> false
       in
-      if orphan_tmp || corrupt then begin
-        try
-          t.io.Fault.Io.remove path;
-          incr removed
-        with Sys_error _ | Unix.Unix_error _ -> ()
-      end)
-    (t.io.Fault.Io.readdir t.dir);
-  !removed
+      if (orphan_tmp || corrupt) && remove_file t file then removed + 1
+      else removed)
+    0
+    (t.io.Fault.Io.readdir t.dir)
 
 type fsck_report = {
   fk_ok : int;
@@ -247,7 +213,7 @@ let fsck t =
   let report =
     List.fold_left
       (fun acc file ->
-        match read_entry t (Filename.concat t.dir file) with
+        match read_entry t file with
         | Hit e ->
           if entry_name e.Entry.en_key = file then { acc with fk_ok = acc.fk_ok + 1 }
           else

@@ -1,14 +1,20 @@
 (** The durable on-disk result store.
 
     A store is one directory holding a recognition marker ([PSVSTORE])
-    and one file per entry ([<32-hex-key>.psve]).  An entry file is:
+    and framed files ({!Keys.Frame}), one kind per suffix:
 
-    {v
-PSVSTORE1\n
-<32-hex digest of the payload>\n
-<payload byte length>\n
-<payload: canonical JSON, Entry.to_json>
-    v}
+    - [<32-hex-key>.psve] — a result entry: magic [PSVSTORE1], payload
+      canonical JSON ({!Entry.to_json});
+    - [<32-hex-key>.psvs] — an incremental-verification session
+      ({!Session}), magic [PSVSESS1];
+    - [<32-hex-key>.psvg] — a zone-graph blob older builds wrote beside
+      their sessions, magic [PSVGRAPH1]; read and collected, never
+      written.
+
+    This module does all of the store's file I/O: entries through
+    {!insert}/{!lookup}, other kinds through {!write_framed},
+    {!read_framed}, {!files} and {!remove_file}, which share the
+    publish protocol and the fault plane below.
 
     {b Crash safety.}  Writes go to a [.tmp.<pid>.<n>] file in the store
     directory and are published with an atomic rename — so readers and
@@ -28,15 +34,12 @@ PSVSTORE1\n
     inject seeded fault schedules.
 
     {b Corruption tolerance.}  The length and digest lines are verified
-    {e before} the JSON is parsed; a truncated, garbled or
+    {e before} the payload is decoded; a truncated, garbled or
     version-bumped file is reported as {!Corrupt} (and skipped with a
     warning by [fold]), never an exception.  No [Marshal] is involved
     anywhere on the read path. *)
 
 type t
-
-val version : string
-(** The entry-format magic, ["PSVSTORE1"]. *)
 
 val dir : t -> string
 
@@ -57,13 +60,15 @@ val open_ :
 val open_existing :
   ?io:Fault.Io.t -> ?retry:Fault.Retry.policy -> string -> (t, string) result
 
-type lookup =
-  | Hit of Entry.t
-  | Miss
+type 'a read =
+  | Hit of 'a
+  | Miss  (** no such file *)
   | Corrupt of string  (** file readable but content bad; reason attached *)
   | Unavailable of string
       (** host I/O failed even after retries — the store is sick, the
-          entry may well be fine; feeds the cache circuit breaker *)
+          file may well be fine; feeds the cache circuit breaker *)
+
+type lookup = Entry.t read
 
 val lookup : t -> Keys.D128.t -> lookup
 
@@ -75,6 +80,22 @@ val insert : t -> Entry.t -> unit
 
 (** [remove t key] deletes the entry for [key] if present. *)
 val remove : t -> Keys.D128.t -> unit
+
+(** [write_framed t ~magic name payload] publishes [payload] framed
+    under [magic] as the file [name] in the store directory, exactly as
+    {!insert} publishes an entry.  Raises like {!insert}. *)
+val write_framed : t -> magic:string -> string -> string -> unit
+
+(** [read_framed t ~magic name] is the payload of the store file
+    [name], checked against [magic], its length and its digest. *)
+val read_framed : t -> magic:string -> string -> string read
+
+(** Names of the store's files ending in [suffix], sorted. *)
+val files : t -> suffix:string -> string list
+
+(** [remove_file t name] deletes the store file [name]; [false] when the
+    host refused. *)
+val remove_file : t -> string -> bool
 
 (** Folds over all well-formed entries; ill-formed files are passed to
     [warn] (default: a [Logs]-style line on stderr) and skipped. *)

@@ -19,74 +19,6 @@ let session_key ~tag ~query =
 
 let sess_name key = Keys.D128.to_hex key ^ ".psvs"
 let graph_name key = Keys.D128.to_hex key ^ ".psvg"
-let path disk name = Filename.concat (Disk.dir disk) name
-
-(* Same framing as PSVSTORE1 entries: magic, payload digest, payload
-   length, payload.  The digest is verified before the payload is
-   interpreted, so truncation and bit rot surface as [Error], never as
-   a parse crash (or, for graphs, a [Marshal] segfault).  The header and
-   the payload go through the channel as separate strings: a graph
-   payload runs to megabytes, and each whole-file copy of it would be
-   one more allocation of that size. *)
-let read_framed magic p =
-  let ( let* ) = Result.bind in
-  let unframe ic =
-    let line () =
-      match In_channel.input_line ic with
-      | Some l -> Ok l
-      | None -> Error "truncated header"
-    in
-    let* m = line () in
-    let* () = if m = magic then Ok () else Error "bad magic" in
-    let* d = line () in
-    let* digest =
-      match Keys.D128.of_hex d with
-      | Some d -> Ok d
-      | None -> Error "bad payload digest line"
-    in
-    let* l = line () in
-    let* len =
-      match int_of_string_opt l with
-      | Some n when n >= 0 -> Ok n
-      | _ -> Error "bad payload length line"
-    in
-    let* () =
-      if in_channel_length ic - pos_in ic = len then Ok ()
-      else Error "payload length mismatch (truncated?)"
-    in
-    let payload = really_input_string ic len in
-    if Keys.D128.equal (Keys.D128.of_string payload) digest then Ok payload
-    else Error "payload digest mismatch"
-  in
-  match In_channel.with_open_bin p unframe with
-  | r -> r
-  | exception Sys_error msg -> Error msg
-  | exception End_of_file -> Error "payload length mismatch (truncated?)"
-
-(* Atomic publish via tmp + rename, mirroring [Disk.insert]. *)
-let tmp_counter = Atomic.make 0
-
-let write_framed disk name magic payload =
-  let tmp =
-    Filename.concat (Disk.dir disk)
-      (Printf.sprintf ".tmp.%d.%d" (Unix.getpid ())
-         (Atomic.fetch_and_add tmp_counter 1))
-  in
-  match
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        Printf.fprintf oc "%s\n%s\n%d\n" magic
-          (Keys.D128.to_hex (Keys.D128.of_string payload))
-          (String.length payload);
-        output_string oc payload);
-    Unix.rename tmp (path disk name)
-  with
-  | () -> ()
-  | exception exn ->
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise exn
 
 let manifest_to_json (m : Keys.Key.manifest) =
   Json.Obj
@@ -157,43 +89,32 @@ let of_json j =
   Ok { ss_tag; ss_query; ss_net; ss_result_key; ss_manifest }
 
 let save disk s =
-  write_framed disk
+  Disk.write_framed disk ~magic:magic_sess
     (sess_name (session_key ~tag:s.ss_tag ~query:s.ss_query))
-    magic_sess
     (Json.to_string (to_json s))
 
-let load disk key =
-  let p = path disk (sess_name key) in
-  if not (Sys.file_exists p) then Error "no session"
-  else
-    let ( let* ) = Result.bind in
-    let* payload = read_framed magic_sess p in
-    let* json = Json.parse payload in
-    of_json json
+let payload disk ~magic ~absent name =
+  match Disk.read_framed disk ~magic name with
+  | Disk.Hit payload -> Ok payload
+  | Disk.Miss -> Error absent
+  | Disk.Corrupt msg | Disk.Unavailable msg -> Error msg
+
+let read disk name =
+  Result.bind
+    (payload disk ~magic:magic_sess ~absent:"no session" name)
+    (fun p -> Result.bind (Json.parse p) of_json)
+
+let load disk key = read disk (sess_name key)
 
 let save_graph disk key blob =
-  write_framed disk (graph_name key) magic_graph blob
+  Disk.write_framed disk ~magic:magic_graph (graph_name key) blob
 
-let load_graph disk key =
-  let p = path disk (graph_name key) in
-  if not (Sys.file_exists p) then None
-  else Result.to_option (read_framed magic_graph p)
+let read_graph disk name =
+  payload disk ~magic:magic_graph ~absent:"no graph" name
 
-let remove disk key =
-  List.iter
-    (fun name ->
-      try Sys.remove (path disk name) with Sys_error _ -> ())
-    [ sess_name key; graph_name key ]
+let load_graph disk key = Result.to_option (read_graph disk (graph_name key))
 
-let files disk suffix =
-  match Sys.readdir (Disk.dir disk) with
-  | exception Sys_error _ -> []
-  | arr ->
-    Array.to_list arr
-    |> List.filter (fun f -> Filename.check_suffix f suffix)
-    |> List.sort String.compare
-
-let list disk = files disk ".psvs"
+let list disk = Disk.files disk ~suffix:".psvs"
 
 type fsck = {
   sk_ok : int;
@@ -207,9 +128,7 @@ type fsck = {
    even when the framing digest is internally consistent. *)
 let check_session disk file =
   let ( let* ) = Result.bind in
-  let* payload = read_framed magic_sess (path disk file) in
-  let* json = Json.parse payload in
-  let* s = of_json json in
+  let* s = read disk file in
   let* () =
     if sess_name (session_key ~tag:s.ss_tag ~query:s.ss_query) = file then Ok ()
     else Error "session key does not match file name"
@@ -222,8 +141,7 @@ let check_session disk file =
   if Keys.Key.manifest_equal (Keys.Key.manifest net) s.ss_manifest then Ok ()
   else Error "manifest does not match recomputed per-automaton digests"
 
-let check_graph disk file =
-  Result.map ignore (read_framed magic_graph (path disk file))
+let check_graph disk file = Result.map ignore (read_graph disk file)
 
 let fsck disk =
   let acc =
@@ -241,24 +159,20 @@ let fsck disk =
         match check_graph disk file with
         | Ok () -> { acc with sk_graphs = acc.sk_graphs + 1 }
         | Error msg -> { acc with sk_bad = (file, msg) :: acc.sk_bad })
-      acc (files disk ".psvg")
+      acc
+      (Disk.files disk ~suffix:".psvg")
   in
   { acc with sk_bad = List.rev acc.sk_bad }
 
 let gc disk =
-  let removed = ref 0 in
   let sweep suffix check =
-    List.iter
-      (fun file ->
+    List.fold_left
+      (fun removed file ->
         match check disk file with
-        | Ok () -> ()
-        | Error _ -> (
-          try
-            Sys.remove (path disk file);
-            incr removed
-          with Sys_error _ -> ()))
-      (files disk suffix)
+        | Ok () -> removed
+        | Error _ -> if Disk.remove_file disk file then removed + 1 else removed)
+      0
+      (Disk.files disk ~suffix)
   in
-  sweep ".psvs" check_session;
-  sweep ".psvg" check_graph;
-  !removed
+  let sessions = sweep ".psvs" check_session in
+  sessions + sweep ".psvg" check_graph

@@ -14,6 +14,13 @@
       builds recorded for their delta rung.  This build never writes
       one, but still digest-checks and collects those it finds.
 
+    Both are {!Keys.Frame} files, and every read, write, listing and
+    removal goes through {!Disk} ({!Disk.read_framed},
+    {!Disk.write_framed}, {!Disk.files}, {!Disk.remove_file}), so
+    sessions share the entries' tmp-file-plus-rename publish, fault
+    plane and retry policy: a store whose I/O fails loses its sessions
+    with its entries.
+
     Sessions are best-effort by design: a missing or corrupt session
     file merely costs a full re-exploration, never a wrong answer. *)
 
@@ -42,8 +49,6 @@ val load : Disk.t -> Keys.D128.t -> (t, string) result
 val save_graph : Disk.t -> Keys.D128.t -> string -> unit
 
 val load_graph : Disk.t -> Keys.D128.t -> string option
-
-val remove : Disk.t -> Keys.D128.t -> unit
 
 (** Session-file names ([.psvs]) present in the store, sorted. *)
 val list : Disk.t -> string list

@@ -494,6 +494,33 @@ let test_session_persistence () =
       Alcotest.(check (list (pair string string))) "no bad session files" []
         fsck.Store.Session.sk_bad)
 
+(* A store whose every host operation fails: the session file goes
+   through the same fault plane as the entries, so the ladder answers
+   from scratch on the full rung and leaves no session behind. *)
+let test_session_on_failing_store () =
+  with_store_dir (fun dir ->
+      ignore (Store.Disk.open_ dir);
+      let profile =
+        match Fault.Profile.parse "eio=1,seed=1" with
+        | Ok p -> p
+        | Error msg -> Alcotest.failf "profile: %s" msg
+      in
+      let io = Fault.Io.inject profile Fault.Io.real in
+      let disk =
+        match Store.Disk.open_ ~io ~retry:Fault.Retry.no_retry dir with
+        | Ok d -> d
+        | Error msg -> Alcotest.failf "reopen store: %s" msg
+      in
+      let cache = Analysis.Qcache.make ~warn:ignore disk in
+      let q = query "A[] v == 0" in
+      let o = Incr.Session.run (Incr.Session.make ~cache ~tag:"sick" ()) toy_net q in
+      check_rung "sick store answers on full" "full" o;
+      check_scratch_equal "sick store full result" toy_net q o.Incr.Session.so_result;
+      Alcotest.(check (list string)) "no session file" []
+        (List.filter
+           (fun f -> Filename.check_suffix f ".psvs")
+           (Array.to_list (Sys.readdir dir))))
+
 let test_session_fsck_catches_corruption () =
   with_store_dir (fun dir ->
       let disk =
@@ -767,6 +794,8 @@ let suite =
     Alcotest.test_case "session sup queries" `Quick test_session_sup_queries;
     Alcotest.test_case "session ladder" `Quick test_session_ladder;
     Alcotest.test_case "session persistence" `Quick test_session_persistence;
+    Alcotest.test_case "session on a failing store" `Quick
+      test_session_on_failing_store;
     Alcotest.test_case "session codec" `Quick test_session_codec;
     Alcotest.test_case "session fsck" `Quick
       test_session_fsck_catches_corruption;

@@ -218,20 +218,40 @@ let test_checkpoint_roundtrip () =
         straight.Mc.Explorer.so_stats.Mc.Explorer.stored
         resumed.Mc.Explorer.so_stats.Mc.Explorer.stored)
 
+(* Every damaged or foreign file is an [Error]: a real checkpoint with
+   one payload byte flipped or its last byte cut (the digest and length
+   lines are checked before [Marshal] reads a byte), and the same record
+   in the unframed PSVSNAP2 layout of older builds. *)
 let test_load_snapshot_errors () =
   (match Mc.Explorer.load_snapshot "/nonexistent/psv.snap" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "loaded a snapshot from a missing file");
+  let ctl = Mc.Runctl.create ~budget:(state_budget 200) () in
+  let snap = Option.get (railroad_delay ~ctl ()).Mc.Explorer.so_snapshot in
   let path = Filename.temp_file "psv_test" ".snap" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "not a snapshot at all";
-      close_out oc;
-      match Mc.Explorer.load_snapshot path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "accepted garbage as a snapshot")
+      Mc.Explorer.save_snapshot path snap;
+      let raw = In_channel.with_open_bin path In_channel.input_all in
+      let flipped =
+        let b = Bytes.of_string raw in
+        let i = Bytes.length b - 64 in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x01));
+        Bytes.to_string b
+      in
+      List.iter
+        (fun (label, bytes) ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+          match Mc.Explorer.load_snapshot path with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "accepted %s as a snapshot" label
+          | exception exn ->
+            Alcotest.failf "%s: raised %s" label (Printexc.to_string exn))
+        [ ("garbage", "not a snapshot at all");
+          ("a flipped payload byte", flipped);
+          ("a checkpoint one byte short", String.sub raw 0 (String.length raw - 1));
+          ("an unframed PSVSNAP2 file", "PSVSNAP2" ^ Marshal.to_string snap []) ])
 
 let test_fingerprint_mismatch () =
   let ctl = Mc.Runctl.create ~budget:(state_budget 200) () in
