@@ -140,34 +140,35 @@ let budget_mem_arg =
            ~doc:"Live-heap budget in megabytes (sampled); exceeded means \
                  verdict $(i,unknown), exit code 2.")
 
-let make_budget ~time ~states ~mem =
-  let b_time_s =
-    Option.map
-      (fun s ->
-        match Mc.Runctl.parse_duration s with
-        | Ok v -> v
-        | Error msg -> die "bad --budget-time %S: %s" s msg)
-      time
+(* the three budget flags as one term; the budget is built (and a bad
+   --budget-time reported) when a command asks for it *)
+let budget_term =
+  let make time states mem () =
+    let b_time_s =
+      Option.map
+        (fun s ->
+          match Mc.Runctl.parse_duration s with
+          | Ok v -> v
+          | Error msg -> die "bad --budget-time %S: %s" s msg)
+        time
+    in
+    { Mc.Runctl.b_time_s;
+      b_states = states;
+      b_mem_bytes = Option.map (fun mb -> mb * 1024 * 1024) mem }
   in
-  { Mc.Runctl.b_time_s;
-    b_states = states;
-    b_mem_bytes = Option.map (fun mb -> mb * 1024 * 1024) mem }
+  Term.(const make $ budget_time_arg $ budget_states_arg $ budget_mem_arg)
 
-(* one govern token per run: budgets plus first-^C-cancels.  The wall
-   clock starts here, so build the token right before the search. *)
-let make_ctl ~time ~states ~mem =
-  let ctl = Mc.Runctl.create ~budget:(make_budget ~time ~states ~mem) () in
+(* one govern token per run: budgets plus first-^C-cancels (a second ^C
+   terminates).  The wall clock starts here, so build the token right
+   before the search.  A batch (check, watch, sweep-schemes) makes one
+   root and takes a [Mc.Runctl.sibling] of it as each query starts:
+   every query gets its whole budget from its own start, and one ^C
+   cancels the whole batch, the queries already started and every one
+   started after. *)
+let make_ctl budget =
+  let ctl = Mc.Runctl.create ~budget:(budget ()) () in
   Mc.Runctl.install_sigint ctl;
   ctl
-
-(* For batch runs: [batch_ctls] returns a token maker to call when a
-   query's evaluation starts, so each query gets the full budget from its
-   own start.  The tokens are siblings of one root that holds the SIGINT
-   handler, so one ^C cancels the whole batch (the tokens already made
-   and every one made after); a second ^C terminates. *)
-let batch_ctls ~time ~states ~mem =
-  let root = make_ctl ~time ~states ~mem in
-  fun () -> Mc.Runctl.sibling root
 
 let load_resume path =
   match Mc.Explorer.load_snapshot path with
@@ -267,16 +268,28 @@ let report_cache = function
         (if errors = 1 then "" else "s")
         (if Analysis.Qcache.degraded cache then " (degraded)" else "")
 
-(* the incremental ladder needs somewhere to persist its sessions *)
-let incr_session ~cache ~tag =
-  match cache with
-  | None -> die "--delta requires --cache (sessions persist beside the store)"
-  | Some cache -> Incr.Session.make ~cache ~tag ()
+(* The one place --cache and --delta become an answer route.  [`Delta]
+   (--delta) runs the incremental ladder, whose sessions persist beside
+   the store; [`Watch] runs it in memory when there is no store. *)
+let answer_route ~cache ~tag mode =
+  match mode, cache with
+  | `Plain, None -> Incr.Answer.Plain
+  | `Plain, Some c -> Incr.Answer.Cached c
+  | `Delta, None ->
+    die "--delta requires --cache (sessions persist beside the store)"
+  | (`Delta | `Watch), _ -> Incr.Answer.Session (Incr.Session.make ?cache ~tag ())
 
-let report_rung (o : Incr.Session.outcome) wall_ms =
-  Fmt.epr "incr: %s rung (%d expanded, %.1f ms)@."
-    (Incr.Session.rung_name o.Incr.Session.so_rung)
-    o.Incr.Session.so_expanded wall_ms
+(* one answer along [route]; a ladder answer reports its rung on stderr *)
+let answer ?jobs ?resume ~ctl route net q =
+  let t0 = Unix.gettimeofday () in
+  let a = Incr.Answer.run ?jobs ~ctl ?resume route net q in
+  Option.iter
+    (fun rung ->
+      Fmt.epr "incr: %s rung (%d expanded, %.1f ms)@."
+        (Incr.Session.rung_name rung) (Incr.Answer.expanded a)
+        (1000. *. (Unix.gettimeofday () -. t0)))
+    a.Incr.Answer.an_rung;
+  a
 
 (* degraded completion: the run finished and every query was answered,
    but the result store was bypassed for part of the batch.  Documented
@@ -361,8 +374,8 @@ let verify_cmd =
          & info [ "json" ]
              ~doc:"Emit the verdict and exploration statistics as JSON.")
   in
-  let run file trigger response bound ceiling jobs budget_time budget_states
-      budget_mem checkpoint resume json cache delta store_retries =
+  let run file trigger response bound ceiling jobs budget checkpoint resume
+      json cache delta store_retries =
     let jobs = check_jobs jobs in
     if resume <> None && cache <> None then
       die "--resume and --cache are exclusive (a resumed search must \
@@ -373,7 +386,7 @@ let verify_cmd =
     (* with --bound the sup ceiling is the bound itself: the check is
        exact and a partial sup can already refute it *)
     let ceiling = match bound with Some b -> b | None -> ceiling in
-    let ctl = make_ctl ~time:budget_time ~states:budget_states ~mem:budget_mem in
+    let ctl = make_ctl budget in
     if delta then begin
       if jobs > 1 then die "--delta forces sequential exploration; drop --jobs";
       if checkpoint <> None || resume <> None then
@@ -382,36 +395,16 @@ let verify_cmd =
     (* one question, whatever answers it: the sup, decided against
        --bound by Mc.Query.bounded_of_sup *)
     let q = Mc.Query.Sup_delay { trigger; response; ceiling } in
-    let snapshot = ref None in
-    let search () =
-      let o =
-        Mc.Query.max_delay ~jobs ~ctl ?resume:resume_snap net ~trigger
-          ~response ~ceiling
-      in
-      snapshot := o.Mc.Explorer.so_snapshot;
-      Mc.Query.result_of_sup o
-    in
-    let r, trailer =
-      try
-        if delta then begin
-          let sess = incr_session ~cache ~tag:file in
-          let t0 = Unix.gettimeofday () in
-          let o = Incr.Session.run ~ctl sess net q in
-          report_rung o (1000. *. (Unix.gettimeofday () -. t0));
-          (o.Incr.Session.so_result, `Rung o.Incr.Session.so_rung)
-        end
-        else
-          match cache with
-          | Some c ->
-            (Analysis.Qcache.cached c ~jobs ~ctl net q ~run:search, `Checkpoint)
-          | None -> (search (), `Checkpoint)
-      with
+    let route = answer_route ~cache ~tag:file (if delta then `Delta else `Plain) in
+    let a =
+      try answer ~jobs ~ctl ?resume:resume_snap route net q with
       | Invalid_argument msg -> die "%s" msg
       | Not_found -> die "unknown channel %S or %S" trigger response
     in
     report_cache cache;
+    let r = a.Incr.Answer.an_result in
     let written =
-      match checkpoint, !snapshot with
+      match checkpoint, a.Incr.Answer.an_snapshot with
       | Some path, Some snap ->
         (try Mc.Explorer.save_snapshot path snap; Some path
          with Sys_error msg -> die "cannot write checkpoint: %s" msg)
@@ -439,10 +432,10 @@ let verify_cmd =
           ("unknown", Some (Mc.Runctl.reason_tag reason))
       in
       let trailer =
-        match trailer with
-        | `Rung rung ->
+        match a.Incr.Answer.an_rung with
+        | Some rung ->
           Printf.sprintf {|"rung": "%s"|} (Incr.Session.rung_name rung)
-        | `Checkpoint ->
+        | None ->
           Printf.sprintf {|"checkpoint": %s|}
             (match written with
              | Some p -> Store.Json.to_string (Store.Json.String p)
@@ -491,8 +484,7 @@ let verify_cmd =
              (interrupted by a budget or ^C), 3 usage or parse error, \
              4 proved but the $(b,--cache) store was degraded.")
     Term.(const run $ file $ trigger $ response $ bound $ ceiling $ jobs_arg
-          $ budget_time_arg $ budget_states_arg $ budget_mem_arg
-          $ checkpoint $ resume $ json $ cache_arg $ delta_arg
+          $ budget_term $ checkpoint $ resume $ json $ cache_arg $ delta_arg
           $ store_retries_arg)
 
 (* --- query ---------------------------------------------------------------- *)
@@ -508,8 +500,7 @@ let query_cmd =
              ~doc:"E<> PRED | A[] PRED | sup: CHAN -> CHAN [ceiling N] | \
                    bounded: CHAN -> CHAN within N")
   in
-  let run file query jobs budget_time budget_states budget_mem cache delta
-      store_retries =
+  let run file query jobs budget cache delta store_retries =
     let jobs = check_jobs jobs in
     if delta && jobs > 1 then
       die "--delta forces sequential exploration; drop --jobs";
@@ -518,27 +509,17 @@ let query_cmd =
     match Mc.Query.parse query with
     | Error msg -> die "query: %s" msg
     | Ok q ->
-      let ctl =
-        make_ctl ~time:budget_time ~states:budget_states ~mem:budget_mem
+      let ctl = make_ctl budget in
+      let route =
+        answer_route ~cache ~tag:file (if delta then `Delta else `Plain)
       in
-      let result =
-        try
-          if delta then begin
-            let sess = incr_session ~cache ~tag:file in
-            let t0 = Unix.gettimeofday () in
-            let o = Incr.Session.run ~ctl sess net q in
-            report_rung o (1000. *. (Unix.gettimeofday () -. t0));
-            o.Incr.Session.so_result
-          end
-          else
-            match cache with
-            | Some cache -> Analysis.Qcache.eval cache ~jobs ~ctl net q
-            | None -> Mc.Query.eval ~jobs ~ctl net q
+      let a =
+        try answer ~jobs ~ctl route net q
         with Not_found ->
           die "query names an unknown process, location or variable"
       in
       report_cache cache;
-      let outcome = result.Mc.Query.res_outcome in
+      let outcome = a.Incr.Answer.an_result.Mc.Query.res_outcome in
       Fmt.pr "%a@." Mc.Query.pp_outcome outcome;
       (match outcome with
        | Mc.Query.Fails (Some trace) ->
@@ -556,9 +537,8 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Evaluate an UPPAAL-style query on a .xta model.  Exit codes: \
              0 holds, 1 fails, 2 unknown, 3 usage or parse error.")
-    Term.(const run $ file $ query $ jobs_arg $ budget_time_arg
-          $ budget_states_arg $ budget_mem_arg $ cache_arg $ delta_arg
-          $ store_retries_arg)
+    Term.(const run $ file $ query $ jobs_arg $ budget_term $ cache_arg
+          $ delta_arg $ store_retries_arg)
 
 (* --- check (batch queries) -------------------------------------------------- *)
 
@@ -581,43 +561,37 @@ let check_cmd =
                    (no wall times), so a warm $(b,--cache) run reproduces \
                    a cold run byte for byte.")
   in
-  let run model queries jobs budget_time budget_states budget_mem cache json
-      delta store_retries =
+  let run model queries jobs budget cache json delta store_retries =
     let jobs = check_jobs jobs in
     if delta && jobs > 1 then
       die "--delta forces sequential exploration; drop --jobs";
     let cache = open_cache ~retries:store_retries cache in
-    let sess = if delta then Some (incr_session ~cache ~tag:model) else None in
+    let route =
+      answer_route ~cache ~tag:model (if delta then `Delta else `Plain)
+    in
     let net = load_network model in
     let lines = String.split_on_char '\n' (read_file queries) in
     let numbered =
       List.filteri (fun _ (_, line) -> line <> "" && line.[0] <> '#')
         (List.mapi (fun lineno line -> (lineno + 1, String.trim line)) lines)
     in
-    let eval_one ~ctl q =
-      match sess with
-      | Some sess -> (Incr.Session.run ~ctl sess net q).Incr.Session.so_result
-      | None -> (
-        match cache with
-        | Some c -> Analysis.Qcache.eval c ~ctl net q
-        | None -> Mc.Query.eval ~ctl net q)
+    (* a row's status: the table's word and the JSON's *)
+    let status = function
+      | Error _ -> ("ERROR", "error")
+      | Ok (a : Incr.Answer.t) -> (
+        match a.Incr.Answer.an_result.Mc.Query.res_outcome with
+        | Mc.Query.Fails _ -> ("FAIL", "fail")
+        | Mc.Query.Unknown _ -> ("?", "unknown")
+        | Mc.Query.Holds | Mc.Query.Sup _ -> ("pass", "pass"))
     in
     let report (lineno, line, res) =
       match res with
       | Error msg -> Fmt.pr "%3d  ERROR  %s@.     %s@." lineno line msg
-      | Ok (result : Mc.Query.result) ->
-        let status =
-          match result.Mc.Query.res_outcome with
-          | Mc.Query.Fails _ -> "FAIL"
-          | Mc.Query.Unknown _ -> "?"
-          | Mc.Query.Holds | Mc.Query.Sup _ -> "pass"
-        in
-        Fmt.pr "%3d  %-5s  %s  [%a]@." lineno status line
-          Mc.Query.pp_outcome result.Mc.Query.res_outcome
+      | Ok (a : Incr.Answer.t) ->
+        Fmt.pr "%3d  %-5s  %s  [%a]@." lineno (fst (status res)) line
+          Mc.Query.pp_outcome a.Incr.Answer.an_result.Mc.Query.res_outcome
     in
-    let next_ctl =
-      batch_ctls ~time:budget_time ~states:budget_states ~mem:budget_mem
-    in
+    let root = make_ctl budget in
     let eval_line (lineno, line) =
       let res =
         match Mc.Query.parse line with
@@ -625,8 +599,8 @@ let check_cmd =
         | Ok q -> (
           (* catch everything on the worker: one poisoned query reports
              an error row instead of killing the batch *)
-          match eval_one ~ctl:(next_ctl ()) q with
-          | result -> Ok result
+          match Incr.Answer.run ~ctl:(Mc.Runctl.sibling root) route net q with
+          | a -> Ok a
           | exception Not_found -> Error "unknown process, location or variable"
           | exception exn ->
             Error ("evaluation crashed: " ^ Printexc.to_string exn))
@@ -637,17 +611,16 @@ let check_cmd =
     in
     let results = Analysis.Pool.map ~jobs eval_line numbered in
     if jobs > 1 && not json then List.iter report results;
-    let failures = ref 0 and unknowns = ref 0 in
-    List.iter
-      (fun (_, _, res) ->
-        match res with
-        | Error _ -> incr failures
-        | Ok r -> (
-          match r.Mc.Query.res_outcome with
-          | Mc.Query.Fails _ -> incr failures
-          | Mc.Query.Unknown _ -> incr unknowns
-          | Mc.Query.Holds | Mc.Query.Sup _ -> ()))
-      results;
+    let count p = List.length (List.filter (fun (_, _, res) -> p res) results) in
+    let count_status word = count (fun res -> snd (status res) = word) in
+    let failures = count_status "fail" + count_status "error"
+    and unknowns = count_status "unknown" in
+    (* the rungs that answered, counted from the answers themselves *)
+    let count_rung rung =
+      count (function
+        | Ok (a : Incr.Answer.t) -> a.Incr.Answer.an_rung = Some rung
+        | Error _ -> false)
+    in
     let total = List.length numbered in
     if json then begin
       let open Store.Json in
@@ -656,16 +629,11 @@ let check_cmd =
         match res with
         | Error msg ->
           Obj (common @ [ ("status", String "error"); ("error", String msg) ])
-        | Ok (r : Mc.Query.result) ->
-          let status =
-            match r.Mc.Query.res_outcome with
-            | Mc.Query.Fails _ -> "fail"
-            | Mc.Query.Unknown _ -> "unknown"
-            | Mc.Query.Holds | Mc.Query.Sup _ -> "pass"
-          in
+        | Ok (a : Incr.Answer.t) ->
+          let r = a.Incr.Answer.an_result in
           Obj
             (common
-            @ [ ("status", String status);
+            @ [ ("status", String (snd (status res)));
                 ("outcome", Store.Entry.outcome_to_json r.Mc.Query.res_outcome);
                 ("stats", Store.Entry.stats_to_json r.Mc.Query.res_stats) ])
       in
@@ -677,23 +645,21 @@ let check_cmd =
                 ( "summary",
                   Obj
                     [ ("total", Int total);
-                      ("failures", Int !failures);
-                      ("unknowns", Int !unknowns) ] ) ]))
+                      ("failures", Int failures);
+                      ("unknowns", Int unknowns) ] ) ]))
     end
     else
       Fmt.pr "@.%d quer%s, %d failure%s, %d unknown@." total
         (if total = 1 then "y" else "ies")
-        !failures
-        (if !failures = 1 then "" else "s")
-        !unknowns;
+        failures
+        (if failures = 1 then "" else "s")
+        unknowns;
     report_cache cache;
-    (match cache with
-     | Some c when delta ->
-       let cone, fl = Analysis.Qcache.rung_counts c in
-       Fmt.epr "incr: %d cone, %d full@." cone fl
-     | Some _ | None -> ());
-    if !failures > 0 then exit 1
-    else if !unknowns > 0 then exit 2
+    if delta then
+      Fmt.epr "incr: %d cone, %d full@." (count_rung Incr.Session.Cone_hit)
+        (count_rung Incr.Session.Full);
+    if failures > 0 then exit 1
+    else if unknowns > 0 then exit 2
     else exit_degraded cache
   in
   Cmd.v
@@ -705,9 +671,8 @@ let check_cmd =
              unknown, 3 usage or parse error, 4 all pass but the store was \
              degraded (circuit breaker tripped; some answers computed \
              without the cache).")
-    Term.(const run $ model $ queries $ jobs_arg $ budget_time_arg
-          $ budget_states_arg $ budget_mem_arg $ cache_arg $ json_arg
-          $ delta_arg $ store_retries_arg)
+    Term.(const run $ model $ queries $ jobs_arg $ budget_term $ cache_arg
+          $ json_arg $ delta_arg $ store_retries_arg)
 
 (* --- watch (poll the model file, re-verify incrementally) ---------------- *)
 
@@ -734,8 +699,7 @@ let watch_cmd =
                    run not counted) — for scripts and CI smoke tests.  \
                    Default: watch until interrupted.")
   in
-  let run file qtexts poll_ms max_edits budget_time budget_states budget_mem
-      cache store_retries =
+  let run file qtexts poll_ms max_edits budget cache store_retries =
     if poll_ms <= 0 then die "--poll-ms must be positive";
     let cache = open_cache ~retries:store_retries cache in
     let queries =
@@ -746,11 +710,8 @@ let watch_cmd =
           | Error msg -> die "query %S: %s" text msg)
         qtexts
     in
-    let sess =
-      match cache with
-      | Some cache -> Incr.Session.make ~cache ~tag:file ()
-      | None -> Incr.Session.make ~tag:file ()
-    in
+    let route = answer_route ~cache ~tag:file `Watch in
+    let root = make_ctl budget in
     let mtime () =
       match Unix.stat file with
       | st -> Some st.Unix.st_mtime
@@ -759,12 +720,8 @@ let watch_cmd =
     (* tolerant reads: an editor's rename-into-place can race the poll,
        so a transient failure just waits for the next tick *)
     let read () =
-      try
-        let ic = open_in_bin file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> Some (really_input_string ic (in_channel_length ic)))
-      with Sys_error _ | End_of_file -> None
+      try Some (In_channel.with_open_bin file In_channel.input_all)
+      with Sys_error _ -> None
     in
     let verify_all ~label =
       match read () with
@@ -775,20 +732,18 @@ let watch_cmd =
         | Ok net ->
           List.iter
             (fun q ->
-              let ctl =
-                make_ctl ~time:budget_time ~states:budget_states
-                  ~mem:budget_mem
-              in
               let t0 = Unix.gettimeofday () in
-              match Incr.Session.run ~ctl sess net q with
-              | o ->
+              let ctl = Mc.Runctl.sibling root in
+              match Incr.Answer.run ~ctl route net q with
+              | a ->
                 Fmt.pr
                   "[%s] %s: %a  (%s rung, %.1f ms, %d expanded)@."
                   label (Mc.Query.to_string q) Mc.Query.pp_outcome
-                  o.Incr.Session.so_result.Mc.Query.res_outcome
-                  (Incr.Session.rung_name o.Incr.Session.so_rung)
+                  a.Incr.Answer.an_result.Mc.Query.res_outcome
+                  (Option.fold ~none:"-" ~some:Incr.Session.rung_name
+                     a.Incr.Answer.an_rung)
                   (1000. *. (Unix.gettimeofday () -. t0))
-                  o.Incr.Session.so_expanded
+                  (Incr.Answer.expanded a)
               | exception Not_found ->
                 Fmt.pr "[%s] %s: ERROR unknown process, location or variable@."
                   label (Mc.Query.to_string q))
@@ -797,19 +752,23 @@ let watch_cmd =
     let last = ref (mtime ()) in
     verify_all ~label:"initial";
     let edits = ref 0 in
+    (* a ^C cancels the root: the query running, if any, answers unknown
+       and the loop ends at its next tick *)
     let keep_going () =
-      match max_edits with Some m -> !edits < m | None -> true
+      (not (Mc.Runctl.cancelled root))
+      && match max_edits with Some m -> !edits < m | None -> true
     in
     while keep_going () do
       Unix.sleepf (float_of_int poll_ms /. 1000.);
       match mtime () with
-      | Some t when !last <> Some t ->
+      | Some t when !last <> Some t && not (Mc.Runctl.cancelled root) ->
         last := Some t;
         incr edits;
         verify_all ~label:(Printf.sprintf "edit %d" !edits)
       | Some _ | None -> ()
     done;
-    report_cache cache
+    report_cache cache;
+    if Mc.Runctl.cancelled root then exit 2
   in
   Cmd.v
     (Cmd.info "watch"
@@ -817,9 +776,11 @@ let watch_cmd =
              every edit, answering through the incremental ladder — \
              store hit, cone-of-influence hit, full sequential run — \
              and printing the rung and wall time per edit.  \
-             With $(b,--cache) the session persists across restarts.")
-    Term.(const run $ file $ queries $ poll_ms $ max_edits $ budget_time_arg
-          $ budget_states_arg $ budget_mem_arg $ cache_arg $ store_retries_arg)
+             With $(b,--cache) the session persists across restarts.  \
+             Exit codes: 0 after $(b,--max-edits) edits, 2 interrupted \
+             by ^C, 3 usage or parse error.")
+    Term.(const run $ file $ queries $ poll_ms $ max_edits $ budget_term
+          $ cache_arg $ store_retries_arg)
 
 (* --- sweep-schemes (grid sweep with analytic prefilter) ----------------- *)
 
@@ -973,7 +934,7 @@ let sweep_schemes_cmd =
                    of the table.")
   in
   let run axes space req limit no_prefilter audit batch points_out json jobs
-      budget_time budget_states budget_mem cache store_retries =
+      budget cache store_retries =
     if axes = [] then
       die "no --axis given (e.g. --axis period=10..80/10 --axis mech=0,1)";
     let base =
@@ -1006,9 +967,7 @@ let sweep_schemes_cmd =
     if batch < 1 then die "--batch must be at least 1";
     let jobs = check_jobs jobs in
     let cache = open_cache ~retries:store_retries cache in
-    let ctl =
-      make_ctl ~time:budget_time ~states:budget_states ~mem:budget_mem
-    in
+    let ctl = make_ctl budget in
     let points = Scheme.Grid.cardinality grid in
     Fmt.epr "sweep: %d points (%s), req %d, prefilter %s@." points
       (String.concat " x "
@@ -1052,8 +1011,7 @@ let sweep_schemes_cmd =
              4 complete but the store was degraded.")
     Term.(const run $ axis_arg $ space_arg $ req_arg $ limit_arg
           $ no_prefilter_arg $ audit_arg $ batch_arg $ points_out_arg
-          $ json_arg $ jobs_arg $ budget_time_arg $ budget_states_arg
-          $ budget_mem_arg $ cache_arg $ store_retries_arg)
+          $ json_arg $ jobs_arg $ budget_term $ cache_arg $ store_retries_arg)
 
 (* --- trace ----------------------------------------------------------------- *)
 
@@ -1854,14 +1812,11 @@ let serve_cmd =
                    long-lived server is asked about many distinct model \
                    files.")
   in
-  let run jobs cache budget_time budget_states budget_mem request_timeout
-      max_errors store_retries listen queue max_conns max_inflight
-      read_deadline model_cache =
+  let run jobs cache budget request_timeout max_errors store_retries listen
+      queue max_conns max_inflight read_deadline model_cache =
     let jobs = check_jobs jobs in
     let cache = open_cache ~retries:store_retries cache in
-    let budget =
-      make_budget ~time:budget_time ~states:budget_states ~mem:budget_mem
-    in
+    let budget = budget () in
     let request_timeout =
       Option.map
         (fun s ->
@@ -2011,11 +1966,9 @@ let serve_cmd =
              drained by a signal, 3 usage error (including a listener \
              that cannot bind), 4 degraded completion ($(b,--max-errors) \
              tripped, or the store circuit breaker opened).")
-    Term.(const run $ jobs_arg $ cache_arg $ budget_time_arg
-          $ budget_states_arg $ budget_mem_arg $ request_timeout_arg
+    Term.(const run $ jobs_arg $ cache_arg $ budget_term $ request_timeout_arg
           $ max_errors_arg $ store_retries_arg $ listen_arg $ queue_arg
-          $ max_conns_arg $ max_inflight_arg $ read_deadline_arg
-          $ model_cache_arg)
+          $ max_conns_arg $ max_inflight_arg $ read_deadline_arg $ model_cache_arg)
 
 let main =
   Cmd.group

@@ -3,8 +3,6 @@ type t = {
   hits : int Atomic.t;
   misses : int Atomic.t;
   errors : int Atomic.t;
-  incr_cone : int Atomic.t;
-  incr_full : int Atomic.t;
   breaker : Fault.Breaker.t;
   warn : string -> unit;
 }
@@ -19,8 +17,6 @@ let make ?(warn = default_warn) ?breaker disk =
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     errors = Atomic.make 0;
-    incr_cone = Atomic.make 0;
-    incr_full = Atomic.make 0;
     breaker;
     warn }
 
@@ -29,15 +25,6 @@ let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses
 let errors t = Atomic.get t.errors
 let degraded t = Fault.Breaker.tripped t.breaker
-
-(* Ladder-rung counters of the incremental layer ([Incr.Session]); the
-   store-hit rung is the plain [hits] counter above. *)
-let note_rung t = function
-  | `Cone -> Atomic.incr t.incr_cone
-  | `Full -> Atomic.incr t.incr_full
-
-let rung_counts t =
-  (Atomic.get t.incr_cone, Atomic.get t.incr_full)
 
 (* Counter export for the serve metrics surface: everything a stats
    frame reports about the store, including the breaker's state machine
@@ -49,10 +36,6 @@ let stats_json t =
       ("misses", Int (Atomic.get t.misses));
       ("errors", Int (Atomic.get t.errors));
       ("degraded", Bool (degraded t));
-      ( "incr",
-        Obj
-          [ ("cone", Int (Atomic.get t.incr_cone));
-            ("full", Int (Atomic.get t.incr_full)) ] );
       ( "breaker",
         Obj
           [ ("state", String (Fault.Breaker.state_name t.breaker));
@@ -159,17 +142,23 @@ let entry ~key ~query ~budget ~jobs ~wall_ms (r : Mc.Query.result) =
 let result (e : Store.Entry.t) =
   { Mc.Query.res_outcome = e.en_outcome; res_stats = e.en_stats }
 
+(* The miss half of [cached], also for callers whose lookup ran
+   elsewhere or that keep the entry without a store. *)
+let miss ?cache ~key ~query ~budget ~jobs run =
+  let t0 = Unix.gettimeofday () in
+  let r = run () in
+  let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
+  let e = entry ~key ~query ~budget ~jobs ~wall_ms r in
+  Option.iter (fun t -> insert t e) cache;
+  (r, e)
+
 let cached t ?(jobs = 1) ?ctl ?limit net q ~run =
   let budget = entry_budget ?limit ?ctl () in
   let key = key net q in
   match find t ~requested:budget key with
   | Some e -> result e
   | None ->
-    let t0 = Unix.gettimeofday () in
-    let r = run () in
-    let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-    insert t (entry ~key ~query:(Mc.Query.to_string q) ~budget ~jobs ~wall_ms r);
-    r
+    fst (miss ~cache:t ~key ~query:(Mc.Query.to_string q) ~budget ~jobs run)
 
 let eval t ?jobs ?ctl ?limit net q =
   cached t ?jobs ?ctl ?limit net q ~run:(fun () ->

@@ -2,7 +2,7 @@
     store ({!Store.Disk}).
 
     This module owns the lookup-before-run / insert-after protocol and
-    the one place a store entry is built from a result ({!entry}).  Hit
+    the one place a store entry is built from a result ({!miss}).  Hit
     and miss counters live on the handle and are atomic, so a cache may
     be shared across the [--jobs] domain pool.
 
@@ -34,17 +34,8 @@ val errors : t -> int
     reflected in the CLI's degraded-completion exit code. *)
 val degraded : t -> bool
 
-(** [note_rung t rung] bumps the incremental layer's ladder counter:
-    which rung ([`Cone] reuse or [`Full] recompute) answered a
-    re-verification.  The store-hit rung is the ordinary {!hits}
-    counter. *)
-val note_rung : t -> [ `Cone | `Full ] -> unit
-
-(** [(cone, full)] rung counters. *)
-val rung_counts : t -> int * int
-
 (** The cache's live counters and breaker state as one JSON object —
-    [{"hits", "misses", "errors", "degraded", "incr": {"cone", "full"},
+    [{"hits", "misses", "errors", "degraded",
     "breaker": {"state", "trips", "probes", "failures"}}] —
     embedded in serve stats frames.  All sources are atomic, so a
     snapshot may be taken while worker domains evaluate. *)
@@ -96,6 +87,16 @@ val entry :
 (** The result an entry records: its outcome and the producing run's
     statistics. *)
 val result : Store.Entry.t -> Mc.Query.result
+
+(** [miss ?cache ~key ~query ~budget ~jobs run] is the miss half of
+    {!cached}, for callers whose lookup already ran (or that keep the
+    entry without a store): it times [run ()], builds the result's
+    {!entry} and {!insert}s it when [cache] is given.  Returns the result
+    and the entry.  An exception from [run] propagates and publishes
+    nothing. *)
+val miss :
+  ?cache:t -> key:Store.D128.t -> query:string -> budget:Store.Entry.budget ->
+  jobs:int -> (unit -> Mc.Query.result) -> Mc.Query.result * Store.Entry.t
 
 (** [cached t net q ~run] answers [q] on [net] from the store when a
     reusable entry exists — with the producing run's statistics —

@@ -293,20 +293,11 @@ let evaluate cfg ?cache ?drain:dtoken (item : prepared) : reply =
       r
     in
     match
-      let t0 = Unix.gettimeofday () in
-      let r = Mc.Query.eval ~ctl ?limit:ri.ri_limit ri.ri_net ri.ri_query in
-      let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-      (r, wall_ms)
+      Qcache.miss ?cache ~key:ri.ri_key
+        ~query:(Mc.Query.to_string ri.ri_query) ~budget:ri.ri_budget ~jobs:1
+        (fun () -> Mc.Query.eval ~ctl ?limit:ri.ri_limit ri.ri_net ri.ri_query)
     with
-    | r, wall_ms ->
-      Option.iter
-        (fun c ->
-          Qcache.insert c
-            (Qcache.entry ~key:ri.ri_key
-               ~query:(Mc.Query.to_string ri.ri_query) ~budget:ri.ri_budget
-               ~jobs:1 ~wall_ms r))
-        cache;
-      finish (`Ok (ri.ri_id, r))
+    | r, _ -> finish (`Ok (ri.ri_id, r))
     | exception Not_found ->
       finish (`Err (ri.ri_id, "unknown process, location or variable", None))
     | exception exn ->

@@ -149,7 +149,9 @@ let classify cfg sp =
 
 (* One exploration of the undecided band: the sup with ceiling =
    requirement, so the bound check is exact and a partial sup past the
-   ceiling still refutes. *)
+   ceiling still refutes.  Each exploration runs on a sibling of
+   [sw_ctl], so the budget applies per point from the point's own start
+   while cancelling [sw_ctl] still stops the whole sweep. *)
 let explore cfg sp =
   let net = sp.sp_net () in
   let q =
@@ -157,11 +159,11 @@ let explore cfg sp =
       { trigger = sp.sp_trigger; response = sp.sp_response;
         ceiling = sp.sp_req }
   in
+  let ctl = Option.map Mc.Runctl.sibling cfg.sw_ctl in
   let r =
     match cfg.sw_cache with
-    | None -> Mc.Query.eval ?limit:cfg.sw_limit ?ctl:cfg.sw_ctl net q
-    | Some cache ->
-      Qcache.eval cache ?limit:cfg.sw_limit ?ctl:cfg.sw_ctl net q
+    | None -> Mc.Query.eval ?limit:cfg.sw_limit ?ctl net q
+    | Some cache -> Qcache.eval cache ?limit:cfg.sw_limit ?ctl net q
   in
   let verdict =
     match Mc.Query.bounded_of_sup r.Mc.Query.res_outcome ~bound:sp.sp_req with

@@ -68,7 +68,9 @@ type config = {
       (** [false] = explorer-everywhere baseline (still dedups) *)
   sw_jobs : int;  (** domain pool width for the undecided band *)
   sw_limit : int option;  (** per-query state limit *)
-  sw_ctl : Mc.Runctl.t option;  (** budgets / cancellation *)
+  sw_ctl : Mc.Runctl.t option;
+      (** budgets, applied per exploration ({!Mc.Runctl.sibling}), and
+          cancellation of the whole sweep *)
   sw_cache : Qcache.t option;  (** persistent cross-run dedup *)
   sw_batch : int;  (** points decoded and classified per batch *)
   sw_audit : int;

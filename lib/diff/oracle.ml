@@ -74,9 +74,11 @@ let mutate mutation o =
   | _, o -> o
 
 let eval1 cfg net q =
-  match cfg.cache with
-  | Some c -> Analysis.Qcache.eval c net q
-  | None -> Mc.Query.eval net q
+  let route =
+    Option.fold ~none:Incr.Answer.Plain ~some:(fun c -> Incr.Answer.Cached c)
+      cfg.cache
+  in
+  (Incr.Answer.run route net q).Incr.Answer.an_result
 
 (* ------------------------- construction-independent answerer pairs -- *)
 
@@ -108,8 +110,8 @@ let core cfg ~net ~q ~seed =
   (* store round-trip: the warm answer must equal the cold one *)
   (match cfg.cache with
   | None -> ()
-  | Some c ->
-    let r1' = Analysis.Qcache.eval c net q in
+  | Some _ ->
+    let r1' = eval1 cfg net q in
     if r1'.Mc.Query.res_outcome <> r1.Mc.Query.res_outcome then
       add Store_trip "stored entry answers %s, computed %s"
         (outcome_str r1'.Mc.Query.res_outcome)

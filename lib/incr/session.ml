@@ -31,9 +31,6 @@ type t = {
 
 let make ?cache ~tag () = { s_cache = cache; s_tag = tag; s_prev = [] }
 
-let note t rung =
-  match t.s_cache with None -> () | Some c -> Qcache.note_rung c rung
-
 (* --- previous-run state: memory first, then the persisted session --- *)
 
 let prev_of_disk t qtext =
@@ -87,11 +84,6 @@ let persist t qtext pv =
           ss_manifest = manifest }
     with _ -> ())
 
-(* --- entries ---------------------------------------------------------- *)
-
-let publish t entry =
-  match t.s_cache with None -> () | Some c -> Qcache.insert c entry
-
 (* --- the ladder ------------------------------------------------------- *)
 
 let run ?ctl ?limit t net q =
@@ -112,14 +104,10 @@ let run ?ctl ?limit t net q =
       so_answer_ms = 0. }
   | None ->
     let full () =
-      let t0 = Unix.gettimeofday () in
-      let r = Mc.Query.eval ~jobs:1 ?ctl ?limit net q in
-      let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-      note t `Full;
-      let e =
-        Qcache.entry ~key:k ~query:qtext ~budget:requested ~jobs:1 ~wall_ms r
+      let r, e =
+        Qcache.miss ?cache:t.s_cache ~key:k ~query:qtext ~budget:requested
+          ~jobs:1 (fun () -> Mc.Query.eval ~jobs:1 ?ctl ?limit net q)
       in
-      publish t e;
       let pv = { pv_net = net; pv_entry = e } in
       remember t qtext pv;
       persist t qtext pv;
@@ -127,7 +115,7 @@ let run ?ctl ?limit t net q =
         so_rung = Full;
         so_replayed = 0;
         so_expanded = r.Mc.Query.res_stats.Mc.Explorer.visited;
-        so_answer_ms = wall_ms }
+        so_answer_ms = e.Store.Entry.en_prov.Store.Entry.pv_wall_ms }
     in
     (match prev_for t qtext with
      | None -> full ()
@@ -137,11 +125,12 @@ let run ?ctl ?limit t net q =
           the requested one. *)
        (match Cone.check ~old_net:pv.pv_net net q with
         | Ok () when Store.Entry.reusable pv.pv_entry ~requested ->
-          note t `Cone;
           (* Republish under the new network's key so an identical
              rerun answers on the store rung; the entry keeps the
              producing run's budget and provenance. *)
-          publish t { pv.pv_entry with Store.Entry.en_key = k };
+          Option.iter
+            (fun c -> Qcache.insert c { pv.pv_entry with Store.Entry.en_key = k })
+            t.s_cache;
           (* The session deliberately stays at [pv]: future cone checks
              re-diff against [pv_net], so drift in the invisible part
              keeps hitting. *)

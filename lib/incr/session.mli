@@ -15,10 +15,10 @@
     The previous run's network and result are kept in memory (per
     query) and, when a cache is attached, persisted beside the store
     entries as a [PSVSESS1] session file ({!Store.Session}), so a new
-    process resumes the ladder where the last one left it.  Rung
-    counters feed {!Analysis.Qcache.note_rung} and surface in cache
-    stats and serve stats frames.  Persistence is strictly best-effort —
-    a missing or corrupt session costs a full run, never an answer. *)
+    process resumes the ladder where the last one left it.  Each
+    {!outcome} names the rung that answered; front ends reach the
+    ladder through {!Answer}.  Persistence is strictly best-effort — a
+    missing or corrupt session costs a full run, never an answer. *)
 
 (** [Delta] is never produced; it stays only because benchmark drivers
     outside the library still match on it — as do

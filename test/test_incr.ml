@@ -456,17 +456,7 @@ let test_session_ladder () =
         o4.Incr.Session.so_result;
       Alcotest.(check int) "full rung reports its visited states"
         o4.Incr.Session.so_result.Q.res_stats.Mc.Explorer.visited
-        o4.Incr.Session.so_expanded;
-      (* rung counters surfaced through the cache stats *)
-      let cone, full = Analysis.Qcache.rung_counts cache in
-      Alcotest.(check (list int)) "rung counters" [ 1; 2 ] [ cone; full ];
-      (match
-         Store.Json.member "incr" (Analysis.Qcache.stats_json cache)
-       with
-       | Some (Store.Json.Obj fields) ->
-         Alcotest.(check (list string)) "incr object keys" [ "cone"; "full" ]
-           (List.map fst fields)
-       | _ -> Alcotest.fail "stats_json lacks the incr object"))
+        o4.Incr.Session.so_expanded)
 
 let test_session_persistence () =
   with_store_dir (fun dir ->
@@ -777,6 +767,112 @@ let test_stats_corrupt_bytes () =
       Alcotest.(check bool) "good bytes exclude the corrupt file" true
         (s.Store.Disk.st_bytes < s0.Store.Disk.st_bytes))
 
+(* --- the answerer ------------------------------------------------------- *)
+
+(* Every route answers what a from-scratch [Mc.Query.eval] does; a
+   second [Cached] call is a store hit; a [Session] run climbs the
+   ladder (full, then store); and the entry [Serve.evaluate] publishes
+   is the one [Qcache.cached] publishes, apart from its wall time and
+   creation stamp. *)
+let test_answer_routes () =
+  let unstamped (e : Store.Entry.t) =
+    { e with
+      Store.Entry.en_prov =
+        { e.Store.Entry.en_prov with
+          Store.Entry.pv_wall_ms = 0.;
+          pv_created = 0. } }
+  in
+  List.iter
+    (fun (net, text) ->
+      let q = query text in
+      let scratch = Q.eval net q in
+      let answer route = Incr.Answer.run route net q in
+      let check_answer label rung (a : Incr.Answer.t) =
+        check_scratch_equal (text ^ ": " ^ label) net q a.Incr.Answer.an_result;
+        Alcotest.(check string) (text ^ ": " ^ label ^ " rung") rung
+          (Option.fold ~none:"none" ~some:Incr.Session.rung_name
+             a.Incr.Answer.an_rung)
+      in
+      check_answer "plain" "none" (answer Incr.Answer.Plain);
+      with_store_dir (fun dir ->
+          let disk, cache = open_cache dir in
+          check_answer "cached cold" "none" (answer (Incr.Answer.Cached cache));
+          let hits = Analysis.Qcache.hits cache in
+          check_answer "cached warm" "none" (answer (Incr.Answer.Cached cache));
+          Alcotest.(check int) (text ^ ": second cached call hits") (hits + 1)
+            (Analysis.Qcache.hits cache);
+          let key = Analysis.Qcache.key net q in
+          let stored () =
+            match Store.Disk.lookup disk key with
+            | Store.Disk.Hit e -> unstamped e
+            | _ -> Alcotest.failf "%s: no entry under the query's key" text
+          in
+          let cached_entry = stored () in
+          Store.Disk.remove disk key;
+          let cfg = Analysis.Serve.default_config in
+          let request =
+            Store.Json.to_string
+              (Store.Json.Obj
+                 [ ("id", Store.Json.Int 1);
+                   ("model", Store.Json.String "m.xta");
+                   ("query", Store.Json.String text) ])
+          in
+          (match
+             Analysis.Serve.evaluate cfg ~cache
+               (Analysis.Serve.prepare cfg ~cache
+                  ~load_model:(fun _ -> Ok net) request)
+           with
+           | `Ok _ -> ()
+           | _ -> Alcotest.failf "%s: serve did not evaluate" text);
+          Alcotest.(check bool) (text ^ ": serve publishes the cached entry")
+            true
+            (stored () = cached_entry));
+      with_store_dir (fun dir ->
+          let _, cache = open_cache dir in
+          let sess = Incr.Session.make ~cache ~tag:"routes" () in
+          let a1 = answer (Incr.Answer.Session sess) in
+          check_answer "session cold" "full" a1;
+          Alcotest.(check int) (text ^ ": full rung expanded")
+            scratch.Q.res_stats.Mc.Explorer.visited (Incr.Answer.expanded a1);
+          let a2 = answer (Incr.Answer.Session sess) in
+          check_answer "session rerun" "store" a2;
+          Alcotest.(check int) (text ^ ": store rung expanded") 0
+            (Incr.Answer.expanded a2)))
+    [ (toy_net, "A[] v == 0"); (timed_net, "sup: c -> d ceiling 100") ]
+
+(* An interrupted [Plain] sup search hands back its snapshot, and
+   resuming it through the answerer reproduces the uninterrupted result
+   and counts; only a sup search resumes. *)
+let test_answer_resume () =
+  let q = query "sup: c -> d ceiling 100" in
+  let whole = Q.eval timed_net q in
+  let visited = whole.Q.res_stats.Mc.Explorer.visited in
+  Alcotest.(check bool) "the search has states to cut" true (visited > 2);
+  let ctl =
+    Mc.Runctl.create
+      ~budget:{ Mc.Runctl.no_budget with Mc.Runctl.b_states = Some (visited / 2) }
+      ()
+  in
+  let cut = Incr.Answer.run ~ctl Incr.Answer.Plain timed_net q in
+  (match cut.Incr.Answer.an_result.Q.res_outcome with
+   | Q.Unknown _ -> ()
+   | o -> Alcotest.failf "cut run finished: %a" Q.pp_outcome o);
+  let snap =
+    match cut.Incr.Answer.an_snapshot with
+    | Some s -> s
+    | None -> Alcotest.fail "interrupted sup search returned no snapshot"
+  in
+  let resumed = Incr.Answer.run ~resume:snap Incr.Answer.Plain timed_net q in
+  check_scratch_equal "resumed = uninterrupted" timed_net q
+    resumed.Incr.Answer.an_result;
+  Alcotest.(check bool) "a finished search keeps no snapshot" true
+    (resumed.Incr.Answer.an_snapshot = None);
+  match
+    Incr.Answer.run ~resume:snap Incr.Answer.Plain toy_net (query "A[] v == 0")
+  with
+  | _ -> Alcotest.fail "resumed a reachability query"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [ Alcotest.test_case "key-v2 manifest" `Quick test_manifest;
     Alcotest.test_case "cone components" `Quick test_cone_components;
@@ -805,4 +901,6 @@ let suite =
       test_session_replay_without_graph;
     Alcotest.test_case "reference-framed session replays" `Quick
       test_session_reference_frames_replay;
-    Alcotest.test_case "stats corrupt bytes" `Quick test_stats_corrupt_bytes ]
+    Alcotest.test_case "stats corrupt bytes" `Quick test_stats_corrupt_bytes;
+    Alcotest.test_case "answer routes" `Quick test_answer_routes;
+    Alcotest.test_case "answer resumes a sup search" `Quick test_answer_resume ]

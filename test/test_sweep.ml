@@ -328,6 +328,31 @@ let prop_bounds_bracket_sup =
            else true
          | Mc.Explorer.Sup_unreached -> true))
 
+(* A time budget bounds each exploration, not the sweep: with a root
+   token whose 1 s budget is already spent, every point still explores
+   on its own sibling's fresh clock. *)
+let test_budget_per_point () =
+  let root =
+    Mc.Runctl.create
+      ~budget:{ Mc.Runctl.no_budget with Mc.Runctl.b_time_s = Some 1.0 }
+      ()
+  in
+  Unix.sleepf 1.05;
+  let grid = grid_of [ ("period", [ 20; 40 ]); ("mech", [ 0; 1 ]) ] in
+  let cfg =
+    { Analysis.Sweep.default_config with
+      Analysis.Sweep.sw_prefilter = false;
+      sw_limit = Some 300_000;
+      sw_ctl = Some root }
+  in
+  let o =
+    Analysis.Sweep.run cfg ~points:(Scheme.Grid.cardinality grid)
+      ~build:(Gpca.Sweep_space.build ~base:small ~req:150 grid)
+  in
+  Alcotest.(check bool) "points were explored" true
+    (o.Analysis.Sweep.o_mc_runs > 0);
+  Alcotest.(check int) "no point interrupted" 0 o.Analysis.Sweep.o_interrupted
+
 let suite =
   [ Alcotest.test_case "grid: parse_axis" `Quick test_parse_axis;
     Alcotest.test_case "grid: make" `Quick test_grid_make;
@@ -342,6 +367,8 @@ let suite =
       test_audit_catches_unsound_bound;
     Alcotest.test_case "pareto: frontier invariants" `Slow
       test_pareto_only_pass;
+    Alcotest.test_case "budget applies per point" `Quick
+      test_budget_per_point;
     Alcotest.test_case "cache: rerun is all store hits" `Quick
       test_cached_rerun;
     QCheck_alcotest.to_alcotest prop_bounds_bracket_sup ]
