@@ -23,13 +23,12 @@ open Cmdliner
    distinguishable from a refutation (1) and an interrupted search (2) *)
 let die fmt = Fmt.kstr (fun msg -> Fmt.epr "psv: %s@." msg; exit 3) fmt
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with Sys_error msg -> die "%s" msg
+(* A whole file's bytes, read to end of file rather than to a length
+   taken up front, so a pipe or a FIFO reads like a regular file.
+   @raise Sys_error when it cannot be opened or read. *)
+let slurp path = In_channel.with_open_bin path In_channel.input_all
+
+let read_file path = try slurp path with Sys_error msg -> die "%s" msg
 
 let write_out output text =
   match output with
@@ -1846,12 +1845,7 @@ let serve_cmd =
     in
     let load_model path =
       Analysis.Lru.find_or_add models path (fun path ->
-          match
-            let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          with
+          match slurp path with
           | text -> (
             match Xta.Parse.network text with
             | Ok net -> Ok net

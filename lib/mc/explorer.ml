@@ -257,11 +257,115 @@ let describe t movers =
   String.concat " | "
     (List.map (fun (_, ce) -> Compiled.describe_edge t.comp ce) movers)
 
+(* A stored symbolic state.  Trace information (parent id, movers) lives
+   in a side table indexed by id, so a dead entry pins no zone and no
+   trace data once it has drained from the queue.  [e_node] is the node
+   of its discrete state, whose successor table its expansion reads. *)
+type entry = {
+  e_id : int;
+  e_state : state;
+  e_node : pw_node;
+  mutable e_dead : bool;
+}
+
+(* One discrete state (locs, vars, mon) of the passed/waiting list, with
+   its live zones.  Nodes hang off a hash-keyed table; the hash is
+   computed once per state and cached in the node ([pw_hash]), so
+   subsumption probes compare a machine integer before touching the
+   discrete vectors, and a parallel store can route on the same hash
+   without recomputing it.  Collisions are resolved by structural
+   comparison here.
+
+   Entries occupy the slots [pw_live.(0 .. pw_len-1)] in insertion
+   order, and [pw_keys] holds their {!Zone.Dbm.Key} keys, [Key.len]
+   ints per slot at the same index, so a subsumption scan reads one flat
+   int array and dereferences an entry only when its key passes.  A
+   killed entry leaves a hole until the node is compacted ([pw_holes]
+   counts them).  Every full block of {!Passed.block} slots has two
+   summaries, [Key.len] ints per block in [pw_bmax] and [pw_bmin]: the
+   lane-wise max and min of the keys of its live entries.
+
+   [pw_succ] is the node's successor table, built when the node is
+   first expanded (see [succ_table]). *)
+and pw_node = {
+  pw_hash : int;
+  pw_locs : int array;
+  pw_vars : int array;
+  pw_mon : int;
+  mutable pw_live : entry array;
+  mutable pw_keys : int array;
+  mutable pw_bmax : int array;
+  mutable pw_bmin : int array;
+  mutable pw_len : int;  (* slots in use, holes included *)
+  mutable pw_holes : int;
+  mutable pw_succ : desc array option;
+}
+
+(* One candidate of a discrete state, with the discrete half of firing
+   it: everything a successor needs that does not depend on the zone.
+   The half is filled by the first firing whose guarded zone is
+   non-empty, the point where [fire] has always applied the updates, so
+   a range violation raises exactly when it did without the table. *)
+and desc = {
+  d_cand : candidate;
+  mutable d_half : half option;
+}
+
+and half = {
+  h_locs : int array;  (* target locations; each successor gets a copy *)
+  h_vars : int array option;
+      (* the target valuation when some mover updates, and a successor
+         gets a copy of it; [None] when none does, and a successor
+         shares its source's valuation, as it always has (a
+         checkpoint's bytes depend on that sharing) *)
+  h_mon : int;
+  h_hash : int;  (* [hash_discrete] of the target *)
+  h_resets : int list;  (* the movers' resets in order, then the monitor's *)
+  h_frees : int list;
+      (* the clocks the target's monitor state leaves inactive, then the
+         movers' dead clocks *)
+  h_inv : Compiled.dconstraint list;  (* every automaton's target invariant *)
+  h_no_delay : bool;  (* an urgent or committed target location *)
+  mutable h_node : pw_node;
+      (* the target's node once found in the expanding partition's own
+         store, else [no_node] *)
+}
+
+(* The node of no discrete state: the target of a half not yet resolved,
+   and the node of the dead entry that fills empty slots. *)
+let no_node =
+  { pw_hash = -1; pw_locs = [||]; pw_vars = [||]; pw_mon = -1; pw_live = [||];
+    pw_keys = [||]; pw_bmax = [||]; pw_bmin = [||]; pw_len = 0; pw_holes = 0;
+    pw_succ = None }
+
+let hash_discrete locs vars mon =
+  let h = ref (mon + 0x9e3779b9) in
+  for i = 0 to Array.length locs - 1 do
+    h := (!h lxor locs.(i)) * 0x01000193
+  done;
+  for i = 0 to Array.length vars - 1 do
+    h := (!h lxor vars.(i)) * 0x01000193
+  done;
+  !h land max_int
+
 let rec apply_guards z = function
   | [] -> ()
   | (_, ce) :: rest ->
     apply_dconstraints z ce.Compiled.ce_guard;
     apply_guards z rest
+
+(* Whether every guard constraint, taken on its own, meets [z].  One
+   that does not empties the guarded zone, so the firing dies without a
+   copy; when all meet it, their conjunction may still be empty. *)
+let rec meets z = function
+  | [] -> true
+  | (dc : Compiled.dconstraint) :: rest ->
+    Zone.Dbm.satisfiable z dc.Compiled.dc_i dc.Compiled.dc_j (bound_of_dc dc)
+    && meets z rest
+
+let rec guards_meet z = function
+  | [] -> true
+  | (_, ce) :: rest -> meets z ce.Compiled.ce_guard && guards_meet z rest
 
 (* Move each mover to its target in [locs] and reset its clocks; the
    result is the valuation after the movers' updates, in order ([vals]
@@ -277,45 +381,102 @@ let rec retarget comp locs z vals = function
     in
     retarget comp locs z vals rest
 
-let rec free_movers t z = function
-  | [] -> ()
-  | (ai, ce) :: rest ->
-    free_inactive_automaton_clocks t ai ce.Compiled.ce_dst z;
-    free_movers t z rest
+(* The discrete half of firing [cd] from [st]'s discrete state: the
+   target locations, valuation, monitor state and hash, and the zone
+   program -- resets, frees, target invariants, whether time may pass --
+   in the order the firing applies them.  Runs once per descriptor, so
+   it builds lists freely. *)
+let half t st cd =
+  let comp = t.comp in
+  let locs = Array.copy st.st_locs in
+  let vars = ref st.st_vars in
+  List.iter
+    (fun (ai, ce) ->
+      locs.(ai) <- ce.Compiled.ce_dst;
+      if ce.Compiled.ce_updates <> [] then
+        vars := Compiled.apply_updates comp !vars ce.Compiled.ce_updates)
+    cd.cd_movers;
+  let mon, mon_resets =
+    match cd.cd_chan with
+    | None -> (st.st_mon, [])
+    | Some ch -> (
+      match t.mon_step.(ch).(st.st_mon) with
+      | Some step -> step
+      | None -> (st.st_mon, []))
+  in
+  let dead (ai, ce) =
+    if t.reduce then
+      comp.Compiled.c_automata.(ai).Compiled.ca_locs.(ce.Compiled.ce_dst)
+        .Compiled.cl_free
+    else []
+  in
+  { h_locs = locs;
+    h_vars = (if !vars == st.st_vars then None else Some !vars);
+    h_mon = mon;
+    h_hash = hash_discrete locs !vars mon;
+    h_resets =
+      List.concat_map (fun (_, ce) -> ce.Compiled.ce_resets) cd.cd_movers
+      @ mon_resets;
+    h_frees = t.mon_free.(mon) @ List.concat_map dead cd.cd_movers;
+    h_inv =
+      List.concat
+        (Array.to_list
+           (Array.mapi
+              (fun ai li ->
+                comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li)
+                  .Compiled.cl_inv)
+              locs));
+    h_no_delay = no_delay_present comp locs;
+    h_node = no_node }
 
-(* Every step of firing [cd] from [st] but the extrapolation: guards,
-   locations, updates, resets, the monitor step, activity reduction,
-   target invariants and delay closure.  The zone comes from [pool] and
-   goes back to it when it empties -- in a typical exploration most
-   candidates die here, so this removes the dominant allocation. *)
-let advance t pool st cd =
-  let z = Zone.Dbm.Pool.copy pool st.st_zone in
-  apply_guards z cd.cd_movers;
-  if Zone.Dbm.is_empty z then begin
-    Zone.Dbm.Pool.release pool z;
-    None
-  end
+let desc cd = { d_cand = cd; d_half = None }
+
+(* The zone half of firing descriptor [d] from [st]: guards, resets,
+   frees, target invariants and delay closure, everything but the
+   extrapolation.  The zone comes from [pool] and goes back to it when
+   it empties -- in a typical exploration most candidates die here, so
+   this removes the dominant allocation; one whose guard misses the
+   source zone outright dies before the copy. *)
+let advance t pool st d =
+  let cd = d.d_cand in
+  if not (guards_meet st.st_zone cd.cd_movers) then None
   else begin
-    let locs = Array.copy st.st_locs in
-    let vars = retarget t.comp locs z st.st_vars cd.cd_movers in
-    let mon =
-      match cd.cd_chan with
-      | None -> st.st_mon
-      | Some ch ->
-        (match t.mon_step.(ch).(st.st_mon) with
-         | Some (dst, resets) ->
-           reset_clocks z resets;
-           dst
-         | None -> st.st_mon)
-    in
-    free_inactive_monitor_clocks t mon z;
-    free_movers t z cd.cd_movers;
-    settle t.comp locs z;
+    let z = Zone.Dbm.Pool.copy pool st.st_zone in
+    apply_guards z cd.cd_movers;
     if Zone.Dbm.is_empty z then begin
       Zone.Dbm.Pool.release pool z;
       None
     end
-    else Some { st_locs = locs; st_vars = vars; st_mon = mon; st_zone = z }
+    else begin
+      let h =
+        match d.d_half with
+        | Some h -> h
+        | None ->
+          let h = half t st cd in
+          d.d_half <- Some h;
+          h
+      in
+      reset_clocks z h.h_resets;
+      free_clocks z h.h_frees;
+      apply_dconstraints z h.h_inv;
+      if not (Zone.Dbm.is_empty z || h.h_no_delay) then begin
+        Zone.Dbm.up z;
+        apply_dconstraints z h.h_inv
+      end;
+      if Zone.Dbm.is_empty z then begin
+        Zone.Dbm.Pool.release pool z;
+        None
+      end
+      else
+        Some
+          { st_locs = Array.copy h.h_locs;
+            st_vars =
+              (match h.h_vars with
+               | Some vars -> Array.copy vars
+               | None -> st.st_vars);
+            st_mon = h.h_mon;
+            st_zone = z }
+    end
   end
 
 let extrapolated t pool = function
@@ -328,7 +489,9 @@ let extrapolated t pool = function
     end
     else live
 
-let fire t pool st cd = extrapolated t pool (advance t pool st cd)
+(* The search fires the descriptors of its nodes' tables; [fire] is the
+   same firing through a fresh descriptor. *)
+let fire t pool st cd = extrapolated t pool (advance t pool st (desc cd))
 
 (* [fire_pre] is [fire] with the successor zone additionally exposed as it
    stood just {e before} extrapolation.  Everything up to that point
@@ -348,7 +511,7 @@ type fired =
     }
 
 let fire_pre t pool st cd =
-  match advance t pool st cd with
+  match advance t pool st (desc cd) with
   | None -> Fired_dead
   | Some s as live ->
     let fl_pre = Zone.Dbm.to_ints s.st_zone in
@@ -447,45 +610,21 @@ let candidates t st =
   done;
   List.rev !acc
 
+(* The successor table of [e]'s node: one descriptor per candidate, in
+   [candidates]' order, built at the node's first expansion.  Every
+   later zone of the node fires the same descriptors.  A node is only
+   ever expanded by the partition that owns it, so each table has one
+   writer. *)
+let succ_table t e =
+  let n = e.e_node in
+  match n.pw_succ with
+  | Some table -> table
+  | None ->
+    let table = Array.of_list (List.map desc (candidates t e.e_state)) in
+    n.pw_succ <- Some table;
+    table
+
 (* --- passed/waiting store ---------------------------------------------- *)
-
-(* A stored symbolic state.  Trace information (parent id, movers) lives
-   in a side table indexed by id, so a dead entry pins no zone and no
-   trace data once it has drained from the queue. *)
-type entry = {
-  e_id : int;
-  e_state : state;
-  mutable e_dead : bool;
-}
-
-(* One discrete state (locs, vars, mon) of the passed/waiting list, with
-   its live zones.  Nodes hang off a hash-keyed table; the hash is
-   computed once per state and cached in the node ([pw_hash]), so
-   subsumption probes compare a machine integer before touching the
-   discrete vectors, and a parallel store can route on the same hash
-   without recomputing it.  Collisions are resolved by structural
-   comparison here.
-
-   Entries occupy the slots [pw_live.(0 .. pw_len-1)] in insertion
-   order, and [pw_keys] holds their {!Zone.Dbm.Key} keys, [Key.len]
-   ints per slot at the same index, so a subsumption scan reads one flat
-   int array and dereferences an entry only when its key passes.  A
-   killed entry leaves a hole until the node is compacted ([pw_holes]
-   counts them).  Every full block of {!Passed.block} slots has two
-   summaries, [Key.len] ints per block in [pw_bmax] and [pw_bmin]: the
-   lane-wise max and min of the keys of its live entries. *)
-type pw_node = {
-  pw_hash : int;
-  pw_locs : int array;
-  pw_vars : int array;
-  pw_mon : int;
-  mutable pw_live : entry array;
-  mutable pw_keys : int array;
-  mutable pw_bmax : int array;
-  mutable pw_bmin : int array;
-  mutable pw_len : int;  (* slots in use, holes included *)
-  mutable pw_holes : int;
-}
 
 module Passed = struct
   type nonrec entry = entry
@@ -499,7 +638,7 @@ module Passed = struct
   let node ~hash st =
     { pw_hash = hash; pw_locs = st.st_locs; pw_vars = st.st_vars;
       pw_mon = st.st_mon; pw_live = [||]; pw_keys = [||]; pw_bmax = [||];
-      pw_bmin = [||]; pw_len = 0; pw_holes = 0 }
+      pw_bmin = [||]; pw_len = 0; pw_holes = 0; pw_succ = None }
 
   (* A slot holds a dead entry exactly when it is a hole. *)
   let live n =
@@ -542,6 +681,7 @@ module Passed = struct
         e_state =
           { st_locs = [||]; st_vars = [||]; st_mon = -1;
             st_zone = Zone.Dbm.zero 1 };
+        e_node = no_node;
         e_dead = true }
     in
     let rec sc =
@@ -642,10 +782,12 @@ module Passed = struct
       summarise sc n b
     done
 
-  (* Store an entry without a subsumption scan (snapshot restore). *)
-  let restore sc n e =
-    write_key sc e.e_state.st_zone;
-    append sc n e
+  (* Store entry [id] without a subsumption scan (snapshot restore). *)
+  let restore sc n ~id st =
+    let e = { e_id = id; e_state = st; e_node = n; e_dead = false } in
+    write_key sc st.st_zone;
+    append sc n e;
+    e
 
   (* [add sc n ~expanding ~id st] offers [st] (of [n]'s discrete state)
      to the node.  Covered (by inclusion, or by equality without
@@ -686,7 +828,7 @@ module Passed = struct
       None
     end
     else begin
-      let e = { e_id = id; e_state = st; e_dead = false } in
+      let e = { e_id = id; e_state = st; e_node = n; e_dead = false } in
       for k = 0 to sc.nkills - 1 do
         let j = sc.kills.(k) in
         let victim = n.pw_live.(j) in
@@ -728,16 +870,6 @@ let env_progress =
         Printf.eprintf "[mc] visited %d stored %d queue %d\n%!" p.pr_visited
           p.pr_stored p.pr_queue)
   else None
-
-let hash_discrete locs vars mon =
-  let h = ref (mon + 0x9e3779b9) in
-  for i = 0 to Array.length locs - 1 do
-    h := (!h lxor locs.(i)) * 0x01000193
-  done;
-  for i = 0 to Array.length vars - 1 do
-    h := (!h lxor vars.(i)) * 0x01000193
-  done;
-  !h land max_int
 
 let initial_state t =
   let comp = t.comp in
@@ -1151,14 +1283,12 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
       bucket := n :: !bucket;
       n
   in
-  (* offer [st] to its owner [p]; a stored state is queued and visited *)
-  let add_state p h depth parent movers st =
+  (* offer [st] to its owner [p], as a zone of [p]'s node [n]; a stored
+     state is queued and visited *)
+  let add_state p n depth parent movers st =
     let k = p.pt_count in
     let id = base + p.pt_index + (k * jobs) in
-    match
-      Passed.add p.pt_passed (node_for p h st) ~expanding:p.pt_expanding ~id
-        st
-    with
+    match Passed.add p.pt_passed n ~expanding:p.pt_expanding ~id st with
     | None -> ()
     | Some e ->
       if k = Array.length p.pt_trace then begin
@@ -1195,17 +1325,29 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
       if p.pt_nout.(o) > 0 then flush p o
     done
   in
+  let send p o h depth parent movers st =
+    p.pt_out.(o) <-
+      { m_hash = h; m_depth = depth; m_parent = parent; m_movers = movers;
+        m_state = st }
+      :: p.pt_out.(o);
+    p.pt_nout.(o) <- p.pt_nout.(o) + 1;
+    if p.pt_nout.(o) >= batch_size then flush p o
+  in
   let route p h depth parent movers st =
     let o = owner h in
-    if o = p.pt_index then add_state p h depth parent movers st
-    else begin
-      p.pt_out.(o) <-
-        { m_hash = h; m_depth = depth; m_parent = parent; m_movers = movers;
-          m_state = st }
-        :: p.pt_out.(o);
-      p.pt_nout.(o) <- p.pt_nout.(o) + 1;
-      if p.pt_nout.(o) >= batch_size then flush p o
+    if o = p.pt_index then add_state p (node_for p h st) depth parent movers st
+    else send p o h depth parent movers st
+  in
+  (* [route] for a successor fired from a table: the hash comes from the
+     half, and so does the target node once this partition has looked
+     it up *)
+  let route_half p (h : half) depth parent movers st =
+    let o = owner h.h_hash in
+    if o = p.pt_index then begin
+      if h.h_node == no_node then h.h_node <- node_for p h.h_hash st;
+      add_state p h.h_node depth parent movers st
     end
+    else send p o h.h_hash depth parent movers st
   in
   (* store the delivered batches, oldest first; [order] puts the highest
      scores of the delivery first *)
@@ -1225,7 +1367,9 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
       List.iter
         (fun m ->
           if proceed () then
-            add_state p m.m_hash m.m_depth m.m_parent m.m_movers m.m_state)
+            add_state p
+              (node_for p m.m_hash m.m_state)
+              m.m_depth m.m_parent m.m_movers m.m_state)
         msgs;
       ignore (Atomic.fetch_and_add pending (- List.length batches))
   in
@@ -1252,20 +1396,20 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
   let expand_one p depth e =
     p.pt_expanding <- e.e_id;
     let successors = ref 0 in
-    let handle cd st =
-      incr successors;
-      route p (hash_discrete st.st_locs st.st_vars st.st_mon) (depth + 1)
-        e.e_id cd.cd_movers st
-    in
     (match expand with
      | None ->
-       List.iter
-         (fun cd ->
-           if proceed () then
-             match fire t p.pt_pool e.e_state cd with
-             | None -> ()
-             | Some st -> handle cd st)
-         (candidates t e.e_state)
+       let table = succ_table t e in
+       for i = 0 to Array.length table - 1 do
+         if proceed () then begin
+           let d = table.(i) in
+           match extrapolated t p.pt_pool (advance t p.pt_pool e.e_state d) with
+           | None -> ()
+           | Some st ->
+             incr successors;
+             route_half p (Option.get d.d_half) (depth + 1) e.e_id
+               d.d_cand.cd_movers st
+         end
+       done
      | Some f ->
        (* an expansion override produces the whole (candidate, successor)
           list up front; processing still honors [`Stop] exactly like the
@@ -1274,7 +1418,12 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
        List.iter
          (fun (cd, succ) ->
            if proceed () then
-             match succ with None -> () | Some st -> handle cd st)
+             match succ with
+             | None -> ()
+             | Some st ->
+               incr successors;
+               route p (hash_discrete st.st_locs st.st_vars st.st_mon)
+                 (depth + 1) e.e_id cd.cd_movers st)
          (f p.pt_pool e.e_state));
     p.pt_expanding <- -1;
     if proceed () then
@@ -1357,7 +1506,8 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
            let h =
              hash_discrete initial.st_locs initial.st_vars initial.st_mon
            in
-           add_state parts.(owner h) h 0 (-1) [] initial
+           let p = parts.(owner h) in
+           add_state p (node_for p h initial) 0 (-1) [] initial
          end)
    | Some snap ->
      let by_id = Hashtbl.create 4096 in
@@ -1367,11 +1517,10 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
            { st_locs = se.se_locs; st_vars = se.se_vars; st_mon = se.se_mon;
              st_zone = Zone.Dbm.of_ints ~dim:snap.snap_dim se.se_zone }
          in
-         let e = { e_id = se.se_id; e_state = st; e_dead = false } in
          let h = hash_discrete st.st_locs st.st_vars st.st_mon in
          let p = parts.(owner h) in
-         Hashtbl.replace by_id se.se_id (p, e);
-         Passed.restore p.pt_passed (node_for p h st) e)
+         let e = Passed.restore p.pt_passed (node_for p h st) ~id:se.se_id st in
+         Hashtbl.replace by_id se.se_id (p, e))
        snap.snap_entries;
      (* the visit callback is NOT replayed for restored states: they were
         considered when first stored, and the caller's accumulator comes

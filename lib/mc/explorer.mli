@@ -268,7 +268,12 @@ val candidates : t -> state -> candidate list
     location/variable updates, monitor step, resets, activity reduction,
     target invariants, delay closure and extrapolation.  [None] when the
     successor zone is empty (the scratch zone returns to [pool]); the
-    returned state's zone is owned by the caller. *)
+    returned state's zone is owned by the caller.  {!search} fires the
+    same way, but keeps each discrete state's candidates and the
+    zone-independent half of each firing (target vectors and hash, the
+    clocks to reset and free, the target invariants) in a table on the
+    state's store node, filled by the first firing whose guarded zone is
+    non-empty; [fire] builds that half afresh on every call. *)
 val fire : t -> Zone.Dbm.Pool.t -> state -> candidate -> state option
 
 (** The result of {!fire_pre}.  [Fired_dead] means the successor zone
@@ -446,7 +451,8 @@ val recommended_jobs : unit -> int
     then runs the identical bookkeeping (visit order, subsumption,
     counters, [`Stop] short-circuit) over the list, so a correct
     override — e.g. the benchmarks' traced firing — yields
-    byte-identical results and statistics to the inline path. *)
+    byte-identical results and statistics to the inline path, which
+    fires from per-node successor tables (see {!fire}). *)
 val search :
   ?jobs:int ->
   ?on_expanded:(state -> int -> [ `Stop | `Continue ]) ->

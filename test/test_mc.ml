@@ -736,12 +736,162 @@ let test_candidate_order () =
   Alcotest.(check bool) "committed states checked" true
     (fan_committed > 0 && hot > 0)
 
+(* --- successor tables ------------------------------------------------------ *)
+
+(* The search fires a node's candidates through its successor table,
+   whose discrete halves are computed once per discrete state; [uncached]
+   is the same expansion rebuilt for every zone from [candidates] and
+   [fire], as the benchmarks' [~expand] hook does. *)
+let uncached t pool st =
+  List.map
+    (fun cd -> (cd, Mc.Explorer.fire t pool st cd))
+    (Mc.Explorer.candidates t st)
+
+(* Every state the search stores, in storage order (at jobs 1 the k-th
+   one is entry k, so the order pins the ids), with a copy of its zone
+   taken before a later zone can subsume it and recycle the original. *)
+let stored_states ?expand t =
+  let seen = ref [] in
+  let visit _ (st : Mc.Explorer.state) =
+    seen :=
+      (st.st_locs, st.st_vars, st.st_mon, Zone.Dbm.copy st.st_zone) :: !seen;
+    `Continue
+  in
+  let r = Mc.Explorer.search ?expand ~label:"tables" t visit in
+  if r.Mc.Explorer.sr_interrupt <> None then
+    Alcotest.fail "successor tables: search interrupted";
+  (List.rev !seen, r.Mc.Explorer.sr_stats)
+
+let check_tables name t =
+  let cached, cstats = stored_states t in
+  let hooked, hstats = stored_states ~expand:(uncached t) t in
+  let rec walk k = function
+    | [], [] -> ()
+    | (l, v, m, z) :: cs, (l', v', m', z') :: hs ->
+      if l <> l' || v <> v' || m <> m' || not (Zone.Dbm.equal z z') then
+        Alcotest.failf "%s: stored state %d differs from the uncached search"
+          name k;
+      walk (k + 1) (cs, hs)
+    | _ ->
+      Alcotest.failf "%s: %d states stored, %d by the uncached search" name
+        (List.length cached) (List.length hooked)
+  in
+  walk 0 (cached, hooked);
+  if cstats <> hstats then
+    Alcotest.failf "%s: stats differ from the uncached search" name
+
+(* At jobs 2 the counts depend on the schedule, so only the sups are
+   compared: each equals the jobs-1 sup, cached or not. *)
+let check_tables_sup name t =
+  check_tables name t;
+  let pred = Mc.Explorer.mon_in t "Waiting" in
+  let sup ?expand jobs =
+    (Mc.Explorer.sup_clock ~jobs ?expand t ~pred
+       ~clock:Mc.Query.delay_monitor_clock)
+      .Mc.Explorer.so_sup
+  in
+  let want = sup 1 in
+  List.iter
+    (fun (how, got) ->
+      if got <> want then
+        Alcotest.failf "%s: %s sup %a, jobs-1 sup %a" name how
+          Mc.Explorer.pp_sup_result got Mc.Explorer.pp_sup_result want)
+    [ ("jobs-2", sup 2); ("jobs-2 uncached", sup ~expand:(uncached t) 2) ]
+
+(* One location that sends [m] and [c] forever: the delay monitor's state
+   is not a function of the locations, so one discrete (locs, vars) pair
+   has a node per monitor state, and their successors differ. *)
+let free_running () =
+  let p =
+    Model.automaton ~name:"P" ~initial:"L"
+      [ loc ~inv:[ Clockcons.le "x" 10 ] "L" ]
+      [ edge ~guard:[ Clockcons.ge "x" 2 ] ~sync:(Model.Send "m")
+          ~resets:[ "x" ] "L" "L";
+        edge ~guard:[ Clockcons.ge "x" 1 ] ~sync:(Model.Send "c") "L" "L" ]
+  in
+  Model.network ~name:"free-running" ~clocks:[ "x" ] ~vars:[]
+    ~channels:[ ("m", Model.Broadcast); ("c", Model.Broadcast) ]
+    [ p ]
+
+let test_successor_tables () =
+  let monitored ~trigger ~response ~ceiling net =
+    Mc.Explorer.make ~monitor:(delay_monitor ~trigger ~response ~ceiling) net
+  in
+  check_tables_sup "gpca-psm-mc"
+    (monitored ~trigger:Gpca.Model.bolus_req
+       ~response:Gpca.Model.start_infusion ~ceiling:2000 (gpca_psm ()));
+  List.iter
+    (fun (name, headway, invocation) ->
+      check_tables_sup name
+        (monitored ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320
+           (Test_runctl.railroad_psm ~headway ~invocation ())))
+    [ ("railroad-event", 300, Scheme.Aperiodic 0);
+      ("railroad-periodic25", 300, Scheme.Periodic 25);
+      ("railroad-race", 0, Scheme.Aperiodic 0) ];
+  List.iter
+    (fun index ->
+      let shape =
+        List.nth Diff.Gen.all_shapes
+          (index mod List.length Diff.Gen.all_shapes)
+      in
+      let i = Diff.Gen.instance ~seed:42 ~index shape in
+      check_tables_sup i.Diff.Gen.id
+        (monitored ~trigger:i.Diff.Gen.trigger ~response:i.Diff.Gen.response
+           ~ceiling:i.Diff.Gen.ceiling i.Diff.Gen.net))
+    (List.init 12 Fun.id);
+  check_tables_sup "free-running"
+    (monitored ~trigger:"m" ~response:"c" ~ceiling:100 (free_running ()));
+  let orders = Mc.Explorer.make (orders_net ()) in
+  check_tables "orders" orders;
+  let reach ?expand () =
+    (Mc.Explorer.reachable ~jobs:2 ?expand orders (fun _ -> false))
+      .Mc.Explorer.r_trace
+  in
+  Alcotest.(check bool) "orders: jobs-2 outcomes agree" true
+    (reach () = None && reach ~expand:(uncached orders) () = None)
+
+(* A firing's discrete half, updates included, is computed only once its
+   guarded zone is non-empty: an out-of-range update behind guards no
+   zone meets never runs, whether one guard misses outright ([x >= 5]
+   under [x <= 3]) or only their conjunction is empty; behind a guard
+   some zone meets it raises from the search. *)
+let test_lazy_discrete_half () =
+  let net guard =
+    let a =
+      Model.automaton ~name:"P" ~initial:"A"
+        [ loc ~inv:[ Clockcons.le "x" 3 ] "A"; loc "B" ]
+        [ edge ~guard ~updates:[ ("v", Expr.int 5) ] "A" "B" ]
+    in
+    Model.network ~name:"lazy" ~clocks:[ "x" ]
+      ~vars:[ ("v", Model.int_var ~min:0 ~max:2 0) ]
+      ~channels:[] [ a ]
+  in
+  let reach guard =
+    let t = Mc.Explorer.make (net guard) in
+    Mc.Explorer.reachable t (Mc.Explorer.at t ~aut:"P" ~loc:"B")
+  in
+  List.iter
+    (fun (name, guard) ->
+      match reach guard with
+      | r ->
+        Alcotest.(check bool) (name ^ ": B unreachable") true
+          (r.Mc.Explorer.r_trace = None && r.Mc.Explorer.r_interrupt = None)
+      | exception Compiled.Compile_error msg ->
+        Alcotest.failf "%s: the update ran behind a dead guard: %s" name msg)
+    [ ("x >= 5", [ Clockcons.ge "x" 5 ]);
+      ("x >= 2 && x <= 1", [ Clockcons.ge "x" 2; Clockcons.le "x" 1 ]) ];
+  match reach [ Clockcons.ge "x" 1 ] with
+  | exception Compiled.Compile_error _ -> ()
+  | _ -> Alcotest.fail "x >= 1: the out-of-range update did not raise"
+
 (* --- allocation budget --------------------------------------------------- *)
 
-(* The search's per-successor path allocates no closure and the
-   extrapolation no scratch, so gpca-psm-input (Table I's input delay)
-   allocates ~1.5M minor words at jobs 1, against 7.9M with a closure
-   per walk and a touched-list array per extrapolation.  A
+(* The search's per-successor path allocates no closure, the
+   extrapolation no scratch, and a discrete state's candidates and
+   successor vectors are built once, in its successor table, so
+   gpca-psm-input (Table I's input delay) allocates ~0.8M minor words at
+   jobs 1: ~1.4M when every zone rebuilt its candidates, 7.9M with a
+   closure per walk and a touched-list array per extrapolation.  A
    deterministic count, unlike a time. *)
 let test_allocation_budget () =
   let ceiling =
@@ -761,8 +911,8 @@ let test_allocation_budget () =
   (match r.Mc.Query.res_outcome with
    | Mc.Query.Sup (Mc.Explorer.Sup (490, _)) -> ()
    | _ -> Alcotest.fail "gpca-psm-input: expected sup 490");
-  if words > 2.5e6 then
-    Alcotest.failf "gpca-psm-input allocated %.0f minor words (budget 2.5M)"
+  if words > 1.2e6 then
+    Alcotest.failf "gpca-psm-input allocated %.0f minor words (budget 1.2M)"
       words
 
 let suite =
@@ -799,4 +949,8 @@ let suite =
     Alcotest.test_case "candidates = closure-based reference" `Quick
       test_candidate_order;
     Alcotest.test_case "gpca-psm-input minor-word budget" `Quick
-      test_allocation_budget ]
+      test_allocation_budget;
+    Alcotest.test_case "successor tables = uncached firing" `Quick
+      test_successor_tables;
+    Alcotest.test_case "discrete half computed lazily" `Quick
+      test_lazy_discrete_half ]

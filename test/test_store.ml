@@ -967,6 +967,39 @@ let test_snapshot_fingerprint_golden () =
         Mc.Explorer.make ~reduce:false psm,
         "62b290852bdc42d809a80dcc9986991e" ) ]
 
+(* A non-empty checkpoint pinned byte for byte: the payload of a
+   500-state cut of the railroad-periodic25 delay query.  [Marshal]
+   writes a shared array once and refers back to it, so the digest also
+   pins which successors share their parent's variable vector and which
+   get a fresh one; a search that reuses per-state data must keep that
+   sharing, or every checkpoint's bytes move. *)
+let test_checkpoint_golden () =
+  let ctl =
+    Mc.Runctl.create
+      ~budget:{ Mc.Runctl.no_budget with Mc.Runctl.b_states = Some 500 }
+      ()
+  in
+  let cut = Test_runctl.railroad_delay ~ctl () in
+  let snap =
+    match cut.Mc.Explorer.so_snapshot with
+    | Some s -> s
+    | None -> Alcotest.fail "the 500-state cut carries no snapshot"
+  in
+  let path = Filename.temp_file "psv_test" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Mc.Explorer.save_snapshot path snap;
+      match
+        Keys.Frame.unframe ~magic:"PSVSNAP3"
+          (In_channel.with_open_bin path In_channel.input_all)
+      with
+      | Ok payload ->
+        Alcotest.(check string) "payload digest"
+          "0febdb94ba3aa225433fdd27baf9ac23"
+          (Store.D128.to_hex (Store.D128.of_string payload))
+      | Error _ -> Alcotest.fail "snapshot is not a PSVSNAP3 frame")
+
 let suite =
   [ Alcotest.test_case "d128 hex round-trip" `Quick test_d128_hex;
     Alcotest.test_case "d128 sensitivity" `Quick test_d128_sensitivity;
@@ -1009,5 +1042,6 @@ let suite =
       test_qcache_reads_session_entry;
     Alcotest.test_case "snapshot fingerprint golden bytes" `Quick
       test_snapshot_fingerprint_golden;
+    Alcotest.test_case "checkpoint golden bytes" `Quick test_checkpoint_golden;
     Alcotest.test_case "old snapshot version rejected" `Quick
       test_old_snapshot_version ]
