@@ -1,7 +1,8 @@
 (* Items are claimed by an atomic next-index counter; the first
    exception wins, parks in an atomic slot, drains the remaining items
    (workers stop claiming once a failure is recorded) and is re-raised
-   on the caller's domain after the join. *)
+   on the caller's domain once every worker has returned.  The workers
+   beside the caller are helper domains of [Mc.Park]. *)
 let map ~jobs f items =
   let arr = Array.of_list items in
   let n = Array.length arr in
@@ -27,9 +28,7 @@ let map ~jobs f items =
       in
       loop ()
     in
-    let doms = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join doms;
+    Mc.Park.fork_join (Array.make (jobs - 1) worker) worker;
     (match Atomic.get failure with Some exn -> raise exn | None -> ());
     Array.to_list
       (Array.map (function Some r -> r | None -> assert false) results)

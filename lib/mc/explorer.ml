@@ -1532,15 +1532,14 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
        snap.snap_queue);
   if not par then work parts.(0)
   else begin
-    let domains =
-      Array.init (jobs - 1) (fun i ->
-          Domain.spawn (fun () -> supervised (fun () -> work parts.(i + 1))))
-    in
-    supervised (fun () -> work parts.(0));
-    Array.iter Domain.join domains;
-    (* after the join, which orders every domain's writes before these
-       reads: an interrupted run stores what was still in flight, so the
-       snapshot misses no successor of an expanded entry *)
+    Park.fork_join
+      (Array.init (jobs - 1) (fun i () ->
+           supervised (fun () -> work parts.(i + 1))))
+      (fun () -> supervised (fun () -> work parts.(0)));
+    (* after the fork-join, whose latch mutex orders every helper's
+       writes before these reads: an interrupted run stores what was
+       still in flight, so the snapshot misses no successor of an
+       expanded entry *)
     if proceed () then
       supervised (fun () ->
           Array.iter flush_all parts;

@@ -18,7 +18,9 @@
     store is partitioned by discrete-state hash, one partition per
     domain, and each domain expands only the states it owns
     (owner-computes); a successor owned elsewhere travels to its owner
-    in a batch.  Verdicts and sups are identical for every [jobs]: the
+    in a batch.  The caller's domain runs partition 0; the others run on
+    helper domains taken from {!Park}, which outlive the search.
+    Verdicts and sups are identical for every [jobs]: the
     search runs to the same zone-graph fixpoint.  Visited/stored counts,
     witness traces and the partial sup of an interrupted run depend on
     the exploration order and may differ at [jobs > 1]; [jobs = 1] is

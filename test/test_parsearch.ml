@@ -735,6 +735,92 @@ let prop_owner_store_matches_reference =
         streams;
       true)
 
+(* The helper domains of [Mc.Park] outlive a search.  Partition 1 of a
+   jobs-2 search runs on a helper, and the helper goes back to the park
+   before the search returns, so the next search gets the same one —
+   unless the host has one core and nothing may stay parked. *)
+let test_helper_reuse () =
+  let t = Mc.Explorer.make (Test_runctl.railroad_psm ()) in
+  let seen =
+    List.init 20 (fun _ ->
+        let dom = ref None in
+        let visit p _ =
+          if p = 1 then dom := Some (Domain.self () :> int);
+          `Continue
+        in
+        ignore (Mc.Explorer.search ~jobs:2 t visit : Mc.Explorer.search_result);
+        match !dom with
+        | Some d -> d
+        | None -> Alcotest.fail "partition 1 stored no state")
+  in
+  if Mc.Park.cap >= 1 then
+    List.iteri
+      (fun i d ->
+        if d <> List.hd seen then
+          Alcotest.failf "run %d: partition 1 ran on domain %d, run 0 on %d" i
+            d (List.hd seen))
+      seen
+
+(* A search run by a pool worker forks its own helpers from a helper:
+   the park spawns rather than waits, so the nest terminates. *)
+let test_nested_pool_searches () =
+  let run jobs (name, net, trigger, response, ceiling) =
+    let r = Mc.Query.max_delay ~jobs (net ()) ~trigger ~response ~ceiling in
+    if r.Mc.Explorer.so_interrupt <> None then
+      Alcotest.failf "%s: jobs=%d run was interrupted" name jobs;
+    r.Mc.Explorer.so_sup
+  in
+  let cases = sup_cases () in
+  Alcotest.(check (list (testable pp_sup ( = ))))
+    "nested jobs-2 sups = sequential"
+    (List.map (run 1) cases)
+    (Analysis.Pool.map ~jobs:2 (run 2) cases)
+
+(* After a failed map item and a crashed search, the park still hands
+   out working helpers. *)
+let test_park_recovers () =
+  let net = Test_runctl.railroad_psm () in
+  let sup jobs =
+    (Mc.Query.max_delay ~jobs net ~trigger:"m_Train" ~response:"c_GateDown"
+       ~ceiling:320).Mc.Explorer.so_sup
+  in
+  let expected = sup 1 in
+  let answers_again after =
+    let s = sup 2 in
+    if s <> expected then
+      Alcotest.failf "after %s: jobs-2 sup %a <> sequential %a" after pp_sup s
+        pp_sup expected;
+    Alcotest.(check (list int))
+      ("pool map after " ^ after)
+      (List.init 9 (fun i -> i * i))
+      (Analysis.Pool.map ~jobs:2 (fun i -> i * i) (List.init 9 Fun.id))
+  in
+  (match
+     Analysis.Pool.map ~jobs:2
+       (fun i -> if i = 3 then failwith "item" else i)
+       (List.init 9 Fun.id)
+   with
+   | _ -> Alcotest.fail "map item exception was swallowed"
+   | exception Failure _ -> ());
+  answers_again "a failed map item";
+  test_crash_supervised ();
+  answers_again "a supervised crash"
+
+(* More domains than the host runs leave at most [cap] helpers parked. *)
+let test_park_cap () =
+  let over = Mc.Explorer.recommended_jobs () + 2 in
+  ignore
+    (Mc.Explorer.reachable ~jobs:over
+       (Mc.Explorer.make (Test_runctl.railroad_psm ()))
+       (fun _ -> false)
+      : Mc.Explorer.reach_result);
+  Alcotest.(check int) "cap" (max 0 (Mc.Explorer.recommended_jobs () - 1))
+    Mc.Park.cap;
+  let parked = Mc.Park.parked () in
+  if parked > Mc.Park.cap then
+    Alcotest.failf "%d helpers parked after a jobs-%d search, cap %d" parked
+      over Mc.Park.cap
+
 let suite =
   [ Alcotest.test_case "sup determinism across jobs" `Quick
       test_sup_determinism;
@@ -761,4 +847,11 @@ let suite =
       test_midsearch_crash_quiesces;
     QCheck_alcotest.to_alcotest prop_random_scheme;
     QCheck_alcotest.to_alcotest prop_one_loop_every_jobs;
-    QCheck_alcotest.to_alcotest prop_owner_store_matches_reference ]
+    QCheck_alcotest.to_alcotest prop_owner_store_matches_reference;
+    Alcotest.test_case "helper domain reused across searches" `Quick
+      test_helper_reuse;
+    Alcotest.test_case "pool map over jobs-2 searches" `Quick
+      test_nested_pool_searches;
+    Alcotest.test_case "park recovers after failures" `Quick
+      test_park_recovers;
+    Alcotest.test_case "parked helpers capped" `Quick test_park_cap ]
