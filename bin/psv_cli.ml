@@ -1255,7 +1255,9 @@ let fuzz_cmd =
              ~doc:"Domain count of the parallel answerer (default 2).  \
                    Unlike the other commands this is not clamped to the \
                    host's cores: the point is cross-checking verdict \
-                   determinism, not throughput.")
+                   determinism, not throughput.  An instance's other \
+                   checks share $(docv) domains, at most the host's \
+                   cores.")
   in
   let shapes_arg =
     Arg.(value & opt string "all"

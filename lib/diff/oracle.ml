@@ -80,58 +80,131 @@ let eval1 cfg net q =
   in
   (Incr.Answer.run route net q).Incr.Answer.an_result
 
+(* ----------------------------------------------------- the batch -- *)
+
+(* A batch item's result cell: filled once by the item, on whichever
+   domain ran it, and read on the caller after [Pool.map] returns (its
+   fork-join orders the write before the read).  An item never raises
+   out of the pool: its exception waits in the cell and is re-raised by
+   [get] exactly where the sequential oracle would have raised it. *)
+type 'a cell = ('a, exn * Printexc.raw_backtrace) result option ref
+
+let cell () : 'a cell = ref None
+
+let fill (c : 'a cell) f =
+  c := Some (match f () with
+             | v -> Ok v
+             | exception exn -> Error (exn, Printexc.get_raw_backtrace ()))
+
+let get (c : 'a cell) =
+  match !c with
+  | Some (Ok v) -> v
+  | Some (Error (exn, bt)) -> Printexc.raise_with_backtrace exn bt
+  | None -> invalid_arg "Oracle: batch item did not run"
+
+type xta_trip =
+  | No_reparse of string
+  | Invalid of string list
+  | Reverified of Mc.Query.result
+
 (* ------------------------- construction-independent answerer pairs -- *)
 
-let core cfg ~net ~q ~seed =
+(* [core] with [extra] batch items (longest first) riding along.  The
+   comparisons happen after the batch, in the sequential oracle's order,
+   so discrepancies and the exception that escapes are those of a
+   one-domain run. *)
+let core_with cfg ~net ~q ~seed extra =
   let discs = ref [] in
   let add d_check fmt =
     Fmt.kstr (fun d_detail -> discs := { d_check; d_detail } :: !discs) fmt
   in
-  let r1 = eval1 cfg net q in
+  let cold = cell () and warm = cell () and trip = cell () in
+  let edit = cell () and sess = cell () and scratch = cell () in
+  let cached () =
+    fill cold (fun () -> eval1 cfg net q);
+    (* the warm re-read answers from the entry the cold run wrote *)
+    match !cold with
+    | Some (Ok _) ->
+      fill warm (fun () -> Option.map (fun _ -> eval1 cfg net q) cfg.cache)
+    | _ -> ()
+  in
+  let xta () =
+    fill trip (fun () ->
+        match Xta.Parse.network (Xta.Print.to_string net) with
+        | Error msg -> No_reparse msg
+        | Ok net' -> (
+          match Ta.Model.validate net' with
+          | _ :: _ as ps -> Invalid ps
+          | [] -> Reverified (Mc.Query.eval net' q)))
+  in
+  (* made now, for the ladder items; a failure surfaces at the ladder
+     check, as an item's does *)
+  fill edit (fun () ->
+      let rng = Random.State.make [| 0xde17a; seed |] in
+      match Incr.Edit.random_edit rng net with
+      | exception Invalid_argument _ -> None
+      | edit -> Some edit);
+  let sessions, scratch_run =
+    match !edit with
+    | Some (Ok (Some ed)) ->
+      ( [ (fun () ->
+            fill sess (fun () ->
+                let s = Incr.Session.make ~tag:"fuzz" () in
+                ignore (Incr.Session.run s net q);
+                (Incr.Session.run s ed.Incr.Edit.ed_net q)
+                  .Incr.Session.so_result)) ],
+        [ (fun () ->
+            fill scratch (fun () -> Mc.Query.eval ed.Incr.Edit.ed_net q)) ] )
+    | _ -> ([], [])
+  in
+  (* longest first, as timed over a seeded corpus, on at most the
+     host's cores; each item is jobs-1 searches writing only its own
+     cells, so no fork-join nests inside the pool's *)
+  ignore
+    (Analysis.Pool.map
+       ~jobs:(min cfg.jobs (Mc.Explorer.recommended_jobs ()))
+       (fun item -> item ())
+       (sessions @ [ xta; cached ] @ scratch_run @ extra)
+      : unit list);
+  let r1 = get cold in
   let o1 = mutate cfg.mutation r1.Mc.Query.res_outcome in
-  (* parallel answerer: byte-identical outcome at any domain count *)
+  (* parallel answerer: byte-identical outcome at any domain count; it
+     runs alone, at exactly [cfg.jobs] domains *)
   let r2 = Mc.Query.eval ~jobs:cfg.jobs net q in
   if o1 <> r2.Mc.Query.res_outcome then
     add Jobs "jobs 1 says %s, jobs %d says %s" (outcome_str o1) cfg.jobs
       (outcome_str r2.Mc.Query.res_outcome);
   (* textual round-trip: print, reparse, re-verify *)
-  (match Xta.Parse.network (Xta.Print.to_string net) with
-  | Error msg -> add Xta "printed network does not reparse: %s" msg
-  | Ok net' -> (
-    match Ta.Model.validate net' with
-    | _ :: _ as ps ->
-      add Xta "reparsed network invalid: %s" (String.concat "; " ps)
-    | [] ->
-      let rx = Mc.Query.eval net' q in
-      if rx.Mc.Query.res_outcome <> r1.Mc.Query.res_outcome then
-        add Xta "round-trip changes outcome: %s -> %s"
-          (outcome_str r1.Mc.Query.res_outcome)
-          (outcome_str rx.Mc.Query.res_outcome)));
+  (match get trip with
+  | No_reparse msg -> add Xta "printed network does not reparse: %s" msg
+  | Invalid ps -> add Xta "reparsed network invalid: %s" (String.concat "; " ps)
+  | Reverified rx ->
+    if rx.Mc.Query.res_outcome <> r1.Mc.Query.res_outcome then
+      add Xta "round-trip changes outcome: %s -> %s"
+        (outcome_str r1.Mc.Query.res_outcome)
+        (outcome_str rx.Mc.Query.res_outcome));
   (* store round-trip: the warm answer must equal the cold one *)
-  (match cfg.cache with
+  (match get warm with
   | None -> ()
-  | Some _ ->
-    let r1' = eval1 cfg net q in
+  | Some r1' ->
     if r1'.Mc.Query.res_outcome <> r1.Mc.Query.res_outcome then
       add Store_trip "stored entry answers %s, computed %s"
         (outcome_str r1'.Mc.Query.res_outcome)
         (outcome_str r1.Mc.Query.res_outcome));
   (* incremental ladder on a seeded edit vs a from-scratch run *)
-  (match Incr.Edit.random_edit (Random.State.make [| 0xde17a; seed |]) net with
-  | exception Invalid_argument _ -> ()
-  | edit ->
-    let sess = Incr.Session.make ~tag:"fuzz" () in
-    ignore (Incr.Session.run sess net q);
-    let incr_o =
-      (Incr.Session.run sess edit.Incr.Edit.ed_net q).Incr.Session.so_result
-    in
-    let scratch = Mc.Query.eval edit.Incr.Edit.ed_net q in
+  (match get edit with
+  | None -> ()
+  | Some ed ->
+    let incr_o = get sess in
+    let scratch = get scratch in
     if incr_o.Mc.Query.res_outcome <> scratch.Mc.Query.res_outcome then
       add Ladder "after %S ladder says %s, scratch says %s"
-        edit.Incr.Edit.ed_desc
+        ed.Incr.Edit.ed_desc
         (outcome_str incr_o.Mc.Query.res_outcome)
         (outcome_str scratch.Mc.Query.res_outcome));
   (r1, o1, List.rev !discs)
+
+let core cfg ~net ~q ~seed = core_with cfg ~net ~q ~seed []
 
 (* ------------------------------------------- simulator cross-check -- *)
 
@@ -201,8 +274,19 @@ let sim_check cfg (inst : Gen.instance) (si : Gen.sim_info) ~sup add =
 let run cfg (inst : Gen.instance) =
   let t0 = Unix.gettimeofday () in
   let q = Gen.query inst in
+  let bounded bound =
+    Mc.Query.Bounded_response
+      { trigger = inst.Gen.trigger; response = inst.Gen.response; bound }
+  in
+  let above = cell () and below = cell () in
   let r1, o1, core_discs =
-    core cfg ~net:inst.Gen.net ~q ~seed:(inst.Gen.seed + inst.Gen.index)
+    core_with cfg ~net:inst.Gen.net ~q ~seed:(inst.Gen.seed + inst.Gen.index)
+      [ (fun () ->
+          fill above (fun () ->
+              Mc.Query.eval inst.Gen.net (bounded (Gen.ub inst))));
+        (fun () ->
+          fill below (fun () ->
+              Mc.Query.eval inst.Gen.net (bounded (inst.Gen.floor - 1)))) ]
   in
   let discs = ref (List.rev core_discs) in
   let add d_check fmt =
@@ -219,22 +303,16 @@ let run cfg (inst : Gen.instance) =
   | _, None ->
     add Truth "expected a sup value, explorer says %s" (outcome_str o1));
   (* bounded verdicts on both sides of the sup *)
-  let bounded bound =
-    Mc.Query.Bounded_response
-      { trigger = inst.Gen.trigger; response = inst.Gen.response; bound }
-  in
-  (match (Mc.Query.eval inst.Gen.net (bounded (Gen.ub inst))).res_outcome with
+  (match (get above).Mc.Query.res_outcome with
   | Mc.Query.Holds -> ()
   | o -> add Bounded "within %d should hold, got %s" (Gen.ub inst)
            (outcome_str o));
-  (match
-     (Mc.Query.eval inst.Gen.net (bounded (inst.Gen.floor - 1))).res_outcome
-   with
+  (match (get below).Mc.Query.res_outcome with
   | Mc.Query.Fails _ -> ()
   | o ->
     add Bounded "within %d should fail (floor %d), got %s"
       (inst.Gen.floor - 1) inst.Gen.floor (outcome_str o));
-  (* simulator measurement *)
+  (* simulator measurement, last: it reads the sup *)
   (match inst.Gen.sim with
   | Some si when cfg.scenarios > 0 ->
     sim_check cfg inst si

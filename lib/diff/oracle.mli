@@ -26,13 +26,27 @@
 
     The [mutation] hook skews one answerer on purpose — the harness's
     own smoke detector: a skewed jobs-1 sup must be caught as a [Jobs]
-    discrepancy and must survive shrinking. *)
+    discrepancy and must survive shrinking.
+
+    Scheduling: an instance's independent explorations (the cold store
+    answer with its warm re-read, the xta round-trip, the ladder's
+    session pair, its from-scratch run and the two bounded queries) run
+    as one {!Analysis.Pool.map} batch, longest first, on
+    [min config.jobs (Mc.Explorer.recommended_jobs ())] domains; each
+    is a jobs-1 search.  Then the jobs answerer runs alone at exactly
+    [config.jobs] domains, never clamped, and the simulator last, as it
+    reads the sup.  Results are compared after the batch in a fixed
+    order, so verdicts, discrepancy details and the exception that
+    escapes are the same at every [jobs]. *)
 
 (** Test-only fault injection: report the jobs-1 sup as [v + k]. *)
 type mutation = Sup_skew of int
 
 type config = {
-  jobs : int;  (** domain count of the parallel answerer *)
+  jobs : int;
+      (** domain count of the parallel answerer (not clamped), and the
+          domains, at most the host's cores, that an instance's other
+          checks share *)
   scenarios : int;  (** sim scenarios per {!Gen.Psm_scheme} instance *)
   sim_faults : Sim.Engine.faults option;
       (** measure under a degraded platform; disables the sim upper

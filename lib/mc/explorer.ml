@@ -1041,6 +1041,23 @@ type search_result = {
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
+(* [Hashtbl.iter] walks buckets in ascending index, newest key first
+   within each, and growing a table keeps each bucket's order.  A table
+   created at [size] buckets (rounded up to a power of 2, at least 16,
+   doubled whenever its count passes twice its buckets) has at least as
+   many buckets as [tbl], so each of its buckets takes the keys of one
+   of [tbl]'s buckets, in their order: a stable sort of [tbl]'s walk by
+   the bigger table's bucket index is that table's walk. *)
+let walk_as ~size tbl =
+  let n = Hashtbl.length tbl in
+  (* [Hashtbl.create]'s rounding up, then one doubling per overflow *)
+  let rec buckets t = if t < size || n > 2 * t then buckets (2 * t) else t in
+  let mask = buckets 16 - 1 in
+  let bucket k = Hashtbl.hash k land mask in
+  List.stable_sort
+    (fun (a, _) (b, _) -> Int.compare (bucket a) (bucket b))
+    (List.of_seq (Hashtbl.to_seq tbl))
+
 (* A successor on its way to the partition that owns its discrete state,
    with the hash it was routed on. *)
 type message = {
@@ -1160,8 +1177,6 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
   let jobs = max 1 jobs in
   let par = jobs > 1 in
   Option.iter (check_snapshot t ~label ~subsume) resume;
-  (* the one table of a jobs = 1 search keeps its historical size: the
-     size fixes the table's iteration order, hence a snapshot's bytes *)
   let max_const = max_const t in
   let parts =
     Array.init jobs (fun i ->
@@ -1169,9 +1184,9 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
         { pt_index = i;
           pt_pool = pool;
           pt_passed = Passed.create ~subsume ~max_const pool;
-          pt_nodes = Hashtbl.create (if par then 256 else 4096);
+          pt_nodes = Hashtbl.create 16;
           pt_waiting = Levels.create ();
-          pt_trace = Array.make 1024 (-1, []);
+          pt_trace = Array.make 16 (-1, []);
           pt_count = 0;
           pt_expanding = -1;
           pt_ticks = 0;
@@ -1566,13 +1581,15 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
   in
   (* partition by partition, each node's entries in insertion order and
      each waiting list shallowest first, so at jobs = 1 the queue is the
-     FIFO order *)
+     FIFO order.  Nodes go in the order a node table created at 4096
+     buckets (256 per partition at jobs > 1) would walk them: that was
+     the tables' size once, and the walk fixes a snapshot's bytes. *)
   let build_snapshot () =
     let entries = ref [] in
     Array.iter
       (fun p ->
-        Hashtbl.iter
-          (fun _ bucket ->
+        List.iter
+          (fun (_, bucket) ->
             List.iter
               (fun n ->
                 for i = n.pw_len - 1 downto 0 do
@@ -1587,7 +1604,7 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
                       :: !entries
                 done)
               !bucket)
-          p.pt_nodes)
+          (walk_as ~size:(if par then 256 else 4096) p.pt_nodes))
       parts;
     let queue =
       Array.fold_left

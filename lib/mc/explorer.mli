@@ -428,6 +428,14 @@ type search_result = {
     any host. *)
 val recommended_jobs : unit -> int
 
+(** [walk_as ~size tbl] lists [tbl]'s bindings in the order
+    [Hashtbl.iter] would walk a table created with [Hashtbl.create size]
+    that was given the same new keys in the same order, by [add] or
+    [replace], and none removed.  [tbl] must have been created at most
+    that big.  {!search} builds small node tables and walks them so,
+    which keeps snapshot bytes those of its historical table sizes. *)
+val walk_as : size:int -> (int, 'a) Hashtbl.t -> (int * 'a) list
+
 (** The one search loop behind every query.  It calls [visit p st] on
     every stored state (including the initial one) and stops early when
     it returns [`Stop]; [p] is the partition that stored [st], and all

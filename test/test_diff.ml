@@ -110,6 +110,107 @@ let test_mutation_caught () =
   Alcotest.(check bool) "a Jobs discrepancy among them" true
     (List.exists (fun d -> d.O.d_check = O.Jobs) v.O.v_discrepancies)
 
+let caches = ref 0
+
+(* fresh store directory, removed afterwards *)
+let with_cache f =
+  incr caches;
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "psv_diff_cache_%d_%d" (Unix.getpid ()) !caches)
+  in
+  let rec rm path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+        Unix.rmdir path
+      end
+      else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> try rm dir with _ -> ()) (fun () ->
+      match Store.Disk.open_ dir with
+      | Ok disk -> f (Analysis.Qcache.make ~warn:(fun _ -> ()) disk)
+      | Error msg -> Alcotest.failf "open store: %s" msg)
+
+(* A verdict as text, with the domain count a jobs detail names
+   ("jobs 1 says A, jobs N says B") blanked *)
+let show_verdict ~jobs v =
+  let names = Printf.sprintf ", jobs %d says " jobs in
+  let detail d =
+    let s = d.O.d_detail and n = String.length names in
+    let rec find k =
+      if k + n > String.length s then s
+      else if String.sub s k n = names then
+        String.sub s 0 k ^ ", jobs N says "
+        ^ String.sub s (k + n) (String.length s - k - n)
+      else find (k + 1)
+    in
+    if d.O.d_check = O.Jobs then find 0 else s
+  in
+  Printf.sprintf "%s sup=%s [%s]" v.O.v_id
+    (match v.O.v_sup with Some s -> string_of_int s | None -> "-")
+    (String.concat "; "
+       (List.map
+          (fun d -> O.check_name d.O.d_check ^ ": " ^ detail d)
+          v.O.v_discrepancies))
+
+(* The instance's checks share [jobs] domains; what the oracle reports
+   must not depend on how many. *)
+let test_oracle_jobs_deterministic () =
+  let verdicts ~jobs ~mutation ~cached =
+    let go cache =
+      List.concat_map
+        (fun shape ->
+          List.init 3 (fun index ->
+              show_verdict ~jobs
+                (O.run
+                   { O.default with O.jobs; scenarios = 2; mutation; cache }
+                   (G.instance ~seed:31 ~index shape))))
+        G.all_shapes
+    in
+    if cached then with_cache (fun c -> go (Some c)) else go None
+  in
+  List.iter
+    (fun (mutation, cached) ->
+      let at1 = verdicts ~jobs:1 ~mutation ~cached in
+      if mutation <> None then
+        Alcotest.(check bool) "skew shows" true
+          (List.for_all (fun v -> not (String.ends_with ~suffix:"[]" v)) at1);
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "jobs %d = jobs 1 (skew %b, cache %b)" jobs
+               (mutation <> None) cached)
+            at1
+            (verdicts ~jobs ~mutation ~cached))
+        [ 2; 4 ])
+    [ (None, false); (Some (O.Sup_skew 3), false); (None, true);
+      (Some (O.Sup_skew 3), true) ]
+
+(* A network without its clock declarations makes every exploration
+   raise: the batch must re-raise what a one-domain run raises, and
+   leave the parked helpers fit for the next instance. *)
+let test_oracle_batch_exception () =
+  let i = G.instance ~seed:42 ~index:1 G.Fan_in in
+  let net = { i.G.net with Ta.Model.net_clocks = [] } in
+  let raised jobs =
+    match O.core { O.default with O.jobs } ~net ~q:(G.query i) ~seed:3 with
+    | _ -> Alcotest.fail "core should raise"
+    | exception exn -> Printexc.to_string exn
+  in
+  let at1 = raised 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string) (Printf.sprintf "jobs %d raises as jobs 1" jobs)
+        at1 (raised jobs))
+    [ 2; 4 ];
+  let v = O.run O.default (G.instance ~seed:42 ~index:0 G.Chain) in
+  Alcotest.(check (list string)) "next run clean" []
+    (List.map (fun d -> d.O.d_detail) v.O.v_discrepancies);
+  Alcotest.(check bool) "park within its cap" true
+    (Mc.Park.parked () <= Mc.Park.cap)
+
 let test_check_names () =
   List.iter
     (fun c ->
@@ -225,6 +326,10 @@ let suite =
     Alcotest.test_case "truth vs explorer" `Quick test_truth_vs_explorer;
     Alcotest.test_case "oracle clean sweep" `Quick test_oracle_clean_sweep;
     Alcotest.test_case "mutation caught as Jobs" `Quick test_mutation_caught;
+    Alcotest.test_case "oracle same at jobs 1, 2, 4" `Quick
+      test_oracle_jobs_deterministic;
+    Alcotest.test_case "batch exception as at jobs 1" `Quick
+      test_oracle_batch_exception;
     Alcotest.test_case "check names" `Quick test_check_names;
     Alcotest.test_case "shrink reproduces + reduces" `Quick
       test_shrink_reproduces_and_reduces;
