@@ -451,8 +451,8 @@ let explorer_queries () =
       (fun () -> railroad_psm ~headway:0 ~invocation:(Scheme.Aperiodic 0))
       ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320 ]
 
-let run_spec ~jobs q =
-  Mc.Query.max_delay ~jobs (q.qs_net ()) ~trigger:q.qs_trigger
+let run_spec q =
+  Mc.Query.max_delay (q.qs_net ()) ~trigger:q.qs_trigger
     ~response:q.qs_response ~ceiling:q.qs_ceiling
 
 let json_string s = Store.Json.to_string (Store.Json.String s)
@@ -462,16 +462,16 @@ let median l =
   let n = Array.length a in
   if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
-(* [repeat] timed runs of one query at a fixed worker count: the result
-   of the first run plus median and min wall time, and the allocation of
-   the first run, in MB and in minor-heap words (allocation is
-   deterministic per run shape at jobs 1). *)
-let timed_runs ~repeat ~jobs q =
+(* [repeat] timed runs of one query: the result of the first run plus
+   median and min wall time, and the allocation of the first run, in MB
+   and in minor-heap words (allocation is deterministic per run
+   shape). *)
+let timed_runs ~repeat q =
   let results =
     List.init repeat (fun _ ->
         let a0 = Gc.allocated_bytes () and w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
-        let r = run_spec ~jobs q in
+        let r = run_spec q in
         let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
         let alloc_mb = (Gc.allocated_bytes () -. a0) /. 1048576.0 in
         (r, wall_ms, (alloc_mb, Gc.minor_words () -. w0)))
@@ -500,38 +500,7 @@ let cache_runs cache q =
   end;
   (cold_r, cold_ms, warm_ms)
 
-(* A jobs-scaling row is only meaningful on searches with real work; a
-   query that finishes in a few hundred states measures domain-spawn
-   overhead, not exploration. *)
-let scaling_threshold = 1000
-
-(* The scaling-regression gate only judges searches big enough that the
-   speedup is dominated by exploration, not fixed costs. *)
-let gate_threshold = 8_000
-let gate_jobs = 4
-
-let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
-    ?(jobs_list = []) ?gate ?(allow_oversubscribe = false) () =
-  (* More workers than cores measures scheduler contention, not
-     scaling; drop those rows unless explicitly asked to keep them. *)
-  let jobs_list =
-    let avail = Mc.Explorer.recommended_jobs () in
-    if allow_oversubscribe then jobs_list
-    else
-      List.filter
-        (fun j ->
-          j <= avail
-          || begin
-               Printf.eprintf
-                 "bench: dropping jobs=%d (host has %d core%s; pass \
-                  --allow-oversubscribe to keep oversubscribed rows)\n"
-                 j avail
-                 (if avail = 1 then "" else "s");
-               false
-             end)
-        jobs_list
-  in
-  let gate_violations = ref [] in
+let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1) () =
   (* The output file is opened before the first query runs, so an
      unwritable path fails in a moment, not after the whole suite. *)
   let out =
@@ -580,7 +549,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
     List.map
       (fun q ->
         let r, wall_ms, wall_min, (alloc_mb, minor_words) =
-          timed_runs ~repeat ~jobs:1 q
+          timed_runs ~repeat q
         in
         let stats = r.Mc.Explorer.so_stats in
         let cache_cells =
@@ -612,57 +581,15 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
               fcold_ms fwarm_ms
               (Atomic.get fstats.Fault.Io.fs_faults - before)
         in
-        let scaling =
-          let eligible =
-            jobs_list <> [] && stats.Mc.Explorer.visited >= scaling_threshold
-          in
-          if not eligible then ""
-          else begin
-            let cells =
-              List.map
-                (fun jobs ->
-                  let rj, wj, _, _ = timed_runs ~repeat ~jobs q in
-                  (* parallel exploration must agree with the sequential
-                     sup — a mismatch is a correctness bug, not noise *)
-                  if rj.Mc.Explorer.so_sup <> r.Mc.Explorer.so_sup then begin
-                    Printf.eprintf
-                      "bench: %s: jobs=%d sup disagrees with sequential\n"
-                      q.qs_name jobs;
-                    exit 1
-                  end;
-                  let speedup = wall_ms /. wj in
-                  (match gate with
-                   | Some g
-                     when jobs = gate_jobs
-                          && stats.Mc.Explorer.visited >= gate_threshold
-                          && speedup < g ->
-                     gate_violations :=
-                       (q.qs_name, speedup)
-                       :: !gate_violations
-                   | Some _ | None -> ());
-                  (* the first run's visited count: order-dependent at
-                     jobs > 1, it shows how much work the partitioned
-                     search did *)
-                  Printf.sprintf
-                    "{\"jobs\": %d, \"wall_ms\": %.1f, \"speedup\": %.2f, \
-                     \"visited\": %d}"
-                    jobs wj speedup
-                    rj.Mc.Explorer.so_stats.Mc.Explorer.visited)
-                jobs_list
-            in
-            Printf.sprintf ", \"jobs_scaling\": [%s]"
-              (String.concat ", " cells)
-          end
-        in
         Printf.sprintf
           "    {\"name\": %s, \"visited\": %d, \"stored\": %d, \
            \"wall_ms\": %.1f, \"wall_ms_min\": %.1f, \"repeat\": %d, \
-           \"alloc_mb\": %.1f, \"minor_words\": %.0f, \"result\": %s%s%s}"
+           \"alloc_mb\": %.1f, \"minor_words\": %.0f, \"result\": %s%s}"
           (json_string q.qs_name) stats.Mc.Explorer.visited
           stats.Mc.Explorer.stored wall_ms wall_min repeat alloc_mb minor_words
           (json_string
              (Fmt.str "%a" Mc.Explorer.pp_sup_result r.Mc.Explorer.so_sup))
-          scaling (cache_cells ^ fault_cells))
+          (cache_cells ^ fault_cells))
       (explorer_queries ())
   in
   let faults_field =
@@ -683,18 +610,7 @@ let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1)
    | Some (p, oc) ->
      output_string oc body;
      close_out oc;
-     Printf.printf "wrote %s\n" p);
-  match (gate, !gate_violations) with
-  | None, _ | Some _, [] -> ()
-  | Some g, violations ->
-    List.iter
-      (fun (name, speedup) ->
-        Printf.eprintf
-          "bench: scaling regression: %s speedup %.2fx at jobs=%d is below \
-           the %.2fx gate\n"
-          name speedup gate_jobs g)
-      (List.rev violations);
-    exit 1
+     Printf.printf "wrote %s\n" p)
 
 (* ----------------------------------------------------- bechamel part -- *)
 
@@ -925,16 +841,12 @@ let () =
       | Some n when n > 0 -> n
       | Some _ | None -> bad "bench: bad %s %S" flag s
     in
-    let path = ref None and repeat = ref 1 and jobs_list = ref [] in
+    let path = ref None and repeat = ref 1 in
     let cache_dir = ref None and faults = ref None in
-    let gate = ref None and allow_oversubscribe = ref false in
     let rec parse = function
       | [] -> ()
       | "--repeat" :: r :: rest ->
         repeat := int_arg "--repeat" r;
-        parse rest
-      | "--jobs" :: l :: rest ->
-        jobs_list := List.map (int_arg "--jobs") (String.split_on_char ',' l);
         parse rest
       | "--cache" :: dir :: rest ->
         cache_dir := Some dir;
@@ -943,15 +855,7 @@ let () =
         match Fault.Profile.parse spec with
         | Ok p -> faults := Some p; parse rest
         | Error msg -> bad "bench: %s" msg)
-      | "--scaling-gate" :: g :: rest -> (
-        match float_of_string_opt g with
-        | Some v when v > 0.0 -> gate := Some v; parse rest
-        | Some _ | None -> bad "bench: bad --scaling-gate %S" g)
-      | "--allow-oversubscribe" :: rest ->
-        allow_oversubscribe := true;
-        parse rest
-      | [ ("--repeat" | "--jobs" | "--cache" | "--faults" | "--scaling-gate")
-          as flag ] ->
+      | [ ("--repeat" | "--cache" | "--faults") as flag ] ->
         bad "bench: %s needs a value" flag
       | flag :: _ when String.length flag > 1 && flag.[0] = '-' ->
         bad "bench: unknown option %s" flag
@@ -963,8 +867,7 @@ let () =
     in
     parse rest;
     explorer_bench_json ?path:!path ?cache_dir:!cache_dir ?faults:!faults
-      ~repeat:!repeat ~jobs_list:!jobs_list ?gate:!gate
-      ~allow_oversubscribe:!allow_oversubscribe ()
+      ~repeat:!repeat ()
   | _ ->
   e4_pim_verification ();
   e123_table1 ();

@@ -179,13 +179,12 @@ let load_resume path =
 let jobs_arg =
   Arg.(value & opt int 1
        & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Explore with $(docv) worker domains (default 1, the \
-                 sequential explorer; 0 means one per available core).  \
-                 Values above the host's core count are clamped with a \
-                 warning — oversubscribed domains only add contention.  \
-                 Verdicts and sup values are identical for every \
-                 $(docv); visited/stored counts may differ with \
-                 $(docv) > 1.")
+           ~doc:"Spread independent explorations over $(docv) domains \
+                 (default 1; 0 means one per available core).  Values \
+                 above the host's core count are clamped with a warning \
+                 — oversubscribed domains only add contention.  Each \
+                 exploration runs on one domain, so outcomes and \
+                 statistics are identical for every $(docv).")
 
 (* More worker domains than cores is never faster — OCaml domains are
    not green threads — so a too-large --jobs silently recording
@@ -194,7 +193,7 @@ let jobs_arg =
 let check_jobs n =
   if n < 0 then die "--jobs must be at least 1 (or 0 for one per core)"
   else begin
-    let avail = Mc.Explorer.recommended_jobs () in
+    let avail = Mc.Park.recommended_jobs () in
     if n = 0 then avail
     else if n > avail then begin
       Fmt.epr
@@ -234,9 +233,9 @@ let delta_arg =
                  $(b,--cache) store and answer edits through the \
                  cheapest sound rung — store hit, then \
                  cone-of-influence hit — falling back to a full \
-                 sequential run.  Verdicts, sups and statistics are \
-                 identical to $(b,--jobs) 1.  Requires $(b,--cache); \
-                 forces sequential exploration.")
+                 run.  Verdicts, sups and statistics are identical to a \
+                 run without $(b,--delta).  Requires $(b,--cache); \
+                 $(b,check) then answers its queries one at a time.")
 
 (* open (creating if needed) the --cache store; corrupt entries warn on
    stderr so --json output on stdout stays byte-stable *)
@@ -279,9 +278,9 @@ let answer_route ~cache ~tag mode =
   | (`Delta | `Watch), _ -> Incr.Answer.Session (Incr.Session.make ?cache ~tag ())
 
 (* one answer along [route]; a ladder answer reports its rung on stderr *)
-let answer ?jobs ?resume ~ctl route net q =
+let answer ?resume ~ctl route net q =
   let t0 = Unix.gettimeofday () in
-  let a = Incr.Answer.run ?jobs ~ctl ?resume route net q in
+  let a = Incr.Answer.run ~ctl ?resume route net q in
   Option.iter
     (fun rung ->
       Fmt.epr "incr: %s rung (%d expanded, %.1f ms)@."
@@ -373,9 +372,8 @@ let verify_cmd =
          & info [ "json" ]
              ~doc:"Emit the verdict and exploration statistics as JSON.")
   in
-  let run file trigger response bound ceiling jobs budget checkpoint resume
-      json cache delta store_retries =
-    let jobs = check_jobs jobs in
+  let run file trigger response bound ceiling budget checkpoint resume json
+      cache delta store_retries =
     if resume <> None && cache <> None then
       die "--resume and --cache are exclusive (a resumed search must \
            explore, not answer from the store)";
@@ -386,17 +384,14 @@ let verify_cmd =
        exact and a partial sup can already refute it *)
     let ceiling = match bound with Some b -> b | None -> ceiling in
     let ctl = make_ctl budget in
-    if delta then begin
-      if jobs > 1 then die "--delta forces sequential exploration; drop --jobs";
-      if checkpoint <> None || resume <> None then
-        die "--delta is exclusive with --checkpoint/--resume"
-    end;
+    if delta && (checkpoint <> None || resume <> None) then
+      die "--delta is exclusive with --checkpoint/--resume";
     (* one question, whatever answers it: the sup, decided against
        --bound by Mc.Query.bounded_of_sup *)
     let q = Mc.Query.Sup_delay { trigger; response; ceiling } in
     let route = answer_route ~cache ~tag:file (if delta then `Delta else `Plain) in
     let a =
-      try answer ~jobs ~ctl ?resume:resume_snap route net q with
+      try answer ~ctl ?resume:resume_snap route net q with
       | Invalid_argument msg -> die "%s" msg
       | Not_found -> die "unknown channel %S or %S" trigger response
     in
@@ -482,7 +477,7 @@ let verify_cmd =
              delay.  Exit codes: 0 proved, 1 refuted, 2 unknown \
              (interrupted by a budget or ^C), 3 usage or parse error, \
              4 proved but the $(b,--cache) store was degraded.")
-    Term.(const run $ file $ trigger $ response $ bound $ ceiling $ jobs_arg
+    Term.(const run $ file $ trigger $ response $ bound $ ceiling
           $ budget_term $ checkpoint $ resume $ json $ cache_arg $ delta_arg
           $ store_retries_arg)
 
@@ -499,10 +494,7 @@ let query_cmd =
              ~doc:"E<> PRED | A[] PRED | sup: CHAN -> CHAN [ceiling N] | \
                    bounded: CHAN -> CHAN within N")
   in
-  let run file query jobs budget cache delta store_retries =
-    let jobs = check_jobs jobs in
-    if delta && jobs > 1 then
-      die "--delta forces sequential exploration; drop --jobs";
+  let run file query budget cache delta store_retries =
     let cache = open_cache ~retries:store_retries cache in
     let net = load_network file in
     match Mc.Query.parse query with
@@ -513,7 +505,7 @@ let query_cmd =
         answer_route ~cache ~tag:file (if delta then `Delta else `Plain)
       in
       let a =
-        try answer ~jobs ~ctl route net q
+        try answer ~ctl route net q
         with Not_found ->
           die "query names an unknown process, location or variable"
       in
@@ -536,8 +528,8 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Evaluate an UPPAAL-style query on a .xta model.  Exit codes: \
              0 holds, 1 fails, 2 unknown, 3 usage or parse error.")
-    Term.(const run $ file $ query $ jobs_arg $ budget_term $ cache_arg
-          $ delta_arg $ store_retries_arg)
+    Term.(const run $ file $ query $ budget_term $ cache_arg $ delta_arg
+          $ store_retries_arg)
 
 (* --- check (batch queries) -------------------------------------------------- *)
 
@@ -563,7 +555,7 @@ let check_cmd =
   let run model queries jobs budget cache json delta store_retries =
     let jobs = check_jobs jobs in
     if delta && jobs > 1 then
-      die "--delta forces sequential exploration; drop --jobs";
+      die "--delta answers one query at a time; drop --jobs";
     let cache = open_cache ~retries:store_retries cache in
     let route =
       answer_route ~cache ~tag:model (if delta then `Delta else `Plain)
@@ -1246,18 +1238,13 @@ let fuzz_cmd =
              ~doc:"Number of instances to generate and cross-check \
                    (default 100).")
   in
-  (* deliberately NOT check_jobs-clamped: the parallel answerer is under
-     test for determinism, not speed, and must run at the requested
-     domain count even on a single-core host *)
+  (* the oracle clamps the batch width to the host's cores itself *)
   let fuzz_jobs_arg =
     Arg.(value & opt int 2
          & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Domain count of the parallel answerer (default 2).  \
-                   Unlike the other commands this is not clamped to the \
-                   host's cores: the point is cross-checking verdict \
-                   determinism, not throughput.  An instance's other \
-                   checks share $(docv) domains, at most the host's \
-                   cores.")
+             ~doc:"Domains an instance's independent checks share \
+                   (default 2; at most the host's cores).  Records are \
+                   identical for every $(docv).")
   in
   let shapes_arg =
     Arg.(value & opt string "all"
@@ -1316,10 +1303,10 @@ let fuzz_cmd =
   let skew_arg =
     Arg.(value & opt int 0
          & info [ "inject-sup-skew" ] ~docv:"K"
-             ~doc:"Test-only fault injection: report every jobs-1 sup as \
-                   its true value plus $(docv), so the harness's own \
+             ~doc:"Test-only fault injection: report every primary sup \
+                   as its true value plus $(docv), so the harness's own \
                    detection and shrinking paths can be demonstrated \
-                   end to end.  The injected bug is caught as a jobs \
+                   end to end.  The injected bug is caught as an xta \
                    discrepancy.")
   in
   let run seed count jobs shapes scenarios faults_spec fault_seed shrink
@@ -1411,8 +1398,8 @@ let fuzz_cmd =
              construction-bound discrepancy is persisted as-is *)
           let shrinkable (d : Diff.Oracle.discrepancy) =
             match d.Diff.Oracle.d_check with
-            | Diff.Oracle.Jobs | Diff.Oracle.Xta | Diff.Oracle.Store_trip
-            | Diff.Oracle.Ladder -> true
+            | Diff.Oracle.Xta | Diff.Oracle.Store_trip | Diff.Oracle.Ladder ->
+              true
             | Diff.Oracle.Truth | Diff.Oracle.Analytic | Diff.Oracle.Bounded
             | Diff.Oracle.Sim -> false
           in
@@ -1541,10 +1528,9 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Differential fuzzing: generate seeded random timed-automata \
              instances with known-by-construction delay bounds and \
-             cross-check every answerer the tool has — sequential \
-             explorer vs ground truth, parallel search at $(b,--jobs) \
-             domains, bounded verdicts on both sides of the sup, \
-             textual round-trip, store round-trip (with $(b,--cache)), \
+             cross-check every answerer the tool has — the explorer \
+             vs ground truth, bounded verdicts on both sides of the \
+             sup, textual round-trip, store round-trip (with $(b,--cache)), \
              the incremental ladder on a seeded edit, and simulated \
              measurement for transformed PSM instances.  Any \
              disagreement is a discrepancy; with $(b,--shrink) it is \

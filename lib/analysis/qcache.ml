@@ -103,7 +103,7 @@ let superseded t entry =
    computed result has already been produced and will be returned. *)
 let insert t entry =
   match entry.Store.Entry.en_outcome with
-  | Mc.Query.Unknown ((Mc.Runctl.Cancelled | Mc.Runctl.Crash _), _) -> ()
+  | Mc.Query.Unknown (Mc.Runctl.Cancelled, _) -> ()
   | _ ->
     if Fault.Breaker.allow t.breaker && not (superseded t entry) then begin
       match Store.Disk.insert t.disk entry with
@@ -144,22 +144,21 @@ let result (e : Store.Entry.t) =
 
 (* The miss half of [cached], also for callers whose lookup ran
    elsewhere or that keep the entry without a store. *)
-let miss ?cache ~key ~query ~budget ~jobs run =
+let miss ?cache ~key ~query ~budget run =
   let t0 = Unix.gettimeofday () in
   let r = run () in
   let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-  let e = entry ~key ~query ~budget ~jobs ~wall_ms r in
+  let e = entry ~key ~query ~budget ~jobs:1 ~wall_ms r in
   Option.iter (fun t -> insert t e) cache;
   (r, e)
 
-let cached t ?(jobs = 1) ?ctl ?limit net q ~run =
+let cached t ?ctl ?limit net q ~run =
   let budget = entry_budget ?limit ?ctl () in
   let key = key net q in
   match find t ~requested:budget key with
   | Some e -> result e
   | None ->
-    fst (miss ~cache:t ~key ~query:(Mc.Query.to_string q) ~budget ~jobs run)
+    fst (miss ~cache:t ~key ~query:(Mc.Query.to_string q) ~budget run)
 
-let eval t ?jobs ?ctl ?limit net q =
-  cached t ?jobs ?ctl ?limit net q ~run:(fun () ->
-      Mc.Query.eval ?jobs ?ctl ?limit net q)
+let eval t ?ctl ?limit net q =
+  cached t ?ctl ?limit net q ~run:(fun () -> Mc.Query.eval ?ctl ?limit net q)

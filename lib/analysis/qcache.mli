@@ -59,7 +59,7 @@ val entry_budget : ?limit:int -> ?ctl:Mc.Runctl.t -> unit -> Store.Entry.budget
 val find : t -> requested:Store.Entry.budget -> Store.D128.t -> Store.Entry.t option
 
 (** [insert t entry] publishes [entry] — unless its outcome is a
-    cancelled or crashed [Unknown], which says nothing reusable about
+    cancelled [Unknown], which says nothing reusable about
     any run, or it is an [Unknown] and the entry already stored under
     its key is {!Store.Entry.reusable} under its budget (a definitive
     outcome, or an [Unknown] of a dominating budget), which stays.
@@ -88,27 +88,26 @@ val entry :
     statistics. *)
 val result : Store.Entry.t -> Mc.Query.result
 
-(** [miss ?cache ~key ~query ~budget ~jobs run] is the miss half of
+(** [miss ?cache ~key ~query ~budget run] is the miss half of
     {!cached}, for callers whose lookup already ran (or that keep the
     entry without a store): it times [run ()], builds the result's
-    {!entry} and {!insert}s it when [cache] is given.  Returns the result
-    and the entry.  An exception from [run] propagates and publishes
-    nothing. *)
+    {!entry} (a one-domain search, [jobs = 1]) and {!insert}s it when
+    [cache] is given.  Returns the result and the entry.  An exception
+    from [run] propagates and publishes nothing. *)
 val miss :
   ?cache:t -> key:Store.D128.t -> query:string -> budget:Store.Entry.budget ->
-  jobs:int -> (unit -> Mc.Query.result) -> Mc.Query.result * Store.Entry.t
+  (unit -> Mc.Query.result) -> Mc.Query.result * Store.Entry.t
 
 (** [cached t net q ~run] answers [q] on [net] from the store when a
     reusable entry exists — with the producing run's statistics —
     otherwise calls [run] (which must evaluate [q] on [net] under the
-    same [ctl] and [limit]) and publishes its result.  [jobs] (default 1)
-    is recorded in the entry's provenance. *)
+    same [ctl] and [limit]) and publishes its result. *)
 val cached :
-  t -> ?jobs:int -> ?ctl:Mc.Runctl.t -> ?limit:int ->
+  t -> ?ctl:Mc.Runctl.t -> ?limit:int ->
   Ta.Model.network -> Mc.Query.t -> run:(unit -> Mc.Query.result) ->
   Mc.Query.result
 
 (** [eval t net q] is {!cached} around {!Mc.Query.eval}. *)
 val eval :
-  t -> ?jobs:int -> ?ctl:Mc.Runctl.t -> ?limit:int ->
+  t -> ?ctl:Mc.Runctl.t -> ?limit:int ->
   Ta.Model.network -> Mc.Query.t -> Mc.Query.result

@@ -280,8 +280,7 @@ let prepare cfg ?cache ~load_model line : prepared =
 (* Worker-side evaluation.  Any exception — a crashing predicate, a
    model inconsistency, anything — is confined to this request; the
    diagnosis (with backtrace when recorded) rides in the response's
-   error object.  A [Crash]-downgraded parallel search arrives here as
-   a normal Unknown outcome, not an exception. *)
+   error object. *)
 let evaluate cfg ?cache ?drain:dtoken (item : prepared) : reply =
   match item with
   | `Err _ | `Hit _ | `Stats _ as r -> (r :> reply)
@@ -294,7 +293,7 @@ let evaluate cfg ?cache ?drain:dtoken (item : prepared) : reply =
     in
     match
       Qcache.miss ?cache ~key:ri.ri_key
-        ~query:(Mc.Query.to_string ri.ri_query) ~budget:ri.ri_budget ~jobs:1
+        ~query:(Mc.Query.to_string ri.ri_query) ~budget:ri.ri_budget
         (fun () -> Mc.Query.eval ~ctl ?limit:ri.ri_limit ri.ri_net ri.ri_query)
     with
     | r, _ -> finish (`Ok (ri.ri_id, r))

@@ -20,8 +20,8 @@ module Gpca = Gpca
 module Xta = Xta
 module Codegen = Codegen
 
-let verify_response ?jobs ?limit ?ctl net ~trigger ~response ~bound =
-  (Query.eval ?jobs ?ctl ?limit net
+let verify_response ?limit ?ctl net ~trigger ~response ~bound =
+  (Query.eval ?ctl ?limit net
      (Query.Bounded_response { trigger; response; bound }))
     .Query.res_outcome
 

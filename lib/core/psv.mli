@@ -47,17 +47,16 @@ module Codegen = Codegen
     response requirement [P(bound)] on any network (PIM or PSM):
     [Holds], [Fails] (with a counterexample when available), or
     [Unknown] when a govern token's budget interrupted the search before
-    a definite answer.  [jobs] runs the exploration on that many domains
-    ({!Mc.Explorer.search}) — same outcome. *)
+    a definite answer. *)
 val verify_response :
-  ?jobs:int -> ?limit:int -> ?ctl:Mc.Runctl.t ->
+  ?limit:int -> ?ctl:Mc.Runctl.t ->
   Model.network -> trigger:string -> response:string -> bound:int ->
   Mc.Query.outcome
 
 (** Verified maximum delay between two synchronisations
     ({!Mc.Query.max_delay}). *)
 val max_delay :
-  ?jobs:int -> ?limit:int -> ?ctl:Mc.Runctl.t -> ?resume:Mc.Explorer.snapshot ->
+  ?limit:int -> ?ctl:Mc.Runctl.t -> ?resume:Mc.Explorer.snapshot ->
   Model.network ->
   trigger:string -> response:string -> ceiling:int ->
   Mc.Explorer.sup_outcome

@@ -21,8 +21,8 @@
     every run and at every [--jobs] — which is what makes corpus
     entries stable artifacts.
 
-    Only construction-independent discrepancies ({!Oracle.Jobs},
-    {!Oracle.Xta}, {!Oracle.Store_trip}, {!Oracle.Ladder}) can be
+    Only construction-independent discrepancies ({!Oracle.Xta},
+    {!Oracle.Store_trip}, {!Oracle.Ladder}) can be
     shrunk: the generator's ground truth does not survive surgery on
     the network. *)
 

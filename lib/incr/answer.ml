@@ -6,25 +6,24 @@ type t = {
   an_snapshot : Mc.Explorer.snapshot option;
 }
 
-let run ?(jobs = 1) ?ctl ?limit ?resume route net q =
+let run ?ctl ?limit ?resume route net q =
   let snapshot = ref None in
   let explore () =
     match q, resume with
     | Mc.Query.Sup_delay { trigger; response; ceiling }, _ ->
       let o =
-        Mc.Query.max_delay ~jobs ?limit ?ctl ?resume net ~trigger ~response
-          ~ceiling
+        Mc.Query.max_delay ?limit ?ctl ?resume net ~trigger ~response ~ceiling
       in
       snapshot := o.Mc.Explorer.so_snapshot;
       Mc.Query.result_of_sup o
     | _, Some _ -> invalid_arg "Answer.run: only a sup search can be resumed"
-    | _, None -> Mc.Query.eval ~jobs ?ctl ?limit net q
+    | _, None -> Mc.Query.eval ?ctl ?limit net q
   in
   let result, rung =
     match route with
     | Plain -> (explore (), None)
     | Cached c ->
-      (Analysis.Qcache.cached c ~jobs ?ctl ?limit net q ~run:explore, None)
+      (Analysis.Qcache.cached c ?ctl ?limit net q ~run:explore, None)
     | Session s ->
       let o = Session.run ?ctl ?limit s net q in
       (o.Session.so_result, Some o.Session.so_rung)

@@ -16,14 +16,13 @@ type t = {
           [Cached]; the ladder's full rung keeps none *)
 }
 
-(** [jobs] (default 1) drives [Plain] and [Cached] explorations; the
-    ladder is sequential.  [resume] continues an interrupted [Sup_delay]
-    search; a store or ladder answer never reads it.
+(** [resume] continues an interrupted [Sup_delay] search; a store or
+    ladder answer never reads it.
     @raise Invalid_argument when an exploration is asked to resume a
     query that is not [Sup_delay], or a snapshot of another search.
     @raise Ta.Compiled.Compile_error / [Not_found] as {!Mc.Query.eval}. *)
 val run :
-  ?jobs:int -> ?ctl:Mc.Runctl.t -> ?limit:int -> ?resume:Mc.Explorer.snapshot ->
+  ?ctl:Mc.Runctl.t -> ?limit:int -> ?resume:Mc.Explorer.snapshot ->
   route -> Ta.Model.network -> Mc.Query.t -> t
 
 (** The result's visited states on the ladder's [Full] rung, else [0]. *)

@@ -106,7 +106,7 @@ let run ?ctl ?limit t net q =
     let full () =
       let r, e =
         Qcache.miss ?cache:t.s_cache ~key:k ~query:qtext ~budget:requested
-          ~jobs:1 (fun () -> Mc.Query.eval ~jobs:1 ?ctl ?limit net q)
+          (fun () -> Mc.Query.eval ?ctl ?limit net q)
       in
       let pv = { pv_net = net; pv_entry = e } in
       remember t qtext pv;

@@ -51,8 +51,8 @@ type t
     persistence — which is all [psv watch] needs within one process. *)
 val make : ?cache:Analysis.Qcache.t -> tag:string -> unit -> t
 
-(** One run of the ladder.  Sequential ([jobs = 1]) by construction, so
-    a stored full-rung entry equals [psv verify --jobs 1] byte for byte.
+(** One run of the ladder.  A stored full-rung entry equals [psv
+    verify]'s byte for byte.
     @raise Ta.Compiled.Compile_error / [Not_found] as {!Mc.Query.eval}. *)
 val run :
   ?ctl:Mc.Runctl.t -> ?limit:int -> t -> Ta.Model.network -> Mc.Query.t ->

@@ -272,9 +272,8 @@ type entry = {
    its live zones.  Nodes hang off a hash-keyed table; the hash is
    computed once per state and cached in the node ([pw_hash]), so
    subsumption probes compare a machine integer before touching the
-   discrete vectors, and a parallel store can route on the same hash
-   without recomputing it.  Collisions are resolved by structural
-   comparison here.
+   discrete vectors.  Collisions are resolved by structural comparison
+   here.
 
    Entries occupy the slots [pw_live.(0 .. pw_len-1)] in insertion
    order, and [pw_keys] holds their {!Zone.Dbm.Key} keys, [Key.len]
@@ -327,8 +326,8 @@ and half = {
   h_inv : Compiled.dconstraint list;  (* every automaton's target invariant *)
   h_no_delay : bool;  (* an urgent or committed target location *)
   mutable h_node : pw_node;
-      (* the target's node once found in the expanding partition's own
-         store, else [no_node] *)
+      (* the target's node, looked up by the search at the half's first
+         successor; [no_node] until then *)
 }
 
 (* The node of no discrete state: the target of a half not yet resolved,
@@ -612,9 +611,7 @@ let candidates t st =
 
 (* The successor table of [e]'s node: one descriptor per candidate, in
    [candidates]' order, built at the node's first expansion.  Every
-   later zone of the node fires the same descriptors.  A node is only
-   ever expanded by the partition that owns it, so each table has one
-   writer. *)
+   later zone of the node fires the same descriptors. *)
 let succ_table t e =
   let n = e.e_node in
   match n.pw_succ with
@@ -1039,8 +1036,6 @@ type search_result = {
   sr_snapshot : snapshot option;
 }
 
-let recommended_jobs () = Domain.recommended_domain_count ()
-
 (* [Hashtbl.iter] walks buckets in ascending index, newest key first
    within each, and growing a table keeps each bucket's order.  A table
    created at [size] buckets (rounded up to a power of 2, at least 16,
@@ -1058,185 +1053,44 @@ let walk_as ~size tbl =
     (fun (a, _) (b, _) -> Int.compare (bucket a) (bucket b))
     (List.of_seq (Hashtbl.to_seq tbl))
 
-(* A successor on its way to the partition that owns its discrete state,
-   with the hash it was routed on. *)
-type message = {
-  m_hash : int;
-  m_depth : int;
-  m_parent : int;
-  m_movers : (int * Compiled.cedge) list;
-  m_state : state;
-}
-
-(* Why a search is winding down.  [Running] is an immediate constructor,
-   so first-one-wins transitions are [compare_and_set stop Running _]. *)
+(* Why a search ended before its queue ran dry. *)
 type stop =
   | Running
   | Found of int  (* id of the entry that stopped the search *)
   | Interrupted of Runctl.reason
-  | Crashed of exn * string  (* the first crash, with its backtrace *)
 
-(* Waiting entries by depth (successor of depth [d] at [d + 1]): a pop
-   takes the shallowest entry, first in first out within a depth.  A
-   one-partition search pushes depths in non-decreasing order, so there
-   this is exactly a FIFO queue. *)
-module Levels = struct
-  type t = {
-    mutable lv : entry Queue.t array;
-    mutable lo : int;  (* every depth below is empty *)
-    mutable size : int;
-  }
-
-  let create () = { lv = [| Queue.create () |]; lo = 0; size = 0 }
-
-  let push t d e =
-    let n = Array.length t.lv in
-    if d >= n then
-      t.lv <-
-        Array.init (max (d + 1) (2 * n)) (fun i ->
-            if i < n then t.lv.(i) else Queue.create ());
-    Queue.push e t.lv.(d);
-    if d < t.lo then t.lo <- d;
-    t.size <- t.size + 1
-
-  let is_empty t = t.size = 0
-
-  (* the shallowest entry, whose depth is then [lo]; [t] must not be
-     empty *)
-  let rec peek t =
-    let q = t.lv.(t.lo) in
-    if Queue.is_empty q then begin
-      t.lo <- t.lo + 1;
-      peek t
-    end
-    else Queue.peek q
-
-  let drop t =
-    ignore (Queue.pop t.lv.(t.lo) : entry);
-    t.size <- t.size - 1
-
-  let length t = t.size
-
-  let fold f acc t = Array.fold_left (Queue.fold f) acc t.lv
-end
-
-(* One partition of the passed/waiting store: the nodes whose discrete
-   hash it owns, their waiting entries, the trace rows of the entries it
-   numbered and a DBM pool.  Only the domain that owns it touches it
-   while the search runs; other domains reach it through [pt_inbox]. *)
-type part = {
-  pt_index : int;
-  pt_pool : Zone.Dbm.Pool.t;
-  pt_passed : Passed.t;
-  pt_nodes : (int, pw_node list ref) Hashtbl.t;
-  pt_waiting : Levels.t;
-  mutable pt_trace : (int * (int * Compiled.cedge) list) array;
-      (* (parent id, movers) of the k-th entry this partition stored *)
-  mutable pt_count : int;  (* entries stored, so rows in [pt_trace] *)
-  mutable pt_expanding : int;
-      (* the entry under expansion: its zone must not go back to the pool
-         if a successor subsumes it, since the remaining candidates of
-         the expansion still read it *)
-  mutable pt_ticks : int;  (* polls, for striped ctl sampling *)
-  pt_inbox : message list list Atomic.t;  (* delivered batches *)
-  pt_out : message list array;  (* per owning partition, newest first *)
-  pt_nout : int array;
-  pt_idle : bool Atomic.t;
-}
-
-(* Successors travel to their owner in batches of this many, or sooner
-   when the owner runs out of work. *)
-let batch_size = 64
-
-(* Idle partitions spin this many [cpu_relax] rounds before sleeping. *)
-let spin_rounds = 2048
-
-(* The generic search loop: calls [visit p st] on every stored state
-   (including the initial one), from the domain owning partition [p];
-   stops early when [visit] returns [`Stop].  [on_expanded] is called
-   after a state's successors have been generated, with the number of
-   (non-empty) successors -- used by the timelock detector.
-
-   With [jobs > 1] the store is split into [jobs] partitions by discrete
-   hash, one per domain (owner-computes): a domain expands only the
-   entries it owns and sends every other successor, in batches, to the
-   partition that owns it.  With [jobs = 1] the one partition owns
-   everything and no successor ever leaves it.
+(* The search loop: calls [visit st] on every stored state (including
+   the initial one) and stops early when [visit] returns [`Stop].
+   [on_expanded] is called after a state's successors have been
+   generated, with the number of (non-empty) successors -- used by the
+   timelock detector.  The waiting list is a FIFO queue, so the search
+   is breadth-first and entry ids are consecutive.
 
    Budgets ([ctl] and the explorer's state limit) are polled before an
-   entry is taken, so an interrupted search leaves the waiting queues
-   intact; a budget/cancel interrupt lets in-flight expansions finish and
-   delivers their successors, so the snapshot is a coherent cut that
-   resumes where the uninterrupted run would have continued.  [label]
-   names the query kind and must match on resume; [payload] is called at
-   snapshot time to save the caller's accumulator (e.g. the running
-   sup). *)
-let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
-    ?(subsume = true) ?expand ?order ?ctl
-    ?resume ?(label = "") ?(payload = fun () -> "") t visit =
-  let jobs = max 1 jobs in
-  let par = jobs > 1 in
+   entry is taken, so an interrupted search leaves the queue intact and
+   its snapshot resumes where the uninterrupted run would have
+   continued.  [label] names the query kind and must match on resume;
+   [payload] is called at snapshot time to save the caller's
+   accumulator (e.g. the running sup). *)
+let search ?(on_expanded = fun _ _ -> `Continue) ?(subsume = true) ?expand
+    ?ctl ?resume ?(label = "") ?(payload = fun () -> "") t visit =
   Option.iter (check_snapshot t ~label ~subsume) resume;
-  let max_const = max_const t in
-  let parts =
-    Array.init jobs (fun i ->
-        let pool = fresh_pool t in
-        { pt_index = i;
-          pt_pool = pool;
-          pt_passed = Passed.create ~subsume ~max_const pool;
-          pt_nodes = Hashtbl.create 16;
-          pt_waiting = Levels.create ();
-          pt_trace = Array.make 16 (-1, []);
-          pt_count = 0;
-          pt_expanding = -1;
-          pt_ticks = 0;
-          pt_inbox = Atomic.make [];
-          pt_out = Array.make jobs [];
-          pt_nout = Array.make jobs 0;
-          pt_idle = Atomic.make false })
-  in
-  (* the FNV hash mixes upwards only (its low bits are parities of the
-     vectors' low bits), so it is finalised before it splits the store *)
-  let owner h =
-    if par then begin
-      let h = (h lxor (h lsr 29)) * 0x3f4a7c15 in
-      ((h lxor (h lsr 32)) land max_int) mod jobs
-    end
-    else 0
-  in
-  (* Ids below [base] are the resumed snapshot's; partition [p] numbers
-     its k-th entry [base + p + k * jobs]. *)
+  let pool = fresh_pool t in
+  let passed = Passed.create ~subsume ~max_const:(max_const t) pool in
+  let nodes : (int, pw_node list ref) Hashtbl.t = Hashtbl.create 16 in
+  let waiting : entry Queue.t = Queue.create () in
+  (* (parent id, movers) of the k-th entry this search stored, id
+     [base + k]; ids below [base] are the resumed snapshot's *)
+  let trace = ref (Array.make 16 (-1, [])) in
+  let count = ref 0 in
+  (* the entry under expansion: its zone must not go back to the pool if
+     a successor subsumes it, since the remaining candidates of the
+     expansion still read it *)
+  let expanding = ref (-1) in
   let base = match resume with Some s -> s.snap_next_id | None -> 0 in
   let stored0 = match resume with Some s -> s.snap_stored | None -> 0 in
-  let visited =
-    Atomic.make (match resume with Some s -> s.snap_visited | None -> 0)
-  in
-  (* the state budget is reserved, not detected: [visited] never passes
-     [hard_limit], even transiently, whatever the number of domains *)
-  let hard_limit =
-    match Option.bind ctl (fun c -> (Runctl.budget c).Runctl.b_states) with
-    | Some n -> min n t.limit
-    | None -> t.limit
-  in
-  let stop = Atomic.make Running in
-  let running () = match Atomic.get stop with Running -> true | _ -> false in
-  (* an interrupt lets expansions in flight finish, so the store stays a
-     coherent cut; a witness or a crash abandons them *)
-  let proceed () =
-    match Atomic.get stop with
-    | Running | Interrupted _ -> true
-    | Found _ | Crashed _ -> false
-  in
-  let halt s = ignore (Atomic.compare_and_set stop Running s) in
-  (* a witness found while an interrupt winds down still answers *)
-  let found id =
-    match Atomic.get stop with
-    | (Running | Interrupted _) as s ->
-      ignore (Atomic.compare_and_set stop s (Found id))
-    | Found _ | Crashed _ -> ()
-  in
-  let crashed exn = halt (Crashed (exn, Printexc.get_backtrace ())) in
-  let supervised f = if par then try f () with exn -> crashed exn else f () in
+  let visited = ref (match resume with Some s -> s.snap_visited | None -> 0) in
+  let stop = ref Running in
   let progress =
     match !progress_hook with Some h -> Some h | None -> env_progress
   in
@@ -1267,9 +1121,8 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
   let row id =
     if id < base then
       if id < Array.length base_rows then base_rows.(id) else (-1, [])
-    else
-      let p = parts.((id - base) mod jobs) and k = (id - base) / jobs in
-      if k < p.pt_count then p.pt_trace.(k) else (-1, [])
+    else if id - base < !count then !trace.(id - base)
+    else (-1, [])
   in
   let find_node bucket h st =
     let rec go = function
@@ -1282,13 +1135,13 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
     in
     go !bucket
   in
-  let node_for p h st =
+  let node_for h st =
     let bucket =
-      match Hashtbl.find_opt p.pt_nodes h with
+      match Hashtbl.find_opt nodes h with
       | Some b -> b
       | None ->
         let b = ref [] in
-        Hashtbl.replace p.pt_nodes h b;
+        Hashtbl.replace nodes h b;
         b
     in
     match find_node bucket h st with
@@ -1298,131 +1151,52 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
       bucket := n :: !bucket;
       n
   in
-  (* offer [st] to its owner [p], as a zone of [p]'s node [n]; a stored
-     state is queued and visited *)
-  let add_state p n depth parent movers st =
-    let k = p.pt_count in
-    let id = base + p.pt_index + (k * jobs) in
-    match Passed.add p.pt_passed n ~expanding:p.pt_expanding ~id st with
+  (* offer [st] to its node [n]; a stored state is queued and visited *)
+  let add_state n parent movers st =
+    let k = !count in
+    let id = base + k in
+    match Passed.add passed n ~expanding:!expanding ~id st with
     | None -> ()
     | Some e ->
-      if k = Array.length p.pt_trace then begin
+      if k = Array.length !trace then begin
         let bigger = Array.make (2 * k) (-1, []) in
-        Array.blit p.pt_trace 0 bigger 0 k;
-        p.pt_trace <- bigger
+        Array.blit !trace 0 bigger 0 k;
+        trace := bigger
       end;
-      p.pt_trace.(k) <- (parent, movers);
-      p.pt_count <- k + 1;
-      Levels.push p.pt_waiting depth e;
-      (match visit p.pt_index st with
-       | `Stop -> found id
+      !trace.(k) <- (parent, movers);
+      count := k + 1;
+      Queue.push e waiting;
+      (match visit st with
+       | `Stop -> stop := Found id
        | `Continue -> ())
   in
-  (* termination: [pending] counts the partitions at work plus the
-     batches sent and not yet taken; a batch is counted before it is
-     pushed and an idle partition counts itself back in before taking
-     one, so [pending = 0] means no work exists and none can appear *)
-  let pending = Atomic.make jobs in
-  let flush p o =
-    let batch = p.pt_out.(o) in
-    p.pt_out.(o) <- [];
-    p.pt_nout.(o) <- 0;
-    Atomic.incr pending;
-    let inbox = parts.(o).pt_inbox in
-    let rec push () =
-      let cur = Atomic.get inbox in
-      if not (Atomic.compare_and_set inbox cur (batch :: cur)) then push ()
-    in
-    push ()
-  in
-  let flush_all p =
-    for o = 0 to jobs - 1 do
-      if p.pt_nout.(o) > 0 then flush p o
-    done
-  in
-  let send p o h depth parent movers st =
-    p.pt_out.(o) <-
-      { m_hash = h; m_depth = depth; m_parent = parent; m_movers = movers;
-        m_state = st }
-      :: p.pt_out.(o);
-    p.pt_nout.(o) <- p.pt_nout.(o) + 1;
-    if p.pt_nout.(o) >= batch_size then flush p o
-  in
-  let route p h depth parent movers st =
-    let o = owner h in
-    if o = p.pt_index then add_state p (node_for p h st) depth parent movers st
-    else send p o h depth parent movers st
-  in
-  (* [route] for a successor fired from a table: the hash comes from the
-     half, and so does the target node once this partition has looked
-     it up *)
-  let route_half p (h : half) depth parent movers st =
-    let o = owner h.h_hash in
-    if o = p.pt_index then begin
-      if h.h_node == no_node then h.h_node <- node_for p h.h_hash st;
-      add_state p h.h_node depth parent movers st
-    end
-    else send p o h.h_hash depth parent movers st
-  in
-  (* store the delivered batches, oldest first; [order] puts the highest
-     scores of the delivery first *)
-  let receive p =
-    match Atomic.exchange p.pt_inbox [] with
-    | [] -> ()
-    | batches ->
-      let msgs = List.concat_map List.rev (List.rev batches) in
-      let msgs =
-        match order with
-        | None -> msgs
-        | Some score ->
-          List.map (fun m -> (- score m.m_state, m)) msgs
-          |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-          |> List.map snd
-      in
-      List.iter
-        (fun m ->
-          if proceed () then
-            add_state p
-              (node_for p m.m_hash m.m_state)
-              m.m_depth m.m_parent m.m_movers m.m_state)
-        msgs;
-      ignore (Atomic.fetch_and_add pending (- List.length batches))
-  in
-  let poll p =
-    let v = Atomic.get visited in
-    if (not par) && v >= t.limit then Some (Runctl.State_budget t.limit)
+  let poll () =
+    if !visited >= t.limit then Some (Runctl.State_budget t.limit)
     else
       match ctl with
       | None -> None
-      | Some c when par ->
-        let tick = p.pt_ticks in
-        p.pt_ticks <- tick + 1;
-        Runctl.check_striped c ~visited:v ~tick
-      | Some c -> Runctl.check c ~visited:v
+      | Some c -> Runctl.check c ~visited:!visited
   in
-  (* the visited count after reserving one expansion, or [-1] when the
-     budget is spent *)
-  let rec reserve () =
-    let v = Atomic.get visited in
-    if v >= hard_limit then -1
-    else if Atomic.compare_and_set visited v (v + 1) then v + 1
-    else reserve ()
-  in
-  let expand_one p depth e =
-    p.pt_expanding <- e.e_id;
+  (* an expansion starts while the search runs, and only a [`Stop] from
+     a hook ends it early *)
+  let running () = match !stop with Running -> true | _ -> false in
+  let expand_one e =
+    expanding := e.e_id;
     let successors = ref 0 in
     (match expand with
      | None ->
        let table = succ_table t e in
        for i = 0 to Array.length table - 1 do
-         if proceed () then begin
+         if running () then begin
            let d = table.(i) in
-           match extrapolated t p.pt_pool (advance t p.pt_pool e.e_state d) with
+           match extrapolated t pool (advance t pool e.e_state d) with
            | None -> ()
            | Some st ->
              incr successors;
-             route_half p (Option.get d.d_half) (depth + 1) e.e_id
-               d.d_cand.cd_movers st
+             (* the half's target node, looked up at its first use *)
+             let h = Option.get d.d_half in
+             if h.h_node == no_node then h.h_node <- node_for h.h_hash st;
+             add_state h.h_node e.e_id d.d_cand.cd_movers st
          end
        done
      | Some f ->
@@ -1432,98 +1206,30 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
           byte-identical *)
        List.iter
          (fun (cd, succ) ->
-           if proceed () then
+           if running () then
              match succ with
              | None -> ()
              | Some st ->
                incr successors;
-               route p (hash_discrete st.st_locs st.st_vars st.st_mon)
-                 (depth + 1) e.e_id cd.cd_movers st)
-         (f p.pt_pool e.e_state));
-    p.pt_expanding <- -1;
-    if proceed () then
+               add_state
+                 (node_for (hash_discrete st.st_locs st.st_vars st.st_mon) st)
+                 e.e_id cd.cd_movers st)
+         (f pool e.e_state));
+    expanding := -1;
+    if running () then
       match on_expanded e.e_state !successors with
-      | `Stop -> found e.e_id
+      | `Stop -> stop := Found e.e_id
       | `Continue -> ()
-  in
-  let step p =
-    match poll p with
-    | Some r -> halt (Interrupted r)
-    | None ->
-      let e = Levels.peek p.pt_waiting in
-      let depth = p.pt_waiting.Levels.lo in
-      if e.e_dead then Levels.drop p.pt_waiting
-      else begin
-        let v = reserve () in
-        if v < 0 then halt (Interrupted (Runctl.State_budget hard_limit))
-        else begin
-          Levels.drop p.pt_waiting;
-          (match progress with
-           | Some hook when p.pt_index = 0 && v mod 1_000 = 0 ->
-             hook
-               { pr_visited = v;
-                 pr_stored =
-                   Array.fold_left (fun n q -> n + q.pt_count) stored0 parts;
-                 pr_queue =
-                   Array.fold_left
-                     (fun n q -> n + Levels.length q.pt_waiting)
-                     0 parts }
-           | Some _ | None -> ());
-          expand_one p depth e
-        end
-      end
-  in
-  (* out of work: hand every buffered successor over and wait; [true]
-     when a batch arrived, [false] when the search is over *)
-  let rest p =
-    flush_all p;
-    Atomic.set p.pt_idle true;
-    Atomic.decr pending;
-    let rec wait rounds =
-      if not (running ()) then false
-      else
-        match Atomic.get p.pt_inbox with
-        | _ :: _ ->
-          Atomic.incr pending;
-          Atomic.set p.pt_idle false;
-          true
-        | [] ->
-          if Atomic.get pending = 0 then false
-          else begin
-            if rounds < spin_rounds then Domain.cpu_relax ()
-            else
-              Unix.sleepf
-                (if rounds < spin_rounds + 256 then 0.000_05 else 0.000_5);
-            wait (rounds + 1)
-          end
-    in
-    wait 0
-  in
-  let rec work p =
-    if running () then begin
-      (match Atomic.get p.pt_inbox with [] -> () | _ :: _ -> receive p);
-      if not (Levels.is_empty p.pt_waiting) then begin
-        step p;
-        if par then
-          for o = 0 to jobs - 1 do
-            if p.pt_nout.(o) > 0 && Atomic.get parts.(o).pt_idle then flush p o
-          done;
-        work p
-      end
-      else if par && rest p then work p
-    end
   in
   (match resume with
    | None ->
-     supervised (fun () ->
-         let initial = initial_state t in
-         if not (Zone.Dbm.is_empty initial.st_zone) then begin
-           let h =
-             hash_discrete initial.st_locs initial.st_vars initial.st_mon
-           in
-           let p = parts.(owner h) in
-           add_state p (node_for p h initial) 0 (-1) [] initial
-         end)
+     let initial = initial_state t in
+     if not (Zone.Dbm.is_empty initial.st_zone) then
+       add_state
+         (node_for
+            (hash_discrete initial.st_locs initial.st_vars initial.st_mon)
+            initial)
+         (-1) [] initial
    | Some snap ->
      let by_id = Hashtbl.create 4096 in
      List.iter
@@ -1532,34 +1238,32 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
            { st_locs = se.se_locs; st_vars = se.se_vars; st_mon = se.se_mon;
              st_zone = Zone.Dbm.of_ints ~dim:snap.snap_dim se.se_zone }
          in
-         let h = hash_discrete st.st_locs st.st_vars st.st_mon in
-         let p = parts.(owner h) in
-         let e = Passed.restore p.pt_passed (node_for p h st) ~id:se.se_id st in
-         Hashtbl.replace by_id se.se_id (p, e))
+         let n = node_for (hash_discrete st.st_locs st.st_vars st.st_mon) st in
+         Hashtbl.replace by_id se.se_id
+           (Passed.restore passed n ~id:se.se_id st))
        snap.snap_entries;
      (* the visit callback is NOT replayed for restored states: they were
         considered when first stored, and the caller's accumulator comes
         back through [snap_payload] *)
-     Array.iter
-       (fun id ->
-         let p, e = Hashtbl.find by_id id in
-         Levels.push p.pt_waiting 0 e)
+     Array.iter (fun id -> Queue.push (Hashtbl.find by_id id) waiting)
        snap.snap_queue);
-  if not par then work parts.(0)
-  else begin
-    Park.fork_join
-      (Array.init (jobs - 1) (fun i () ->
-           supervised (fun () -> work parts.(i + 1))))
-      (fun () -> supervised (fun () -> work parts.(0)));
-    (* after the fork-join, whose latch mutex orders every helper's
-       writes before these reads: an interrupted run stores what was
-       still in flight, so the snapshot misses no successor of an
-       expanded entry *)
-    if proceed () then
-      supervised (fun () ->
-          Array.iter flush_all parts;
-          Array.iter receive parts)
-  end;
+  while running () && not (Queue.is_empty waiting) do
+    match poll () with
+    | Some r -> stop := Interrupted r
+    | None ->
+      let e = Queue.pop waiting in
+      if not e.e_dead then begin
+        incr visited;
+        (match progress with
+         | Some hook when !visited mod 1_000 = 0 ->
+           hook
+             { pr_visited = !visited;
+               pr_stored = stored0 + !count;
+               pr_queue = Queue.length waiting }
+         | Some _ | None -> ());
+        expand_one e
+      end
+  done;
   let chain_of id =
     let rec walk acc id =
       if id < 0 then acc
@@ -1570,54 +1274,40 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
     walk [] id
   in
   let stats =
-    { visited = Atomic.get visited;
-      stored = Array.fold_left (fun n p -> n + p.pt_count) stored0 parts;
+    { visited = !visited;
+      stored = stored0 + !count;
       frontier =
-        Array.fold_left
-          (fun n p ->
-            Levels.fold (fun n e -> if e.e_dead then n else n + 1) n
-              p.pt_waiting)
-          0 parts }
+        Queue.fold (fun n e -> if e.e_dead then n else n + 1) 0 waiting }
   in
-  (* partition by partition, each node's entries in insertion order and
-     each waiting list shallowest first, so at jobs = 1 the queue is the
-     FIFO order.  Nodes go in the order a node table created at 4096
-     buckets (256 per partition at jobs > 1) would walk them: that was
-     the tables' size once, and the walk fixes a snapshot's bytes. *)
+  (* each node's entries in insertion order, the queue in FIFO order.
+     Nodes go in the order a node table created at 4096 buckets would
+     walk them: that was the table's size once, and the walk fixes a
+     snapshot's bytes. *)
   let build_snapshot () =
     let entries = ref [] in
-    Array.iter
-      (fun p ->
+    List.iter
+      (fun (_, bucket) ->
         List.iter
-          (fun (_, bucket) ->
-            List.iter
-              (fun n ->
-                for i = n.pw_len - 1 downto 0 do
-                  let e = n.pw_live.(i) in
-                  if not e.e_dead then
-                    entries :=
-                      { se_id = e.e_id;
-                        se_locs = e.e_state.st_locs;
-                        se_vars = e.e_state.st_vars;
-                        se_mon = e.e_state.st_mon;
-                        se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
-                      :: !entries
-                done)
-              !bucket)
-          (walk_as ~size:(if par then 256 else 4096) p.pt_nodes))
-      parts;
+          (fun n ->
+            for i = n.pw_len - 1 downto 0 do
+              let e = n.pw_live.(i) in
+              if not e.e_dead then
+                entries :=
+                  { se_id = e.e_id;
+                    se_locs = e.e_state.st_locs;
+                    se_vars = e.e_state.st_vars;
+                    se_mon = e.e_state.st_mon;
+                    se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
+                  :: !entries
+            done)
+          !bucket)
+      (walk_as ~size:4096 nodes);
     let queue =
-      Array.fold_left
-        (fun acc p ->
-          Levels.fold
-            (fun acc e -> if e.e_dead then acc else e.e_id :: acc)
-            acc p.pt_waiting)
-        [] parts
+      Queue.fold (fun acc e -> if e.e_dead then acc else e.e_id :: acc) []
+        waiting
       |> List.rev |> Array.of_list
     in
-    let next_id =
-      base + (jobs * Array.fold_left (fun n p -> max n p.pt_count) 0 parts)
-    in
+    let next_id = base + !count in
     make_snapshot t ~label ~subsume ~next_id ~visited:stats.visited
       ~stored:stats.stored
       ~entries:!entries
@@ -1633,21 +1323,10 @@ let search ?(jobs = 1) ?(on_expanded = fun _ _ -> `Continue)
     { sr_chain = chain; sr_stats = stats; sr_interrupt = interrupt;
       sr_snapshot = snapshot }
   in
-  match Atomic.get stop with
+  match !stop with
   | Running -> result ()
   | Found id -> result ~chain:(chain_of id) ()
   | Interrupted r -> result ~interrupt:r ~snapshot:(build_snapshot ()) ()
-  | Crashed (exn, bt) ->
-    (* supervision: the crashing domain has exited and the others wound
-       down; the caller sees a diagnosed Unknown, never an escaping
-       exception, and no snapshot (the cut may be incoherent) *)
-    let b = String.trim bt in
-    let diag =
-      if b = "" then Printexc.to_string exn
-      else Printexc.to_string exn ^ "\n" ^ b
-    in
-    result ~interrupt:(Runctl.Crash diag) ()
-
 
 type reach_result = {
   r_trace : string list option;
@@ -1655,9 +1334,9 @@ type reach_result = {
   r_interrupt : Runctl.reason option;
 }
 
-let reachable ?jobs ?expand ?ctl t pred =
-  let visit _ st = if pred st then `Stop else `Continue in
-  let r = search ?jobs ?expand ?ctl ~label:"reachable" t visit in
+let reachable ?expand ?ctl t pred =
+  let visit st = if pred st then `Stop else `Continue in
+  let r = search ?expand ?ctl ~label:"reachable" t visit in
   { r_trace = Option.map (List.map (describe t)) r.sr_chain;
     r_stats = r.sr_stats;
     r_interrupt = r.sr_interrupt }
@@ -1674,38 +1353,24 @@ type sup_outcome = {
   so_snapshot : snapshot option;
 }
 
-(* The larger of two sups: [Sup_exceeds] dominates, and at equal values
-   the non-strict bound wins ([<= v] is the weaker claim). *)
-let max_sup a b =
-  match a, b with
-  | Sup_exceeds c, _ | _, Sup_exceeds c -> Sup_exceeds c
-  | Sup_unreached, x | x, Sup_unreached -> x
-  | Sup (v1, s1), Sup (v2, s2) ->
-    if v1 > v2 then a else if v2 > v1 then b else Sup (v1, s1 && s2)
-
-let sup_clock ?jobs ?expand ?ctl ?resume t ~pred ~clock =
+let sup_clock ?expand ?ctl ?resume t ~pred ~clock =
   let ci, ceiling = monitor_clock_info t clock in
   let label = "sup:" ^ clock in
   (* the running sup travels with the snapshot: on interrupt it is
      marshalled into the payload, on resume restored from it, so the
      states considered before the interrupt are not re-visited.  The
      snapshot is validated before its payload is unmarshalled. *)
-  let restored =
-    match resume with
-    | Some snap ->
-      check_snapshot t ~label ~subsume:true snap;
-      if snap.snap_payload = "" then Sup_unreached
-      else (Marshal.from_string snap.snap_payload 0 : sup_result)
-    | None -> Sup_unreached
-  in
-  (* one running sup per partition, each updated only by its owner *)
   let best =
-    Array.init (max 1 (Option.value jobs ~default:1)) (fun p ->
-        ref (if p = 0 then restored else Sup_unreached))
+    ref
+      (match resume with
+       | Some snap ->
+         check_snapshot t ~label ~subsume:true snap;
+         if snap.snap_payload = "" then Sup_unreached
+         else (Marshal.from_string snap.snap_payload 0 : sup_result)
+       | None -> Sup_unreached)
   in
-  let update p st =
+  let update st =
     if pred st then begin
-      let best = best.(p) in
       let b = Zone.Dbm.sup_clock st.st_zone ci in
       if Zone.Bound.is_infinite b then best := Sup_exceeds ceiling
       else begin
@@ -1719,19 +1384,9 @@ let sup_clock ?jobs ?expand ?ctl ?resume t ~pred ~clock =
     end;
     `Continue
   in
-  let merged () =
-    Array.fold_left (fun acc b -> max_sup acc !b) Sup_unreached best
-  in
-  (* max-delay-first: a partition stores the highest monitor-clock
-     suprema of a delivery first, so the sup peaks early and subsumption
-     prunes the low-delay successors *)
-  let order st =
-    let b = Zone.Dbm.sup_clock st.st_zone ci in
-    if Zone.Bound.is_infinite b then max_int else Zone.Bound.constant b
-  in
-  let payload () = Marshal.to_string (merged ()) [] in
-  let r = search ?jobs ?expand ~order ?ctl ?resume ~label ~payload t update in
-  { so_sup = merged ();
+  let payload () = Marshal.to_string !best [] in
+  let r = search ?expand ?ctl ?resume ~label ~payload t update in
+  { so_sup = !best;
     so_stats = r.sr_stats;
     so_interrupt = r.sr_interrupt;
     so_snapshot = r.sr_snapshot }
@@ -1769,7 +1424,7 @@ let find_timelock ?ctl t =
      so the timelock search deduplicates by zone equality only. *)
   let r =
     search ?ctl ~on_expanded ~subsume:false ~label:"timelock" t
-      (fun _ _ -> `Continue)
+      (fun _ -> `Continue)
   in
   { r_trace = Option.map (List.map (describe t)) r.sr_chain;
     r_stats = r.sr_stats;
@@ -1862,8 +1517,8 @@ let replay t chain =
       chain;
     if !feasible then Some (List.rev !steps) else None
 
-let timed_trace ?jobs t pred =
-  let visit _ st = if pred st then `Stop else `Continue in
-  match (search ?jobs ~label:"reachable" t visit).sr_chain with
+let timed_trace t pred =
+  let visit st = if pred st then `Stop else `Continue in
+  match (search ~label:"reachable" t visit).sr_chain with
   | None -> None
   | Some chain -> replay t chain

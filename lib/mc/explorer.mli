@@ -13,21 +13,13 @@
     the interruption {!Runctl.reason} instead of raising.  The timed
     queries additionally emit a resumable {!snapshot} at that point.
 
-    {b Domains.}  The queries that take [?jobs] (default 1) run the one
-    search loop ({!search}) on that many domains.  The passed/waiting
-    store is partitioned by discrete-state hash, one partition per
-    domain, and each domain expands only the states it owns
-    (owner-computes); a successor owned elsewhere travels to its owner
-    in a batch.  The caller's domain runs partition 0; the others run on
-    helper domains taken from {!Park}, which outlive the search.
-    Verdicts and sups are identical for every [jobs]: the
-    search runs to the same zone-graph fixpoint.  Visited/stored counts,
-    witness traces and the partial sup of an interrupted run depend on
-    the exploration order and may differ at [jobs > 1]; [jobs = 1] is
-    the sequential search, counts and snapshots included.  A domain that
-    raises at [jobs > 1] does not kill the process: the search returns
-    [Unknown (Crash diagnosis)] and no snapshot.  Library functions do
-    not clamp [jobs] to the host's cores (see {!recommended_jobs}). *)
+    {b One domain.}  Every query runs the one sequential search loop
+    ({!search}) on the calling domain: breadth-first, with a FIFO
+    waiting queue, so counts, witnesses and snapshots are deterministic.
+    Parallelism lives across queries ([Analysis.Pool.map]): searches
+    share no mutable state, so independent ones may run on several
+    domains at once.  An exception raised by a predicate or hook
+    escapes the search. *)
 
 type t
 
@@ -48,10 +40,8 @@ type stats = {
 (** {1 Progress reporting}
 
     All searches report through one stats hook, called every 1000
-    visited states, always from the calling domain: at [jobs > 1] only
-    when that domain's own expansion lands on a multiple of 1000, with
-    counts read from the other partitions as they stand.  A search
-    reads the hook once, when it starts.  The default hook prints to
+    visited states, from the searching domain.  A search reads the hook
+    once, when it starts.  The default hook prints to
     stderr when [PSV_MC_PROGRESS] is set in the environment (checked
     once, not per state); {!set_progress_hook} replaces it for
     embedding (TUIs, logging, cancellation timers). *)
@@ -69,9 +59,11 @@ val set_progress_hook : (progress -> unit) option -> unit
     A snapshot freezes an interrupted search: the live passed/waiting
     store (discrete state plus DBM rows), the waiting queue, the trace
     side-table, the visited/stored counters and the query's own
-    accumulator — one format at every [jobs].  Resuming continues to the
-    verdict of an uninterrupted run, and at [jobs = 1] on both sides to
-    byte-identical statistics.
+    accumulator.  Resuming continues to the verdict and the
+    byte-identical statistics of an uninterrupted run.  Ids need not be
+    consecutive: a checkpoint of an older build's partitioned search,
+    whose ids have gaps, resumes to the verdict of an uninterrupted
+    run.
 
     Snapshots are {!Keys.Frame} files: a magic carrying the format
     version ([PSVSNAP3]), the payload's digest and length, then the
@@ -159,11 +151,8 @@ type reach_result = {
 
 (** [reachable t pred] is the UPPAAL query [E<> pred].  [expand]
     overrides successor generation as in {!search}; it stays because
-    the per-layer benchmark drivers trace the explorer through it.  At
-    [jobs > 1] the witness is a real zone-graph path but need not be
-    the sequential one. *)
+    the per-layer benchmark drivers trace the explorer through it. *)
 val reachable :
-  ?jobs:int ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t -> t -> (state -> bool) -> reach_result
 
@@ -190,17 +179,11 @@ type sup_outcome = {
     exactly.
 
     [resume] continues a previous interrupted run of the {e same} query
-    on the {e same} model, taken at any [jobs]; the running sup is
-    restored from the snapshot, and the combined run reaches the same
-    result as an uninterrupted one (at [jobs = 1] on both sides, the
-    same visited and stored counts too).
-
-    At [jobs > 1] each partition folds its own running sup, merged by
-    max at the end, and a delivery of successors to a partition is
-    stored highest monitor-clock supremum first.
+    on the {e same} model; the running sup is restored from the
+    snapshot, and the combined run reaches the same result, and the
+    same visited and stored counts, as an uninterrupted one.
     @raise Invalid_argument when the snapshot does not match. *)
 val sup_clock :
-  ?jobs:int ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t -> ?resume:snapshot ->
   t -> pred:(state -> bool) -> clock:string -> sup_outcome
@@ -244,8 +227,8 @@ type timed_step = {
     absolute-time clock, and each step is annotated with its feasible
     firing-time interval.  [None] if the predicate is unreachable (or
     not reached within budget).  Every chain the search returns is a
-    real zone-graph path, at any [jobs], so its replay succeeds. *)
-val timed_trace : ?jobs:int -> t -> (state -> bool) -> timed_step list option
+    real zone-graph path, so its replay succeeds. *)
+val timed_trace : t -> (state -> bool) -> timed_step list option
 
 val pp_timed_step : Format.formatter -> timed_step -> unit
 
@@ -311,7 +294,7 @@ val admit_pre :
   state option
 
 (** The live zones of one discrete state in {!search}'s passed/waiting
-    store (in every partition, at any [jobs]), exposed so tests can drive
+    store, exposed so tests can drive
     it directly.  Library-internal in spirit. *)
 module Passed : sig
   (** A stored state: its id, the state, and whether a later zone of
@@ -369,8 +352,7 @@ end
 (** {2 Snapshot plumbing}
 
     A snapshot's content, for tools and tests that inspect or rebuild
-    one.  The format is the same at every [jobs], so a checkpoint taken
-    at any [jobs] resumes at any other.  Library-internal in spirit. *)
+    one.  Library-internal in spirit. *)
 
 (** A stored state flattened for serialization: the raw discrete
     vectors plus the zone's encoded bound matrix
@@ -390,9 +372,7 @@ val snapshot_stored : snapshot -> int
 (** Every live passed/waiting state of the interrupted run. *)
 val snapshot_entries : snapshot -> snap_entry list
 
-(** Ids of the waiting (not yet expanded) entries: in FIFO order at
-    [jobs = 1]; at [jobs > 1] partition by partition, each shallowest
-    first. *)
+(** Ids of the waiting (not yet expanded) entries, in FIFO order. *)
 val snapshot_queue : snapshot -> int array
 
 (** Per id: parent id and the step's movers as
@@ -421,38 +401,23 @@ type search_result = {
   sr_snapshot : snapshot option;
 }
 
-(** [Domain.recommended_domain_count ()]: the number of domains this
-    host can run in parallel.  CLI layers clamp a user-supplied [--jobs]
-    to it (more domains than cores only adds contention); the library
-    does {e not} clamp, so tests can exercise multi-domain schedules on
-    any host. *)
-val recommended_jobs : unit -> int
-
 (** [walk_as ~size tbl] lists [tbl]'s bindings in the order
     [Hashtbl.iter] would walk a table created with [Hashtbl.create size]
     that was given the same new keys in the same order, by [add] or
     [replace], and none removed.  [tbl] must have been created at most
-    that big.  {!search} builds small node tables and walks them so,
-    which keeps snapshot bytes those of its historical table sizes. *)
+    that big.  {!search} builds a small node table and walks it as one
+    of 4096 buckets, which keeps snapshot bytes those of its historical
+    table size. *)
 val walk_as : size:int -> (int, 'a) Hashtbl.t -> (int * 'a) list
 
-(** The one search loop behind every query.  It calls [visit p st] on
-    every stored state (including the initial one) and stops early when
-    it returns [`Stop]; [p] is the partition that stored [st], and all
-    calls for one [p] come from one domain, so per-partition accumulators
-    need no lock.  [on_expanded] runs after a state's successors were
-    generated, with the count of non-empty successors.  [subsume:false] deduplicates by zone equality
-    instead of inclusion.  [label] names the query kind (must match on
-    [resume]); [payload] saves the caller's accumulator into the
-    snapshot.
-
-    [jobs] (default 1) is the number of partitions, one domain each (see
-    the module preamble); [order] scores successors, and a partition
-    stores the successors delivered to it together highest score first.
-    At [jobs = 1] nothing is delivered and [order] is never called.  At
-    [jobs > 1] the hooks run on the domain that owns the partition, so
-    [visit], [on_expanded] and [expand] must tolerate
-    running on several domains at once.
+(** The one search loop behind every query, breadth-first on the
+    calling domain.  It calls [visit st] on every stored state (including
+    the initial one) and stops early when it returns [`Stop].
+    [on_expanded] runs after a state's successors were generated, with
+    the count of non-empty successors.  [subsume:false] deduplicates by
+    zone equality instead of inclusion.  [label] names the query kind
+    (must match on [resume]); [payload] saves the caller's accumulator
+    into the snapshot.
 
     [expand] overrides successor generation for one popped state: it
     must return, in the enumeration order of {!candidates}, every
@@ -464,13 +429,11 @@ val walk_as : size:int -> (int, 'a) Hashtbl.t -> (int * 'a) list
     byte-identical results and statistics to the inline path, which
     fires from per-node successor tables (see {!fire}). *)
 val search :
-  ?jobs:int ->
   ?on_expanded:(state -> int -> [ `Stop | `Continue ]) ->
   ?subsume:bool ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
-  ?order:(state -> int) ->
   ?ctl:Runctl.t ->
   ?resume:snapshot ->
   ?label:string ->
   ?payload:(unit -> string) ->
-  t -> (int -> state -> [ `Stop | `Continue ]) -> search_result
+  t -> (state -> [ `Stop | `Continue ]) -> search_result

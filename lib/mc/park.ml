@@ -24,7 +24,9 @@ type helper = {
   mutable h_task : task;
 }
 
-let cap = max 0 (Domain.recommended_domain_count () - 1)
+let recommended_jobs () = Domain.recommended_domain_count ()
+
+let cap = max 0 (recommended_jobs () - 1)
 
 let park_mutex = Mutex.create ()
 let park : helper list ref = ref []

@@ -16,7 +16,14 @@
     or [main] runs. *)
 val fork_join : (unit -> unit) array -> (unit -> unit) -> unit
 
-(** [Domain.recommended_domain_count () - 1] (at least 0): the most
+(** [Domain.recommended_domain_count ()]: the number of domains this
+    host can run in parallel.  CLI layers clamp a user-supplied [--jobs]
+    to it (more domains than cores only adds contention); the library
+    does {e not} clamp, so tests can exercise oversubscribed pools on
+    any host. *)
+val recommended_jobs : unit -> int
+
+(** [recommended_jobs () - 1] (at least 0): the most
     helpers that stay parked.  Each parked helper takes part, through its
     backup thread, in every stop-the-world collection of the process, so
     more than the cores left beside the caller would slow the rest of

@@ -234,12 +234,12 @@ let compile_pred t p =
 
 let delay_monitor_clock = "psv_delay_mon"
 
-let max_delay ?(jobs = 1) ?limit ?ctl ?resume net ~trigger ~response ~ceiling =
+let max_delay ?limit ?ctl ?resume net ~trigger ~response ~ceiling =
   let monitor =
     Monitor.delay ~trigger ~response ~clock:delay_monitor_clock ~ceiling ()
   in
   let t = Explorer.make ?limit ~monitor net in
-  Explorer.sup_clock ~jobs ?ctl ?resume t
+  Explorer.sup_clock ?ctl ?resume t
     ~pred:(Explorer.mon_in t "Waiting")
     ~clock:delay_monitor_clock
 
@@ -262,11 +262,11 @@ let bounded_of_sup outcome ~bound =
   | Unknown (_, Some (Explorer.Sup_exceeds _)) -> Fails None
   | Unknown _ | Holds | Fails _ -> outcome
 
-let eval ?(jobs = 1) ?ctl ?limit net q =
+let eval ?jobs:_ ?ctl ?limit net q =
   match q with
   | Exists_eventually p ->
     let t = Explorer.make ?limit net in
-    let r = Explorer.reachable ~jobs ?ctl t (compile_pred t p) in
+    let r = Explorer.reachable ?ctl t (compile_pred t p) in
     let outcome =
       match r.Explorer.r_trace, r.Explorer.r_interrupt with
       | Some _, _ -> Holds  (* a witness is a witness, budget or not *)
@@ -277,7 +277,7 @@ let eval ?(jobs = 1) ?ctl ?limit net q =
   | Always p ->
     let t = Explorer.make ?limit net in
     let r =
-      Explorer.reachable ~jobs ?ctl t (fun st -> not (compile_pred t p st))
+      Explorer.reachable ?ctl t (fun st -> not (compile_pred t p st))
     in
     let outcome =
       match r.Explorer.r_trace, r.Explorer.r_interrupt with
@@ -287,12 +287,12 @@ let eval ?(jobs = 1) ?ctl ?limit net q =
     in
     { res_outcome = outcome; res_stats = r.Explorer.r_stats }
   | Sup_delay { trigger; response; ceiling } ->
-    result_of_sup (max_delay ~jobs ?ctl ?limit net ~trigger ~response ~ceiling)
+    result_of_sup (max_delay ?ctl ?limit net ~trigger ~response ~ceiling)
   | Bounded_response { trigger; response; bound } ->
     (* the sup with ceiling = bound: exact at the bound *)
     let r =
       result_of_sup
-        (max_delay ~jobs ?ctl ?limit net ~trigger ~response ~ceiling:bound)
+        (max_delay ?ctl ?limit net ~trigger ~response ~ceiling:bound)
     in
     { r with res_outcome = bounded_of_sup r.res_outcome ~bound }
 

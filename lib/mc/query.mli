@@ -64,9 +64,9 @@ val parse : string -> (t, string) Stdlib.result
 val to_string : t -> string
 
 (** [eval net q] builds the needed explorer (with a delay monitor for the
-    timed queries) and evaluates under the optional [ctl] govern token.
-    [jobs] (default 1) selects the number of exploration domains — same
-    outcome, order-dependent statistics at [jobs > 1] (see {!Explorer}).
+    timed queries) and evaluates under the optional [ctl] govern token,
+    on the calling domain.  [jobs] is ignored; it is accepted only so
+    that existing benchmark drivers compile.
     [Sup_delay] is {!max_delay}; [Bounded_response] is the same search
     with [ceiling = bound], decided by {!bounded_of_sup}.
     @raise Ta.Compiled.Compile_error on an
@@ -84,12 +84,10 @@ val eval :
 
     [resume] continues an interrupted run from its snapshot — same
     trigger, response, ceiling and network required
-    ({!Explorer.sup_clock} checks the fingerprint).  Snapshots use one
-    format at every [jobs], so a checkpoint taken at any [jobs] resumes
-    at any other.
+    ({!Explorer.sup_clock} checks the fingerprint).
     @raise Invalid_argument when the snapshot does not match. *)
 val max_delay :
-  ?jobs:int -> ?limit:int -> ?ctl:Runctl.t -> ?resume:Explorer.snapshot ->
+  ?limit:int -> ?ctl:Runctl.t -> ?resume:Explorer.snapshot ->
   Ta.Model.network ->
   trigger:string -> response:string -> ceiling:int -> Explorer.sup_outcome
 

@@ -3,7 +3,6 @@ type reason =
   | State_budget of int
   | Memory_budget of int
   | Cancelled
-  | Crash of string
 
 type budget = {
   b_time_s : float option;
@@ -13,11 +12,12 @@ type budget = {
 
 let no_budget = { b_time_s = None; b_states = None; b_mem_bytes = None }
 
-(* Both mutable fields are [Atomic.t] because one token is shared by
-   every domain of a partitioned search (Explorer.search at jobs > 1).  A plain mutable bool
+(* Both mutable fields are [Atomic.t] because a token's cancellation is
+   shared by the searches of a query batch running on several domains
+   ([sibling] tokens under [Analysis.Pool.map]).  A plain mutable bool
    written by the cancelling domain (or a signal handler) carries no
    inter-domain publication guarantee under the OCaml 5 memory model: a
-   worker could spin on a stale cached value forever.  [Atomic.get/set]
+   search could poll a stale cached value forever.  [Atomic.get/set]
    are seq-cst, so a [cancel] becomes visible to every subsequent
    [check] on any domain. *)
 type t = {
@@ -77,24 +77,11 @@ let check t ~visited =
     | Some _ as r -> r
     | None ->
       (* [ticks = 0] on the first call, so a run that is already over
-         budget stops before expanding anything.  Under a parallel
-         search the counter is shared: the sampling interval is global
-         across workers, not per worker, keeping the clock/heap poll
-         rate independent of the worker count. *)
+         budget stops before expanding anything.  Searches polling one
+         token share the counter, so the clock/heap poll rate does not
+         grow with their number. *)
       let sample = Atomic.fetch_and_add t.ticks 1 land sample_mask = 0 in
       if not sample then None else slow_poll t
-  end
-
-(* Sampling interval for [check_striped].  Tighter than [sample_mask]
-   because each worker ticks at roughly 1/jobs the fleet's rate. *)
-let striped_mask = 63
-
-let check_striped t ~visited ~tick =
-  if Atomic.get t.is_cancelled then Some Cancelled
-  else begin
-    match over_states t ~visited with
-    | Some _ as r -> r
-    | None -> if tick land striped_mask <> 0 then None else slow_poll t
   end
 
 let install_sigint t =
@@ -134,11 +121,9 @@ let pp_reason ppf = function
   | Memory_budget limit ->
     Fmt.pf ppf "memory budget (%d MB) exhausted" (limit / (1024 * 1024))
   | Cancelled -> Fmt.string ppf "cancelled"
-  | Crash msg -> Fmt.pf ppf "worker crashed: %s" msg
 
 let reason_tag = function
   | Time_budget _ -> "time-budget"
   | State_budget _ -> "state-budget"
   | Memory_budget _ -> "memory-budget"
   | Cancelled -> "cancelled"
-  | Crash _ -> "crash"

@@ -12,19 +12,17 @@
     overshoot a budget by one sampling interval.  The visited-state
     budget is exact.
 
-    {b Domain-safety.}  One token may be shared by every domain of a
-    partitioned search ({!Explorer.search} at [jobs > 1]) and by a SIGINT handler, so the
+    {b Domain-safety.}  A token's cancellation may be shared by the
+    searches of a query batch running on several domains ({!sibling}
+    tokens under [Analysis.Pool.map]) and by a SIGINT handler, so the
     mutable state ([cancelled], the sampling tick counter) lives in
     [Atomic.t] cells.  The OCaml 5 memory model gives plain mutable
-    fields no publication guarantee between domains — a worker polling a
+    fields no publication guarantee between domains — a search polling a
     plain [mutable bool] written by another domain may read a stale
     value indefinitely, making cancellation unsound.  [Atomic] operations
     are sequentially consistent: once {!cancel} returns, every later
-    {!check} on any domain observes it.  The tick counter uses
-    [fetch_and_add], so the expensive clock/heap sampling interval is
-    global across workers rather than multiplied by the worker count.
-    [check] itself never blocks and takes no locks, so workers can poll
-    it on their hot path. *)
+    {!check} on any domain observes it.  [check] itself never blocks and
+    takes no locks, so a search can poll it on its hot path. *)
 
 (** Why a search stopped short of a definitive answer. *)
 type reason =
@@ -32,9 +30,6 @@ type reason =
   | State_budget of int    (** visited-state budget *)
   | Memory_budget of int   (** live-heap budget, in bytes *)
   | Cancelled              (** {!cancel} was called (e.g. SIGINT) *)
-  | Crash of string
-      (** a worker domain raised; the search was downgraded instead of
-          killing the process — diagnostic (with backtrace) attached *)
 
 type budget = {
   b_time_s : float option;     (** wall-clock seconds from {!create} *)
@@ -71,16 +66,6 @@ val cancelled : t -> bool
     samples the clock and the heap.  The first call always samples. *)
 val check : t -> visited:int -> reason option
 
-(** [check_striped t ~visited ~tick] is {!check} with the clock/heap
-    sampling driven by a caller-supplied tick counter instead of the
-    shared one: a parallel worker passes its worker-local expansion
-    count, so the hot path costs one atomic read (the cancel flag) and
-    no read-modify-write on a cache line shared by every worker.  The
-    sampling mask is tighter (every 64th tick) since each worker ticks
-    at roughly 1/jobs the fleet's rate; [tick = 0] samples, so a run
-    already over budget stops before its first expansion. *)
-val check_striped : t -> visited:int -> tick:int -> reason option
-
 (** Install a SIGINT handler that cancels [t].  A second SIGINT restores
     the default behavior (terminate), so a wedged run can still be
     killed.  No-op on platforms without [Sys.sigint] handling. *)
@@ -93,5 +78,5 @@ val parse_duration : string -> (float, string) result
 val pp_reason : Format.formatter -> reason -> unit
 
 (** Short machine-readable tag: ["time-budget"], ["state-budget"],
-    ["memory-budget"], ["cancelled"] or ["crash"]. *)
+    ["memory-budget"] or ["cancelled"]. *)
 val reason_tag : reason -> string

@@ -51,7 +51,7 @@ let budget_dominates ~cached ~requested =
 let reusable e ~requested =
   match e.en_outcome with
   | Query.Holds | Query.Fails _ | Query.Sup _ -> true
-  | Query.Unknown ((Runctl.Cancelled | Runctl.Crash _), _) -> false
+  | Query.Unknown (Runctl.Cancelled, _) -> false
   | Query.Unknown _ -> budget_dominates ~cached:e.en_budget ~requested
 
 (* --- json --------------------------------------------------------------- *)
@@ -74,8 +74,6 @@ let reason_to_json = function
   | Runctl.Memory_budget n ->
     Json.Obj [ ("tag", Json.String "memory-budget"); ("value", Json.Int n) ]
   | Runctl.Cancelled -> Json.Obj [ ("tag", Json.String "cancelled") ]
-  | Runctl.Crash msg ->
-    Json.Obj [ ("tag", Json.String "crash"); ("message", Json.String msg) ]
 
 let outcome_to_json = function
   | Query.Holds -> Json.Obj [ ("kind", Json.String "holds") ]
@@ -174,9 +172,6 @@ let reason_of_json j =
     let* v = coerce "value" Json.to_int j in
     Ok (Runctl.Memory_budget v)
   | "cancelled" -> Ok Runctl.Cancelled
-  | "crash" ->
-    let* msg = coerce "message" Json.to_str j in
-    Ok (Runctl.Crash msg)
   | t -> Error (Printf.sprintf "unknown interrupt reason %S" t)
 
 let outcome_of_json j =

@@ -12,8 +12,7 @@
     memory, an unlimited component dominating everything) — if the
     bigger run could not decide, the smaller one cannot either.
     Cancelled runs ([^C]) are never reused: cancellation says nothing
-    about any budget.  The same goes for [Crash] — a worker-domain
-    failure is a fact about the host, not the model. *)
+    about any budget. *)
 
 (** The budget a run was (or would be) governed by.  [bg_limit] is the
     explorer's own visited-state limit; the optional components mirror

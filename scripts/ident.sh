@@ -49,11 +49,11 @@ cmp -s check.old check.new || bad "check --json"
 
 # --- checkpoints: bytes, and resume in both directions ---------------------
 B="--trigger m_BolusReq --response c_StartInfusion --bound 1430"
-$OLD verify --jobs 1 psm.xta $B > full.old
-$OLD verify --jobs 1 --budget-states 5000 --checkpoint old.snap psm.xta $B > /dev/null
-$NEW verify --jobs 1 --budget-states 5000 --checkpoint new.snap psm.xta $B > /dev/null
-$NEW verify --jobs 1 --resume old.snap psm.xta $B > res.new-of-old
-$OLD verify --jobs 1 --resume new.snap psm.xta $B > res.old-of-new
+$OLD verify psm.xta $B > full.old
+$OLD verify --budget-states 5000 --checkpoint old.snap psm.xta $B > /dev/null
+$NEW verify --budget-states 5000 --checkpoint new.snap psm.xta $B > /dev/null
+$NEW verify --resume old.snap psm.xta $B > res.new-of-old
+$OLD verify --resume new.snap psm.xta $B > res.old-of-new
 cmp -s full.old res.new-of-old || bad "parent snapshot under change"
 cmp -s full.old res.old-of-new || bad "change snapshot under parent"
 cmp -s old.snap new.snap || bad "checkpoint snapshot bytes"

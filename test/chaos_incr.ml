@@ -96,7 +96,7 @@ let run_sequence ~seed ~steps (name, base, qtexts) =
     List.iter
       (fun q ->
         let o = Incr.Session.run sess !net q in
-        let scratch = Q.eval ~jobs:1 !net q in
+        let scratch = Q.eval !net q in
         let where =
           Printf.sprintf "%s seed=%d step=%d rung=%s q=%s" name seed step
             (Incr.Session.rung_name o.Incr.Session.so_rung)
@@ -118,7 +118,7 @@ let test_sequences case () =
    re-derives: 2 seeds x 4 edits, every step checked against scratch.
    An edit can desynchronise a periodic guard from its invariant and
    fragment every zone, so each edit is first probed from scratch under
-   an exact visited-state budget (deterministic at jobs 1); an edit that
+   an exact visited-state budget (deterministic); an edit that
    blows it is reverted and the sequence goes on from the previous
    network. *)
 let probe_states = 200_000
@@ -139,7 +139,7 @@ let test_gpca_psm_mc () =
     let budget =
       { Mc.Runctl.no_budget with Mc.Runctl.b_states = Some probe_states }
     in
-    let r = Q.eval ~jobs:1 ~ctl:(Mc.Runctl.create ~budget ()) net q in
+    let r = Q.eval ~ctl:(Mc.Runctl.create ~budget ()) net q in
     match r.Q.res_outcome with
     | Q.Unknown (Mc.Runctl.State_budget _, _) -> None
     | _ -> Some r
@@ -158,7 +158,7 @@ let test_gpca_psm_mc () =
            (Incr.Session.rung_name o.Incr.Session.so_rung))
         scratch o
     in
-    step 0 (Q.eval ~jobs:1 psm q);
+    step 0 (Q.eval psm q);
     for k = 1 to 4 do
       let edit = Incr.Edit.random_edit rng !net in
       match probe edit.Incr.Edit.ed_net with
@@ -216,7 +216,7 @@ let test_cached_sequences () =
              session over the same store must resume from disk *)
           if step mod 2 = 1 then sess := Incr.Session.make ~cache ~tag ();
           let o = Incr.Session.run !sess !net q in
-          let scratch = Q.eval ~jobs:1 !net q in
+          let scratch = Q.eval !net q in
           let where =
             Printf.sprintf "cached seed=%d step=%d rung=%s" seed step
               (Incr.Session.rung_name o.Incr.Session.so_rung)

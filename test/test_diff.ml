@@ -107,8 +107,24 @@ let test_mutation_caught () =
   let v = O.run cfg i in
   Alcotest.(check bool) "at least one discrepancy" true
     (v.O.v_discrepancies <> []);
-  Alcotest.(check bool) "a Jobs discrepancy among them" true
-    (List.exists (fun d -> d.O.d_check = O.Jobs) v.O.v_discrepancies)
+  Alcotest.(check bool) "an xta discrepancy among them" true
+    (List.exists (fun d -> d.O.d_check = O.Xta) v.O.v_discrepancies)
+
+(* The skew self-test at full strength, as [psv fuzz --inject-sup-skew 3
+   --count 40] runs it: every instance has a sup, so every one is
+   discrepant, and the re-verified round-trip names the skew. *)
+let test_skew_run_all_discrepant () =
+  let cfg =
+    { O.default with O.scenarios = 0; mutation = Some (O.Sup_skew 3) }
+  in
+  let shapes = G.all_shapes in
+  for index = 0 to 39 do
+    let shape = List.nth shapes (index mod List.length shapes) in
+    let v = O.run cfg (G.instance ~seed:42 ~index shape) in
+    if v.O.v_sup = None then Alcotest.failf "%s: no sup" v.O.v_id;
+    if not (List.exists (fun d -> d.O.d_check = O.Xta) v.O.v_discrepancies)
+    then Alcotest.failf "%s: skew not caught as xta" v.O.v_id
+  done
 
 let caches = ref 0
 
@@ -133,26 +149,13 @@ let with_cache f =
       | Ok disk -> f (Analysis.Qcache.make ~warn:(fun _ -> ()) disk)
       | Error msg -> Alcotest.failf "open store: %s" msg)
 
-(* A verdict as text, with the domain count a jobs detail names
-   ("jobs 1 says A, jobs N says B") blanked *)
-let show_verdict ~jobs v =
-  let names = Printf.sprintf ", jobs %d says " jobs in
-  let detail d =
-    let s = d.O.d_detail and n = String.length names in
-    let rec find k =
-      if k + n > String.length s then s
-      else if String.sub s k n = names then
-        String.sub s 0 k ^ ", jobs N says "
-        ^ String.sub s (k + n) (String.length s - k - n)
-      else find (k + 1)
-    in
-    if d.O.d_check = O.Jobs then find 0 else s
-  in
+(* A verdict as text *)
+let show_verdict v =
   Printf.sprintf "%s sup=%s [%s]" v.O.v_id
     (match v.O.v_sup with Some s -> string_of_int s | None -> "-")
     (String.concat "; "
        (List.map
-          (fun d -> O.check_name d.O.d_check ^ ": " ^ detail d)
+          (fun d -> O.check_name d.O.d_check ^ ": " ^ d.O.d_detail)
           v.O.v_discrepancies))
 
 (* The instance's checks share [jobs] domains; what the oracle reports
@@ -163,7 +166,7 @@ let test_oracle_jobs_deterministic () =
       List.concat_map
         (fun shape ->
           List.init 3 (fun index ->
-              show_verdict ~jobs
+              show_verdict
                 (O.run
                    { O.default with O.jobs; scenarios = 2; mutation; cache }
                    (G.instance ~seed:31 ~index shape))))
@@ -218,13 +221,13 @@ let test_check_names () =
         (Printf.sprintf "check round-trip %s" (O.check_name c))
         true
         (O.check_of_name (O.check_name c) = Some c))
-    [ O.Truth; O.Analytic; O.Jobs; O.Bounded; O.Xta; O.Store_trip;
+    [ O.Truth; O.Analytic; O.Bounded; O.Xta; O.Store_trip;
       O.Ladder; O.Sim ]
 
 (* --- shrinking ------------------------------------------------------- *)
 
 (* The canned discrepancy: an injected sup skew on a fixed chain
-   instance, which the oracle classifies as [Jobs] — the one mutation
+   instance, which the oracle classifies as [Xta] — the one mutation
    class guaranteed construction-independent, so it survives network
    surgery and the shrinker can chew on it. *)
 let canned () =
@@ -235,7 +238,7 @@ let canned () =
 let test_shrink_reproduces_and_reduces () =
   let cfg, i = canned () in
   let q = G.query i in
-  let r = S.shrink cfg ~check:O.Jobs ~seed:9 ~q i.G.net in
+  let r = S.shrink cfg ~check:O.Xta ~seed:9 ~q i.G.net in
   Alcotest.(check bool) "accepted some reductions" true (r.S.sh_accepted > 0);
   Alcotest.(check bool) "tested at least as many" true
     (r.S.sh_tested >= r.S.sh_accepted);
@@ -245,18 +248,18 @@ let test_shrink_reproduces_and_reduces () =
   Alcotest.(check (list string)) "still validates" []
     (Ta.Model.validate r.S.sh_net);
   let _, _, ds = O.core cfg ~net:r.S.sh_net ~q ~seed:9 in
-  Alcotest.(check bool) "still reproduces a Jobs discrepancy" true
-    (List.exists (fun d -> d.O.d_check = O.Jobs) ds)
+  Alcotest.(check bool) "still reproduces an xta discrepancy" true
+    (List.exists (fun d -> d.O.d_check = O.Xta) ds)
 
 let test_shrink_deterministic () =
   let cfg, i = canned () in
   let q = G.query i in
-  let r1 = S.shrink cfg ~check:O.Jobs ~seed:9 ~q i.G.net in
-  let r2 = S.shrink cfg ~check:O.Jobs ~seed:9 ~q i.G.net in
+  let r1 = S.shrink cfg ~check:O.Xta ~seed:9 ~q i.G.net in
+  let r2 = S.shrink cfg ~check:O.Xta ~seed:9 ~q i.G.net in
   Alcotest.(check string) "byte-identical across runs" r1.S.sh_xta r2.S.sh_xta;
   Alcotest.(check int) "same acceptance count" r1.S.sh_accepted r2.S.sh_accepted;
   let r4 =
-    S.shrink { cfg with O.jobs = 4 } ~check:O.Jobs ~seed:9 ~q i.G.net
+    S.shrink { cfg with O.jobs = 4 } ~check:O.Xta ~seed:9 ~q i.G.net
   in
   Alcotest.(check string) "byte-identical across jobs" r1.S.sh_xta r4.S.sh_xta
 
@@ -264,14 +267,14 @@ let test_shrink_no_discrepancy_is_identity () =
   let i = G.instance ~seed:42 ~index:3 G.Chain in
   let q = G.query i in
   (* No mutation: nothing to reproduce, the input comes back unchanged. *)
-  let r = S.shrink O.default ~check:O.Jobs ~seed:9 ~q i.G.net in
+  let r = S.shrink O.default ~check:O.Xta ~seed:9 ~q i.G.net in
   Alcotest.(check int) "no reductions" 0 r.S.sh_accepted;
   Alcotest.(check string) "unchanged" (print i.G.net) r.S.sh_xta
 
 let test_corpus_entry () =
   let cfg, i = canned () in
   let q = G.query i in
-  let r = S.shrink cfg ~check:O.Jobs ~seed:9 ~q i.G.net in
+  let r = S.shrink cfg ~check:O.Xta ~seed:9 ~q i.G.net in
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -280,7 +283,7 @@ let test_corpus_entry () =
   let meta =
     Store.Json.Obj
       [ ("id", Store.Json.String i.G.id);
-        ("check", Store.Json.String (O.check_name O.Jobs)) ]
+        ("check", Store.Json.String (O.check_name O.Xta)) ]
   in
   let entry =
     S.write_entry ~dir ~id:i.G.id ~query_text:(Mc.Query.to_string q)
@@ -300,7 +303,7 @@ let test_corpus_entry () =
      && String.sub q_text 0 4 = "sup:");
   Alcotest.(check bool) "meta.json mentions the check" true
     (let m = read "meta.json" in
-     let needle = "\"jobs\"" in
+     let needle = "\"xta\"" in
      let n = String.length needle and len = String.length m in
      let rec find k =
        k + n <= len && (String.sub m k n = needle || find (k + 1))
@@ -325,7 +328,9 @@ let suite =
     Alcotest.test_case "generator well-formed" `Quick test_gen_well_formed;
     Alcotest.test_case "truth vs explorer" `Quick test_truth_vs_explorer;
     Alcotest.test_case "oracle clean sweep" `Quick test_oracle_clean_sweep;
-    Alcotest.test_case "mutation caught as Jobs" `Quick test_mutation_caught;
+    Alcotest.test_case "mutation caught as xta" `Quick test_mutation_caught;
+    Alcotest.test_case "skew run: 40 of 40 discrepant" `Quick
+      test_skew_run_all_discrepant;
     Alcotest.test_case "oracle same at jobs 1, 2, 4" `Quick
       test_oracle_jobs_deterministic;
     Alcotest.test_case "batch exception as at jobs 1" `Quick

@@ -250,7 +250,7 @@ let result_json (r : Q.result) =
          ("stats", Store.Entry.stats_to_json r.Q.res_stats) ])
 
 let check_scratch_equal label net q (r : Q.result) =
-  let scratch = Q.eval ~jobs:1 net q in
+  let scratch = Q.eval net q in
   Alcotest.(check string) label (result_json scratch) (result_json r)
 
 let check_rung label want (o : Incr.Session.outcome) =

@@ -429,10 +429,10 @@ let prop_store_equality =
   QCheck.Test.make ~name:"passed store = reference (equality)" ~count:200
     arb_zone_seq (prop_store ~subsume:false)
 
-(* A search's node tables start small and grow; its snapshot walks them
-   in the order of the bigger tables it once created (4096 buckets at
-   jobs 1, 256 per partition), and that order fixes a checkpoint's bytes.
-   Key sets above 8192 make even the 4096-bucket table grow. *)
+(* A search's node table starts small and grows; its snapshot walks it
+   in the order of the bigger table it once created (4096 buckets), and
+   that order fixes a checkpoint's bytes.  Key sets above 8192 make even
+   the 4096-bucket table grow. *)
 let arb_distinct_keys =
   let open QCheck.Gen in
   let keys =
@@ -680,7 +680,7 @@ let check_candidates name ?monitor net =
     comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_kind
     = Model.Committed
   in
-  let visit _ (st : Mc.Explorer.state) =
+  let visit (st : Mc.Explorer.state) =
     incr states;
     if Array.exists Fun.id (Array.mapi committed_at st.st_locs) then
       incr committed;
@@ -782,12 +782,12 @@ let uncached t pool st =
     (fun cd -> (cd, Mc.Explorer.fire t pool st cd))
     (Mc.Explorer.candidates t st)
 
-(* Every state the search stores, in storage order (at jobs 1 the k-th
-   one is entry k, so the order pins the ids), with a copy of its zone
+(* Every state the search stores, in storage order (the k-th one is
+   entry k, so the order pins the ids), with a copy of its zone
    taken before a later zone can subsume it and recycle the original. *)
 let stored_states ?expand t =
   let seen = ref [] in
-  let visit _ (st : Mc.Explorer.state) =
+  let visit (st : Mc.Explorer.state) =
     seen :=
       (st.st_locs, st.st_vars, st.st_mon, Zone.Dbm.copy st.st_zone) :: !seen;
     `Continue
@@ -815,24 +815,6 @@ let check_tables name t =
   if cstats <> hstats then
     Alcotest.failf "%s: stats differ from the uncached search" name
 
-(* At jobs 2 the counts depend on the schedule, so only the sups are
-   compared: each equals the jobs-1 sup, cached or not. *)
-let check_tables_sup name t =
-  check_tables name t;
-  let pred = Mc.Explorer.mon_in t "Waiting" in
-  let sup ?expand jobs =
-    (Mc.Explorer.sup_clock ~jobs ?expand t ~pred
-       ~clock:Mc.Query.delay_monitor_clock)
-      .Mc.Explorer.so_sup
-  in
-  let want = sup 1 in
-  List.iter
-    (fun (how, got) ->
-      if got <> want then
-        Alcotest.failf "%s: %s sup %a, jobs-1 sup %a" name how
-          Mc.Explorer.pp_sup_result got Mc.Explorer.pp_sup_result want)
-    [ ("jobs-2", sup 2); ("jobs-2 uncached", sup ~expand:(uncached t) 2) ]
-
 (* One location that sends [m] and [c] forever: the delay monitor's state
    is not a function of the locations, so one discrete (locs, vars) pair
    has a node per monitor state, and their successors differ. *)
@@ -852,12 +834,12 @@ let test_successor_tables () =
   let monitored ~trigger ~response ~ceiling net =
     Mc.Explorer.make ~monitor:(delay_monitor ~trigger ~response ~ceiling) net
   in
-  check_tables_sup "gpca-psm-mc"
+  check_tables "gpca-psm-mc"
     (monitored ~trigger:Gpca.Model.bolus_req
        ~response:Gpca.Model.start_infusion ~ceiling:2000 (gpca_psm ()));
   List.iter
     (fun (name, headway, invocation) ->
-      check_tables_sup name
+      check_tables name
         (monitored ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320
            (Test_runctl.railroad_psm ~headway ~invocation ())))
     [ ("railroad-event", 300, Scheme.Aperiodic 0);
@@ -870,20 +852,13 @@ let test_successor_tables () =
           (index mod List.length Diff.Gen.all_shapes)
       in
       let i = Diff.Gen.instance ~seed:42 ~index shape in
-      check_tables_sup i.Diff.Gen.id
+      check_tables i.Diff.Gen.id
         (monitored ~trigger:i.Diff.Gen.trigger ~response:i.Diff.Gen.response
            ~ceiling:i.Diff.Gen.ceiling i.Diff.Gen.net))
     (List.init 12 Fun.id);
-  check_tables_sup "free-running"
+  check_tables "free-running"
     (monitored ~trigger:"m" ~response:"c" ~ceiling:100 (free_running ()));
-  let orders = Mc.Explorer.make (orders_net ()) in
-  check_tables "orders" orders;
-  let reach ?expand () =
-    (Mc.Explorer.reachable ~jobs:2 ?expand orders (fun _ -> false))
-      .Mc.Explorer.r_trace
-  in
-  Alcotest.(check bool) "orders: jobs-2 outcomes agree" true
-    (reach () = None && reach ~expand:(uncached orders) () = None)
+  check_tables "orders" (Mc.Explorer.make (orders_net ()))
 
 (* A firing's discrete half, updates included, is computed only once its
    guarded zone is non-empty: an out-of-range update behind guards no
@@ -924,8 +899,8 @@ let test_lazy_discrete_half () =
 (* The search's per-successor path allocates no closure, the
    extrapolation no scratch, and a discrete state's candidates and
    successor vectors are built once, in its successor table, so
-   gpca-psm-input (Table I's input delay) allocates ~0.8M minor words at
-   jobs 1: ~1.4M when every zone rebuilt its candidates, 7.9M with a
+   gpca-psm-input (Table I's input delay) allocates ~0.8M minor words:
+   ~1.4M when every zone rebuilt its candidates, 7.9M with a
    closure per walk and a touched-list array per extrapolation.  A
    deterministic count, unlike a time. *)
 let test_allocation_budget () =
@@ -941,7 +916,7 @@ let test_allocation_budget () =
   in
   let net = gpca_psm () in
   let w0 = Gc.minor_words () in
-  let r = Mc.Query.eval ~jobs:1 net q in
+  let r = Mc.Query.eval net q in
   let words = Gc.minor_words () -. w0 in
   (match r.Mc.Query.res_outcome with
    | Mc.Query.Sup (Mc.Explorer.Sup (490, _)) -> ()
@@ -949,6 +924,37 @@ let test_allocation_budget () =
   if words > 1.2e6 then
     Alcotest.failf "gpca-psm-input allocated %.0f minor words (budget 1.2M)"
       words
+
+(* --- the PIM through Query.eval and timed witnesses ---------------------- *)
+
+let gpca_pim () =
+  Gpca.Model.network ~variant:Gpca.Model.Bolus_only Gpca.Params.default
+
+(* The PIM reaches [Pump.Infusing] and meets REQ1; refuting the
+   negation of the bounded check needs the whole state space. *)
+let test_query_eval_pim () =
+  let holds text =
+    match Mc.Query.parse text with
+    | Error msg -> Alcotest.failf "parse %S: %s" text msg
+    | Ok q ->
+      let o = (Mc.Query.eval (gpca_pim ()) q).Mc.Query.res_outcome in
+      if o <> Mc.Query.Holds then
+        Alcotest.failf "%s: %a, expected holds" text Mc.Query.pp_outcome o
+  in
+  holds "E<> Pump.Infusing";
+  holds
+    (Printf.sprintf "bounded: %s -> %s within 500" Gpca.Model.bolus_req
+       Gpca.Model.start_infusion)
+
+(* A witness chain replays: the exact replay re-checks feasibility edge
+   by edge. *)
+let test_timed_witness_replays () =
+  let t = Mc.Explorer.make (gpca_pim ()) in
+  match Mc.Explorer.timed_trace t (Mc.Explorer.at t ~aut:"Pump" ~loc:"Infusing")
+  with
+  | Some steps ->
+    Alcotest.(check bool) "non-empty witness" true (steps <> [])
+  | None -> Alcotest.fail "no witness to Pump.Infusing"
 
 let suite =
   [ Alcotest.test_case "reach within invariant" `Quick
@@ -989,4 +995,7 @@ let suite =
     Alcotest.test_case "successor tables = uncached firing" `Quick
       test_successor_tables;
     Alcotest.test_case "discrete half computed lazily" `Quick
-      test_lazy_discrete_half ]
+      test_lazy_discrete_half;
+    Alcotest.test_case "query eval on the PIM" `Quick test_query_eval_pim;
+    Alcotest.test_case "timed witness replays" `Quick
+      test_timed_witness_replays ]

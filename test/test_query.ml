@@ -195,9 +195,7 @@ let test_pp_outcome_text () =
         "UNKNOWN (state budget (1000) exhausted; sup so far < 7)" );
       ( Mc.Query.Unknown (Mc.Runctl.Memory_budget (64 * 1024 * 1024), None),
         "UNKNOWN (memory budget (64 MB) exhausted)" );
-      (Mc.Query.Unknown (Mc.Runctl.Cancelled, None), "UNKNOWN (cancelled)");
-      ( Mc.Query.Unknown (Mc.Runctl.Crash "boom", None),
-        "UNKNOWN (worker crashed: boom)" ) ]
+      (Mc.Query.Unknown (Mc.Runctl.Cancelled, None), "UNKNOWN (cancelled)") ]
 
 let suite =
   [ Alcotest.test_case "E<> queries" `Quick test_exists;

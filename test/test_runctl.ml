@@ -258,22 +258,40 @@ let test_fingerprint_mismatch () =
   let cut = railroad_delay ~ctl () in
   let snap = Option.get cut.Mc.Explorer.so_snapshot in
   (* same query shape, different network: the fingerprint must reject *)
+  (match
+     Mc.Query.max_delay ~resume:snap (big_net ()) ~trigger:"m_Train"
+       ~response:"c_GateDown" ~ceiling:320
+   with
+   | _ -> Alcotest.fail "resumed a snapshot of a different network"
+   | exception Invalid_argument _ -> ());
+  (* same network, another monitor ceiling *)
   match
-    Mc.Query.max_delay ~resume:snap (big_net ()) ~trigger:"m_Train"
-      ~response:"c_GateDown" ~ceiling:320
+    Mc.Query.max_delay ~resume:snap (railroad_psm ()) ~trigger:"m_Train"
+      ~response:"c_GateDown" ~ceiling:640
   with
-  | _ -> Alcotest.fail "resumed a snapshot of a different network"
+  | _ -> Alcotest.fail "resumed a snapshot of another ceiling"
   | exception Invalid_argument _ -> ()
 
-(* The GPCA PSM's input-delay query (Table I's verified 490), cut at
-   jobs = 1 at three state budgets.  Each snapshot resumes twice: as
-   written, and with its entries reversed.  A snapshot lists every
-   node's live entries in insertion order, and a restore appends them
-   without a subsumption scan, so the reversed one rebuilds every node
-   in the opposite order; subsumption decides the same whatever the
-   order, so both must end at the uninterrupted sup, visited and stored
-   counts. *)
-let test_resume_entry_order () =
+(* [Psv.verify_response] decides P(320) on both sides: the periodic
+   railroad meets it, the racing one (no headway) does not. *)
+let test_verify_response_verdicts () =
+  List.iter
+    (fun (name, net, expected) ->
+      let v =
+        Psv.verify_response net ~trigger:"m_Train" ~response:"c_GateDown"
+          ~bound:320
+      in
+      if v <> expected then
+        Alcotest.failf "%s: verdict %a, expected %a" name Mc.Query.pp_outcome
+          v Mc.Query.pp_outcome expected)
+    [ ("railroad-periodic25 |= P(320)", railroad_psm (), Mc.Query.Holds);
+      ( "railroad-race |/= P(320)",
+        railroad_psm ~headway:0 ~invocation:(Scheme.Aperiodic 0) (),
+        Mc.Query.Fails None ) ]
+
+(* The GPCA PSM's input-delay query (Table I's verified 490) on its
+   explorer. *)
+let gpca_input () =
   let params = Gpca.Params.default in
   let psm =
     (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net
@@ -294,6 +312,17 @@ let test_resume_entry_order () =
     Mc.Explorer.sup_clock ?ctl ?resume t ~pred:(Mc.Explorer.mon_in t "Waiting")
       ~clock
   in
+  (t, "sup:" ^ clock, query)
+
+(* The same query cut at three state budgets.  Each snapshot resumes twice: as
+   written, and with its entries reversed.  A snapshot lists every
+   node's live entries in insertion order, and a restore appends them
+   without a subsumption scan, so the reversed one rebuilds every node
+   in the opposite order; subsumption decides the same whatever the
+   order, so both must end at the uninterrupted sup, visited and stored
+   counts. *)
+let test_resume_entry_order () =
+  let t, label, query = gpca_input () in
   let full = query () in
   let stats r = r.Mc.Explorer.so_stats in
   Alcotest.(check bool) "reference run completes past the largest cut" true
@@ -306,7 +335,7 @@ let test_resume_entry_order () =
        Mc.Explorer.pp_sup_result sup);
   let reversed snap =
     let module E = Mc.Explorer in
-    E.make_snapshot t ~label:("sup:" ^ clock)
+    E.make_snapshot t ~label
       ~subsume:true ~next_id:(E.snapshot_next_id snap)
       ~visited:(E.snapshot_visited snap) ~stored:(E.snapshot_stored snap)
       ~entries:(List.rev (E.snapshot_entries snap))
@@ -355,6 +384,47 @@ let test_resume_entry_order () =
         [ ("as written", snap); ("entries reversed", reversed snap) ])
     [ 500; 3000; 8000 ]
 
+(* Checkpoints of an older build's partitioned search numbered partition
+   [p]'s k-th entry [base + p + k * N], so their ids have gaps.  A
+   sequential cut renumbered that way (ids times 4, trace rows spread to
+   match) resumes to the uninterrupted sup 490 and counts. *)
+let test_resume_gapped_ids () =
+  let t, label, query = gpca_input () in
+  let full = query () in
+  let cut = query ~ctl:(Mc.Runctl.create ~budget:(state_budget 3000) ()) () in
+  let snap = Option.get cut.Mc.Explorer.so_snapshot in
+  let module E = Mc.Explorer in
+  let gap id = if id < 0 then id else 4 * id in
+  let rows = E.snapshot_trace snap in
+  let trace =
+    Array.init
+      (4 * E.snapshot_next_id snap)
+      (fun id ->
+        if id mod 4 = 0 && id / 4 < Array.length rows then
+          let parent, movers = rows.(id / 4) in
+          (gap parent, movers)
+        else (-1, []))
+  in
+  let gapped =
+    E.make_snapshot t ~label ~subsume:true
+      ~next_id:(4 * E.snapshot_next_id snap)
+      ~visited:(E.snapshot_visited snap) ~stored:(E.snapshot_stored snap)
+      ~entries:
+        (List.map
+           (fun se -> { se with E.se_id = gap se.E.se_id })
+           (E.snapshot_entries snap))
+      ~queue:(Array.map gap (E.snapshot_queue snap))
+      ~trace ~payload:(E.snapshot_payload snap)
+  in
+  let r = query ~resume:gapped () in
+  Alcotest.(check bool) "completes" true (r.E.so_interrupt = None);
+  (match r.E.so_sup with
+   | E.Sup (490, _) -> ()
+   | sup -> Alcotest.failf "expected sup 490, got %a" E.pp_sup_result sup);
+  Alcotest.(check int) "visited" full.E.so_stats.E.visited
+    r.E.so_stats.E.visited;
+  Alcotest.(check int) "stored" full.E.so_stats.E.stored r.E.so_stats.E.stored
+
 let suite =
   [ Alcotest.test_case "state budget -> Unknown" `Quick
       test_state_budget_unknown;
@@ -373,4 +443,7 @@ let suite =
     Alcotest.test_case "fingerprint mismatch rejected" `Quick
       test_fingerprint_mismatch;
     Alcotest.test_case "resume is entry-order independent" `Quick
-      test_resume_entry_order ]
+      test_resume_entry_order;
+    Alcotest.test_case "resume with gapped ids" `Quick test_resume_gapped_ids;
+    Alcotest.test_case "railroad verdicts at P(320)" `Quick
+      test_verify_response_verdicts ]

@@ -364,9 +364,6 @@ let entry_golden =
   @ unknown (Mc.Runctl.Memory_budget 4096)
       {|{"tag":"memory-budget","value":4096}|}
   @ unknown Mc.Runctl.Cancelled {|{"tag":"cancelled"}|}
-  @ unknown
-      (Mc.Runctl.Crash {|worker 1: Failure("boom")|})
-      {|{"tag":"crash","message":"worker 1: Failure(\"boom\")"}|}
 
 let golden_budget =
   { Store.Entry.bg_limit = 500_000;
