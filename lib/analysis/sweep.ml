@@ -147,23 +147,35 @@ let classify cfg sp =
     else if sp.sp_lb > sp.sp_req then C_analytic (Fail, By_lower_bound)
     else C_explore
 
+let exceeded = function
+  | Mc.Explorer.Sup_exceeds _ -> true
+  | Mc.Explorer.Sup_unreached | Mc.Explorer.Sup _ -> false
+
 (* One exploration of the undecided band: the sup with ceiling =
    requirement, so the bound check is exact and a partial sup past the
-   ceiling still refutes.  Each exploration runs on a sibling of
-   [sw_ctl], so the budget applies per point from the point's own start
-   while cancelling [sw_ctl] still stops the whole sweep. *)
+   ceiling still refutes.  The search stops once the running sup is
+   [Sup_exceeds], which is absorbing, so verdict and sup are those of
+   the full search while a finite sup still runs to its exact value.
+   Each exploration runs on a sibling of [sw_ctl], so the budget applies
+   per point from the point's own start while cancelling [sw_ctl] still
+   stops the whole sweep. *)
 let explore cfg sp =
   let net = sp.sp_net () in
-  let q =
-    Mc.Query.Sup_delay
-      { trigger = sp.sp_trigger; response = sp.sp_response;
-        ceiling = sp.sp_req }
-  in
+  let trigger = sp.sp_trigger and response = sp.sp_response in
+  let ceiling = sp.sp_req and limit = cfg.sw_limit in
   let ctl = Option.map Mc.Runctl.sibling cfg.sw_ctl in
+  let run () =
+    Mc.Query.result_of_sup
+      (Mc.Query.max_delay ?limit ?ctl ~until:exceeded net ~trigger ~response
+         ~ceiling)
+  in
   let r =
     match cfg.sw_cache with
-    | None -> Mc.Query.eval ?limit:cfg.sw_limit ?ctl net q
-    | Some cache -> Qcache.eval cache ?limit:cfg.sw_limit ?ctl net q
+    | None -> run ()
+    | Some cache ->
+      Qcache.cached cache ?limit ?ctl net
+        (Mc.Query.Sup_delay { trigger; response; ceiling })
+        ~run
   in
   let verdict =
     match Mc.Query.bounded_of_sup r.Mc.Query.res_outcome ~bound:sp.sp_req with

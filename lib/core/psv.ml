@@ -25,6 +25,7 @@ let verify_response ?limit ?ctl net ~trigger ~response ~bound =
      (Query.Bounded_response { trigger; response; bound }))
     .Query.res_outcome
 
-let max_delay = Query.max_delay
+let max_delay ?limit ?ctl ?resume net =
+  Query.max_delay ?limit ?ctl ?resume net
 
 let transform = Transform.psm_of_pim

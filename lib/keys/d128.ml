@@ -41,6 +41,8 @@ let fnv_prime = 0x100000001b3L
 
 let builder () = { a = 0xcbf29ce484222325L; b = 0x6c62272e07bb0142L }
 
+let copy st = { a = st.a; b = st.b }
+
 let[@inline] lane h c = Int64.mul (Int64.logxor h (Int64.of_int c)) fnv_prime
 
 let add_byte st c =

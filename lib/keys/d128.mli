@@ -45,6 +45,11 @@ val pp : Format.formatter -> t -> unit
 type builder
 
 val builder : unit -> builder
+
+(** An independent builder in [st]'s state: atoms added to either one
+    later do not reach the other. *)
+val copy : builder -> builder
+
 val add_int : builder -> int -> unit
 val add_int64 : builder -> int64 -> unit
 val add_bool : builder -> bool -> unit

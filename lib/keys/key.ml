@@ -2,16 +2,28 @@
    changes meaning: old store entries then miss instead of aliasing. *)
 let schema = "psv-key-v1"
 
-let network_digest net =
-  let st = D128.builder () in
-  D128.add_string st schema;
-  D128.add_string st (Xta.Print.to_string net);
-  D128.value st
+(* The builder after the schema and the printed network, kept for the
+   last network keyed on each domain.  A server asks many queries of
+   one loaded network, and printing it is about half a key's cost.
+   Networks are immutable, so physical identity is a sound memo key;
+   the memo holds on to one network per domain. *)
+let last : (Ta.Model.network * D128.builder) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let network_prefix net =
+  match Domain.DLS.get last with
+  | Some (n, st) when n == net -> D128.copy st
+  | _ ->
+    let st = D128.builder () in
+    D128.add_string st schema;
+    D128.add_string st (Xta.Print.to_string net);
+    Domain.DLS.set last (Some (net, D128.copy st));
+    st
+
+let network_digest net = D128.value (network_prefix net)
 
 let digest ~query net =
-  let st = D128.builder () in
-  D128.add_string st schema;
-  D128.add_string st (Xta.Print.to_string net);
+  let st = network_prefix net in
   D128.add_string st query;
   (* three schema constants: psv-key-v1 has always ended with them *)
   D128.add_bool st true;

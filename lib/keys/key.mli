@@ -24,7 +24,12 @@ val network_digest : Ta.Model.network -> D128.t
     key hashes three [true] bytes.  They are psv-key-v1 schema
     constants, kept so existing keys do not move; they are not the
     explorer's configuration (whose defaults differ) and nothing sets
-    them. *)
+    them.
+
+    Each domain keeps the digest state after the printed network of the
+    last network it keyed, by physical identity, so asking several
+    queries of one network value prints it once.  The bytes digested,
+    and so the keys, are those of a fresh computation. *)
 val digest : query:string -> Ta.Model.network -> D128.t
 
 (** {1 psv-key-v2: per-automaton manifests}

@@ -1353,7 +1353,7 @@ type sup_outcome = {
   so_snapshot : snapshot option;
 }
 
-let sup_clock ?expand ?ctl ?resume t ~pred ~clock =
+let sup_clock ?expand ?ctl ?resume ?(until = fun _ -> false) t ~pred ~clock =
   let ci, ceiling = monitor_clock_info t clock in
   let label = "sup:" ^ clock in
   (* the running sup travels with the snapshot: on interrupt it is
@@ -1382,7 +1382,9 @@ let sup_clock ?expand ?ctl ?resume t ~pred ~clock =
           if v > v0 || (v = v0 && s0 && not strict) then best := Sup (v, strict)
       end
     end;
-    `Continue
+    (* the running sup only grows, so once [until] holds it holds for
+       every longer prefix: the caller's answer is decided *)
+    if until !best then `Stop else `Continue
   in
   let payload () = Marshal.to_string !best [] in
   let r = search ?expand ?ctl ?resume ~label ~payload t update in

@@ -182,10 +182,19 @@ type sup_outcome = {
     on the {e same} model; the running sup is restored from the
     snapshot, and the combined run reaches the same result, and the
     same visited and stored counts, as an uninterrupted one.
+
+    [until] is the caller's stop rule: it is asked after each stored
+    state with the running sup, and the search ends at the first state
+    for which it holds — [so_sup] is then that running sup, a lower
+    bound as on interruption, [so_interrupt] is [None] and the
+    statistics count the prefix searched.  It must be monotone (true of
+    a sup stays true of every larger one), so the stop falls where the
+    caller's answer can no longer change; [Sup_exceeds] is absorbing, so
+    stopping there keeps [so_sup] exact.  Default: never stop.
     @raise Invalid_argument when the snapshot does not match. *)
 val sup_clock :
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
-  ?ctl:Runctl.t -> ?resume:snapshot ->
+  ?ctl:Runctl.t -> ?resume:snapshot -> ?until:(sup_result -> bool) ->
   t -> pred:(state -> bool) -> clock:string -> sup_outcome
 
 val pp_sup_result : Format.formatter -> sup_result -> unit

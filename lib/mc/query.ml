@@ -234,12 +234,12 @@ let compile_pred t p =
 
 let delay_monitor_clock = "psv_delay_mon"
 
-let max_delay ?limit ?ctl ?resume net ~trigger ~response ~ceiling =
+let max_delay ?limit ?ctl ?resume ?until net ~trigger ~response ~ceiling =
   let monitor =
     Monitor.delay ~trigger ~response ~clock:delay_monitor_clock ~ceiling ()
   in
   let t = Explorer.make ?limit ~monitor net in
-  Explorer.sup_clock ?ctl ?resume t
+  Explorer.sup_clock ?ctl ?resume ?until t
     ~pred:(Explorer.mon_in t "Waiting")
     ~clock:delay_monitor_clock
 
@@ -251,15 +251,20 @@ let result_of_sup (o : Explorer.sup_outcome) =
   in
   { res_outcome = outcome; res_stats = o.Explorer.so_stats }
 
+(* A sup past [bound] refutes P(bound); [Sup_unreached] (the trigger
+   never fires) does not.  Monotone in the sup, so it is also the
+   bounded search's stop rule. *)
+let refutes ~bound = function
+  | Explorer.Sup_unreached -> false
+  | Explorer.Sup (v, _) -> v > bound
+  | Explorer.Sup_exceeds _ -> true
+
 let bounded_of_sup outcome ~bound =
   match outcome with
-  | Sup Explorer.Sup_unreached -> Holds  (* the trigger never fires *)
-  | Sup (Explorer.Sup (v, _)) -> if v <= bound then Holds else Fails None
-  | Sup (Explorer.Sup_exceeds _) -> Fails None
+  | Sup s -> if refutes ~bound s then Fails None else Holds
   (* the partial sup only grows with more exploration, so a partial
      value already past the bound refutes even under interruption *)
-  | Unknown (_, Some (Explorer.Sup (v, _))) when v > bound -> Fails None
-  | Unknown (_, Some (Explorer.Sup_exceeds _)) -> Fails None
+  | Unknown (_, Some s) when refutes ~bound s -> Fails None
   | Unknown _ | Holds | Fails _ -> outcome
 
 let eval ?jobs:_ ?ctl ?limit net q =
@@ -289,10 +294,12 @@ let eval ?jobs:_ ?ctl ?limit net q =
   | Sup_delay { trigger; response; ceiling } ->
     result_of_sup (max_delay ?ctl ?limit net ~trigger ~response ~ceiling)
   | Bounded_response { trigger; response; bound } ->
-    (* the sup with ceiling = bound: exact at the bound *)
+    (* the sup with ceiling = bound, exact at the bound, stopped at the
+       first stored state whose running sup refutes it *)
     let r =
       result_of_sup
-        (max_delay ?ctl ?limit net ~trigger ~response ~ceiling:bound)
+        (max_delay ?ctl ?limit ~until:(refutes ~bound) net ~trigger ~response
+           ~ceiling:bound)
     in
     { r with res_outcome = bounded_of_sup r.res_outcome ~bound }
 

@@ -68,7 +68,10 @@ val to_string : t -> string
     on the calling domain.  [jobs] is ignored; it is accepted only so
     that existing benchmark drivers compile.
     [Sup_delay] is {!max_delay}; [Bounded_response] is the same search
-    with [ceiling = bound], decided by {!bounded_of_sup}.
+    with [ceiling = bound], decided by {!bounded_of_sup} and stopped at
+    the first stored state whose running sup passes the bound: a
+    refuted bound reports the statistics of that prefix, a bound that
+    holds those of the full search.
     @raise Ta.Compiled.Compile_error on an
     invalid network, [Not_found] if the query names an unknown process,
     location or variable. *)
@@ -84,11 +87,13 @@ val eval :
 
     [resume] continues an interrupted run from its snapshot — same
     trigger, response, ceiling and network required
-    ({!Explorer.sup_clock} checks the fingerprint).
+    ({!Explorer.sup_clock} checks the fingerprint).  [until] is
+    {!Explorer.sup_clock}'s monotone stop rule: the search ends at the
+    first stored state whose running sup satisfies it.
     @raise Invalid_argument when the snapshot does not match. *)
 val max_delay :
   ?limit:int -> ?ctl:Runctl.t -> ?resume:Explorer.snapshot ->
-  Ta.Model.network ->
+  ?until:(Explorer.sup_result -> bool) -> Ta.Model.network ->
   trigger:string -> response:string -> ceiling:int -> Explorer.sup_outcome
 
 (** The [Sup_delay] result of a sup search: [Sup] when it finished,

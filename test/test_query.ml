@@ -118,9 +118,93 @@ let test_wide_lane_pins () =
       ("sup: m_BolusReq -> i_BolusReq ceiling 70000", 490, 8638, 8882) ]
 
 (* [Bounded_response] is the [Sup_delay] search with ceiling = bound,
-   decided by [bounded_of_sup]: the same outcome and the same statistics,
-   for a bound below the sup, at it and above it, and under a state
-   limit that cuts each search in half. *)
+   decided by [bounded_of_sup] and stopped at the first stored state
+   whose running sup refutes the bound.  Against the full sup search
+   under the same [limit]: the same outcome; the same statistics unless
+   the bound is refuted; and on a refuted bound no more visited or
+   stored states than the full search, the stored count ending exactly
+   at the first stored state whose running sup passes the bound.  The
+   full search's running sups are read through [until], which is asked
+   after every stored state.  [Ok] carries the full search's result. *)
+let bounded_vs_sup ?limit ~net ~trigger ~response bound =
+  let label =
+    Printf.sprintf "bound %d%s" bound
+      (match limit with Some l -> Printf.sprintf ", limit %d" l | None -> "")
+  in
+  let sups = ref [] in
+  let observe s =
+    sups := s :: !sups;
+    false
+  in
+  let via_sup =
+    Mc.Query.result_of_sup
+      (Mc.Query.max_delay ?limit ~until:observe net ~trigger ~response
+         ~ceiling:bound)
+  in
+  let bounded =
+    Mc.Query.eval ?limit net
+      (Mc.Query.Bounded_response { trigger; response; bound })
+  in
+  let expected = Mc.Query.bounded_of_sup via_sup.Mc.Query.res_outcome ~bound in
+  let full = via_sup.Mc.Query.res_stats and got = bounded.Mc.Query.res_stats in
+  let pp_stats (s : Mc.Explorer.stats) =
+    Printf.sprintf "visited %d stored %d" s.Mc.Explorer.visited
+      s.Mc.Explorer.stored
+  in
+  let refuting s =
+    Mc.Query.bounded_of_sup (Mc.Query.Sup s) ~bound <> Mc.Query.Holds
+  in
+  (* 1-based position of the first stored state whose running sup
+     refutes the bound *)
+  let first_refuting =
+    let rec go k = function
+      | [] -> None
+      | s :: rest -> if refuting s then Some k else go (k + 1) rest
+    in
+    go 1 (List.rev !sups)
+  in
+  if bounded.Mc.Query.res_outcome <> expected then
+    Error
+      (Fmt.str "%s: bounded %a, sup against the bound %a" label
+         Mc.Query.pp_outcome bounded.Mc.Query.res_outcome
+         Mc.Query.pp_outcome expected)
+  else
+    match expected with
+    | Mc.Query.Fails _ ->
+      if got.Mc.Explorer.visited > full.Mc.Explorer.visited
+         || got.Mc.Explorer.stored > full.Mc.Explorer.stored
+      then
+        Error
+          (Printf.sprintf "%s: refuted search %s beyond the full search's %s"
+             label (pp_stats got) (pp_stats full))
+      else if first_refuting <> Some got.Mc.Explorer.stored then
+        Error
+          (Printf.sprintf
+             "%s: stopped at stored state %d, first refuting state is %s"
+             label got.Mc.Explorer.stored
+             (match first_refuting with
+              | Some k -> string_of_int k
+              | None -> "none"))
+      else Ok via_sup
+    | _ ->
+      if got <> full then
+        Error
+          (Printf.sprintf "%s: statistics %s, full search %s" label
+             (pp_stats got) (pp_stats full))
+      else Ok via_sup
+
+(* A finite sup of [Sup_delay] at [ceiling]. *)
+let finite_sup ~net ~trigger ~response ~ceiling =
+  match
+    (Mc.Query.eval net (Mc.Query.Sup_delay { trigger; response; ceiling }))
+      .Mc.Query.res_outcome
+  with
+  | Mc.Query.Sup (Mc.Explorer.Sup (v, _)) -> Ok v
+  | o -> Error (Fmt.str "expected a finite sup, got %a" Mc.Query.pp_outcome o)
+
+(* The contract at a bound below the sup, at it and above it, with and
+   without a state limit that cuts each full search in half; below the
+   sup the stop must also save states on the railroad PSM. *)
 let test_bounded_is_sup () =
   let cases =
     ("railroad-psm", Test_runctl.railroad_psm (), "m_Train", "c_GateDown", 320)
@@ -133,46 +217,67 @@ let test_bounded_is_sup () =
   in
   List.iter
     (fun (name, net, trigger, response, ceiling) ->
-      let sup_query ceiling = Mc.Query.Sup_delay { trigger; response; ceiling } in
-      let sup =
-        match (Mc.Query.eval net (sup_query ceiling)).Mc.Query.res_outcome with
-        | Mc.Query.Sup (Mc.Explorer.Sup (v, _)) -> v
-        | o -> Alcotest.failf "%s: expected a finite sup, got %a" name
-                 Mc.Query.pp_outcome o
+      let ok = function
+        | Ok r -> r
+        | Error msg -> Alcotest.failf "%s: %s" name msg
       in
-      let agree ?limit bound =
-        let label =
-          Printf.sprintf "%s, bound %d%s" name bound
-            (match limit with
-             | Some l -> Printf.sprintf ", limit %d" l
-             | None -> "")
-        in
-        let via_sup = Mc.Query.eval ?limit net (sup_query bound) in
-        let bounded =
-          Mc.Query.eval ?limit net
-            (Mc.Query.Bounded_response { trigger; response; bound })
-        in
-        let expected = Mc.Query.bounded_of_sup via_sup.Mc.Query.res_outcome ~bound in
-        if bounded.Mc.Query.res_outcome <> expected then
-          Alcotest.failf "%s: bounded %a, sup against the bound %a" label
-            Mc.Query.pp_outcome bounded.Mc.Query.res_outcome
-            Mc.Query.pp_outcome expected;
-        if bounded.Mc.Query.res_stats <> via_sup.Mc.Query.res_stats then
-          Alcotest.failf "%s: statistics differ" label;
-        via_sup
-      in
+      let sup = ok (finite_sup ~net ~trigger ~response ~ceiling) in
       List.iter
         (fun bound ->
-          let full = agree bound in
+          let full = ok (bounded_vs_sup ~net ~trigger ~response bound) in
           let limit =
             max 1 (full.Mc.Query.res_stats.Mc.Explorer.visited / 2)
           in
-          match (agree ~limit bound).Mc.Query.res_outcome with
+          match
+            (ok (bounded_vs_sup ~limit ~net ~trigger ~response bound))
+              .Mc.Query.res_outcome
+          with
           | Mc.Query.Unknown _ -> ()
           | o -> Alcotest.failf "%s, bound %d: limit %d did not interrupt (%a)"
                    name bound limit Mc.Query.pp_outcome o)
         [ sup - 1; sup; sup + 1 ])
-    cases
+    cases;
+  let net = Test_runctl.railroad_psm () in
+  let stats bound =
+    (Mc.Query.eval net
+       (Mc.Query.Bounded_response
+          { trigger = "m_Train"; response = "c_GateDown"; bound }))
+      .Mc.Query.res_stats
+  in
+  let sup =
+    match
+      finite_sup ~net ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320
+    with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "railroad-psm: %s" msg
+  in
+  Alcotest.(check bool) "railroad-psm: a refuted bound stores fewer states"
+    true
+    ((stats (sup - 1)).Mc.Explorer.stored < (stats sup).Mc.Explorer.stored)
+
+(* The same contract over random instances of every generator shape. *)
+let prop_bounded_is_sup =
+  QCheck.Test.make ~name:"bounded = sup against the bound, every shape"
+    ~count:16
+    QCheck.(
+      make
+        ~print:(fun (shape, index) ->
+          Printf.sprintf "%s #%d" (Diff.Gen.shape_name shape) index)
+        Gen.(pair (oneofl Diff.Gen.all_shapes) (int_bound 999)))
+    (fun (shape, index) ->
+      let i = Diff.Gen.instance ~seed:31 ~index shape in
+      let net = i.Diff.Gen.net
+      and trigger = i.Diff.Gen.trigger
+      and response = i.Diff.Gen.response in
+      match finite_sup ~net ~trigger ~response ~ceiling:i.Diff.Gen.ceiling with
+      | Error msg -> QCheck.Test.fail_reportf "%s: %s" i.Diff.Gen.id msg
+      | Ok sup ->
+        List.for_all
+          (fun bound ->
+            match bounded_vs_sup ~net ~trigger ~response bound with
+            | Ok _ -> true
+            | Error msg -> QCheck.Test.fail_reportf "%s: %s" i.Diff.Gen.id msg)
+          [ sup - 1; sup; sup + 1 ])
 
 (* [psv check]'s table prints each row's outcome with [pp_outcome], and
    the examples and bench driver print verdicts with it, so its words
@@ -207,6 +312,7 @@ let suite =
     Alcotest.test_case "bounded query" `Quick test_bounded;
     Alcotest.test_case "bounded = sup against the bound" `Quick
       test_bounded_is_sup;
+    QCheck_alcotest.to_alcotest prop_bounded_is_sup;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "wide-lane sup pins" `Quick test_wide_lane_pins;
     Alcotest.test_case "pp_outcome text" `Quick test_pp_outcome_text ]

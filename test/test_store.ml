@@ -257,6 +257,54 @@ let test_key_perturbation () =
        (Store.Key.digest ~query:"E<> P.Busy" net)
        (Store.Key.digest ~query:"E<> P.Idle" net))
 
+(* [Key.digest] keeps the digest state after the printed network of the
+   last network it keyed on its domain.  Over random request sequences
+   that alternate between networks and between queries, every key must
+   equal the key of a physically distinct copy of the network, which
+   never hits that memo.  The copies are all keyed before the sequence
+   runs, so the sequence's own repeats do hit it. *)
+let key_nets =
+  lazy
+    (Array.of_list
+       (List.concat_map
+          (fun shape ->
+            List.map
+              (fun index -> (Diff.Gen.instance ~seed:7 ~index shape).Diff.Gen.net)
+              [ 0; 1 ])
+          Diff.Gen.all_shapes))
+
+let key_queries =
+  [| "E<> P.Busy"; "sup: a -> b ceiling 100"; "";
+     "bounded: m_a -> c_b within 5" |]
+
+let prop_key_memo =
+  QCheck.Test.make ~name:"memoised key = key of a fresh network copy"
+    ~count:200
+    QCheck.(list_of_size Gen.(int_range 1 12) (pair small_nat small_nat))
+    (fun steps ->
+      let nets = Lazy.force key_nets in
+      let request (i, j) =
+        (nets.(i mod Array.length nets),
+         key_queries.(j mod Array.length key_queries))
+      in
+      let copy (net : Ta.Model.network) : Ta.Model.network =
+        Marshal.from_string (Marshal.to_string net []) 0
+      in
+      let expected =
+        List.map
+          (fun step ->
+            let net, query = request step in
+            (Store.Key.digest ~query (copy net),
+             Store.Key.network_digest (copy net)))
+          steps
+      in
+      List.for_all2
+        (fun step (key, net_digest) ->
+          let net, query = request step in
+          Store.D128.equal (Store.Key.digest ~query net) key
+          && Store.D128.equal (Store.Key.network_digest net) net_digest)
+        steps expected)
+
 (* Keys, digests and manifests computed before the canonical printer
    moved from Format to Buffer writers.  Every one must hold bit for
    bit: a moved key orphans every store entry, session and snapshot
@@ -1011,6 +1059,7 @@ let suite =
     Alcotest.test_case "key changes under perturbation" `Quick
       test_key_perturbation;
     Alcotest.test_case "golden keys and manifests" `Quick test_golden_keys;
+    QCheck_alcotest.to_alcotest prop_key_memo;
     Alcotest.test_case "entry json round-trip" `Quick test_entry_json_roundtrip;
     Alcotest.test_case "entry json golden bytes" `Quick test_entry_json_golden;
     Alcotest.test_case "entry json golden decode" `Quick

@@ -220,14 +220,12 @@ let test_pareto_only_pass () =
         costs)
     costs
 
-(* The persistent store extends the sweep's dedup across runs: a second
-   sweep of the same grid over the same store is answered by store hits
-   alone, point for point identical to the first. *)
-let test_cached_rerun () =
+(* [f dir] on a fresh temporary store directory, removed afterwards *)
+let with_store name f =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "psv_sweep_cache_%d" (Unix.getpid ()))
+      (Printf.sprintf "%s_%d" name (Unix.getpid ()))
   in
   let rec rm path =
     if Sys.file_exists path then
@@ -237,7 +235,13 @@ let test_cached_rerun () =
       end
       else Sys.remove path
   in
-  Fun.protect ~finally:(fun () -> try rm dir with _ -> ()) (fun () ->
+  Fun.protect ~finally:(fun () -> try rm dir with _ -> ()) (fun () -> f dir)
+
+(* The persistent store extends the sweep's dedup across runs: a second
+   sweep of the same grid over the same store is answered by store hits
+   alone, point for point identical to the first. *)
+let test_cached_rerun () =
+  with_store "psv_sweep_cache" (fun dir ->
       let grid = grid_of race_axes in
       let sweep () =
         let cache =
@@ -268,6 +272,161 @@ let test_cached_rerun () =
         (warm_o.Analysis.Sweep.o_mc_runs, 0)
         (Analysis.Qcache.hits warm_cache, Analysis.Qcache.misses warm_cache);
       Alcotest.(check bool) "identical point results" true (cold = warm))
+
+(* --- stopped explorations: every point as the full search reports it --- *)
+
+(* A grid whose explored points include Pass, a finite sup over the
+   requirement, and [Sup_exceeds]: the sweep stops an exploration once
+   its running sup exceeds the ceiling, and nothing it emits may tell. *)
+let mixed_axes =
+  [ ("period", [ 20; 80 ]);
+    ("poll", [ 5; 120 ]);
+    ("mech", [ 0; 1 ]);
+    ("signal", [ 0; 1 ]);
+    ("out_dmax", [ 5; 10 ]) ]
+
+let mixed_req = 150
+
+(* Every point as a sweep must emit it, from full [Sup_delay] searches:
+   the first point of each explored key is [By_explorer], later ones
+   [By_memo] (one batch, no audit). *)
+let reference ~prefilter grid =
+  let full = Hashtbl.create 16 in
+  let seen = Hashtbl.create 16 in
+  List.init (Scheme.Grid.cardinality grid) (fun i ->
+      let sp = Gpca.Sweep_space.build ~base:small ~req:mixed_req grid i in
+      let open Analysis.Sweep in
+      let point pr_verdict pr_decision pr_sup =
+        { pr_index = i; pr_verdict; pr_decision; pr_ub = sp.sp_ub;
+          pr_lb = sp.sp_lb; pr_sup; pr_cost = sp.sp_cost }
+      in
+      match sp.sp_invalid with
+      | Some _ -> point Invalid By_invalid None
+      | None when prefilter && sp.sp_sound && sp.sp_ub <= sp.sp_req ->
+        point Pass By_upper_bound None
+      | None when prefilter && sp.sp_lb > sp.sp_req ->
+        point Fail By_lower_bound None
+      | None ->
+        let outcome =
+          match Hashtbl.find_opt full sp.sp_key with
+          | Some o -> o
+          | None ->
+            let o =
+              (Mc.Query.eval ~limit:300_000 (sp.sp_net ())
+                 (Mc.Query.Sup_delay
+                    { trigger = sp.sp_trigger; response = sp.sp_response;
+                      ceiling = sp.sp_req }))
+                .Mc.Query.res_outcome
+            in
+            Hashtbl.replace full sp.sp_key o;
+            o
+        in
+        let sup =
+          match outcome with
+          | Mc.Query.Sup s -> s
+          | o -> Alcotest.failf "point %d: full search %a" i
+                   Mc.Query.pp_outcome o
+        in
+        let verdict =
+          match Mc.Query.bounded_of_sup outcome ~bound:sp.sp_req with
+          | Mc.Query.Holds -> Pass
+          | _ -> Fail
+        in
+        let decision =
+          if Hashtbl.mem seen sp.sp_key then By_memo
+          else (Hashtbl.replace seen sp.sp_key (); By_explorer)
+        in
+        point verdict decision (Some sup))
+
+let sweep_points ?cache ~prefilter grid =
+  let points = ref [] in
+  let cfg =
+    { Analysis.Sweep.default_config with
+      Analysis.Sweep.sw_prefilter = prefilter;
+      sw_limit = Some 300_000;
+      sw_cache = cache;
+      sw_emit = Some (fun pr -> points := pr :: !points) }
+  in
+  ignore
+    (Analysis.Sweep.run cfg ~points:(Scheme.Grid.cardinality grid)
+       ~build:(Gpca.Sweep_space.build ~base:small ~req:mixed_req grid));
+  List.rev !points
+
+let pp_point ppf pr =
+  let open Analysis.Sweep in
+  Fmt.pf ppf "#%d %s/%s ub %d lb %d sup %a" pr.pr_index
+    (verdict_name pr.pr_verdict) (decision_name pr.pr_decision) pr.pr_ub
+    pr.pr_lb
+    Fmt.(option ~none:(any "-") Mc.Explorer.pp_sup_result)
+    pr.pr_sup
+
+let point_t = Alcotest.of_pp pp_point
+
+let test_stopped_points_identical () =
+  let grid = grid_of mixed_axes in
+  let full_ref = reference ~prefilter:false grid in
+  (* the grid has all three kinds of explored answer *)
+  let kinds =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun pr ->
+           match pr.Analysis.Sweep.pr_verdict, pr.Analysis.Sweep.pr_sup with
+           | Analysis.Sweep.Pass, Some _ -> Some "pass"
+           | Analysis.Sweep.Fail, Some (Mc.Explorer.Sup _) -> Some "finite fail"
+           | Analysis.Sweep.Fail, Some (Mc.Explorer.Sup_exceeds _) ->
+             Some "exceeds"
+           | _ -> None)
+         full_ref)
+  in
+  Alcotest.(check (list string)) "explored kinds"
+    [ "exceeds"; "finite fail"; "pass" ] kinds;
+  List.iter
+    (fun prefilter ->
+      Alcotest.(check (list point_t))
+        (Printf.sprintf "points, prefilter %b" prefilter)
+        (if prefilter then reference ~prefilter grid else full_ref)
+        (sweep_points ~prefilter grid))
+    [ true; false ];
+  with_store "psv_sweep_stop" (fun dir ->
+      let open_cache () =
+        match Store.Disk.open_ dir with
+        | Ok disk -> Analysis.Qcache.make disk
+        | Error msg -> Alcotest.failf "open store: %s" msg
+      in
+      let cold_cache = open_cache () in
+      let cold = sweep_points ~cache:cold_cache ~prefilter:false grid in
+      let warm_cache = open_cache () in
+      let warm = sweep_points ~cache:warm_cache ~prefilter:false grid in
+      Alcotest.(check (list point_t)) "cold cached sweep" full_ref cold;
+      Alcotest.(check (list point_t)) "warm cached sweep" cold warm;
+      Alcotest.(check int) "warm: no misses" 0
+        (Analysis.Qcache.misses warm_cache);
+      (* each entry the stopped searches wrote answers as a full one *)
+      let checked = Hashtbl.create 16 in
+      for i = 0 to Scheme.Grid.cardinality grid - 1 do
+        let sp = Gpca.Sweep_space.build ~base:small ~req:mixed_req grid i in
+        if sp.Analysis.Sweep.sp_invalid = None
+           && not (Hashtbl.mem checked sp.Analysis.Sweep.sp_key)
+        then begin
+          Hashtbl.replace checked sp.Analysis.Sweep.sp_key ();
+          let net = sp.Analysis.Sweep.sp_net () in
+          let q =
+            Mc.Query.Sup_delay
+              { trigger = sp.Analysis.Sweep.sp_trigger;
+                response = sp.Analysis.Sweep.sp_response;
+                ceiling = sp.Analysis.Sweep.sp_req }
+          in
+          let fresh = (Mc.Query.eval ~limit:300_000 net q).Mc.Query.res_outcome in
+          let hit =
+            Analysis.Qcache.eval warm_cache ~limit:300_000 net q
+          in
+          Alcotest.(check (of_pp Mc.Query.pp_outcome))
+            (Printf.sprintf "point %d: store hit = full search" i)
+            fresh hit.Mc.Query.res_outcome
+        end
+      done;
+      Alcotest.(check int) "every hit answered from the store" 0
+        (Analysis.Qcache.misses warm_cache))
 
 (* --- seeded property: lb <= verified sup <= ub --------------------------- *)
 
@@ -371,4 +530,6 @@ let suite =
       test_budget_per_point;
     Alcotest.test_case "cache: rerun is all store hits" `Quick
       test_cached_rerun;
+    Alcotest.test_case "stopped explorations emit full-search points" `Slow
+      test_stopped_points_identical;
     QCheck_alcotest.to_alcotest prop_bounds_bracket_sup ]
