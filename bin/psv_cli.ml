@@ -193,7 +193,7 @@ let jobs_arg =
 let check_jobs n =
   if n < 0 then die "--jobs must be at least 1 (or 0 for one per core)"
   else begin
-    let avail = Mc.Park.recommended_jobs () in
+    let avail = Analysis.Pool.recommended_jobs () in
     if n = 0 then avail
     else if n > avail then begin
       Fmt.epr

@@ -141,7 +141,6 @@ let listen cfg ?cache ?drain:dtoken ?on_ready ~load_model () =
       in
       go ()
     in
-    let workers = List.init jobs (fun _ -> Domain.spawn worker) in
     let conns : (int, conn) Hashtbl.t = Hashtbl.create 16 in
     let next_id = ref 0 in
     let conns_total = ref 0 in
@@ -471,14 +470,16 @@ let listen cfg ?cache ?drain:dtoken ?on_ready ~load_model () =
           conns;
         Hashtbl.reset conns;
         Admission.close queue;
-        List.iter Domain.join workers;
         (try Unix.close wake_rd with Unix.Unix_error _ -> ());
         (try Unix.close wake_wr with Unix.Unix_error _ -> ());
         match cfg.ns_addr with
         | Unix_path p -> ( try Unix.unlink p with _ -> ())
         | Tcp _ -> ())
       (fun () ->
-        loop ();
+        (* the event loop on the caller, the [jobs] workers on pool
+           helpers; a closed queue ends their [pop] *)
+        Pool.fork_join (Array.make jobs worker) (fun () ->
+            Fun.protect ~finally:(fun () -> Admission.close queue) loop);
         Ok
           { no_served = Metrics.answered metrics;
             no_errors = Metrics.errors metrics;

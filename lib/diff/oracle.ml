@@ -157,8 +157,7 @@ let core_with cfg ~net ~q ~seed extra =
   (* longest first, as timed over a seeded corpus, on at most the
      host's cores; each item is searches writing only its own cells *)
   ignore
-    (Analysis.Pool.map
-       ~jobs:(min cfg.jobs (Mc.Park.recommended_jobs ()))
+    (Analysis.Pool.map ~jobs:cfg.jobs
        (fun item -> item ())
        (sessions @ [ xta; cached ] @ scratch_run @ extra)
       : unit list);

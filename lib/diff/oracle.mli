@@ -31,9 +31,9 @@
     Scheduling: an instance's independent explorations (the cold store
     answer with its warm re-read, the xta round-trip, the ladder's
     session pair, its from-scratch run and the two bounded queries) run
-    as one {!Analysis.Pool.map} batch, longest first, on
-    [min config.jobs (Mc.Park.recommended_jobs ())] domains, and the
-    simulator last, as it reads the sup.  Results are compared after the
+    as one {!Analysis.Pool.map} batch, longest first, on [config.jobs]
+    domains (the pool clamps it to the host's cores), and the simulator
+    last, as it reads the sup.  Results are compared after the
     batch in a fixed order, so verdicts, discrepancy details and the
     exception that escapes are the same at every [jobs]. *)
 

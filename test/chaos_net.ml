@@ -106,7 +106,12 @@ let with_server ?(ncfg = default_ncfg) ?cache f =
   in
   match Domain.join server with
   | Error msg -> Alcotest.failf "listen: %s" msg
-  | Ok outcome -> (outcome, result)
+  | Ok outcome ->
+    (* the workers' helpers went back to the pool, within its cap *)
+    if Analysis.Pool.parked () > Analysis.Pool.cap then
+      Alcotest.failf "%d helpers parked after listen, cap %d"
+        (Analysis.Pool.parked ()) Analysis.Pool.cap;
+    (outcome, result)
 
 (* --- client --------------------------------------------------------------- *)
 

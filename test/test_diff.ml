@@ -212,7 +212,7 @@ let test_oracle_batch_exception () =
   Alcotest.(check (list string)) "next run clean" []
     (List.map (fun d -> d.O.d_detail) v.O.v_discrepancies);
   Alcotest.(check bool) "park within its cap" true
-    (Mc.Park.parked () <= Mc.Park.cap)
+    (Analysis.Pool.parked () <= Analysis.Pool.cap)
 
 let test_check_names () =
   List.iter

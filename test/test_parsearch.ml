@@ -1,7 +1,7 @@
 (* The search loop on fuzz instances against a naive reference, its
    budget and cancellation edges, the ignored [?jobs] of [Mc.Query.eval],
-   and the domain pool ([Analysis.Pool.map] on the helper domains of
-   [Mc.Park]), the one parallelism left.  The suite keeps its name so its
+   and the domain pool ([Analysis.Pool.map] on its helper domains), the
+   one parallelism left.  The suite keeps its name so its
    test ids stay stable. *)
 
 let pp_sup = Mc.Explorer.pp_sup_result
@@ -77,6 +77,8 @@ let test_budget_never_overshoots () =
        other);
   Alcotest.(check int) "visited" 64 r.Mc.Explorer.so_stats.Mc.Explorer.visited
 
+(* [jobs] above the host's cores is clamped, so no case here starts
+   more domains than the host runs. *)
 let test_pool_map () =
   let items = List.init 37 Fun.id in
   let seq = List.map (fun i -> i * i) items in
@@ -309,7 +311,7 @@ let prop_owner_store_matches_reference =
         streams;
       true)
 
-(* The helper domains of [Mc.Park] outlive a pool map.  A jobs-2 map of
+(* The pool's helper domains outlive a map.  A jobs-2 map of
    searches runs on the caller and one helper, and the helper goes back
    to the park before the map returns, so the next map gets the same
    one -- unless the host has one core and nothing may stay parked. *)
@@ -331,7 +333,7 @@ let test_helper_reuse () =
         in
         List.sort_uniq compare (List.filter (fun d -> d <> me) doms))
   in
-  if Mc.Park.cap >= 1 then begin
+  if Analysis.Pool.cap >= 1 then begin
     if List.for_all (( = ) []) helpers then
       Alcotest.fail "no map item ran on a helper";
     List.iteri
@@ -406,20 +408,91 @@ let test_park_recovers () =
    | exception Failure _ -> ());
   answers_again "a raising search"
 
-(* More domains than the host runs leave at most [cap] helpers parked. *)
+(* An oversubscribed map is clamped to the host's cores: it starts at
+   most [cap] helpers and leaves at most [cap] parked. *)
 let test_park_cap () =
-  let over = Mc.Park.recommended_jobs () + 2 in
-  ignore
-    (Analysis.Pool.map ~jobs:over
-       (fun _ -> Unix.sleepf 0.01)
-       (List.init over Fun.id)
-      : unit list);
-  Alcotest.(check int) "cap" (max 0 (Mc.Park.recommended_jobs () - 1))
-    Mc.Park.cap;
-  let parked = Mc.Park.parked () in
-  if parked > Mc.Park.cap then
+  let over = Analysis.Pool.recommended_jobs () + 2 in
+  let me = (Domain.self () :> int) in
+  let doms =
+    Analysis.Pool.map ~jobs:over
+      (fun _ ->
+        Unix.sleepf 0.01;
+        (Domain.self () :> int))
+      (List.init over Fun.id)
+  in
+  let helpers = List.sort_uniq compare (List.filter (( <> ) me) doms) in
+  Alcotest.(check int) "cap" (max 0 (Analysis.Pool.recommended_jobs () - 1))
+    Analysis.Pool.cap;
+  if List.length helpers > Analysis.Pool.cap then
+    Alcotest.failf "a jobs-%d map ran on %d helpers, cap %d" over
+      (List.length helpers) Analysis.Pool.cap;
+  let parked = Analysis.Pool.parked () in
+  if parked > Analysis.Pool.cap then
     Alcotest.failf "%d helpers parked after a jobs-%d map, cap %d" parked
-      over Mc.Park.cap
+      over Analysis.Pool.cap
+
+exception Item_failed
+
+let[@inline never] item_fails () = raise Item_failed
+
+(* An item's exception reaches the caller with the backtrace of its
+   raise, whether the item ran on the caller or on a helper.  The
+   caller's items are slow, so the helper claims some. *)
+let test_pool_backtrace () =
+  let me = (Domain.self () :> int) in
+  let on_caller () = (Domain.self () :> int) = me in
+  let was = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect
+    ~finally:(fun () -> Printexc.record_backtrace was)
+    (fun () ->
+      List.iter
+        (fun (where, fails) ->
+          match
+            Analysis.Pool.map ~jobs:2
+              (fun i ->
+                Unix.sleepf (if on_caller () then 0.02 else 0.002);
+                if fails () then item_fails ();
+                i)
+              (List.init 8 Fun.id)
+          with
+          | _ -> Alcotest.failf "on %s: map item exception was swallowed" where
+          | exception Item_failed ->
+            let bt =
+              Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ())
+            in
+            if not (Test_codegen.contains bt "item_fails") then
+              Alcotest.failf "on %s: backtrace does not name item_fails:\n%s"
+                where bt)
+        (("the caller", on_caller)
+        :: (if Analysis.Pool.cap >= 1 then
+              [ ("a helper", fun () -> not (on_caller ())) ]
+            else [])))
+
+(* A parked helper exits once it has waited [idle_s] for a job; the next
+   map spawns a fresh one, which answers as the caller does. *)
+let test_idle_exit () =
+  let expected = (railroad_sup ()).Mc.Explorer.so_sup in
+  ignore
+    (Analysis.Pool.map ~jobs:2
+       (fun i ->
+         Unix.sleepf 0.002;
+         i)
+       [ 0; 1; 2; 3 ]
+      : int list);
+  let deadline = Unix.gettimeofday () +. Analysis.Pool.idle_s +. 1. in
+  while Analysis.Pool.parked () > 0 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.02
+  done;
+  Alcotest.(check int) "parked after the idle time" 0 (Analysis.Pool.parked ());
+  List.iter
+    (fun s ->
+      if s <> expected then
+        Alcotest.failf "after idle exit: pool sup %a <> sequential %a" pp_sup s
+          pp_sup expected)
+    (Analysis.Pool.map ~jobs:2
+       (fun _ -> (railroad_sup ()).Mc.Explorer.so_sup)
+       [ 0; 1 ])
 
 let suite =
   [ Alcotest.test_case "jobs=1 byte-identical to sequential" `Quick
@@ -437,4 +510,7 @@ let suite =
     Alcotest.test_case "pool map over searches" `Quick test_pool_searches;
     Alcotest.test_case "park recovers after failures" `Quick
       test_park_recovers;
-    Alcotest.test_case "parked helpers capped" `Quick test_park_cap ]
+    Alcotest.test_case "parked helpers capped" `Quick test_park_cap;
+    Alcotest.test_case "pool map keeps the item's backtrace" `Quick
+      test_pool_backtrace;
+    Alcotest.test_case "idle helpers exit" `Quick test_idle_exit ]
