@@ -133,12 +133,14 @@ let e6_traces () =
     let t = Mc.Explorer.make net in
     let infusing = Mc.Explorer.at t ~aut:pump_aut ~loc:"Infusing" in
     match Mc.Explorer.timed_trace t infusing with
-    | Some steps ->
+    | Ok (Some steps) ->
       Fmt.pr "@[<v 2>%s reaches Infusing in %d steps:@,%a@]@." label
         (List.length steps)
         Fmt.(list ~sep:cut Mc.Explorer.pp_timed_step)
         steps
-    | None -> Fmt.pr "%s: Infusing unreachable?!@." label
+    | Ok None -> Fmt.pr "%s: Infusing unreachable?!@." label
+    | Error reason ->
+      Fmt.pr "%s: search interrupted (%a)@." label Mc.Runctl.pp_reason reason
   in
   show "PIM" (Gpca.Model.network ~variant:Gpca.Model.Bolus_only params) "Pump";
   show "PSM"
@@ -689,7 +691,7 @@ let passed_replay k offers discrete =
       st_zone = zone }
   in
   fun () ->
-    let p = P.create ~subsume:true ~max_const:(Array.fold_left max 0 k) pool in
+    let p = P.create ~max_const:(Array.fold_left max 0 k) pool in
     let nodes =
       Array.mapi
         (fun h d -> P.node ~hash:h (state d (Zone.Dbm.zero dim)))

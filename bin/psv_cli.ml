@@ -44,10 +44,26 @@ let write_out output text =
           close_out oc)
     with Sys_error msg -> die "%s" msg)
 
+(* A parsed model that {!Ta.Model.validate} refuses would fail later,
+   in [Ta.Compiled.compile]: it is an input error, reported here. *)
+let parse_model path text =
+  match Xta.Parse.network text with
+  | Error msg -> Error (path ^ ": " ^ msg)
+  | Ok net -> (
+    match Ta.Model.validate net with
+    | [] -> Ok net
+    | problems -> Error (path ^ ": " ^ String.concat "; " problems))
+
 let load_network path =
-  match Xta.Parse.network (read_file path) with
+  match parse_model path (read_file path) with
   | Ok net -> net
-  | Error msg -> die "%s: %s" path msg
+  | Error msg -> die "%s" msg
+
+(* A ceiling or bound becomes a clock constant of the delay monitor. *)
+let clock_constant flag n =
+  match Ta.Clockcons.check_constant flag n with
+  | Ok n -> n
+  | Error msg -> die "%s" msg
 
 (* --- scheme construction from CLI options ----------------------------- *)
 
@@ -374,15 +390,18 @@ let verify_cmd =
   in
   let run file trigger response bound ceiling budget checkpoint resume json
       cache delta store_retries =
+    let bound = Option.map (clock_constant "--bound") bound in
+    (* with --bound the sup ceiling is the bound itself: the check is
+       exact and a partial sup can already refute it *)
+    let ceiling =
+      match bound with Some b -> b | None -> clock_constant "--ceiling" ceiling
+    in
     if resume <> None && cache <> None then
       die "--resume and --cache are exclusive (a resumed search must \
            explore, not answer from the store)";
     let cache = open_cache ~retries:store_retries cache in
     let net = load_network file in
     let resume_snap = Option.map load_resume resume in
-    (* with --bound the sup ceiling is the bound itself: the check is
-       exact and a partial sup can already refute it *)
-    let ceiling = match bound with Some b -> b | None -> ceiling in
     let ctl = make_ctl budget in
     if delta && (checkpoint <> None || resume <> None) then
       die "--delta is exclusive with --checkpoint/--resume";
@@ -937,7 +956,11 @@ let sweep_schemes_cmd =
       List.map
         (fun spec ->
           match Scheme.Grid.parse_axis spec with
-          | Ok ax -> ax
+          | Ok ((name, values) as ax) ->
+            List.iter
+              (fun v -> ignore (clock_constant ("--axis " ^ name) v : int))
+              values;
+            ax
           | Error msg -> die "bad --axis %S: %s" spec msg)
         axes
     in
@@ -951,7 +974,8 @@ let sweep_schemes_cmd =
     in
     let req =
       match req with
-      | Some r -> if r <= 0 then die "--req must be positive" else r
+      | Some r ->
+        if r <= 0 then die "--req must be positive" else clock_constant "--req" r
       | None -> Gpca.Sweep_space.default_req base
     in
     if audit < 0 then die "--audit must be non-negative";
@@ -1028,16 +1052,22 @@ let trace_cmd =
           die "predicate names an unknown process, location or variable"
       in
       (match Mc.Explorer.timed_trace t pred with
-       | Some steps ->
+       | Ok (Some steps) ->
          List.iter (Fmt.pr "%a@." Mc.Explorer.pp_timed_step) steps
-       | None ->
+       | Ok None ->
          Fmt.pr "unreachable@.";
-         exit 1)
+         exit 1
+       | Error reason ->
+         Fmt.pr "UNKNOWN (%a)@." Mc.Runctl.pp_reason reason;
+         exit 2)
     | Ok _ -> assert false
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"Print a timed witness trace reaching a state predicate.")
+       ~doc:"Print a timed witness trace reaching a state predicate.  Exit \
+             codes: 0 witness printed, 1 unreachable, 2 unknown (the \
+             state limit stopped the search first), 3 usage or parse \
+             error.")
     Term.(const run $ file $ target)
 
 (* --- transform ---------------------------------------------------------- *)
@@ -1834,10 +1864,7 @@ let serve_cmd =
     let load_model path =
       Analysis.Lru.find_or_add models path (fun path ->
           match slurp path with
-          | text -> (
-            match Xta.Parse.network text with
-            | Ok net -> Ok net
-            | Error msg -> Error (path ^ ": " ^ msg))
+          | text -> parse_model path text
           | exception Sys_error msg -> Error msg)
     in
     let drain = Analysis.Serve.drain () in

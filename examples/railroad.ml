@@ -190,13 +190,15 @@ let show_platform_race () =
     && Mc.Explorer.var_value t "ibuf_Clear" st = 0
   in
   (match Mc.Explorer.timed_trace t stranded with
-   | Some steps ->
+   | Ok (Some steps) ->
      Fmt.pr
        "@[<v 2>witness: the train input is discarded while the gate \
         controller is still closing out the previous train@,%a@]@."
        Fmt.(list ~sep:cut Mc.Explorer.pp_timed_step)
        steps
-   | None -> Fmt.pr "(race not reproduced?!)@.")
+   | Ok None -> Fmt.pr "(race not reproduced?!)@."
+   | Error reason ->
+     Fmt.pr "(search interrupted: %a)@." Mc.Runctl.pp_reason reason)
 
 let () =
   Fmt.pr "requirement: gate commanded down within %d ms of train detection@.@."

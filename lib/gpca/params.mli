@@ -27,7 +27,10 @@ type t = {
   prep_min : int;            (** earliest bolus start after the request is read *)
   prep_max : int;            (** latest bolus start (the PIM's 500 ms bound) *)
   infusion_hold : int;       (** infusion duration before stop *)
-  infusion_slack : int;      (** stop-deadline slack for implementability *)
+  infusion_slack : int;
+  (** width of the stop window: [Infusing]'s invariant is
+      [x <= infusion_hold + infusion_slack], so the code must stop the
+      infusion within that many ms after the hold *)
   alarm_max : int;           (** alarm deadline after empty-syringe *)
   pause_max : int;           (** motor-stop deadline after a pause request *)
   typ_bolus_proc : int * int;   (** typical input processing, for simulation *)

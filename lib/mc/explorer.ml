@@ -648,14 +648,12 @@ module Passed = struct
 
   let slots n = n.pw_len
 
-  (* Per-search scratch: the dedup mode, the key layout, the newcomer's
-     key, the indices of the entries it covers, and the dead entry that
+  (* Per-search scratch: the key layout, the newcomer's key, the indices of the entries it covers, and the dead entry that
      fills holes and unused slots, so a slot never pins a killed entry or
      its zone.  [offer] and [slots] are the zone on offer and the node's
      entries during an [add]; the key scan's callbacks read them, so
      they are built once per search, not per offer. *)
   type t = {
-    subsume : bool;
     pool : Zone.Dbm.Pool.t;
     fmt : Zone.Dbm.Key.t;
     klen : int;
@@ -667,10 +665,9 @@ module Passed = struct
     mutable slots : entry array;
     covers : int -> bool;
     victim : int -> unit;
-    same : int -> bool;
   }
 
-  let create ~subsume ~max_const pool =
+  let create ~max_const pool =
     let fmt = Zone.Dbm.Key.make ~dim:(Zone.Dbm.Pool.dim pool) ~max_const in
     let klen = Zone.Dbm.Key.len fmt in
     let hole =
@@ -682,7 +679,7 @@ module Passed = struct
         e_dead = true }
     in
     let rec sc =
-      { subsume; pool; fmt; klen; nkey = Array.make klen 0; kills = [||];
+      { pool; fmt; klen; nkey = Array.make klen 0; kills = [||];
         nkills = 0; hole; offer = hole.e_state.st_zone; slots = [||];
         covers =
           (fun s -> Zone.Dbm.includes sc.slots.(s).e_state.st_zone sc.offer);
@@ -692,8 +689,7 @@ module Passed = struct
             then begin
               sc.kills.(sc.nkills) <- s;
               sc.nkills <- sc.nkills + 1
-            end);
-        same = (fun s -> Zone.Dbm.equal sc.slots.(s).e_state.st_zone sc.offer) }
+            end) }
     in
     sc
 
@@ -704,11 +700,6 @@ module Passed = struct
     for p = 0 to len - 1 do
       dst.(d + p) <- src.(so + p)
     done
-
-  (* The newcomer's key goes to [sc.nkey]. *)
-  let write_key sc z =
-    let head = if sc.subsume then Zone.Dbm.weight z else Zone.Dbm.hash z in
-    Zone.Dbm.Key.write sc.fmt z ~head sc.nkey 0
 
   (* Rebuild block [b]'s summaries from its live slots.  A block of
      holes keeps the cleared summaries, which fail both block
@@ -722,8 +713,8 @@ module Passed = struct
     done
 
   (* Append [e], whose key is in [sc.nkey], and summarise the block it
-     fills (only inclusion probes read summaries).  Capacity starts at 4
-     slots, so a node that never fills a block pays nothing for them. *)
+     fills.  Capacity starts at 4 slots, so a node that never fills a
+     block pays nothing for them. *)
   let append sc n e =
     let klen = sc.klen in
     if n.pw_len = Array.length n.pw_live then begin
@@ -733,20 +724,18 @@ module Passed = struct
       blit_ints n.pw_keys 0 keys 0 (n.pw_len * klen);
       n.pw_live <- live;
       n.pw_keys <- keys;
-      if sc.subsume then begin
-        let nsum = cap / block * klen and used = n.pw_len / block * klen in
-        let bmax = Array.make nsum 0 and bmin = Array.make nsum 0 in
-        blit_ints n.pw_bmax 0 bmax 0 used;
-        blit_ints n.pw_bmin 0 bmin 0 used;
-        n.pw_bmax <- bmax;
-        n.pw_bmin <- bmin
-      end
+      let nsum = cap / block * klen and used = n.pw_len / block * klen in
+      let bmax = Array.make nsum 0 and bmin = Array.make nsum 0 in
+      blit_ints n.pw_bmax 0 bmax 0 used;
+      blit_ints n.pw_bmin 0 bmin 0 used;
+      n.pw_bmax <- bmax;
+      n.pw_bmin <- bmin
     end;
     let s = n.pw_len in
     n.pw_live.(s) <- e;
     blit_ints sc.nkey 0 n.pw_keys (s * klen) klen;
     n.pw_len <- s + 1;
-    if sc.subsume && (s + 1) mod block = 0 then summarise sc n (s / block)
+    if (s + 1) mod block = 0 then summarise sc n (s / block)
 
   (* Make slot [i] a hole: its key fails both compares at the head or
      the first word ({!Zone.Dbm.Key.hole}).  Summaries built earlier
@@ -782,17 +771,17 @@ module Passed = struct
   (* Store entry [id] without a subsumption scan (snapshot restore). *)
   let restore sc n ~id st =
     let e = { e_id = id; e_state = st; e_node = n; e_dead = false } in
-    write_key sc st.st_zone;
+    Zone.Dbm.Key.write sc.fmt st.st_zone sc.nkey 0;
     append sc n e;
     e
 
   (* [add sc n ~expanding ~id st] offers [st] (of [n]'s discrete state)
-     to the node.  Covered (by inclusion, or by equality without
-     subsumption): its zone goes back to the pool and the result is
-     [None].  Otherwise it is stored as entry [id], and when subsuming,
-     every live entry its zone includes is marked dead, leaves a hole
-     and returns its zone to the pool — except the entry being expanded
-     ([expanding]), whose zone the rest of its expansion still reads.
+     to the node.  Covered (some live entry's zone includes it): its zone
+     goes back to the pool and the result is [None].  Otherwise it is
+     stored as entry [id], and every live entry its zone includes is
+     marked dead, leaves a hole and returns its zone to the pool —
+     except the entry being expanded ([expanding]), whose zone the rest
+     of its expansion still reads.
 
      One pass, newest first ({!Zone.Dbm.Key.scan}), decides both: an
      entry is tested as a cover when its key dominates the newcomer's,
@@ -804,21 +793,16 @@ module Passed = struct
      remove all victims" whatever the entry order. *)
   let add sc n ~expanding ~id st =
     let z = st.st_zone in
-    write_key sc z;
+    Zone.Dbm.Key.write sc.fmt z sc.nkey 0;
     sc.offer <- z;
     sc.slots <- n.pw_live;
     sc.nkills <- 0;
+    if Array.length sc.kills < n.pw_len then
+      sc.kills <- Array.make (2 * n.pw_len) 0;
     let covered =
-      if sc.subsume then begin
-        if Array.length sc.kills < n.pw_len then
-          sc.kills <- Array.make (2 * n.pw_len) 0;
-        Zone.Dbm.Key.scan sc.fmt ~block ~keys:n.pw_keys ~bmax:n.pw_bmax
-          ~bmin:n.pw_bmin ~len:n.pw_len sc.nkey ~cover:sc.covers
-          ~victim:sc.victim
-      end
-      else
-        Zone.Dbm.Key.find_equal sc.fmt ~keys:n.pw_keys ~len:n.pw_len sc.nkey
-          sc.same
+      Zone.Dbm.Key.scan sc.fmt ~block ~keys:n.pw_keys ~bmax:n.pw_bmax
+        ~bmin:n.pw_bmin ~len:n.pw_len sc.nkey ~cover:sc.covers
+        ~victim:sc.victim
     in
     if covered then begin
       Zone.Dbm.Pool.release sc.pool z;
@@ -898,7 +882,7 @@ type snapshot = {
   snap_fingerprint : Keys.D128.t;
   snap_label : string;  (* which query took it; resume must match *)
   snap_dim : int;
-  snap_subsume : bool;
+  snap_subsume : bool;  (* always [true]: inclusion is the one dedup mode *)
   snap_next_id : int;
   snap_visited : int;
   snap_stored : int;
@@ -990,15 +974,16 @@ let load_snapshot path =
     | Error Keys.Frame.Foreign -> Error "not a psv snapshot")
 
 (* Resume guard: a snapshot replays correctly only into the same search
-   space (fingerprint), the same query kind (label), the same dedup mode
-   and the same zone dimension. *)
-let check_snapshot t ~label ~subsume snap =
+   space (fingerprint), the same query kind (label) and the same zone
+   dimension, and only if it was taken under inclusion dedup: a file
+   whose field says otherwise is refused. *)
+let check_snapshot t ~label snap =
   if not (Keys.D128.equal snap.snap_fingerprint (fingerprint t)) then
     invalid_arg
       "Explorer: snapshot does not match this model/monitor/configuration";
   if snap.snap_label <> label then
     invalid_arg "Explorer: snapshot was taken by a different kind of query";
-  if snap.snap_subsume <> subsume then
+  if not snap.snap_subsume then
     invalid_arg "Explorer: snapshot subsumption mode differs";
   if snap.snap_dim <> t.comp.Compiled.c_nclocks + 1 then
     invalid_arg "Explorer: snapshot zone dimension differs"
@@ -1013,12 +998,12 @@ let snapshot_queue s = s.snap_queue
 let snapshot_trace s = s.snap_trace
 let snapshot_payload s = s.snap_payload
 
-let make_snapshot t ~label ~subsume ~next_id ~visited ~stored ~entries ~queue
+let make_snapshot t ~label ~next_id ~visited ~stored ~entries ~queue
     ~trace ~payload =
   { snap_fingerprint = fingerprint t;
     snap_label = label;
     snap_dim = t.comp.Compiled.c_nclocks + 1;
-    snap_subsume = subsume;
+    snap_subsume = true;
     snap_next_id = next_id;
     snap_visited = visited;
     snap_stored = stored;
@@ -1061,10 +1046,9 @@ type stop =
 
 (* The search loop: calls [visit st] on every stored state (including
    the initial one) and stops early when [visit] returns [`Stop].
-   [on_expanded] is called after a state's successors have been
-   generated, with the number of (non-empty) successors -- used by the
-   timelock detector.  The waiting list is a FIFO queue, so the search
-   is breadth-first and entry ids are consecutive.
+   Stored zones are deduplicated by inclusion.  The waiting list is a
+   FIFO queue, so the search is breadth-first and entry ids are
+   consecutive.
 
    Budgets ([ctl] and the explorer's state limit) are polled before an
    entry is taken, so an interrupted search leaves the queue intact and
@@ -1072,11 +1056,11 @@ type stop =
    continued.  [label] names the query kind and must match on resume;
    [payload] is called at snapshot time to save the caller's
    accumulator (e.g. the running sup). *)
-let search ?(on_expanded = fun _ _ -> `Continue) ?(subsume = true) ?expand
-    ?ctl ?resume ?(label = "") ?(payload = fun () -> "") t visit =
-  Option.iter (check_snapshot t ~label ~subsume) resume;
+let search ?expand ?ctl ?resume ?(label = "") ?(payload = fun () -> "") t
+    visit =
+  Option.iter (check_snapshot t ~label) resume;
   let pool = fresh_pool t in
-  let passed = Passed.create ~subsume ~max_const:(max_const t) pool in
+  let passed = Passed.create ~max_const:(max_const t) pool in
   let nodes : (int, pw_node list ref) Hashtbl.t = Hashtbl.create 16 in
   let waiting : entry Queue.t = Queue.create () in
   (* (parent id, movers) of the k-th entry this search stored, id
@@ -1178,11 +1162,10 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(subsume = true) ?expand
       | Some c -> Runctl.check c ~visited:!visited
   in
   (* an expansion starts while the search runs, and only a [`Stop] from
-     a hook ends it early *)
+     [visit] ends it early *)
   let running () = match !stop with Running -> true | _ -> false in
   let expand_one e =
     expanding := e.e_id;
-    let successors = ref 0 in
     (match expand with
      | None ->
        let table = succ_table t e in
@@ -1192,7 +1175,6 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(subsume = true) ?expand
            match extrapolated t pool (advance t pool e.e_state d) with
            | None -> ()
            | Some st ->
-             incr successors;
              (* the half's target node, looked up at its first use *)
              let h = Option.get d.d_half in
              if h.h_node == no_node then h.h_node <- node_for h.h_hash st;
@@ -1210,16 +1192,11 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(subsume = true) ?expand
              match succ with
              | None -> ()
              | Some st ->
-               incr successors;
                add_state
                  (node_for (hash_discrete st.st_locs st.st_vars st.st_mon) st)
                  e.e_id cd.cd_movers st)
          (f pool e.e_state));
-    expanding := -1;
-    if running () then
-      match on_expanded e.e_state !successors with
-      | `Stop -> stop := Found e.e_id
-      | `Continue -> ()
+    expanding := -1
   in
   (match resume with
    | None ->
@@ -1308,7 +1285,7 @@ let search ?(on_expanded = fun _ _ -> `Continue) ?(subsume = true) ?expand
       |> List.rev |> Array.of_list
     in
     let next_id = base + !count in
-    make_snapshot t ~label ~subsume ~next_id ~visited:stats.visited
+    make_snapshot t ~label ~next_id ~visited:stats.visited
       ~stored:stats.stored
       ~entries:!entries
       ~queue
@@ -1364,7 +1341,7 @@ let sup_clock ?expand ?ctl ?resume ?(until = fun _ -> false) t ~pred ~clock =
     ref
       (match resume with
        | Some snap ->
-         check_snapshot t ~label ~subsume:true snap;
+         check_snapshot t ~label snap;
          if snap.snap_payload = "" then Sup_unreached
          else (Marshal.from_string snap.snap_payload 0 : sup_result)
        | None -> Sup_unreached)
@@ -1398,39 +1375,6 @@ let pp_sup_result ppf = function
   | Sup (v, true) -> Fmt.pf ppf "< %d" v
   | Sup (v, false) -> Fmt.pf ppf "<= %d" v
   | Sup_exceeds c -> Fmt.pf ppf "> %d (ceiling)" c
-
-(* --- timelock detection ------------------------------------------------ *)
-
-(* A reachable state where no discrete transition is possible and time is
-   blocked: either an urgent/committed location pins the clock, or some
-   location invariant caps a clock (the stored zones are delay-closed, so
-   a finite supremum means time cannot diverge).  Quiescent terminal
-   states -- no successors but unbounded delay -- are not timelocks. *)
-let find_timelock ?ctl t =
-  let time_blocked st =
-    no_delay_present t.comp st.st_locs
-    ||
-    let z = st.st_zone in
-    let dim = Zone.Dbm.dim z in
-    let rec bounded i =
-      i < dim
-      && ((not (Zone.Bound.is_infinite (Zone.Dbm.sup_clock z i)))
-          || bounded (i + 1))
-    in
-    bounded 1
-  in
-  let on_expanded st nsucc =
-    if nsucc = 0 && time_blocked st then `Stop else `Continue
-  in
-  (* Subsumption can hide a time-pinned sub-zone inside a wider live zone,
-     so the timelock search deduplicates by zone equality only. *)
-  let r =
-    search ?ctl ~on_expanded ~subsume:false ~label:"timelock" t
-      (fun _ -> `Continue)
-  in
-  { r_trace = Option.map (List.map (describe t)) r.sr_chain;
-    r_stats = r.sr_stats;
-    r_interrupt = r.sr_interrupt }
 
 (* --- timed witness traces ---------------------------------------------- *)
 
@@ -1521,6 +1465,8 @@ let replay t chain =
 
 let timed_trace t pred =
   let visit st = if pred st then `Stop else `Continue in
-  match (search ~label:"reachable" t visit).sr_chain with
-  | None -> None
-  | Some chain -> replay t chain
+  let r = search ~label:"reachable" t visit in
+  match (r.sr_chain, r.sr_interrupt) with
+  | Some chain, _ -> Ok (replay t chain)
+  | None, None -> Ok None
+  | None, Some reason -> Error reason

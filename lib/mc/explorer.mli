@@ -4,8 +4,8 @@
     States are (location vector, variable valuation, monitor state, zone)
     tuples; zones are kept delay-closed under location invariants and
     extrapolated with per-clock maximal constants, so the search is finite
-    whenever variables are bounded.  Subsumption (zone inclusion) prunes
-    the passed/waiting store.
+    whenever variables are bounded.  Subsumption (zone inclusion) is the
+    one dedup mode of the passed/waiting store.
 
     Every query is governed: a search that exhausts a budget (the
     explorer's own state limit, or any budget of a supplied
@@ -199,28 +199,6 @@ val sup_clock :
 
 val pp_sup_result : Format.formatter -> sup_result -> unit
 
-(** [find_timelock t] searches for a reachable state in which no discrete
-    transition is possible and time cannot diverge (an urgent/committed
-    location pins the clock, or a location invariant caps it).  Quiescent
-    terminal states (no moves but unbounded delay) are not reported.
-    An interrupted search ([r_interrupt <> None]) means "none found
-    within budget".
-
-    In a transformed PSM, timelocks mark reliance on the generated code's
-    {e eagerness}: a deadline transition of [MIO] that the model may
-    postpone past its last compute window.  When the guard window is wide
-    enough (see [Analysis.Implementability.check_window_widths]) eager
-    code never hits the deadline between windows and the timelock is a
-    model-level artifact; when it is too narrow, even eager code misses
-    the deadline and the timelock is a real defect.
-
-    The search deduplicates states by zone equality rather than
-    subsumption (a time-pinned sub-zone must not be hidden inside a wider
-    stored zone), so it explores more states than {!reachable}.  The
-    check is an {e under-approximation}: a symbolic state mixing blocked
-    and live valuations is not flagged. *)
-val find_timelock : ?ctl:Runctl.t -> t -> reach_result
-
 (** One step of a timed witness: the transition description and the
     interval of absolute times at which the step can fire among runs
     following the witness's transition sequence.  Bounds are
@@ -234,10 +212,13 @@ type timed_step = {
 (** [timed_trace t pred] is {!reachable} with timing: the witness chain is
     replayed exactly (no extrapolation, no activity reduction) with an
     absolute-time clock, and each step is annotated with its feasible
-    firing-time interval.  [None] if the predicate is unreachable (or
-    not reached within budget).  Every chain the search returns is a
-    real zone-graph path, so its replay succeeds. *)
-val timed_trace : t -> (state -> bool) -> timed_step list option
+    firing-time interval: [Ok (Some steps)].  [Ok None] means the
+    predicate is unreachable; [Error reason] means the explorer's state
+    limit stopped the search before it found the predicate or ran out
+    of states, so reachability is unknown.  Every chain the search
+    returns is a real zone-graph path, so its replay succeeds. *)
+val timed_trace :
+  t -> (state -> bool) -> (timed_step list option, Runctl.reason) result
 
 val pp_timed_step : Format.formatter -> timed_step -> unit
 
@@ -335,25 +316,23 @@ module Passed : sig
       away. *)
   val slots : node -> int
 
-  (** Per-search scratch: the dedup mode and the pool that covered and
-      subsumed zones return to. *)
+  (** Per-search scratch, and the pool that covered and subsumed zones
+      return to. *)
   type t
 
-  (** [create ~subsume ~max_const pool]: with [subsume], dedup by zone
-      inclusion (and drop live entries a new zone includes); without,
-      by zone equality.  [max_const] is the largest extrapolation
-      constant of the stored zones; it sizes the keys' lanes
-      ({!Zone.Dbm.Key.make}), and zones with larger bounds are still
-      handled exactly, with less pruning by the keys. *)
-  val create : subsume:bool -> max_const:int -> Zone.Dbm.Pool.t -> t
+  (** [create ~max_const pool] dedups by zone inclusion, and drops the
+      live entries a new zone includes.  [max_const] is the largest
+      extrapolation constant of the stored zones; it sizes the keys'
+      lanes ({!Zone.Dbm.Key.make}), and zones with larger bounds are
+      still handled exactly, with less pruning by the keys. *)
+  val create : max_const:int -> Zone.Dbm.Pool.t -> t
 
   (** [add p n ~expanding ~id st] offers [st], a state of [n]'s discrete
       part with a non-empty zone.  If a live entry covers it, [st]'s
       zone returns to the pool and the result is [None].  Otherwise it
-      is stored as entry [id] and returned; when subsuming, every live
-      entry whose zone it includes is marked dead and leaves the node
-      (its slot becomes a hole),
-      and its zone returns to the pool unless its id is [expanding]
+      is stored as entry [id] and returned; every live entry whose zone
+      it includes is marked dead and leaves the node (its slot becomes a
+      hole), and its zone returns to the pool unless its id is [expanding]
       (the entry whose successors are being generated). *)
   val add : t -> node -> expanding:int -> id:int -> state -> entry option
 end
@@ -396,8 +375,8 @@ val snapshot_payload : snapshot -> string
     fingerprint and zone dimension from the given counters, store
     content and payload. *)
 val make_snapshot :
-  t -> label:string -> subsume:bool -> next_id:int -> visited:int ->
-  stored:int -> entries:snap_entry list -> queue:int array ->
+  t -> label:string -> next_id:int -> visited:int -> stored:int ->
+  entries:snap_entry list -> queue:int array ->
   trace:(int * (int * int) list) array -> payload:string -> snapshot
 
 (** The result of a raw {!search}: the witness chain when the visit
@@ -421,12 +400,12 @@ val walk_as : size:int -> (int, 'a) Hashtbl.t -> (int * 'a) list
 
 (** The one search loop behind every query, breadth-first on the
     calling domain.  It calls [visit st] on every stored state (including
-    the initial one) and stops early when it returns [`Stop].
-    [on_expanded] runs after a state's successors were generated, with
-    the count of non-empty successors.  [subsume:false] deduplicates by
-    zone equality instead of inclusion.  [label] names the query kind
-    (must match on [resume]); [payload] saves the caller's accumulator
-    into the snapshot.
+    the initial one) and stops early when it returns [`Stop].  Stored
+    zones are deduplicated by inclusion: a zone some stored zone of its
+    discrete state includes is dropped, and a new zone drops the stored
+    zones it includes.  [label] names the query kind (must match on
+    [resume]); [payload] saves the caller's accumulator into the
+    snapshot.
 
     [expand] overrides successor generation for one popped state: it
     must return, in the enumeration order of {!candidates}, every
@@ -438,8 +417,6 @@ val walk_as : size:int -> (int, 'a) Hashtbl.t -> (int * 'a) list
     byte-identical results and statistics to the inline path, which
     fires from per-node successor tables (see {!fire}). *)
 val search :
-  ?on_expanded:(state -> int -> [ `Stop | `Continue ]) ->
-  ?subsume:bool ->
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t ->
   ?resume:snapshot ->

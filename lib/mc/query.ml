@@ -70,7 +70,9 @@ let tokenize text =
           else j
         in
         let j = stop i in
-        emit (Num (int_of_string (String.sub text i (j - i))));
+        (match int_of_string_opt (String.sub text i (j - i)) with
+         | Some v -> emit (Num v)
+         | None -> fail "number out of range");
         scan j
       | c when is_word c ->
         let rec stop j = if j < n && is_word text.[j] then stop (j + 1) else j in
@@ -136,6 +138,12 @@ let parse_chain rest =
     (trigger, response, rest)
   | _ -> fail "expected CHAN -> CHAN"
 
+(* A ceiling or bound becomes a clock constant of the delay monitor. *)
+let clock_constant what n =
+  match Ta.Clockcons.check_constant what n with
+  | Ok n -> n
+  | Error msg -> fail "%s" msg
+
 let parse text =
   match tokenize text with
   | exception Bad_query msg -> Error msg
@@ -155,7 +163,7 @@ let parse text =
          let ceiling =
            match rest with
            | [] -> 10_000
-           | [ Word "ceiling"; Num c ] -> c
+           | [ Word "ceiling"; Num c ] -> clock_constant "ceiling" c
            | _ -> fail "expected 'ceiling N' or end"
          in
          Ok (Sup_delay { trigger; response; ceiling })
@@ -163,6 +171,7 @@ let parse text =
          let trigger, response, rest = parse_chain rest in
          (match rest with
           | [ Word "within"; Num bound ] ->
+            let bound = clock_constant "bound" bound in
             Ok (Bounded_response { trigger; response; bound })
           | _ -> fail "expected 'within N'")
        | _ -> fail "a query starts with E<>, A[], sup: or bounded:"

@@ -54,7 +54,9 @@ type result = {
   res_stats : Explorer.stats;
 }
 
-(** [parse text] parses a query.  Errors mention the offending token. *)
+(** [parse text] parses a query.  Errors mention the offending token.
+    A number that does not fit an [int], and a ceiling or bound past
+    {!Ta.Clockcons.max_constant}, are errors too. *)
 val parse : string -> (t, string) Stdlib.result
 
 (** Canonical text form: [parse (to_string q) = Ok q], and two queries

@@ -8,6 +8,15 @@ type t = atom list
 
 let tt = []
 
+let max_constant = 1 lsl 32
+
+let check_constant what n =
+  if n > max_constant then
+    Error
+      (Printf.sprintf "%s %d exceeds the largest supported clock constant %d"
+         what n max_constant)
+  else Ok n
+
 let lt x n = Simple (x, Lt, n)
 let le x n = Simple (x, Le, n)
 let eq_ x n = Simple (x, Eq, n)

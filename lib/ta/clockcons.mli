@@ -13,6 +13,31 @@ type t = atom list
 
 val tt : t
 
+(** The largest constant a clock may be compared against, [2{^32}]
+    (about 50 days in milliseconds).  {!Model.validate} refuses guards
+    and invariants past it in magnitude, [Compiled.compile] refuses
+    clock ceilings past it, and the query parser and the command line
+    refuse query ceilings and bounds past it.
+
+    Why no zone computation overflows below it.  [Zone.Bound] encodes
+    [x - y ~ c] in one 63-bit int as [2c] or [2c + 1], and adding two
+    bounds adds their encodings, so every constant a DBM operation
+    forms must stay below [2{^60}] in magnitude.  The explorer
+    extrapolates every zone it stores, which leaves each finite bound
+    within its clock's constant, at most [max_constant]; one successor
+    step meets such a zone with constants no larger, so the sums that
+    canonicalisation forms stay within a few [max_constant].  The exact
+    replay of a witness chain ([Mc.Explorer.timed_trace]) does not
+    extrapolate, and each step moves a bound by at most one constant,
+    so after [k] steps bounds stay within [(k + 2) * max_constant]:
+    below [2{^60}] for any chain shorter than [2{^27}] steps, more
+    states than a search can hold. *)
+val max_constant : int
+
+(** [check_constant what n] is [Ok n] when [n <= max_constant], and
+    otherwise an error message that names [what] (e.g. ["ceiling"]). *)
+val check_constant : string -> int -> (int, string) result
+
 val lt : string -> int -> atom
 val le : string -> int -> atom
 val eq_ : string -> int -> atom

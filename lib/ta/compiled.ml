@@ -280,6 +280,9 @@ let compile ?(extra_clocks = []) ?(clock_ceilings = []) net =
   let automata = analysed in
   List.iter
     (fun (x, ceiling) ->
+      (match Clockcons.check_constant ("clock ceiling of " ^ x) ceiling with
+       | Ok _ -> ()
+       | Error msg -> error "%s" msg);
       let i = clock_idx x in
       if ceiling > max_consts.(i) then max_consts.(i) <- ceiling;
       if ceiling > lower_consts.(i) then lower_consts.(i) <- ceiling;

@@ -73,8 +73,9 @@ exception Compile_error of string
     clocks); [clock_ceilings] raises the extrapolation constant of given
     clocks (e.g. to the ceiling of a sup-query).
 
-    @raise Compile_error if {!Model.validate} reports problems or a name
-    cannot be resolved. *)
+    @raise Compile_error if {!Model.validate} reports problems, a name
+    cannot be resolved, or a clock ceiling is past
+    {!Clockcons.max_constant}. *)
 val compile :
   ?extra_clocks:string list ->
   ?clock_ceilings:(string * int) list ->

@@ -158,6 +158,12 @@ let validate net =
              invariants are not supported (extrapolation would be unsound)"
             owner x y
         | Clockcons.Simple _ -> ())
+      atoms;
+    List.iter
+      (fun (Clockcons.Simple (_, _, n) | Clockcons.Diff (_, _, _, n)) ->
+        if n > Clockcons.max_constant || n < - Clockcons.max_constant then
+          fail "%s: clock constant %d exceeds %d in magnitude" owner n
+            Clockcons.max_constant)
       atoms
   in
   let check_pred owner p =

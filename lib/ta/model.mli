@@ -117,7 +117,9 @@ val add_automata : network -> automaton list -> network
 (** Structural well-formedness: unique names; initial and edge endpoints
     exist; every clock, variable and channel referenced is declared;
     broadcast receive edges carry no clock guard (a restriction inherited
-    from UPPAAL that the zone explorer relies on).  Returns the list of
+    from UPPAAL that the zone explorer relies on); guards and invariants
+    are not diagonal, and their constants are at most
+    {!Clockcons.max_constant} in magnitude.  Returns the list of
     problems, empty when the network is well-formed. *)
 val validate : network -> string list
 

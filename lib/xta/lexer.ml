@@ -73,7 +73,9 @@ let tokenize input =
       | c when is_digit c ->
         let rec stop j = if j < n && is_digit input.[j] then stop (j + 1) else j in
         let j = stop i in
-        emit (INT (int_of_string (String.sub input i (j - i))));
+        (match int_of_string_opt (String.sub input i (j - i)) with
+         | Some v -> emit (INT v)
+         | None -> raise (Lex_error (!line, "number out of range")));
         scan j
       | c when is_ident_start c ->
         let rec stop j =

@@ -210,23 +210,11 @@ let includes a b =
 let equal a b =
   a.n = b.n && ((is_empty a && is_empty b) || a.m = b.m)
 
-(* FNV-1a over the encoded bounds.  All empty zones of a dimension hash
-   alike (they compare equal regardless of which entry went negative). *)
-let hash z =
-  if is_empty z then z.n land max_int
-  else begin
-    let h = ref (z.n + 0x811c9dc5) in
-    for i = 0 to Array.length z.m - 1 do
-      h := (!h lxor z.m.(i)) * 0x01000193
-    done;
-    !h land max_int
-  end
-
 (* Clamped sum of the encoded bounds: a dominance measure.  Clamping is
    monotone and [Bound.infinity] (= [max_int]) is the only encoding
    above the cap, so [includes a b] implies [weight a >= weight b], and
    equal weights with pointwise dominance force the zones equal.  The
-   head of a subsumption key (below). *)
+   head of a key (below). *)
 let weight_cap = 1 lsl 40
 
 let weight z =
@@ -239,7 +227,7 @@ let weight z =
 
 (* --- subsumption keys -------------------------------------------------- *)
 
-(* A key is the caller's full-int [head], then the zone's clock bounds
+(* A key is the zone's {!weight} as a full int, then its clock bounds
    packed into lanes: the upper bounds (column 0) from the highest clock
    down, then the lower bounds (row 0) likewise; entry (0, 0) is [le 0]
    in every non-empty zone and is left out.  A lane is [width] bits, the
@@ -252,8 +240,8 @@ let weight z =
    [c] the searched zones compare against, so every bound of an
    extrapolated zone, from [lt (-c)] up to [le c], maps unclamped.
    Since [includes a b] is pointwise [b.m <= a.m] and the map is
-   monotone, it implies [b]'s lanes are [<=] [a]'s, and a head of
-   {!weight} keeps that at the head too.  Clamping only merges values,
+   monotone, it implies [b]'s lanes are [<=] [a]'s, and the {!weight}
+   keeps that at the head too.  Clamping only merges values,
    so a bound outside the range costs pruning power, never soundness.
 
    With [G] the guard bits of a word, [(a lor G) - b] subtracts lane by
@@ -306,10 +294,10 @@ module Key = struct
 
   (* Lane [q] is column 0 of clock [n - 1 - q], then row 0 of clock
      [2n - 2 - q]; the words fill from bit 0 up, with no division. *)
-  let write f (z : zone) ~head keys off =
+  let write f (z : zone) keys off =
     assert (z.n = f.k_dim);
     let n = z.n and m = z.m in
-    keys.(off) <- head;
+    keys.(off) <- weight z;
     let w = ref (off + 1) and acc = ref 0 and shift = ref 0 in
     let full = f.lanes * f.width in
     for q = 0 to (2 * (n - 1)) - 1 do
@@ -411,14 +399,6 @@ module Key = struct
       end
     done;
     !covered
-
-  let find_equal f ~keys ~len nk same =
-    let klen = 1 + f.words and head = nk.(0) in
-    let i = ref (len - 1) in
-    while !i >= 0 && not (keys.(!i * klen) = head && same !i) do
-      decr i
-    done;
-    !i >= 0
 end
 
 let to_ints z = Array.copy z.m

@@ -63,11 +63,6 @@ val includes : t -> t -> bool
     matrix or both empty. *)
 val equal : t -> t -> bool
 
-(** Cheap content hash, compatible with {!equal}: equal zones hash
-    equal (all empty zones of one dimension share a hash).  Inputs must
-    be canonical.  O(dim^2). *)
-val hash : t -> int
-
 (** Clamped sum of the encoded bounds: a scalar dominance measure.
     [includes a b] implies [weight a >= weight b], and equal weights
     together with inclusion force the zones equal.  A subsumption probe
@@ -79,11 +74,10 @@ val weight : t -> int
 
     A key is a flat summary of a non-empty zone that refutes most
     inclusions with a few integer compares, and the only place that
-    knows its layout is this module.  It is a caller-chosen full-int
-    [head] (the {!weight}, for inclusion probes), then the zone's clock
-    bounds packed several to a machine word: the upper bounds (column 0)
-    from the highest clock index down, then the lower bounds (row 0)
-    likewise.  Entry (0, 0) is [le 0] in every non-empty zone and is
+    knows its layout is this module.  It is the zone's {!weight} as a
+    full int (the key's head), then the zone's clock bounds packed
+    several to a machine word: the upper bounds (column 0) from the
+    highest clock index down, then the lower bounds (row 0) likewise.  Entry (0, 0) is [le 0] in every non-empty zone and is
     left out.  A bound becomes a small {e lane} value by a monotone map
     (strict below non-strict at one constant, [Bound.infinity] the top
     value), and the lane width is derived from the largest constant the
@@ -95,9 +89,8 @@ val weight : t -> int
     {b Soundness.}  For non-empty [a] and [b], [includes a b] holds iff
     every encoded bound of [b] is [<=] the matching bound of [a]; the
     lanes are monotone images of such bounds, and {!weight} is monotone
-    in them.  So with [head = weight], [includes a b] implies
-    [ge fmt ka kb] for their keys, and [not (ge fmt ka kb)] proves
-    [not (includes a b)].  The premise matters: an empty [b] is included
+    in them.  So [includes a b] implies [ge fmt ka kb] for their keys,
+    and [not (ge fmt ka kb)] proves [not (includes a b)].  The premise matters: an empty [b] is included
     in everything whatever its key, so keys prefilter only stores of
     non-empty zones (the explorer never stores an empty one). *)
 module Key : sig
@@ -129,9 +122,9 @@ module Key : sig
       it. *)
   val lane : t -> Bound.t -> int
 
-  (** [write fmt z ~head keys off] writes [z]'s key into [keys.(off)
+  (** [write fmt z keys off] writes [z]'s key into [keys.(off)
       .. keys.(off + len fmt - 1)].  [z] has [fmt]'s dimension. *)
-  val write : t -> zone -> head:int -> int array -> int -> unit
+  val write : t -> zone -> int array -> int -> unit
 
   (** [ge fmt a ao b bo]: the key at [a.(ao)] dominates the one at
       [b.(bo)], head and every lane [>=].  One subtraction tests all
@@ -172,12 +165,6 @@ module Key : sig
     t -> block:int -> keys:int array -> bmax:int array -> bmin:int array ->
     len:int -> int array -> cover:(int -> bool) -> victim:(int -> unit) ->
     bool
-
-  (** [find_equal fmt ~keys ~len nk same]: whether [same s] holds for
-      some slot, newest first, tested only where the key's head equals
-      [nk]'s (equality dedup, whose heads are zone hashes). *)
-  val find_equal :
-    t -> keys:int array -> len:int -> int array -> (int -> bool) -> bool
 end
 
 (** [to_ints z] is the raw encoded bound matrix, row-major, as a fresh
@@ -187,8 +174,8 @@ val to_ints : t -> int array
 
 (** [of_ints ~dim m] rebuilds a zone from {!to_ints} output.  The matrix
     is trusted to be canonical (as every {!to_ints} result is); feeding
-    a non-canonical matrix breaks the inclusion and hash invariants, and
-    the exactness of {!extrapolate}.  [Mc.Explorer.admit_pre] relies on
+    a non-canonical matrix breaks inclusion tests and the exactness of
+    {!extrapolate}.  [Mc.Explorer.admit_pre] relies on
     this: it extrapolates the recorded pre-extrapolation zone straight
     out of [of_ints], so a recording must hold canonical zones.
     @raise Invalid_argument when the length is not [dim * dim]. *)

@@ -67,6 +67,11 @@ let str = function
 
 let status j = str (member "status" j)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 let request ?(model = "m") ~id query =
   Printf.sprintf "{\"id\": %d, \"model\": %S, \"query\": %S}" id model query
 
@@ -127,11 +132,6 @@ let test_error_taxonomy () =
         (status r))
     rs;
   let err_of i = str (member "error" (List.nth rs i)) in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
-  in
   Alcotest.(check bool) "parse error reported" true
     (contains (err_of 0) "bad request");
   Alcotest.(check bool) "missing field reported" true
@@ -152,6 +152,23 @@ let test_error_taxonomy () =
   (* and the healthy request at the end of the batch still got answered *)
   Alcotest.(check bool) "survivor answered" true
     (member "id" (List.nth rs 6) = Store.Json.Int 8)
+
+(* --- a number too long for an int: an error line, and the server lives -- *)
+
+let test_overlong_number () =
+  let outcome, out =
+    run_serve
+      [ request ~id:1 "sup: a -> b ceiling 99999999999999999999";
+        request ~id:2 "E<> P.Busy" ]
+  in
+  Alcotest.(check int) "both answered" 2 (List.length out);
+  Alcotest.(check int) "one error" 1 outcome.Analysis.Serve.sv_errors;
+  let r1 = parse_response (List.nth out 0) in
+  let r2 = parse_response (List.nth out 1) in
+  Alcotest.(check string) "bad request refused" "error" (status r1);
+  Alcotest.(check bool) "range diagnosed" true
+    (contains (str (member "error" r1)) "out of range");
+  Alcotest.(check string) "next request answered" "ok" (status r2)
 
 (* --- hostile lines: over-long and invalid UTF-8 --------------------------- *)
 
@@ -269,6 +286,7 @@ let test_degraded_flag () =
 let suite =
   [ Alcotest.test_case "ok and cached" `Quick test_ok_and_cached;
     Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
+    Alcotest.test_case "over-long number" `Quick test_overlong_number;
     Alcotest.test_case "line hygiene" `Quick test_line_hygiene;
     Alcotest.test_case "request timeout" `Quick test_request_timeout;
     Alcotest.test_case "max errors trip wire" `Quick test_max_errors;

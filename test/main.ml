@@ -17,7 +17,7 @@ let () =
       ("faults", Test_faults.suite);
       ("analysis", Test_analysis.suite);
       ("xta", Test_xta.suite);
-      ("implementability", Test_implementability.suite);
+      ("timed-trace", Test_trace.suite);
       ("end-to-end", Test_endtoend.suite);
       ("render", Test_render.suite);
       ("extras", Test_extras.suite);

@@ -231,15 +231,6 @@ let prop_extrapolate_preserves_inclusion =
       Dbm.extrapolate z' k;
       Dbm.includes z' z)
 
-(* Hash is compatible with equality (the explorer's equality-dedup mode
-   filters by hash before comparing). *)
-let prop_hash_respects_equal =
-  QCheck.Test.make ~name:"equal zones hash equal" ~count:1000
-    (QCheck.pair Gen.arb_dbm_ops Gen.arb_dbm_ops)
-    (fun (ops1, ops2) ->
-      let a = build ops1 and b = build ops2 in
-      (not (Dbm.equal a b)) || Dbm.hash a = Dbm.hash b)
-
 (* --- subsumption prefilter ---------------------------------------------- *)
 
 (* The explorer tests [includes a b] only when [a]'s weight and key
@@ -251,7 +242,7 @@ let prop_hash_respects_equal =
 
 let key fmt z =
   let k = Array.make (Dbm.Key.len fmt) 0 in
-  Dbm.Key.write fmt z ~head:(Dbm.weight z) k 0;
+  Dbm.Key.write fmt z k 0;
   k
 
 let fitting = Dbm.Key.make ~dim:Gen.dbm_dims ~max_const:8
@@ -650,7 +641,7 @@ let scan_matches fmt c =
   let keys = Array.make ((len + 1) * klen) 0 in
   Array.iteri
     (fun s (z, hole) ->
-      Dbm.Key.write fmt z ~head:(Dbm.weight z) keys (s * klen);
+      Dbm.Key.write fmt z keys (s * klen);
       if hole = 1 then Dbm.Key.hole fmt keys (s * klen))
     slots;
   let nblocks = len / block in
@@ -760,8 +751,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_inclusion_sound;
     QCheck_alcotest.to_alcotest prop_canonical_stable;
     QCheck_alcotest.to_alcotest prop_mutual_inclusion_is_equal;
-    QCheck_alcotest.to_alcotest prop_extrapolate_preserves_inclusion;
-    QCheck_alcotest.to_alcotest prop_hash_respects_equal ]
+    QCheck_alcotest.to_alcotest prop_extrapolate_preserves_inclusion ]
   @ List.map QCheck_alcotest.to_alcotest prefilter_props
   @ [ Alcotest.test_case "key lane edges" `Quick test_key_lane_edges;
       Alcotest.test_case "key sizes" `Quick test_key_sizes;

@@ -91,6 +91,35 @@ let test_validate_broadcast_clock_guard () =
       { net with Model.net_channels = [ ("go", Model.Broadcast) ] })
     "broadcast receive"
 
+(* Constants past [Clockcons.max_constant] would overflow the zone
+   encoding: the model layer refuses them in guards and invariants, and
+   compilation refuses them as clock ceilings. *)
+let test_validate_constant_range () =
+  let past = Clockcons.max_constant + 1 in
+  expect_problem
+    (fun net ->
+      let a = Model.find_automaton net "A" in
+      Model.replace_automaton net "A"
+        { a with
+          Model.aut_locations =
+            [ loc ~inv:[ Clockcons.le "x" past ] "L0"; loc "L1" ] })
+    "in magnitude";
+  expect_problem
+    (fun net ->
+      let a = Model.find_automaton net "A" in
+      Model.replace_automaton net "A"
+        { a with
+          Model.aut_edges =
+            [ edge ~guard:[ Clockcons.ge "x" (- past) ] "L0" "L1" ] })
+    "in magnitude";
+  let net = valid_net () in
+  ignore
+    (Compiled.compile ~clock_ceilings:[ ("x", Clockcons.max_constant) ] net
+      : Compiled.t);
+  match Compiled.compile ~clock_ceilings:[ ("x", past) ] net with
+  | exception Compiled.Compile_error _ -> ()
+  | _ -> Alcotest.fail "a clock ceiling past the maximum compiled"
+
 let test_sends_receives () =
   let net = valid_net () in
   Alcotest.(check (list string)) "A sends" [ "go" ]
@@ -163,6 +192,8 @@ let suite =
     Alcotest.test_case "validate: duplicates" `Quick test_validate_duplicates;
     Alcotest.test_case "validate: broadcast clock guard" `Quick
       test_validate_broadcast_clock_guard;
+    Alcotest.test_case "validate: constant range" `Quick
+      test_validate_constant_range;
     Alcotest.test_case "sends/receives" `Quick test_sends_receives;
     Alcotest.test_case "rename channels" `Quick test_rename_channels;
     Alcotest.test_case "guard all edges" `Quick test_guard_all_edges;

@@ -302,7 +302,7 @@ let prop_owner_store_matches_reference =
       Hashtbl.iter
         (fun _ zones ->
           ignore
-            (Test_mc.store_matches_reference ~subsume:true
+            (Test_mc.store_matches_reference
                ~max_const:
                  (Array.fold_left max 0
                     (Mc.Explorer.compiled t).Ta.Compiled.c_max_consts)

@@ -83,6 +83,27 @@ let test_parse_errors () =
   bad "E<> W .";
   bad "X[] true"
 
+(* A number too long for an int is a parse error, not an escaping
+   exception; so is a ceiling or bound past the largest clock constant,
+   which would overflow the zone encoding. *)
+let test_parse_range () =
+  let error text expected =
+    Alcotest.(check (result reject string)) text (Error expected)
+      (Mc.Query.parse text)
+  in
+  error "sup: a -> b ceiling 99999999999999999999" "number out of range";
+  error "E<> n == 99999999999999999999" "number out of range";
+  let at = Ta.Clockcons.max_constant in
+  let past =
+    Printf.sprintf "%d exceeds the largest supported clock constant %d"
+      (at + 1) at
+  in
+  error (Printf.sprintf "sup: a -> b ceiling %d" (at + 1)) ("ceiling " ^ past);
+  error (Printf.sprintf "bounded: a -> b within %d" (at + 1)) ("bound " ^ past);
+  Alcotest.(check bool) "the maximum itself is accepted" true
+    (Mc.Query.parse (Printf.sprintf "sup: a -> b ceiling %d" at)
+     = Ok (Mc.Query.Sup_delay { trigger = "a"; response = "b"; ceiling = at }))
+
 (* Sup queries whose ceilings widen the subsumption keys' lanes (9000:
    three 17-bit lanes per word where table1's constants fit four 15-bit
    ones; 70000: three 20-bit lanes), on the PSM as [psv export --psm] writes it and [psv
@@ -314,5 +335,6 @@ let suite =
       test_bounded_is_sup;
     QCheck_alcotest.to_alcotest prop_bounded_is_sup;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "numbers out of range" `Quick test_parse_range;
     Alcotest.test_case "wide-lane sup pins" `Quick test_wide_lane_pins;
     Alcotest.test_case "pp_outcome text" `Quick test_pp_outcome_text ]

@@ -265,12 +265,24 @@ let test_fingerprint_mismatch () =
    | _ -> Alcotest.fail "resumed a snapshot of a different network"
    | exception Invalid_argument _ -> ());
   (* same network, another monitor ceiling *)
+  (match
+     Mc.Query.max_delay ~resume:snap (railroad_psm ()) ~trigger:"m_Train"
+       ~response:"c_GateDown" ~ceiling:640
+   with
+   | _ -> Alcotest.fail "resumed a snapshot of another ceiling"
+   | exception Invalid_argument _ -> ());
+  (* a record whose dedup field says equality, which only a forged file
+     can hold now: the field is the record's fourth *)
+  let forged = Obj.dup (Obj.repr snap) in
+  Obj.set_field forged 3 (Obj.repr false);
   match
-    Mc.Query.max_delay ~resume:snap (railroad_psm ()) ~trigger:"m_Train"
-      ~response:"c_GateDown" ~ceiling:640
+    Mc.Query.max_delay ~resume:(Obj.obj forged) (railroad_psm ())
+      ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320
   with
-  | _ -> Alcotest.fail "resumed a snapshot of another ceiling"
-  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "resumed a snapshot taken without subsumption"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "refusal"
+      "Explorer: snapshot subsumption mode differs" msg
 
 (* [Psv.verify_response] decides P(320) on both sides: the periodic
    railroad meets it, the racing one (no headway) does not. *)
@@ -336,7 +348,7 @@ let test_resume_entry_order () =
   let reversed snap =
     let module E = Mc.Explorer in
     E.make_snapshot t ~label
-      ~subsume:true ~next_id:(E.snapshot_next_id snap)
+      ~next_id:(E.snapshot_next_id snap)
       ~visited:(E.snapshot_visited snap) ~stored:(E.snapshot_stored snap)
       ~entries:(List.rev (E.snapshot_entries snap))
       ~queue:(E.snapshot_queue snap) ~trace:(E.snapshot_trace snap)
@@ -406,7 +418,7 @@ let test_resume_gapped_ids () =
         else (-1, []))
   in
   let gapped =
-    E.make_snapshot t ~label ~subsume:true
+    E.make_snapshot t ~label
       ~next_id:(4 * E.snapshot_next_id snap)
       ~visited:(E.snapshot_visited snap) ~stored:(E.snapshot_stored snap)
       ~entries:

@@ -984,7 +984,7 @@ let test_snapshot_fingerprint_golden () =
   in
   let digest t =
     let snap =
-      Mc.Explorer.make_snapshot t ~label:"sup" ~subsume:true ~next_id:0
+      Mc.Explorer.make_snapshot t ~label:"sup" ~next_id:0
         ~visited:0 ~stored:0 ~entries:[] ~queue:[||] ~trace:[||] ~payload:""
     in
     let path = Filename.temp_file "psv_test" ".snap" in

@@ -89,6 +89,14 @@ let test_parse_errors_have_lines () =
   check_error "network x; process P { state A; init A; trans A -> B { sync q; }; }";
   check_error "network x; int[0] v = 0;"
 
+(* A literal too long for an int is a diagnosed parse error. *)
+let test_number_out_of_range () =
+  Alcotest.(check (result reject string)) "20-digit invariant"
+    (Error "line 3: number out of range")
+    (Xta.Parse.network
+       "network x;\nclock c;\nprocess P { state A { c <= \
+        99999999999999999999 }; init A; }")
+
 let test_lexer_rejects_garbage () =
   match Xta.Parse.network "network x; \x01" with
   | Error _ -> ()
@@ -346,6 +354,7 @@ let suite =
     Alcotest.test_case "errors carry line numbers" `Quick
       test_parse_errors_have_lines;
     Alcotest.test_case "lexer rejects garbage" `Quick test_lexer_rejects_garbage;
+    Alcotest.test_case "number out of range" `Quick test_number_out_of_range;
     Alcotest.test_case "round-trip: GPCA PIM" `Quick test_roundtrip_gpca;
     Alcotest.test_case "round-trip: GPCA PSM" `Quick test_roundtrip_gpca_psm;
     Alcotest.test_case "round-trip preserves semantics" `Quick
