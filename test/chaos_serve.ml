@@ -170,6 +170,25 @@ let test_overlong_number () =
     (contains (str (member "error" r1)) "out of range");
   Alcotest.(check string) "next request answered" "ok" (status r2)
 
+(* --- a ceiling past the largest clock constant: refused, not answered -- *)
+
+let test_ceiling_past_maximum () =
+  let at = Ta.Clockcons.max_constant in
+  let outcome, out =
+    run_serve
+      [ request ~id:1 (Printf.sprintf "sup: a -> b ceiling %d" (at + 1));
+        request ~id:2 (Printf.sprintf "sup: a -> b ceiling %d" at) ]
+  in
+  Alcotest.(check int) "both answered" 2 (List.length out);
+  Alcotest.(check int) "one error" 1 outcome.Analysis.Serve.sv_errors;
+  let r1 = parse_response (List.nth out 0) in
+  let r2 = parse_response (List.nth out 1) in
+  Alcotest.(check string) "oversized ceiling refused" "error" (status r1);
+  Alcotest.(check bool) "limit named" true
+    (contains (str (member "error" r1))
+       "exceeds the largest supported clock constant");
+  Alcotest.(check string) "ceiling at the maximum answered" "ok" (status r2)
+
 (* --- hostile lines: over-long and invalid UTF-8 --------------------------- *)
 
 let test_line_hygiene () =
@@ -287,6 +306,8 @@ let suite =
   [ Alcotest.test_case "ok and cached" `Quick test_ok_and_cached;
     Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
     Alcotest.test_case "over-long number" `Quick test_overlong_number;
+    Alcotest.test_case "ceiling past the maximum" `Quick
+      test_ceiling_past_maximum;
     Alcotest.test_case "line hygiene" `Quick test_line_hygiene;
     Alcotest.test_case "request timeout" `Quick test_request_timeout;
     Alcotest.test_case "max errors trip wire" `Quick test_max_errors;

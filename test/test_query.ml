@@ -104,6 +104,63 @@ let test_parse_range () =
     (Mc.Query.parse (Printf.sprintf "sup: a -> b ceiling %d" at)
      = Ok (Mc.Query.Sup_delay { trigger = "a"; response = "b"; ceiling = at }))
 
+(* Delays at the largest clock constant come out exact.  The worker may
+   stay busy up to [max_constant], so that is the sup; a bound at it
+   holds and one below it fails.  Constants near [2^61] overflowed the
+   zone encoding and such answers went wrong. *)
+let test_largest_constant () =
+  let at = Clockcons.max_constant in
+  let worker =
+    Model.automaton ~name:"W" ~initial:"Idle"
+      [ loc "Idle"; loc ~inv:[ Clockcons.le "w" at ] "Busy"; loc "Done" ]
+      [ edge ~sync:(Model.Recv "req") ~resets:[ "w" ] "Idle" "Busy";
+        edge ~guard:[ Clockcons.ge "w" 2 ] ~sync:(Model.Send "resp") "Busy"
+          "Done" ]
+  in
+  let env =
+    Model.automaton ~name:"E" ~initial:"E0"
+      [ loc "E0"; loc "E1"; loc "E2" ]
+      [ edge ~sync:(Model.Send "req") "E0" "E1";
+        edge ~sync:(Model.Recv "resp") "E1" "E2" ]
+  in
+  let net =
+    Model.network ~name:"big" ~clocks:[ "w" ] ~vars:[]
+      ~channels:[ ("req", Model.Broadcast); ("resp", Model.Broadcast) ]
+      [ worker; env ]
+  in
+  let eval q = (Mc.Query.eval net q).Mc.Query.res_outcome in
+  (match
+     eval (Mc.Query.Sup_delay { trigger = "req"; response = "resp"; ceiling = at })
+   with
+   | Mc.Query.Sup (Mc.Explorer.Sup (v, false)) when v = at -> ()
+   | o -> Alcotest.failf "expected sup <= %d, got %a" at Mc.Query.pp_outcome o);
+  let bounded bound =
+    eval (Mc.Query.Bounded_response { trigger = "req"; response = "resp"; bound })
+  in
+  Alcotest.(check bool) "bound at the maximum holds" true
+    (bounded at = Mc.Query.Holds);
+  Alcotest.(check bool) "bound below the maximum fails" true
+    (match bounded (at - 1) with Mc.Query.Fails _ -> true | _ -> false)
+
+(* The PSM's M-C sup under the largest ceiling the parser accepts is the
+   paper's 1430, as under smaller ceilings; under a ceiling of [2^61]
+   the search reported the sup past its ceiling. *)
+let test_psm_largest_ceiling () =
+  let net =
+    (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only Gpca.Params.default)
+      .Transform.psm_net
+  in
+  let text =
+    Printf.sprintf "sup: m_BolusReq -> c_StartInfusion ceiling %d"
+      Clockcons.max_constant
+  in
+  match Mc.Query.parse text with
+  | Error msg -> Alcotest.failf "parse of %S failed: %s" text msg
+  | Ok q -> (
+    match (Mc.Query.eval net q).Mc.Query.res_outcome with
+    | Mc.Query.Sup (Mc.Explorer.Sup (1430, false)) -> ()
+    | o -> Alcotest.failf "expected sup <= 1430, got %a" Mc.Query.pp_outcome o)
+
 (* Sup queries whose ceilings widen the subsumption keys' lanes (9000:
    three 17-bit lanes per word where table1's constants fit four 15-bit
    ones; 70000: three 20-bit lanes), on the PSM as [psv export --psm] writes it and [psv
@@ -336,5 +393,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bounded_is_sup;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "numbers out of range" `Quick test_parse_range;
+    Alcotest.test_case "delays at the largest constant" `Quick
+      test_largest_constant;
+    Alcotest.test_case "PSM sup at the largest ceiling" `Quick
+      test_psm_largest_ceiling;
     Alcotest.test_case "wide-lane sup pins" `Quick test_wide_lane_pins;
     Alcotest.test_case "pp_outcome text" `Quick test_pp_outcome_text ]

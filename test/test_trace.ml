@@ -104,6 +104,37 @@ let prop_timed_trace_monotonic =
         in
         monotonic 0 steps)
 
+(* The exact replay of a witness does not extrapolate, so its bounds
+   grow by up to one constant a step: at the largest clock constant they
+   must still come out exact.  A fires at [max_constant], and B a further
+   [max_constant] later. *)
+let test_timed_trace_largest_constant () =
+  let at = Clockcons.max_constant in
+  let a =
+    Model.automaton ~name:"P" ~initial:"A"
+      [ loc ~inv:[ Clockcons.le "x" at ] "A";
+        loc ~inv:[ Clockcons.le "y" at ] "B";
+        loc "C" ]
+      [ edge ~guard:[ Clockcons.ge "x" at ] ~resets:[ "y" ] "A" "B";
+        edge ~guard:[ Clockcons.ge "y" at ] "B" "C" ]
+  in
+  let net =
+    Model.network ~name:"big" ~clocks:[ "x"; "y" ] ~vars:[] ~channels:[] [ a ]
+  in
+  let t = Mc.Explorer.make net in
+  match Mc.Explorer.timed_trace t (Mc.Explorer.at t ~aut:"P" ~loc:"C") with
+  | Ok (Some [ step1; step2 ]) ->
+    let exactly v = ((v, false), Some (v, false)) in
+    let times (s : Mc.Explorer.timed_step) =
+      (s.Mc.Explorer.td_earliest, s.Mc.Explorer.td_latest)
+    in
+    let interval = Alcotest.(pair (pair int bool) (option (pair int bool))) in
+    Alcotest.check interval "step 1" (exactly at) (times step1);
+    Alcotest.check interval "step 2" (exactly (2 * at)) (times step2)
+  | Ok (Some steps) ->
+    Alcotest.failf "expected 2 steps, got %d" (List.length steps)
+  | Ok None | Error _ -> Alcotest.fail "C should be reachable"
+
 (* A state limit that stops the search before the target is reached
    leaves reachability unknown: the result is the interruption, not
    "unreachable".  The target C is two steps deep, and a limit of one
@@ -135,5 +166,7 @@ let suite =
       test_timed_trace_unreachable;
     Alcotest.test_case "timed trace interrupted by the state limit" `Quick
       test_timed_trace_interrupted;
+    Alcotest.test_case "timed trace at the largest constant" `Quick
+      test_timed_trace_largest_constant;
     Alcotest.test_case "timed trace on GPCA" `Quick test_timed_trace_gpca;
     QCheck_alcotest.to_alcotest prop_timed_trace_monotonic ]

@@ -97,6 +97,26 @@ let test_number_out_of_range () =
        "network x;\nclock c;\nprocess P { state A { c <= \
         99999999999999999999 }; init A; }")
 
+(* A literal that fits an int but passes the largest clock constant
+   parses; validation, which every model loader runs before compiling,
+   is what refuses it. *)
+let test_constant_past_maximum () =
+  let text n =
+    Printf.sprintf
+      "network x;\nclock c;\nprocess P { state A { c <= %d }; init A; }" n
+  in
+  let validate n =
+    match Xta.Parse.network (text n) with
+    | Ok net -> Model.validate net
+    | Error msg -> Alcotest.failf "invariant c <= %d does not parse: %s" n msg
+  in
+  Alcotest.(check (list string)) "the maximum itself" []
+    (validate Clockcons.max_constant);
+  Alcotest.(check (list string)) "one past it"
+    [ Printf.sprintf "P.A: clock constant %d exceeds %d in magnitude"
+        (Clockcons.max_constant + 1) Clockcons.max_constant ]
+    (validate (Clockcons.max_constant + 1))
+
 let test_lexer_rejects_garbage () =
   match Xta.Parse.network "network x; \x01" with
   | Error _ -> ()
@@ -355,6 +375,8 @@ let suite =
       test_parse_errors_have_lines;
     Alcotest.test_case "lexer rejects garbage" `Quick test_lexer_rejects_garbage;
     Alcotest.test_case "number out of range" `Quick test_number_out_of_range;
+    Alcotest.test_case "constant past the maximum" `Quick
+      test_constant_past_maximum;
     Alcotest.test_case "round-trip: GPCA PIM" `Quick test_roundtrip_gpca;
     Alcotest.test_case "round-trip: GPCA PSM" `Quick test_roundtrip_gpca_psm;
     Alcotest.test_case "round-trip preserves semantics" `Quick
