@@ -411,8 +411,14 @@ let verify_cmd =
     let route = answer_route ~cache ~tag:file (if delta then `Delta else `Plain) in
     let a =
       try answer ~ctl ?resume:resume_snap route net q with
-      | Invalid_argument msg -> die "%s" msg
+      | Invalid_argument msg -> (
+        (* a snapshot of another search, or one holding a value no
+           search writes *)
+        match resume with
+        | Some path -> die "cannot resume from %s: %s" path msg
+        | None -> die "%s" msg)
       | Not_found -> die "unknown channel %S or %S" trigger response
+      | Ta.Compiled.Compile_error msg -> die "%s: %s" file msg
     in
     report_cache cache;
     let r = a.Incr.Answer.an_result in
@@ -524,9 +530,10 @@ let query_cmd =
         answer_route ~cache ~tag:file (if delta then `Delta else `Plain)
       in
       let a =
-        try answer ~ctl route net q
-        with Not_found ->
+        try answer ~ctl route net q with
+        | Not_found ->
           die "query names an unknown process, location or variable"
+        | Ta.Compiled.Compile_error msg -> die "%s: %s" file msg
       in
       report_cache cache;
       let outcome = a.Incr.Answer.an_result.Mc.Query.res_outcome in
@@ -612,6 +619,7 @@ let check_cmd =
           match Incr.Answer.run ~ctl:(Mc.Runctl.sibling root) route net q with
           | a -> Ok a
           | exception Not_found -> Error "unknown process, location or variable"
+          | exception Ta.Compiled.Compile_error msg -> Error msg
           | exception exn ->
             Error ("evaluation crashed: " ^ Printexc.to_string exn))
       in
@@ -756,7 +764,9 @@ let watch_cmd =
                   (Incr.Answer.expanded a)
               | exception Not_found ->
                 Fmt.pr "[%s] %s: ERROR unknown process, location or variable@."
-                  label (Mc.Query.to_string q))
+                  label (Mc.Query.to_string q)
+              | exception Ta.Compiled.Compile_error msg ->
+                Fmt.pr "[%s] %s: ERROR %s@." label (Mc.Query.to_string q) msg)
             queries)
     in
     let last = ref (mtime ()) in
@@ -1051,7 +1061,10 @@ let trace_cmd =
         with Not_found ->
           die "predicate names an unknown process, location or variable"
       in
-      (match Mc.Explorer.timed_trace t pred with
+      (match
+         try Mc.Explorer.timed_trace t pred
+         with Ta.Compiled.Compile_error msg -> die "%s: %s" file msg
+       with
        | Ok (Some steps) ->
          List.iter (Fmt.pr "%a@." Mc.Explorer.pp_timed_step) steps
        | Ok None ->

@@ -279,8 +279,8 @@ let prepare cfg ?cache ~load_model line : prepared =
 
 (* Worker-side evaluation.  Any exception — a crashing predicate, a
    model inconsistency, anything — is confined to this request; the
-   diagnosis (with backtrace when recorded) rides in the response's
-   error object. *)
+   diagnosis rides in the response's error object: a model error met
+   mid-search as its plain message, anything else with its backtrace. *)
 let evaluate cfg ?cache ?drain:dtoken (item : prepared) : reply =
   match item with
   | `Err _ | `Hit _ | `Stats _ as r -> (r :> reply)
@@ -299,6 +299,8 @@ let evaluate cfg ?cache ?drain:dtoken (item : prepared) : reply =
     | r, _ -> finish (`Ok (ri.ri_id, r))
     | exception Not_found ->
       finish (`Err (ri.ri_id, "unknown process, location or variable", None))
+    | exception Ta.Compiled.Compile_error msg ->
+      finish (`Err (ri.ri_id, msg, None))
     | exception exn ->
       finish
         (`Err

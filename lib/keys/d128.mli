@@ -10,8 +10,8 @@
 
     The digest is {e not} cryptographic: it defends against accidental
     collisions and bit rot, not adversaries.  It is deterministic across
-    runs, platforms and OCaml versions (no [Hashtbl.hash], no
-    [Marshal] in the input path), which is what lets one store serve
+    runs, platforms and OCaml versions (its input is explicit bytes and
+    integers, never [Hashtbl.hash]), which is what lets one store serve
     many processes over time.
 
     It is also the payload digest of every {!Frame}d file, and an

@@ -1,6 +1,6 @@
 (** The framing every persisted file carries: store entries
     ([PSVSTORE1]), sessions ([PSVSESS1]), the graph blobs older builds
-    wrote ([PSVGRAPH1]) and explorer checkpoints ([PSVSNAP3]).
+    wrote ([PSVGRAPH1]) and explorer checkpoints ([PSVSNAP4]).
 
     {v
 <magic>\n
@@ -11,7 +11,7 @@
 
     {!unframe} checks the magic, the length and the digest before it
     hands the payload out, so truncation and bit rot surface as an
-    [Error] before any decoder — JSON or [Marshal] — reads a byte.  The
+    [Error] before any decoder — JSON or {!Varint} — reads a byte.  The
     digest guards against accidents, not forgery: {!D128} is not
     cryptographic. *)
 
@@ -22,7 +22,7 @@ type error =
   | Foreign  (** the bytes do not start with [magic]'s family *)
   | Version of string
       (** the same family under another version: the tag found, e.g.
-          ["PSVSNAP2"] when [magic] is ["PSVSNAP3"] *)
+          ["PSVSNAP3"] when [magic] is ["PSVSNAP4"] *)
   | Corrupt of string  (** right magic; bad header, length or digest *)
 
 (** [unframe ~magic raw] is the payload of a framed file.  The magic is

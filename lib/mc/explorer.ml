@@ -6,7 +6,6 @@ type t = {
   mon_clock_index : (string * int) list;  (* monitor clock name -> DBM index *)
   mon_ceiling : (string * int) list;
   k : int array;  (* ExtraM constants, per DBM clock index *)
-  tight : bool;
   limit : int;
   reduce : bool;
   (* per automaton, per location: tau edges, and send/receive edges
@@ -39,27 +38,16 @@ type stats = {
 
 let default_limit = 2_000_000
 
-(* A copy of per-clock constants; [tight] raises every real clock's to
-   the largest of the compiled maximal constants. *)
-let tightened ~tight comp consts =
-  let c = Array.copy consts in
-  if tight then begin
-    let hi = Array.fold_left max 0 comp.Compiled.c_max_consts in
-    for i = 1 to Array.length c - 1 do
-      c.(i) <- hi
-    done
-  end;
-  c
-
-let make ?(monitor = Monitor.trivial) ?tight ?(limit = default_limit)
+let make ?(monitor = Monitor.trivial) ?(tight = false) ?(limit = default_limit)
     ?(reduce = true) net =
   let mon_clocks = List.map fst monitor.Monitor.mon_clocks in
   let comp =
     Compiled.compile ~extra_clocks:mon_clocks
       ~clock_ceilings:monitor.Monitor.mon_clocks net
   in
-  let tight = match tight with Some b -> b | None -> false in
-  let k = tightened ~tight comp comp.Compiled.c_max_consts in
+  (* [tight] raises every real clock's constant to the largest one *)
+  let k = Array.copy comp.Compiled.c_max_consts in
+  if tight then Array.fill k 1 (Array.length k - 1) (Array.fold_left max 0 k);
   let mon_clock_index =
     List.map (fun c -> (c, Compiled.clock_index comp c)) mon_clocks
   in
@@ -125,7 +113,6 @@ let make ?(monitor = Monitor.trivial) ?tight ?(limit = default_limit)
     mon_clock_index;
     mon_ceiling = monitor.Monitor.mon_clocks;
     k;
-    tight;
     limit;
     reduce;
     taus;
@@ -315,8 +302,7 @@ and half = {
   h_vars : int array option;
       (* the target valuation when some mover updates, and a successor
          gets a copy of it; [None] when none does, and a successor
-         shares its source's valuation, as it always has (a
-         checkpoint's bytes depend on that sharing) *)
+         shares its source's valuation *)
   h_mon : int;
   h_hash : int;  (* [hash_discrete] of the target *)
   h_resets : int list;  (* the movers' resets in order, then the monitor's *)
@@ -832,25 +818,11 @@ type progress = {
   pr_queue : int;
 }
 
-(* Single stats hook for progress output.  [PSV_MC_PROGRESS] is consulted
-   once, when the program starts, not per state; [set_progress_hook]
-   overrides the default stderr printer. *)
+(* Single stats hook for progress output; [set_progress_hook] installs
+   it for embedding. *)
 let progress_hook : (progress -> unit) option ref = ref None
 
 let set_progress_hook h = progress_hook := h
-
-(* Read at module initialisation, not lazily: a [Lazy.t] forced by two
-   domains at once raises [Lazy.Undefined] in one of them, and two
-   domains can start their first searches together (a query batch run
-   by [Analysis.Pool.map] at [jobs > 1]).  No test can make that
-   window deterministic, so nothing here is forced at search time. *)
-let env_progress =
-  if Sys.getenv_opt "PSV_MC_PROGRESS" <> None then
-    Some
-      (fun p ->
-        Printf.eprintf "[mc] visited %d stored %d queue %d\n%!" p.pr_visited
-          p.pr_stored p.pr_queue)
-  else None
 
 let initial_state t =
   let comp = t.comp in
@@ -868,8 +840,11 @@ let initial_state t =
 
 (* --- snapshots --------------------------------------------------------- *)
 
-(* A stored state flattened for serialization: raw discrete vectors plus
-   the zone's encoded bound matrix. *)
+type sup_result =
+  | Sup_unreached
+  | Sup of int * bool
+  | Sup_exceeds of int
+
 type snap_entry = {
   se_id : int;
   se_locs : int array;
@@ -881,34 +856,24 @@ type snap_entry = {
 type snapshot = {
   snap_fingerprint : Keys.D128.t;
   snap_label : string;  (* which query took it; resume must match *)
-  snap_dim : int;
-  snap_subsume : bool;  (* always [true]: inclusion is the one dedup mode *)
-  snap_next_id : int;
+  snap_next_id : int;  (* ids [0, next_id) were stored: the stored count *)
   snap_visited : int;
-  snap_stored : int;
+  snap_sup : sup_result;  (* a sup query's running sup *)
   snap_entries : snap_entry list;  (* every live passed/waiting state *)
-  snap_queue : int array;          (* waiting entry ids, FIFO order *)
-  snap_trace : (int * (int * int) list) array;
-      (* per id: parent, movers as (automaton, edge-index) pairs *)
-  snap_payload : string;           (* query accumulator, caller-defined *)
+  snap_queue : int array;  (* waiting entry ids, FIFO order *)
+  snap_trace : (int * (int * int) list) array;  (* per id: parent, movers *)
 }
 
-(* Format version lives in the magic string: bump the digit whenever the
-   [snapshot] record layout, the fingerprint scheme or the file framing
-   changes, so stale files are rejected by the magic check instead of a
-   Marshal segfault.  PSVSNAP3 frames the marshalled record with the
-   store's digest and length lines ({!Keys.Frame}): a truncated or
-   bit-flipped checkpoint is refused before [Marshal] reads a byte. *)
-let snapshot_magic = "PSVSNAP3"
+(* Bump the digit whenever the encoding below, the fingerprint or the
+   framing changes, so a stale file gets a version message. *)
+let snapshot_magic = "PSVSNAP4"
 
 (* Structural digest of everything that shapes the exploration: a
    snapshot resumes correctly only against a byte-equivalent search
-   space.  The model contribution is a digest of the source network's
-   canonical [Xta.Print] text ({!Keys.Key.network_digest}), which —
-   unlike the pre-PSVSNAP2 structural walk — covers guards, invariants
-   and updates, not just the automaton skeleton.  The monitor step table
-   is included, so two delay monitors over different trigger/response
-   pairs fingerprint differently even though their automata are
+   space.  It covers the network's canonical text
+   ({!Keys.Key.network_digest}), the extrapolation constants, the
+   reduction flag and the monitor's step table, so two delay monitors
+   over different channels differ even though their automata are
    isomorphic. *)
 let fingerprint t =
   let st = Keys.D128.builder () in
@@ -916,13 +881,6 @@ let fingerprint t =
   Keys.D128.add_int64 st net_d.Keys.D128.hi;
   Keys.D128.add_int64 st net_d.Keys.D128.lo;
   Keys.D128.add_int_array st t.k;
-  (* The lower/upper constants and the flag of the retired ExtraLU mode,
-     still hashed so existing checkpoints keep their fingerprint. *)
-  Keys.D128.add_int_array st
-    (tightened ~tight:t.tight t.comp t.comp.Compiled.c_lower_consts);
-  Keys.D128.add_int_array st
-    (tightened ~tight:t.tight t.comp t.comp.Compiled.c_upper_consts);
-  Keys.D128.add_bool st false;
   Keys.D128.add_bool st t.reduce;
   Keys.D128.add_int st (Array.length t.monitor.Monitor.mon_states);
   Keys.D128.add_int st t.monitor.Monitor.mon_initial;
@@ -946,11 +904,93 @@ let fingerprint t =
     t.mon_step;
   Keys.D128.value st
 
+(* The payload: fingerprint, label, counters, the sup, the entries
+   (id, locations, variables, monitor state, zone), the queue, then per
+   id the parent and the movers.  Every integer is a {!Keys.Varint}. *)
+let encode s =
+  let b = Buffer.create 65536 in
+  let int = Keys.Varint.add_int b and ints = Keys.Varint.add_ints b in
+  Keys.Varint.add_string b (Keys.D128.to_hex s.snap_fingerprint);
+  Keys.Varint.add_string b s.snap_label;
+  int s.snap_next_id;
+  int s.snap_visited;
+  (match s.snap_sup with
+   | Sup_unreached -> int 0
+   | Sup (v, strict) -> int (if strict then 1 else 2); int v
+   | Sup_exceeds c -> int 3; int c);
+  int (List.length s.snap_entries);
+  List.iter
+    (fun se ->
+      int se.se_id;
+      ints se.se_locs;
+      ints se.se_vars;
+      int se.se_mon;
+      ints se.se_zone)
+    s.snap_entries;
+  ints s.snap_queue;
+  int (Array.length s.snap_trace);
+  Array.iter
+    (fun (parent, movers) ->
+      int parent;
+      int (List.length movers);
+      List.iter (fun (ai, idx) -> int ai; int idx) movers)
+    s.snap_trace;
+  Buffer.contents b
+
+(* The bytes' shape only; what the values mean is checked against the
+   explorer at resume ([validate]).  Reads are sequenced by [let]s. *)
+let decode payload =
+  let open Keys.Varint in
+  let r = reader payload in
+  let array f = Array.init (length r) (fun _ -> f ()) in
+  let list f = Array.to_list (array f) in
+  let malformed what = raise (Malformed what) in
+  match
+    let snap_fingerprint =
+      match Keys.D128.of_hex (string r) with
+      | Some d -> d
+      | None -> malformed "bad fingerprint"
+    in
+    let snap_label = string r in
+    let snap_next_id = int r in
+    let snap_visited = int r in
+    let snap_sup =
+      match int r with
+      | 0 -> Sup_unreached
+      | 1 -> Sup (int r, true)
+      | 2 -> Sup (int r, false)
+      | 3 -> Sup_exceeds (int r)
+      | _ -> malformed "bad sup tag"
+    in
+    let snap_entries =
+      list (fun () ->
+          let se_id = int r in
+          let se_locs = ints r in
+          let se_vars = ints r in
+          let se_mon = int r in
+          { se_id; se_locs; se_vars; se_mon; se_zone = ints r })
+    in
+    let snap_queue = ints r in
+    let mover () =
+      let ai = int r in
+      (ai, int r)
+    in
+    let snap_trace =
+      array (fun () ->
+          let parent = int r in
+          (parent, list mover))
+    in
+    if not (at_end r) then malformed "trailing bytes";
+    { snap_fingerprint; snap_label; snap_next_id; snap_visited; snap_sup;
+      snap_entries; snap_queue; snap_trace }
+  with
+  | snap -> Ok snap
+  | exception Malformed msg -> Error ("corrupt snapshot: " ^ msg)
+
 let save_snapshot path snap =
   Out_channel.with_open_bin path (fun oc ->
       output_string oc
-        (Keys.Frame.frame ~magic:snapshot_magic
-           (Marshal.to_string (snap : snapshot) []));
+        (Keys.Frame.frame ~magic:snapshot_magic (encode snap));
       (* the channel closes without raising: flush here, so a full disk
          is an error and not a truncated checkpoint *)
       flush oc)
@@ -960,10 +1000,7 @@ let load_snapshot path =
   | exception Sys_error msg -> Error msg
   | raw -> (
     match Keys.Frame.unframe ~magic:snapshot_magic raw with
-    | Ok payload -> (
-      match (Marshal.from_string payload 0 : snapshot) with
-      | snap -> Ok snap
-      | exception Failure msg -> Error ("corrupt snapshot: " ^ msg))
+    | Ok payload -> decode payload
     | Error (Keys.Frame.Corrupt msg) -> Error ("corrupt snapshot: " ^ msg)
     | Error (Keys.Frame.Version v) ->
       Error
@@ -973,44 +1010,89 @@ let load_snapshot path =
            v snapshot_magic)
     | Error Keys.Frame.Foreign -> Error "not a psv snapshot")
 
-(* Resume guard: a snapshot replays correctly only into the same search
-   space (fingerprint), the same query kind (label) and the same zone
-   dimension, and only if it was taken under inclusion dedup: a file
-   whose field says otherwise is refused. *)
-let check_snapshot t ~label snap =
+(* A zone a search could have stored: bounds infinite or within the
+   largest clock constant, clocks non-negative, a [<= 0] diagonal and
+   canonical form, so no zone operation overflows or misjudges it. *)
+let valid_zone ~dim m =
+  let finite b =
+    Zone.Bound.is_infinite b
+    || abs (Zone.Bound.constant b) <= Clockcons.max_constant
+  in
+  let rec edges i =
+    i = dim
+    || m.((i * dim) + i) = Zone.Bound.zero
+       && m.(i) <= Zone.Bound.zero && edges (i + 1)
+  in
+  Array.length m = dim * dim && Array.for_all finite m && edges 0
+  &&
+  let z = Zone.Dbm.of_ints ~dim m in
+  Zone.Dbm.canonicalize z;
+  Zone.Dbm.to_ints z = m
+
+(* The edge automaton [ai] declares at index [idx], if any. *)
+let find_edge comp ai idx =
+  if ai < 0 || ai >= Array.length comp.Compiled.c_automata then None
+  else
+    Array.find_map
+      (List.find_opt (fun ce -> ce.Compiled.ce_index = idx))
+      comp.Compiled.c_automata.(ai).Compiled.ca_out
+
+let in_ranges v ranges =
+  Array.length v = Array.length ranges
+  && Array.for_all2 (fun x (lo, hi) -> lo <= x && x <= hi) v ranges
+
+(* Resume guard: [snap] must come from the same search space and query
+   kind, and hold only values a search could have written.  The result
+   is its trace rows, edges looked up by declaration index. *)
+let validate t ~label snap =
+  let bad fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Explorer: snapshot " ^ m)) fmt
+  in
   if not (Keys.D128.equal snap.snap_fingerprint (fingerprint t)) then
-    invalid_arg
-      "Explorer: snapshot does not match this model/monitor/configuration";
-  if snap.snap_label <> label then
-    invalid_arg "Explorer: snapshot was taken by a different kind of query";
-  if not snap.snap_subsume then
-    invalid_arg "Explorer: snapshot subsumption mode differs";
-  if snap.snap_dim <> t.comp.Compiled.c_nclocks + 1 then
-    invalid_arg "Explorer: snapshot zone dimension differs"
-
-(* Accessors and a builder, for tools and tests that inspect or rebuild
-   a snapshot. *)
-let snapshot_next_id s = s.snap_next_id
-let snapshot_visited s = s.snap_visited
-let snapshot_stored s = s.snap_stored
-let snapshot_entries s = s.snap_entries
-let snapshot_queue s = s.snap_queue
-let snapshot_trace s = s.snap_trace
-let snapshot_payload s = s.snap_payload
-
-let make_snapshot t ~label ~next_id ~visited ~stored ~entries ~queue
-    ~trace ~payload =
-  { snap_fingerprint = fingerprint t;
-    snap_label = label;
-    snap_dim = t.comp.Compiled.c_nclocks + 1;
-    snap_subsume = true;
-    snap_next_id = next_id;
-    snap_visited = visited;
-    snap_stored = stored;
-    snap_entries = entries;
-    snap_queue = queue;
-    snap_trace = trace;
-    snap_payload = payload }
+    bad "does not match this model/monitor/configuration";
+  if snap.snap_label <> label then bad "was taken by a different kind of query";
+  let next = snap.snap_next_id and auts = t.comp.Compiled.c_automata in
+  if Array.length snap.snap_trace <> next then
+    bad "has %d trace rows for %d ids" (Array.length snap.snap_trace) next;
+  if snap.snap_visited < 0 || snap.snap_visited > next then
+    bad "counts %d visited of %d stored" snap.snap_visited next;
+  (match snap.snap_sup with
+   | Sup (v, _) | Sup_exceeds v when v < 0 || v > Clockcons.max_constant ->
+     bad "holds the sup %d" v
+   | Sup _ | Sup_exceeds _ | Sup_unreached -> ());
+  let locs = Array.map (fun a -> (0, Array.length a.Compiled.ca_locs - 1)) auts
+  and mons = [| (0, Array.length t.monitor.Monitor.mon_states - 1) |] in
+  let live = Array.make next false in
+  List.iter
+    (fun se ->
+      let id = se.se_id in
+      if not
+           (0 <= id && id < next && (not live.(id))
+           && in_ranges se.se_locs locs
+           && in_ranges se.se_vars t.comp.Compiled.c_var_bounds
+           && in_ranges [| se.se_mon |] mons
+           && valid_zone ~dim:(t.comp.Compiled.c_nclocks + 1) se.se_zone)
+      then bad "entry %d is repeated, or holds a state no search stores" id;
+      live.(id) <- true)
+    snap.snap_entries;
+  Array.iteri
+    (fun i id ->
+      if id < 0 || id >= next || not live.(id)
+         || (i > 0 && id <= snap.snap_queue.(i - 1))
+      then bad "queues id %d, which names no entry or is out of order" id)
+    snap.snap_queue;
+  Array.mapi
+    (fun id (parent, movers) ->
+      if parent < -1 || parent >= id then
+        bad "trace row %d: parent %d is not an earlier id" id parent;
+      ( parent,
+        List.map
+          (fun (ai, idx) ->
+            match find_edge t.comp ai idx with
+            | Some ce -> (ai, ce)
+            | None -> bad "trace row %d: no edge %d in automaton %d" id idx ai)
+          movers ))
+    snap.snap_trace
 
 (* --- search ------------------------------------------------------------ *)
 
@@ -1020,23 +1102,6 @@ type search_result = {
   sr_interrupt : Runctl.reason option;
   sr_snapshot : snapshot option;
 }
-
-(* [Hashtbl.iter] walks buckets in ascending index, newest key first
-   within each, and growing a table keeps each bucket's order.  A table
-   created at [size] buckets (rounded up to a power of 2, at least 16,
-   doubled whenever its count passes twice its buckets) has at least as
-   many buckets as [tbl], so each of its buckets takes the keys of one
-   of [tbl]'s buckets, in their order: a stable sort of [tbl]'s walk by
-   the bigger table's bucket index is that table's walk. *)
-let walk_as ~size tbl =
-  let n = Hashtbl.length tbl in
-  (* [Hashtbl.create]'s rounding up, then one doubling per overflow *)
-  let rec buckets t = if t < size || n > 2 * t then buckets (2 * t) else t in
-  let mask = buckets 16 - 1 in
-  let bucket k = Hashtbl.hash k land mask in
-  List.stable_sort
-    (fun (a, _) (b, _) -> Int.compare (bucket a) (bucket b))
-    (List.of_seq (Hashtbl.to_seq tbl))
 
 (* Why a search ended before its queue ran dry. *)
 type stop =
@@ -1053,12 +1118,13 @@ type stop =
    Budgets ([ctl] and the explorer's state limit) are polled before an
    entry is taken, so an interrupted search leaves the queue intact and
    its snapshot resumes where the uninterrupted run would have
-   continued.  [label] names the query kind and must match on resume;
-   [payload] is called at snapshot time to save the caller's
-   accumulator (e.g. the running sup). *)
-let search ?expand ?ctl ?resume ?(label = "") ?(payload = fun () -> "") t
-    visit =
-  Option.iter (check_snapshot t ~label) resume;
+   continued.  [label] names the query kind and must match on resume.
+   A snapshot's [snap_sup] is the caller's to fill and read. *)
+let search ?expand ?ctl ?resume ?(label = "") t visit =
+  (* trace rows of a resumed snapshot, checked with the rest of it *)
+  let base_rows =
+    match resume with None -> [||] | Some snap -> validate t ~label snap
+  in
   let pool = fresh_pool t in
   let passed = Passed.create ~max_const:(max_const t) pool in
   let nodes : (int, pw_node list ref) Hashtbl.t = Hashtbl.create 16 in
@@ -1071,43 +1137,11 @@ let search ?expand ?ctl ?resume ?(label = "") ?(payload = fun () -> "") t
      a successor subsumes it, since the remaining candidates of the
      expansion still read it *)
   let expanding = ref (-1) in
-  let base = match resume with Some s -> s.snap_next_id | None -> 0 in
-  let stored0 = match resume with Some s -> s.snap_stored | None -> 0 in
+  let base = Array.length base_rows in
   let visited = ref (match resume with Some s -> s.snap_visited | None -> 0) in
   let stop = ref Running in
-  let progress =
-    match !progress_hook with Some h -> Some h | None -> env_progress
-  in
-  (* trace rows of a resumed snapshot, edges looked up by (automaton,
-     declaration index) *)
-  let base_rows =
-    match resume with
-    | None -> [||]
-    | Some snap ->
-      let edges =
-        Array.map
-          (fun a ->
-            let tbl = Hashtbl.create 64 in
-            Array.iter
-              (List.iter (fun ce ->
-                   Hashtbl.replace tbl ce.Compiled.ce_index ce))
-              a.Compiled.ca_out;
-            tbl)
-          t.comp.Compiled.c_automata
-      in
-      Array.map
-        (fun (parent, movers) ->
-          ( parent,
-            List.map (fun (ai, idx) -> (ai, Hashtbl.find edges.(ai) idx))
-              movers ))
-        snap.snap_trace
-  in
-  let row id =
-    if id < base then
-      if id < Array.length base_rows then base_rows.(id) else (-1, [])
-    else if id - base < !count then !trace.(id - base)
-    else (-1, [])
-  in
+  let progress = !progress_hook in
+  let row id = if id < base then base_rows.(id) else !trace.(id - base) in
   let find_node bucket h st =
     let rec go = function
       | [] -> None
@@ -1208,21 +1242,20 @@ let search ?expand ?ctl ?resume ?(label = "") ?(payload = fun () -> "") t
             initial)
          (-1) [] initial
    | Some snap ->
-     let by_id = Hashtbl.create 4096 in
+     let dim = t.comp.Compiled.c_nclocks + 1 and by_id = Array.make base None in
      List.iter
        (fun se ->
          let st =
            { st_locs = se.se_locs; st_vars = se.se_vars; st_mon = se.se_mon;
-             st_zone = Zone.Dbm.of_ints ~dim:snap.snap_dim se.se_zone }
+             st_zone = Zone.Dbm.of_ints ~dim se.se_zone }
          in
          let n = node_for (hash_discrete st.st_locs st.st_vars st.st_mon) st in
-         Hashtbl.replace by_id se.se_id
-           (Passed.restore passed n ~id:se.se_id st))
+         by_id.(se.se_id) <- Some (Passed.restore passed n ~id:se.se_id st))
        snap.snap_entries;
      (* the visit callback is NOT replayed for restored states: they were
         considered when first stored, and the caller's accumulator comes
-        back through [snap_payload] *)
-     Array.iter (fun id -> Queue.push (Hashtbl.find by_id id) waiting)
+        back through [snap_sup] *)
+     Array.iter (fun id -> Queue.push (Option.get by_id.(id)) waiting)
        snap.snap_queue);
   while running () && not (Queue.is_empty waiting) do
     match poll () with
@@ -1235,7 +1268,7 @@ let search ?expand ?ctl ?resume ?(label = "") ?(payload = fun () -> "") t
          | Some hook when !visited mod 1_000 = 0 ->
            hook
              { pr_visited = !visited;
-               pr_stored = stored0 + !count;
+               pr_stored = base + !count;
                pr_queue = Queue.length waiting }
          | Some _ | None -> ());
         expand_one e
@@ -1252,49 +1285,41 @@ let search ?expand ?ctl ?resume ?(label = "") ?(payload = fun () -> "") t
   in
   let stats =
     { visited = !visited;
-      stored = stored0 + !count;
+      stored = base + !count;
       frontier =
         Queue.fold (fun n e -> if e.e_dead then n else n + 1) 0 waiting }
   in
-  (* each node's entries in insertion order, the queue in FIFO order.
-     Nodes go in the order a node table created at 4096 buckets would
-     walk them: that was the table's size once, and the walk fixes a
-     snapshot's bytes. *)
+  (* the live entries in id order, the queue in FIFO order *)
   let build_snapshot () =
-    let entries = ref [] in
-    List.iter
-      (fun (_, bucket) ->
-        List.iter
-          (fun n ->
-            for i = n.pw_len - 1 downto 0 do
-              let e = n.pw_live.(i) in
-              if not e.e_dead then
-                entries :=
-                  { se_id = e.e_id;
-                    se_locs = e.e_state.st_locs;
-                    se_vars = e.e_state.st_vars;
-                    se_mon = e.e_state.st_mon;
-                    se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
-                  :: !entries
-            done)
-          !bucket)
-      (walk_as ~size:4096 nodes);
-    let queue =
-      Queue.fold (fun acc e -> if e.e_dead then acc else e.e_id :: acc) []
-        waiting
-      |> List.rev |> Array.of_list
+    let live = ref [] in
+    Hashtbl.iter
+      (fun _ b -> List.iter (fun n -> live := Passed.live n @ !live) !b)
+      nodes;
+    let entry e =
+      { se_id = e.e_id;
+        se_locs = e.e_state.st_locs;
+        se_vars = e.e_state.st_vars;
+        se_mon = e.e_state.st_mon;
+        se_zone = Zone.Dbm.to_ints e.e_state.st_zone }
     in
     let next_id = base + !count in
-    make_snapshot t ~label ~next_id ~visited:stats.visited
-      ~stored:stats.stored
-      ~entries:!entries
-      ~queue
-      ~trace:
-        (Array.init next_id (fun id ->
-             let parent, movers = row id in
-             ( parent,
-               List.map (fun (ai, ce) -> (ai, ce.Compiled.ce_index)) movers )))
-      ~payload:(payload ())
+    { snap_fingerprint = fingerprint t;
+      snap_label = label;
+      snap_next_id = next_id;
+      snap_visited = stats.visited;
+      snap_sup = Sup_unreached;
+      snap_entries =
+        List.map entry
+          (List.sort (fun a b -> Int.compare a.e_id b.e_id) !live);
+      snap_queue =
+        Queue.fold (fun acc e -> if e.e_dead then acc else e.e_id :: acc) []
+          waiting
+        |> List.rev |> Array.of_list;
+      snap_trace =
+        Array.init next_id (fun id ->
+            let parent, movers = row id in
+            ( parent,
+              List.map (fun (ai, ce) -> (ai, ce.Compiled.ce_index)) movers )) }
   in
   let result ?chain ?interrupt ?snapshot () =
     { sr_chain = chain; sr_stats = stats; sr_interrupt = interrupt;
@@ -1318,11 +1343,6 @@ let reachable ?expand ?ctl t pred =
     r_stats = r.sr_stats;
     r_interrupt = r.sr_interrupt }
 
-type sup_result =
-  | Sup_unreached
-  | Sup of int * bool
-  | Sup_exceeds of int
-
 type sup_outcome = {
   so_sup : sup_result;
   so_stats : stats;
@@ -1333,18 +1353,10 @@ type sup_outcome = {
 let sup_clock ?expand ?ctl ?resume ?(until = fun _ -> false) t ~pred ~clock =
   let ci, ceiling = monitor_clock_info t clock in
   let label = "sup:" ^ clock in
-  (* the running sup travels with the snapshot: on interrupt it is
-     marshalled into the payload, on resume restored from it, so the
-     states considered before the interrupt are not re-visited.  The
-     snapshot is validated before its payload is unmarshalled. *)
+  (* the running sup travels with the snapshot, which [search] checks
+     before it visits a state *)
   let best =
-    ref
-      (match resume with
-       | Some snap ->
-         check_snapshot t ~label snap;
-         if snap.snap_payload = "" then Sup_unreached
-         else (Marshal.from_string snap.snap_payload 0 : sup_result)
-       | None -> Sup_unreached)
+    ref (match resume with Some snap -> snap.snap_sup | None -> Sup_unreached)
   in
   let update st =
     if pred st then begin
@@ -1363,12 +1375,12 @@ let sup_clock ?expand ?ctl ?resume ?(until = fun _ -> false) t ~pred ~clock =
        every longer prefix: the caller's answer is decided *)
     if until !best then `Stop else `Continue
   in
-  let payload () = Marshal.to_string !best [] in
-  let r = search ?expand ?ctl ?resume ~label ~payload t update in
+  let r = search ?expand ?ctl ?resume ~label t update in
   { so_sup = !best;
     so_stats = r.sr_stats;
     so_interrupt = r.sr_interrupt;
-    so_snapshot = r.sr_snapshot }
+    so_snapshot =
+      Option.map (fun s -> { s with snap_sup = !best }) r.sr_snapshot }
 
 let pp_sup_result ppf = function
   | Sup_unreached -> Fmt.string ppf "unreached"
@@ -1408,16 +1420,6 @@ let replay t chain =
     let comp =
       Compiled.compile ~extra_clocks:[ tclock ] t.comp.Compiled.c_model
     in
-    let find_edge ai idx =
-      let a = comp.Compiled.c_automata.(ai) in
-      let hit = ref None in
-      Array.iter
-        (List.iter (fun ce -> if ce.Compiled.ce_index = idx then hit := Some ce))
-        a.Compiled.ca_out;
-      match !hit with
-      | Some ce -> ce
-      | None -> assert false
-    in
     let dim = comp.Compiled.c_nclocks + 1 in
     let ti = Compiled.clock_index comp tclock in
     let locs =
@@ -1434,7 +1436,7 @@ let replay t chain =
           let movers' =
             List.map
               (fun (ai, (ce : Compiled.cedge)) ->
-                (ai, find_edge ai ce.Compiled.ce_index))
+                (ai, Option.get (find_edge comp ai ce.Compiled.ce_index)))
               movers
           in
           apply_guards z movers';

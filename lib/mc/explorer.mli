@@ -41,10 +41,9 @@ type stats = {
 
     All searches report through one stats hook, called every 1000
     visited states, from the searching domain.  A search reads the hook
-    once, when it starts.  The default hook prints to
-    stderr when [PSV_MC_PROGRESS] is set in the environment (checked
-    once, not per state); {!set_progress_hook} replaces it for
-    embedding (TUIs, logging, cancellation timers). *)
+    once, when it starts.  There is none by default;
+    {!set_progress_hook} installs one for embedding (TUIs, logging,
+    cancellation timers). *)
 
 type progress = {
   pr_visited : int;  (** states popped and expanded so far *)
@@ -54,31 +53,50 @@ type progress = {
 
 val set_progress_hook : (progress -> unit) option -> unit
 
+type sup_result =
+  | Sup_unreached          (** no reachable state satisfies the predicate *)
+  | Sup of int * bool      (** supremum value; [true] means strict ([< v]) *)
+  | Sup_exceeds of int     (** the supremum exceeds the clock's ceiling *)
+
 (** {1 Snapshots}
 
     A snapshot freezes an interrupted search: the live passed/waiting
-    store (discrete state plus DBM rows), the waiting queue, the trace
-    side-table, the visited/stored counters and the query's own
-    accumulator.  Resuming continues to the verdict and the
-    byte-identical statistics of an uninterrupted run.  Ids need not be
-    consecutive: a checkpoint of an older build's partitioned search,
-    whose ids have gaps, resumes to the verdict of an uninterrupted
-    run.
+    store, the waiting queue, the trace side-table, the visited counter
+    and the running sup.  Resuming continues to the verdict and the
+    byte-identical statistics of an uninterrupted run.
 
-    Snapshots are {!Keys.Frame} files: a magic carrying the format
-    version ([PSVSNAP3]), the payload's digest and length, then the
-    marshalled record.  {!load_snapshot} checks all three before
-    [Marshal] reads a byte, so a truncated or bit-flipped file is an
-    [Error], never a crash; it rejects foreign files, and names the
-    version when handed a snapshot from an older build ([PSVSNAP1],
-    [PSVSNAP2]) so the user knows to simply re-run the query.  The
-    digest guards against corruption, not forgery.  A
-    snapshot also records a 128-bit structural fingerprint
-    ({!Keys.D128}) of the model text, monitor and explorer
-    configuration — resuming against anything else is refused with
-    [Invalid_argument]. *)
+    A snapshot file is a {!Keys.Frame} ([PSVSNAP4]) around the record's
+    fields as {!Keys.Varint}s.  {!load_snapshot} checks the frame, then
+    refuses bytes of any other shape: a damaged, foreign or older
+    ([PSVSNAP1] to [PSVSNAP3]) file is an [Error] that says which, never
+    a crash.  A resumed search checks every value against its own
+    explorer before it uses one (fingerprint of model, monitor and
+    configuration, query label, ids, edges, ranges, canonical zones) and
+    refuses anything else with [Invalid_argument]. *)
 
-type snapshot
+(** A live stored state: discrete vectors and {!Zone.Dbm.to_ints} zone. *)
+type snap_entry = {
+  se_id : int;
+  se_locs : int array;
+  se_vars : int array;
+  se_mon : int;
+  se_zone : int array;
+}
+
+type snapshot = {
+  snap_fingerprint : Keys.D128.t;
+  snap_label : string;  (** the query kind that took it, e.g. [sup:mon] *)
+  snap_next_id : int;  (** ids [0 .. next_id - 1] were stored *)
+  snap_visited : int;
+  snap_sup : sup_result;
+      (** a sup query's running sup; [Sup_unreached] for other searches *)
+  snap_entries : snap_entry list;
+      (** every live passed/waiting state, in id order *)
+  snap_queue : int array;  (** waiting entry ids, in FIFO order *)
+  snap_trace : (int * (int * int) list) array;
+      (** per id: parent id ([-1] for the root) and the step's movers as
+          [(automaton, edge-index)] pairs *)
+}
 
 val save_snapshot : string -> snapshot -> unit
 
@@ -155,11 +173,6 @@ type reach_result = {
 val reachable :
   ?expand:(Zone.Dbm.Pool.t -> state -> (candidate * state option) list) ->
   ?ctl:Runctl.t -> t -> (state -> bool) -> reach_result
-
-type sup_result =
-  | Sup_unreached          (** no reachable state satisfies the predicate *)
-  | Sup of int * bool      (** supremum value; [true] means strict ([< v]) *)
-  | Sup_exceeds of int     (** the supremum exceeds the clock's ceiling *)
 
 (** The result of a governed sup-query.  On interruption [so_sup] is the
     sup over the states explored so far — a valid {e lower} bound on the
@@ -337,48 +350,6 @@ module Passed : sig
   val add : t -> node -> expanding:int -> id:int -> state -> entry option
 end
 
-(** {2 Snapshot plumbing}
-
-    A snapshot's content, for tools and tests that inspect or rebuild
-    one.  Library-internal in spirit. *)
-
-(** A stored state flattened for serialization: the raw discrete
-    vectors plus the zone's encoded bound matrix
-    ({!Zone.Dbm.to_ints}/{!Zone.Dbm.of_ints}). *)
-type snap_entry = {
-  se_id : int;
-  se_locs : int array;
-  se_vars : int array;
-  se_mon : int;
-  se_zone : int array;
-}
-
-val snapshot_next_id : snapshot -> int
-val snapshot_visited : snapshot -> int
-val snapshot_stored : snapshot -> int
-
-(** Every live passed/waiting state of the interrupted run. *)
-val snapshot_entries : snapshot -> snap_entry list
-
-(** Ids of the waiting (not yet expanded) entries, in FIFO order. *)
-val snapshot_queue : snapshot -> int array
-
-(** Per id: parent id and the step's movers as
-    [(automaton, edge-index)] pairs; [(-1, [])] for roots and for ids
-    whose row the producing store no longer knew. *)
-val snapshot_trace : snapshot -> (int * (int * int) list) array
-
-(** The query's own accumulator (e.g. the marshalled running sup). *)
-val snapshot_payload : snapshot -> string
-
-(** [make_snapshot t ...] assembles a snapshot carrying [t]'s
-    fingerprint and zone dimension from the given counters, store
-    content and payload. *)
-val make_snapshot :
-  t -> label:string -> next_id:int -> visited:int -> stored:int ->
-  entries:snap_entry list -> queue:int array ->
-  trace:(int * (int * int) list) array -> payload:string -> snapshot
-
 (** The result of a raw {!search}: the witness chain when the visit
     callback stopped the search, the final statistics, the interruption
     reason and (for interrupted runs) a resumable snapshot. *)
@@ -389,23 +360,14 @@ type search_result = {
   sr_snapshot : snapshot option;
 }
 
-(** [walk_as ~size tbl] lists [tbl]'s bindings in the order
-    [Hashtbl.iter] would walk a table created with [Hashtbl.create size]
-    that was given the same new keys in the same order, by [add] or
-    [replace], and none removed.  [tbl] must have been created at most
-    that big.  {!search} builds a small node table and walks it as one
-    of 4096 buckets, which keeps snapshot bytes those of its historical
-    table size. *)
-val walk_as : size:int -> (int, 'a) Hashtbl.t -> (int * 'a) list
-
 (** The one search loop behind every query, breadth-first on the
     calling domain.  It calls [visit st] on every stored state (including
     the initial one) and stops early when it returns [`Stop].  Stored
     zones are deduplicated by inclusion: a zone some stored zone of its
     discrete state includes is dropped, and a new zone drops the stored
     zones it includes.  [label] names the query kind (must match on
-    [resume]); [payload] saves the caller's accumulator into the
-    snapshot.
+    [resume]).  An interrupted search's snapshot has [snap_sup =
+    Sup_unreached]: a caller with a running sup fills it in.
 
     [expand] overrides successor generation for one popped state: it
     must return, in the enumeration order of {!candidates}, every
@@ -421,5 +383,4 @@ val search :
   ?ctl:Runctl.t ->
   ?resume:snapshot ->
   ?label:string ->
-  ?payload:(unit -> string) ->
   t -> (state -> [ `Stop | `Continue ]) -> search_result

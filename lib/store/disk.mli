@@ -36,8 +36,7 @@
     {b Corruption tolerance.}  The length and digest lines are verified
     {e before} the payload is decoded; a truncated, garbled or
     version-bumped file is reported as {!Corrupt} (and skipped with a
-    warning by [fold]), never an exception.  No [Marshal] is involved
-    anywhere on the read path. *)
+    warning by [fold]), never an exception. *)
 
 type t
 

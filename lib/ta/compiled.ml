@@ -17,7 +17,6 @@ type cedge = {
   ce_sync : csync;
   ce_resets : int list;
   ce_updates : (int * (int array -> int)) list;
-  ce_model : Model.edge;
 }
 
 type cloc = {
@@ -45,8 +44,6 @@ type t = {
   c_chan_kinds : Model.chan_kind array;
   c_automata : cautomaton array;
   c_max_consts : int array;
-  c_lower_consts : int array;
-  c_upper_consts : int array;
 }
 
 exception Compile_error of string
@@ -112,38 +109,12 @@ let compile ?(extra_clocks = []) ?(clock_ceilings = []) net =
   in
   let nclocks = Array.length clock_names - 1 in
   let max_consts = Array.make (nclocks + 1) 0 in
-  let lower_consts = Array.make (nclocks + 1) 0 in
-  let upper_consts = Array.make (nclocks + 1) 0 in
-  let note_consts atoms =
+  let compile_atoms atoms =
     List.iter
       (fun (x, n) ->
         let i = clock_idx x in
         if n > max_consts.(i) then max_consts.(i) <- n)
       (Clockcons.max_consts atoms);
-    (* split by comparison direction for LU-extrapolation; diagonal atoms
-       are rejected by validation, but charge both sides defensively *)
-    let bump arr i n = if abs n > arr.(i) then arr.(i) <- abs n in
-    List.iter
-      (fun atom ->
-        match atom with
-        | Clockcons.Simple (x, rel, n) ->
-          let i = clock_idx x in
-          (match rel with
-           | Clockcons.Lt | Clockcons.Le -> bump upper_consts i n
-           | Clockcons.Gt | Clockcons.Ge -> bump lower_consts i n
-           | Clockcons.Eq ->
-             bump upper_consts i n;
-             bump lower_consts i n)
-        | Clockcons.Diff (x, y, _, n) ->
-          let i = clock_idx x and j = clock_idx y in
-          bump upper_consts i n;
-          bump lower_consts i n;
-          bump upper_consts j n;
-          bump lower_consts j n)
-      atoms
-  in
-  let compile_atoms atoms =
-    note_consts atoms;
     List.concat_map (dconstraints_of_atom clock_idx) atoms
   in
   let compile_automaton ai (a : Model.automaton) =
@@ -183,8 +154,7 @@ let compile ?(extra_clocks = []) ?(clock_ceilings = []) net =
         ce_updates =
           List.map
             (fun (v, rhs) -> (var_idx v, Expr.compile_expr ~index:var_idx rhs))
-            e.Model.edge_updates;
-        ce_model = e }
+            e.Model.edge_updates }
     in
     List.iteri
       (fun ei e ->
@@ -284,9 +254,7 @@ let compile ?(extra_clocks = []) ?(clock_ceilings = []) net =
        | Ok _ -> ()
        | Error msg -> error "%s" msg);
       let i = clock_idx x in
-      if ceiling > max_consts.(i) then max_consts.(i) <- ceiling;
-      if ceiling > lower_consts.(i) then lower_consts.(i) <- ceiling;
-      if ceiling > upper_consts.(i) then upper_consts.(i) <- ceiling)
+      if ceiling > max_consts.(i) then max_consts.(i) <- ceiling)
     clock_ceilings;
   { c_model = net;
     c_nclocks = nclocks;
@@ -297,9 +265,7 @@ let compile ?(extra_clocks = []) ?(clock_ceilings = []) net =
     c_chan_names = chan_names;
     c_chan_kinds = chan_kinds;
     c_automata = automata;
-    c_max_consts = max_consts;
-    c_lower_consts = lower_consts;
-    c_upper_consts = upper_consts }
+    c_max_consts = max_consts }
 
 let find_in_array name arr =
   let n = Array.length arr in

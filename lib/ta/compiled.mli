@@ -26,7 +26,6 @@ type cedge = {
   ce_sync : csync;
   ce_resets : int list;
   ce_updates : (int * (int array -> int)) list;
-  ce_model : Model.edge;
 }
 
 type cloc = {
@@ -58,12 +57,6 @@ type t = {
   c_chan_kinds : Model.chan_kind array;
   c_automata : cautomaton array;
   c_max_consts : int array;  (** per clock index (0 unused), for extrapolation *)
-  c_lower_consts : int array;
-      (** largest constant in lower-bound comparisons ([x >= c], [x > c],
-          [x == c]) per clock — the L of LU-extrapolation *)
-  c_upper_consts : int array;
-      (** largest constant in upper-bound comparisons ([x <= c], [x < c],
-          [x == c]) per clock — the U of LU-extrapolation *)
 }
 
 exception Compile_error of string

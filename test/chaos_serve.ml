@@ -30,6 +30,7 @@ let net = lazy (parse_net model_text)
 
 let load_model name =
   if name = "m" then Ok (Lazy.force net)
+  else if name = "over" then Ok (parse_net Test_query.over_text)
   else if name = "boom" then failwith "model loader exploded"
   else Error (Printf.sprintf "unknown model %S" name)
 
@@ -170,6 +171,22 @@ let test_overlong_number () =
     (contains (str (member "error" r1)) "out of range");
   Alcotest.(check string) "next request answered" "ok" (status r2)
 
+(* --- an update leaving its variable's range: the plain message --------- *)
+
+let test_range_violation () =
+  let outcome, out =
+    run_serve
+      [ request ~id:1 ~model:"over" "A[] n <= 3"; request ~id:2 "E<> P.Busy" ]
+  in
+  Alcotest.(check int) "both answered" 2 (List.length out);
+  Alcotest.(check int) "one error" 1 outcome.Analysis.Serve.sv_errors;
+  let r1 = parse_response (List.nth out 0) in
+  Alcotest.(check string) "violation refused" "error" (status r1);
+  Alcotest.(check string) "plain message" Test_query.over_msg
+    (str (member "error" r1));
+  Alcotest.(check string) "next request answered" "ok"
+    (status (parse_response (List.nth out 1)))
+
 (* --- a ceiling past the largest clock constant: refused, not answered -- *)
 
 let test_ceiling_past_maximum () =
@@ -306,6 +323,7 @@ let suite =
   [ Alcotest.test_case "ok and cached" `Quick test_ok_and_cached;
     Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
     Alcotest.test_case "over-long number" `Quick test_overlong_number;
+    Alcotest.test_case "range violation" `Quick test_range_violation;
     Alcotest.test_case "ceiling past the maximum" `Quick
       test_ceiling_past_maximum;
     Alcotest.test_case "line hygiene" `Quick test_line_hygiene;

@@ -420,41 +420,6 @@ let prop_store_subsume =
           : store_run);
       true)
 
-(* A search's node table starts small and grows; its snapshot walks it
-   in the order of the bigger table it once created (4096 buckets), and
-   that order fixes a checkpoint's bytes.  Key sets above 8192 make even
-   the 4096-bucket table grow. *)
-let arb_distinct_keys =
-  let open QCheck.Gen in
-  let keys =
-    list_size (oneof [ int_range 0 600; int_range 8193 20_000 ]) int
-    >|= fun ks ->
-    let seen = Hashtbl.create 64 in
-    List.filter
-      (fun k ->
-        let fresh = not (Hashtbl.mem seen k) in
-        Hashtbl.replace seen k ();
-        fresh)
-      ks
-  in
-  QCheck.make
-    ~print:(fun ks -> Printf.sprintf "%d keys" (List.length ks))
-    keys
-
-let prop_walk_as =
-  QCheck.Test.make ~name:"walk_as = iter of a table created bigger"
-    ~count:60 arb_distinct_keys (fun keys ->
-      let filled size =
-        let t = Hashtbl.create size in
-        List.iteri (fun i k -> Hashtbl.replace t k i) keys;
-        t
-      in
-      let walk t = List.of_seq (Hashtbl.to_seq t) in
-      let small = filled 16 in
-      List.for_all
-        (fun size -> Mc.Explorer.walk_as ~size small = walk (filled size))
-        [ 256; 4096 ])
-
 (* Dim-9 zones (gpca-psm-mc's size) in long sequences, so nodes fill
    several summarised blocks and compact.  A zone delays and resets the
    eight clocks in turn (x1 >= x2 >= ... >= x8), then boxes each clock
@@ -969,7 +934,6 @@ let suite =
     Alcotest.test_case "safe query" `Quick test_safe;
     Alcotest.test_case "search limit" `Quick test_search_limit;
     QCheck_alcotest.to_alcotest prop_store_subsume;
-    QCheck_alcotest.to_alcotest prop_walk_as;
     Alcotest.test_case "passed store = reference at scale" `Quick
       test_store_at_scale;
     Alcotest.test_case "passed store = reference, wide lanes" `Quick

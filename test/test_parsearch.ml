@@ -186,21 +186,9 @@ let reference_sup ?(budget = max_int) t ~clock ~ceiling =
         [] queue
       |> List.rev }
 
-let fuzz_instance (k, index) =
-  Diff.Gen.instance ~seed:16 ~index (List.nth Diff.Gen.all_shapes k)
-
-let fuzz_explorer (inst : Diff.Gen.instance) =
-  let monitor =
-    Mc.Monitor.delay ~trigger:inst.Diff.Gen.trigger
-      ~response:inst.Diff.Gen.response ~clock:"psv_delay_mon"
-      ~ceiling:inst.Diff.Gen.ceiling ()
-  in
-  Mc.Explorer.make ~monitor inst.Diff.Gen.net
-
-let arb_fuzz_instance =
-  QCheck.make
-    ~print:(fun ki -> (fuzz_instance ki).Diff.Gen.id)
-    QCheck.Gen.(pair (int_range 0 3) (int_range 0 9_999))
+let fuzz_instance = Test_runctl.fuzz_instance
+let fuzz_explorer = Test_runctl.fuzz_explorer
+let arb_fuzz_instance = Test_runctl.arb_fuzz_instance
 
 let snapshot_bytes snap =
   let file = Filename.temp_file "psv_test_snap" ".psvsnap" in
@@ -250,14 +238,12 @@ let prop_one_loop =
              (fun se ->
                Mc.Explorer.
                  (se.se_id, se.se_locs, se.se_vars, se.se_mon, se.se_zone))
-             (Mc.Explorer.snapshot_entries snap)
+             snap.Mc.Explorer.snap_entries
          in
-         if List.sort compare entries <> rcut.rr_live then
-           fail "cut: entries differ";
-         if Array.to_list (Mc.Explorer.snapshot_queue snap) <> rcut.rr_queue
+         if entries <> rcut.rr_live then fail "cut: entries differ";
+         if Array.to_list snap.Mc.Explorer.snap_queue <> rcut.rr_queue
          then fail "cut: queue differs";
-         if Mc.Explorer.
-              (snapshot_visited snap, snapshot_stored snap)
+         if Mc.Explorer.(snap.snap_visited, snap.snap_next_id)
             <> (rcut.rr_visited, rcut.rr_stored)
          then fail "cut: counters differ";
          let again = Option.get (cut ()).Mc.Explorer.so_snapshot in

@@ -380,6 +380,43 @@ let test_pp_outcome_text () =
         "UNKNOWN (memory budget (64 MB) exhausted)" );
       (Mc.Query.Unknown (Mc.Runctl.Cancelled, None), "UNKNOWN (cancelled)") ]
 
+(* A one-location model whose self-loop counts [n] past its range: the
+   search meets the violation at its fifth state. *)
+let over_text =
+  {|network over;
+
+int[0,3] n = 0;
+
+process P {
+  state
+    A;
+  init A;
+  trans
+    A -> A { assign n := n + 1; };
+}
+|}
+
+let over_msg = "assignment n := 4 violates range [0, 3]"
+
+(* The violation is a model error, diagnosed like one: [psv query] prints
+   the file and the plain message and exits 3, [psv check] answers an
+   ERROR row with the same message. *)
+let test_range_violation () =
+  Cli.with_file over_text (fun path ->
+      let code, _, err = Cli.run [ "query"; path; "A[] n <= 3" ] in
+      Alcotest.(check int) "query exit" 3 code;
+      Alcotest.(check string) "query diagnostic"
+        (Printf.sprintf "psv: %s: %s\n" path over_msg)
+        err;
+      Cli.with_file ~suffix:".q" "A[] n <= 3\n" (fun queries ->
+          let code, out, _ = Cli.run [ "check"; path; queries ] in
+          Alcotest.(check int) "check exit" 1 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "check row: %S" out)
+            true
+            (Test_codegen.contains out
+               (Printf.sprintf "  1  ERROR  A[] n <= 3\n     %s\n" over_msg))))
+
 let suite =
   [ Alcotest.test_case "E<> queries" `Quick test_exists;
     Alcotest.test_case "A[] queries" `Quick test_always;
@@ -398,4 +435,6 @@ let suite =
     Alcotest.test_case "PSM sup at the largest ceiling" `Quick
       test_psm_largest_ceiling;
     Alcotest.test_case "wide-lane sup pins" `Quick test_wide_lane_pins;
-    Alcotest.test_case "pp_outcome text" `Quick test_pp_outcome_text ]
+    Alcotest.test_case "pp_outcome text" `Quick test_pp_outcome_text;
+    Alcotest.test_case "range violation is a model error" `Quick
+      test_range_violation ]

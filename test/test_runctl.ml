@@ -220,8 +220,9 @@ let test_checkpoint_roundtrip () =
 
 (* Every damaged or foreign file is an [Error]: a real checkpoint with
    one payload byte flipped or its last byte cut (the digest and length
-   lines are checked before [Marshal] reads a byte), and the same record
-   in the unframed PSVSNAP2 layout of older builds. *)
+   lines are checked before a byte is decoded), the same record in the
+   unframed PSVSNAP2 layout of older builds, and a well-framed
+   PSVSNAP3 file, whose payload was a marshalled record. *)
 let test_load_snapshot_errors () =
   (match Mc.Explorer.load_snapshot "/nonexistent/psv.snap" with
    | Error _ -> ()
@@ -251,7 +252,9 @@ let test_load_snapshot_errors () =
         [ ("garbage", "not a snapshot at all");
           ("a flipped payload byte", flipped);
           ("a checkpoint one byte short", String.sub raw 0 (String.length raw - 1));
-          ("an unframed PSVSNAP2 file", "PSVSNAP2" ^ Marshal.to_string snap []) ])
+          ("an unframed PSVSNAP2 file", "PSVSNAP2" ^ Marshal.to_string snap []);
+          ( "a PSVSNAP3 file",
+            Keys.Frame.frame ~magic:"PSVSNAP3" (Marshal.to_string snap []) ) ])
 
 let test_fingerprint_mismatch () =
   let ctl = Mc.Runctl.create ~budget:(state_budget 200) () in
@@ -271,18 +274,20 @@ let test_fingerprint_mismatch () =
    with
    | _ -> Alcotest.fail "resumed a snapshot of another ceiling"
    | exception Invalid_argument _ -> ());
-  (* a record whose dedup field says equality, which only a forged file
-     can hold now: the field is the record's fourth *)
-  let forged = Obj.dup (Obj.repr snap) in
-  Obj.set_field forged 3 (Obj.repr false);
+  (* same network and monitor, another query kind *)
   match
-    Mc.Query.max_delay ~resume:(Obj.obj forged) (railroad_psm ())
-      ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320
+    Mc.Explorer.search ~resume:snap ~label:"reachable"
+      (Mc.Explorer.make
+         ~monitor:
+           (Mc.Monitor.delay ~trigger:"m_Train" ~response:"c_GateDown"
+              ~clock:Mc.Query.delay_monitor_clock ~ceiling:320 ())
+         (railroad_psm ()))
+      (fun _ -> `Continue)
   with
-  | _ -> Alcotest.fail "resumed a snapshot taken without subsumption"
+  | _ -> Alcotest.fail "resumed a sup snapshot as a reachability search"
   | exception Invalid_argument msg ->
     Alcotest.(check string) "refusal"
-      "Explorer: snapshot subsumption mode differs" msg
+      "Explorer: snapshot was taken by a different kind of query" msg
 
 (* [Psv.verify_response] decides P(320) on both sides: the periodic
    railroad meets it, the racing one (no headway) does not. *)
@@ -327,14 +332,14 @@ let gpca_input () =
   (t, "sup:" ^ clock, query)
 
 (* The same query cut at three state budgets.  Each snapshot resumes twice: as
-   written, and with its entries reversed.  A snapshot lists every
-   node's live entries in insertion order, and a restore appends them
-   without a subsumption scan, so the reversed one rebuilds every node
-   in the opposite order; subsumption decides the same whatever the
-   order, so both must end at the uninterrupted sup, visited and stored
-   counts. *)
+   written, and with its entries reversed.  A snapshot lists the live
+   entries in id order, so every node's in insertion order, and a
+   restore appends them without a subsumption scan, so the reversed one
+   rebuilds every node in the opposite order; subsumption decides the
+   same whatever the order, so both must end at the uninterrupted sup,
+   visited and stored counts. *)
 let test_resume_entry_order () =
-  let t, label, query = gpca_input () in
+  let _, _, query = gpca_input () in
   let full = query () in
   let stats r = r.Mc.Explorer.so_stats in
   Alcotest.(check bool) "reference run completes past the largest cut" true
@@ -346,13 +351,7 @@ let test_resume_entry_order () =
      Alcotest.failf "input delay: expected sup 490, got %a"
        Mc.Explorer.pp_sup_result sup);
   let reversed snap =
-    let module E = Mc.Explorer in
-    E.make_snapshot t ~label
-      ~next_id:(E.snapshot_next_id snap)
-      ~visited:(E.snapshot_visited snap) ~stored:(E.snapshot_stored snap)
-      ~entries:(List.rev (E.snapshot_entries snap))
-      ~queue:(E.snapshot_queue snap) ~trace:(E.snapshot_trace snap)
-      ~payload:(E.snapshot_payload snap)
+    { snap with Mc.Explorer.snap_entries = List.rev snap.Mc.Explorer.snap_entries }
   in
   (* per discrete state, ids in the order the snapshot lists them *)
   let node_ids snap =
@@ -362,7 +361,7 @@ let test_resume_entry_order () =
         let key = (se.Mc.Explorer.se_locs, se.se_vars, se.se_mon) in
         Hashtbl.replace tbl key
           (se.se_id :: Option.value ~default:[] (Hashtbl.find_opt tbl key)))
-      (Mc.Explorer.snapshot_entries snap);
+      snap.Mc.Explorer.snap_entries;
     Hashtbl.fold (fun _ ids acc -> List.rev ids :: acc) tbl []
   in
   List.iter
@@ -396,46 +395,165 @@ let test_resume_entry_order () =
         [ ("as written", snap); ("entries reversed", reversed snap) ])
     [ 500; 3000; 8000 ]
 
-(* Checkpoints of an older build's partitioned search numbered partition
-   [p]'s k-th entry [base + p + k * N], so their ids have gaps.  A
-   sequential cut renumbered that way (ids times 4, trace rows spread to
-   match) resumes to the uninterrupted sup 490 and counts. *)
-let test_resume_gapped_ids () =
-  let t, label, query = gpca_input () in
-  let full = query () in
-  let cut = query ~ctl:(Mc.Runctl.create ~budget:(state_budget 3000) ()) () in
-  let snap = Option.get cut.Mc.Explorer.so_snapshot in
-  let module E = Mc.Explorer in
-  let gap id = if id < 0 then id else 4 * id in
-  let rows = E.snapshot_trace snap in
-  let trace =
-    Array.init
-      (4 * E.snapshot_next_id snap)
-      (fun id ->
-        if id mod 4 = 0 && id / 4 < Array.length rows then
-          let parent, movers = rows.(id / 4) in
-          (gap parent, movers)
-        else (-1, []))
+(* --- the checkpoint codec --------------------------------------------- *)
+
+let fuzz_instance (k, index) =
+  Diff.Gen.instance ~seed:16 ~index (List.nth Diff.Gen.all_shapes k)
+
+let fuzz_explorer (inst : Diff.Gen.instance) =
+  let monitor =
+    Mc.Monitor.delay ~trigger:inst.Diff.Gen.trigger
+      ~response:inst.Diff.Gen.response ~clock:"psv_delay_mon"
+      ~ceiling:inst.Diff.Gen.ceiling ()
   in
-  let gapped =
-    E.make_snapshot t ~label
-      ~next_id:(4 * E.snapshot_next_id snap)
-      ~visited:(E.snapshot_visited snap) ~stored:(E.snapshot_stored snap)
-      ~entries:
-        (List.map
-           (fun se -> { se with E.se_id = gap se.E.se_id })
-           (E.snapshot_entries snap))
-      ~queue:(Array.map gap (E.snapshot_queue snap))
-      ~trace ~payload:(E.snapshot_payload snap)
-  in
-  let r = query ~resume:gapped () in
-  Alcotest.(check bool) "completes" true (r.E.so_interrupt = None);
-  (match r.E.so_sup with
-   | E.Sup (490, _) -> ()
-   | sup -> Alcotest.failf "expected sup 490, got %a" E.pp_sup_result sup);
-  Alcotest.(check int) "visited" full.E.so_stats.E.visited
-    r.E.so_stats.E.visited;
-  Alcotest.(check int) "stored" full.E.so_stats.E.stored r.E.so_stats.E.stored
+  Mc.Explorer.make ~monitor inst.Diff.Gen.net
+
+(* a fuzz instance: one of the four shapes, and an index *)
+let arb_fuzz_instance =
+  QCheck.make
+    ~print:(fun ki -> (fuzz_instance ki).Diff.Gen.id)
+    QCheck.Gen.(pair (int_range 0 3) (int_range 0 9_999))
+
+let with_snap_file f =
+  let path = Filename.temp_file "psv_test" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let write_file path text =
+  Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* Cuts at a third and at two thirds of a fuzz instance's search, of
+   every shape: the record read back equals the one written, and
+   resuming it ends at the uninterrupted sup and statistics. *)
+let prop_codec_roundtrip =
+  QCheck.Test.make ~count:24 ~name:"checkpoint codec round trip"
+    arb_fuzz_instance (fun ki ->
+      let inst = fuzz_instance ki in
+      let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) inst.Diff.Gen.id in
+      let sup ?ctl ?resume () =
+        let t = fuzz_explorer inst in
+        Mc.Explorer.sup_clock ?ctl ?resume t
+          ~pred:(Mc.Explorer.mon_in t "Waiting") ~clock:"psv_delay_mon"
+      in
+      let full = sup () in
+      let visited = full.Mc.Explorer.so_stats.Mc.Explorer.visited in
+      with_snap_file (fun path ->
+          List.for_all
+            (fun budget ->
+              let ctl = Mc.Runctl.create ~budget:(state_budget budget) () in
+              match (sup ~ctl ()).Mc.Explorer.so_snapshot with
+              | None -> visited <= budget
+              | Some snap -> (
+                Mc.Explorer.save_snapshot path snap;
+                match Mc.Explorer.load_snapshot path with
+                | Error msg -> fail "cut at %d: %s" budget msg
+                | Ok back ->
+                  if back <> snap then fail "cut at %d: read back differs" budget;
+                  let r = sup ~resume:back () in
+                  r.Mc.Explorer.so_sup = full.Mc.Explorer.so_sup
+                  && r.Mc.Explorer.so_stats = full.Mc.Explorer.so_stats
+                  || fail "cut at %d: resumed run differs" budget))
+            [ max 1 (visited / 3); max 1 (2 * visited / 3) ]))
+
+(* Random bytes, truncations and one-byte mutations of a real payload,
+   each framed with a valid digest.  The first two never decode; a
+   mutation is refused when loaded or at resume, or, where it only moves
+   a value to another one a search could have written (a counter, a
+   bound that stays canonical), resumes.  Nothing else escapes. *)
+let test_decoder_fuzz () =
+  let ctl = Mc.Runctl.create ~budget:(state_budget 200) () in
+  let snap = Option.get (railroad_delay ~ctl ()).Mc.Explorer.so_snapshot in
+  with_snap_file (fun path ->
+      Mc.Explorer.save_snapshot path snap;
+      let payload =
+        match
+          Keys.Frame.unframe ~magic:"PSVSNAP4"
+            (In_channel.with_open_bin path In_channel.input_all)
+        with
+        | Ok p -> p
+        | Error _ -> Alcotest.fail "checkpoint is not a PSVSNAP4 frame"
+      in
+      let n = String.length payload in
+      let rng = Random.State.make [| 36 |] in
+      let byte () = Char.chr (Random.State.int rng 256) in
+      let random () = String.init (Random.State.int rng 64) (fun _ -> byte ()) in
+      let cut () = String.sub payload 0 (Random.State.int rng n) in
+      let mutate () =
+        let b = Bytes.of_string payload and i = Random.State.int rng n in
+        let c = Char.code (Bytes.get b i) lxor (1 + Random.State.int rng 255) in
+        Bytes.set b i (Char.chr c);
+        Bytes.to_string b
+      in
+      let refused = ref 0 and resumed = ref 0 in
+      List.iter
+        (fun (what, make, may_load) ->
+          for _ = 1 to 100 do
+            write_file path (Keys.Frame.frame ~magic:"PSVSNAP4" (make ()));
+            match Mc.Explorer.load_snapshot path with
+            | Error _ -> incr refused
+            | exception exn ->
+              Alcotest.failf "%s: load raised %s" what (Printexc.to_string exn)
+            | Ok _ when not may_load -> Alcotest.failf "%s decoded" what
+            | Ok back -> (
+              match railroad_delay ~resume:back () with
+              | _ -> incr resumed
+              | exception Invalid_argument _ -> incr refused
+              | exception exn ->
+                Alcotest.failf "%s: resume raised %s" what
+                  (Printexc.to_string exn))
+          done)
+        [ ("random bytes", random, false);
+          ("a truncation", cut, false);
+          ("a one-byte mutation", mutate, true) ];
+      Alcotest.(check bool)
+        (Printf.sprintf "%d refused, %d resumed" !refused !resumed)
+        true (!refused > 200))
+
+(* A well-framed checkpoint that is not one a search wrote ends [psv
+   verify --resume] with one diagnostic and exit 3: three marshalled
+   values of other types, which a [Marshal]-based reader crashed on, and
+   a real cut of the same query whose trace row names an edge the model
+   does not have. *)
+let test_forged_checkpoints () =
+  with_snap_file (fun psm ->
+      let code, _, err = Cli.run [ "export"; "--psm"; "-o"; psm ] in
+      if code <> 0 then Alcotest.failf "export: exit %d: %s" code err;
+      let verify extra =
+        Cli.run
+          ([ "verify"; psm; "--trigger"; "m_BolusReq"; "--response";
+             "c_StartInfusion"; "--bound"; "1430" ]
+          @ extra)
+      in
+      with_snap_file (fun path ->
+          let refused what =
+            let code, _, err = verify [ "--resume"; path ] in
+            let prefix = Printf.sprintf "psv: cannot resume from %s: " path in
+            if code <> 3
+               || not (String.starts_with ~prefix err)
+               || List.length (String.split_on_char '\n' err) <> 2
+            then Alcotest.failf "%s: exit %d, stderr %S" what code err
+          in
+          List.iter
+            (fun (what, payload) ->
+              write_file path (Keys.Frame.frame ~magic:"PSVSNAP4" payload);
+              refused what)
+            [ ("42", Marshal.to_string 42 []);
+              ("(1, \"x\", 3.0)", Marshal.to_string (1, "x", 3.0) []);
+              ("[1; 2; 3]", Marshal.to_string [ 1; 2; 3 ] []) ];
+          ignore (verify [ "--budget-states"; "200"; "--checkpoint"; path ]);
+          let snap =
+            match Mc.Explorer.load_snapshot path with
+            | Ok s -> s
+            | Error msg -> Alcotest.failf "the 200-state cut: %s" msg
+          in
+          let trace = Array.copy snap.Mc.Explorer.snap_trace in
+          let id = Array.length trace - 1 in
+          let parent, movers = trace.(id) in
+          trace.(id) <- (parent, List.map (fun (ai, _) -> (ai, 999)) movers);
+          Mc.Explorer.save_snapshot path
+            { snap with Mc.Explorer.snap_trace = trace };
+          refused "a trace row naming a missing edge"))
 
 let suite =
   [ Alcotest.test_case "state budget -> Unknown" `Quick
@@ -456,6 +574,9 @@ let suite =
       test_fingerprint_mismatch;
     Alcotest.test_case "resume is entry-order independent" `Quick
       test_resume_entry_order;
-    Alcotest.test_case "resume with gapped ids" `Quick test_resume_gapped_ids;
+    QCheck_alcotest.to_alcotest prop_codec_roundtrip;
+    Alcotest.test_case "checkpoint decoder fuzz" `Quick test_decoder_fuzz;
+    Alcotest.test_case "forged checkpoints exit 3" `Quick
+      test_forged_checkpoints;
     Alcotest.test_case "railroad verdicts at P(320)" `Quick
       test_verify_response_verdicts ]

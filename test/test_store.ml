@@ -967,11 +967,9 @@ let test_old_snapshot_version () =
            in
            contains 0))
 
-(* Snapshot files carry a fingerprint of the explorer's configuration;
-   an empty snapshot's payload (the marshalled record inside the frame)
-   is that fingerprint plus fixed fields, so pinning it pins the
-   fingerprint.  The vectors equal the digests of PSVSNAP2 files after
-   their 8-byte magic: the framing changed, the record did not. *)
+(* Snapshot files carry a fingerprint of the explorer's configuration:
+   a digest of the model text, the extrapolation constants, the
+   reduction flag and the monitor. *)
 let test_snapshot_fingerprint_golden () =
   let params = Gpca.Params.default in
   let psm =
@@ -982,42 +980,31 @@ let test_snapshot_fingerprint_golden () =
       ~response:Gpca.Model.start_infusion ~clock:Mc.Query.delay_monitor_clock
       ~ceiling:2000 ()
   in
+  (* a search cancelled before its first expansion still snapshots *)
   let digest t =
-    let snap =
-      Mc.Explorer.make_snapshot t ~label:"sup" ~next_id:0
-        ~visited:0 ~stored:0 ~entries:[] ~queue:[||] ~trace:[||] ~payload:""
-    in
-    let path = Filename.temp_file "psv_test" ".snap" in
-    Fun.protect
-      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-      (fun () ->
-        Mc.Explorer.save_snapshot path snap;
-        match
-          Keys.Frame.unframe ~magic:"PSVSNAP3"
-            (In_channel.with_open_bin path In_channel.input_all)
-        with
-        | Ok payload -> Store.D128.to_hex (Store.D128.of_string payload)
-        | Error _ -> Alcotest.fail "snapshot is not a PSVSNAP3 frame")
+    let cancelled = Mc.Runctl.create () in
+    Mc.Runctl.cancel cancelled;
+    let cut = Mc.Explorer.search ~ctl:cancelled t (fun _ -> `Continue) in
+    Store.D128.to_hex
+      (Option.get cut.Mc.Explorer.sr_snapshot).Mc.Explorer.snap_fingerprint
   in
   List.iter
     (fun (label, t, want) ->
       Alcotest.(check string) label want (digest t))
     [ ( "psm, delay monitor",
         Mc.Explorer.make ~monitor psm,
-        "6c7b95cebc2a0416a7fcb01226ec5f0a" );
+        "41f358eed8b80d87834aafea522fa379" );
       ( "psm, delay monitor, tight",
         Mc.Explorer.make ~monitor ~tight:true psm,
-        "41ec1544e8f1ec0fd9d7918efd50de8f" );
+        "d95a013b2ba543d83256467c0966e5e2" );
       ( "psm, no reduction",
         Mc.Explorer.make ~reduce:false psm,
-        "62b290852bdc42d809a80dcc9986991e" ) ]
+        "1de929322b1e154a14b75711ef6a827c" ) ]
 
 (* A non-empty checkpoint pinned byte for byte: the payload of a
-   500-state cut of the railroad-periodic25 delay query.  [Marshal]
-   writes a shared array once and refers back to it, so the digest also
-   pins which successors share their parent's variable vector and which
-   get a fresh one; a search that reuses per-state data must keep that
-   sharing, or every checkpoint's bytes move. *)
+   500-state cut of the railroad-periodic25 delay query, entries in id
+   order.  It pins the encoding and what the search stores: which
+   states, zones, trace rows and queue a cut holds. *)
 let test_checkpoint_golden () =
   let ctl =
     Mc.Runctl.create
@@ -1036,14 +1023,14 @@ let test_checkpoint_golden () =
     (fun () ->
       Mc.Explorer.save_snapshot path snap;
       match
-        Keys.Frame.unframe ~magic:"PSVSNAP3"
+        Keys.Frame.unframe ~magic:"PSVSNAP4"
           (In_channel.with_open_bin path In_channel.input_all)
       with
       | Ok payload ->
         Alcotest.(check string) "payload digest"
-          "0febdb94ba3aa225433fdd27baf9ac23"
+          "2fd9b14069a9bec4220b847b69ef70f0"
           (Store.D128.to_hex (Store.D128.of_string payload))
-      | Error _ -> Alcotest.fail "snapshot is not a PSVSNAP3 frame")
+      | Error _ -> Alcotest.fail "snapshot is not a PSVSNAP4 frame")
 
 let suite =
   [ Alcotest.test_case "d128 hex round-trip" `Quick test_d128_hex;
