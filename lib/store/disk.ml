@@ -15,12 +15,19 @@ let entry_name key = Keys.D128.to_hex key ^ ".psve"
 
 let is_store dir = Sys.file_exists (marker_path dir)
 
+(* A read that failed on a file that is no longer there lost a race
+   with the file's removal ([gc], [remove], another process): that is a
+   miss, not a sick store, so it is neither retried nor reported. *)
+exception Gone
+
 (* All host I/O below goes through [t.io] wrapped in the retry policy,
    so transient faults (injected or real) are absorbed before they can
    surface; what escapes is persistent unavailability. *)
 let read_file t path =
   Fault.Retry.run ~policy:t.retry ~label:"store-read" (fun () ->
-      t.io.Fault.Io.read_file path)
+      try t.io.Fault.Io.read_file path
+      with (Sys_error _ | Unix.Unix_error _)
+        when not (t.io.Fault.Io.file_exists path) -> raise Gone)
 
 let write_file t path content =
   Fault.Retry.run ~policy:t.retry ~label:"store-write" (fun () ->
@@ -63,38 +70,76 @@ type 'a read =
 
 type lookup = Entry.t read
 
+(* The frame's digest and length are checked before [decode] runs. *)
+let decode_framed ~magic ~decode raw =
+  match Keys.Frame.unframe ~magic raw with
+  | Ok payload -> (
+    match decode payload with Ok v -> Hit v | Error msg -> Corrupt msg)
+  | Error (Keys.Frame.Corrupt msg) -> Corrupt msg
+  | Error (Keys.Frame.Version v) ->
+    Corrupt (Printf.sprintf "version %S (this build reads %S)" v magic)
+  | Error Keys.Frame.Foreign -> Corrupt (Printf.sprintf "not a %s file" magic)
+
 (* I/O-level failure (retries exhausted) is [Unavailable] — the device
    or directory is sick, and the cache layer's circuit breaker feeds on
    it.  A readable file with bad content is [Corrupt] — the host is
-   fine, the data is not, so it does not count against the breaker.
-   The frame's digest and length are checked before [decode] runs. *)
-let read_with t ~magic ~decode name =
-  let path = Filename.concat t.dir name in
+   fine, the data is not, so it does not count against the breaker. *)
+let read_with t ~decode path =
   if not (t.io.Fault.Io.file_exists path) then Miss
   else
     match read_file t path with
-    | raw -> (
-      match Keys.Frame.unframe ~magic raw with
-      | Ok payload -> (
-        match decode payload with Ok v -> Hit v | Error msg -> Corrupt msg)
-      | Error (Keys.Frame.Corrupt msg) -> Corrupt msg
-      | Error (Keys.Frame.Version v) ->
-        Corrupt (Printf.sprintf "version %S (this build reads %S)" v magic)
-      | Error Keys.Frame.Foreign ->
-        Corrupt (Printf.sprintf "not a %s file" magic))
+    | raw -> decode raw
+    | exception Gone -> Miss
     | exception Sys_error msg -> Unavailable msg
     | exception Unix.Unix_error (e, op, _) ->
       Unavailable (Printf.sprintf "%s: %s" op (Unix.error_message e))
 
-let read_framed t ~magic name = read_with t ~magic ~decode:Result.ok name
+let read_framed t ~magic name =
+  read_with t ~decode:(decode_framed ~magic ~decode:Result.ok)
+    (Filename.concat t.dir name)
 
-let read_entry t name =
-  read_with t ~magic:version
-    ~decode:(fun payload -> Result.bind (Json.parse payload) Entry.of_json)
-    name
+let decode_entry raw =
+  decode_framed ~magic:version raw ~decode:(fun payload ->
+      Result.bind (Json.parse payload) Entry.of_json)
+
+let read_entry t name = read_with t ~decode:decode_entry (Filename.concat t.dir name)
+
+(* The lookup memo: per domain, each entry file a lookup decoded, with
+   the bytes it read and the entry decoded from them.  A lookup still
+   reads the file; only when the bytes are the remembered ones does it
+   skip the frame check and the JSON decode.  Decoding is a pure
+   function of the bytes, so a remembered entry is exactly what a fresh
+   decode would give: a replaced, truncated or removed file is judged as
+   if there were no memo.  The memo counts the files it holds, and at
+   [memo_cap] files it starts over.  The value is immutable, so threads
+   sharing a domain can at worst lose an update. *)
+let memo_cap = 256
+
+module Memo = Map.Make (String)
+
+let memo : (int * (string * Entry.t) Memo.t) Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> (0, Memo.empty))
+
+let decode_remembered path raw =
+  let n, seen = Domain.DLS.get memo in
+  let known = Memo.find_opt path seen in
+  match known with
+  | Some (bytes, e) when String.equal bytes raw -> Hit e
+  | _ -> (
+    match decode_entry raw with
+    | Hit e as hit ->
+      let n, seen =
+        if Option.is_some known then (n, seen)
+        else if n >= memo_cap then (1, Memo.empty)
+        else (n + 1, seen)
+      in
+      Domain.DLS.set memo (n, Memo.add path (raw, e) seen);
+      hit
+    | r -> r)
 
 let lookup t key =
-  match read_entry t (entry_name key) with
+  let path = Filename.concat t.dir (entry_name key) in
+  match read_with t ~decode:(decode_remembered path) path with
   | Hit e when not (Keys.D128.equal e.Entry.en_key key) ->
     Corrupt "entry key does not match file name"
   | r -> r

@@ -61,7 +61,7 @@ val open_existing :
 
 type 'a read =
   | Hit of 'a
-  | Miss  (** no such file *)
+  | Miss  (** no such file, or it was removed while being read *)
   | Corrupt of string  (** file readable but content bad; reason attached *)
   | Unavailable of string
       (** host I/O failed even after retries — the store is sick, the
@@ -69,6 +69,17 @@ type 'a read =
 
 type lookup = Entry.t read
 
+(** [lookup t key] reads the entry file of [key] once, through the
+    fault plane.  Each domain remembers, for up to a fixed number of
+    entry files, the bytes a lookup last decoded and the entry decoded
+    from them; when the bytes just read are identical, that entry is
+    returned without checking the frame or decoding the JSON again.
+    Decoding is a pure function of the bytes, so the answer is the one
+    a fresh decode gives: a replaced, truncated or removed file is
+    judged exactly as without the memo.  A file removed while it is
+    being read is a [Miss], not retried and not [Unavailable].  Only
+    [lookup] uses the memo; {!fold}, {!stats}, {!gc}, {!fsck} and
+    {!read_framed} decode fresh. *)
 val lookup : t -> Keys.D128.t -> lookup
 
 (** [insert t entry] durably publishes [entry] under its key,

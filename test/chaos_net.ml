@@ -557,6 +557,63 @@ let test_drain_under_load () =
       Alcotest.(check int) "no orphaned temp files" 0
         (List.length r.Store.Disk.fk_tmp))
 
+(* --- replies come back in completion order ---------------------------------- *)
+
+(* On one connection, a miss pipelined before a hit is answered after
+   it: a hit is answered on the event loop as soon as its line is read,
+   a miss when its search ends, and the client matches replies by id.
+   The miss's search waits at the progress-hook gate until the hit's
+   reply has arrived, so the order is fixed, not a race. *)
+let test_completion_order () =
+  let opened = Atomic.make false in
+  let gate _ =
+    let deadline = Unix.gettimeofday () +. 30. in
+    while (not (Atomic.get opened)) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done
+  in
+  Mc.Explorer.set_progress_hook (Some gate);
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set opened true;
+      Mc.Explorer.set_progress_hook None)
+  @@ fun () ->
+  with_store_dir (fun dir ->
+      let store =
+        match Store.Disk.open_ dir with
+        | Ok s -> s
+        | Error msg -> Alcotest.failf "open_: %s" msg
+      in
+      let cache = Analysis.Qcache.make ~warn:(fun _ -> ()) store in
+      let hit_query = "E<> P.Busy" in
+      ignore
+        (Analysis.Qcache.eval cache (Lazy.force net)
+           (Chaos_store.parse_query hit_query));
+      let _outcome, () =
+        with_server ~cache (fun path _drain ->
+            let cl = connect path in
+            Fun.protect
+              ~finally:(fun () -> close cl)
+              (fun () ->
+                send cl
+                  (request ~id:1 ~model:"gpca" slow_query ^ "\n"
+                  ^ request ~id:2 hit_query ^ "\n");
+                let first = parse_response (recv_line cl) in
+                Atomic.set opened true;
+                let second = parse_response (recv_line ~timeout_s:60. cl) in
+                Alcotest.(check (list int)) "the hit is answered first" [ 2; 1 ]
+                  [ int_id first; int_id second ];
+                List.iter
+                  (fun (j, cached) ->
+                    Alcotest.(check string) "status ok" "ok" (status j);
+                    Alcotest.(check bool) "cached" true
+                      (member "cached" j = Store.Json.Bool cached))
+                  [ (first, true); (second, false) ];
+                Alcotest.(check string) "the miss ran to its sup" "sup"
+                  (str (member "kind" (member "outcome" second)))))
+      in
+      ())
+
 (* --- the stats frame ------------------------------------------------------- *)
 
 let test_stats_frame () =
@@ -661,5 +718,7 @@ let suite =
     Alcotest.test_case "per-connection in-flight cap" `Slow test_inflight_cap;
     Alcotest.test_case "drain under load, store fsck-clean" `Slow
       test_drain_under_load;
+    Alcotest.test_case "replies in completion order" `Slow
+      test_completion_order;
     Alcotest.test_case "stats frame" `Quick test_stats_frame;
     Alcotest.test_case "connection limit" `Quick test_conn_limit ]

@@ -555,6 +555,17 @@ let test_disk_recognition () =
 
 let entry_file dir key = Filename.concat dir (Store.D128.to_hex key ^ ".psve")
 
+let read_bytes path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_bytes path bytes =
+  let oc = open_out_bin path in
+  output_string oc bytes;
+  close_out oc
+
 let test_disk_corruption () =
   with_store_dir (fun dir ->
       let store = open_store dir in
@@ -562,16 +573,15 @@ let test_disk_corruption () =
       let e = sample_entry ~key () in
       Store.Disk.insert store e;
       let path = entry_file dir key in
-      let original =
-        let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
+      let original = read_bytes path in
+      (* every rewrite is judged against a warm lookup memo: the
+         original entry was looked up just before, from the same path *)
       let write bytes =
-        let oc = open_out_bin path in
-        output_string oc bytes;
-        close_out oc
+        write_bytes path original;
+        (match Store.Disk.lookup store key with
+         | Store.Disk.Hit e' -> Alcotest.check entry_eq "warm lookup" e e'
+         | _ -> Alcotest.fail "the original entry does not read back");
+        write_bytes path bytes
       in
       let check_corrupt label =
         match Store.Disk.lookup store key with
@@ -626,6 +636,147 @@ let test_disk_corruption () =
       match Store.Disk.lookup store key with
       | Store.Disk.Hit e' -> Alcotest.check entry_eq "recovers" e e'
       | _ -> Alcotest.fail "restored entry does not read back")
+
+(* --- the lookup memo -------------------------------------------------- *)
+
+(* [Disk.lookup] remembers the entries it decoded and the bytes it
+   decoded them from.  Over random sequences of inserts (two entries of
+   equal length per key), in-place byte flips, truncations, removals and
+   lookups on a few keys, every lookup must read as a fresh unframe and
+   decode of the file's current bytes would. *)
+type memo_op =
+  | Insert of int * bool
+  | Flip of int * int
+  | Truncate of int * int
+  | Remove of int
+  | Lookup of int
+
+let memo_keys = Array.init 3 (fun i -> Store.D128.of_string (Printf.sprintf "memo-%d" i))
+
+(* the two variants differ in one digit of [visited], so in content
+   but not in length *)
+let memo_entry k variant =
+  let e = sample_entry ~key:memo_keys.(k) () in
+  { e with
+    Store.Entry.en_stats =
+      { e.Store.Entry.en_stats with Mc.Explorer.visited = (if variant then 11 else 10) } }
+
+let print_memo_op = function
+  | Insert (k, v) -> Printf.sprintf "insert %d %b" k v
+  | Flip (k, p) -> Printf.sprintf "flip %d @%d" k p
+  | Truncate (k, n) -> Printf.sprintf "truncate %d to %d" k n
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Lookup k -> Printf.sprintf "lookup %d" k
+
+let gen_memo_op =
+  let open QCheck.Gen in
+  let key = int_bound (Array.length memo_keys - 1) in
+  frequency
+    [ (3, map2 (fun k v -> Insert (k, v)) key bool);
+      (2, map2 (fun k p -> Flip (k, p)) key nat);
+      (1, map2 (fun k n -> Truncate (k, n)) key nat);
+      (1, map (fun k -> Remove k) key);
+      (5, map (fun k -> Lookup k) key) ]
+
+(* What a lookup of key [k] must answer: [None] for no file, [Some
+   None] for a corrupt one, [Some (Some e)] for an entry. *)
+let fresh_decode dir k =
+  let path = entry_file dir memo_keys.(k) in
+  if not (Sys.file_exists path) then None
+  else
+    Some
+      (match Keys.Frame.unframe ~magic:"PSVSTORE1" (read_bytes path) with
+       | Error _ -> None
+       | Ok payload -> (
+         match Result.bind (Store.Json.parse payload) Store.Entry.of_json with
+         | Ok e when Store.D128.equal e.Store.Entry.en_key memo_keys.(k) -> Some e
+         | Ok _ | Error _ -> None))
+
+let prop_lookup_memo =
+  QCheck.Test.make ~name:"memoised lookup = fresh decode of the file"
+    ~count:300
+    (QCheck.make
+       ~print:(QCheck.Print.list print_memo_op)
+       QCheck.Gen.(list_size (int_range 1 30) gen_memo_op))
+    (fun ops ->
+      with_store_dir (fun dir ->
+          let store = open_store dir in
+          let rewrite k f =
+            let path = entry_file dir memo_keys.(k) in
+            if Sys.file_exists path then write_bytes path (f (read_bytes path))
+          in
+          List.for_all
+            (fun op ->
+              match op with
+              | Insert (k, v) ->
+                Store.Disk.insert store (memo_entry k v);
+                true
+              | Flip (k, p) ->
+                rewrite k (fun raw ->
+                    if raw = "" then raw
+                    else
+                      let b = Bytes.of_string raw in
+                      let p = p mod Bytes.length b in
+                      Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor 0x01));
+                      Bytes.to_string b);
+                true
+              | Truncate (k, n) ->
+                rewrite k (fun raw -> String.sub raw 0 (n mod (String.length raw + 1)));
+                true
+              | Remove k ->
+                Store.Disk.remove store memo_keys.(k);
+                true
+              | Lookup k -> (
+                match (Store.Disk.lookup store memo_keys.(k), fresh_decode dir k) with
+                | Store.Disk.Miss, None -> true
+                | Store.Disk.Corrupt _, Some None -> true
+                | Store.Disk.Hit e, Some (Some e') -> e = e'
+                | _ -> false))
+            ops))
+
+(* A file removed between the existence check and the read is a miss:
+   no retry, no breaker failure, no warning.  A read that fails on a
+   file that is still there stays [Unavailable]. *)
+let test_lookup_races_removal () =
+  with_store_dir (fun dir ->
+      let key = Store.D128.of_string "raced" in
+      Store.Disk.insert (open_store dir) (sample_entry ~key ());
+      let reads = ref 0 in
+      let racing =
+        { Fault.Io.real with
+          Fault.Io.read_file =
+            (fun path ->
+              incr reads;
+              Sys.remove path;
+              Fault.Io.real.Fault.Io.read_file path) }
+      in
+      let store =
+        match Store.Disk.open_ ~io:racing dir with
+        | Ok s -> s
+        | Error msg -> Alcotest.failf "open_: %s" msg
+      in
+      let warnings = ref [] in
+      let cache =
+        Analysis.Qcache.make ~warn:(fun m -> warnings := m :: !warnings) store
+      in
+      Alcotest.(check bool) "no entry" true
+        (Analysis.Qcache.find cache ~requested:Store.Entry.unlimited key = None);
+      Alcotest.(check int) "no store error" 0 (Analysis.Qcache.errors cache);
+      Alcotest.(check (list string)) "no warning" [] !warnings;
+      Alcotest.(check int) "one read attempt" 1 !reads;
+      Store.Disk.insert (open_store dir) (sample_entry ~key ());
+      let failing =
+        { Fault.Io.real with
+          Fault.Io.read_file = (fun path -> raise (Sys_error (path ^ ": EIO"))) }
+      in
+      let store =
+        match Store.Disk.open_ ~io:failing ~retry:Fault.Retry.no_retry dir with
+        | Ok s -> s
+        | Error msg -> Alcotest.failf "open_: %s" msg
+      in
+      match Store.Disk.lookup store key with
+      | Store.Disk.Unavailable _ -> ()
+      | _ -> Alcotest.fail "a failed read of a present file is not Unavailable")
 
 let test_disk_fold_stats_gc_fsck () =
   with_store_dir (fun dir ->
@@ -1056,6 +1207,9 @@ let suite =
     Alcotest.test_case "disk insert/lookup/remove" `Quick test_disk_roundtrip;
     Alcotest.test_case "store recognition" `Quick test_disk_recognition;
     Alcotest.test_case "corruption never crashes" `Quick test_disk_corruption;
+    QCheck_alcotest.to_alcotest prop_lookup_memo;
+    Alcotest.test_case "lookup racing a removal is a miss" `Quick
+      test_lookup_races_removal;
     Alcotest.test_case "fold/stats/gc/fsck" `Quick test_disk_fold_stats_gc_fsck;
     Alcotest.test_case "concurrent writers" `Quick test_disk_concurrent_writers;
     Alcotest.test_case "qcache hit/miss" `Quick test_qcache_hit_miss;
