@@ -338,17 +338,6 @@ let table1_cmd =
 
 (* --- verify ------------------------------------------------------------ *)
 
-let json_sup = function
-  | Mc.Explorer.Sup_unreached -> {|{"kind": "unreached"}|}
-  | Mc.Explorer.Sup (v, strict) ->
-    Printf.sprintf {|{"kind": "value", "value": %d, "strict": %b}|} v strict
-  | Mc.Explorer.Sup_exceeds c ->
-    Printf.sprintf {|{"kind": "exceeds", "ceiling": %d}|} c
-
-let json_stats (s : Mc.Explorer.stats) =
-  Printf.sprintf {|{"visited": %d, "stored": %d, "frontier": %d}|}
-    s.Mc.Explorer.visited s.Mc.Explorer.stored s.Mc.Explorer.frontier
-
 let verify_cmd =
   let file =
     Arg.(required & pos 0 (some file) None
@@ -443,31 +432,30 @@ let verify_cmd =
       | None -> outcome
     in
     if json then begin
+      let open Store.Json in
       let verdict_str, reason =
         match verdict with
-        | Mc.Query.Holds | Mc.Query.Sup _ -> ("proved", None)
-        | Mc.Query.Fails _ -> ("refuted", None)
+        | Mc.Query.Holds | Mc.Query.Sup _ -> ("proved", Null)
+        | Mc.Query.Fails _ -> ("refuted", Null)
         | Mc.Query.Unknown (reason, _) ->
-          ("unknown", Some (Mc.Runctl.reason_tag reason))
+          ("unknown", String (Mc.Runctl.reason_tag reason))
       in
       let trailer =
         match a.Incr.Answer.an_rung with
-        | Some rung ->
-          Printf.sprintf {|"rung": "%s"|} (Incr.Session.rung_name rung)
+        | Some rung -> ("rung", String (Incr.Session.rung_name rung))
         | None ->
-          Printf.sprintf {|"checkpoint": %s|}
-            (match written with
-             | Some p -> Store.Json.to_string (Store.Json.String p)
-             | None -> "null")
+          ( "checkpoint",
+            match written with Some p -> String p | None -> Null )
       in
-      Fmt.pr
-        {|{"verdict": "%s", "reason": %s, "bound": %s, "sup": %s, "stats": %s, %s}@.|}
-        verdict_str
-        (match reason with
-         | Some tag -> Printf.sprintf "%S" tag
-         | None -> "null")
-        (match bound with Some b -> string_of_int b | None -> "null")
-        (json_sup sup) (json_stats st) trailer
+      print_endline
+        (to_string
+           (Obj
+              [ ("verdict", String verdict_str);
+                ("reason", reason);
+                ("bound", match bound with Some b -> Int b | None -> Null);
+                ("sup", Store.Entry.sup_to_json sup);
+                ("stats", Store.Entry.stats_to_json st);
+                trailer ]))
     end
     else begin
       (match bound with
@@ -804,82 +792,87 @@ let watch_cmd =
 
 (* --- sweep-schemes (grid sweep with analytic prefilter) ----------------- *)
 
-let json_cost cost =
-  "[" ^ String.concat ", " (Array.to_list (Array.map string_of_int cost)) ^ "]"
+(* a point's cost vector, and a float kept to the [digits] decimals the
+   summary reports *)
+let cost_json cost =
+  Store.Json.List (Array.to_list (Array.map (fun c -> Store.Json.Int c) cost))
 
-let json_point (pr : Analysis.Sweep.point_result) =
-  Printf.sprintf
-    {|{"point": %d, "verdict": "%s", "decision": "%s", "ub": %d, "lb": %d%s, "cost": %s}|}
-    pr.Analysis.Sweep.pr_index
-    (Analysis.Sweep.verdict_name pr.Analysis.Sweep.pr_verdict)
-    (Analysis.Sweep.decision_name pr.Analysis.Sweep.pr_decision)
-    pr.Analysis.Sweep.pr_ub pr.Analysis.Sweep.pr_lb
-    (match pr.Analysis.Sweep.pr_sup with
-     | None -> ""
-     | Some s -> Printf.sprintf {|, "sup": %s|} (json_sup s))
-    (json_cost pr.Analysis.Sweep.pr_cost)
+let rounded digits x =
+  Store.Json.Float (float_of_string (Printf.sprintf "%.*f" digits x))
 
-let json_sweep_outcome ~extra (o : Analysis.Sweep.outcome) =
-  Printf.sprintf
-    {|{"points": %d, "pass": %d, "fail": %d, "unknown": %d, "invalid": %d, "analytic_pass": %d, "analytic_fail": %d, "explored": %d, "memo_hits": %d, "mc_runs": %d, "skip_rate": %.4f, "audited": %d, "audit_mismatches": %d, "interrupted": %d, "wall_ms": %.1f, "pareto": [%s]%s}|}
-    o.Analysis.Sweep.o_points o.Analysis.Sweep.o_pass o.Analysis.Sweep.o_fail
-    o.Analysis.Sweep.o_unknown o.Analysis.Sweep.o_invalid
-    o.Analysis.Sweep.o_analytic_pass o.Analysis.Sweep.o_analytic_fail
-    o.Analysis.Sweep.o_explored o.Analysis.Sweep.o_memo_hits
-    o.Analysis.Sweep.o_mc_runs o.Analysis.Sweep.o_skip_rate
-    o.Analysis.Sweep.o_audited
-    (List.length o.Analysis.Sweep.o_audit_mismatches)
-    o.Analysis.Sweep.o_interrupted o.Analysis.Sweep.o_wall_ms
-    (String.concat ", "
-       (List.map
-          (fun (i, cost) ->
-            Printf.sprintf {|{"point": %d, "cost": %s}|} i (json_cost cost))
-          o.Analysis.Sweep.o_pareto))
-    extra
+let point_json (pr : Analysis.Sweep.point_result) =
+  let open Store.Json in
+  let sup = Option.map (fun s -> ("sup", Store.Entry.sup_to_json s)) pr.pr_sup in
+  Obj
+    ([ ("point", Int pr.pr_index);
+       ("verdict", String (Analysis.Sweep.verdict_name pr.pr_verdict));
+       ("decision", String (Analysis.Sweep.decision_name pr.pr_decision));
+       ("ub", Int pr.pr_ub); ("lb", Int pr.pr_lb) ]
+    @ Option.to_list sup
+    @ [ ("cost", cost_json pr.pr_cost) ])
+
+(* the summary's counts before and after its skip rate, named as --json
+   names them; the table prints each name with spaces for underscores *)
+let sweep_counts (o : Analysis.Sweep.outcome) =
+  ( [ ("points", o.o_points); ("pass", o.o_pass); ("fail", o.o_fail);
+      ("unknown", o.o_unknown); ("invalid", o.o_invalid);
+      ("analytic_pass", o.o_analytic_pass);
+      ("analytic_fail", o.o_analytic_fail); ("explored", o.o_explored);
+      ("memo_hits", o.o_memo_hits); ("mc_runs", o.o_mc_runs) ],
+    [ ("audited", o.o_audited);
+      ("audit_mismatches", List.length o.o_audit_mismatches) ] )
+
+let sweep_outcome_json ~req ~base (o : Analysis.Sweep.outcome) =
+  let open Store.Json in
+  let before, after = sweep_counts o in
+  let ints = List.map (fun (name, n) -> (name, Int n)) in
+  let pareto (i, cost) = Obj [ ("point", Int i); ("cost", cost_json cost) ] in
+  Obj
+    (ints before
+    @ [ ("skip_rate", rounded 4 o.o_skip_rate) ]
+    @ ints after
+    @ [ ("interrupted", Int o.o_interrupted);
+        ("wall_ms", rounded 1 o.o_wall_ms);
+        ("pareto", List (List.map pareto o.o_pareto));
+        ("req", Int req);
+        ("base", String base) ])
 
 let pp_sweep_summary (o : Analysis.Sweep.outcome) =
+  let row (name, n) =
+    Fmt.pr "%16s | %8d@." (String.map (function '_' -> ' ' | c -> c) name) n
+  in
+  let before, after = sweep_counts o in
   Fmt.pr "%16s | %8s@." "----------------" "--------";
-  Fmt.pr "%16s | %8d@." "points" o.Analysis.Sweep.o_points;
-  Fmt.pr "%16s | %8d@." "pass" o.Analysis.Sweep.o_pass;
-  Fmt.pr "%16s | %8d@." "fail" o.Analysis.Sweep.o_fail;
-  Fmt.pr "%16s | %8d@." "unknown" o.Analysis.Sweep.o_unknown;
-  Fmt.pr "%16s | %8d@." "invalid" o.Analysis.Sweep.o_invalid;
-  Fmt.pr "%16s | %8d@." "analytic pass" o.Analysis.Sweep.o_analytic_pass;
-  Fmt.pr "%16s | %8d@." "analytic fail" o.Analysis.Sweep.o_analytic_fail;
-  Fmt.pr "%16s | %8d@." "explored" o.Analysis.Sweep.o_explored;
-  Fmt.pr "%16s | %8d@." "memo hits" o.Analysis.Sweep.o_memo_hits;
-  Fmt.pr "%16s | %8d@." "mc runs" o.Analysis.Sweep.o_mc_runs;
-  Fmt.pr "%16s | %7.1f%%@." "skip rate"
-    (100. *. o.Analysis.Sweep.o_skip_rate);
-  Fmt.pr "%16s | %8d@." "audited" o.Analysis.Sweep.o_audited;
-  Fmt.pr "%16s | %8d@." "audit mismatches"
-    (List.length o.Analysis.Sweep.o_audit_mismatches);
-  Fmt.pr "%16s | %8d@." "pareto points"
-    (List.length o.Analysis.Sweep.o_pareto);
-  Fmt.pr "%16s | %8.0f@." "wall ms" o.Analysis.Sweep.o_wall_ms
+  List.iter row before;
+  Fmt.pr "%16s | %7.1f%%@." "skip rate" (100. *. o.o_skip_rate);
+  List.iter row after;
+  row ("pareto points", List.length o.o_pareto);
+  Fmt.pr "%16s | %8.0f@." "wall ms" o.o_wall_ms
 
 (* run the sweep engine with a streaming sink, report, and fold the
    outcome into the exit-code contract (1 audit mismatch, 2 interrupted,
    4 degraded) *)
-let run_sweep_engine ~cfg ~points ~build ~cache ~json ~points_out ~extra =
+let run_sweep_engine ~cfg ~points ~build ~cache ~json ~points_out ~req ~base =
   let sink, close_sink =
     match points_out with
     | None -> (None, fun () -> ())
     | Some path -> (
-      try
-        let oc = open_out path in
-        ( Some
-            (fun pr ->
-              output_string oc (json_point pr);
-              output_char oc '\n'),
-          fun () -> close_out_noerr oc )
-      with Sys_error msg -> die "--points-out: %s" msg)
+      (* a failed write or flush (a full disk) is an I/O error, exit 3 *)
+      let io f = try f () with Sys_error msg -> die "--points-out: %s" msg in
+      let oc = io (fun () -> open_out path) in
+      ( Some
+          (fun pr ->
+            io (fun () ->
+                output_string oc (Store.Json.to_string (point_json pr));
+                output_char oc '\n')),
+        fun () -> io (fun () -> close_out oc) ))
   in
   let cfg = { cfg with Analysis.Sweep.sw_emit = sink } in
   let outcome = Analysis.Sweep.run cfg ~points ~build in
   close_sink ();
   report_cache cache;
-  if json then print_endline (json_sweep_outcome ~extra outcome)
+  if json then
+    print_endline (Store.Json.to_string (sweep_outcome_json ~req ~base outcome))
   else pp_sweep_summary outcome;
   List.iter
     (fun (i, diag) -> Fmt.epr "sweep: audit mismatch at point %d: %s@." i diag)
@@ -1013,10 +1006,8 @@ let sweep_schemes_cmd =
     in
     run_sweep_engine ~cfg ~points
       ~build:(Gpca.Sweep_space.build ~base ~req grid)
-      ~cache ~json ~points_out
-      ~extra:
-        (Printf.sprintf {|, "req": %d, "base": "%s"|} req
-           (Gpca.Sweep_space.base_name base))
+      ~cache ~json ~points_out ~req
+      ~base:(Gpca.Sweep_space.base_name base)
   in
   Cmd.v
     (Cmd.info "sweep-schemes"

@@ -240,8 +240,10 @@ let listen cfg ?cache ?drain:dtoken ?on_ready ~load_model () =
             else Buffer.add_char conn.c_buf c
       done
     in
+    (* one read buffer for the event loop, which runs on one domain:
+       [feed] copies each read's bytes out before the next read *)
+    let buf = Bytes.create 65536 in
     let read_conn id conn =
-      let buf = Bytes.create 65536 in
       let rec go () =
         match Unix.read conn.c_fd buf 0 (Bytes.length buf) with
         | 0 -> conn.c_eof <- true
@@ -356,9 +358,8 @@ let listen cfg ?cache ?drain:dtoken ?on_ready ~load_model () =
       end
     in
     let drain_wake () =
-      let buf = Bytes.create 512 in
       let rec go () =
-        match Unix.read wake_rd buf 0 512 with
+        match Unix.read wake_rd buf 0 (Bytes.length buf) with
         | 0 -> ()
         | _ -> go ()
         | exception Unix.Unix_error _ -> ()

@@ -54,10 +54,11 @@ val budget_dominates : cached:budget -> requested:budget -> bool
 (** The reuse rule above. *)
 val reusable : t -> requested:budget -> bool
 
-(** The wire form of an outcome and of search statistics: the bytes of
-    [.psve] entries, [psv serve] responses and [psv check --json]
-    rows. *)
+(** The wire form of an outcome, a sup and search statistics: the bytes
+    of [.psve] entries, [psv serve] responses, [psv check --json] rows,
+    [psv verify --json] and [psv sweep-schemes] documents. *)
 val outcome_to_json : Mc.Query.outcome -> Json.t
+val sup_to_json : Mc.Explorer.sup_result -> Json.t
 val stats_to_json : Mc.Explorer.stats -> Json.t
 
 val to_json : t -> Json.t

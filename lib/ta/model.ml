@@ -142,9 +142,10 @@ let validate net =
   let clock_known c = List.mem c net.net_clocks in
   let var_known v = List.mem_assoc v net.net_vars in
   let chan_known c = List.mem_assoc c net.net_channels in
-  let check_clockcons owner atoms =
+  (* [where] prints a problem's owner: a valid network formats no names *)
+  let check_clockcons where atoms =
     List.iter
-      (fun c -> if not (clock_known c) then fail "%s: unknown clock %S" owner c)
+      (fun c -> if not (clock_known c) then fail "%t: unknown clock %S" where c)
       (Clockcons.clocks atoms);
     (* Maximal-constant extrapolation is unsound in the presence of
        diagonal constraints, so the model layer forbids them; the zone
@@ -154,21 +155,21 @@ let validate net =
         match atom with
         | Clockcons.Diff (x, y, _, _) ->
           fail
-            "%s: diagonal constraint on %s - %s; diagonal guards and \
+            "%t: diagonal constraint on %s - %s; diagonal guards and \
              invariants are not supported (extrapolation would be unsound)"
-            owner x y
+            where x y
         | Clockcons.Simple _ -> ())
       atoms;
     List.iter
       (fun (Clockcons.Simple (_, _, n) | Clockcons.Diff (_, _, _, n)) ->
         if n > Clockcons.max_constant || n < - Clockcons.max_constant then
-          fail "%s: clock constant %d exceeds %d in magnitude" owner n
+          fail "%t: clock constant %d exceeds %d in magnitude" where n
             Clockcons.max_constant)
       atoms
   in
-  let check_pred owner p =
+  let check_pred where p =
     List.iter
-      (fun v -> if not (var_known v) then fail "%s: unknown variable %S" owner v)
+      (fun v -> if not (var_known v) then fail "%t: unknown variable %S" where v)
       (Expr.vars_of_pred p)
   in
   let check_automaton a =
@@ -177,37 +178,36 @@ let validate net =
     List.iter (fail "%s: duplicate location %S" owner) (duplicates loc_names);
     if not (List.mem a.aut_initial loc_names) then
       fail "%s: initial location %S undeclared" owner a.aut_initial;
-    List.iter
-      (fun l -> check_clockcons (owner ^ "." ^ l.loc_name) l.loc_inv)
-      a.aut_locations;
+    let at l ppf = Fmt.pf ppf "%s.%s" owner l.loc_name in
+    List.iter (fun l -> check_clockcons (at l) l.loc_inv) a.aut_locations;
     let check_edge e =
-      let where = Fmt.str "%s: %s -> %s" owner e.edge_src e.edge_dst in
+      let where ppf = Fmt.pf ppf "%s: %s -> %s" owner e.edge_src e.edge_dst in
       if not (List.mem e.edge_src loc_names) then
-        fail "%s: unknown source location" where;
+        fail "%t: unknown source location" where;
       if not (List.mem e.edge_dst loc_names) then
-        fail "%s: unknown target location" where;
+        fail "%t: unknown target location" where;
       check_clockcons where e.edge_guard;
       check_pred where e.edge_pred;
       List.iter
-        (fun c -> if not (clock_known c) then fail "%s: resets unknown clock %S" where c)
+        (fun c -> if not (clock_known c) then fail "%t: resets unknown clock %S" where c)
         e.edge_resets;
       List.iter
         (fun (v, rhs) ->
-          if not (var_known v) then fail "%s: assigns unknown variable %S" where v;
+          if not (var_known v) then fail "%t: assigns unknown variable %S" where v;
           List.iter
-            (fun u -> if not (var_known u) then fail "%s: unknown variable %S" where u)
+            (fun u -> if not (var_known u) then fail "%t: unknown variable %S" where u)
             (Expr.vars_of_expr rhs))
         e.edge_updates;
       (match e.edge_sync with
        | Tau -> ()
        | Send c | Recv c ->
-         if not (chan_known c) then fail "%s: unknown channel %S" where c);
+         if not (chan_known c) then fail "%t: unknown channel %S" where c);
       (match e.edge_sync with
        | Recv c
          when chan_known c
               && channel_kind net c = Broadcast
               && e.edge_guard <> [] ->
-         fail "%s: broadcast receive on %S must not have a clock guard" where c
+         fail "%t: broadcast receive on %S must not have a clock guard" where c
        | Recv _ | Send _ | Tau -> ())
     in
     List.iter check_edge a.aut_edges

@@ -31,4 +31,5 @@ let () =
       ("chaos-net", Chaos_net.suite);
       ("incr", Test_incr.suite);
       ("chaos-incr", Chaos_incr.suite);
-      ("diff", Test_diff.suite) ]
+      ("diff", Test_diff.suite);
+      ("cli", Cli.suite) ]

@@ -58,6 +58,17 @@ let test_validate_unknown_channel () =
   expect_problem (fun net -> { net with Model.net_channels = [] })
     "unknown channel"
 
+(* Whole messages, owner prefix included: a location problem is owned
+   by "automaton.location", an edge problem by "automaton: src -> dst". *)
+let test_validate_full_text () =
+  let net = { (valid_net ()) with Model.net_clocks = [] } in
+  Alcotest.(check (list string))
+    "problems"
+    [ {|A.L0: unknown clock "x"|};
+      {|A: L0 -> L1: unknown clock "x"|};
+      {|A: L0 -> L1: resets unknown clock "x"|} ]
+    (Model.validate net)
+
 let test_validate_bad_initial () =
   expect_problem
     (fun net ->
@@ -200,4 +211,6 @@ let suite =
     Alcotest.test_case "size" `Quick test_size;
     Alcotest.test_case "channel kind" `Quick test_channel_kind;
     Alcotest.test_case "add automata" `Quick test_add_automata;
-    Alcotest.test_case "flag bounds" `Quick test_flag_bounds ]
+    Alcotest.test_case "flag bounds" `Quick test_flag_bounds;
+    Alcotest.test_case "validate: full problem text" `Quick
+      test_validate_full_text ]
