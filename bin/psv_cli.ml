@@ -231,16 +231,6 @@ let cache_arg =
                  under any budget; $(i,unknown) results only when the \
                  stored run's budget covers the requested one.")
 
-let store_retries_arg =
-  Arg.(value & opt int 2
-       & info [ "store-retries" ] ~docv:"N"
-           ~doc:"Retry budget for store reads/writes: each faulting \
-                 operation is retried up to $(docv) times with \
-                 exponential backoff before counting as a store error \
-                 (default 2; 0 disables retries).  Persistent errors \
-                 trip the cache into degraded mode — queries compute \
-                 from scratch instead of failing.")
-
 let delta_arg =
   Arg.(value & flag
        & info [ "delta" ]
@@ -255,12 +245,11 @@ let delta_arg =
 
 (* open (creating if needed) the --cache store; corrupt entries warn on
    stderr so --json output on stdout stays byte-stable *)
-let open_cache ?(retries = 2) cache =
+let open_cache cache =
   match cache with
   | None -> None
   | Some dir -> (
-    let retry = Fault.Retry.with_attempts (retries + 1) in
-    match Store.Disk.open_ ~retry dir with
+    match Store.Disk.open_ dir with
     | Ok disk -> Some (Analysis.Qcache.make disk)
     | Error msg -> die "--cache: %s" msg)
 
@@ -378,7 +367,7 @@ let verify_cmd =
              ~doc:"Emit the verdict and exploration statistics as JSON.")
   in
   let run file trigger response bound ceiling budget checkpoint resume json
-      cache delta store_retries =
+      cache delta =
     let bound = Option.map (clock_constant "--bound") bound in
     (* with --bound the sup ceiling is the bound itself: the check is
        exact and a partial sup can already refute it *)
@@ -388,7 +377,7 @@ let verify_cmd =
     if resume <> None && cache <> None then
       die "--resume and --cache are exclusive (a resumed search must \
            explore, not answer from the store)";
-    let cache = open_cache ~retries:store_retries cache in
+    let cache = open_cache cache in
     let net = load_network file in
     let resume_snap = Option.map load_resume resume in
     let ctl = make_ctl budget in
@@ -491,8 +480,7 @@ let verify_cmd =
              (interrupted by a budget or ^C), 3 usage or parse error, \
              4 proved but the $(b,--cache) store was degraded.")
     Term.(const run $ file $ trigger $ response $ bound $ ceiling
-          $ budget_term $ checkpoint $ resume $ json $ cache_arg $ delta_arg
-          $ store_retries_arg)
+          $ budget_term $ checkpoint $ resume $ json $ cache_arg $ delta_arg)
 
 (* --- query ---------------------------------------------------------------- *)
 
@@ -507,8 +495,8 @@ let query_cmd =
              ~doc:"E<> PRED | A[] PRED | sup: CHAN -> CHAN [ceiling N] | \
                    bounded: CHAN -> CHAN within N")
   in
-  let run file query budget cache delta store_retries =
-    let cache = open_cache ~retries:store_retries cache in
+  let run file query budget cache delta =
+    let cache = open_cache cache in
     let net = load_network file in
     match Mc.Query.parse query with
     | Error msg -> die "query: %s" msg
@@ -542,8 +530,7 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:"Evaluate an UPPAAL-style query on a .xta model.  Exit codes: \
              0 holds, 1 fails, 2 unknown, 3 usage or parse error.")
-    Term.(const run $ file $ query $ budget_term $ cache_arg $ delta_arg
-          $ store_retries_arg)
+    Term.(const run $ file $ query $ budget_term $ cache_arg $ delta_arg)
 
 (* --- check (batch queries) -------------------------------------------------- *)
 
@@ -566,11 +553,11 @@ let check_cmd =
                    (no wall times), so a warm $(b,--cache) run reproduces \
                    a cold run byte for byte.")
   in
-  let run model queries jobs budget cache json delta store_retries =
+  let run model queries jobs budget cache json delta =
     let jobs = check_jobs jobs in
     if delta && jobs > 1 then
       die "--delta answers one query at a time; drop --jobs";
-    let cache = open_cache ~retries:store_retries cache in
+    let cache = open_cache cache in
     let route =
       answer_route ~cache ~tag:model (if delta then `Delta else `Plain)
     in
@@ -678,7 +665,7 @@ let check_cmd =
              degraded (circuit breaker tripped; some answers computed \
              without the cache).")
     Term.(const run $ model $ queries $ jobs_arg $ budget_term $ cache_arg
-          $ json_arg $ delta_arg $ store_retries_arg)
+          $ json_arg $ delta_arg)
 
 (* --- watch (poll the model file, re-verify incrementally) ---------------- *)
 
@@ -705,9 +692,9 @@ let watch_cmd =
                    run not counted) — for scripts and CI smoke tests.  \
                    Default: watch until interrupted.")
   in
-  let run file qtexts poll_ms max_edits budget cache store_retries =
+  let run file qtexts poll_ms max_edits budget cache =
     if poll_ms <= 0 then die "--poll-ms must be positive";
-    let cache = open_cache ~retries:store_retries cache in
+    let cache = open_cache cache in
     let queries =
       List.map
         (fun text ->
@@ -788,7 +775,7 @@ let watch_cmd =
              Exit codes: 0 after $(b,--max-edits) edits, 2 interrupted \
              by ^C, 3 usage or parse error.")
     Term.(const run $ file $ queries $ poll_ms $ max_edits $ budget_term
-          $ cache_arg $ store_retries_arg)
+          $ cache_arg)
 
 (* --- sweep-schemes (grid sweep with analytic prefilter) ----------------- *)
 
@@ -928,12 +915,6 @@ let sweep_schemes_cmd =
                    point and compare verdicts; any disagreement is \
                    reported and exits 1.  0 disables auditing.")
   in
-  let batch_arg =
-    Arg.(value & opt int 4096
-         & info [ "batch" ] ~docv:"N"
-             ~doc:"Points decoded and classified per batch (bounds \
-                   memory; the grid itself is never materialised).")
-  in
   let points_out_arg =
     Arg.(value & opt (some string) None
          & info [ "points-out" ] ~docv:"FILE"
@@ -946,8 +927,8 @@ let sweep_schemes_cmd =
              ~doc:"Emit the summary as one JSON object on stdout instead \
                    of the table.")
   in
-  let run axes space req limit no_prefilter audit batch points_out json jobs
-      budget cache store_retries =
+  let run axes space req limit no_prefilter audit points_out json jobs
+      budget cache =
     if axes = [] then
       die "no --axis given (e.g. --axis period=10..80/10 --axis mech=0,1)";
     let base =
@@ -982,9 +963,8 @@ let sweep_schemes_cmd =
       | None -> Gpca.Sweep_space.default_req base
     in
     if audit < 0 then die "--audit must be non-negative";
-    if batch < 1 then die "--batch must be at least 1";
     let jobs = check_jobs jobs in
-    let cache = open_cache ~retries:store_retries cache in
+    let cache = open_cache cache in
     let ctl = make_ctl budget in
     let points = Scheme.Grid.cardinality grid in
     Fmt.epr "sweep: %d points (%s), req %d, prefilter %s@." points
@@ -1001,7 +981,6 @@ let sweep_schemes_cmd =
         sw_limit = Some limit;
         sw_ctl = Some ctl;
         sw_cache = cache;
-        sw_batch = batch;
         sw_audit = audit }
     in
     run_sweep_engine ~cfg ~points
@@ -1026,8 +1005,8 @@ let sweep_schemes_cmd =
              analytic verdict, 2 some points interrupted, 3 usage error, \
              4 complete but the store was degraded.")
     Term.(const run $ axis_arg $ space_arg $ req_arg $ limit_arg
-          $ no_prefilter_arg $ audit_arg $ batch_arg $ points_out_arg
-          $ json_arg $ jobs_arg $ budget_term $ cache_arg $ store_retries_arg)
+          $ no_prefilter_arg $ audit_arg $ points_out_arg $ json_arg
+          $ jobs_arg $ budget_term $ cache_arg)
 
 (* --- trace ----------------------------------------------------------------- *)
 
@@ -1164,8 +1143,10 @@ let bounds_cmd =
 
 (* --- simulate ------------------------------------------------------------ *)
 
-(* fault spec syntax: JITTER:DROP:DUP (floats; see Sim.Engine.faults) *)
-let parse_faults_spec ~seed spec =
+(* fault spec syntax: JITTER:DROP:DUP (floats; see Sim.Engine.faults).
+   The fault stream keeps the engine's own seed (7), independent of
+   --seed. *)
+let parse_faults_spec spec =
   let float_field ~field s =
     match float_of_string_opt (String.trim s) with
     | Some v -> v
@@ -1175,7 +1156,7 @@ let parse_faults_spec ~seed spec =
   match String.split_on_char ':' spec with
   | [ j; dr; du ] -> (
     try
-      Sim.Engine.faults ~seed ~jitter:(float_field ~field:"JITTER" j)
+      Sim.Engine.faults ~jitter:(float_field ~field:"JITTER" j)
         ~drop:(float_field ~field:"DROP" dr)
         ~dup:(float_field ~field:"DUP" du) ()
     with Invalid_argument msg -> die "%s" msg)
@@ -1190,12 +1171,7 @@ let simulate_cmd =
                    with probability DROP or duplicated with probability \
                    DUP.  Example: 0.5:0.1:0.1.")
   in
-  let fault_seed_arg =
-    Arg.(value & opt int 7
-         & info [ "fault-seed" ] ~docv:"N"
-             ~doc:"Seed of the fault stream (independent of --seed).")
-  in
-  let run seed scenarios faults_spec fault_seed =
+  let run seed scenarios faults_spec =
     match faults_spec with
     | None ->
       let m = Gpca.Experiment.measure ~scenarios ~seed Gpca.Params.default in
@@ -1210,7 +1186,7 @@ let simulate_cmd =
     | Some spec ->
       (* degraded platform: samples may be lost, so aggregate whatever
          completes instead of demanding one full observation per run *)
-      let faults = parse_faults_spec ~seed:fault_seed spec in
+      let faults = parse_faults_spec spec in
       let p = Gpca.Params.default in
       let rng = Sim.Rng.create seed in
       let mc = ref [] and inp = ref [] and outp = ref [] in
@@ -1261,7 +1237,7 @@ let simulate_cmd =
     (Cmd.info "simulate"
        ~doc:"Run the simulated GPCA implementation and measure delays, \
              optionally under an injected fault profile.")
-    Term.(const run $ seed_arg $ scenarios_arg $ faults_arg $ fault_seed_arg)
+    Term.(const run $ seed_arg $ scenarios_arg $ faults_arg)
 
 (* --- fuzz ---------------------------------------------------------------- *)
 
@@ -1299,11 +1275,6 @@ let fuzz_cmd =
                    (syntax as $(b,psv simulate --faults)).  Faults only \
                    ever stretch delays, so the analytic floor must still \
                    hold; the sup-side comparison is skipped.")
-  in
-  let sim_fault_seed_arg =
-    Arg.(value & opt int 7
-         & info [ "sim-fault-seed" ] ~docv:"N"
-             ~doc:"Seed of the fault stream (independent of --seed).")
   in
   let shrink_arg =
     Arg.(value & flag
@@ -1343,8 +1314,8 @@ let fuzz_cmd =
                    end to end.  The injected bug is caught as an xta \
                    discrepancy.")
   in
-  let run seed count jobs shapes scenarios faults_spec fault_seed shrink
-      corpus cache json out skew store_retries =
+  let run seed count jobs shapes scenarios faults_spec shrink corpus cache
+      json out skew =
     if count <= 0 then die "--count must be positive";
     if jobs <= 0 then die "--jobs must be at least 1";
     if scenarios < 0 then die "--scenarios must be at least 0";
@@ -1361,10 +1332,8 @@ let fuzz_cmd =
           (String.split_on_char ',' shapes)
     in
     if shapes = [] then die "--shapes must name at least one shape";
-    let cache = open_cache ~retries:store_retries cache in
-    let sim_faults =
-      Option.map (parse_faults_spec ~seed:fault_seed) faults_spec
-    in
+    let cache = open_cache cache in
+    let sim_faults = Option.map parse_faults_spec faults_spec in
     let cfg =
       { Diff.Oracle.jobs;
         scenarios;
@@ -1573,9 +1542,8 @@ let fuzz_cmd =
              discrepancy, 3 usage error, 4 consistent but the store \
              was degraded.")
     Term.(const run $ seed_arg $ count_arg $ fuzz_jobs_arg $ shapes_arg
-          $ fuzz_scenarios_arg $ sim_faults_arg $ sim_fault_seed_arg
-          $ shrink_arg $ corpus_arg $ cache_arg $ json_arg $ out_arg
-          $ skew_arg $ store_retries_arg)
+          $ fuzz_scenarios_arg $ sim_faults_arg $ shrink_arg $ corpus_arg
+          $ cache_arg $ json_arg $ out_arg $ skew_arg)
 
 (* --- codegen ----------------------------------------------------------------- *)
 
@@ -1657,7 +1625,7 @@ let export_cmd =
 (* maintenance never creates: pointing these at a directory without the
    store marker is an error, not an invitation to scan (or gc!) it *)
 let open_store_or_die dir =
-  match Store.Disk.open_existing dir with
+  match Store.Disk.open_ ~create:false dir with
   | Ok store -> store
   | Error msg -> die "%s" msg
 
@@ -1833,10 +1801,10 @@ let serve_cmd =
                    long-lived server is asked about many distinct model \
                    files.")
   in
-  let run jobs cache budget request_timeout max_errors store_retries listen
+  let run jobs cache budget request_timeout max_errors listen
       queue max_conns max_inflight read_deadline model_cache =
     let jobs = check_jobs jobs in
-    let cache = open_cache ~retries:store_retries cache in
+    let cache = open_cache cache in
     let budget = budget () in
     let request_timeout =
       Option.map
@@ -1934,7 +1902,7 @@ let serve_cmd =
            exit 2))
     | None ->
       let read_line =
-        Analysis.Serve.fd_line_reader
+        Analysis.Serve.fd_line_reader cfg
           ~draining:(fun () -> Analysis.Serve.draining drain)
           Unix.stdin
       in
@@ -1980,7 +1948,7 @@ let serve_cmd =
              that cannot bind), 4 degraded completion ($(b,--max-errors) \
              tripped, or the store circuit breaker opened).")
     Term.(const run $ jobs_arg $ cache_arg $ budget_term $ request_timeout_arg
-          $ max_errors_arg $ store_retries_arg $ listen_arg $ queue_arg
+          $ max_errors_arg $ listen_arg $ queue_arg
           $ max_conns_arg $ max_inflight_arg $ read_deadline_arg $ model_cache_arg)
 
 let main =

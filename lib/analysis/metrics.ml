@@ -14,14 +14,16 @@ type t = {
   m_mu : Mutex.t;
 }
 
-let create ?(ring = 1024) ?(now = Unix.gettimeofday) () =
+let ring_size = 1024
+
+let create ?(now = Unix.gettimeofday) () =
   { m_now = now;
     m_start = now ();
     m_received = Atomic.make 0;
     m_answered = Atomic.make 0;
     m_errors = Atomic.make 0;
     m_busy = Atomic.make 0;
-    m_ring = Array.make (max 16 ring) 0.;
+    m_ring = Array.make ring_size 0.;
     m_count = ref 0;
     m_mu = Mutex.create () }
 

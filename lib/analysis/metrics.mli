@@ -4,15 +4,14 @@
 
     All counters are atomic and the ring is mutex-guarded, so worker
     domains record while the event loop snapshots.  The ring keeps the
-    most recent [ring] latencies (default 1024): percentiles describe
+    most recent 1024 latencies: percentiles describe
     current behaviour, not the whole process lifetime, which is what an
     operator watching an overload wants. *)
 
 type t
 
-val create : ?ring:int -> ?now:(unit -> float) -> unit -> t
-(** [ring] is clamped to at least 16; [now] is injectable for
-    deterministic tests. *)
+val create : ?now:(unit -> float) -> unit -> t
+(** [now] is injectable for deterministic tests. *)
 
 val incr_received : t -> unit
 val incr_answered : t -> unit

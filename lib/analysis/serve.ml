@@ -126,7 +126,11 @@ let sanitize_utf8 s =
 
 (* --- fd line reader ------------------------------------------------------ *)
 
-let fd_line_reader ?(poll_s = 0.1) ?(cap_bytes = 8 lsl 20) ~draining fd =
+let fd_line_reader cfg ~draining fd =
+  (* the socket reader's rule ({!Netserve}): keep one byte past the
+     limit, so both front ends reject an over-long line with the same
+     length *)
+  let cap_bytes = cfg.sv_max_request_bytes + 1 in
   let acc = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
   let pending : string Queue.t = Queue.create () in
@@ -155,7 +159,7 @@ let fd_line_reader ?(poll_s = 0.1) ?(cap_bytes = 8 lsl 20) ~draining fd =
         else None
       else if draining () then None
       else begin
-        match Unix.select [ fd ] [] [] poll_s with
+        match Unix.select [ fd ] [] [] 0.1 with
         | [], _, _ -> next ()
         | _ -> (
           match Unix.read fd chunk 0 (Bytes.length chunk) with

@@ -71,19 +71,15 @@ val request_drain : drain -> unit
 val utf8_valid : string -> bool
 
 val fd_line_reader :
-  ?poll_s:float ->
-  ?cap_bytes:int ->
-  draining:(unit -> bool) ->
-  Unix.file_descr ->
-  unit ->
-  string option
+  config -> draining:(unit -> bool) -> Unix.file_descr -> unit -> string option
 (** A [read_line] callback over a file descriptor that polls the drain
-    flag every [poll_s] seconds (default 0.1) while waiting for input,
-    so a drain request interrupts a blocking read.  [None] on EOF or
-    drain.  Lines longer than [cap_bytes] (default 8 MiB) are truncated
-    to the cap while the remainder is consumed and discarded — the
+    flag every 0.1 s while waiting for input, so a drain request
+    interrupts a blocking read.  [None] on EOF or drain.  A line longer
+    than [sv_max_request_bytes] keeps its first [sv_max_request_bytes +
+    1] bytes while the remainder is consumed and discarded — the
     over-long request is then rejected by the loop's line validation,
-    with bounded memory. *)
+    with bounded memory and the same error document as {!Netserve}
+    gives it. *)
 
 (** {2 Wire protocol}
 

@@ -54,7 +54,6 @@ type config = {
   sw_limit : int option;
   sw_ctl : Mc.Runctl.t option;
   sw_cache : Qcache.t option;
-  sw_batch : int;
   sw_audit : int;
   sw_emit : (point_result -> unit) option;
 }
@@ -65,7 +64,6 @@ let default_config =
     sw_limit = None;
     sw_ctl = None;
     sw_cache = None;
-    sw_batch = 4096;
     sw_audit = 0;
     sw_emit = None }
 
@@ -192,6 +190,10 @@ let explore cfg sp =
   in
   (verdict, sup, interrupted)
 
+(* points decoded and classified at a time: bounds memory, since the
+   grid itself is never materialised *)
+let batch = 4096
+
 let run cfg ~points ~build =
   if points < 0 then invalid_arg "Sweep.run: negative point count";
   let t0 = Unix.gettimeofday () in
@@ -217,7 +219,6 @@ let run cfg ~points ~build =
      | Invalid -> incr invalid);
     match cfg.sw_emit with None -> () | Some emit -> emit pr
   in
-  let batch = max 1 cfg.sw_batch in
   let lo = ref 0 in
   while !lo < points do
     let hi = min points (!lo + batch) in

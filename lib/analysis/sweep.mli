@@ -72,7 +72,6 @@ type config = {
       (** budgets, applied per exploration ({!Mc.Runctl.sibling}), and
           cancellation of the whole sweep *)
   sw_cache : Qcache.t option;  (** persistent cross-run dedup *)
-  sw_batch : int;  (** points decoded and classified per batch *)
   sw_audit : int;
       (** also model check every [N]-th analytically decided point and
           compare verdicts; [0] disables auditing *)
@@ -81,7 +80,9 @@ type config = {
 }
 
 val default_config : config
-(** prefilter on, 1 job, batch 4096, no audit, no cache, no sink. *)
+(** prefilter on, 1 job, no audit, no cache, no sink.  Points are
+    decoded and classified 4096 at a time, so the grid itself is never
+    materialised. *)
 
 type outcome = {
   o_points : int;

@@ -27,5 +27,3 @@ let verify_response ?limit ?ctl net ~trigger ~response ~bound =
 
 let max_delay ?limit ?ctl ?resume net =
   Query.max_delay ?limit ?ctl ?resume net
-
-let transform = Transform.psm_of_pim

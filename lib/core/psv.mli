@@ -60,6 +60,3 @@ val max_delay :
   Model.network ->
   trigger:string -> response:string -> ceiling:int ->
   Mc.Explorer.sup_outcome
-
-(** Alias for {!Transform.psm_of_pim}. *)
-val transform : Pim.t -> Scheme.t -> Transform.psm

@@ -60,8 +60,6 @@ let open_ ?(io = Fault.Io.real) ?(retry = Fault.Retry.default) ?(create = true)
   end
   else Error (Printf.sprintf "%s does not exist" path)
 
-let open_existing ?io ?retry path = open_ ?io ?retry ~create:false path
-
 type 'a read =
   | Hit of 'a
   | Miss

@@ -44,7 +44,8 @@ val dir : t -> string
 
 (** [open_ ?io ?retry ?create dir] opens (by default creating) a store
     at [dir].  [Error] if the directory exists but is not a recognized
-    store, or — with [create:false] — if it does not exist.  [io]
+    store, or — with [create:false] — if it does not exist
+    ([create:false] is the guard behind [psv cache gc]).  [io]
     (default {!Fault.Io.real}) and [retry] (default
     {!Fault.Retry.default}) configure the host fault plane. *)
 val open_ :
@@ -53,11 +54,6 @@ val open_ :
   ?create:bool ->
   string ->
   (t, string) result
-
-(** [open_existing dir] never creates: [Error] unless [dir] is a
-    recognized store.  This is the guard behind [psv cache gc]. *)
-val open_existing :
-  ?io:Fault.Io.t -> ?retry:Fault.Retry.policy -> string -> (t, string) result
 
 type 'a read =
   | Hit of 'a

@@ -209,9 +209,12 @@ let float_repr f =
   if not (Float.is_finite f) then "null"
   else
     (* shortest %g form that round-trips; %g never emits a bare trailing
-       '.', so the result is always a valid JSON number *)
+       '.', so the result is always a valid JSON number.  An integral
+       value gets a ".0", so it parses back as a [Float], not an [Int]. *)
     let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    if String.exists (function '.' | 'e' -> true | _ -> false) s then s
+    else s ^ ".0"
 
 let to_string v =
   let buf = Buffer.create 256 in

@@ -22,8 +22,10 @@ type t =
     others [Float].  Errors carry a character offset. *)
 val parse : string -> (t, string) result
 
-(** Compact canonical rendering.  Non-finite floats render as [null]
-    (JSON has no representation for them). *)
+(** Compact canonical rendering.  A finite [Float] always carries a
+    fraction or an exponent ([48.0], not [48]), so it parses back as the
+    same [Float].  Non-finite floats render as [null] (JSON has no
+    representation for them). *)
 val to_string : t -> string
 
 (** [member name obj] is the value of field [name], [None] when absent

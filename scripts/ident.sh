@@ -7,7 +7,8 @@
 # compares: verify/query/check text and --json output, stderr cache: and
 # incr: lines (wall times stripped), watch output, serve answer and
 # error responses, store-entry payloads, .psvs session files, checkpoint
-# bytes and resume in both directions, and sweep points and summary.
+# bytes and resume in both directions, fault-injected simulate and fuzz
+# output, and sweep points and summary.
 # Stores written by one build are read by the other.  Prints one
 # MISMATCH line per difference and "ALL IDENTICAL" when there is none;
 # exits 0 then and 1 otherwise.  GRID=0 skips the 1280-point sweep.
@@ -59,11 +60,13 @@ cmp -s full.old res.old-of-new || bad "change snapshot under parent"
 cmp -s old.snap new.snap || bad "checkpoint snapshot bytes"
 
 # --- a store written by the parent answers the change ----------------------
+i=0
 for extra in "" "--bound 1430" "--bound 1000"; do
-  $OLD verify --cache xstore --json $extra $Q > x.old 2>/dev/null
-  $NEW verify --cache xstore --json $extra $Q > x.new 2> x.err
-  grep -q 'cache: 1 hits, 0 misses' x.err || bad "parent store miss: verify $extra"
-  cmp -s x.old x.new || bad "parent store answer: verify $extra"
+  i=$((i+1))
+  $OLD verify --cache xstore --json $extra $Q > x.$i.old 2>/dev/null
+  $NEW verify --cache xstore --json $extra $Q > x.$i.new 2> x.$i.err
+  grep -q 'cache: 1 hits, 0 misses' x.$i.err || bad "parent store miss: verify $extra"
+  cmp -s x.$i.old x.$i.new || bad "parent store answer: verify $extra"
 done
 
 # --- check --cache across builds, and entry payloads -----------------------
@@ -182,13 +185,27 @@ done
 cmp -s w.old w.new || bad "watch output"
 cmp -s w.err.old w.err.new || bad "watch stderr"
 
+# --- fault injection: simulate and fuzz draw the same fault stream ---------
+$OLD simulate --faults 0.5:0.1:0.1 --seed 3 > sim.old 2>&1
+$NEW simulate --faults 0.5:0.1:0.1 --seed 3 > sim.new 2>&1
+cmp -s sim.old sim.new || bad "simulate --faults"
+# per-instance "ms" and the summary's wall times stripped
+walls() {
+  sed -e 's/"ms":[0-9.e+-]*,//' -e 's/"wall_s":[0-9.e+-]*,"per_sec":[0-9.e+-]*,//' \
+    -e 's/,"wall_ms":[0-9.e+-]*//g' "$1"
+}
+$OLD fuzz --count 40 --sim-faults 0.3:0.1:0.1 --json > fz.old.raw 2>&1
+$NEW fuzz --count 40 --sim-faults 0.3:0.1:0.1 --json > fz.new.raw 2>&1
+walls fz.old.raw > fz.old; walls fz.new.raw > fz.new
+cmp -s fz.old fz.new || bad "fuzz --sim-faults json"
+
 # --- sweep-schemes: points and summary, and a parent store ---------------
 if [ "${GRID:-1}" = 1 ]; then
   AX="--axis period=20,40,60,80 --axis poll=5,10,20,80,120 --axis mech=0,1 --axis buffer=1,2 --axis policy=0,1 --axis signal=0,1 --axis in_dmax=2,5 --axis out_dmax=5,10"
   $OLD sweep-schemes $AX --jobs 2 --json --points-out p.old.ldjson > s.old.json 2>/dev/null
   $NEW sweep-schemes $AX --jobs 2 --json --points-out p.new.ldjson > s.new.json 2>/dev/null
   cmp -s p.old.ldjson p.new.ldjson || bad "sweep points"
-  sed 's/"wall_ms": [0-9.]*//' s.old.json > s.old.v; sed 's/"wall_ms": [0-9.]*//' s.new.json > s.new.v
+  sed 's/"wall_ms": *[0-9.e+-]*//' s.old.json > s.old.v; sed 's/"wall_ms": *[0-9.e+-]*//' s.new.json > s.new.v
   cmp -s s.old.v s.new.v || bad "sweep summary"
   $OLD sweep-schemes $AX --jobs 2 --cache gstore --json --points-out g.old.ldjson > /dev/null 2>&1
   $NEW sweep-schemes $AX --jobs 2 --cache gstore --json --points-out g.new.ldjson > /dev/null 2> g.err

@@ -214,6 +214,49 @@ let test_matches_batch () =
     (Alcotest.(check string) "batch and socket responses are byte-identical")
     batch_out socket_out
 
+(* --- an over-long line: one error document from both front ends ---------- *)
+
+(* 1 MiB + 100 bytes, 100 past the default limit.  The stdin reader
+   reads it from a file through [fd_line_reader]; both readers keep one
+   byte past the limit, so the error reports the same length. *)
+let test_overlong_line () =
+  let limit = Analysis.Serve.default_config.Analysis.Serve.sv_max_request_bytes in
+  let head = {|{"id": 1, "model": "m", "query": "|} and tail = {|"}|} in
+  let line =
+    head
+    ^ String.make (limit + 100 - String.length head - String.length tail) 'x'
+    ^ tail
+  in
+  let path = fresh_tmp "psv_chnet_long" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (line ^ "\n"));
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  let stdin_out = ref [] in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd; Sys.remove path)
+    (fun () ->
+      let read_line =
+        Analysis.Serve.fd_line_reader Analysis.Serve.default_config
+          ~draining:(fun () -> false) fd
+      in
+      ignore
+        (Analysis.Serve.run Analysis.Serve.default_config ~load_model ~read_line
+           ~write_line:(fun s -> stdin_out := s :: !stdin_out)
+           ()));
+  let _, socket_out =
+    with_server (fun path _drain ->
+        let cl = connect path in
+        Fun.protect
+          ~finally:(fun () -> close cl)
+          (fun () ->
+            send_line cl line;
+            recv_line cl))
+  in
+  Alcotest.(check (list string)) "stdin and socket answer alike" [ socket_out ]
+    !stdin_out;
+  let err = str (member "error" (parse_response socket_out)) in
+  if not (contains ~sub:(Printf.sprintf "(%d bytes; limit %d)" (limit + 1) limit) err)
+  then Alcotest.failf "unexpected error: %s" err
+
 (* --- many concurrent connections share the pool and the cache -------------- *)
 
 (* 4 and 8 clients: more connections than worker domains, all on one
@@ -710,6 +753,8 @@ let test_conn_limit () =
 let suite =
   [ Alcotest.test_case "batch and socket byte-identical" `Quick
       test_matches_batch;
+    Alcotest.test_case "over-long line: stdin and socket agree" `Quick
+      test_overlong_line;
     Alcotest.test_case "concurrent connections" `Quick test_concurrent_conns;
     Alcotest.test_case "disconnect mid-request" `Slow
       test_disconnect_mid_request;

@@ -124,6 +124,7 @@ let test_json_roundtrip () =
         ("n", Int (-42));
         ("big", Int max_int);
         ("f", Float 0.125);
+        ("whole", Float 48.);
         ("s", String "line\nquote\" back\\slash \t end");
         ("items", List [ Int 1; List []; Obj []; String "" ]) ]
   in
@@ -149,6 +150,27 @@ let test_json_errors () =
   match parse "  {\"a\": [1, 2.5]}  " with
   | Ok (Obj [ ("a", List [ Int 1; Float 2.5 ]) ]) -> ()
   | _ -> Alcotest.fail "whitespace / number kinds"
+
+(* A finite float prints back as the same [Float], bit for bit: an
+   integral one keeps a ".0" instead of reading back as an [Int]. *)
+let prop_json_float_roundtrip =
+  let gen =
+    let open QCheck.Gen in
+    frequency
+      [ (3, map float_of_int (oneof [ small_signed_int; int ]));
+        (3, float);
+        (1, map (fun (n, d) -> float_of_int n /. float_of_int (d + 1))
+              (pair small_signed_int small_nat));
+        (1, oneofl [ 0.; -0.; 48.; 1e15; 1e16; 1e17 +. 8.; 1e20; -1e300;
+                     Float.max_float; Float.min_float; 5e-324 ]) ]
+  in
+  QCheck.Test.make ~name:"json float round trip" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match Store.Json.parse (Store.Json.to_string (Store.Json.Float f)) with
+      | Ok (Store.Json.Float g) -> Int64.bits_of_float g = Int64.bits_of_float f
+      | Ok _ | Error _ -> false)
 
 (* --- Query.to_string ----------------------------------------------------- *)
 
@@ -419,12 +441,15 @@ let golden_budget =
     bg_time_s = Some 1.5;
     bg_mem_bytes = None }
 
-let golden_entry_bytes outcome_bytes =
+(* [created] as this build prints it; stores written by earlier builds
+   hold an integral float without its ".0" *)
+let golden_entry_bytes ?(created = "1700000000.0") outcome_bytes =
   {|{"key":"113d20b2d4221555ba4bcf1475b2109f","query":"E<> P.Busy","outcome":|}
   ^ outcome_bytes
   ^ {|,"stats":{"visited":10,"stored":8,"frontier":0},|}
   ^ {|"budget":{"limit":500000,"states":1000,"time_s":1.5,"mem_bytes":null},|}
-  ^ {|"provenance":{"tool":"psv/test","jobs":1,"wall_ms":12.5,"created":1700000000}}|}
+  ^ {|"provenance":{"tool":"psv/test","jobs":1,"wall_ms":12.5,"created":|}
+  ^ created ^ "}}"
 
 let test_entry_json_golden () =
   List.iter
@@ -436,19 +461,23 @@ let test_entry_json_golden () =
         (Store.Json.to_string (Store.Entry.to_json e)))
     entry_golden
 
-(* The other direction: the pinned bytes, as a store written by an
-   earlier build holds them, decode to the entry that wrote them. *)
+(* The other direction: the pinned bytes, as this build and a store
+   written by an earlier build hold them, decode to the entry that wrote
+   them. *)
 let test_entry_json_golden_decode () =
   List.iter
-    (fun (outcome, outcome_bytes) ->
-      let bytes = golden_entry_bytes outcome_bytes in
-      match Result.bind (Store.Json.parse bytes) Store.Entry.of_json with
-      | Ok e ->
-        Alcotest.check entry_eq outcome_bytes
-          (sample_entry ~outcome ~budget:golden_budget ())
-          e
-      | Error msg -> Alcotest.failf "%s: %s" outcome_bytes msg)
-    entry_golden
+    (fun created ->
+      List.iter
+        (fun (outcome, outcome_bytes) ->
+          let bytes = golden_entry_bytes ~created outcome_bytes in
+          match Result.bind (Store.Json.parse bytes) Store.Entry.of_json with
+          | Ok e ->
+            Alcotest.check entry_eq outcome_bytes
+              (sample_entry ~outcome ~budget:golden_budget ())
+              e
+          | Error msg -> Alcotest.failf "%s: %s" outcome_bytes msg)
+        entry_golden)
+    [ "1700000000.0"; "1700000000" ]
 
 let budget ?states ?time_s ?mem ?(limit = 1000) () =
   { Store.Entry.bg_limit = limit;
@@ -534,9 +563,9 @@ let test_disk_roundtrip () =
 
 let test_disk_recognition () =
   with_store_dir (fun dir ->
-      (match Store.Disk.open_existing dir with
+      (match Store.Disk.open_ ~create:false dir with
        | Error _ -> ()
-       | Ok _ -> Alcotest.fail "open_existing created a store");
+       | Ok _ -> Alcotest.fail "open_ ~create:false created a store");
       Unix.mkdir dir 0o755;
       let oc = open_out (Filename.concat dir "innocent.txt") in
       output_string oc "do not gc me";
@@ -1190,6 +1219,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_d128_matches_reference;
     Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json errors" `Quick test_json_errors;
+    QCheck_alcotest.to_alcotest prop_json_float_roundtrip;
     Alcotest.test_case "query to_string round-trip" `Quick
       test_query_to_string_roundtrip;
     Alcotest.test_case "key stable across print/parse" `Quick

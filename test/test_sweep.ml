@@ -134,7 +134,6 @@ let run_grid ?(wrap = Fun.id) ~prefilter ~audit () =
       Analysis.Sweep.sw_prefilter = prefilter;
       sw_limit = Some 300_000;
       sw_audit = audit;
-      sw_batch = 7;  (* force several partial batches *)
       sw_emit =
         Some
           (fun pr ->
@@ -194,6 +193,44 @@ let test_audit_catches_unsound_bound () =
   Alcotest.(check (list int)) "mismatches are the baseline's fails"
     (List.rev !fails)
     (List.map fst lied.Analysis.Sweep.o_audit_mismatches)
+
+(* Points are classified 4096 at a time.  The race grid's points
+   repeated past that boundary answer exactly as the grid itself does:
+   the key memo and the audit counter carry across batches, so no key
+   is explored twice and every emitted point comes in index order. *)
+let test_batch_boundary () =
+  let grid = grid_of race_axes in
+  let n = Scheme.Grid.cardinality grid in
+  let specs = Array.init n (Gpca.Sweep_space.build ~base:small ~req:150 grid) in
+  let one_vs, one = run_grid ~prefilter:true ~audit:1 () in
+  let points = 4096 + (2 * n) + 5 in
+  let emitted = ref [] in
+  let cfg =
+    { Analysis.Sweep.default_config with
+      Analysis.Sweep.sw_limit = Some 300_000;
+      sw_audit = 1;
+      sw_emit =
+        Some
+          (fun pr ->
+            emitted :=
+              (pr.Analysis.Sweep.pr_index, pr.Analysis.Sweep.pr_verdict)
+              :: !emitted) }
+  in
+  let o = Analysis.Sweep.run cfg ~points ~build:(fun i -> specs.(i mod n)) in
+  Alcotest.(check (list int)) "every point once, in index order"
+    (List.init points Fun.id)
+    (List.rev_map fst !emitted);
+  List.iter
+    (fun (i, v) ->
+      if v <> one_vs.(i mod n) then
+        Alcotest.failf "point %d: %s, its grid point %d: %s" i
+          (Analysis.Sweep.verdict_name v) (i mod n)
+          (Analysis.Sweep.verdict_name one_vs.(i mod n)))
+    !emitted;
+  Alcotest.(check int) "no key explored twice" one.Analysis.Sweep.o_mc_runs
+    o.Analysis.Sweep.o_mc_runs;
+  Alcotest.(check (list (pair int string))) "no audit mismatches" []
+    o.Analysis.Sweep.o_audit_mismatches
 
 let test_pareto_only_pass () =
   let _, pre = run_grid ~prefilter:true ~audit:0 () in
@@ -524,6 +561,8 @@ let suite =
       test_race_verdicts_agree;
     Alcotest.test_case "race: audit catches an unsound bound" `Slow
       test_audit_catches_unsound_bound;
+    Alcotest.test_case "race: batch boundary changes nothing" `Slow
+      test_batch_boundary;
     Alcotest.test_case "pareto: frontier invariants" `Slow
       test_pareto_only_pass;
     Alcotest.test_case "budget applies per point" `Quick
