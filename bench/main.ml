@@ -3,7 +3,8 @@
    Part 1 regenerates every evaluation artifact of the paper (Table I and
    the behavior shown in Figs. 1-6) plus the ablations of DESIGN.md,
    printing the rows/series; part 2 times the regeneration kernels with
-   Bechamel (one Test.make per experiment).
+   Bechamel (one Test.make per experiment).  It takes no arguments; the
+   Table-I explorer queries are timed by perfbench's table1 workload.
 
    Experiment ids follow DESIGN.md's per-experiment index:
      E1 Table I verified row          E5 Fig. 3 read-one vs read-all
@@ -285,15 +286,12 @@ let r1_fault_sweep () =
     float_of_int (Analysis.Bounds.input_delay_min scheme Gpca.Model.bolus_req)
   in
   let scenarios = 20 in
-  (* the fault seed varies per scenario: a single-stimulus scenario only
-     draws once from the fault stream, so a fixed seed would make every
-     scenario take the same drop/dup decision *)
-  let run_profile mk_faults =
+  let run_profile faults =
     let delays = ref [] and lost = ref 0 in
     for i = 0 to scenarios - 1 do
       let request_time = 100.0 +. (37.0 *. float_of_int i) in
       let config = Gpca.Experiment.scenario_config params ~request_time in
-      let log = Sim.Engine.run ~seed:(1 + i) ?faults:(mk_faults i) config in
+      let log = Sim.Engine.run ~seed:(1 + i) ?faults config in
       lost :=
         !lost
         + Sim.Measure.count log (function
@@ -311,8 +309,8 @@ let r1_fault_sweep () =
   in
   Fmt.pr "%-28s | %7s | %4s | %9s | %s@." "profile" "samples" "lost"
     "input-max" "min >= analytic min?";
-  let show label mk_faults =
-    let delays, lost = run_profile mk_faults in
+  let show label faults =
+    let delays, lost = run_profile faults in
     match Sim.Measure.stats_of delays with
     | Some st ->
       Fmt.pr "%-28s | %7d | %4d | %9.1f | %.1f >= %.0f: %b@." label
@@ -321,13 +319,13 @@ let r1_fault_sweep () =
         (st.Sim.Measure.st_min >= floor_in)
     | None -> Fmt.pr "%-28s | %7d | %4d | %9s | (no samples)@." label 0 lost "-"
   in
-  show "nominal" (fun _ -> None);
-  show "jitter 0.5" (fun i -> Some (Sim.Engine.faults ~seed:i ~jitter:0.5 ()));
-  show "jitter 2.0" (fun i -> Some (Sim.Engine.faults ~seed:i ~jitter:2.0 ()));
-  show "drop 0.2" (fun i -> Some (Sim.Engine.faults ~seed:i ~drop:0.2 ()));
-  show "dup 0.3" (fun i -> Some (Sim.Engine.faults ~seed:i ~dup:0.3 ()));
-  show "jitter 1.0 drop 0.1 dup 0.1" (fun i ->
-      Some (Sim.Engine.faults ~seed:i ~jitter:1.0 ~drop:0.1 ~dup:0.1 ()))
+  show "nominal" None;
+  show "jitter 0.5" (Some (Sim.Engine.faults ~jitter:0.5 ()));
+  show "jitter 2.0" (Some (Sim.Engine.faults ~jitter:2.0 ()));
+  show "drop 0.2" (Some (Sim.Engine.faults ~drop:0.2 ()));
+  show "dup 0.3" (Some (Sim.Engine.faults ~dup:0.3 ()));
+  show "jitter 1.0 drop 0.1 dup 0.1"
+    (Some (Sim.Engine.faults ~jitter:1.0 ~drop:0.1 ~dup:0.1 ()))
 
 (* ------------------------------------------------------ supplemental -- *)
 
@@ -339,280 +337,6 @@ let supplemental_requirements () =
       "(set PSV_BENCH_FULL=1 to also model-check the full-variant PSM;        ~2-4 minutes)@.";
   let s = Gpca.Experiment.supplemental ~verify_psm params in
   Fmt.pr "%a@." Gpca.Experiment.pp_supplemental s
-
-(* ------------------------------------------------- explorer bench -- *)
-
-(* Fixed explorer workload used to track zone-explorer performance over
-   time: the Table-I verified-bound queries on the infusion-pump models
-   plus the railroad gate-controller PSMs from examples/railroad.ml
-   (reconstructed here; examples are not a library).  [--json] runs only
-   this suite and emits one record per query with visited/stored state
-   counts and wall time, the format recorded in BENCH_explorer.json. *)
-
-let railroad_net ~headway =
-  let loc = Model.location and edge = Model.edge in
-  let controller =
-    Model.automaton ~name:"GateCtrl" ~initial:"Open"
-      [ loc "Open";
-        loc ~inv:[ Clockcons.le "g" 5 ] "Lowering";
-        loc "Closed" ]
-      [ edge ~sync:(Model.Recv "m_Train") ~resets:[ "g" ] "Open" "Lowering";
-        edge ~sync:(Model.Send "c_GateDown") "Lowering" "Closed";
-        edge ~sync:(Model.Recv "m_Clear") "Closed" "Open" ]
-  in
-  let track =
-    Model.automaton ~name:"Track" ~initial:"Away"
-      [ loc "Away";
-        loc "Approaching";
-        loc ~inv:[ Clockcons.le "t" 1_500 ] "Passing" ]
-      [ edge
-          ~guard:(if headway = 0 then [] else [ Clockcons.ge "t" headway ])
-          ~sync:(Model.Send "m_Train") ~resets:[ "t" ] "Away" "Approaching";
-        edge ~sync:(Model.Recv "c_GateDown") ~resets:[ "t" ] "Approaching"
-          "Passing";
-        edge
-          ~guard:[ Clockcons.ge "t" 1_000 ]
-          ~sync:(Model.Send "m_Clear") ~resets:[ "t" ] "Passing" "Away" ]
-  in
-  Model.network ~name:"railroad" ~clocks:[ "g"; "t" ] ~vars:[]
-    ~channels:
-      [ ("m_Train", Model.Broadcast);
-        ("m_Clear", Model.Broadcast);
-        ("c_GateDown", Model.Broadcast) ]
-    [ controller; track ]
-
-let railroad_psm ~headway ~invocation =
-  let pim =
-    Transform.Pim.make (railroad_net ~headway) ~software:"GateCtrl"
-      ~environment:"Track"
-  in
-  let scheme =
-    { Scheme.is_name = "ecu";
-      is_inputs =
-        [ ("m_Train", Scheme.interrupt_input (Scheme.delay 1 4));
-          ("m_Clear", Scheme.interrupt_input (Scheme.delay 1 4)) ];
-      is_outputs = [ ("c_GateDown", Scheme.pulse_output (Scheme.delay 5 20)) ];
-      is_input_comm = Scheme.Buffer (2, Scheme.Read_all);
-      is_output_comm = Scheme.Buffer (2, Scheme.Read_all);
-      is_invocation = invocation;
-      is_exec = { Scheme.wcet_min = 1; wcet_max = 8 } }
-  in
-  (Transform.psm_of_pim pim scheme).Transform.psm_net
-
-(* One sup query of the suite: a name for reporting, a thunk building
-   its network, and the boundary pair with its ceiling.  The cache rows
-   below route the identical query through {!Analysis.Qcache} as its
-   {!spec_query}. *)
-type spec = {
-  qs_name : string;
-  qs_net : unit -> Model.network;
-  qs_trigger : string;
-  qs_response : string;
-  qs_ceiling : int;
-}
-
-let spec name net ~trigger ~response ~ceiling =
-  { qs_name = name; qs_net = net; qs_trigger = trigger;
-    qs_response = response; qs_ceiling = ceiling }
-
-let spec_query q =
-  Mc.Query.Sup_delay
-    { trigger = q.qs_trigger; response = q.qs_response; ceiling = q.qs_ceiling }
-
-(* The Table-I PIM bound and the three PSM boundary delays, then the
-   railroad PSMs. *)
-let explorer_queries () =
-  let gpca_psm =
-    lazy (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params).Transform.psm_net
-  in
-  let gpca_ceiling = 2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc in
-  [ spec "gpca-pim-mc"
-      (fun () -> Gpca.Model.network ~variant:Gpca.Model.Bolus_only params)
-      ~trigger:Gpca.Model.bolus_req ~response:Gpca.Model.start_infusion
-      ~ceiling:1000;
-    spec "gpca-psm-input"
-      (fun () -> Lazy.force gpca_psm)
-      ~trigger:Gpca.Model.bolus_req
-      ~response:(Transform.Names.input_chan Gpca.Model.bolus_req)
-      ~ceiling:gpca_ceiling;
-    spec "gpca-psm-output"
-      (fun () -> Lazy.force gpca_psm)
-      ~trigger:(Transform.Names.output_chan Gpca.Model.start_infusion)
-      ~response:Gpca.Model.start_infusion ~ceiling:gpca_ceiling;
-    spec "gpca-psm-mc"
-      (fun () -> Lazy.force gpca_psm)
-      ~trigger:Gpca.Model.bolus_req ~response:Gpca.Model.start_infusion
-      ~ceiling:gpca_ceiling;
-    spec "railroad-psm-event"
-      (fun () -> railroad_psm ~headway:300 ~invocation:(Scheme.Aperiodic 0))
-      ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320;
-    spec "railroad-psm-periodic25"
-      (fun () -> railroad_psm ~headway:300 ~invocation:(Scheme.Periodic 25))
-      ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320;
-    spec "railroad-psm-race"
-      (fun () -> railroad_psm ~headway:0 ~invocation:(Scheme.Aperiodic 0))
-      ~trigger:"m_Train" ~response:"c_GateDown" ~ceiling:320 ]
-
-let run_spec q =
-  Mc.Query.max_delay (q.qs_net ()) ~trigger:q.qs_trigger
-    ~response:q.qs_response ~ceiling:q.qs_ceiling
-
-let json_string s = Store.Json.to_string (Store.Json.String s)
-
-let median l =
-  let a = Array.of_list (List.sort compare l) in
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
-(* [repeat] timed runs of one query: the result of the first run plus
-   median and min wall time, and the allocation of the first run, in MB
-   and in minor-heap words (allocation is deterministic per run
-   shape). *)
-let timed_runs ~repeat q =
-  let results =
-    List.init repeat (fun _ ->
-        let a0 = Gc.allocated_bytes () and w0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        let r = run_spec q in
-        let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-        let alloc_mb = (Gc.allocated_bytes () -. a0) /. 1048576.0 in
-        (r, wall_ms, (alloc_mb, Gc.minor_words () -. w0)))
-  in
-  let walls = List.map (fun (_, w, _) -> w) results in
-  let r, _, alloc = List.hd results in
-  (r, median walls, List.fold_left min infinity walls, alloc)
-
-(* Cold-vs-warm timing of one query through the persistent store: the
-   entry is evicted first, so the first governed run pays the search and
-   the insert, the second answers purely from disk. *)
-let cache_runs cache q =
-  let key = Analysis.Qcache.key (q.qs_net ()) (spec_query q) in
-  Store.Disk.remove (Analysis.Qcache.disk cache) key;
-  let timed () =
-    let t0 = Unix.gettimeofday () in
-    let r = Analysis.Qcache.eval cache (q.qs_net ()) (spec_query q) in
-    (r.Mc.Query.res_outcome, 1000.0 *. (Unix.gettimeofday () -. t0))
-  in
-  let cold_r, cold_ms = timed () in
-  let warm_r, warm_ms = timed () in
-  if warm_r <> cold_r then begin
-    Printf.eprintf "bench: %s: warm cache sup disagrees with cold run\n"
-      q.qs_name;
-    exit 1
-  end;
-  (cold_r, cold_ms, warm_ms)
-
-let explorer_bench_json ?path ?cache_dir ?faults ?(repeat = 1) () =
-  (* The output file is opened before the first query runs, so an
-     unwritable path fails in a moment, not after the whole suite. *)
-  let out =
-    Option.map
-      (fun p ->
-        try (p, open_out p)
-        with Sys_error msg -> prerr_endline ("bench: --json: " ^ msg); exit 3)
-      path
-  in
-  let cache =
-    Option.map
-      (fun dir ->
-        match Store.Disk.open_ dir with
-        | Ok disk -> Analysis.Qcache.make disk
-        | Error msg -> prerr_endline ("bench: --cache: " ^ msg); exit 3)
-      cache_dir
-  in
-  (* The fault column reruns the cache cold/warm pair against a second
-     store whose host I/O replays the given seeded schedule — same
-     queries, same budgets, sick disk.  The sup must not move. *)
-  let fault_cache =
-    match (faults, cache_dir) with
-    | None, _ -> None
-    | Some _, None ->
-      prerr_endline "bench: --faults needs --cache";
-      exit 3
-    | Some profile, Some dir ->
-      (* Lay the store out fault-free, then reopen it on the sick io so
-         the schedule only strikes the per-query read/write path. *)
-      let fdir = dir ^ "-faulted" in
-      (match Store.Disk.open_ fdir with
-       | Ok _ -> ()
-       | Error msg ->
-         prerr_endline ("bench: --faults store: " ^ msg);
-         exit 3);
-      let stats = Fault.Io.stats () in
-      let io = Fault.Io.inject ~stats profile Fault.Io.real in
-      let retry = Fault.Retry.with_attempts 6 in
-      (match Store.Disk.open_ ~io ~retry fdir with
-       | Ok disk -> Some (Analysis.Qcache.make ~warn:(fun _ -> ()) disk, stats)
-       | Error msg ->
-         prerr_endline ("bench: --faults store: " ^ msg);
-         exit 3)
-  in
-  let rows =
-    List.map
-      (fun q ->
-        let r, wall_ms, wall_min, (alloc_mb, minor_words) =
-          timed_runs ~repeat q
-        in
-        let stats = r.Mc.Explorer.so_stats in
-        let cache_cells =
-          match cache with
-          | None -> ""
-          | Some cache ->
-            let _, cold_ms, warm_ms = cache_runs cache q in
-            Printf.sprintf
-              ", \"cache_cold_ms\": %.1f, \"cache_warm_ms\": %.1f, \
-               \"cache_speedup\": %.1f"
-              cold_ms warm_ms (cold_ms /. warm_ms)
-        in
-        let fault_cells =
-          match fault_cache with
-          | None -> ""
-          | Some (fcache, fstats) ->
-            let before = Atomic.get fstats.Fault.Io.fs_faults in
-            let fr, fcold_ms, fwarm_ms = cache_runs fcache q in
-            if fr <> Mc.Query.Sup r.Mc.Explorer.so_sup then begin
-              Printf.eprintf
-                "bench: %s: sup under fault injection disagrees with the \
-                 clean run\n"
-                q.qs_name;
-              exit 1
-            end;
-            Printf.sprintf
-              ", \"fault_cold_ms\": %.1f, \"fault_warm_ms\": %.1f, \
-               \"fault_injected\": %d"
-              fcold_ms fwarm_ms
-              (Atomic.get fstats.Fault.Io.fs_faults - before)
-        in
-        Printf.sprintf
-          "    {\"name\": %s, \"visited\": %d, \"stored\": %d, \
-           \"wall_ms\": %.1f, \"wall_ms_min\": %.1f, \"repeat\": %d, \
-           \"alloc_mb\": %.1f, \"minor_words\": %.0f, \"result\": %s%s}"
-          (json_string q.qs_name) stats.Mc.Explorer.visited
-          stats.Mc.Explorer.stored wall_ms wall_min repeat alloc_mb minor_words
-          (json_string
-             (Fmt.str "%a" Mc.Explorer.pp_sup_result r.Mc.Explorer.so_sup))
-          (cache_cells ^ fault_cells))
-      (explorer_queries ())
-  in
-  let faults_field =
-    match faults with
-    | None -> ""
-    | Some p ->
-      Printf.sprintf "  \"faults\": %s,\n"
-        (json_string (Fault.Profile.to_string p))
-  in
-  let body =
-    Printf.sprintf
-      "{\n  \"suite\": \"explorer\",\n%s  \"queries\": [\n%s\n  ]\n}\n"
-      faults_field
-      (String.concat ",\n" rows)
-  in
-  (match out with
-   | None -> print_string body
-   | Some (p, oc) ->
-     output_string oc body;
-     close_out oc;
-     Printf.printf "wrote %s\n" p)
 
 (* ----------------------------------------------------- bechamel part -- *)
 
@@ -835,42 +559,11 @@ let bechamel_suite () =
     rows
 
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "--json" :: rest ->
-    let bad fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 3) fmt in
-    let int_arg flag s =
-      match int_of_string_opt s with
-      | Some n when n > 0 -> n
-      | Some _ | None -> bad "bench: bad %s %S" flag s
-    in
-    let path = ref None and repeat = ref 1 in
-    let cache_dir = ref None and faults = ref None in
-    let rec parse = function
-      | [] -> ()
-      | "--repeat" :: r :: rest ->
-        repeat := int_arg "--repeat" r;
-        parse rest
-      | "--cache" :: dir :: rest ->
-        cache_dir := Some dir;
-        parse rest
-      | "--faults" :: spec :: rest -> (
-        match Fault.Profile.parse spec with
-        | Ok p -> faults := Some p; parse rest
-        | Error msg -> bad "bench: %s" msg)
-      | [ ("--repeat" | "--cache" | "--faults") as flag ] ->
-        bad "bench: %s needs a value" flag
-      | flag :: _ when String.length flag > 1 && flag.[0] = '-' ->
-        bad "bench: unknown option %s" flag
-      | p :: rest -> (
-        match !path with
-        | None -> path := Some p; parse rest
-        | Some first ->
-          bad "bench: unexpected argument %s (output path already %s)" p first)
-    in
-    parse rest;
-    explorer_bench_json ?path:!path ?cache_dir:!cache_dir ?faults:!faults
-      ~repeat:!repeat ()
-  | _ ->
+  (match List.tl (Array.to_list Sys.argv) with
+   | [] -> ()
+   | arg :: _ ->
+     prerr_endline ("bench: unexpected argument " ^ arg ^ " (bench takes none)");
+     exit 3);
   e4_pim_verification ();
   e123_table1 ();
   e5_read_policies ();

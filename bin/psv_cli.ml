@@ -1144,8 +1144,8 @@ let bounds_cmd =
 (* --- simulate ------------------------------------------------------------ *)
 
 (* fault spec syntax: JITTER:DROP:DUP (floats; see Sim.Engine.faults).
-   The fault stream keeps the engine's own seed (7), independent of
-   --seed. *)
+   Each scenario's fault stream follows from that scenario's run seed,
+   so --seed moves it too. *)
 let parse_faults_spec spec =
   let float_field ~field s =
     match float_of_string_opt (String.trim s) with
@@ -1461,6 +1461,10 @@ let fuzz_cmd =
               ( "sup",
                 match v.Diff.Oracle.v_sup with
                 | Some s -> Int s
+                | None -> Null );
+              ( "sim_max",
+                match v.Diff.Oracle.v_sim_max with
+                | Some d -> Float d
                 | None -> Null );
               ("ms", Float v.Diff.Oracle.v_wall_ms);
               ( "discrepancies",

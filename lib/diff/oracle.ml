@@ -54,6 +54,7 @@ type verdict = {
   v_id : string;
   v_shape : Gen.shape;
   v_sup : int option;
+  v_sim_max : float option;
   v_discrepancies : discrepancy list;
   v_wall_ms : float;
 }
@@ -224,6 +225,7 @@ let sim_check cfg (inst : Gen.instance) (si : Gen.sim_info) ~sup add =
   let st =
     Random.State.make [| 0x51a4; inst.Gen.seed; inst.Gen.index |]
   in
+  let largest = ref None in
   for scenario = 0 to cfg.scenarios - 1 do
     let t = Random.State.float st phase_span in
     let sim_cfg =
@@ -243,6 +245,7 @@ let sim_check cfg (inst : Gen.instance) (si : Gen.sim_info) ~sup add =
         match Sim.Measure.mc_delay s with
         | None -> ()
         | Some d ->
+          largest := Some (Option.fold ~none:d ~some:(Float.max d) !largest);
           if d < float_of_int inst.Gen.floor -. 1e-9 then
             add Sim
               (Printf.sprintf "scenario %d measured %.3f below the floor %d"
@@ -256,7 +259,8 @@ let sim_check cfg (inst : Gen.instance) (si : Gen.sim_info) ~sup add =
           | _ -> ()))
       (Sim.Measure.samples log ~trigger:inst.Gen.trigger
          ~response:inst.Gen.response)
-  done
+  done;
+  !largest
 
 (* ------------------------------------------------------ the oracle -- *)
 
@@ -302,14 +306,17 @@ let run cfg (inst : Gen.instance) =
     add Bounded "within %d should fail (floor %d), got %s"
       (inst.Gen.floor - 1) inst.Gen.floor (outcome_str o));
   (* simulator measurement, last: it reads the sup *)
-  (match inst.Gen.sim with
-  | Some si when cfg.scenarios > 0 ->
-    sim_check cfg inst si
-      ~sup:(sup_of r1.Mc.Query.res_outcome)
-      (fun c detail -> add c "%s" detail)
-  | Some _ | None -> ());
+  let sim_max =
+    match inst.Gen.sim with
+    | Some si when cfg.scenarios > 0 ->
+      sim_check cfg inst si
+        ~sup:(sup_of r1.Mc.Query.res_outcome)
+        (fun c detail -> add c "%s" detail)
+    | Some _ | None -> None
+  in
   { v_id = inst.Gen.id;
     v_shape = inst.Gen.shape;
     v_sup = sup_of r1.Mc.Query.res_outcome;
+    v_sim_max = sim_max;
     v_discrepancies = List.rev !discs;
     v_wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) }

@@ -76,6 +76,9 @@ type verdict = {
   v_id : string;
   v_shape : Gen.shape;
   v_sup : int option;  (** the (unmutated) primary sup, when defined *)
+  v_sim_max : float option;
+      (** the sim check's largest measured M-C delay; [None] when the
+          sim answerer did not run or completed no sample *)
   v_discrepancies : discrepancy list;
   v_wall_ms : float;
 }

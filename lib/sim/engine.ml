@@ -28,13 +28,12 @@ type config = {
 }
 
 type faults = {
-  f_seed : int;
   f_delay_jitter : float;
   f_drop : float;
   f_dup : float;
 }
 
-let faults ?(seed = 7) ?(jitter = 0.0) ?(drop = 0.0) ?(dup = 0.0) () =
+let faults ?(jitter = 0.0) ?(drop = 0.0) ?(dup = 0.0) () =
   if jitter < 0.0 then invalid_arg "Engine.faults: jitter must be >= 0";
   let prob name p =
     if p < 0.0 || p > 1.0 then
@@ -42,7 +41,7 @@ let faults ?(seed = 7) ?(jitter = 0.0) ?(drop = 0.0) ?(dup = 0.0) () =
   in
   prob "drop" drop;
   prob "dup" dup;
-  { f_seed = seed; f_delay_jitter = jitter; f_drop = drop; f_dup = dup }
+  { f_delay_jitter = jitter; f_drop = drop; f_dup = dup }
 
 (* queued simulation events *)
 type sim_event =
@@ -99,11 +98,11 @@ let output_capacity scheme =
 
 let run ~seed ?faults config =
   let rng = Rng.create seed in
-  (* the fault stream has its own RNG so that [faults = None] is
-     draw-for-draw identical to the engine before fault injection
-     existed, and so that the same fault seed reproduces the same
-     degradation across different nominal seeds *)
-  let frng = Option.map (fun f -> (Rng.create f.f_seed, f)) faults in
+  (* the fault stream is split off a second generator on the same seed,
+     so [faults = None] is draw-for-draw identical to the engine before
+     fault injection existed, and runs on different seeds take
+     different drop/dup decisions *)
+  let frng = Option.map (fun f -> (Rng.split (Rng.create seed), f)) faults in
   let chance p =
     match frng with
     | Some (r, _) when p > 0.0 -> Rng.float01 r < p

@@ -53,7 +53,6 @@ type config = {
     ({!Analysis.Bounds.input_delay_min}) still hold under any profile —
     the property the fault-injection tests pin down. *)
 type faults = {
-  f_seed : int;          (** fault-stream RNG seed, independent of [~seed] *)
   f_delay_jitter : float;(** device delays stretched by up to this fraction *)
   f_drop : float;        (** probability an env sample is lost pre-device *)
   f_dup : float;         (** probability an env sample bounces (duplicates) *)
@@ -61,13 +60,13 @@ type faults = {
 
 (** [faults ()] builds a profile; raises [Invalid_argument] when
     [jitter < 0] or a probability is outside [[0, 1]]. *)
-val faults :
-  ?seed:int -> ?jitter:float -> ?drop:float -> ?dup:float -> unit -> faults
+val faults : ?jitter:float -> ?drop:float -> ?dup:float -> unit -> faults
 
 (** [run ~seed config] simulates one scenario and returns the event log
-    in time order.  Deterministic in [(seed, faults, config)]; with
-    [?faults] omitted the run is draw-for-draw identical to the engine
-    without fault injection. *)
+    in time order.  Deterministic in [(seed, faults, config)]: the fault
+    stream is derived from [seed] too, so each scenario of a multi-run
+    measurement draws its own faults.  With [?faults] omitted the run is
+    draw-for-draw identical to the engine without fault injection. *)
 val run : seed:int -> ?faults:faults -> config -> entry list
 
 val pp_entry : Format.formatter -> entry -> unit

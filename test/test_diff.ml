@@ -97,7 +97,16 @@ let test_oracle_clean_sweep () =
         Alcotest.(check int)
           (Printf.sprintf "%s clean" v.O.v_id)
           0
-          (List.length v.O.v_discrepancies)
+          (List.length v.O.v_discrepancies);
+        (* the sim answerer runs on psm-scheme instances only, and
+           fault-free it measures within the verified sup *)
+        match (shape, v.O.v_sim_max, v.O.v_sup) with
+        | G.Psm_scheme, Some d, Some s when d <= float_of_int s -> ()
+        | G.Psm_scheme, _, _ ->
+          Alcotest.failf "%s: no sim maximum within the sup" v.O.v_id
+        | _, None, _ -> ()
+        | _, Some _, _ ->
+          Alcotest.failf "%s: sim maximum off psm-scheme" v.O.v_id
       done)
     G.all_shapes
 
@@ -151,8 +160,9 @@ let with_cache f =
 
 (* A verdict as text *)
 let show_verdict v =
-  Printf.sprintf "%s sup=%s [%s]" v.O.v_id
+  Printf.sprintf "%s sup=%s sim=%s [%s]" v.O.v_id
     (match v.O.v_sup with Some s -> string_of_int s | None -> "-")
+    (match v.O.v_sim_max with Some d -> Printf.sprintf "%h" d | None -> "-")
     (String.concat "; "
        (List.map
           (fun d -> O.check_name d.O.d_check ^ ": " ^ d.O.d_detail)

@@ -25,7 +25,7 @@ let test_no_faults_identical () =
 
 let test_fault_determinism () =
   let config = config ~request_time:200.0 in
-  let faults = Sim.Engine.faults ~seed:11 ~jitter:0.7 ~drop:0.2 ~dup:0.2 () in
+  let faults = Sim.Engine.faults ~jitter:0.7 ~drop:0.2 ~dup:0.2 () in
   let a = Sim.Engine.run ~seed:5 ~faults config in
   let b = Sim.Engine.run ~seed:5 ~faults config in
   Alcotest.(check bool) "same seeds, same degraded log" true (a = b)
@@ -46,6 +46,28 @@ let test_drop_all () =
      = count_events log (function
          | Sim.Engine.Env_signal _ -> true
          | _ -> false))
+
+(* The fault stream follows the run's seed: one profile shared by many
+   single-stimulus scenarios must not make them all take the same
+   drop decision. *)
+let test_fault_stream_per_run () =
+  let faults = Sim.Engine.faults ~drop:0.5 () in
+  let lost = ref 0 in
+  for i = 0 to 199 do
+    let config = config ~request_time:(100.0 +. float_of_int (7 * i)) in
+    let log = Sim.Engine.run ~seed:(1000 * (i + 1)) ~faults config in
+    if
+      count_events log (function
+        | Sim.Engine.Input_lost _ -> true
+        | _ -> false)
+      > 0
+    then incr lost
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "some but not all of 200 scenarios lose their input (%d)"
+       !lost)
+    true
+    (!lost > 0 && !lost < 200)
 
 let test_builder_validates () =
   let invalid f =
@@ -70,7 +92,7 @@ let prop_input_delay_lower_bound =
       quad (float_bound_inclusive 1.0) (float_bound_inclusive 0.5)
         (float_bound_inclusive 0.5) small_nat)
     (fun (jitter, drop, dup, seed) ->
-      let faults = Sim.Engine.faults ~seed ~jitter ~drop ~dup () in
+      let faults = Sim.Engine.faults ~jitter ~drop ~dup () in
       let log =
         Sim.Engine.run ~seed:(seed + 1) ~faults
           (config ~request_time:(100.0 +. float_of_int (seed mod 50)))
@@ -93,6 +115,8 @@ let suite =
       test_fault_determinism;
     Alcotest.test_case "drop probability 1 loses every input" `Quick
       test_drop_all;
+    Alcotest.test_case "each run seed draws its own faults" `Quick
+      test_fault_stream_per_run;
     Alcotest.test_case "builder validates its arguments" `Quick
       test_builder_validates;
     QCheck_alcotest.to_alcotest prop_input_delay_lower_bound ]
