@@ -2,7 +2,8 @@
    verification framework.
 
    Subcommands:
-     table1         reproduce Table I of the paper (verify + simulate)
+     reproduce      reproduce the paper's evaluation (Table I, figures,
+                    ablations)
      verify         check or measure a response bound on a .xta model
      transform      build the PSM of a .xta PIM under a scheme
      bounds         print the analytic Lemma-1/2 bounds of a scheme
@@ -313,17 +314,16 @@ let output_arg =
   Arg.(value & opt (some string) None
        & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
 
-(* --- table1 ------------------------------------------------------------ *)
+(* --- reproduce --------------------------------------------------------- *)
 
-let table1_cmd =
-  let run seed scenarios =
-    let t = Gpca.Experiment.table1 ~scenarios ~seed Gpca.Params.default in
-    Fmt.pr "%a@." Gpca.Experiment.pp_table1 t
-  in
+let reproduce_cmd =
   Cmd.v
-    (Cmd.info "table1"
-       ~doc:"Reproduce Table I: verified PSM bounds vs simulated measurements.")
-    Term.(const run $ seed_arg $ scenarios_arg)
+    (Cmd.info "reproduce"
+       ~doc:"Reproduce the paper's evaluation: Table I, Figs. 1 and 3-6, \
+             the ablations, the fault sweep and the supplemental \
+             requirements.  Deterministic; test/reproduce.expected holds \
+             its output.")
+    Term.(const Reproduce.run $ const ())
 
 (* --- verify ------------------------------------------------------------ *)
 
@@ -1959,7 +1959,7 @@ let main =
   Cmd.group
     (Cmd.info "psv" ~version:"1.0.0"
        ~doc:"Platform-specific timing verification in model-based implementation.")
-    [ table1_cmd; verify_cmd; query_cmd; check_cmd; watch_cmd;
+    [ reproduce_cmd; verify_cmd; query_cmd; check_cmd; watch_cmd;
       sweep_schemes_cmd; serve_cmd; cache_cmd; trace_cmd; transform_cmd;
       codegen_cmd; bounds_cmd; simulate_cmd; fuzz_cmd; export_cmd ]
 

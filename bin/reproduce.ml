@@ -1,16 +1,14 @@
-(* Benchmark and reproduction harness.
-
-   Part 1 regenerates every evaluation artifact of the paper (Table I and
-   the behavior shown in Figs. 1-6) plus the ablations of DESIGN.md,
-   printing the rows/series; part 2 times the regeneration kernels with
-   Bechamel (one Test.make per experiment).  It takes no arguments; the
-   Table-I explorer queries are timed by perfbench's table1 workload.
+(* psv reproduce: every evaluation artifact of the paper (Table I and
+   the behavior shown in Figs. 1-6) plus the ablations of DESIGN.md, as
+   printed rows and series.  The output is deterministic; dune runtest
+   diffs it against test/reproduce.expected.
 
    Experiment ids follow DESIGN.md's per-experiment index:
      E1 Table I verified row          E5 Fig. 3 read-one vs read-all
      E2 Table I measured rows         E6 Fig. 4 PIM vs PSM behavior
      E3 REQ1 violation                E7 Fig. 5/6 constructed automata
-     E4 Fig. 1 PIM verification       A1-A3 ablations *)
+     E4 Fig. 1 PIM verification       A1-A3 ablations
+     R1 fault-injected simulations    S1 supplemental REQ2/REQ3 *)
 
 open Ta
 
@@ -113,7 +111,7 @@ let e5_read_policies () =
         log
     in
     Fmt.pr "%-10s inputs read at invocations: %a@." label
-      Fmt.(list ~sep:comma (fmt "%.0f"))
+      Fmt.(list ~sep:(any ", ") (fmt "%.0f"))
       reads
   in
   Fmt.pr "three pulses at 105/130/155; invocations every 100@.";
@@ -268,7 +266,9 @@ let a3_scheme_matrix () =
   describe "aperiodic(10), buffer(5) read-all"
     { scheme with Scheme.is_invocation = Scheme.Aperiodic 10 };
   Fmt.pr
-    "(aperiodic rows are analytic what-ifs: the transformation rejects      aperiodic invocation for the GPCA software, whose bolus preparation      waits on a clock)@."
+    "(aperiodic rows are analytic what-ifs: the transformation rejects \
+     aperiodic invocation for the GPCA software, whose bolus preparation \
+     waits on a clock)@."
 
 (* ---------------------------------------------------------------- R1 -- *)
 
@@ -331,239 +331,10 @@ let r1_fault_sweep () =
 
 let supplemental_requirements () =
   header "Supplemental: REQ2 (alarm) and REQ3 (pause) on the full GPCA";
-  let verify_psm = Sys.getenv_opt "PSV_BENCH_FULL" <> None in
-  if not verify_psm then
-    Fmt.pr
-      "(set PSV_BENCH_FULL=1 to also model-check the full-variant PSM;        ~2-4 minutes)@.";
-  let s = Gpca.Experiment.supplemental ~verify_psm params in
-  Fmt.pr "%a@." Gpca.Experiment.pp_supplemental s
+  Fmt.pr "%a@." Gpca.Experiment.pp_supplemental
+    (Gpca.Experiment.supplemental params)
 
-(* ----------------------------------------------------- bechamel part -- *)
-
-(* Zones for the DBM kernel rows: every 8th successor of the gpca-psm-mc
-   search (dim 9: eight clocks and the reference), as [fire_pre] recorded
-   it just before extrapolation, together with the search's ExtraM
-   constants.  Also the search's offers to its passed list, in order: the
-   initial state, then every non-empty successor, as (node, zone) with
-   the node an index into the returned discrete states. *)
-let gpca_mc_zones psm =
-  let ceiling =
-    2 * (Gpca.Experiment.analytic_bounds params).Gpca.Experiment.a_mc
-  in
-  let monitor =
-    Mc.Monitor.delay ~trigger:Gpca.Model.bolus_req
-      ~response:Gpca.Model.start_infusion ~clock:Mc.Query.delay_monitor_clock
-      ~ceiling ()
-  in
-  let t = Mc.Explorer.make ~monitor psm in
-  let k = (Mc.Explorer.compiled t).Compiled.c_max_consts in
-  let dim = Array.length k in
-  let fired = ref 0 and zones = ref [] in
-  let nodes = Hashtbl.create 64 and offers = ref [] in
-  let offer (st : Mc.Explorer.state) =
-    let key = (st.st_locs, st.st_vars, st.st_mon) in
-    let node =
-      match Hashtbl.find_opt nodes key with
-      | Some i -> i
-      | None ->
-        let i = Hashtbl.length nodes in
-        Hashtbl.replace nodes key i;
-        i
-    in
-    offers := (node, Zone.Dbm.copy st.st_zone) :: !offers
-  in
-  offer (Mc.Explorer.initial_state t);
-  let expand pool st =
-    List.map
-      (fun cd ->
-        incr fired;
-        (if !fired mod 8 = 0 then
-           match Mc.Explorer.fire_pre t pool st cd with
-           | Mc.Explorer.Fired_live { fl_state; fl_pre; _ } ->
-             Option.iter
-               (fun (s : Mc.Explorer.state) ->
-                 Zone.Dbm.Pool.release pool s.st_zone)
-               fl_state;
-             zones := Zone.Dbm.of_ints ~dim fl_pre :: !zones
-           | Mc.Explorer.Fired_dead -> ());
-        let succ = Mc.Explorer.fire t pool st cd in
-        Option.iter offer succ;
-        (cd, succ))
-      (Mc.Explorer.candidates t st)
-  in
-  ignore
-    (Mc.Explorer.sup_clock ~expand t
-       ~pred:(Mc.Explorer.mon_in t "Waiting")
-       ~clock:Mc.Query.delay_monitor_clock);
-  let discrete = Array.make (Hashtbl.length nodes) ([||], [||], 0) in
-  Hashtbl.iter (fun key i -> discrete.(i) <- key) nodes;
-  (Array.of_list (List.rev !zones), k, Array.of_list (List.rev !offers),
-   discrete)
-
-(* The recorded offers replayed, in order, into a fresh passed list:
-   one run is one whole replay, each zone through a pool copy as [fire]
-   would have made it.  [expanding] is -1 throughout: the replay never
-   reads a parent's zone again, so a subsumed parent may go back to the
-   pool.  The search's ExtraM constants [k] size the keys' lanes, as in
-   the search. *)
-let passed_replay k offers discrete =
-  let module P = Mc.Explorer.Passed in
-  let dim = Zone.Dbm.dim (snd offers.(0)) in
-  let pool = Zone.Dbm.Pool.create dim in
-  let state (locs, vars, mon) zone =
-    { Mc.Explorer.st_locs = locs; st_vars = vars; st_mon = mon;
-      st_zone = zone }
-  in
-  fun () ->
-    let p = P.create ~max_const:(Array.fold_left max 0 k) pool in
-    let nodes =
-      Array.mapi
-        (fun h d -> P.node ~hash:h (state d (Zone.Dbm.zero dim)))
-        discrete
-    in
-    let id = ref 0 in
-    Array.iter
-      (fun (node, z) ->
-        let st = state discrete.(node) (Zone.Dbm.Pool.copy pool z) in
-        match P.add p nodes.(node) ~expanding:(-1) ~id:!id st with
-        | Some _ -> incr id
-        | None -> ())
-      offers
-
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  let bolus_psm =
-    lazy (Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params)
-  in
-  let zones, k, offers, discrete =
-    gpca_mc_zones (Lazy.force bolus_psm).Transform.psm_net
-  in
-  let mib =
-    String.init (1 lsl 20) (fun i -> Char.chr ((i * 131 + i / 7) land 0xff))
-  in
-  (* Each run takes the next sampled zone through a pool, so the kernel
-     timings include a dim^2 copy.  A search's pooled matrices are
-     long-lived, so they sit in the major heap; the pool's one matrix is
-     promoted there first, so the copy costs what it costs in a search. *)
-  let on_zones kernel =
-    let pool = Zone.Dbm.Pool.create (Array.length k) and next = ref 0 in
-    Zone.Dbm.Pool.release pool (Zone.Dbm.copy zones.(0));
-    Gc.full_major ();
-    Staged.stage (fun () ->
-        let r = !next in
-        next := (r + 1) mod Array.length zones;
-        let z = Zone.Dbm.Pool.copy pool zones.(r) in
-        kernel r z;
-        Zone.Dbm.Pool.release pool z)
-  in
-  let tests =
-    [ Test.make ~name:"E1:verified-input-bound"
-        (Staged.stage (fun () ->
-             let psm = Lazy.force bolus_psm in
-             Mc.Query.max_delay psm.Transform.psm_net
-               ~trigger:Gpca.Model.bolus_req
-               ~response:(Transform.Names.input_chan Gpca.Model.bolus_req)
-               ~ceiling:2000));
-      Test.make ~name:"E2:one-scenario-sim"
-        (Staged.stage (fun () ->
-             let config =
-               Gpca.Experiment.scenario_config params ~request_time:123.0
-             in
-             Sim.Engine.run ~seed:9 config));
-      Test.make ~name:"E3:req1-check-pim"
-        (Staged.stage (fun () ->
-             Psv.verify_response
-               (Gpca.Model.network ~variant:Gpca.Model.Bolus_only params)
-               ~trigger:Gpca.Model.bolus_req
-               ~response:Gpca.Model.start_infusion ~bound:500));
-      Test.make ~name:"E5:read-policy-sim"
-        (Staged.stage (fun () -> e5_run Scheme.Read_one));
-      Test.make ~name:"E6:witness-trace"
-        (Staged.stage (fun () ->
-             let net =
-               Gpca.Model.network ~variant:Gpca.Model.Bolus_only params
-             in
-             let t = Mc.Explorer.make net in
-             Mc.Explorer.reachable t
-               (Mc.Explorer.at t ~aut:"Pump" ~loc:"Infusing")));
-      Test.make ~name:"E7:pim-to-psm-transform"
-        (Staged.stage (fun () ->
-             Gpca.Model.psm ~variant:Gpca.Model.Bolus_only params));
-      Test.make ~name:"A1:analytic-bounds"
-        (Staged.stage (fun () -> Gpca.Experiment.analytic_bounds params));
-      Test.make ~name:"E7b:codegen-c"
-        (Staged.stage (fun () ->
-             let pim = Gpca.Model.pim ~variant:Gpca.Model.Bolus_only params in
-             (Codegen.emit_header pim, Codegen.emit_source pim)));
-      Test.make ~name:"infra:query-parse"
-        (Staged.stage (fun () ->
-             Mc.Query.parse
-               "bounded: m_BolusReq -> c_StartInfusion within 500"));
-      Test.make ~name:"infra:dbm-ops"
-        (Staged.stage (fun () ->
-             let z = Zone.Dbm.zero 10 in
-             Zone.Dbm.up z;
-             for i = 1 to 9 do
-               Zone.Dbm.constrain z i 0 (Zone.Bound.le (10 * i))
-             done;
-             Zone.Dbm.reset z 3;
-             Zone.Dbm.extrapolate z
-               [| 0; 10; 20; 30; 40; 50; 60; 70; 80; 90 |]));
-      Test.make ~name:"infra:dbm-pool-copy" (on_zones (fun _ _ -> ()));
-      (* reported per offer, below *)
-      Test.make ~name:"infra:passed-add-gpca-mc"
-        (Staged.stage (passed_replay k offers discrete));
-      Test.make ~name:"infra:dbm-extrapolate-gpca-mc"
-        (on_zones (fun _ z -> Zone.Dbm.extrapolate z k));
-      (* A tightening constraint per zone: clock [1 + r mod 8]'s upper
-         bound pulled down to one above its lower bound. *)
-      Test.make ~name:"infra:dbm-constrain-gpca-mc"
-        (on_zones (fun r z ->
-             let i = 1 + (r mod (Array.length k - 1)) in
-             let lo, _ = Zone.Dbm.inf_clock z i in
-             Zone.Dbm.constrain z i 0 (Zone.Bound.le (lo + 1))));
-      Test.make ~name:"infra:xta-roundtrip"
-        (Staged.stage (fun () ->
-             let psm = Lazy.force bolus_psm in
-             let text = Xta.Print.to_string psm.Transform.psm_net in
-             Xta.Parse.network text));
-      Test.make ~name:"infra:d128-1mib"
-        (Staged.stage (fun () -> Store.D128.of_string mib)) ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:50 ~quota:(Time.second 2.0) ~stabilize:false ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"psv" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  header "Bechamel timings (per-run estimates)";
-  let rows =
-    Hashtbl.fold (fun name v acc -> (name, v) :: acc) results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, v) ->
-      match Analyze.OLS.estimates v with
-      | Some [ t ] when name = "psv/infra:passed-add-gpca-mc" ->
-        Fmt.pr "%-36s %14.0f ns/offer (%d offers)@." name
-          (t /. float (Array.length offers))
-          (Array.length offers)
-      | Some [ t ] -> Fmt.pr "%-36s %14.0f ns/run@." name t
-      | Some _ | None -> Fmt.pr "%-36s (no estimate)@." name)
-    rows
-
-let () =
-  (match List.tl (Array.to_list Sys.argv) with
-   | [] -> ()
-   | arg :: _ ->
-     prerr_endline ("bench: unexpected argument " ^ arg ^ " (bench takes none)");
-     exit 3);
+let run () =
   e4_pim_verification ();
   e123_table1 ();
   e5_read_policies ();
@@ -573,5 +344,4 @@ let () =
   a2_buffer_sweep ();
   a3_scheme_matrix ();
   r1_fault_sweep ();
-  supplemental_requirements ();
-  bechamel_suite ()
+  supplemental_requirements ()

@@ -148,10 +148,10 @@ let measure ?(scenarios = 60) ~seed p =
            mc_delays);
     m_scenarios = scenarios }
 
-let table1 ?scenarios ~seed p =
+let table1 ~seed p =
   { t_analytic = analytic_bounds p;
     t_verified = verified_bounds p;
-    t_measured = measure ?scenarios ~seed p }
+    t_measured = measure ~seed p }
 
 let pp_sup = Mc.Explorer.pp_sup_result
 
@@ -190,33 +190,25 @@ type supplemental = {
   sup_pause_pim : Mc.Explorer.sup_result;
   sup_alarm_analytic : int;
   sup_pause_analytic : int;
-  sup_alarm_psm : Mc.Explorer.sup_result option;
-  sup_pause_psm : Mc.Explorer.sup_result option;
+  sup_alarm_psm : Mc.Explorer.sup_result;
+  sup_pause_psm : Mc.Explorer.sup_result;
 }
 
-let supplemental ?(verify_psm = false) p =
+let supplemental p =
   let scheme = Params.scheme p in
   let pim_net = Model.network ~variant:Model.Full p in
   let pim_sup ~trigger ~response =
     (Mc.Query.max_delay pim_net ~trigger ~response ~ceiling:2000)
       .Mc.Explorer.so_sup
   in
+  let psm_net = (Model.psm ~variant:Model.Full p).Transform.psm_net in
+  let psm_sup ~trigger ~response =
+    (Mc.Query.max_delay ~limit:2_000_000 psm_net ~trigger ~response
+       ~ceiling:2000)
+      .Mc.Explorer.so_sup
+  in
   let analytic ~input ~output ~internal =
     Analysis.Bounds.relaxed_mc_delay scheme ~input ~output ~internal
-  in
-  let psm_sups =
-    if not verify_psm then (None, None)
-    else begin
-      let psm = Model.psm ~variant:Model.Full p in
-      let sup ~trigger ~response =
-        Some
-          ((Mc.Query.max_delay ~limit:2_000_000 psm.Transform.psm_net
-              ~trigger ~response ~ceiling:2000)
-             .Mc.Explorer.so_sup)
-      in
-      ( sup ~trigger:Model.empty_syringe ~response:Model.alarm,
-        sup ~trigger:Model.pause_req ~response:Model.pause_infusion )
-    end
   in
   { sup_alarm_pim = pim_sup ~trigger:Model.empty_syringe ~response:Model.alarm;
     sup_pause_pim =
@@ -227,16 +219,14 @@ let supplemental ?(verify_psm = false) p =
     sup_pause_analytic =
       analytic ~input:Model.pause_req ~output:Model.pause_infusion
         ~internal:p.Params.pause_max;
-    sup_alarm_psm = fst psm_sups;
-    sup_pause_psm = snd psm_sups }
+    sup_alarm_psm =
+      psm_sup ~trigger:Model.empty_syringe ~response:Model.alarm;
+    sup_pause_psm =
+      psm_sup ~trigger:Model.pause_req ~response:Model.pause_infusion }
 
 let pp_supplemental ppf s =
-  let pp_opt ppf = function
-    | Some sup -> pp_sup ppf sup
-    | None -> Fmt.string ppf "(skipped)"
-  in
   Fmt.pf ppf
     "@[<v>REQ2 empty-syringe -> alarm:  PIM %a | analytic %d | PSM %a@,\
      REQ3 pause request -> stopped: PIM %a | analytic %d | PSM %a@]"
-    pp_sup s.sup_alarm_pim s.sup_alarm_analytic pp_opt s.sup_alarm_psm
-    pp_sup s.sup_pause_pim s.sup_pause_analytic pp_opt s.sup_pause_psm
+    pp_sup s.sup_alarm_pim s.sup_alarm_analytic pp_sup s.sup_alarm_psm
+    pp_sup s.sup_pause_pim s.sup_pause_analytic pp_sup s.sup_pause_psm

@@ -56,8 +56,14 @@ let test_supplemental_pim_bounds () =
     s.Gpca.Experiment.sup_alarm_analytic;
   Alcotest.(check int) "pause analytic" 643
     s.Gpca.Experiment.sup_pause_analytic;
-  Alcotest.(check bool) "PSM skipped by default" true
-    (s.Gpca.Experiment.sup_alarm_psm = None)
+  (* the full-variant PSM: both chains relax to 643, the alarm's 50 under
+     its analytic sum *)
+  (match s.Gpca.Experiment.sup_alarm_psm with
+   | Mc.Explorer.Sup (643, false) -> ()
+   | r -> Alcotest.failf "alarm PSM bound: %a" Mc.Explorer.pp_sup_result r);
+  match s.Gpca.Experiment.sup_pause_psm with
+  | Mc.Explorer.Sup (643, false) -> ()
+  | r -> Alcotest.failf "pause PSM bound: %a" Mc.Explorer.pp_sup_result r
 
 let test_full_variant_pause_path () =
   let net = Gpca.Model.network ~variant:Gpca.Model.Full Gpca.Params.default in
