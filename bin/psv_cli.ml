@@ -5,6 +5,7 @@
      reproduce      reproduce the paper's evaluation (Table I, figures,
                     ablations)
      verify         check or measure a response bound on a .xta model
+     check          answer a file of queries, or -e queries, on a model
      transform      build the PSM of a .xta PIM under a scheme
      bounds         print the analytic Lemma-1/2 bounds of a scheme
      sweep-schemes  grid sweep of implementation schemes, analytic
@@ -12,11 +13,12 @@
      simulate       run the platform simulator on the GPCA case study
      export         write the GPCA PIM / PSM as .xta text
 
-   Exit codes (verify/query/check):
-     0  property proved / query holds / all queries pass
-     1  property refuted
+   Exit codes (verify/check, one table over their answer rows):
+     0  property proved / all queries pass
+     1  property refuted / a query fails or cannot be evaluated
      2  unknown — a budget or ^C interrupted the search
-     3  usage, parse or I/O error *)
+     3  usage, parse or I/O error
+     4  every answer passes, but the --cache store was degraded *)
 
 open Cmdliner
 
@@ -283,18 +285,6 @@ let answer_route ~cache ~tag mode =
     die "--delta requires --cache (sessions persist beside the store)"
   | (`Delta | `Watch), _ -> Incr.Answer.Session (Incr.Session.make ?cache ~tag ())
 
-(* one answer along [route]; a ladder answer reports its rung on stderr *)
-let answer ?resume ~ctl route net q =
-  let t0 = Unix.gettimeofday () in
-  let a = Incr.Answer.run ~ctl ?resume route net q in
-  Option.iter
-    (fun rung ->
-      Fmt.epr "incr: %s rung (%d expanded, %.1f ms)@."
-        (Incr.Session.rung_name rung) (Incr.Answer.expanded a)
-        (1000. *. (Unix.gettimeofday () -. t0)))
-    a.Incr.Answer.an_rung;
-  a
-
 (* degraded completion: the run finished and every query was answered,
    but the result store was bypassed for part of the batch.  Documented
    exit code 4; only replaces a would-be-0 success. *)
@@ -302,6 +292,43 @@ let exit_degraded cache =
   match cache with
   | Some c when Analysis.Qcache.degraded c -> exit 4
   | Some _ | None -> ()
+
+(* --- one answer row: check prints one per query, verify --json its one -- *)
+
+(* a row's status; a query that could not be evaluated is an "error" *)
+let status = function
+  | Error _ -> "error"
+  | Ok (a : Incr.Answer.t) -> (
+    match a.Incr.Answer.an_result.Mc.Query.res_outcome with
+    | Mc.Query.Fails _ -> "fail"
+    | Mc.Query.Unknown _ -> "unknown"
+    | Mc.Query.Holds | Mc.Query.Sup _ -> "pass")
+
+(* The exit-code table of check and verify, over their rows' statuses:
+   1 on any fail or error, else 2 on any unknown, else 4 when the store
+   was degraded, else 0. *)
+let exit_of_rows cache statuses =
+  if List.exists (fun s -> s = "fail" || s = "error") statuses then exit 1
+  else if List.mem "unknown" statuses then exit 2
+  else exit_degraded cache
+
+(* The query's text, its status, outcome and statistics, and the rung
+   exactly when the --delta ladder answered; an error row carries its
+   message instead. *)
+let row_fields ~query res =
+  let open Store.Json in
+  ("query", String query)
+  :: ("status", String (status res))
+  ::
+  (match res with
+   | Error msg -> [ ("error", String msg) ]
+   | Ok (a : Incr.Answer.t) ->
+     let r = a.Incr.Answer.an_result in
+     [ ("outcome", Store.Entry.outcome_to_json r.Mc.Query.res_outcome);
+       ("stats", Store.Entry.stats_to_json r.Mc.Query.res_stats) ]
+     @ Option.fold ~none:[]
+         ~some:(fun rung -> [ ("rung", String (Incr.Session.rung_name rung)) ])
+         a.Incr.Answer.an_rung)
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
@@ -364,7 +391,9 @@ let verify_cmd =
   let json =
     Arg.(value & flag
          & info [ "json" ]
-             ~doc:"Emit the verdict and exploration statistics as JSON.")
+             ~doc:"Print $(b,check --json)'s row for the $(b,bounded:) or \
+                   $(b,sup:) query asked, then $(b,checkpoint) unless the \
+                   $(b,--delta) ladder answered.")
   in
   let run file trigger response bound ceiling budget checkpoint resume json
       cache delta =
@@ -383,12 +412,13 @@ let verify_cmd =
     let ctl = make_ctl budget in
     if delta && (checkpoint <> None || resume <> None) then
       die "--delta is exclusive with --checkpoint/--resume";
-    (* one question, whatever answers it: the sup, decided against
-       --bound by Mc.Query.bounded_of_sup *)
+    (* one search, whatever answers it: the sup, decided against --bound
+       by Mc.Query.bounded_of_sup *)
     let q = Mc.Query.Sup_delay { trigger; response; ceiling } in
     let route = answer_route ~cache ~tag:file (if delta then `Delta else `Plain) in
+    let t0 = Unix.gettimeofday () in
     let a =
-      try answer ~ctl ?resume:resume_snap route net q with
+      try Incr.Answer.run ~ctl ?resume:resume_snap route net q with
       | Invalid_argument msg -> (
         (* a snapshot of another search, or one holding a value no
            search writes *)
@@ -398,6 +428,12 @@ let verify_cmd =
       | Not_found -> die "unknown channel %S or %S" trigger response
       | Ta.Compiled.Compile_error msg -> die "%s: %s" file msg
     in
+    Option.iter
+      (fun rung ->
+        Fmt.epr "incr: %s rung (%d expanded, %.1f ms)@."
+          (Incr.Session.rung_name rung) (Incr.Answer.expanded a)
+          (1000. *. (Unix.gettimeofday () -. t0)))
+      a.Incr.Answer.an_rung;
     report_cache cache;
     let r = a.Incr.Answer.an_result in
     let written =
@@ -414,37 +450,31 @@ let verify_cmd =
       | Mc.Query.Unknown (_, None) | Mc.Query.Holds | Mc.Query.Fails _ ->
         Mc.Explorer.Sup_unreached
     in
-    (* a sup query is "proved" when the sup is exact *)
-    let verdict =
+    (* the question asked ([bounded:] with --bound), and its answer *)
+    let asked, verdict =
       match bound with
-      | Some b -> Mc.Query.bounded_of_sup outcome ~bound:b
-      | None -> outcome
+      | Some b ->
+        ( Mc.Query.Bounded_response { trigger; response; bound = b },
+          Mc.Query.bounded_of_sup outcome ~bound:b )
+      | None -> (q, outcome)
+    in
+    let row =
+      Ok
+        { a with
+          Incr.Answer.an_result = { r with Mc.Query.res_outcome = verdict } }
     in
     if json then begin
       let open Store.Json in
-      let verdict_str, reason =
-        match verdict with
-        | Mc.Query.Holds | Mc.Query.Sup _ -> ("proved", Null)
-        | Mc.Query.Fails _ -> ("refuted", Null)
-        | Mc.Query.Unknown (reason, _) ->
-          ("unknown", String (Mc.Runctl.reason_tag reason))
-      in
-      let trailer =
-        match a.Incr.Answer.an_rung with
-        | Some rung -> ("rung", String (Incr.Session.rung_name rung))
-        | None ->
-          ( "checkpoint",
-            match written with Some p -> String p | None -> Null )
+      let checkpoint =
+        if a.Incr.Answer.an_rung <> None then []
+        else
+          [ ("checkpoint",
+             Option.fold ~none:Null ~some:(fun p -> String p) written) ]
       in
       print_endline
         (to_string
            (Obj
-              [ ("verdict", String verdict_str);
-                ("reason", reason);
-                ("bound", match bound with Some b -> Int b | None -> Null);
-                ("sup", Store.Entry.sup_to_json sup);
-                ("stats", Store.Entry.stats_to_json st);
-                trailer ]))
+              (row_fields ~query:(Mc.Query.to_string asked) row @ checkpoint)))
     end
     else begin
       (match bound with
@@ -468,69 +498,17 @@ let verify_cmd =
       | Some p -> Fmt.pr "checkpoint written to %s@." p
       | None -> ()
     end;
-    match verdict with
-    | Mc.Query.Holds | Mc.Query.Sup _ -> exit_degraded cache
-    | Mc.Query.Fails _ -> exit 1
-    | Mc.Query.Unknown _ -> exit 2
+    exit_of_rows cache [ status row ]
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:"Verify a bounded-response requirement, or compute the maximum \
-             delay.  Exit codes: 0 proved, 1 refuted, 2 unknown \
-             (interrupted by a budget or ^C), 3 usage or parse error, \
-             4 proved but the $(b,--cache) store was degraded.")
+             delay.  Exit codes as $(b,check)'s for its one row: 0 proved, \
+             1 refuted, 2 unknown (interrupted by a budget or ^C), 3 usage \
+             or parse error, 4 proved but the $(b,--cache) store was \
+             degraded.")
     Term.(const run $ file $ trigger $ response $ bound $ ceiling
           $ budget_term $ checkpoint $ resume $ json $ cache_arg $ delta_arg)
-
-(* --- query ---------------------------------------------------------------- *)
-
-let query_cmd =
-  let file =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"MODEL.xta" ~doc:"Model to query.")
-  in
-  let query =
-    Arg.(required & pos 1 (some string) None
-         & info [] ~docv:"QUERY"
-             ~doc:"E<> PRED | A[] PRED | sup: CHAN -> CHAN [ceiling N] | \
-                   bounded: CHAN -> CHAN within N")
-  in
-  let run file query budget cache delta =
-    let cache = open_cache cache in
-    let net = load_network file in
-    match Mc.Query.parse query with
-    | Error msg -> die "query: %s" msg
-    | Ok q ->
-      let ctl = make_ctl budget in
-      let route =
-        answer_route ~cache ~tag:file (if delta then `Delta else `Plain)
-      in
-      let a =
-        try answer ~ctl route net q with
-        | Not_found ->
-          die "query names an unknown process, location or variable"
-        | Ta.Compiled.Compile_error msg -> die "%s: %s" file msg
-      in
-      report_cache cache;
-      let outcome = a.Incr.Answer.an_result.Mc.Query.res_outcome in
-      Fmt.pr "%a@." Mc.Query.pp_outcome outcome;
-      (match outcome with
-       | Mc.Query.Fails (Some trace) ->
-         Fmt.pr "@[<v 2>counterexample:@,%a@]@."
-           Fmt.(list ~sep:cut string)
-           trace
-       | Mc.Query.Fails None | Mc.Query.Holds | Mc.Query.Sup _
-       | Mc.Query.Unknown _ -> ());
-      (match outcome with
-       | Mc.Query.Fails _ -> exit 1
-       | Mc.Query.Unknown _ -> exit 2
-       | Mc.Query.Holds | Mc.Query.Sup _ -> ())
-  in
-  Cmd.v
-    (Cmd.info "query"
-       ~doc:"Evaluate an UPPAAL-style query on a .xta model.  Exit codes: \
-             0 holds, 1 fails, 2 unknown, 3 usage or parse error.")
-    Term.(const run $ file $ query $ budget_term $ cache_arg $ delta_arg)
 
 (* --- check (batch queries) -------------------------------------------------- *)
 
@@ -540,10 +518,18 @@ let check_cmd =
          & info [] ~docv:"MODEL.xta" ~doc:"Model to check.")
   in
   let queries =
-    Arg.(required & pos 1 (some file) None
+    Arg.(value & pos 1 (some file) None
          & info [] ~docv:"QUERIES.q"
              ~doc:"Query file: one query per line; blank lines and lines \
-                   starting with # are skipped.")
+                   starting with # are skipped.  Give this or $(b,-e), not \
+                   both.")
+  in
+  let exprs =
+    Arg.(value & opt_all string []
+         & info [ "e"; "expr" ] ~docv:"QUERY"
+             ~doc:"A query in place of the query file (repeatable; its row's \
+                   line is its position): E<> PRED | A[] PRED | sup: CHAN \
+                   -> CHAN [ceiling N] | bounded: CHAN -> CHAN within N.")
   in
   let json_arg =
     Arg.(value & flag
@@ -553,7 +539,27 @@ let check_cmd =
                    (no wall times), so a warm $(b,--cache) run reproduces \
                    a cold run byte for byte.")
   in
-  let run model queries jobs budget cache json delta =
+  let run model queries exprs jobs budget cache json delta =
+    (* the rows to answer: a file's query lines by line number, or the -e
+       queries by position *)
+    let numbered =
+      match queries, exprs with
+      | Some path, [] ->
+        String.split_on_char '\n' (read_file path)
+        |> List.mapi (fun i line -> (i + 1, String.trim line))
+        |> List.filter_map (fun (lineno, line) ->
+               if line = "" || line.[0] = '#' then None
+               else Some (lineno, line, Mc.Query.parse line))
+      | None, _ :: _ ->
+        List.mapi
+          (fun i text ->
+            match Mc.Query.parse text with
+            | Ok q -> (i + 1, String.trim text, Ok q)
+            | Error msg -> die "query: %s" msg)
+          exprs
+      | Some _, _ :: _ | None, [] ->
+        die "give either a QUERIES.q file or -e QUERY, not both"
+    in
     let jobs = check_jobs jobs in
     if delta && jobs > 1 then
       die "--delta answers one query at a time; drop --jobs";
@@ -562,31 +568,26 @@ let check_cmd =
       answer_route ~cache ~tag:model (if delta then `Delta else `Plain)
     in
     let net = load_network model in
-    let lines = String.split_on_char '\n' (read_file queries) in
-    let numbered =
-      List.filteri (fun _ (_, line) -> line <> "" && line.[0] <> '#')
-        (List.mapi (fun lineno line -> (lineno + 1, String.trim line)) lines)
-    in
-    (* a row's status: the table's word and the JSON's *)
-    let status = function
-      | Error _ -> ("ERROR", "error")
-      | Ok (a : Incr.Answer.t) -> (
-        match a.Incr.Answer.an_result.Mc.Query.res_outcome with
-        | Mc.Query.Fails _ -> ("FAIL", "fail")
-        | Mc.Query.Unknown _ -> ("?", "unknown")
-        | Mc.Query.Holds | Mc.Query.Sup _ -> ("pass", "pass"))
-    in
     let report (lineno, line, res) =
       match res with
       | Error msg -> Fmt.pr "%3d  ERROR  %s@.     %s@." lineno line msg
-      | Ok (a : Incr.Answer.t) ->
-        Fmt.pr "%3d  %-5s  %s  [%a]@." lineno (fst (status res)) line
-          Mc.Query.pp_outcome a.Incr.Answer.an_result.Mc.Query.res_outcome
+      | Ok (a : Incr.Answer.t) -> (
+        let outcome = a.Incr.Answer.an_result.Mc.Query.res_outcome in
+        let word =
+          match status res with "fail" -> "FAIL" | "unknown" -> "?" | w -> w
+        in
+        Fmt.pr "%3d  %-5s  %s  [%a]@." lineno word line Mc.Query.pp_outcome
+          outcome;
+        (* a counterexample goes below its row, as an error's message *)
+        match outcome with
+        | Mc.Query.Fails (Some trace) -> List.iter (Fmt.pr "     %s@.") trace
+        | Mc.Query.Fails None | Mc.Query.Holds | Mc.Query.Sup _
+        | Mc.Query.Unknown _ -> ())
     in
     let root = make_ctl budget in
-    let eval_line (lineno, line) =
+    let eval_line (lineno, line, parsed) =
       let res =
-        match Mc.Query.parse line with
+        match parsed with
         | Error msg -> Error msg
         | Ok q -> (
           (* catch everything on the worker: one poisoned query reports
@@ -604,37 +605,30 @@ let check_cmd =
     in
     let results = Analysis.Pool.map ~jobs eval_line numbered in
     if jobs > 1 && not json then List.iter report results;
-    let count p = List.length (List.filter (fun (_, _, res) -> p res) results) in
-    let count_status word = count (fun res -> snd (status res) = word) in
-    let failures = count_status "fail" + count_status "error"
-    and unknowns = count_status "unknown" in
+    let statuses = List.map (fun (_, _, res) -> status res) results in
+    let count word = List.length (List.filter (( = ) word) statuses) in
+    let failures = count "fail" + count "error"
+    and unknowns = count "unknown" in
     (* the rungs that answered, counted from the answers themselves *)
     let count_rung rung =
-      count (function
-        | Ok (a : Incr.Answer.t) -> a.Incr.Answer.an_rung = Some rung
-        | Error _ -> false)
+      List.length
+        (List.filter
+           (function
+             | _, _, Ok a -> a.Incr.Answer.an_rung = Some rung
+             | _, _, Error _ -> false)
+           results)
     in
     let total = List.length numbered in
     if json then begin
       let open Store.Json in
-      let query_row (lineno, line, res) =
-        let common = [ ("line", Int lineno); ("query", String line) ] in
-        match res with
-        | Error msg ->
-          Obj (common @ [ ("status", String "error"); ("error", String msg) ])
-        | Ok (a : Incr.Answer.t) ->
-          let r = a.Incr.Answer.an_result in
-          Obj
-            (common
-            @ [ ("status", String (snd (status res)));
-                ("outcome", Store.Entry.outcome_to_json r.Mc.Query.res_outcome);
-                ("stats", Store.Entry.stats_to_json r.Mc.Query.res_stats) ])
+      let row (lineno, line, res) =
+        Obj (("line", Int lineno) :: row_fields ~query:line res)
       in
       print_endline
         (to_string
            (Obj
               [ ("model", String model);
-                ("queries", List (List.map query_row results));
+                ("queries", List (List.map row results));
                 ( "summary",
                   Obj
                     [ ("total", Int total);
@@ -651,21 +645,22 @@ let check_cmd =
     if delta then
       Fmt.epr "incr: %d cone, %d full@." (count_rung Incr.Session.Cone_hit)
         (count_rung Incr.Session.Full);
-    if failures > 0 then exit 1
-    else if unknowns > 0 then exit 2
-    else exit_degraded cache
+    exit_of_rows cache statuses
   in
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Run a file of queries against a model (verifyta-style), \
-             optionally $(b,--jobs) queries at a time on separate domains \
-             and $(b,--cache) answering repeats from the persistent store.  \
-             Exit codes: 0 all pass, 1 any failure, 2 no failures but some \
-             unknown, 3 usage or parse error, 4 all pass but the store was \
-             degraded (circuit breaker tripped; some answers computed \
+       ~doc:"Answer a query file, or $(b,-e) queries, on a model \
+             (verifyta-style), one row per query with any counterexample \
+             below it, optionally $(b,--jobs) queries at a time on \
+             separate domains and $(b,--cache) answering repeats from the \
+             persistent store.  Exit codes: 0 all pass, 1 any failure or \
+             error row, 2 no failures but some unknown, 3 usage or parse \
+             error (a query file and $(b,-e) together or neither, an \
+             $(b,-e) query that does not parse), 4 all pass but the store \
+             was degraded (circuit breaker tripped; some answers computed \
              without the cache).")
-    Term.(const run $ model $ queries $ jobs_arg $ budget_term $ cache_arg
-          $ json_arg $ delta_arg)
+    Term.(const run $ model $ queries $ exprs $ jobs_arg $ budget_term
+          $ cache_arg $ json_arg $ delta_arg)
 
 (* --- watch (poll the model file, re-verify incrementally) ---------------- *)
 
@@ -1959,7 +1954,7 @@ let main =
   Cmd.group
     (Cmd.info "psv" ~version:"1.0.0"
        ~doc:"Platform-specific timing verification in model-based implementation.")
-    [ reproduce_cmd; verify_cmd; query_cmd; check_cmd; watch_cmd;
+    [ reproduce_cmd; verify_cmd; check_cmd; watch_cmd;
       sweep_schemes_cmd; serve_cmd; cache_cmd; trace_cmd; transform_cmd;
       codegen_cmd; bounds_cmd; simulate_cmd; fuzz_cmd; export_cmd ]
 

@@ -1,4 +1,4 @@
-(** The one answerer behind [psv verify], [query], [check], [watch] and
+(** The one answerer behind [psv verify], [check], [watch] and
     the fuzz oracle: [Plain] explores, [Cached c] answers from the store
     or explores and publishes ({!Analysis.Qcache.cached}), [Session s]
     climbs the incremental ladder ({!Session.run}).  A [Sup_delay]

@@ -4,7 +4,7 @@
 #   sh scripts/ident.sh OLD_PSV NEW_PSV DIR
 #
 # Runs both binaries over the same inputs in DIR (wiped first) and
-# compares: verify/query/check text and --json output, stderr cache: and
+# compares: verify/check text and --json output, stderr cache: and
 # incr: lines (wall times stripped), watch output, serve answer and
 # error responses, store-entry payloads, .psvs session files, checkpoint
 # bytes and resume in both directions, fault-injected simulate and fuzz
@@ -12,12 +12,17 @@
 # Stores written by one build are read by the other.  Prints one
 # MISMATCH line per difference and "ALL IDENTICAL" when there is none;
 # exits 0 then and 1 otherwise.  GRID=0 skips the 1280-point sweep.
+# An OLD build that still has `psv query` is asked each single query
+# that way, and NEW with `check -e`; every line where the two differ is
+# listed under its MISMATCH.
 set -u
 abs() { case $1 in /*) echo "$1" ;; *) echo "$(pwd)/$1" ;; esac; }
 OLD=$(abs "$1"); NEW=$(abs "$2"); D=$3
 rm -rf "$D"; mkdir -p "$D"; cd "$D" || exit 3
 fail=0
 bad() { echo "MISMATCH: $*"; fail=1; }
+# listed A B LABEL: a mismatch followed by each differing line
+listed() { cmp -s "$1" "$2" || { bad "$3"; diff "$1" "$2" | sed 's/^/    /'; }; }
 # wall times in incr: lines and watch rows
 nums() { sed -e 's/, [0-9.]* ms)/, ms)/' -e 's/, [0-9.]* ms,/, ms,/' "$1"; }
 $NEW export --psm -o psm.xta
@@ -60,13 +65,26 @@ cmp -s full.old res.old-of-new || bad "change snapshot under parent"
 cmp -s old.snap new.snap || bad "checkpoint snapshot bytes"
 
 # --- a store written by the parent answers the change ----------------------
+# verify --json's outcome and stats, parsed; a document from before the
+# answer row (verdict, bound, sup) is read as the row's outcome
+answer() {
+  python3 -c 'import json, sys
+d = json.load(open(sys.argv[1]))
+if "outcome" not in d:
+    d["outcome"] = ({"kind": "sup", "sup": d["sup"]} if d["bound"] is None
+                    else {"kind": "holds"} if d["verdict"] == "proved"
+                    else {"kind": "fails", "trace": None} if d["verdict"] == "refuted"
+                    else {"kind": "unknown", "reason": d["reason"]})
+print(json.dumps([d["outcome"], d["stats"]], sort_keys=True))' "$1"
+}
 i=0
 for extra in "" "--bound 1430" "--bound 1000"; do
   i=$((i+1))
   $OLD verify --cache xstore --json $extra $Q > x.$i.old 2>/dev/null
   $NEW verify --cache xstore --json $extra $Q > x.$i.new 2> x.$i.err
   grep -q 'cache: 1 hits, 0 misses' x.$i.err || bad "parent store miss: verify $extra"
-  cmp -s x.$i.old x.$i.new || bad "parent store answer: verify $extra"
+  answer x.$i.old > x.$i.old.v; answer x.$i.new > x.$i.new.v
+  cmp -s x.$i.old.v x.$i.new.v || bad "parent store answer: verify $extra"
 done
 
 # --- check --cache across builds, and entry payloads -----------------------
@@ -116,7 +134,14 @@ cmp -s serve.cross.new serve.warm.old || bad "serve: change answering from paren
 $OLD serve --cache sv.new.cold < req.ldjson > serve.cross.old 2>/dev/null
 cmp -s serve.cross.old serve.warm.new || bad "serve: parent answering from change store"
 
-# --- query: plain, --cache cold and warm, --delta full then store ----------
+# --- one query: plain, --cache cold and warm, --delta full then store ------
+if $OLD --help=plain | grep -q '^       query '; then OLDQ=query; else OLDQ=; fi
+# ask BIN SIDE [OPTION]...: the query $qq on psm.xta
+ask() {
+  P=$1; s=$2; shift 2
+  if [ $s = old ] && [ -n "$OLDQ" ]; then $P query "$@" psm.xta "$qq"
+  else $P check "$@" psm.xta -e "$qq"; fi
+}
 printf '%s\n' 'E<> Pump_IO.Infusing' 'A[] iovf_BolusReq == 0' \
   'sup: m_BolusReq -> c_StartInfusion ceiling 3000' \
   'bounded: m_BolusReq -> c_StartInfusion within 1000' 'E<> Pump_IO.Nowhere' > qlist
@@ -125,19 +150,19 @@ while IFS= read -r qq; do
   k=$((k+1))
   for side in old new; do
     eval "P=\$$(echo $side | tr a-z A-Z)"
-    $P query psm.xta "$qq" > q$k.plain.$side 2>&1; echo "rc=$?" >> q$k.plain.$side
+    ask $P $side > q$k.plain.$side 2>&1; echo "rc=$?" >> q$k.plain.$side
     for run in cold warm; do
-      $P query --cache qs$k.$side psm.xta "$qq" > q$k.$run.$side 2> q$k.$run.err.$side
+      ask $P $side --cache qs$k.$side > q$k.$run.$side 2> q$k.$run.err.$side
       echo "rc=$?" >> q$k.$run.$side
     done
     for run in full store; do
-      $P query --delta --cache qd$k.$side psm.xta "$qq" > q$k.$run.$side 2> q$k.$run.raw.$side
+      ask $P $side --delta --cache qd$k.$side > q$k.$run.$side 2> q$k.$run.raw.$side
       echo "rc=$?" >> q$k.$run.$side
       nums q$k.$run.raw.$side > q$k.$run.err.$side
     done
   done
   for m in plain cold cold.err warm warm.err full full.err store store.err; do
-    cmp -s q$k.$m.old q$k.$m.new || bad "query $k ($qq) $m"
+    listed q$k.$m.old q$k.$m.new "query $k ($qq) $m"
   done
   for f in qd$k.old/*.psvs; do
     [ -f "$f" ] || continue

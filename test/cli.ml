@@ -32,13 +32,27 @@ let with_file ?(suffix = ".xta") text f =
   Out_channel.with_open_bin path (fun oc -> output_string oc text);
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
+(* A scratch directory, removed with everything in it after [f dir]. *)
+let with_dir f =
+  let dir = Filename.temp_dir "psv_cli" "" in
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun name -> rm (Filename.concat path name)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
+let lines text = String.split_on_char '\n' text
+
 (* --- JSON outputs ---------------------------------------------------------
 
-   [verify --json], [sweep-schemes --json] and [--points-out] print
-   through [Store.Json].  Each case pins the document an earlier
-   hand-formatted printer wrote, byte for byte, and requires the output
-   to parse to the same keys in the same order with the same values;
-   numbers compare by value, so [0.7500] and [0.75] are one skip rate. *)
+   [verify --json], [check --json], [sweep-schemes --json] and
+   [--points-out] print through [Store.Json].  Each case pins a document
+   and requires the output to parse to the same keys in the same order
+   with the same values; numbers compare by value, so [0.7500] and
+   [0.75] are one skip rate. *)
 
 let rec same_json a b =
   let open Store.Json in
@@ -86,18 +100,18 @@ let test_verify_json () =
           Alcotest.(check int) (what ^ ": exit code") rc code;
           check_json what ~expected out)
         [ ( "sup", [], 0,
-            {|{"verdict": "proved", "reason": null, "bound": null, "sup": {"kind": "value", "value": 1430, "strict": false}, "stats": {"visited": 21024, "stored": 22166, "frontier": 0}, "checkpoint": null}|}
+            {|{"query": "sup: m_BolusReq -> c_StartInfusion ceiling 10000", "status": "pass", "outcome": {"kind": "sup", "sup": {"kind": "value", "value": 1430, "strict": false}}, "stats": {"visited": 21024, "stored": 22166, "frontier": 0}, "checkpoint": null}|}
           );
           ( "--bound 1430", [ "--bound"; "1430" ], 0,
-            {|{"verdict": "proved", "reason": null, "bound": 1430, "sup": {"kind": "value", "value": 1430, "strict": false}, "stats": {"visited": 21024, "stored": 22166, "frontier": 0}, "checkpoint": null}|}
+            {|{"query": "bounded: m_BolusReq -> c_StartInfusion within 1430", "status": "pass", "outcome": {"kind": "holds"}, "stats": {"visited": 21024, "stored": 22166, "frontier": 0}, "checkpoint": null}|}
           );
           ( "--bound 1000", [ "--bound"; "1000" ], 1,
-            {|{"verdict": "refuted", "reason": null, "bound": 1000, "sup": {"kind": "value", "value": 1430, "strict": false}, "stats": {"visited": 20837, "stored": 21956, "frontier": 0}, "checkpoint": null}|}
+            {|{"query": "bounded: m_BolusReq -> c_StartInfusion within 1000", "status": "fail", "outcome": {"kind": "fails", "trace": null}, "stats": {"visited": 20837, "stored": 21956, "frontier": 0}, "checkpoint": null}|}
           ) ])
 
-(* An interrupted search: the reason is the budget's bare tag, the sup
-   the partial one, and the checkpoint path is a JSON string escaped as
-   one (here, a tab). *)
+(* An interrupted search: the outcome carries the budget and the partial
+   sup, and the checkpoint path is a JSON string escaped as one (here, a
+   tab). *)
 let test_verify_json_interrupted () =
   with_psm (fun psm ->
       let snap = Filename.temp_file "psv_cli" "\tcut.snap" in
@@ -111,9 +125,46 @@ let test_verify_json_interrupted () =
           check_json "interrupted"
             ~expected:
               (Printf.sprintf
-                 {|{"verdict": "unknown", "reason": "state-budget", "bound": null, "sup": {"kind": "value", "value": 850, "strict": false}, "stats": {"visited": 2000, "stored": 2243, "frontier": 109}, "checkpoint": %s}|}
+                 {|{"query": "sup: m_BolusReq -> c_StartInfusion ceiling 10000", "status": "unknown", "outcome": {"kind": "unknown", "reason": {"tag": "state-budget", "value": 2000}, "partial": {"kind": "value", "value": 850, "strict": false}}, "stats": {"visited": 2000, "stored": 2243, "frontier": 109}, "checkpoint": %s}|}
                  (Store.Json.to_string (Store.Json.String snap)))
             out))
+
+(* [project keep v] is the object [v] with only the fields [keep] takes. *)
+let project keep = function
+  | Store.Json.Obj fields -> Store.Json.Obj (List.filter (fun (k, _) -> keep k) fields)
+  | v -> Alcotest.failf "not an object: %s" (Store.Json.to_string v)
+
+let sup_query = "sup: m_BolusReq -> c_StartInfusion ceiling 10000"
+let bounded_query b = "bounded: m_BolusReq -> c_StartInfusion within " ^ b
+
+(* One question, one row: [verify --json] without its checkpoint is the
+   row [check -e] prints for the query verify asked, without its line.
+   With --bound, verify searches the whole sup and the [bounded:] check
+   stops at refutation, so only the query, status and outcome agree. *)
+let test_one_row () =
+  with_psm (fun psm ->
+      let code, out, _ =
+        run
+          [ "check"; psm; "--json"; "-e"; sup_query; "-e"; bounded_query "1430";
+            "-e"; bounded_query "1000" ]
+      in
+      Alcotest.(check int) "check exit code" 1 code;
+      let rows =
+        match Store.Json.member "queries" (parse "check" out) with
+        | Some (Store.Json.List rows) -> rows
+        | _ -> Alcotest.failf "check: no query rows in %S" out
+      in
+      let answer k = List.mem k [ "query"; "status"; "outcome" ] in
+      List.iter2
+        (fun (what, extra, keep) row ->
+          let _, out, _ = verify_json psm extra in
+          Alcotest.check json_doc what
+            (project (fun k -> k <> "line" && keep k) row)
+            (project (fun k -> k <> "checkpoint" && keep k) (parse what out)))
+        [ ("sup", [], Fun.const true);
+          ("--bound 1430", [ "--bound"; "1430" ], answer);
+          ("--bound 1000", [ "--bound"; "1000" ], answer) ]
+        rows)
 
 (* The summary's wall time is the one value that moves between runs: it
    must be a number, and is then left out of the comparison. *)
@@ -179,11 +230,133 @@ let test_points_out_full_disk () =
          (String.split_on_char '\n' err))
   end
 
+(* --- check -e --------------------------------------------------------------
+
+   [check -e QUERY]... answers its queries as a query file's lines, each
+   row numbered by its position. *)
+
+let tiny_text =
+  {|network tiny;
+
+process P {
+  state
+    A, B;
+  init A;
+  trans
+    A -> B { };
+}
+|}
+
+(* Two rows and the summary; a refuted invariant's counterexample is
+   indented below its row, as an error row's message is. *)
+let test_check_expr () =
+  with_file tiny_text (fun model ->
+      let code, out, _ = run [ "check"; model; "-e"; "E<> P.B"; "-e"; "A[] P.A" ] in
+      Alcotest.(check int) "exit code" 1 code;
+      Alcotest.(check string) "table"
+        "  1  pass   E<> P.B  [holds]\n\
+        \  2  FAIL   A[] P.A  [FAILS (counterexample of 1 steps)]\n\
+        \     P: A -> B (tau)\n\
+         \n\
+         2 queries, 1 failure, 0 unknown\n"
+        out)
+
+(* Both query sources, or neither, is a usage error; so is an -e query
+   that does not parse, which is refused before any query is answered. *)
+let test_check_expr_usage () =
+  with_file tiny_text (fun model ->
+      with_file ~suffix:".q" "E<> P.B\n" (fun queries ->
+          let sources =
+            "psv: give either a QUERIES.q file or -e QUERY, not both\n"
+          in
+          List.iter
+            (fun (what, args, diagnostic) ->
+              let code, out, err = run ([ "check"; model ] @ args) in
+              Alcotest.(check int) (what ^ ": exit code") 3 code;
+              Alcotest.(check string) (what ^ ": stdout") "" out;
+              Alcotest.(check string) (what ^ ": stderr") diagnostic err)
+            [ ("both sources", [ queries; "-e"; "E<> P.B" ], sources);
+              ("no source", [], sources);
+              ( "-e parse error",
+                [ "-e"; "E<> P.B"; "-e"; "sup: a -> b ceiling 99999999999999999999" ],
+                "psv: query: number out of range\n" ) ]))
+
+(* --- checkpoint and resume -------------------------------------------------
+
+   The search order is fixed, so a run cut by a budget and resumed from
+   its checkpoint prints the uninterrupted run's stdout whole: the
+   verdict and the states line.  A damaged or older checkpoint is
+   refused with one diagnostic and exit 3. *)
+
+let test_checkpoint_resume () =
+  with_psm (fun psm ->
+      with_dir (fun dir ->
+          let verify extra =
+            run
+              ([ "verify"; psm; "--trigger"; "m_BolusReq"; "--response";
+                 "c_StartInfusion"; "--bound"; "1430" ]
+              @ extra)
+          in
+          let code, full, _ = verify [] in
+          Alcotest.(check int) "uninterrupted exit code" 0 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "uninterrupted counts: %S" full)
+            true
+            (List.mem "states: 21024 visited, 22166 stored, 0 frontier" (lines full));
+          let cut name extra =
+            let snap = Filename.concat dir name in
+            let code, _, _ =
+              verify (extra @ [ "--budget-states"; "5000"; "--checkpoint"; snap ])
+            in
+            Alcotest.(check int) (name ^ ": exit code") 2 code;
+            Alcotest.(check bool) (name ^ ": snapshot written") true
+              (Sys.file_exists snap && (Unix.stat snap).Unix.st_size > 0);
+            snap
+          in
+          let resume what snap =
+            let code, out, _ = verify [ "--resume"; snap ] in
+            Alcotest.(check int) (what ^ ": exit code") 0 code;
+            Alcotest.(check string) (what ^ ": stdout") full out
+          in
+          resume "plain cut" (cut "cut1.snap" []);
+          (* a --cache miss keeps its snapshot, which resumes without the
+             store *)
+          let snap = cut "cut2.snap" [ "--cache"; Filename.concat dir "store" ] in
+          resume "cut under --cache" snap;
+          let refused what text diagnostic =
+            let path = Filename.concat dir what in
+            Out_channel.with_open_bin path (fun oc -> output_string oc text);
+            let code, _, err = verify [ "--resume"; path ] in
+            Alcotest.(check int) (what ^ ": exit code") 3 code;
+            Alcotest.(check string) (what ^ ": stderr")
+              (Printf.sprintf "psv: cannot resume from %s: %s\n" path diagnostic)
+              err
+          in
+          (* one flipped payload byte: the frame's digest refuses it *)
+          let flipped =
+            Bytes.of_string (In_channel.with_open_bin snap In_channel.input_all)
+          in
+          let i = Bytes.length flipped / 2 in
+          Bytes.set flipped i (Char.chr (Char.code (Bytes.get flipped i) lxor 1));
+          refused "flipped.snap" (Bytes.to_string flipped)
+            "corrupt snapshot: payload digest mismatch";
+          (* the marshalled format of older builds, refused by its version *)
+          refused "old.snap" "PSVSNAP3\n00000000000000000000000000000000\n0\n"
+            "snapshot version PSVSNAP3 is not readable by this build (wants \
+             PSVSNAP4); re-run the query without --resume to regenerate it"))
+
 let suite =
   [ Alcotest.test_case "verify --json: sup, bound held, bound refuted" `Quick
       test_verify_json;
     Alcotest.test_case "verify --json: interrupted with a checkpoint" `Quick
       test_verify_json_interrupted;
+    Alcotest.test_case "one row: verify --json = check -e" `Quick test_one_row;
+    Alcotest.test_case "check -e: rows, counterexample, summary" `Quick
+      test_check_expr;
+    Alcotest.test_case "check -e: usage and parse errors exit 3" `Quick
+      test_check_expr_usage;
+    Alcotest.test_case "verify: checkpoint, resume, refused snapshots" `Quick
+      test_checkpoint_resume;
     Alcotest.test_case "sweep-schemes --json and --points-out" `Quick
       test_sweep_json;
     Alcotest.test_case "sweep-schemes --points-out on a full disk" `Quick
