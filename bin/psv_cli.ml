@@ -695,7 +695,7 @@ let watch_cmd =
         (fun text ->
           match Mc.Query.parse text with
           | Ok q -> q
-          | Error msg -> die "query %S: %s" text msg)
+          | Error msg -> die "query: %s" msg)
         qtexts
     in
     let route = answer_route ~cache ~tag:file `Watch in

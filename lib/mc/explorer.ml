@@ -178,11 +178,25 @@ let rec apply_dconstraints z = function
     Zone.Dbm.constrain z dc.Compiled.dc_i dc.Compiled.dc_j (bound_of_dc dc);
     apply_dconstraints z rest
 
-let apply_invariants comp locs z =
-  let auts = comp.Compiled.c_automata in
-  for ai = 0 to Array.length locs - 1 do
-    apply_dconstraints z auts.(ai).Compiled.ca_locs.(locs.(ai)).Compiled.cl_inv
-  done
+(* Every automaton's invariant at [locs], in automaton order. *)
+let invariants comp locs =
+  List.concat
+    (Array.to_list
+       (Array.mapi
+          (fun ai li ->
+            comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li)
+              .Compiled.cl_inv)
+          locs))
+
+(* The upper-bound atoms [x_i < c] / [x_i <= c] of an invariant, as the
+   clocks and encoded bounds {!Zone.Dbm.up_to} takes.  A lower bound
+   [x_i >= c] that held before a delay holds after it, since delay never
+   lowers a clock, and [Model.validate] rejects diagonal atoms, so the
+   upper bounds are all a delay step re-applies. *)
+let upper_bounds inv =
+  let ub = List.filter (fun dc -> dc.Compiled.dc_j = 0) inv in
+  ( Array.of_list (List.map (fun dc -> dc.Compiled.dc_i) ub),
+    Array.of_list (List.map bound_of_dc ub) )
 
 let rec reset_clocks z = function
   | [] -> ()
@@ -220,14 +234,19 @@ let free_inactive_automaton_clocks t ai li z =
     free_clocks z
       t.comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_free
 
-(* Target invariants, then the delay closure under them unless an urgent
-   or committed location stops time. *)
+(* The delay step: the target invariants [inv], then, unless an urgent
+   or committed location stops time, the delay closure under their
+   upper bounds [clocks]/[bounds] in one pass. *)
+let delay_step z inv clocks bounds no_delay =
+  apply_dconstraints z inv;
+  if not no_delay then Zone.Dbm.up_to z clocks bounds
+
+(* [delay_step] into [locs], for a state the search does not reach
+   through a successor table. *)
 let settle comp locs z =
-  apply_invariants comp locs z;
-  if not (Zone.Dbm.is_empty z || no_delay_present comp locs) then begin
-    Zone.Dbm.up z;
-    apply_invariants comp locs z
-  end
+  let inv = invariants comp locs in
+  let clocks, bounds = upper_bounds inv in
+  delay_step z inv clocks bounds (no_delay_present comp locs)
 
 let extrapolate t z = Zone.Dbm.extrapolate z t.k
 
@@ -298,11 +317,11 @@ and desc = {
 }
 
 and half = {
-  h_locs : int array;  (* target locations; each successor gets a copy *)
+  h_locs : int array;  (* target locations, shared by every successor *)
   h_vars : int array option;
-      (* the target valuation when some mover updates, and a successor
-         gets a copy of it; [None] when none does, and a successor
-         shares its source's valuation *)
+      (* the target valuation when some mover updates, shared by every
+         successor; [None] when none does, and a successor shares its
+         source's valuation.  No code writes into a state's arrays. *)
   h_mon : int;
   h_hash : int;  (* [hash_discrete] of the target *)
   h_resets : int list;  (* the movers' resets in order, then the monitor's *)
@@ -310,6 +329,8 @@ and half = {
       (* the clocks the target's monitor state leaves inactive, then the
          movers' dead clocks *)
   h_inv : Compiled.dconstraint list;  (* every automaton's target invariant *)
+  h_up_clocks : int array;
+  h_up_bounds : int array;  (* [h_inv]'s upper bounds ([upper_bounds]) *)
   h_no_delay : bool;  (* an urgent or committed target location *)
   mutable h_node : pw_node;
       (* the target's node, looked up by the search at the half's first
@@ -395,6 +416,8 @@ let half t st cd =
         .Compiled.cl_free
     else []
   in
+  let inv = invariants comp locs in
+  let up_clocks, up_bounds = upper_bounds inv in
   { h_locs = locs;
     h_vars = (if !vars == st.st_vars then None else Some !vars);
     h_mon = mon;
@@ -403,14 +426,9 @@ let half t st cd =
       List.concat_map (fun (_, ce) -> ce.Compiled.ce_resets) cd.cd_movers
       @ mon_resets;
     h_frees = t.mon_free.(mon) @ List.concat_map dead cd.cd_movers;
-    h_inv =
-      List.concat
-        (Array.to_list
-           (Array.mapi
-              (fun ai li ->
-                comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li)
-                  .Compiled.cl_inv)
-              locs));
+    h_inv = inv;
+    h_up_clocks = up_clocks;
+    h_up_bounds = up_bounds;
     h_no_delay = no_delay_present comp locs;
     h_node = no_node }
 
@@ -443,22 +461,16 @@ let advance t pool st d =
       in
       reset_clocks z h.h_resets;
       free_clocks z h.h_frees;
-      apply_dconstraints z h.h_inv;
-      if not (Zone.Dbm.is_empty z || h.h_no_delay) then begin
-        Zone.Dbm.up z;
-        apply_dconstraints z h.h_inv
-      end;
+      delay_step z h.h_inv h.h_up_clocks h.h_up_bounds h.h_no_delay;
       if Zone.Dbm.is_empty z then begin
         Zone.Dbm.Pool.release pool z;
         None
       end
       else
         Some
-          { st_locs = Array.copy h.h_locs;
+          { st_locs = h.h_locs;
             st_vars =
-              (match h.h_vars with
-               | Some vars -> Array.copy vars
-               | None -> st.st_vars);
+              (match h.h_vars with Some vars -> vars | None -> st.st_vars);
             st_mon = h.h_mon;
             st_zone = z }
     end

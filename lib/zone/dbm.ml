@@ -7,7 +7,6 @@ let dim z = z.n
 
 let idx z i j = (i * z.n) + j
 let get z i j = z.m.(idx z i j)
-let set z i j b = z.m.(idx z i j) <- b
 
 (* The hot kernels read [Bound]'s encoding directly: [infinity] is
    [max_int], [le c = 2c + 1], [lt c = 2c].  Dune's dev profile compiles
@@ -59,11 +58,77 @@ let canonicalize z =
   done;
   if !negative_diagonal then mark_empty z
 
+(* The kernels below read and write through [Array.unsafe_get] and
+   [unsafe_set].  Every zone's matrix has length [n * n] ([zero],
+   [copy] and [of_ints] make no other), so an index [r * n + c] with
+   [r] and [c] in [0 .. n - 1] is in range; each kernel checks its
+   clock arguments against [n] once, before its loops.  The [int array]
+   annotations matter: on an ['a array] the access would test for a
+   float array at run time. *)
+let[@inline] at (m : int array) p = Array.unsafe_get m p
+let[@inline] put (m : int array) p b = Array.unsafe_set m p b
+
 let up z =
-  if not (is_empty z) then
-    for i = 1 to z.n - 1 do
-      set z i 0 inf
+  if not (is_empty z) then begin
+    let n = z.n and m = z.m in
+    (* rows 1 .. n - 1 of column 0 *)
+    for i = 1 to n - 1 do
+      put m (i * n) inf
     done
+  end
+
+(* Row [k]'s column-0 entry in [up_to]: the least of [start] and every
+   [m[k][clocks.(q)] + bounds.(q)]. *)
+let[@inline] column0 m n k clocks bounds start =
+  let rk = k * n and c = ref start in
+  for q = 0 to Array.length clocks - 1 do
+    let d = at m (rk + Array.unsafe_get clocks q) in
+    if d <> inf then begin
+      let through = add d (Array.unsafe_get bounds q) in
+      if through < !c then c := through
+    end
+  done;
+  !c
+
+(* [up] and then [constrain z clocks.(q) 0 bounds.(q)] for every [q], in
+   one pass.  After [up], column 0 is infinite below row 0, so the new
+   upper bounds are the only edges into clock 0, and a shortest path
+   enters clock 0 at most once: the closed column 0 is
+   [m[k][0] = min_q (m[k][i_q] + b_q)] ([le 0] also a candidate at
+   [k = 0]), and every other entry [m[k][l]] is the shorter of itself
+   and [m[k][0] + m[0][l]].  A negative cycle passes through clock 0,
+   so the zone is empty iff the new [m[0][0]] is below [le 0]; when it
+   is not, [m[0][0] = le 0] and row 0 relaxes to itself, so only rows
+   1 .. n - 1 are relaxed. *)
+let up_to z clocks bounds =
+  if not (is_empty z) then begin
+    let n = z.n and m = z.m in
+    let nb = Array.length clocks in
+    if Array.length bounds <> nb then
+      invalid_arg "Dbm.up_to: clocks and bounds differ in length";
+    for q = 0 to nb - 1 do
+      if clocks.(q) < 1 || clocks.(q) >= n || bounds.(q) = inf then
+        invalid_arg "Dbm.up_to: not a finite bound on a clock"
+    done;
+    (* [clocks] is in [1 .. n - 1], so each read [k * n + clocks.(q)]
+       is in range *)
+    let c0 = column0 m n 0 clocks bounds le_zero in
+    if c0 < le_zero then mark_empty z
+    else
+      for k = 1 to n - 1 do
+        let ck = column0 m n k clocks bounds inf in
+        let rk = k * n in
+        put m rk ck;
+        if ck <> inf then
+          for l = 1 to n - 1 do
+            let d0l = at m l in
+            if d0l <> inf then begin
+              let through = add ck d0l in
+              if through < at m (rk + l) then put m (rk + l) through
+            end
+          done
+      done
+  end
 
 let satisfiable z i j b =
   (not (is_empty z))
@@ -74,22 +139,24 @@ let satisfiable z i j b =
 let constrain z i j b =
   if not (is_empty z) then begin
     let n = z.n and m = z.m in
-    let dji = m.((j * n) + i) in
+    assert (0 <= i && i < n && 0 <= j && j < n);
+    let dji = at m ((j * n) + i) in
     if b <> inf && dji <> inf && add b dji < le_zero then mark_empty z
-    else if b < m.((i * n) + j) then begin
-      m.((i * n) + j) <- b;
-      (* O(n^2) re-closure through the tightened entry. *)
+    else if b < at m ((i * n) + j) then begin
+      put m ((i * n) + j) b;
+      (* O(n^2) re-closure through the tightened entry; [i], [j], [k]
+         and [l] are in [0 .. n - 1]. *)
       let rj = j * n in
       for k = 0 to n - 1 do
         let rk = k * n in
-        let dki = m.(rk + i) in
+        let dki = at m (rk + i) in
         if dki <> inf then begin
           let via_i = add dki b in
           for l = 0 to n - 1 do
-            let djl = m.(rj + l) in
+            let djl = at m (rj + l) in
             if djl <> inf then begin
               let through = add via_i djl in
-              if through < m.(rk + l) then m.(rk + l) <- through
+              if through < at m (rk + l) then put m (rk + l) through
             end
           done
         end
@@ -98,22 +165,32 @@ let constrain z i j b =
   end
 
 let reset z i =
-  if not (is_empty z) then
-    for j = 0 to z.n - 1 do
+  if not (is_empty z) then begin
+    let n = z.n and m = z.m in
+    assert (0 <= i && i < n);
+    let ri = i * n in
+    (* [i] and [j] are in [0 .. n - 1] *)
+    for j = 0 to n - 1 do
       if j <> i then begin
-        set z i j (get z 0 j);
-        set z j i (get z j 0)
+        put m (ri + j) (at m j);
+        put m ((j * n) + i) (at m (j * n))
       end
     done
+  end
 
 let free z i =
-  if not (is_empty z) then
-    for j = 0 to z.n - 1 do
+  if not (is_empty z) then begin
+    let n = z.n and m = z.m in
+    assert (0 <= i && i < n);
+    let ri = i * n in
+    (* [i] and [j] are in [0 .. n - 1] *)
+    for j = 0 to n - 1 do
       if j <> i then begin
-        set z i j inf;
-        set z j i (get z j 0)
+        put m (ri + j) inf;
+        put m ((j * n) + i) (at m (j * n))
       end
     done
+  end
 
 (* Re-closure after an extrapolation loosened the entries listed in
    [cols]/[ends] (row [i]'s columns are [cols.(ends.(i-1))] up to
@@ -127,21 +204,23 @@ let free z i =
    needs no check. *)
 let reclose_touched z cols ends =
   let n = z.n and m = z.m in
+  (* [ends] holds [n] offsets into [cols], whose entries are columns in
+     [0 .. n - 1] ([extrapolate] wrote both) *)
   for k = 0 to n - 1 do
     let rk = k * n in
     let first = ref 0 in
     for i = 0 to n - 1 do
-      let stop = ends.(i) in
+      let stop = Array.unsafe_get ends i in
       if !first < stop then begin
         let ri = i * n in
-        let dik = m.(ri + k) in
+        let dik = at m (ri + k) in
         if dik <> inf then
           for t = !first to stop - 1 do
-            let j = cols.(t) in
-            let dkj = m.(rk + j) in
+            let j = Array.unsafe_get cols t in
+            let dkj = at m (rk + j) in
             if dkj <> inf then begin
               let through = add dik dkj in
-              if through < m.(ri + j) then m.(ri + j) <- through
+              if through < at m (ri + j) then put m (ri + j) through
             end
           done;
         first := stop
@@ -149,8 +228,9 @@ let reclose_touched z cols ends =
     done
   done
 
-(* [extrapolate]'s touched list, one per domain (the search's domains
-   extrapolate at once), grown to the largest dimension it has seen. *)
+(* [extrapolate]'s touched list, grown to the largest dimension it has
+   seen.  It is per domain because [Analysis.Pool.map] runs several
+   searches at once, one on each domain. *)
 type touched = { mutable cols : int array; mutable ends : int array }
 
 let touched_key = Domain.DLS.new_key (fun () -> { cols = [||]; ends = [||] })
@@ -168,26 +248,28 @@ let extrapolate z k =
       scratch.ends <- Array.make n 0
     end;
     let cols = scratch.cols and ends = scratch.ends in
+    (* [k] has [n] entries (the assert), [cols] at least [n * n] and
+       [ends] at least [n], and at most one column is touched per entry *)
     let touched = ref 0 in
     for i = 0 to n - 1 do
-      let ri = i * n and above = le k.(i) in
+      let ri = i * n and above = le (Array.unsafe_get k i) in
       for j = 0 to n - 1 do
         if i <> j then begin
-          let b = m.(ri + j) in
+          let b = at m (ri + j) in
           let b' =
             if b <> inf && b > above then inf
             else
-              let below = lt (-k.(j)) in
+              let below = lt (- Array.unsafe_get k j) in
               if b < below then below else b
           in
           if b' <> b then begin
-            m.(ri + j) <- b';
-            cols.(!touched) <- j;
+            put m (ri + j) b';
+            Array.unsafe_set cols !touched j;
             incr touched
           end
         end
       done;
-      ends.(i) <- !touched
+      Array.unsafe_set ends i !touched
     done;
     if !touched > 0 then reclose_touched z cols ends
   end
@@ -197,11 +279,13 @@ let includes a b =
   if is_empty b then true
   else if is_empty a then false
   else begin
+    (* both matrices have length [n * n] *)
+    let am = a.m and bm = b.m in
     let ok = ref true in
     let i = ref 0 in
     let total = a.n * a.n in
     while !ok && !i < total do
-      if b.m.(!i) > a.m.(!i) then ok := false;
+      if at bm !i > at am !i then ok := false;
       incr i
     done;
     !ok

@@ -6,7 +6,14 @@
     {!zero}, {!canonicalize} or any operation below) and preserve
     canonicity.  An empty zone is represented with a negative diagonal
     entry at [(0, 0)]; operations on empty zones are allowed and keep the
-    zone empty. *)
+    zone empty.
+
+    A zone's matrix always has [dim * dim] entries, and the kernels'
+    inner loops ({!up}, {!up_to}, {!constrain}, {!reset}, {!free},
+    {!extrapolate}, {!includes}) read and write it without bounds
+    checks.  Each checks its clock arguments against [dim] before its
+    loops, so an out-of-range clock still fails (an assertion or
+    [Invalid_argument]) rather than reading past the matrix. *)
 
 type t
 
@@ -30,6 +37,20 @@ val canonicalize : t -> unit
 
 (** Delay: remove the upper bounds of all clocks (future closure). *)
 val up : t -> unit
+
+(** [up_to z clocks bounds] is {!up} followed by [constrain z
+    clocks.(q) 0 bounds.(q)] for every [q], the delay step under
+    upper-bound invariants [x_i < c] / [x_i <= c], with the same
+    canonical matrix when the result is non-empty (and empty exactly
+    when that sequence empties the zone).  It re-closes once, in
+    O(dim * (dim + |clocks|)), where the sequence re-closes once per
+    tightening bound in O(dim^2) each: after [up] the bounds are the
+    only edges into clock 0, so one new column 0 and one relaxation of
+    each row through clock 0 close the zone.  Lower bounds need no
+    re-application after a delay, which never lowers a clock.
+    @raise Invalid_argument when the arrays differ in length, a clock
+    is outside [1 .. dim - 1] or a bound is infinite. *)
+val up_to : t -> int array -> Bound.t array -> unit
 
 (** [constrain z i j b] intersects with [x_i - x_j ~ b].  O(dim^2). *)
 val constrain : t -> int -> int -> Bound.t -> unit

@@ -281,6 +281,49 @@ let test_check_expr_usage () =
                 [ "-e"; "E<> P.B"; "-e"; "sup: a -> b ceiling 99999999999999999999" ],
                 "psv: query: number out of range\n" ) ]))
 
+(* A query that does not parse is refused the same way by [check -e] and
+   [watch -q]: one diagnostic and exit 3, before any search. *)
+let test_query_parse_error () =
+  with_file tiny_text (fun model ->
+      List.iter
+        (fun (what, args) ->
+          let code, out, err = run args in
+          Alcotest.(check int) (what ^ ": exit code") 3 code;
+          Alcotest.(check string) (what ^ ": stdout") "" out;
+          Alcotest.(check string) (what ^ ": stderr")
+            "psv: query: unexpected end of query\n" err)
+        [ ("check -e", [ "check"; model; "-e"; "E<> (" ]);
+          ("watch -q", [ "watch"; model; "-q"; "E<> ("; "--max-edits"; "0" ]) ])
+
+(* --- unwritable outputs ----------------------------------------------------
+
+   An output that cannot be created is a usage error, exit 3, with a
+   diagnostic naming it: [fuzz]'s [--out] and [--corpus] before the first
+   instance, [codegen]'s files under a missing [--directory]. *)
+
+let test_unwritable_outputs () =
+  with_file "" (fun not_a_dir ->
+      List.iter
+        (fun (what, args, prefix) ->
+          let code, _, err = run args in
+          Alcotest.(check int) (what ^ ": exit code") 3 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: diagnostic %S" what err)
+            true
+            (List.exists (String.starts_with ~prefix) (lines err)))
+        [ ( "fuzz --out",
+            [ "fuzz"; "--count"; "1"; "--out"; Filename.concat not_a_dir "x" ],
+            "psv: --out: " );
+          ( "fuzz --corpus",
+            [ "fuzz"; "--count"; "1"; "--shrink"; "--inject-sup-skew"; "3";
+              "--corpus"; Filename.concat not_a_dir "c" ],
+            "psv: --corpus: " );
+          ( "codegen -d",
+            [ "codegen"; Filename.concat Test_xta.model_dir "gpca_bolus.xta";
+              "--software"; "Pump"; "--environment"; "Patient"; "-d";
+              "/nonexistent/dir" ],
+            "psv: /nonexistent/dir/" ) ])
+
 (* --- checkpoint and resume -------------------------------------------------
 
    The search order is fixed, so a run cut by a budget and resumed from
@@ -355,6 +398,10 @@ let suite =
       test_check_expr;
     Alcotest.test_case "check -e: usage and parse errors exit 3" `Quick
       test_check_expr_usage;
+    Alcotest.test_case "query parse error: check -e and watch -q" `Quick
+      test_query_parse_error;
+    Alcotest.test_case "unwritable fuzz and codegen outputs exit 3" `Quick
+      test_unwritable_outputs;
     Alcotest.test_case "verify: checkpoint, resume, refused snapshots" `Quick
       test_checkpoint_resume;
     Alcotest.test_case "sweep-schemes --json and --points-out" `Quick

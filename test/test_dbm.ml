@@ -571,6 +571,92 @@ let reference_closure_props =
   reference_props Gen.dbm_dims Gen.arb_dbm_ops Gen.build_dbm
   @ reference_props Gen.dbm_dims_wide Gen.arb_dbm_ops_wide Gen.build_dbm_wide
 
+(* --- delay step ------------------------------------------------------------
+
+   [up_to] against what the explorer did before it: [up], then each
+   invariant atom through [constrain].  An invariant mixes [<], [<=],
+   [==], [>=] and [>] on single clocks, compiled to DBM entries as
+   [Ta.Compiled] compiles them ([==] is a [<=] and a [>=] entry); the
+   explorer applies them all first, then delays under the upper bounds
+   alone. *)
+
+type rel = Lt | Le | Eq | Ge | Gt
+
+let pp_rel ppf r =
+  Fmt.string ppf
+    (match r with Lt -> "<" | Le -> "<=" | Eq -> "==" | Ge -> ">=" | Gt -> ">")
+
+let arb_invariant dim =
+  QCheck.make
+    ~print:
+      (Fmt.to_to_string
+         Fmt.(list ~sep:semi (fun ppf (i, r, n) -> pf ppf "x%d %a %d" i pp_rel r n)))
+    QCheck.Gen.(
+      list_size (int_range 0 4)
+        (triple (int_range 1 (dim - 1)) (oneofl [ Lt; Le; Eq; Ge; Gt ])
+           (int_range 0 10)))
+
+(* An atom's entries as [(i, j, bound)], bounding [x_i - x_j]. *)
+let entries (i, r, n) =
+  match r with
+  | Lt -> [ (i, 0, Bound.lt n) ]
+  | Le -> [ (i, 0, Bound.le n) ]
+  | Eq -> [ (i, 0, Bound.le n); (0, i, Bound.le (-n)) ]
+  | Ge -> [ (0, i, Bound.le (-n)) ]
+  | Gt -> [ (0, i, Bound.lt (-n)) ]
+
+let constrain_all z = List.iter (fun (i, j, b) -> Dbm.constrain z i j b)
+
+let upper_entries = List.filter (fun (_, j, _) -> j = 0)
+
+let upper es =
+  let ub = upper_entries es in
+  ( Array.of_list (List.map (fun (i, _, _) -> i) ub),
+    Array.of_list (List.map (fun (_, _, b) -> b) ub) )
+
+(* [up_to] under [es]'s upper bounds against [up], then [constrain] for
+   each of [reference]: the same emptiness, and byte-equal matrices when
+   non-empty. *)
+let delays_agree z es reference =
+  let want = Dbm.copy z and got = Dbm.copy z in
+  Dbm.up want;
+  constrain_all want reference;
+  let clocks, bounds = upper es in
+  Dbm.up_to got clocks bounds;
+  Dbm.is_empty got = Dbm.is_empty want
+  && (Dbm.is_empty got || Dbm.to_ints got = Dbm.to_ints want)
+
+let delay_props dim arb_ops build =
+  let name s = Printf.sprintf "%s (dim %d)" s dim in
+  [ QCheck.Test.make ~name:(name "up_to = up, then constrain per bound")
+      ~count:1000
+      (QCheck.pair arb_ops (arb_invariant dim))
+      (fun (ops, inv) ->
+        let es = List.concat_map entries inv in
+        (* on the zone as built, against the upper bounds alone; then as
+           the explorer's delay step sees it, with the whole invariant
+           applied first, against every entry re-applied after [up] *)
+        let z = build ops in
+        delays_agree z es (upper_entries es)
+        && (constrain_all z es;
+            delays_agree z es es)) ]
+
+let delay_step_props =
+  delay_props Gen.dbm_dims Gen.arb_dbm_ops Gen.build_dbm
+  @ delay_props Gen.dbm_dims_wide Gen.arb_dbm_ops_wide Gen.build_dbm_wide
+
+let test_up_to_rejects () =
+  let z = Dbm.zero 3 in
+  let rejects what clocks bounds =
+    match Dbm.up_to z clocks bounds with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "reference clock" [| 0 |] [| Bound.le 1 |];
+  rejects "clock past the dimension" [| 3 |] [| Bound.le 1 |];
+  rejects "infinite bound" [| 1 |] [| Bound.infinity |];
+  rejects "lengths differ" [| 1; 2 |] [| Bound.le 1 |]
+
 (* --- subsumption scan ---------------------------------------------------- *)
 
 (* [Key.scan] against a slot-by-slot pass with [Key.ge] and [includes],
@@ -686,30 +772,30 @@ let prop_key_scan =
       QCheck.assume (not (Dbm.is_empty (build (c.sc_base @ c.sc_extra))));
       scan_matches fitting c && scan_matches clamping c)
 
-(* --- per-domain extrapolation scratch ------------------------------------ *)
+(* --- kernels on two domains at once ----------------------------------------
 
-(* Extrapolation's touched-entry list is per domain.  Two domains
-   extrapolate at once, one the dim-4 zones then the dim-9 ones, the
-   other the reverse (so each grows its scratch while the other uses
-   its own), and must reproduce a sequential run's bytes. *)
-let test_widen_domains () =
-  let rand = Random.State.make [| 22 |] in
+   Extrapolation's touched-entry list is per domain, and [up_to] keeps
+   no scratch at all.  Two domains run a kernel at once, one over the
+   dim-4 zones then the dim-9 ones, the other the reverse (so each
+   grows its extrapolation scratch while the other uses its own), and
+   must reproduce a sequential run's bytes. *)
+let in_two_domains ~seed job kernel =
+  let rand = Random.State.make [| seed |] in
   let jobs dim arb_ops build =
     List.filter_map
       (fun _ ->
         let z = build (QCheck.Gen.generate1 ~rand (QCheck.gen arb_ops)) in
-        let ceilings = QCheck.gen (Gen.arb_dbm_ceilings_at dim) in
-        let k = QCheck.Gen.generate1 ~rand ceilings in
-        if Dbm.is_empty z then None else Some (z, k))
+        let arg = job ~rand dim in
+        if Dbm.is_empty z then None else Some (z, arg))
       (List.init 300 Fun.id)
-  in
-  let run (z, k) =
-    let z = Dbm.copy z in
-    Dbm.extrapolate z k;
-    Dbm.to_ints z
   in
   let small = jobs Gen.dbm_dims Gen.arb_dbm_ops Gen.build_dbm in
   let wide = jobs Gen.dbm_dims_wide Gen.arb_dbm_ops_wide Gen.build_dbm_wide in
+  let run (z, arg) =
+    let z = Dbm.copy z in
+    kernel z arg;
+    Dbm.to_ints z
+  in
   let expect jobs = List.map (fun j -> (j, run j)) jobs in
   let a = expect (small @ wide) and b = expect (wide @ small) in
   let mismatches cases () =
@@ -724,6 +810,20 @@ let test_widen_domains () =
   let there = Domain.join other in
   Alcotest.(check (pair int int)) "no mismatch in either domain" (0, 0)
     (here, there)
+
+let test_widen_domains () =
+  in_two_domains ~seed:22
+    (fun ~rand dim ->
+      QCheck.Gen.generate1 ~rand (QCheck.gen (Gen.arb_dbm_ceilings_at dim)))
+    Dbm.extrapolate
+
+let test_delay_domains () =
+  in_two_domains ~seed:43
+    (fun ~rand dim ->
+      upper
+        (List.concat_map entries
+           (QCheck.Gen.generate1 ~rand (QCheck.gen (arb_invariant dim)))))
+    (fun z (clocks, bounds) -> Dbm.up_to z clocks bounds)
 
 let suite =
   [ Alcotest.test_case "bound encoding order" `Quick test_bound_encoding;
@@ -762,5 +862,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_key_summaries;
       QCheck_alcotest.to_alcotest prop_key_scan;
       Alcotest.test_case "extrapolation scratch per domain" `Quick
-        test_widen_domains ]
+        test_widen_domains;
+      Alcotest.test_case "up_to rejects bad bounds" `Quick test_up_to_rejects;
+      Alcotest.test_case "up_to on two domains" `Quick test_delay_domains ]
   @ List.map QCheck_alcotest.to_alcotest reference_closure_props
+  @ List.map QCheck_alcotest.to_alcotest delay_step_props
