@@ -234,6 +234,43 @@ let free_inactive_automaton_clocks t ai li z =
     free_clocks z
       t.comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li).Compiled.cl_free
 
+(* The rows of a zone at locations [locs] and monitor state [mon] that
+   may be finite ({!Zone.Dbm.extrapolate}'s row set): row 0 and every
+   clock not dead there.  A clock is dead when the monitor state leaves
+   it inactive or, under activity reduction, when an automaton's
+   location lists it in [cl_free].  Every fire into such a state frees
+   it (the monitor's after each fire, a mover's on entering its
+   target), as does [initial_state].  Nothing else resets or reads it
+   until its one user leaves the location, and no zone operation makes
+   an infinite row finite again without a reset of its clock, so its row
+   stays infinite off the diagonal.  Without reduction every row is
+   kept. *)
+let rows_at t locs mon =
+  let dim = t.comp.Compiled.c_nclocks + 1 in
+  if not t.reduce then Zone.Dbm.all_rows dim
+  else begin
+    let dead = Array.make dim false in
+    List.iter (fun i -> dead.(i) <- true) t.mon_free.(mon);
+    Array.iteri
+      (fun ai li ->
+        List.iter
+          (fun i -> dead.(i) <- true)
+          t.comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li)
+            .Compiled.cl_free)
+      locs;
+    let rows = Array.make dim 0 and live = ref 0 in
+    Array.iteri
+      (fun i d ->
+        if not d then begin
+          rows.(!live) <- i;
+          incr live
+        end)
+      dead;
+    Array.sub rows 0 !live
+  end
+
+let live_rows t st = rows_at t st.st_locs st.st_mon
+
 (* The delay step: the target invariants [inv], then, unless an urgent
    or committed location stops time, the delay closure under their
    upper bounds [clocks]/[bounds] in one pass. *)
@@ -248,7 +285,9 @@ let settle comp locs z =
   let clocks, bounds = upper_bounds inv in
   delay_step z inv clocks bounds (no_delay_present comp locs)
 
-let extrapolate t z = Zone.Dbm.extrapolate z t.k
+let extrapolate t z rows = Zone.Dbm.extrapolate z t.k rows
+
+let all_rows t = Zone.Dbm.all_rows (t.comp.Compiled.c_nclocks + 1)
 
 (* --- transition firing ------------------------------------------------ *)
 
@@ -291,12 +330,16 @@ type entry = {
    lane-wise max and min of the keys of its live entries.
 
    [pw_succ] is the node's successor table, built when the node is
-   first expanded (see [succ_table]). *)
+   first expanded (see [succ_table]).  [pw_rows] is the state's
+   [rows_at]: the extrapolation of a successor into the node, and the
+   inclusion tests and key weights of its zones, read those rows alone,
+   since every zone of the node leaves the other rows infinite. *)
 and pw_node = {
   pw_hash : int;
   pw_locs : int array;
   pw_vars : int array;
   pw_mon : int;
+  pw_rows : int array;
   mutable pw_live : entry array;
   mutable pw_keys : int array;
   mutable pw_bmax : int array;
@@ -340,9 +383,9 @@ and half = {
 (* The node of no discrete state: the target of a half not yet resolved,
    and the node of the dead entry that fills empty slots. *)
 let no_node =
-  { pw_hash = -1; pw_locs = [||]; pw_vars = [||]; pw_mon = -1; pw_live = [||];
-    pw_keys = [||]; pw_bmax = [||]; pw_bmin = [||]; pw_len = 0; pw_holes = 0;
-    pw_succ = None }
+  { pw_hash = -1; pw_locs = [||]; pw_vars = [||]; pw_mon = -1; pw_rows = [||];
+    pw_live = [||]; pw_keys = [||]; pw_bmax = [||]; pw_bmin = [||]; pw_len = 0;
+    pw_holes = 0; pw_succ = None }
 
 let hash_discrete locs vars mon =
   let h = ref (mon + 0x9e3779b9) in
@@ -476,10 +519,12 @@ let advance t pool st d =
     end
   end
 
-let extrapolated t pool = function
+(* [rows] is the successor's row set: its node's [pw_rows], or every
+   row. *)
+let extrapolated t pool rows = function
   | None -> None
   | Some s as live ->
-    extrapolate t s.st_zone;
+    extrapolate t s.st_zone rows;
     if Zone.Dbm.is_empty s.st_zone then begin
       Zone.Dbm.Pool.release pool s.st_zone;
       None
@@ -487,8 +532,9 @@ let extrapolated t pool = function
     else live
 
 (* The search fires the descriptors of its nodes' tables; [fire] is the
-   same firing through a fresh descriptor. *)
-let fire t pool st cd = extrapolated t pool (advance t pool st (desc cd))
+   same firing through a fresh descriptor, extrapolating every row. *)
+let fire t pool st cd =
+  extrapolated t pool (all_rows t) (advance t pool st (desc cd))
 
 (* [fire_pre] is [fire] with the successor zone additionally exposed as it
    stood just {e before} extrapolation.  Everything up to that point
@@ -513,7 +559,7 @@ let fire_pre t pool st cd =
   | Some s as live ->
     let fl_pre = Zone.Dbm.to_ints s.st_zone in
     Fired_live
-      { fl_state = extrapolated t pool live; fl_locs = s.st_locs;
+      { fl_state = extrapolated t pool (all_rows t) live; fl_locs = s.st_locs;
         fl_vars = s.st_vars; fl_mon = s.st_mon; fl_pre }
 
 (* Replay counterpart of [fire_pre]: rebuild a recorded successor from its
@@ -522,7 +568,7 @@ let fire_pre t pool st cd =
    model would produce it. *)
 let admit_pre t ~locs ~vars ~mon ~pre =
   let z = Zone.Dbm.of_ints ~dim:(t.comp.Compiled.c_nclocks + 1) pre in
-  extrapolate t z;
+  extrapolate t z (all_rows t);
   if Zone.Dbm.is_empty z then None
   else Some { st_locs = locs; st_vars = vars; st_mon = mon; st_zone = z }
 
@@ -630,10 +676,10 @@ module Passed = struct
 
   let block = 8
 
-  let node ~hash st =
+  let node ~hash ~rows st =
     { pw_hash = hash; pw_locs = st.st_locs; pw_vars = st.st_vars;
-      pw_mon = st.st_mon; pw_live = [||]; pw_keys = [||]; pw_bmax = [||];
-      pw_bmin = [||]; pw_len = 0; pw_holes = 0; pw_succ = None }
+      pw_mon = st.st_mon; pw_rows = rows; pw_live = [||]; pw_keys = [||];
+      pw_bmax = [||]; pw_bmin = [||]; pw_len = 0; pw_holes = 0; pw_succ = None }
 
   (* A slot holds a dead entry exactly when it is a hole. *)
   let live n =
@@ -646,11 +692,12 @@ module Passed = struct
 
   let slots n = n.pw_len
 
-  (* Per-search scratch: the key layout, the newcomer's key, the indices of the entries it covers, and the dead entry that
-     fills holes and unused slots, so a slot never pins a killed entry or
-     its zone.  [offer] and [slots] are the zone on offer and the node's
-     entries during an [add]; the key scan's callbacks read them, so
-     they are built once per search, not per offer. *)
+  (* Per-search scratch: the key layout, the newcomer's key, the indices
+     of the entries it covers, and the dead entry that fills holes and
+     unused slots, so a slot never pins a killed entry or its zone.
+     [offer], [slots] and [rows] are the zone on offer, the node's
+     entries and its row set during an [add]; the key scan's callbacks
+     read them, so they are built once per search, not per offer. *)
   type t = {
     pool : Zone.Dbm.Pool.t;
     fmt : Zone.Dbm.Key.t;
@@ -661,6 +708,7 @@ module Passed = struct
     hole : entry;
     mutable offer : Zone.Dbm.t;
     mutable slots : entry array;
+    mutable rows : int array;
     covers : int -> bool;
     victim : int -> unit;
   }
@@ -679,11 +727,16 @@ module Passed = struct
     let rec sc =
       { pool; fmt; klen; nkey = Array.make klen 0; kills = [||];
         nkills = 0; hole; offer = hole.e_state.st_zone; slots = [||];
+        rows = [||];
         covers =
-          (fun s -> Zone.Dbm.includes sc.slots.(s).e_state.st_zone sc.offer);
+          (fun s ->
+            Zone.Dbm.includes_rows sc.slots.(s).e_state.st_zone sc.offer
+              sc.rows);
         victim =
           (fun s ->
-            if Zone.Dbm.includes sc.offer sc.slots.(s).e_state.st_zone
+            if
+              Zone.Dbm.includes_rows sc.offer sc.slots.(s).e_state.st_zone
+                sc.rows
             then begin
               sc.kills.(sc.nkills) <- s;
               sc.nkills <- sc.nkills + 1
@@ -769,7 +822,7 @@ module Passed = struct
   (* Store entry [id] without a subsumption scan (snapshot restore). *)
   let restore sc n ~id st =
     let e = { e_id = id; e_state = st; e_node = n; e_dead = false } in
-    Zone.Dbm.Key.write sc.fmt st.st_zone sc.nkey 0;
+    Zone.Dbm.Key.write sc.fmt st.st_zone n.pw_rows sc.nkey 0;
     append sc n e;
     e
 
@@ -791,9 +844,10 @@ module Passed = struct
      remove all victims" whatever the entry order. *)
   let add sc n ~expanding ~id st =
     let z = st.st_zone in
-    Zone.Dbm.Key.write sc.fmt z sc.nkey 0;
+    Zone.Dbm.Key.write sc.fmt z n.pw_rows sc.nkey 0;
     sc.offer <- z;
     sc.slots <- n.pw_live;
+    sc.rows <- n.pw_rows;
     sc.nkills <- 0;
     if Array.length sc.kills < n.pw_len then
       sc.kills <- Array.make (2 * n.pw_len) 0;
@@ -846,7 +900,7 @@ let initial_state t =
   free_inactive_monitor_clocks t t.monitor.Monitor.mon_initial z;
   Array.iteri (fun ai li -> free_inactive_automaton_clocks t ai li z) locs;
   settle t.comp locs z;
-  extrapolate t z;
+  extrapolate t z (rows_at t locs t.monitor.Monitor.mon_initial);
   { st_locs = locs; st_vars = vars; st_mon = t.monitor.Monitor.mon_initial;
     st_zone = z }
 
@@ -1041,6 +1095,19 @@ let valid_zone ~dim m =
   Zone.Dbm.canonicalize z;
   Zone.Dbm.to_ints z = m
 
+(* Whether every row of [m] outside [rows] is infinite off the diagonal,
+   as in every zone a search stores ([rows_at]). *)
+let dead_rows_infinite ~dim rows m =
+  let ok = ref true in
+  for i = 0 to dim - 1 do
+    if not (Array.mem i rows) then
+      for j = 0 to dim - 1 do
+        if j <> i && not (Zone.Bound.is_infinite m.((i * dim) + j)) then
+          ok := false
+      done
+  done;
+  !ok
+
 (* The edge automaton [ai] declares at index [idx], if any. *)
 let find_edge comp ai idx =
   if ai < 0 || ai >= Array.length comp.Compiled.c_automata then None
@@ -1064,6 +1131,7 @@ let validate t ~label snap =
     bad "does not match this model/monitor/configuration";
   if snap.snap_label <> label then bad "was taken by a different kind of query";
   let next = snap.snap_next_id and auts = t.comp.Compiled.c_automata in
+  let dim = t.comp.Compiled.c_nclocks + 1 in
   if Array.length snap.snap_trace <> next then
     bad "has %d trace rows for %d ids" (Array.length snap.snap_trace) next;
   if snap.snap_visited < 0 || snap.snap_visited > next then
@@ -1083,7 +1151,9 @@ let validate t ~label snap =
            && in_ranges se.se_locs locs
            && in_ranges se.se_vars t.comp.Compiled.c_var_bounds
            && in_ranges [| se.se_mon |] mons
-           && valid_zone ~dim:(t.comp.Compiled.c_nclocks + 1) se.se_zone)
+           && valid_zone ~dim se.se_zone
+           && dead_rows_infinite ~dim
+                (rows_at t se.se_locs se.se_mon) se.se_zone)
       then bad "entry %d is repeated, or holds a state no search stores" id;
       live.(id) <- true)
     snap.snap_entries;
@@ -1177,7 +1247,7 @@ let search ?expand ?ctl ?resume ?(label = "") t visit =
     match find_node bucket h st with
     | Some n -> n
     | None ->
-      let n = Passed.node ~hash:h st in
+      let n = Passed.node ~hash:h ~rows:(live_rows t st) st in
       bucket := n :: !bucket;
       n
   in
@@ -1218,13 +1288,17 @@ let search ?expand ?ctl ?resume ?(label = "") t visit =
        for i = 0 to Array.length table - 1 do
          if running () then begin
            let d = table.(i) in
-           match extrapolated t pool (advance t pool e.e_state d) with
+           match advance t pool e.e_state d with
            | None -> ()
-           | Some st ->
-             (* the half's target node, looked up at its first use *)
+           | Some st as live -> (
+             (* a live successor filled the half; the half's target node
+                is looked up at its first use, before the extrapolation
+                that reads its row set (which never empties a zone) *)
              let h = Option.get d.d_half in
              if h.h_node == no_node then h.h_node <- node_for h.h_hash st;
-             add_state h.h_node e.e_id d.d_cand.cd_movers st
+             match extrapolated t pool h.h_node.pw_rows live with
+             | None -> ()
+             | Some st -> add_state h.h_node e.e_id d.d_cand.cd_movers st)
          end
        done
      | Some f ->

@@ -246,6 +246,17 @@ val pp_timed_step : Format.formatter -> timed_step -> unit
     unsatisfiable. *)
 val initial_state : t -> state
 
+(** [live_rows t st] is the row set of [st]'s discrete state: row 0 and
+    every clock that is not dead there, dead meaning left inactive by
+    the monitor state or, unless [make ~reduce:false], freed by
+    activity reduction at some automaton's location.  Every zone
+    {!initial_state} and {!fire} build, and so every zone the search
+    stores, is infinite off the diagonal in every other row, so the
+    search extrapolates, tests inclusion and weighs keys over these
+    rows alone.  A resumed snapshot entry with a finite entry in such a
+    row is refused. *)
+val live_rows : t -> state -> int array
+
 (** All discrete transition candidates enabled in (the discrete part of)
     a state, in the deterministic enumeration order of the sequential
     search.  Zone satisfiability is {e not} checked here — {!fire}
@@ -318,9 +329,13 @@ module Passed : sig
       victims. *)
   val block : int
 
-  (** [node ~hash st] is an empty node for [st]'s discrete part;
-      [hash] is the discrete part's hash, which the node keeps. *)
-  val node : hash:int -> state -> node
+  (** [node ~hash ~rows st] is an empty node for [st]'s discrete part;
+      [hash] is the discrete part's hash, which the node keeps.  Its
+      inclusion tests and key weights read only the rows in [rows], a
+      {!Zone.Dbm.extrapolate} row set: every zone offered to the node
+      must be infinite off the diagonal outside it.  The search passes
+      {!live_rows}; {!Zone.Dbm.all_rows} needs no such promise. *)
+  val node : hash:int -> rows:int array -> state -> node
 
   (** The node's live entries, oldest first. *)
   val live : node -> entry list

@@ -192,27 +192,54 @@ let free z i =
     done
   end
 
+(* --- row sets -------------------------------------------------------- *)
+
+(* Every row of the dimensions a search uses, built once: whole-matrix
+   callers of the row-taking kernels pass these shared arrays. *)
+let every_row = Array.init 33 (fun n -> Array.init n Fun.id)
+
+let all_rows n =
+  if n < 0 then invalid_arg "Dbm.all_rows: negative dimension";
+  if n < Array.length every_row then every_row.(n) else Array.init n Fun.id
+
+(* A row set is row 0, then rows strictly increasing below [n]:
+   [extrapolate] indexes with it unchecked and relies on that order, so
+   it checks the whole set once, before its loops. *)
+let check_rows fn n (rows : int array) =
+  let r = Array.length rows in
+  if r = 0 || rows.(0) <> 0 then
+    invalid_arg (fn ^ ": rows must start with row 0");
+  for p = 1 to r - 1 do
+    if rows.(p) <= rows.(p - 1) || rows.(p) >= n then
+      invalid_arg (fn ^ ": rows must increase within the dimension")
+  done
+
 (* Re-closure after an extrapolation loosened the entries listed in
-   [cols]/[ends] (row [i]'s columns are [cols.(ends.(i-1))] up to
-   [cols.(ends.(i) - 1)]) of a canonical non-empty zone M, giving M'.
-   An untouched entry (i, j) never changes: a path in M' is at least as
-   long as the same path in M, and M is closed, so the path is at least
-   M[i][j] = M'[i][j].  Floyd-Warshall therefore only ever writes
-   touched entries, and running each pivot over those alone yields the
-   same closed matrix in dim * |touched| steps instead of dim^3.  No
-   cycle gets shorter, so the zone stays non-empty and the diagonal
+   [cols]/[ends] (the columns of row [rows.(p)] are [cols.(ends.(p-1))]
+   up to [cols.(ends.(p) - 1)]) of a canonical non-empty zone M, giving
+   M'.  An untouched entry (i, j) never changes: a path in M' is at
+   least as long as the same path in M, and M is closed, so the path is
+   at least M[i][j] = M'[i][j].  Floyd-Warshall therefore only ever
+   writes touched entries, and running each pivot over those alone
+   yields the same closed matrix in dim * |touched| steps instead of
+   dim^3.  A row outside [rows] is infinite off the diagonal, so as a
+   pivot [k] it offers only M[k][k] = [le 0], which shortens nothing,
+   and it holds no touched entry: the pivots and rows are [rows] alone.
+   No cycle gets shorter, so the zone stays non-empty and the diagonal
    needs no check. *)
-let reclose_touched z cols ends =
-  let n = z.n and m = z.m in
-  (* [ends] holds [n] offsets into [cols], whose entries are columns in
-     [0 .. n - 1] ([extrapolate] wrote both) *)
-  for k = 0 to n - 1 do
+let reclose_touched z rows cols ends =
+  let n = z.n and m = z.m and nr = Array.length rows in
+  (* [rows] passed [check_rows]; [ends] holds [nr] offsets into [cols],
+     whose entries are columns in [0 .. n - 1] ([extrapolate] wrote
+     both) *)
+  for pk = 0 to nr - 1 do
+    let k = Array.unsafe_get rows pk in
     let rk = k * n in
     let first = ref 0 in
-    for i = 0 to n - 1 do
-      let stop = Array.unsafe_get ends i in
+    for p = 0 to nr - 1 do
+      let stop = Array.unsafe_get ends p in
       if !first < stop then begin
-        let ri = i * n in
+        let ri = Array.unsafe_get rows p * n in
         let dik = at m (ri + k) in
         if dik <> inf then
           for t = !first to stop - 1 do
@@ -228,93 +255,180 @@ let reclose_touched z cols ends =
     done
   done
 
-(* [extrapolate]'s touched list, grown to the largest dimension it has
-   seen.  It is per domain because [Analysis.Pool.map] runs several
-   searches at once, one on each domain. *)
-type touched = { mutable cols : int array; mutable ends : int array }
+(* [extrapolate]'s scratch, grown to the largest dimension it has seen:
+   the touched list and the columns whose row-0 entry was raised.  It is
+   per domain because [Analysis.Pool.map] runs several searches at
+   once, one on each domain. *)
+type touched = {
+  mutable cols : int array;
+  mutable ends : int array;
+  mutable raised : int array;
+}
 
-let touched_key = Domain.DLS.new_key (fun () -> { cols = [||]; ends = [||] })
+let touched_key =
+  Domain.DLS.new_key (fun () -> { cols = [||]; ends = [||]; raised = [||] })
 
-(* ExtraM: an entry above [le k.(i)] is dropped to infinity, one below
-   [lt (-k.(j))] raised to it; then only the touched entries are
-   re-closed. *)
-let extrapolate z k =
+(* ExtraM on the rows in [rows]: an entry above [le k.(i)] is dropped to
+   infinity, one below [lt (-k.(j))] raised to it; then only the touched
+   entries are re-closed.
+
+   In a canonical zone whose row 0 is at most [le 0] (clocks are
+   non-negative), M[i][j] <= M[i][0] + M[0][j] <= M[i][0] and
+   M[0][j] <= M[0][i] + M[i][j] <= M[i][j].  So an entry of row [i] can
+   exceed [le k.(i)] only if M[i][0] does, and an entry of column [j]
+   can fall below [lt (-k.(j))] only if M[0][j] does.  Row 0 is scanned
+   in full and its raised columns kept; a row whose column-0 entry is
+   over its constant is scanned in full, any other only at those
+   columns.  A row 0 above [le 0] (a matrix no operation here builds)
+   voids both lemmas, and then every row in [rows] is scanned in
+   full. *)
+let extrapolate z k rows =
   assert (Array.length k = z.n && k.(0) = 0);
+  check_rows "Dbm.extrapolate" z.n rows;
   if not (is_empty z) then begin
-    let n = z.n and m = z.m in
+    let n = z.n and m = z.m and nr = Array.length rows in
     let scratch = Domain.DLS.get touched_key in
     if Array.length scratch.ends < n then begin
       scratch.cols <- Array.make (n * n) 0;
-      scratch.ends <- Array.make n 0
+      scratch.ends <- Array.make n 0;
+      scratch.raised <- Array.make n 0
     end;
-    let cols = scratch.cols and ends = scratch.ends in
-    (* [k] has [n] entries (the assert), [cols] at least [n * n] and
-       [ends] at least [n], and at most one column is touched per entry *)
-    let touched = ref 0 in
-    for i = 0 to n - 1 do
-      let ri = i * n and above = le (Array.unsafe_get k i) in
-      for j = 0 to n - 1 do
-        if i <> j then begin
-          let b = at m (ri + j) in
-          let b' =
-            if b <> inf && b > above then inf
-            else
-              let below = lt (- Array.unsafe_get k j) in
-              if b < below then below else b
-          in
-          if b' <> b then begin
-            put m (ri + j) b';
-            Array.unsafe_set cols !touched j;
-            incr touched
-          end
+    let cols = scratch.cols and ends = scratch.ends
+    and raised = scratch.raised in
+    (* [k] has [n] entries (the assert), [rows] passed [check_rows],
+       [cols] has at least [n * n] entries, [ends] and [raised] at least
+       [n], and at most one column is touched per entry *)
+    let touched = ref 0 and nraised = ref 0 and whole = ref false in
+    for j = 1 to n - 1 do
+      let b = at m j in
+      if b > le_zero then begin
+        whole := true;
+        if b <> inf then begin
+          put m j inf;
+          Array.unsafe_set cols !touched j;
+          incr touched
         end
-      done;
-      Array.unsafe_set ends i !touched
+      end
+      else begin
+        let below = lt (- at k j) in
+        if b < below then begin
+          put m j below;
+          Array.unsafe_set cols !touched j;
+          incr touched;
+          Array.unsafe_set raised !nraised j;
+          incr nraised
+        end
+      end
     done;
-    if !touched > 0 then reclose_touched z cols ends
+    Array.unsafe_set ends 0 !touched;
+    for p = 1 to nr - 1 do
+      let i = Array.unsafe_get rows p in
+      let ri = i * n and above = le (at k i) in
+      if !whole || at m ri > above then
+        for j = 0 to n - 1 do
+          if i <> j then begin
+            let b = at m (ri + j) in
+            let b' =
+              if b <> inf && b > above then inf
+              else
+                let below = lt (- at k j) in
+                if b < below then below else b
+            in
+            if b' <> b then begin
+              put m (ri + j) b';
+              Array.unsafe_set cols !touched j;
+              incr touched
+            end
+          end
+        done
+      else
+        for q = 0 to !nraised - 1 do
+          let j = Array.unsafe_get raised q in
+          if i <> j then begin
+            let below = lt (- at k j) in
+            if at m (ri + j) < below then begin
+              put m (ri + j) below;
+              Array.unsafe_set cols !touched j;
+              incr touched
+            end
+          end
+        done;
+      Array.unsafe_set ends p !touched
+    done;
+    if !touched > 0 then reclose_touched z rows cols ends
   end
 
-let includes a b =
+(* The position after the run of consecutive rows that starts at
+   [rows.(p)]: the run occupies the flat span from [rows.(p) * n] up to
+   [rows.(q - 1) * n + n].  In an increasing set the rest is one run
+   when its last row is as far from [rows.(p)] as its position, as for
+   {!all_rows}, whose rows are one span, the whole matrix.  The run's
+   rows are checked against the dimension, so the kernels that read a
+   row set in one pass need no check of their own. *)
+let[@inline] run_end fn n (rows : int array) p =
+  let nr = Array.length rows in
+  let q = ref nr in
+  if rows.(nr - 1) - rows.(p) <> nr - 1 - p then begin
+    q := p + 1;
+    while !q < nr && rows.(!q) = rows.(!q - 1) + 1 do
+      incr q
+    done
+  end;
+  if rows.(p) < 0 || rows.(!q - 1) >= n then
+    invalid_arg (fn ^ ": row outside the dimension");
+  !q
+
+let includes_rows a b rows =
   assert (a.n = b.n);
   if is_empty b then true
   else if is_empty a then false
   else begin
-    (* both matrices have length [n * n] *)
-    let am = a.m and bm = b.m in
-    let ok = ref true in
-    let i = ref 0 in
-    let total = a.n * a.n in
-    while !ok && !i < total do
-      if at bm !i > at am !i then ok := false;
-      incr i
+    (* both matrices have length [n * n], and [run_end] checks each row *)
+    let n = a.n and am = a.m and bm = b.m in
+    let ok = ref true and p = ref 0 in
+    while !ok && !p < Array.length rows do
+      let q = run_end "Dbm.includes_rows" n rows !p in
+      let i = ref (rows.(!p) * n) and stop = (rows.(q - 1) + 1) * n in
+      while !ok && !i < stop do
+        if at bm !i > at am !i then ok := false;
+        incr i
+      done;
+      p := q
     done;
     !ok
   end
 
+let includes a b = includes_rows a b (all_rows a.n)
+
 let equal a b =
   a.n = b.n && ((is_empty a && is_empty b) || a.m = b.m)
 
-(* Clamped sum of the encoded bounds: a dominance measure.  Clamping is
-   monotone and [Bound.infinity] (= [max_int]) is the only encoding
-   above the cap, so [includes a b] implies [weight a >= weight b], and
-   equal weights with pointwise dominance force the zones equal.  The
-   head of a key (below). *)
+(* Clamped sum of the encoded bounds of the rows in [rows]: a dominance
+   measure.  Clamping is monotone and [Bound.infinity] (= [max_int]) is
+   the only encoding above the cap, so [includes a b] implies
+   [weight a rows >= weight b rows], and equal weights with pointwise
+   dominance force the rows equal.  The head of a key (below). *)
 let weight_cap = 1 lsl 40
 
-let weight z =
-  let s = ref 0 in
-  for i = 0 to Array.length z.m - 1 do
-    let b = z.m.(i) in
-    s := !s + (if b > weight_cap then weight_cap else b)
+let weight z rows =
+  let n = z.n and m = z.m and s = ref 0 and p = ref 0 in
+  while !p < Array.length rows do
+    (* [run_end] checks each row *)
+    let q = run_end "Dbm.weight" n rows !p in
+    for i = rows.(!p) * n to ((rows.(q - 1) + 1) * n) - 1 do
+      let b = at m i in
+      s := !s + (if b > weight_cap then weight_cap else b)
+    done;
+    p := q
   done;
   !s
 
 (* --- subsumption keys -------------------------------------------------- *)
 
-(* A key is the zone's {!weight} as a full int, then its clock bounds
-   packed into lanes: the upper bounds (column 0) from the highest clock
-   down, then the lower bounds (row 0) likewise; entry (0, 0) is [le 0]
-   in every non-empty zone and is left out.  A lane is [width] bits, the
+(* A key is the zone's {!weight} over a row set as a full int, then its
+   clock bounds packed into lanes: the upper bounds (column 0) from the
+   highest clock down, then the lower bounds (row 0) likewise; entry
+   (0, 0) is [le 0] in every non-empty zone and is left out.  A lane is [width] bits, the
    top one a guard bit that is 0 in every key; [lanes] lanes share an
    int, lane [q] of a word at bits [q * width ..].
 
@@ -325,7 +439,8 @@ let weight z =
    extrapolated zone, from [lt (-c)] up to [le c], maps unclamped.
    Since [includes a b] is pointwise [b.m <= a.m] and the map is
    monotone, it implies [b]'s lanes are [<=] [a]'s, and the {!weight}
-   keeps that at the head too.  Clamping only merges values,
+   keeps that at the head too, over any row set both keys were written
+   with.  Clamping only merges values,
    so a bound outside the range costs pruning power, never soundness.
 
    With [G] the guard bits of a word, [(a lor G) - b] subtracts lane by
@@ -378,10 +493,10 @@ module Key = struct
 
   (* Lane [q] is column 0 of clock [n - 1 - q], then row 0 of clock
      [2n - 2 - q]; the words fill from bit 0 up, with no division. *)
-  let write f (z : zone) keys off =
+  let write f (z : zone) rows keys off =
     assert (z.n = f.k_dim);
     let n = z.n and m = z.m in
-    keys.(off) <- weight z;
+    keys.(off) <- weight z rows;
     let w = ref (off + 1) and acc = ref 0 and shift = ref 0 in
     let full = f.lanes * f.width in
     for q = 0 to (2 * (n - 1)) - 1 do

@@ -10,10 +10,11 @@
 
     A zone's matrix always has [dim * dim] entries, and the kernels'
     inner loops ({!up}, {!up_to}, {!constrain}, {!reset}, {!free},
-    {!extrapolate}, {!includes}) read and write it without bounds
-    checks.  Each checks its clock arguments against [dim] before its
-    loops, so an out-of-range clock still fails (an assertion or
-    [Invalid_argument]) rather than reading past the matrix. *)
+    {!extrapolate}, {!includes_rows}, {!weight}) read and write it
+    without bounds checks.  Each checks its clock arguments and row set
+    against [dim] before its loops, so an out-of-range clock or row
+    still fails (an assertion or [Invalid_argument]) rather than
+    reading past the matrix. *)
 
 type t
 
@@ -65,38 +66,73 @@ val reset : t -> int -> unit
 (** [free z i] removes all constraints on clock [i] except non-negativity. *)
 val free : t -> int -> unit
 
-(** Classic maximal-constant extrapolation (ExtraM).  [k.(i)] is the
-    largest constant compared against clock [i]; [k.(0)] must be 0.
+(** {2 Row sets}
+
+    Activity reduction frees a clock where no path reads it before a
+    reset, and a freed clock's row stays infinite off the diagonal until
+    the clock is reset.  The kernels below take the rows that may be
+    finite, a {e row set}: row 0, then clock rows in strictly increasing
+    order below [dim].  Every row outside the set must be infinite off
+    the diagonal in each zone passed along with it; the kernels neither
+    read nor check those rows.  A caller that knows no such rows passes
+    {!all_rows}.  A row outside the dimension raises [Invalid_argument],
+    and so does, in {!extrapolate}, a set that does not start with row
+    0 or does not increase. *)
+
+(** [all_rows dim] is the row set of every row, [[|0; ...; dim - 1|]].
+    Small dimensions share one array: do not write into it. *)
+val all_rows : int -> int array
+
+(** [extrapolate z k rows] is classic maximal-constant extrapolation
+    (ExtraM) over the rows in [rows].  [k.(i)] is the largest constant
+    compared against clock [i]; [k.(0)] must be 0.  With every other row
+    infinite off the diagonal, the result is the matrix ExtraM over the
+    whole zone gives: it leaves those rows as they are.
 
     The input must be canonical.  Extrapolation only loosens entries,
     and in a closed zone closure can then change only the loosened
-    ("touched") entries, so the re-closure runs every pivot over those
-    alone: O(dim^2) for the scan plus O(dim * touched), against dim^3
-    for {!canonicalize}, with the same result.  A non-canonical input
-    is {e not} repaired.  A non-empty zone stays non-empty. *)
-val extrapolate : t -> int array -> unit
+    ("touched") entries, so the re-closure runs every pivot in [rows]
+    over those alone: O(dim * |rows|) for the scan plus
+    O(|rows| * touched), against dim^3 for {!canonicalize}, with the
+    same result.  A non-canonical input is {e not} repaired.  A
+    non-empty zone stays non-empty.
 
-(** [includes a b] is whether [b]'s valuation set is a subset of [a]'s.
-    Both must be canonical.  An empty [b] is included in everything. *)
+    {b Row 0.}  When no entry of row 0 exceeds [le 0] (clocks are
+    non-negative, as in every zone these operations build from
+    {!zero}), the scan reads a clock row in full only when its upper
+    bound exceeds its constant, and otherwise only at the columns whose
+    row-0 entry was below [lt (-k.(j))]: in such a canonical zone no
+    other entry can cross a constant.  A row 0 above [le 0] falls back
+    to the full scan of every row in [rows]. *)
+val extrapolate : t -> int array -> int array -> unit
+
+(** [includes_rows a b rows] is whether every entry of [b] in [rows]
+    is at most [a]'s: {!includes} when every other row is infinite off
+    the diagonal in both zones.  Both must be canonical.  An empty [b]
+    is included in everything. *)
+val includes_rows : t -> t -> int array -> bool
+
+(** [includes a b] is whether [b]'s valuation set is a subset of [a]'s:
+    {!includes_rows} over {!all_rows}. *)
 val includes : t -> t -> bool
 
 (** Semantic equality: same dimension and either the same canonical
     matrix or both empty. *)
 val equal : t -> t -> bool
 
-(** Clamped sum of the encoded bounds: a scalar dominance measure.
-    [includes a b] implies [weight a >= weight b], and equal weights
-    together with inclusion force the zones equal.  A subsumption probe
-    therefore only tests an inclusion [includes a b] when
-    [weight a >= weight b]. *)
-val weight : t -> int
+(** [weight z rows] is the clamped sum of the encoded bounds of the rows
+    in [rows]: a scalar dominance measure.  [includes_rows a b rows]
+    implies [weight a rows >= weight b rows], and equal weights together
+    with that inclusion force those rows equal.  A subsumption probe
+    therefore only tests an inclusion when the weights allow it. *)
+val weight : t -> int array -> int
 
 (** {2 Subsumption keys}
 
     A key is a flat summary of a non-empty zone that refutes most
     inclusions with a few integer compares, and the only place that
-    knows its layout is this module.  It is the zone's {!weight} as a
-    full int (the key's head), then the zone's clock bounds packed
+    knows its layout is this module.  It is the zone's {!weight} over a
+    row set as a full int (the key's head), then the zone's clock bounds packed
     several to a machine word: the upper bounds (column 0) from the
     highest clock index down, then the lower bounds (row 0) likewise.  Entry (0, 0) is [le 0] in every non-empty zone and is
     left out.  A bound becomes a small {e lane} value by a monotone map
@@ -110,7 +146,8 @@ val weight : t -> int
     {b Soundness.}  For non-empty [a] and [b], [includes a b] holds iff
     every encoded bound of [b] is [<=] the matching bound of [a]; the
     lanes are monotone images of such bounds, and {!weight} is monotone
-    in them.  So [includes a b] implies [ge fmt ka kb] for their keys,
+    in them.  So [includes a b] implies [ge fmt ka kb] for their keys
+    written with one row set,
     and [not (ge fmt ka kb)] proves [not (includes a b)].  The premise matters: an empty [b] is included
     in everything whatever its key, so keys prefilter only stores of
     non-empty zones (the explorer never stores an empty one). *)
@@ -143,9 +180,12 @@ module Key : sig
       it. *)
   val lane : t -> Bound.t -> int
 
-  (** [write fmt z keys off] writes [z]'s key into [keys.(off)
-      .. keys.(off + len fmt - 1)].  [z] has [fmt]'s dimension. *)
-  val write : t -> zone -> int array -> int -> unit
+  (** [write fmt z rows keys off] writes [z]'s key, with the head
+      [weight z rows], into [keys.(off) .. keys.(off + len fmt - 1)].
+      [z] has [fmt]'s dimension.  Keys compare soundly only when written
+      with the same row set, and with every row outside it infinite
+      off the diagonal in both zones. *)
+  val write : t -> zone -> int array -> int array -> int -> unit
 
   (** [ge fmt a ao b bo]: the key at [a.(ao)] dominates the one at
       [b.(bo)], head and every lane [>=].  One subtraction tests all

@@ -26,6 +26,28 @@ let run args =
       let read f = In_channel.with_open_bin f In_channel.input_all in
       (code, read out, read err))
 
+(* [run_piped ~input args] is [run args] with [input] written to the
+   child's standard input through a pipe, a stream that cannot seek,
+   after the shell command [before] (run in the background, if any).
+   The child gets 60 s, as a stuck read would otherwise hang the
+   suite. *)
+let run_piped ?before ~input args =
+  let out = Filename.temp_file "psv_cli" ".out"
+  and err = Filename.temp_file "psv_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      let command =
+        Printf.sprintf "%sprintf '%%s' %s | %s"
+          (match before with None -> "" | Some cmd -> cmd ^ " & ")
+          (Filename.quote input)
+          (Filename.quote_command "timeout" ("60" :: Lazy.force exe :: args)
+             ~stdout:out ~stderr:err)
+      in
+      let code = Sys.command command in
+      let read f = In_channel.with_open_bin f In_channel.input_all in
+      (code, read out, read err))
+
 (* A scratch file holding [text], removed after [f path]. *)
 let with_file ?(suffix = ".xta") text f =
   let path = Filename.temp_file "psv_cli" suffix in
@@ -324,6 +346,83 @@ let test_unwritable_outputs () =
               "/nonexistent/dir" ],
             "psv: /nonexistent/dir/" ) ])
 
+(* --- inputs that cannot seek, and numbers past an int ----------------------
+
+   A query file piped to [check] and a serve request whose model is a
+   FIFO are both read to end of file, not to a length taken up front. *)
+
+let test_pipe_and_fifo () =
+  with_psm (fun psm ->
+      let code, out, err =
+        run_piped ~input:"E<> Pump_IO.Infusing\n" [ "check"; psm; "/dev/stdin" ]
+      in
+      Alcotest.(check int) (Printf.sprintf "check /dev/stdin: exit (%s)" err) 0
+        code;
+      Alcotest.(check bool)
+        (Printf.sprintf "check /dev/stdin: summary in %S" out)
+        true
+        (List.exists (String.starts_with ~prefix:"1 query, 0 failures") (lines out));
+      with_dir (fun dir ->
+          let fifo = Filename.concat dir "model.fifo" in
+          Unix.mkfifo fifo 0o600;
+          let request =
+            Store.Json.to_string
+              (Store.Json.Obj
+                 [ ("id", Store.Json.Int 1);
+                   ("model", Store.Json.String fifo);
+                   ("query", Store.Json.String "E<> Pump_IO.Infusing") ])
+          in
+          let code, out, err =
+            run_piped
+              ~before:
+                (Filename.quote_command "timeout"
+                   [ "60"; "sh"; "-c";
+                     Filename.quote_command "cat" [ psm ] ~stdout:fifo ])
+              ~input:(request ^ "\n") [ "serve" ]
+          in
+          Alcotest.(check int) (Printf.sprintf "serve: exit (%s)" err) 0 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "serve answers the FIFO model: %S" out)
+            true
+            (String.starts_with ~prefix:{|{"id":1,"status":"ok"|} out)))
+
+(* A number too long for an int is an input error: [serve] answers it
+   with an error line and then answers the next request; [check -e]
+   exits 3 with a [psv:] line rather than an internal error. *)
+let test_over_long_numbers () =
+  with_psm (fun psm ->
+      let q = "sup: m_BolusReq -> c_StartInfusion ceiling 99999999999999999999" in
+      let request id query =
+        Store.Json.to_string
+          (Store.Json.Obj
+             [ ("id", Store.Json.Int id);
+               ("model", Store.Json.String psm);
+               ("query", Store.Json.String query) ])
+      in
+      let code, out, err =
+        run_piped
+          ~input:
+            (request 1 q ^ "\n" ^ request 2 "E<> Pump_IO.Infusing" ^ "\n")
+          [ "serve" ]
+      in
+      Alcotest.(check int) (Printf.sprintf "serve: exit (%s)" err) 0 code;
+      (match lines out with
+       | first :: second :: _ ->
+         Alcotest.(check string) "serve: the long number's error line"
+           {|{"id":1,"status":"error","error":"query: number out of range"}|}
+           first;
+         Alcotest.(check bool)
+           (Printf.sprintf "serve: the next request answered: %S" second)
+           true
+           (String.starts_with ~prefix:{|{"id":2,"status":"ok"|} second)
+       | _ -> Alcotest.failf "serve: two lines expected, got %S" out);
+      let code, _, err = run [ "check"; psm; "-e"; q ] in
+      Alcotest.(check int) "check -e: exit code" 3 code;
+      Alcotest.(check bool)
+        (Printf.sprintf "check -e: diagnostic in %S" err)
+        true
+        (List.mem "psv: query: number out of range" (lines err)))
+
 (* --- checkpoint and resume -------------------------------------------------
 
    The search order is fixed, so a run cut by a budget and resumed from
@@ -402,6 +501,9 @@ let suite =
       test_query_parse_error;
     Alcotest.test_case "unwritable fuzz and codegen outputs exit 3" `Quick
       test_unwritable_outputs;
+    Alcotest.test_case "pipe and FIFO inputs" `Quick test_pipe_and_fifo;
+    Alcotest.test_case "over-long numbers: serve and check -e" `Quick
+      test_over_long_numbers;
     Alcotest.test_case "verify: checkpoint, resume, refused snapshots" `Quick
       test_checkpoint_resume;
     Alcotest.test_case "sweep-schemes --json and --points-out" `Quick

@@ -111,7 +111,7 @@ let test_extrapolate_drops_big_bounds () =
   let z = Dbm.zero 2 in
   Dbm.up z;
   Dbm.constrain z 1 0 (Bound.le 500);
-  Dbm.extrapolate z [| 0; 10 |];
+  Dbm.extrapolate z [| 0; 10 |] (Dbm.all_rows 2);
   Alcotest.(check int) "bound beyond k dropped" Bound.infinity
     (Dbm.sup_clock z 1)
 
@@ -119,7 +119,7 @@ let test_extrapolate_keeps_small_bounds () =
   let z = Dbm.zero 2 in
   Dbm.up z;
   Dbm.constrain z 1 0 (Bound.le 5);
-  Dbm.extrapolate z [| 0; 10 |];
+  Dbm.extrapolate z [| 0; 10 |] (Dbm.all_rows 2);
   Alcotest.(check int) "bound within k kept" (Bound.le 5) (Dbm.sup_clock z 1)
 
 (* Regression: two empty DBMs of different dimensions are not equal (and
@@ -228,7 +228,7 @@ let prop_extrapolate_preserves_inclusion =
     (fun (ops, k) ->
       let z = build ops in
       let z' = Dbm.copy z in
-      Dbm.extrapolate z' k;
+      Dbm.extrapolate z' k (Dbm.all_rows (Dbm.dim z'));
       Dbm.includes z' z)
 
 (* --- subsumption prefilter ---------------------------------------------- *)
@@ -240,9 +240,11 @@ let prop_extrapolate_preserves_inclusion =
    zones' constants lie within 8: keys are tested in a layout that fits
    them and in one that clamps every bound past 1. *)
 
+let weight z = Dbm.weight z (Dbm.all_rows (Dbm.dim z))
+
 let key fmt z =
   let k = Array.make (Dbm.Key.len fmt) 0 in
-  Dbm.Key.write fmt z k 0;
+  Dbm.Key.write fmt z (Dbm.all_rows (Dbm.dim z)) k 0;
   k
 
 let fitting = Dbm.Key.make ~dim:Gen.dbm_dims ~max_const:8
@@ -278,11 +280,11 @@ let included_pairs name prop =
 
 let prefilter_props =
   included_pairs "includes implies weight order" (fun a b ->
-      Dbm.weight a >= Dbm.weight b)
+      weight a >= weight b)
   @ included_pairs "includes implies key dominance" (fun a b ->
         dominates fitting a b && dominates clamping a b)
   @ included_pairs "equal weights and inclusion imply equal" (fun a b ->
-        Dbm.weight a <> Dbm.weight b || Dbm.equal a b)
+        weight a <> weight b || Dbm.equal a b)
 
 (* --- key layout ------------------------------------------------------------ *)
 
@@ -368,7 +370,7 @@ let test_key_dim_one () =
   let fmt = Dbm.Key.make ~dim:1 ~max_const:8 in
   let a = Dbm.zero 1 and b = Dbm.zero 1 in
   Dbm.up b;
-  Alcotest.(check (array int)) "one empty word" [| Dbm.weight a; 0 |] (key fmt a);
+  Alcotest.(check (array int)) "one empty word" [| weight a; 0 |] (key fmt a);
   Alcotest.(check bool) "equal keys dominate" true
     (dominates fmt a b && dominates fmt b a)
 
@@ -378,7 +380,7 @@ let test_key_dim_one () =
    bounds clamp).  Half the pairs nest, so both outcomes occur. *)
 let ref_ge fmt a b =
   let lane = Dbm.Key.lane fmt in
-  Dbm.weight a >= Dbm.weight b
+  weight a >= weight b
   && List.for_all
        (fun i ->
          lane (Dbm.get a i 0) >= lane (Dbm.get b i 0)
@@ -535,6 +537,48 @@ let arb_constraint dim =
     quad (int_range 0 (dim - 1)) (int_range 0 (dim - 1)) bool
       (int_range (-8) 8))
 
+let fst3 (a, _, _) = a
+let thd3 (_, _, c) = c
+
+(* A zone with dead clocks, as the explorer's activity reduction leaves
+   them: a trail, then [free] of every clock marked dead, then a second
+   trail that neither reads nor resets a dead clock (a constraint that
+   would empty the zone is dropped, as at the wide size).  Each dead row
+   is infinite off the diagonal; the row set is row 0 and every clock
+   not marked. *)
+let arb_dead_zone dim arb_ops =
+  QCheck.(
+    triple arb_ops (list_of_size (Gen.return (dim - 1)) bool) arb_ops)
+
+let dead_zone dim build (ops, dead, more) =
+  let z = build ops in
+  let dead = Array.of_list (false :: dead) in
+  Array.iteri (fun i d -> if d then Dbm.free z i) dead;
+  List.iter
+    (fun op ->
+      match op with
+      | Gen.Op_reset i when dead.(i) -> ()
+      | Gen.Op_constrain (i, j, _, _) when dead.(i) || dead.(j) -> ()
+      | Gen.Op_constrain (i, j, strict, n)
+        when i <> j && not (Dbm.satisfiable z i j (Gen.dbm_bound strict n)) ->
+        ()
+      | Gen.Op_up | Gen.Op_reset _ | Gen.Op_constrain _ -> Gen.apply_dbm_op z op)
+    more;
+  let rows =
+    Array.of_list (List.filter (fun i -> not dead.(i)) (List.init dim Fun.id))
+  in
+  (z, rows)
+
+(* Whether every row outside [rows] is infinite off the diagonal. *)
+let dead_rows_infinite dim rows z =
+  List.for_all
+    (fun i ->
+      Array.mem i rows
+      || List.for_all
+           (fun j -> j = i || Bound.is_infinite (Dbm.get z i j))
+           (List.init dim Fun.id))
+    (List.init dim Fun.id)
+
 let reference_props dim arb_ops build =
   let ceilings = Gen.arb_dbm_ceilings_at dim in
   let name s = Printf.sprintf "%s (dim %d)" s dim in
@@ -564,8 +608,52 @@ let reference_props dim arb_ops build =
         let z = build ops in
         QCheck.assume (not (Dbm.is_empty z));
         let expected = ref_close dim (widen_m dim (Dbm.to_ints z) k) in
-        Dbm.extrapolate z k;
-        (not (Dbm.is_empty z)) && Dbm.to_ints z = expected) ]
+        Dbm.extrapolate z k (Dbm.all_rows dim);
+        (not (Dbm.is_empty z)) && Dbm.to_ints z = expected);
+    (* the row-0 fallback: a closed matrix whose row 0 may exceed
+       [le 0] is scanned row by row in full *)
+    QCheck.Test.make
+      ~name:(name "extrapolate on closed matrices = ExtraM, then closure")
+      ~count:1000 (QCheck.pair (arb_matrix dim) ceilings) (fun (m, k) ->
+        let z = Dbm.of_ints ~dim m in
+        Dbm.canonicalize z;
+        QCheck.assume (not (Dbm.is_empty z));
+        let expected = ref_close dim (widen_m dim (Dbm.to_ints z) k) in
+        Dbm.extrapolate z k (Dbm.all_rows dim);
+        (not (Dbm.is_empty z)) && Dbm.to_ints z = expected);
+    QCheck.Test.make
+      ~name:(name "live-row extrapolate = ExtraM rule, then closure")
+      ~count:1000
+      (QCheck.pair (arb_dead_zone dim arb_ops) ceilings)
+      (fun (ops, k) ->
+        let z, rows = dead_zone dim build ops in
+        QCheck.assume (not (Dbm.is_empty z));
+        if not (dead_rows_infinite dim rows z) then
+          QCheck.Test.fail_report "a freed row is finite before extrapolation";
+        let expected = ref_close dim (widen_m dim (Dbm.to_ints z) k) in
+        Dbm.extrapolate z k rows;
+        (not (Dbm.is_empty z)) && Dbm.to_ints z = expected);
+    QCheck.Test.make
+      ~name:(name "includes_rows = includes over infinite dead rows")
+      ~count:1000
+      (QCheck.triple (arb_dead_zone dim arb_ops) arb_ops QCheck.bool)
+      (fun (((_, dead, _) as ops), other, narrowed) ->
+        (* [b] shares [a]'s dead clocks: [a] narrowed by [other]'s
+           constraints, or a zone of its own *)
+        let a, rows = dead_zone dim build ops in
+        let b, _ =
+          if narrowed then
+            let constraints =
+              List.filter (function Gen.Op_constrain _ -> true | _ -> false)
+            in
+            dead_zone dim build (fst3 ops, dead, thd3 ops @ constraints other)
+          else dead_zone dim build (other, dead, [])
+        in
+        QCheck.assume (not (Dbm.is_empty a || Dbm.is_empty b));
+        let weight z = Dbm.weight z rows in
+        Dbm.includes_rows a b rows = Dbm.includes a b
+        && Dbm.includes_rows b a rows = Dbm.includes b a
+        && ((not (Dbm.includes a b)) || weight a >= weight b)) ]
 
 let reference_closure_props =
   reference_props Gen.dbm_dims Gen.arb_dbm_ops Gen.build_dbm
@@ -727,7 +815,7 @@ let scan_matches fmt c =
   let keys = Array.make ((len + 1) * klen) 0 in
   Array.iteri
     (fun s (z, hole) ->
-      Dbm.Key.write fmt z keys (s * klen);
+      Dbm.Key.write fmt z (Dbm.all_rows (Dbm.dim z)) keys (s * klen);
       if hole = 1 then Dbm.Key.hole fmt keys (s * klen))
     slots;
   let nblocks = len / block in
@@ -815,7 +903,7 @@ let test_widen_domains () =
   in_two_domains ~seed:22
     (fun ~rand dim ->
       QCheck.Gen.generate1 ~rand (QCheck.gen (Gen.arb_dbm_ceilings_at dim)))
-    Dbm.extrapolate
+    (fun z k -> Dbm.extrapolate z k (Dbm.all_rows (Dbm.dim z)))
 
 let test_delay_domains () =
   in_two_domains ~seed:43

@@ -348,7 +348,9 @@ let store_matches_reference ~max_const ~dim zones =
   let pool = Zone.Dbm.Pool.create dim in
   let p = P.create ~max_const pool in
   let zones = List.filter (fun z -> not (Zone.Dbm.is_empty z)) zones in
-  let node = P.node ~hash:0 (state_of (Zone.Dbm.zero dim)) in
+  let node =
+    P.node ~hash:0 ~rows:(Zone.Dbm.all_rows dim) (state_of (Zone.Dbm.zero dim))
+  in
   let live = ref [] and dead = Hashtbl.create 64 and entries = ref [] in
   let max_slots = ref 0 and compactions = ref 0 in
   let ids l = List.sort compare (List.map fst l) in
@@ -532,7 +534,7 @@ let test_store_keeps_expanding_zone () =
   let run ~expanding =
     let pool = Zone.Dbm.Pool.create 2 in
     let p = P.create ~max_const:0 pool in
-    let node = P.node ~hash:0 (state_of (point ())) in
+    let node = P.node ~hash:0 ~rows:(Zone.Dbm.all_rows 2) (state_of (point ())) in
     let parent_zone = point () in
     let parent =
       Option.get (P.add p node ~expanding:(-1) ~id:0 (state_of parent_zone))
@@ -850,6 +852,200 @@ let test_lazy_discrete_half () =
   | exception Compiled.Compile_error _ -> ()
   | _ -> Alcotest.fail "x >= 1: the out-of-range update did not raise"
 
+(* --- the search against naive references ---------------------------------- *)
+
+(* What a naive sequential sup search reaches: a FIFO queue and, per
+   discrete state, a plain list of live zones — a newcomer some live zone
+   includes is dropped, otherwise it replaces every live zone it
+   includes.  [Mc.Explorer.search] must reproduce it exactly: sup,
+   counters and, under a budget, the cut. *)
+type ref_run = {
+  rr_sup : Mc.Explorer.sup_result;
+  rr_visited : int;
+  rr_stored : int;
+  rr_live : (int * int array * int array * int * int array) list;
+      (* id, locs, vars, mon, zone — by id *)
+  rr_queue : int list;  (* live waiting ids, FIFO *)
+}
+
+let reference_sup ?(budget = max_int) t ~clock ~ceiling =
+  let comp = Mc.Explorer.compiled t in
+  let ci = Ta.Compiled.clock_index comp clock in
+  let waiting = Mc.Explorer.mon_in t "Waiting" in
+  let pool = Zone.Dbm.Pool.create (comp.Ta.Compiled.c_nclocks + 1) in
+  let live = Hashtbl.create 64 and dead = Hashtbl.create 64 in
+  let queue = Queue.create () in
+  let next = ref 0 and visited = ref 0 in
+  let best = ref Mc.Explorer.Sup_unreached in
+  let offer (st : Mc.Explorer.state) =
+    let key = (st.Mc.Explorer.st_locs, st.st_vars, st.st_mon) in
+    let z = st.st_zone in
+    let zs = Option.value (Hashtbl.find_opt live key) ~default:[] in
+    if not (List.exists (fun (_, y) -> Zone.Dbm.includes y z) zs) then begin
+      let victims, kept =
+        List.partition (fun (_, y) -> Zone.Dbm.includes z y) zs
+      in
+      List.iter (fun (v, _) -> Hashtbl.replace dead v ()) victims;
+      let id = !next in
+      incr next;
+      Hashtbl.replace live key ((id, z) :: kept);
+      Queue.push (id, st) queue;
+      if waiting st then begin
+        let b = Zone.Dbm.sup_clock z ci in
+        if Zone.Bound.is_infinite b then best := Mc.Explorer.Sup_exceeds ceiling
+        else
+          let v = Zone.Bound.constant b and strict = Zone.Bound.is_strict b in
+          match !best with
+          | Mc.Explorer.Sup_exceeds _ -> ()
+          | Mc.Explorer.Sup_unreached -> best := Mc.Explorer.Sup (v, strict)
+          | Mc.Explorer.Sup (v0, s0) ->
+            if v > v0 || (v = v0 && s0 && not strict) then
+              best := Mc.Explorer.Sup (v, strict)
+      end
+    end
+  in
+  let initial = Mc.Explorer.initial_state t in
+  if not (Zone.Dbm.is_empty initial.Mc.Explorer.st_zone) then offer initial;
+  let cut = ref false in
+  while (not !cut) && not (Queue.is_empty queue) do
+    if !visited >= budget then cut := true
+    else begin
+      let id, st = Queue.pop queue in
+      if not (Hashtbl.mem dead id) then begin
+        incr visited;
+        List.iter
+          (fun cd ->
+            match Mc.Explorer.fire t pool st cd with
+            | Some s -> offer s
+            | None -> ())
+          (Mc.Explorer.candidates t st)
+      end
+    end
+  done;
+  let rr_live =
+    Hashtbl.fold
+      (fun (locs, vars, mon) zs acc ->
+        List.map (fun (id, z) -> (id, locs, vars, mon, Zone.Dbm.to_ints z)) zs
+        @ acc)
+      live []
+    |> List.sort compare
+  in
+  { rr_sup = !best;
+    rr_visited = !visited;
+    rr_stored = !next;
+    rr_live;
+    rr_queue =
+      Queue.fold
+        (fun acc (id, _) -> if Hashtbl.mem dead id then acc else id :: acc)
+        [] queue
+      |> List.rev }
+
+(* Delay searches over the zones activity reduction frees: five
+   [Diff.Gen] instances of each of the four shapes, and Table I's input
+   (m -> i) and output (o -> c) delays on the GPCA PSM.  The row sets
+   the search extrapolates, tests inclusion and weighs keys over must
+   leave out only rows that are infinite. *)
+let dead_row_searches () =
+  let delay net ~trigger ~response ~ceiling =
+    let monitor =
+      Mc.Monitor.delay ~trigger ~response ~clock:Mc.Query.delay_monitor_clock
+        ~ceiling ()
+    in
+    (Mc.Explorer.make ~monitor net, monitor, ceiling)
+  in
+  let fuzz =
+    List.concat_map
+      (fun k ->
+        List.init 5 (fun index ->
+            let inst = Test_runctl.fuzz_instance (k, index) in
+            ( inst.Diff.Gen.id,
+              delay inst.Diff.Gen.net ~trigger:inst.Diff.Gen.trigger
+                ~response:inst.Diff.Gen.response ~ceiling:inst.Diff.Gen.ceiling
+            )))
+      (List.init (List.length Diff.Gen.all_shapes) Fun.id)
+  in
+  let ceiling =
+    2 * (Gpca.Experiment.analytic_bounds Gpca.Params.default)
+          .Gpca.Experiment.a_mc
+  and bolus = Gpca.Model.bolus_req and start = Gpca.Model.start_infusion in
+  fuzz
+  @ [ ( "gpca-psm-input",
+        delay (gpca_psm ()) ~trigger:bolus
+          ~response:(Transform.Names.input_chan bolus) ~ceiling );
+      ( "gpca-psm-output",
+        delay (gpca_psm ()) ~trigger:(Transform.Names.output_chan start)
+          ~response:start ~ceiling ) ]
+
+(* Every stored zone is infinite off the diagonal in each row outside
+   [live_rows], and [live_rows] leaves out exactly the clocks dead at
+   the state: those the monitor state leaves inactive and those an
+   automaton's location frees ([cl_free]).  At least one dead row must
+   turn up, or the test shows nothing. *)
+let test_dead_rows_infinite () =
+  let seen = ref 0 in
+  List.iter
+    (fun (name, (t, (monitor : Mc.Monitor.t), _)) ->
+      let comp = Mc.Explorer.compiled t in
+      let dim = comp.Compiled.c_nclocks + 1 in
+      let mon_clocks =
+        List.map
+          (fun (c, _) -> (c, Compiled.clock_index comp c))
+          monitor.Mc.Monitor.mon_clocks
+      in
+      let visit (st : Mc.Explorer.state) =
+        let dead = Array.make dim false in
+        let active = monitor.Mc.Monitor.mon_active st.st_mon in
+        List.iter
+          (fun (c, i) -> if not (List.mem c active) then dead.(i) <- true)
+          mon_clocks;
+        Array.iteri
+          (fun ai li ->
+            List.iter
+              (fun i -> dead.(i) <- true)
+              comp.Compiled.c_automata.(ai).Compiled.ca_locs.(li)
+                .Compiled.cl_free)
+          st.st_locs;
+        let live = List.filter (fun i -> not dead.(i)) (List.init dim Fun.id) in
+        if Array.to_list (Mc.Explorer.live_rows t st) <> live then
+          Alcotest.failf "%s: live_rows differs from the dead clocks" name;
+        Array.iteri
+          (fun i d ->
+            if d then begin
+              incr seen;
+              for j = 0 to dim - 1 do
+                if j <> i
+                   && not (Zone.Bound.is_infinite (Zone.Dbm.get st.st_zone i j))
+                then Alcotest.failf "%s: dead row %d is finite at %d" name i j
+              done
+            end)
+          dead;
+        `Continue
+      in
+      ignore (Mc.Explorer.search t visit : Mc.Explorer.search_result))
+    (dead_row_searches ());
+  Alcotest.(check bool)
+    (Printf.sprintf "dead rows seen (%d)" !seen)
+    true (!seen > 0)
+
+(* The search, which tests inclusion over live rows only, reaches the
+   sup and the visited/stored counts of [reference_sup], whose store
+   tests inclusion over the whole matrix. *)
+let test_counts_full_inclusion () =
+  List.iter
+    (fun (name, (t, _, ceiling)) ->
+      let clock = Mc.Query.delay_monitor_clock in
+      let r = reference_sup t ~clock ~ceiling in
+      let o =
+        Mc.Explorer.sup_clock t ~pred:(Mc.Explorer.mon_in t "Waiting") ~clock
+      in
+      let st = o.Mc.Explorer.so_stats in
+      if o.Mc.Explorer.so_sup <> r.rr_sup then Alcotest.failf "%s: sup differs" name;
+      Alcotest.(check (pair int int))
+        (name ^ ": visited/stored")
+        (r.rr_visited, r.rr_stored)
+        (st.Mc.Explorer.visited, st.Mc.Explorer.stored))
+    (dead_row_searches ())
+
 (* --- allocation budget --------------------------------------------------- *)
 
 (* The search's per-successor path allocates no closure, the
@@ -946,6 +1142,10 @@ let suite =
       test_candidate_order;
     Alcotest.test_case "gpca-psm-input minor-word budget" `Quick
       test_allocation_budget;
+    Alcotest.test_case "dead rows of visited zones are infinite" `Quick
+      test_dead_rows_infinite;
+    Alcotest.test_case "counts = full-inclusion reference store" `Quick
+      test_counts_full_inclusion;
     Alcotest.test_case "successor tables = uncached firing" `Quick
       test_successor_tables;
     Alcotest.test_case "discrete half computed lazily" `Quick

@@ -100,91 +100,16 @@ let test_pool_map () =
 
 (* --- the search loop on fuzz instances ------------------------------------ *)
 
-(* What a naive sequential sup search reaches: a FIFO queue and, per
-   discrete state, a plain list of live zones — a newcomer some live zone
-   includes is dropped, otherwise it replaces every live zone it
-   includes.  [Mc.Explorer.search] must reproduce it exactly: sup,
-   counters and, under a budget, the cut. *)
-type ref_run = {
+(* The naive reference search of [Test_mc]. *)
+type ref_run = Test_mc.ref_run = {
   rr_sup : Mc.Explorer.sup_result;
   rr_visited : int;
   rr_stored : int;
   rr_live : (int * int array * int array * int * int array) list;
-      (* id, locs, vars, mon, zone — by id *)
-  rr_queue : int list;  (* live waiting ids, FIFO *)
+  rr_queue : int list;
 }
 
-let reference_sup ?(budget = max_int) t ~clock ~ceiling =
-  let comp = Mc.Explorer.compiled t in
-  let ci = Ta.Compiled.clock_index comp clock in
-  let waiting = Mc.Explorer.mon_in t "Waiting" in
-  let pool = Zone.Dbm.Pool.create (comp.Ta.Compiled.c_nclocks + 1) in
-  let live = Hashtbl.create 64 and dead = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let next = ref 0 and visited = ref 0 in
-  let best = ref Mc.Explorer.Sup_unreached in
-  let offer (st : Mc.Explorer.state) =
-    let key = (st.Mc.Explorer.st_locs, st.st_vars, st.st_mon) in
-    let z = st.st_zone in
-    let zs = Option.value (Hashtbl.find_opt live key) ~default:[] in
-    if not (List.exists (fun (_, y) -> Zone.Dbm.includes y z) zs) then begin
-      let victims, kept =
-        List.partition (fun (_, y) -> Zone.Dbm.includes z y) zs
-      in
-      List.iter (fun (v, _) -> Hashtbl.replace dead v ()) victims;
-      let id = !next in
-      incr next;
-      Hashtbl.replace live key ((id, z) :: kept);
-      Queue.push (id, st) queue;
-      if waiting st then begin
-        let b = Zone.Dbm.sup_clock z ci in
-        if Zone.Bound.is_infinite b then best := Mc.Explorer.Sup_exceeds ceiling
-        else
-          let v = Zone.Bound.constant b and strict = Zone.Bound.is_strict b in
-          match !best with
-          | Mc.Explorer.Sup_exceeds _ -> ()
-          | Mc.Explorer.Sup_unreached -> best := Mc.Explorer.Sup (v, strict)
-          | Mc.Explorer.Sup (v0, s0) ->
-            if v > v0 || (v = v0 && s0 && not strict) then
-              best := Mc.Explorer.Sup (v, strict)
-      end
-    end
-  in
-  let initial = Mc.Explorer.initial_state t in
-  if not (Zone.Dbm.is_empty initial.Mc.Explorer.st_zone) then offer initial;
-  let cut = ref false in
-  while (not !cut) && not (Queue.is_empty queue) do
-    if !visited >= budget then cut := true
-    else begin
-      let id, st = Queue.pop queue in
-      if not (Hashtbl.mem dead id) then begin
-        incr visited;
-        List.iter
-          (fun cd ->
-            match Mc.Explorer.fire t pool st cd with
-            | Some s -> offer s
-            | None -> ())
-          (Mc.Explorer.candidates t st)
-      end
-    end
-  done;
-  let rr_live =
-    Hashtbl.fold
-      (fun (locs, vars, mon) zs acc ->
-        List.map (fun (id, z) -> (id, locs, vars, mon, Zone.Dbm.to_ints z)) zs
-        @ acc)
-      live []
-    |> List.sort compare
-  in
-  { rr_sup = !best;
-    rr_visited = !visited;
-    rr_stored = !next;
-    rr_live;
-    rr_queue =
-      Queue.fold
-        (fun acc (id, _) -> if Hashtbl.mem dead id then acc else id :: acc)
-        [] queue
-      |> List.rev }
+let reference_sup = Test_mc.reference_sup
 
 let fuzz_instance = Test_runctl.fuzz_instance
 let fuzz_explorer = Test_runctl.fuzz_explorer

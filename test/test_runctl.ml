@@ -555,6 +555,90 @@ let test_forged_checkpoints () =
             { snap with Mc.Explorer.snap_trace = trace };
           refused "a trace row naming a missing edge"))
 
+(* A zone a search could store only if it kept one dead clock's row
+   infinite: a real cut of the GPCA M-C query with one entry's dead row
+   made finite by bounding that clock.  The zone is still canonical and
+   within every range, so only the dead-row check refuses it: exit 3
+   with the entry's diagnostic.  The cut as written resumes. *)
+let test_dead_row_checkpoint () =
+  with_snap_file (fun psm ->
+      let code, _, err = Cli.run [ "export"; "--psm"; "-o"; psm ] in
+      if code <> 0 then Alcotest.failf "export: exit %d: %s" code err;
+      let net =
+        match
+          Xta.Parse.network (In_channel.with_open_bin psm In_channel.input_all)
+        with
+        | Ok net -> net
+        | Error msg -> Alcotest.failf "exported PSM: %s" msg
+      in
+      (* the explorer [psv verify] builds, for its row sets *)
+      let t =
+        Mc.Explorer.make
+          ~monitor:
+            (Mc.Monitor.delay ~trigger:"m_BolusReq" ~response:"c_StartInfusion"
+               ~clock:Mc.Query.delay_monitor_clock ~ceiling:1430 ())
+          net
+      in
+      let dim = (Mc.Explorer.compiled t).Ta.Compiled.c_nclocks + 1 in
+      let verify extra =
+        Cli.run
+          ([ "verify"; psm; "--trigger"; "m_BolusReq"; "--response";
+             "c_StartInfusion"; "--bound"; "1430" ]
+          @ extra)
+      in
+      with_snap_file (fun path ->
+          ignore (verify [ "--budget-states"; "200"; "--checkpoint"; path ]);
+          let snap =
+            match Mc.Explorer.load_snapshot path with
+            | Ok s -> s
+            | Error msg -> Alcotest.failf "the 200-state cut: %s" msg
+          in
+          let code, _, err = verify [ "--resume"; path ] in
+          if code <> 0 then
+            Alcotest.failf "the cut as written: exit %d, stderr %S" code err;
+          (* the first entry with a dead clock, and that clock *)
+          let dead (se : Mc.Explorer.snap_entry) =
+            let rows =
+              Mc.Explorer.live_rows t
+                { Mc.Explorer.st_locs = se.se_locs; st_vars = se.se_vars;
+                  st_mon = se.se_mon;
+                  st_zone = Zone.Dbm.of_ints ~dim se.se_zone }
+            in
+            List.find_opt
+              (fun i -> not (Array.mem i rows))
+              (List.init (dim - 1) (fun i -> i + 1))
+          in
+          let se, x =
+            match
+              List.find_map
+                (fun se -> Option.map (fun x -> (se, x)) (dead se))
+                snap.Mc.Explorer.snap_entries
+            with
+            | Some found -> found
+            | None -> Alcotest.fail "no entry of the cut has a dead clock"
+          in
+          let z = Zone.Dbm.of_ints ~dim se.Mc.Explorer.se_zone in
+          Zone.Dbm.constrain z x 0 (Zone.Bound.le 100_000);
+          if Zone.Dbm.is_empty z || Zone.Dbm.sup_clock z x = Zone.Bound.infinity
+          then Alcotest.fail "bounding the dead clock did not make its row finite";
+          let forged =
+            List.map
+              (fun (e : Mc.Explorer.snap_entry) ->
+                if e == se then { e with se_zone = Zone.Dbm.to_ints z } else e)
+              snap.Mc.Explorer.snap_entries
+          in
+          Mc.Explorer.save_snapshot path
+            { snap with Mc.Explorer.snap_entries = forged };
+          let code, _, err = verify [ "--resume"; path ] in
+          Alcotest.(check (pair int string))
+            "exit and diagnostic"
+            ( 3,
+              Printf.sprintf
+                "psv: cannot resume from %s: Explorer: snapshot entry %d is \
+                 repeated, or holds a state no search stores\n"
+                path se.se_id )
+            (code, err)))
+
 let suite =
   [ Alcotest.test_case "state budget -> Unknown" `Quick
       test_state_budget_unknown;
@@ -578,5 +662,7 @@ let suite =
     Alcotest.test_case "checkpoint decoder fuzz" `Quick test_decoder_fuzz;
     Alcotest.test_case "forged checkpoints exit 3" `Quick
       test_forged_checkpoints;
+    Alcotest.test_case "dead-row checkpoint entry exits 3" `Quick
+      test_dead_row_checkpoint;
     Alcotest.test_case "railroad verdicts at P(320)" `Quick
       test_verify_response_verdicts ]
